@@ -63,6 +63,8 @@ REQUIRED_FAMILIES = {
     "repro_service_admission_rejects_total",
     "repro_service_events_ingested_total",
     "repro_service_delivered_deltas_total",
+    "repro_service_encoded_frames_total",
+    "repro_service_log_retained",
     "repro_service_subscribers",
 }
 

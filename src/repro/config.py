@@ -114,8 +114,9 @@ class ExecutionConfig:
     * ``queue_capacity`` — service mode: bounded depth of each live
       source's event queue; a full queue blocks the tailer
       (backpressure) instead of buffering without limit.
-    * ``subscriber_capacity`` — service mode: undrained deltas a
-      subscriber may buffer before it is evicted as a slow consumer.
+    * ``subscriber_capacity`` — service mode: deltas a subscriber's
+      cursor may lag its query's broadcast log before it is evicted as
+      a slow consumer.
     * ``checkpoint_dir`` — service mode: directory for session
       checkpoints (taken every ``retry.checkpoint_interval`` ingested
       events); empty string (the default) disables durability.

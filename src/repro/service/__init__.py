@@ -11,8 +11,8 @@ replay of the same events.  The pieces:
   rejection codes.
 * :mod:`~repro.service.session` — resident dataflows, catch-up,
   checkpoint/restore.
-* :mod:`~repro.service.subscriptions` — per-query fan-out with
-  bounded buffers and slow-consumer eviction.
+* :mod:`~repro.service.subscriptions` — per-query fan-out: one
+  broadcast log, subscriber cursors, lag-based slow-consumer eviction.
 * :mod:`~repro.service.sources` — file tailing and socket feeds with
   bounded-queue backpressure.
 * :mod:`~repro.service.server` — the composed service core and the

@@ -13,8 +13,14 @@ Families (stable names — renaming is a breaking change for scrapers):
 
 * ``repro_service_active_queries`` (gauge) — resident standing queries.
 * ``repro_service_subscribers`` (gauge) — live subscribers, per query.
-* ``repro_service_delivered_deltas_total`` (counter) — deltas buffered
-  to subscribers, per query.
+* ``repro_service_delivered_deltas_total`` (counter) — deltas made
+  available to live subscribers (published deltas × live subscribers),
+  per query.
+* ``repro_service_encoded_frames_total`` (counter) — wire frames
+  encoded, per query: at most one per published delta however many
+  subscribers read it, and none while only in-process consumers listen.
+* ``repro_service_log_retained`` (gauge) — deltas the query's broadcast
+  log currently holds (log head minus the slowest live cursor).
 * ``repro_service_admission_rejects_total`` (counter) — rejections,
   labelled by structured ``code``.
 * ``repro_service_admitted_total`` (counter) — queries admitted.
@@ -25,7 +31,7 @@ Families (stable names — renaming is a breaking change for scrapers):
 * ``repro_service_source_queue_depth`` (gauge) — events waiting in the
   live sources' bounded queues, per source.
 * ``repro_service_slow_evictions_total`` (counter) — subscribers
-  evicted for falling behind.
+  evicted for lagging the log head by more than their capacity.
 * ``repro_service_checkpoints_total`` (counter) — session checkpoints
   taken.
 * ``repro_service_shared_subplans`` (gauge) — resident operators
@@ -37,7 +43,7 @@ Families (stable names — renaming is a breaking change for scrapers):
   labels).
 * ``repro_service_ingest_to_push_us`` (histogram) — microseconds from
   an event entering :meth:`SessionManager.ingest` to the query's new
-  deltas being buffered to subscribers, per standing query.
+  deltas being appended to its broadcast log, per standing query.
 * ``repro_service_slow_queries_total`` (counter) — slow-query-log
   entries recorded (threshold-crossing episodes, not per-event spam).
 * ``repro_service_lineage_sampled_total`` / ``_dropped_total``
@@ -169,27 +175,28 @@ def render_service_exposition(
            "Standing queries currently resident")
     lines.append(f"repro_service_active_queries {len(queries)}")
 
-    family("repro_service_subscribers", "gauge",
-           "Live subscribers attached to each standing query")
-    for query in queries:
-        labels = format_labels(
-            {"query": query.query_id, "tenant": query.tenant}
-        )
-        lines.append(
-            f"repro_service_subscribers{labels} "
-            f"{query.subscriptions.live_count}"
-        )
+    def per_query(name: str, kind: str, help_text: str, value) -> None:
+        family(name, kind, help_text)
+        for query in queries:
+            labels = format_labels(
+                {"query": query.query_id, "tenant": query.tenant}
+            )
+            lines.append(f"{name}{labels} {value(query)}")
 
-    family("repro_service_delivered_deltas_total", "counter",
-           "Changelog deltas buffered to subscribers, per standing query")
-    for query in queries:
-        labels = format_labels(
-            {"query": query.query_id, "tenant": query.tenant}
-        )
-        lines.append(
-            f"repro_service_delivered_deltas_total{labels} "
-            f"{query.subscriptions.delivered}"
-        )
+    per_query("repro_service_subscribers", "gauge",
+              "Live subscribers attached to each standing query",
+              lambda q: q.subscriptions.live_count)
+    per_query("repro_service_delivered_deltas_total", "counter",
+              "Changelog deltas made available to live subscribers, "
+              "per standing query",
+              lambda q: q.subscriptions.delivered)
+    per_query("repro_service_encoded_frames_total", "counter",
+              "Wire frames encoded (at most one per published delta), "
+              "per standing query",
+              lambda q: q.subscriptions.encoded_frames)
+    per_query("repro_service_log_retained", "gauge",
+              "Deltas held in each standing query's broadcast log",
+              lambda q: q.subscriptions.retained)
 
     family("repro_service_admitted_total", "counter",
            "Queries admitted through the gateway")
@@ -221,17 +228,13 @@ def render_service_exposition(
         lines.append(f"repro_service_source_queue_depth{labels} {depth}")
 
     family("repro_service_slow_evictions_total", "counter",
-           "Subscribers evicted for falling behind their buffer capacity")
+           "Subscribers evicted for lagging the log by more than their capacity")
     evictions = sum(q.subscriptions.evictions for q in queries)
     lines.append(f"repro_service_slow_evictions_total {evictions}")
 
-    family("repro_service_state_rows", "gauge",
-           "Operator-state rows resident per standing query")
-    for query in queries:
-        labels = format_labels(
-            {"query": query.query_id, "tenant": query.tenant}
-        )
-        lines.append(f"repro_service_state_rows{labels} {query.state_rows()}")
+    per_query("repro_service_state_rows", "gauge",
+              "Operator-state rows resident per standing query",
+              lambda q: q.state_rows())
 
     family("repro_service_checkpoints_total", "counter",
            "Session checkpoints written to the checkpoint directory")

@@ -25,6 +25,13 @@ Wire protocol (one JSON object per line, both directions)::
     → {"op": "ingest", "source": "bid", "event": "{\\"ptime\\": ...}"}
     ← {"ok": true, "published": {"q1": 2}}
 
+Delta lines are pushed by **one sender coroutine per streaming
+connection**: a request handler (or the live-source pump) writes its
+own reply, wakes the senders, and never waits on a subscriber's socket.
+A stream ends with one unsolicited line — ``{"evicted": id, "query":
+q}`` for a slow consumer, ``{"closed": id, "query": q, "reason":
+"withdrawn" | "unsubscribed"}`` otherwise.
+
 A rejection is ``{"ok": false, "error": {"code": ..., "tenant": ...,
 "detail": ...}}`` — the :class:`~repro.service.admission.AdmissionError`
 structure verbatim, so clients can switch on ``error.code``.
@@ -44,6 +51,7 @@ Without tokens the field is trusted as before (development mode).
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import os
 from typing import Optional
@@ -219,6 +227,24 @@ class StandingQueryService:
         return self.session.restore(directory, admit)
 
 
+def _line(payload: dict) -> bytes:
+    """One protocol line."""
+    return (json.dumps(payload) + "\n").encode("utf-8")
+
+
+class _PushConnection:
+    """One streaming connection: its streams, its sender, its wake-up."""
+
+    __slots__ = ("writer", "streams", "wake", "task")
+
+    def __init__(self, writer: asyncio.StreamWriter):
+        self.writer = writer
+        #: (standing query, subscriber) in subscription order.
+        self.streams: list[tuple[StandingQuery, Subscriber]] = []
+        self.wake = asyncio.Event()
+        self.task: Optional[asyncio.Task] = None
+
+
 class ServiceServer:
     """Line-JSON TCP front end plus the live-source pump."""
 
@@ -232,8 +258,10 @@ class ServiceServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
-        #: (query_id, subscriber_id, writer) triples with a live stream.
-        self._streams: list[tuple[str, str, asyncio.StreamWriter]] = []
+        #: the stream table: connections with at least one live stream.
+        self._streams: dict[asyncio.StreamWriter, _PushConnection] = {}
+        #: default subscriber ids; never reused, whatever detaches.
+        self._subscriber_ids = itertools.count(1)
         self.sources: list[LiveSource] = []
         self._tail_tasks: list[asyncio.Task] = []
         #: (source, listening server) pairs from :meth:`listen_source`.
@@ -337,7 +365,7 @@ class ServiceServer:
 
         async def flush_streams(name, event, result) -> None:
             self._refresh_depths()
-            await self._flush_subscribers()
+            self._flush_subscribers()
 
         self._pump_task = asyncio.ensure_future(
             pump(self.sources, self.service.ingest, on_ingest=flush_streams)
@@ -357,7 +385,10 @@ class ServiceServer:
         if self._pump_task is not None:
             await self._pump_task
         self._refresh_depths()
-        await self._flush_subscribers()
+        self._flush_subscribers()
+        # The ready queue is FIFO: every sender woken above has written
+        # its pending frames by the time this coroutine is resumed.
+        await asyncio.sleep(0)
 
     async def stop(self) -> None:
         for _, server in self._socket_servers:
@@ -382,7 +413,17 @@ class ServiceServer:
         try:
             while True:
                 try:
-                    data = await reader.readline()
+                    data = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    data = exc.partial  # end of stream
+                except asyncio.LimitOverrunError:
+                    await self._send(writer, {"ok": False, "error": {
+                        "code": "parse_error", "tenant": "",
+                        "detail": "request line too long"}})
+                    # Closing with the rest of the line unread would
+                    # reset the connection and could lose the reply.
+                    await self._discard_line(reader)
+                    break
                 except (asyncio.CancelledError, ConnectionError):
                     break  # loop shutdown or client reset; just detach
                 if not data:
@@ -396,13 +437,29 @@ class ServiceServer:
                     continue
                 response = await self._dispatch(request, writer)
                 await self._send(writer, response)
-                await self._flush_subscribers()
+                if self._streams:
+                    self._flush_subscribers()
+                    # Pipelined requests arrive without a suspension
+                    # point; yield so the senders push this request's
+                    # deltas before the next one adds to their lag.
+                    await asyncio.sleep(0)
         finally:
-            self._streams = [
-                (q, s, w) for (q, s, w) in self._streams if w is not writer
-            ]
+            self._close_streams(writer)
             self._authed.pop(writer, None)
             writer.close()
+
+    @staticmethod
+    async def _discard_line(reader: asyncio.StreamReader) -> None:
+        """Consume the rest of a line longer than the reader's limit."""
+        try:
+            while True:
+                try:
+                    await reader.readuntil(b"\n")
+                    return
+                except asyncio.LimitOverrunError as exc:
+                    await reader.readexactly(exc.consumed)
+        except (asyncio.IncompleteReadError, ConnectionError):
+            return  # the client hung up mid-line
 
     def _effective_tenant(self, request: dict, writer) -> str:
         """Who this request acts as, spoof-proofed in token mode.
@@ -464,11 +521,13 @@ class ServiceServer:
                 }
             if op == "subscribe":
                 query_id = request["query"]
-                subscriber = self.service.subscribe(
-                    query_id,
-                    request.get("subscriber", f"sub-{len(self._streams) + 1}"),
+                subscriber_id = request.get("subscriber")
+                if subscriber_id is None:
+                    subscriber_id = f"sub-{next(self._subscriber_ids)}"
+                subscriber = self.service.subscribe(query_id, subscriber_id)
+                self._open_stream(
+                    writer, self.service.session.get(query_id), subscriber
                 )
-                self._streams.append((query_id, subscriber.id, writer))
                 return {
                     "ok": True,
                     "subscriber": subscriber.id,
@@ -521,26 +580,85 @@ class ServiceServer:
                 "detail": str(exc)}}
 
     async def _send(self, writer: asyncio.StreamWriter, payload: dict) -> None:
-        writer.write((json.dumps(payload) + "\n").encode("utf-8"))
+        writer.write(_line(payload))
         await writer.drain()
 
-    async def _flush_subscribers(self) -> None:
-        """Push drained deltas to every streaming connection."""
-        for query_id, subscriber_id, writer in list(self._streams):
-            query = self.service.session.get(query_id)
-            if query is None:
+    # -- the push plane ------------------------------------------------------
+
+    def _open_stream(
+        self, writer, query: StandingQuery, subscriber: Subscriber
+    ) -> None:
+        connection = self._streams.get(writer)
+        if connection is None:
+            connection = self._streams[writer] = _PushConnection(writer)
+            connection.task = asyncio.ensure_future(self._sender(connection))
+        connection.streams.append((query, subscriber))
+
+    def _close_streams(self, writer) -> None:
+        """The connection is gone: stop its sender, free its cursors."""
+        connection = self._streams.pop(writer, None)
+        if connection is None:
+            return
+        connection.task.cancel()
+        for query, subscriber in connection.streams:
+            if query.subscriptions.get(subscriber.id) is subscriber:
+                query.subscriptions.unsubscribe(subscriber.id)
+
+    def _flush_subscribers(self) -> None:
+        """Wake every streaming connection's sender; never blocks."""
+        for connection in self._streams.values():
+            connection.wake.set()
+
+    async def _sender(self, connection: _PushConnection) -> None:
+        """Push one connection's pending frames: one write per wake-up.
+
+        Awaits only this connection's own ``drain()``.  While its
+        transport is above the high-water mark nothing is pulled from
+        the logs, so a client that stops reading accumulates lag in its
+        cursors and is evicted by the ordinary slow-consumer policy.
+        """
+        writer = connection.writer
+        try:
+            while connection.streams:
+                await connection.wake.wait()
+                connection.wake.clear()
+                data = self._pull(connection)
+                if data:
+                    writer.write(data)
+                    await writer.drain()
+        except ConnectionError:
+            return  # the handler sees the same reset and cleans up
+        if self._streams.get(writer) is connection:
+            del self._streams[writer]
+
+    def _pull(self, connection: _PushConnection) -> bytes:
+        """Everything the connection is owed, as one buffer.
+
+        Subscribers in subscription order, each one's frames ascending
+        in ``seq``.  Streams that ended — query withdrawn, subscriber
+        unsubscribed (or replaced), subscriber evicted — are pruned with
+        one final notice line.
+        """
+        session = self.service.session
+        chunks: list[bytes] = []
+        kept: list[tuple[StandingQuery, Subscriber]] = []
+        for stream in connection.streams:
+            query, subscriber = stream
+            if session.get(query.query_id) is not query:
+                notice = {"closed": subscriber.id, "query": query.query_id,
+                          "reason": "withdrawn"}
+            elif query.subscriptions.get(subscriber.id) is not subscriber:
+                notice = {"closed": subscriber.id, "query": query.query_id,
+                          "reason": "unsubscribed"}
+            elif subscriber.evicted:
+                notice = {"evicted": subscriber.id, "query": query.query_id}
+            else:
+                chunks.append(subscriber.take_frames())
+                kept.append(stream)
                 continue
-            subscriber = query.subscriptions.get(subscriber_id)
-            if subscriber is None or subscriber.evicted:
-                if subscriber is not None and subscriber.evicted:
-                    await self._send(writer, {"evicted": subscriber_id,
-                                              "query": query_id})
-                    self._streams.remove((query_id, subscriber_id, writer))
-                continue
-            for delta in subscriber.take():
-                await self._send(
-                    writer, {"query": query_id, "delta": delta.as_dict()}
-                )
+            chunks.append(_line(notice))
+        connection.streams = kept
+        return b"".join(chunks)
 
 
 async def run_service(

@@ -102,7 +102,9 @@ class StandingQuery:
         self.output_id = output_id if output_id is not None else query_id
         #: query ids sharing this flow (live view of the flow record)
         self.shared_group: list[str] = [query_id]
-        self.subscriptions = SubscriptionRegistry(subscriber_capacity)
+        self.subscriptions = SubscriptionRegistry(
+            subscriber_capacity, query_id=query_id
+        )
         #: output cursor: merged changes already published to subscribers.
         self.cursor = flow.output_size_of(self.output_id)
         #: microseconds from event ingest to this query's delta push.

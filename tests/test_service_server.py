@@ -8,6 +8,7 @@ import asyncio
 import io
 import json
 import os
+import socket
 
 import pytest
 
@@ -620,3 +621,236 @@ class TestListenSource:
         assert off.share_plans is False
         assert unset.share_plans is None
         assert unset.resolved().share_plans is True
+
+
+# -- the push plane: one sender per connection ---------------------------------
+
+PASSTHROUGH = "SELECT bidtime, price, item FROM Bid EMIT STREAM"
+
+
+def bid_line(n: int) -> str:
+    """The n-th synthetic Bid insert as a JSONL feed line."""
+    ptime = 30_000_000 + n * 1000
+    return json.dumps({"ptime": ptime, "insert": [ptime, n, "x" * 40]})
+
+
+async def open_rpc(server):
+    """One line-JSON client connection: (rpc, reader, writer)."""
+    reader, writer = await asyncio.open_connection(*server.address)
+
+    async def rpc(payload):
+        writer.write((json.dumps(payload) + "\n").encode())
+        await writer.drain()
+        return json.loads(await reader.readline())
+
+    return rpc, reader, writer
+
+
+def with_server(service, script, timeout=60.0):
+    """Run ``script(server)`` against a started server, bounded in time."""
+
+    async def drive():
+        server = ServiceServer(service, "127.0.0.1", 0)
+        await server.start()
+        try:
+            return await asyncio.wait_for(script(server), timeout)
+        finally:
+            await server.stop()
+
+    return asyncio.run(drive())
+
+
+def test_stalled_subscriber_does_not_block_ingest(bid_stream):
+    """Eight subscribers on a socket that stops reading must cost the
+    ingesting connection nothing: its acks keep flowing, the stalled
+    cursors lag past their capacity and are evicted, and a subscriber
+    that does read sees every delta."""
+    events = 10_000
+    service = empty_service(
+        bid_stream, ExecutionConfig(subscriber_capacity=256)
+    )
+    query = service.submit("alice", PASSTHROUGH)
+
+    async def script(server):
+        loop = asyncio.get_running_loop()
+        stalled = socket.socket()
+        stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        stalled.setblocking(False)
+        await loop.sock_connect(stalled, server.address)
+        try:
+            received = b""
+            for n in range(8):
+                await loop.sock_sendall(stalled, (json.dumps(
+                    {"op": "subscribe", "query": query.query_id,
+                     "subscriber": f"stalled-{n}"}) + "\n").encode())
+            while received.count(b"\n") < 8:
+                received += await loop.sock_recv(stalled, 4096)
+            # ... and from here on the stalled client never reads again.
+            stalled_subscribers = [
+                query.subscriptions.get(f"stalled-{n}") for n in range(8)
+            ]
+
+            healthy_rpc, healthy_reader, healthy_writer = await open_rpc(server)
+            assert (await healthy_rpc(
+                {"op": "subscribe", "query": query.query_id,
+                 "subscriber": "healthy"}))["ok"]
+
+            async def read_deltas():
+                seqs = []
+                while len(seqs) < events:
+                    message = json.loads(await healthy_reader.readline())
+                    assert "delta" in message, message
+                    seqs.append(message["delta"]["seq"])
+                return seqs
+
+            healthy = asyncio.ensure_future(read_deltas())
+            _, ingest_reader, ingest_writer = await open_rpc(server)
+            ingest_writer.write("".join(
+                json.dumps({"op": "ingest", "source": "Bid",
+                            "event": bid_line(n)}) + "\n"
+                for n in range(events)
+            ).encode())
+            acked = 0
+            while acked < events:
+                reply = json.loads(await ingest_reader.readline())
+                assert reply["ok"], reply
+                acked += 1
+            seqs = await healthy
+            ingest_writer.close()
+            healthy_writer.close()
+            return acked, seqs, stalled_subscribers
+        finally:
+            stalled.close()
+
+    acked, seqs, stalled_subscribers = with_server(
+        service, script, timeout=30.0
+    )
+    assert acked == events
+    assert seqs == list(range(events))
+    registry = query.subscriptions
+    assert registry.evictions == 8
+    assert all(subscriber.evicted for subscriber in stalled_subscribers)
+    assert registry.encoded_frames <= events  # one encode per delta at most
+
+
+def test_withdrawn_and_unsubscribed_streams_are_pruned(bid_stream):
+    """Subscribe/withdraw churn must not leave entries in the stream
+    table, and each ended stream gets one ``closed`` line."""
+    service = empty_service(bid_stream)
+
+    async def script(server):
+        rpc, reader, writer = await open_rpc(server)
+        notices = []
+        for round_ in range(5):
+            admitted = await rpc(
+                {"op": "submit", "tenant": "alice", "sql": PASSTHROUGH}
+            )
+            query_id = admitted["query"]
+            for name in ("keeps", "leaves"):
+                assert (await rpc({"op": "subscribe", "query": query_id,
+                                   "subscriber": name}))["ok"]
+            assert (await rpc({"op": "unsubscribe", "query": query_id,
+                               "subscriber": "leaves"}))["removed"]
+            notices.append(json.loads(await reader.readline()))
+            assert (await rpc({"op": "ingest", "source": "Bid",
+                               "event": bid_line(round_)}))["ok"]
+            assert "delta" in json.loads(await reader.readline())
+            assert (await rpc({"op": "withdraw", "query": query_id}))["removed"]
+            notices.append(json.loads(await reader.readline()))
+            assert not server._streams
+        # the connection itself is still usable after all that
+        assert (await rpc({"op": "ping"})) == {"ok": True}
+        writer.close()
+        return notices
+
+    notices = with_server(service, script)
+    assert [n["reason"] for n in notices] == ["unsubscribed", "withdrawn"] * 5
+    assert [n["closed"] for n in notices] == ["leaves", "keeps"] * 5
+    assert all(n["query"] for n in notices)
+
+
+def test_default_subscriber_ids_are_never_reused(bid_stream):
+    service = empty_service(bid_stream)
+    query = service.submit("alice", PASSTHROUGH)
+
+    async def script(server):
+        first_rpc, _, first_writer = await open_rpc(server)
+        second_rpc, second_reader, second_writer = await open_rpc(server)
+        subscribe = {"op": "subscribe", "query": query.query_id}
+        first = (await first_rpc(subscribe))["subscriber"]
+        second = (await second_rpc(subscribe))["subscriber"]
+        first_writer.close()
+        while len(server._streams) > 1:  # the server notices the drop
+            await asyncio.sleep(0.01)
+        third_rpc, third_reader, third_writer = await open_rpc(server)
+        third = (await third_rpc(subscribe))["subscriber"]
+        await third_rpc(
+            {"op": "ingest", "source": "Bid", "event": bid_line(0)}
+        )
+        survivor = json.loads(await second_reader.readline())
+        newcomer = json.loads(await third_reader.readline())
+        second_writer.close()
+        third_writer.close()
+        return first, second, third, survivor, newcomer
+
+    first, second, third, survivor, newcomer = with_server(service, script)
+    assert len({first, second, third}) == 3
+    assert survivor["delta"]["seq"] == newcomer["delta"]["seq"] == 0
+    # the dropped connection's cursor no longer pins the log
+    assert query.subscriptions.get(first) is None
+
+
+def test_oversized_request_line_gets_a_parse_error(bid_stream):
+    service = empty_service(bid_stream)
+
+    async def script(server):
+        reader, writer = await asyncio.open_connection(*server.address)
+        writer.write(json.dumps(
+            {"op": "ingest", "source": "Bid", "event": "x" * 200_000}
+        ).encode() + b"\n")
+        await writer.drain()
+        reply = json.loads(await reader.readline())
+        closed = await reader.read()  # the server hangs up cleanly
+        writer.close()
+        # a fresh connection is served as usual
+        rpc, _, other = await open_rpc(server)
+        ping = await rpc({"op": "ping"})
+        other.close()
+        return reply, closed, ping
+
+    reply, closed, ping = with_server(service, script)
+    assert reply["ok"] is False
+    assert reply["error"]["code"] == "parse_error"
+    assert reply["error"]["detail"] == "request line too long"
+    assert closed == b"" and ping == {"ok": True}
+
+
+def test_wire_fanout_encodes_each_delta_once(bid_stream):
+    """32 subscribers on one connection: 32 lines per delta on the
+    wire, one encode per delta in the server, and the scrape says so."""
+    service = empty_service(bid_stream)
+    query = service.submit("alice", PASSTHROUGH)
+
+    async def script(server):
+        rpc, reader, writer = await open_rpc(server)
+        for n in range(32):
+            await rpc({"op": "subscribe", "query": query.query_id,
+                       "subscriber": f"s{n}"})
+        lines = []
+        for n in range(20):
+            await rpc({"op": "ingest", "source": "Bid", "event": bid_line(n)})
+            for _ in range(32):
+                lines.append(await reader.readline())
+        scrape = (await rpc({"op": "metrics"}))["exposition"]
+        writer.close()
+        return lines, scrape
+
+    lines, scrape = with_server(service, script)
+    assert len(lines) == 20 * 32
+    for n in range(20):  # subscription order, one identical frame each
+        assert len(set(lines[32 * n:32 * (n + 1)])) == 1
+        assert json.loads(lines[32 * n])["delta"]["seq"] == n
+    assert query.subscriptions.encoded_frames == 20
+    labels = f'{{query="{query.query_id}",tenant="alice"}}'
+    assert f"repro_service_encoded_frames_total{labels} 20" in scrape
+    assert f"repro_service_log_retained{labels} 0" in scrape
