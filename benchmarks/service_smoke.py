@@ -66,6 +66,9 @@ REQUIRED_FAMILIES = {
     "repro_service_encoded_frames_total",
     "repro_service_log_retained",
     "repro_service_subscribers",
+    "repro_service_checkpoints_total",
+    "repro_service_checkpoint_seconds",
+    "repro_service_checkpoint_bytes_total",
 }
 
 

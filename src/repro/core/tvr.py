@@ -173,9 +173,20 @@ class TimeVaryingRelation:
         """Whether the relation has asserted total completeness."""
         return self._watermarks.current >= MAX_TIMESTAMP
 
-    def events(self) -> list[StreamEvent]:
-        """All stream events in processing-time order."""
-        return list(self._events)
+    def events(self, start: int = 0) -> list[StreamEvent]:
+        """The stream events from position ``start`` on, in
+        processing-time order (all of them by default).
+
+        The event list only grows, so ``events(cursor)`` with a cursor
+        taken from :attr:`event_count` returns exactly what was applied
+        since — what an append-only log of the relation persists.
+        """
+        return self._events[start:]
+
+    @property
+    def event_count(self) -> int:
+        """Stream events applied so far."""
+        return len(self._events)
 
     def snapshot(self, ptime: Timestamp = MAX_TIMESTAMP) -> Relation:
         """The table rendering: the relation's contents at ``ptime``."""

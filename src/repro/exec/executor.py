@@ -31,10 +31,12 @@ sharing on or off.
 from __future__ import annotations
 
 import heapq
+import pickle
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
 from ..core.changelog import Change, compact_intra_instant
+from ..core.codec import decode_changes, encode_changes
 from ..core.colbatch import ColumnarBatch
 from ..core.errors import ExecutionError
 from ..core.relation import Relation
@@ -54,8 +56,25 @@ from .compile import build_operator, compile_plan
 from .operators.base import Operator
 from .operators.stateless import ScanOperator
 
-__all__ = ["Dataflow", "OutputChannel", "RunResult", "iter_event_runs",
+__all__ = ["CHECKPOINT_VERSION", "Dataflow", "OutputChannel", "RunResult",
+           "check_checkpoint_version", "iter_event_runs",
            "merge_source_events"]
+
+#: Format version stamped on every checkpoint payload (serial and
+#: sharded).  2 = output changelogs go through the changelog codec and
+#: may be left out (``histories=False``); a payload without the field
+#: is version 1 (plain ``list[Change]``), which still restores.
+CHECKPOINT_VERSION = 2
+
+
+def check_checkpoint_version(payload: dict) -> None:
+    """Refuse a checkpoint written by a newer format than this code reads."""
+    version = payload.get("version", 1)
+    if version > CHECKPOINT_VERSION:
+        raise ExecutionError(
+            f"checkpoint format version {version} is newer than this "
+            f"build reads (up to {CHECKPOINT_VERSION})"
+        )
 
 
 def merge_source_events(
@@ -702,7 +721,7 @@ class Dataflow:
 
     # -- checkpoint / recovery ---------------------------------------------------
 
-    def checkpoint(self) -> bytes:
+    def checkpoint(self, histories: bool = True) -> bytes:
         """A consistent snapshot of the whole dataflow, as bytes.
 
         This is the capability Appendix B.2.1 describes for Flink:
@@ -713,6 +732,14 @@ class Dataflow:
         restored dataflow and the results are identical to an
         uninterrupted run (see ``tests/test_checkpoint.py``).
 
+        Snapshot by serialization: operators hand out references into
+        their live state (:meth:`Operator.state_snapshot`) and the
+        pickle taken here is the one and only copy.  Output changelogs
+        go through the changelog codec (:mod:`repro.core.codec`).
+        ``histories=False`` leaves them out — for a caller that keeps
+        each output's changelog in an append-only log of its own (the
+        service session) and hands it back to :meth:`restore`.
+
         Shared operator state is snapshotted once (the operator list
         holds each physical operator exactly once, however many outputs
         read it), and per-output ``node_ops`` recipes record the
@@ -721,16 +748,23 @@ class Dataflow:
         Call between events (the incremental ``process`` API), not from
         inside a callback.
         """
-        import pickle
+        return pickle.dumps(
+            self._checkpoint_payload(histories), pickle.HIGHEST_PROTOCOL
+        )
 
+    def _checkpoint_payload(self, histories: bool) -> dict:
         op_index = {id(op): i for i, op in enumerate(self._operators)}
-        payload = {
+        return {
+            "version": CHECKPOINT_VERSION,
             "op_states": [op.state_snapshot() for op in self._operators],
             "op_types": [type(op).__name__ for op in self._operators],
             "output_order": list(self._outputs),
             "outputs": {
                 output_id: {
-                    "changes": list(channel.changes),
+                    "changes": (
+                        encode_changes(channel.changes) if histories else None
+                    ),
+                    "size": len(channel.changes),
                     "wm_pairs": channel.watermarks.as_pairs(),
                     "telemetry": channel.telemetry.snapshot(),
                     "node_ops": [
@@ -756,17 +790,37 @@ class Dataflow:
                 else None
             ),
         }
-        return pickle.dumps(payload)
 
-    def restore(self, checkpoint: bytes) -> None:
-        """Restore a checkpoint taken from a dataflow of the same structure."""
-        import pickle
+    def restore(
+        self,
+        checkpoint,
+        histories: Optional[dict[str, list[Change]]] = None,
+    ) -> None:
+        """Restore a checkpoint taken from a dataflow of the same structure.
 
-        payload = pickle.loads(checkpoint)
-        operators = self._operators
+        ``checkpoint`` is the bytes :meth:`checkpoint` returned, or the
+        payload already unpickled from them (a caller that needed the
+        structure for :meth:`from_structure` decodes once and passes the
+        payload on).  Either way the flow takes **ownership**: operators
+        adopt the decoded state objects and mutate them from then on,
+        so one decoded payload restores one flow.  ``histories`` supplies
+        the output changelogs of a blob cut with ``histories=False``.
+        """
+        payload = (
+            checkpoint
+            if isinstance(checkpoint, dict)
+            else pickle.loads(checkpoint)
+        )
         if "outputs" not in payload:
             self._restore_legacy(payload)
-            return
+        else:
+            self._restore_payload(payload, histories or {})
+
+    def _restore_payload(
+        self, payload: dict, histories: dict[str, list[Change]]
+    ) -> None:
+        operators = self._operators
+        check_checkpoint_version(payload)
         if payload["op_types"] != [type(op).__name__ for op in operators]:
             raise ExecutionError(
                 "checkpoint does not match this dataflow's plan"
@@ -779,7 +833,17 @@ class Dataflow:
             op.state_restore(snapshot)
         for output_id, stored in payload["outputs"].items():
             channel = self._outputs[output_id]
-            channel.changes = list(stored["changes"])
+            encoded = stored["changes"]
+            if encoded is None:
+                changes = histories.get(output_id)
+                if changes is None or len(changes) != stored["size"]:
+                    raise ExecutionError(
+                        f"checkpoint carries no changelog for output "
+                        f"{output_id!r} and no matching history was supplied"
+                    )
+                channel.changes = changes
+            else:
+                channel.changes = decode_changes(encoded)
             channel.watermarks = WatermarkTrack()
             for ptime, value in stored["wm_pairs"]:
                 channel.watermarks.advance(ptime, value)

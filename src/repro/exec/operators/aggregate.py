@@ -20,8 +20,6 @@ Event-time semantics (Extensions 1 & 2):
 
 from __future__ import annotations
 
-import copy
-
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Optional, Sequence
@@ -102,6 +100,10 @@ class AggregateOperator(Operator):
         # the watermark frees state): the cost model's fan-in feedback
         # needs lifetime rows-per-group.
         self._groups_created = 0
+        # Running sum of ``state.retained`` over all groups, so
+        # ``state_size()`` — read after every event by the metrics
+        # sweep — is O(1) instead of a walk over every group.
+        self._retained = 0
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -140,6 +142,7 @@ class AggregateOperator(Operator):
         if change.is_insert:
             state.row_count += 1
             state.retained += 1
+            self._retained += 1
             self._accumulate(state, values, add=True)
         else:
             if state.row_count <= 0:
@@ -148,6 +151,7 @@ class AggregateOperator(Operator):
                 )
             state.row_count -= 1
             state.retained -= 1
+            self._retained -= 1
             self._accumulate(state, values, add=False)
 
         out: list[Change] = []
@@ -182,6 +186,7 @@ class AggregateOperator(Operator):
         out: list[Change] = []
         append = out.append
         aggs = self._aggs
+        net = 0  # retained rows gained by this batch
         if len(aggs) == 1 and not aggs[0].distinct:
             # The dominant shape (one non-DISTINCT aggregate, e.g.
             # COUNT(*) per window): inline the single accumulator's
@@ -213,14 +218,17 @@ class AggregateOperator(Operator):
                 if change.kind is insert:
                     state.row_count += 1
                     state.retained += 1
+                    net += 1
                     add0(state.accumulators[0], value)
                 else:
                     if state.row_count <= 0:
+                        self._retained += net
                         raise ExecutionError(
                             f"retraction for empty group {key!r} in aggregation"
                         )
                     state.row_count -= 1
                     state.retained -= 1
+                    net -= 1
                     retract0(state.accumulators[0], value)
                 emitted = state.emitted
                 if state.row_count == 0 and not is_global:
@@ -235,6 +243,7 @@ class AggregateOperator(Operator):
                     append(Change(retract, emitted, change.ptime))
                 append(Change(insert, row, change.ptime))
                 state.emitted = row
+            self._retained += net
             return out
         for change in changes:
             values = change.values
@@ -251,14 +260,17 @@ class AggregateOperator(Operator):
             if change.kind is insert:
                 state.row_count += 1
                 state.retained += 1
+                net += 1
                 self._accumulate(state, values, add=True)
             else:
                 if state.row_count <= 0:
+                    self._retained += net
                     raise ExecutionError(
                         f"retraction for empty group {key!r} in aggregation"
                     )
                 state.row_count -= 1
                 state.retained -= 1
+                net -= 1
                 self._accumulate(state, values, add=False)
             if state.row_count == 0 and not is_global:
                 if state.emitted is not None:
@@ -272,6 +284,7 @@ class AggregateOperator(Operator):
                 append(Change(retract, state.emitted, change.ptime))
             append(Change(insert, row, change.ptime))
             state.emitted = row
+        self._retained += net
         return out
 
     def on_cols(self, port: int, batch) -> list[Change]:
@@ -319,6 +332,7 @@ class AggregateOperator(Operator):
         et_a = columns[group_indices[et_positions[0]]] if n_et >= 1 else None
         et_b = columns[group_indices[et_positions[1]]] if n_et >= 2 else None
         late_bound = wm - lateness
+        net = 0  # retained rows gained by this batch
         # A burst usually lands in one window, making the whole batch
         # one group; ``list.count`` detects that at C speed, and the
         # constant-key loop then does one lateness check, one state
@@ -348,6 +362,7 @@ class AggregateOperator(Operator):
                 if kind is insert:
                     state.row_count += 1
                     state.retained += 1
+                    net += 1
                     if count_star:
                         acc0[0] += 1
                     else:
@@ -357,12 +372,14 @@ class AggregateOperator(Operator):
                         )
                 else:
                     if state.row_count <= 0:
+                        self._retained += net
                         raise ExecutionError(
                             f"retraction for empty group {key!r} in "
                             "aggregation"
                         )
                     state.row_count -= 1
                     state.retained -= 1
+                    net -= 1
                     if count_star:
                         acc0[0] -= 1
                     else:
@@ -384,6 +401,7 @@ class AggregateOperator(Operator):
                     append(Change(retract, emitted, ptime))
                 append(Change(insert, row, ptime))
                 state.emitted = row
+            self._retained += net
             return out
         for idx, kind in enumerate(kinds):
             if n_et:
@@ -414,17 +432,20 @@ class AggregateOperator(Operator):
             if kind is insert:
                 state.row_count += 1
                 state.retained += 1
+                net += 1
                 if count_star:
                     acc0[0] += 1
                 else:
                     add0(acc0, arg_col[idx] if arg_col is not None else None)
             else:
                 if state.row_count <= 0:
+                    self._retained += net
                     raise ExecutionError(
                         f"retraction for empty group {key!r} in aggregation"
                     )
                 state.row_count -= 1
                 state.retained -= 1
+                net -= 1
                 if count_star:
                     acc0[0] -= 1
                 else:
@@ -442,6 +463,7 @@ class AggregateOperator(Operator):
                 append(Change(retract, emitted, ptime))
             append(Change(insert, row, ptime))
             state.emitted = row
+        self._retained += net
         return out
 
     def _accumulate(self, state: _GroupState, values: tuple, add: bool) -> None:
@@ -516,26 +538,31 @@ class AggregateOperator(Operator):
             if self._group_complete_at(key, merged)
         ]
         for key in done:
-            del self._groups[key]
+            self._retained -= self._groups.pop(key).retained
         return []
 
     # -- introspection ----------------------------------------------------------------
 
     def state_snapshot(self) -> dict:
         snapshot = super().state_snapshot()
-        snapshot["groups"] = copy.deepcopy(self._groups)
-        snapshot["finalized_max"] = copy.deepcopy(self._finalized_max)
+        snapshot["groups"] = self._groups
+        snapshot["finalized_max"] = self._finalized_max
         snapshot["groups_created"] = self._groups_created
+        snapshot["retained"] = self._retained
         return snapshot
 
     def state_restore(self, snapshot: dict) -> None:
         super().state_restore(snapshot)
-        self._groups = copy.deepcopy(snapshot["groups"])
-        self._finalized_max = copy.deepcopy(snapshot["finalized_max"])
+        self._groups = snapshot["groups"]
+        self._finalized_max = snapshot["finalized_max"]
         self._groups_created = snapshot.get("groups_created", 0)
+        retained = snapshot.get("retained")
+        if retained is None:  # a blob from before the running total
+            retained = sum(s.retained for s in self._groups.values())
+        self._retained = retained
 
     def state_size(self) -> int:
-        return sum(state.retained for state in self._groups.values())
+        return self._retained
 
     def _extra_metrics(self) -> dict:
         return {
@@ -691,6 +718,7 @@ class PartialAggregateOperator(AggregateOperator):
                 if adding:
                     state.row_count += 1
                     state.retained += 1
+                    self._retained += 1
                 else:
                     if state.row_count <= 0:
                         raise ExecutionError(
@@ -698,6 +726,7 @@ class PartialAggregateOperator(AggregateOperator):
                         )
                     state.row_count -= 1
                     state.retained -= 1
+                    self._retained -= 1
                 vals = []
                 for i, agg in enumerate(aggs):
                     value = (
@@ -889,6 +918,7 @@ class CombineAggregateOperator(AggregateOperator):
             if sign > 0:
                 state.row_count += 1
                 state.retained += 1
+                self._retained += 1
                 for i, agg in enumerate(aggs):
                     value = vals[i]
                     if value is SUPPRESSED:
@@ -904,6 +934,7 @@ class CombineAggregateOperator(AggregateOperator):
                     )
                 state.row_count -= 1
                 state.retained -= 1
+                self._retained -= 1
                 for i, agg in enumerate(aggs):
                     value = vals[i]
                     if value is SUPPRESSED:
@@ -946,6 +977,7 @@ class CombineAggregateOperator(AggregateOperator):
                 )
             state.row_count = new_count
             state.retained += rc_delta
+            self._retained += rc_delta
             for i, agg in enumerate(aggs):
                 counts = state.distinct_counts[i]
                 if counts is not None:

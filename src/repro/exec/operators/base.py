@@ -204,16 +204,21 @@ class Operator:
     # -- checkpointing ------------------------------------------------------------
 
     def state_snapshot(self) -> dict:
-        """Picklable snapshot of this operator's state.
+        """This operator's state, as a picklable structure.
 
-        The base snapshot covers the watermark bookkeeping; stateful
-        subclasses extend it.  Together with the executor's own
-        bookkeeping this gives consistent stop-and-resume, the
+        **Snapshot by serialization**: the result holds *references*
+        into live state, not copies.  It is valid only until the
+        operator next sees input, so every caller serializes it before
+        returning (``Dataflow.checkpoint`` and ``CombineStage.snapshot``
+        pickle it on the spot) — the pickle is the copy, and the only
+        one.  The base snapshot covers the watermark bookkeeping;
+        stateful subclasses extend it.  Together with the executor's
+        own bookkeeping this gives consistent stop-and-resume, the
         checkpoint/recovery capability Appendix B.2.1 describes for
         Flink.
         """
         return {
-            "input_wms": list(self._input_wms),
+            "input_wms": self._input_wms,
             "output_wm": self._output_wm,
             "counters": self.counters.snapshot(),
             "late_dropped": self.late_dropped,
@@ -221,8 +226,14 @@ class Operator:
         }
 
     def state_restore(self, snapshot: dict) -> None:
-        """Restore state captured by :meth:`state_snapshot`."""
-        self._input_wms = list(snapshot["input_wms"])
+        """Adopt state captured by :meth:`state_snapshot`.
+
+        The operator takes **ownership** of what it is handed (freshly
+        unpickled objects, in every caller) and mutates it in place
+        from then on; restoring one decoded snapshot into two
+        operators would alias their state.
+        """
+        self._input_wms = snapshot["input_wms"]
         self._output_wm = snapshot["output_wm"]
         self.counters.restore(snapshot["counters"])
         self.late_dropped = snapshot["late_dropped"]

@@ -19,8 +19,6 @@ watermark lag, one more instance of the Section 5 state-cleanup lesson.
 
 from __future__ import annotations
 
-import copy
-
 from bisect import bisect_right, insort
 from typing import Any, Callable, Optional, Sequence
 
@@ -240,16 +238,16 @@ class MatchRecognizeOperator(Operator):
 
     def state_snapshot(self) -> dict:
         snapshot = super().state_snapshot()
-        snapshot["buffers"] = copy.deepcopy(self._buffers)
-        snapshot["seq"] = copy.deepcopy(self._seq)
-        snapshot["matches_emitted"] = copy.deepcopy(self.matches_emitted)
+        snapshot["buffers"] = self._buffers
+        snapshot["seq"] = self._seq
+        snapshot["matches_emitted"] = self.matches_emitted
         return snapshot
 
     def state_restore(self, snapshot: dict) -> None:
         super().state_restore(snapshot)
-        self._buffers = copy.deepcopy(snapshot["buffers"])
-        self._seq = copy.deepcopy(snapshot["seq"])
-        self.matches_emitted = copy.deepcopy(snapshot["matches_emitted"])
+        self._buffers = snapshot["buffers"]
+        self._seq = snapshot["seq"]
+        self.matches_emitted = snapshot["matches_emitted"]
 
     def state_size(self) -> int:
         return sum(len(b) for b in self._buffers.values())

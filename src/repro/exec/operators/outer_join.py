@@ -19,8 +19,6 @@ for general joins).
 
 from __future__ import annotations
 
-import copy
-
 from collections import Counter
 from typing import Any, Callable, Optional
 
@@ -28,6 +26,7 @@ from ...core.changelog import Change, ChangeKind
 from ...core.errors import ExecutionError
 from ...core.schema import Schema
 from .base import Operator
+from .join import held_rows
 
 __all__ = ["OuterJoinOperator", "LeftJoinOperator"]
 
@@ -59,6 +58,9 @@ class OuterJoinOperator(Operator):
         self._state: tuple[dict, dict] = ({}, {})
         # per side: distinct row -> current match count on the other side
         self._match_counts: tuple[dict[tuple, int], dict[tuple, int]] = ({}, {})
+        # Running count of row occurrences held on both sides (see
+        # ``JoinOperator``): ``state_size()`` is read after every event.
+        self._rows = 0
 
     # -- helpers ---------------------------------------------------------------
 
@@ -105,10 +107,12 @@ class OuterJoinOperator(Operator):
         bucket = self._bucket(port, key, create=change.is_insert)
         if change.is_insert:
             bucket[values] += 1
+            self._rows += 1
         else:
             if bucket[values] <= 0:
                 raise ExecutionError("outer-join retraction for unknown row")
             bucket[values] -= 1
+            self._rows -= 1
             if bucket[values] == 0:
                 del bucket[values]
                 if not bucket:
@@ -182,21 +186,22 @@ class OuterJoinOperator(Operator):
 
     def state_snapshot(self) -> dict:
         snapshot = super().state_snapshot()
-        snapshot["state"] = copy.deepcopy(self._state)
-        snapshot["match_counts"] = copy.deepcopy(self._match_counts)
+        snapshot["state"] = self._state
+        snapshot["match_counts"] = self._match_counts
+        snapshot["rows"] = self._rows
         return snapshot
 
     def state_restore(self, snapshot: dict) -> None:
         super().state_restore(snapshot)
-        self._state = copy.deepcopy(snapshot["state"])
-        self._match_counts = copy.deepcopy(snapshot["match_counts"])
+        self._state = snapshot["state"]
+        self._match_counts = snapshot["match_counts"]
+        rows = snapshot.get("rows")
+        if rows is None:  # a blob from before the running count
+            rows = held_rows(self._state)
+        self._rows = rows
 
     def state_size(self) -> int:
-        return sum(
-            sum(bucket.values())
-            for side in self._state
-            for bucket in side.values()
-        )
+        return self._rows
 
     def _extra_metrics(self) -> dict:
         return {

@@ -16,8 +16,6 @@ B.2.3 point of tying OVER to watermarked attributes).
 
 from __future__ import annotations
 
-import copy
-
 from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field
@@ -140,14 +138,14 @@ class OverOperator(Operator):
 
     def state_snapshot(self) -> dict:
         snapshot = super().state_snapshot()
-        snapshot["states"] = copy.deepcopy(self._states)
-        snapshot["seq"] = copy.deepcopy(self._seq)
+        snapshot["states"] = self._states
+        snapshot["seq"] = self._seq
         return snapshot
 
     def state_restore(self, snapshot: dict) -> None:
         super().state_restore(snapshot)
-        self._states = copy.deepcopy(snapshot["states"])
-        self._seq = copy.deepcopy(snapshot["seq"])
+        self._states = snapshot["states"]
+        self._seq = snapshot["seq"]
 
     def state_size(self) -> int:
         return sum(

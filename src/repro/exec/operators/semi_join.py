@@ -10,8 +10,6 @@ bounded right side) survives.
 
 from __future__ import annotations
 
-import copy
-
 from collections import Counter
 from typing import Any, Callable
 
@@ -105,14 +103,14 @@ class SemiJoinOperator(Operator):
 
     def state_snapshot(self) -> dict:
         snapshot = super().state_snapshot()
-        snapshot["left"] = copy.deepcopy(self._left)
-        snapshot["right"] = copy.deepcopy(self._right)
+        snapshot["left"] = self._left
+        snapshot["right"] = self._right
         return snapshot
 
     def state_restore(self, snapshot: dict) -> None:
         super().state_restore(snapshot)
-        self._left = copy.deepcopy(snapshot["left"])
-        self._right = copy.deepcopy(snapshot["right"])
+        self._left = snapshot["left"]
+        self._right = snapshot["right"]
 
     def state_size(self) -> int:
         return sum(

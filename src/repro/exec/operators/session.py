@@ -21,8 +21,6 @@ dropped, mirroring Extension 2.
 
 from __future__ import annotations
 
-import copy
-
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -148,12 +146,12 @@ class SessionOperator(Operator):
 
     def state_snapshot(self) -> dict:
         snapshot = super().state_snapshot()
-        snapshot["sessions"] = copy.deepcopy(self._sessions)
+        snapshot["sessions"] = self._sessions
         return snapshot
 
     def state_restore(self, snapshot: dict) -> None:
         super().state_restore(snapshot)
-        self._sessions = copy.deepcopy(snapshot["sessions"])
+        self._sessions = snapshot["sessions"]
 
     def state_size(self) -> int:
         return sum(

@@ -9,8 +9,6 @@ other retractive operator here.
 
 from __future__ import annotations
 
-import copy
-
 from ...core.changelog import Change, ChangeKind
 from ...core.errors import ExecutionError
 from ...core.schema import Schema
@@ -59,12 +57,12 @@ class SetOpOperator(Operator):
 
     def state_snapshot(self) -> dict:
         snapshot = super().state_snapshot()
-        snapshot["counts"] = copy.deepcopy(self._counts)
+        snapshot["counts"] = self._counts
         return snapshot
 
     def state_restore(self, snapshot: dict) -> None:
         super().state_restore(snapshot)
-        self._counts = copy.deepcopy(snapshot["counts"])
+        self._counts = snapshot["counts"]
 
     # -- introspection -----------------------------------------------------------
 

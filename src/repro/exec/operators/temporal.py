@@ -19,8 +19,6 @@ The row is visible on the intersection of all bounds.
 
 from __future__ import annotations
 
-import copy
-
 from collections import Counter
 from typing import Sequence
 
@@ -123,16 +121,16 @@ class TemporalFilterOperator(Operator):
 
     def state_snapshot(self) -> dict:
         snapshot = super().state_snapshot()
-        snapshot["visible"] = copy.deepcopy(self._visible)
-        snapshot["future"] = copy.deepcopy(self._future)
-        snapshot["agenda"] = copy.deepcopy(self._agenda)
+        snapshot["visible"] = self._visible
+        snapshot["future"] = self._future
+        snapshot["agenda"] = self._agenda
         return snapshot
 
     def state_restore(self, snapshot: dict) -> None:
         super().state_restore(snapshot)
-        self._visible = copy.deepcopy(snapshot["visible"])
-        self._future = copy.deepcopy(snapshot["future"])
-        self._agenda = copy.deepcopy(snapshot["agenda"])
+        self._visible = snapshot["visible"]
+        self._future = snapshot["future"]
+        self._agenda = snapshot["agenda"]
 
     def state_size(self) -> int:
         return sum(self._visible.values()) + sum(self._future.values())

@@ -20,8 +20,6 @@ again.
 
 from __future__ import annotations
 
-import copy
-
 from bisect import bisect_right, insort
 from typing import Sequence
 
@@ -163,20 +161,20 @@ class TemporalJoinOperator(Operator):
 
     def state_snapshot(self) -> dict:
         snapshot = super().state_snapshot()
-        snapshot["versions"] = copy.deepcopy(self._versions)
-        snapshot["pruned_upto"] = copy.deepcopy(self._pruned_upto)
-        snapshot["seq"] = copy.deepcopy(self._seq)
-        snapshot["pending"] = copy.deepcopy(self._pending)
-        snapshot["unmatched_dropped"] = copy.deepcopy(self.unmatched_dropped)
+        snapshot["versions"] = self._versions
+        snapshot["pruned_upto"] = self._pruned_upto
+        snapshot["seq"] = self._seq
+        snapshot["pending"] = self._pending
+        snapshot["unmatched_dropped"] = self.unmatched_dropped
         return snapshot
 
     def state_restore(self, snapshot: dict) -> None:
         super().state_restore(snapshot)
-        self._versions = copy.deepcopy(snapshot["versions"])
-        self._pruned_upto = copy.deepcopy(snapshot["pruned_upto"])
-        self._seq = copy.deepcopy(snapshot["seq"])
-        self._pending = copy.deepcopy(snapshot["pending"])
-        self.unmatched_dropped = copy.deepcopy(snapshot["unmatched_dropped"])
+        self._versions = snapshot["versions"]
+        self._pruned_upto = snapshot["pruned_upto"]
+        self._seq = snapshot["seq"]
+        self._pending = snapshot["pending"]
+        self.unmatched_dropped = snapshot["unmatched_dropped"]
 
     def state_size(self) -> int:
         return len(self._pending) + sum(

@@ -40,6 +40,7 @@ from .core.tvr import RowEvent, StreamEvent, TimeVaryingRelation, WatermarkEvent
 __all__ = [
     "parse_script",
     "format_script",
+    "format_schema",
     "parse_schema_line",
     "TailParser",
     "parse_event_line",
@@ -89,6 +90,15 @@ def parse_schema_line(line: str) -> Schema:
             raise ScriptError(f"unexpected tokens after type in {spec.strip()!r}")
         columns.append(Column(name, sql_type, event_time=event_time))
     return Schema(columns)
+
+
+def format_schema(schema: Schema) -> str:
+    """``name TYPE [EVENT TIME], ...`` — the body :func:`parse_schema_line`
+    reads back after a ``schema:`` prefix."""
+    return ", ".join(
+        f"{c.name} {c.type}{' EVENT TIME' if c.event_time else ''}"
+        for c in schema.columns
+    )
 
 
 def _parse_value(text: str, sql_type: SqlType):
@@ -181,11 +191,7 @@ def format_script(tvr: TimeVaryingRelation, include_schema: bool = True) -> str:
     """Render a TVR back into the script notation (round-trips)."""
     lines: list[str] = []
     if include_schema:
-        cols = ", ".join(
-            f"{c.name} {c.type}{' EVENT TIME' if c.event_time else ''}"
-            for c in tvr.schema.columns
-        )
-        lines.append(f"schema: {cols}")
+        lines.append(f"schema: {format_schema(tvr.schema)}")
     for event in tvr.events():
         ptime = fmt_time(event.ptime)
         if isinstance(event, WatermarkEvent):
@@ -293,11 +299,7 @@ def format_jsonl(tvr: TimeVaryingRelation, include_schema: bool = True) -> str:
     """Render a TVR as the JSONL feed encoding (round-trips)."""
     lines: list[str] = []
     if include_schema:
-        cols = ", ".join(
-            f"{c.name} {c.type}{' EVENT TIME' if c.event_time else ''}"
-            for c in tvr.schema.columns
-        )
-        lines.append(json.dumps({"schema": cols}))
+        lines.append(json.dumps({"schema": format_schema(tvr.schema)}))
     for event in tvr.events():
         if isinstance(event, WatermarkEvent):
             record = {"ptime": event.ptime, "wm": event.value}

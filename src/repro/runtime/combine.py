@@ -21,6 +21,7 @@ root's completion columns.
 
 from __future__ import annotations
 
+import pickle
 from typing import Optional, Sequence
 
 from ..core.changelog import Change, compact_intra_instant
@@ -157,13 +158,23 @@ class CombineStage:
 
     # -- checkpointing ---------------------------------------------------------
 
-    def snapshot(self) -> dict:
-        return {
-            "ops": [op.state_snapshot() for op in self._ops],
-            "telemetry": self.telemetry,
-        }
+    def snapshot(self) -> bytes:
+        """The stage's state, serialized on the spot: operator snapshots
+        are references into live state (see ``Operator.state_snapshot``)
+        and must not outlive the next ``feed``."""
+        return pickle.dumps(
+            {
+                "ops": [op.state_snapshot() for op in self._ops],
+                "telemetry": self.telemetry,
+            },
+            pickle.HIGHEST_PROTOCOL,
+        )
 
-    def restore(self, payload: dict) -> None:
+    def restore(self, payload) -> None:
+        """Adopt a :meth:`snapshot` (bytes; or the plain dict that
+        pre-codec sharded checkpoints embedded)."""
+        if not isinstance(payload, dict):
+            payload = pickle.loads(payload)
         states = payload["ops"]
         if len(states) != len(self._ops):
             raise ExecutionError(

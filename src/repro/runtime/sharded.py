@@ -52,10 +52,17 @@ import pickle
 from typing import Callable, Optional, Sequence
 
 from ..core.changelog import Change
+from ..core.codec import decode_changes, encode_changes
 from ..core.errors import ExecutionError
 from ..core.times import MIN_TIMESTAMP, Timestamp
 from ..core.tvr import RowEvent, StreamEvent, TimeVaryingRelation, WatermarkEvent
-from ..exec.executor import Dataflow, RunResult, merge_source_events
+from ..exec.executor import (
+    CHECKPOINT_VERSION,
+    Dataflow,
+    RunResult,
+    check_checkpoint_version,
+    merge_source_events,
+)
 from ..obs.lineage import LineageRecorder
 from ..obs.metrics import RecoveryStats, merge_shard_reports
 from ..obs.telemetry import RunTelemetry
@@ -786,14 +793,24 @@ class ShardedDataflow:
     # -- checkpointing -----------------------------------------------------------
 
     def checkpoint(self) -> bytes:
-        """A consistent snapshot of every shard plus the merge state."""
-        payload = {
+        """A consistent snapshot of every shard plus the merge state.
+
+        Like :meth:`Dataflow.checkpoint` this is snapshot by
+        serialization — shard blobs, combine-stage state and the merged
+        changelogs (through the changelog codec) are all pickled before
+        the call returns.
+        """
+        return pickle.dumps(self._checkpoint_payload(), pickle.HIGHEST_PROTOCOL)
+
+    def _checkpoint_payload(self) -> dict:
+        return {
+            "version": CHECKPOINT_VERSION,
             "shard_count": len(self._shards),
             "shards": [shard.checkpoint() for shard in self._shards],
             "output_order": list(self._outputs),
             "outputs": {
                 oid: {
-                    "merged": list(merge.merged),
+                    "merged": encode_changes(merge.merged),
                     "frontier": merge.frontier.snapshot(),
                 }
                 for oid, merge in self._outputs.items()
@@ -814,11 +831,23 @@ class ShardedDataflow:
                 self.lineage.snapshot() if self.lineage is not None else None
             ),
         }
-        return pickle.dumps(payload)
 
-    def restore(self, checkpoint: bytes) -> None:
-        """Restore a checkpoint of the same structure and shard width."""
-        payload = pickle.loads(checkpoint)
+    def restore(self, checkpoint) -> None:
+        """Restore a checkpoint of the same structure and shard width.
+
+        Accepts the checkpoint bytes or the payload already unpickled
+        from them (whose shard entries may in turn be decoded shard
+        payloads); ownership passes to this flow either way — see
+        :meth:`Dataflow.restore`.
+        """
+        self._restore_payload(
+            checkpoint
+            if isinstance(checkpoint, dict)
+            else pickle.loads(checkpoint)
+        )
+
+    def _restore_payload(self, payload: dict) -> None:
+        check_checkpoint_version(payload)
         if payload["shard_count"] != len(self._shards):
             raise ExecutionError(
                 f"checkpoint has {payload['shard_count']} shards, this "
@@ -833,7 +862,7 @@ class ShardedDataflow:
                 )
             for oid, stored in payload["outputs"].items():
                 merge = self._outputs[oid]
-                merge.merged = list(stored["merged"])
+                merge.merged = decode_changes(stored["merged"])
                 merge.frontier.restore(stored["frontier"])
         else:  # pre-DAG checkpoint shape
             merge = self._outputs[self._primary]

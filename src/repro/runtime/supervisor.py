@@ -39,6 +39,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from ..core.codec import decode_slices, encode_slices
 from ..core.errors import ExecutionError
 from ..core.times import MIN_TIMESTAMP, Timestamp
 from ..core.tvr import RowEvent, WatermarkEvent
@@ -103,7 +104,10 @@ class SupervisedOutcome:
     when restarts replayed input — downstream dedup collapses them.
     ``state`` carries the final shard checkpoint for process workers
     (``None`` for thread workers, whose dataflow survives in place).
-    All fields pickle, so the outcome crosses the fork pipe intact.
+    All fields pickle, so the outcome crosses the fork pipe intact;
+    ``slices`` cross it through the changelog codec
+    (:func:`~repro.core.codec.encode_slices`) and decode to the same
+    ``(seq, slice)`` tags.
     """
 
     slices: list[TaggedSlice] = field(default_factory=list)
@@ -111,6 +115,15 @@ class SupervisedOutcome:
     stats: RecoveryStats = field(default_factory=RecoveryStats)
     events: list[TraceEvent] = field(default_factory=list)
     state: Optional[bytes] = None
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["slices"] = encode_slices(self.slices)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        state["slices"] = decode_slices(state["slices"])
+        self.__dict__.update(state)
 
 
 class ShardSupervisor:

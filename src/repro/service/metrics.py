@@ -34,6 +34,11 @@ Families (stable names — renaming is a breaking change for scrapers):
   evicted for lagging the log head by more than their capacity.
 * ``repro_service_checkpoints_total`` (counter) — session checkpoints
   taken.
+* ``repro_service_checkpoint_seconds`` (gauge) — wall time of the most
+  recent session checkpoint (an incremental cut tracks events since
+  the previous cut, not history).
+* ``repro_service_checkpoint_bytes_total`` (counter) — bytes written to
+  checkpoint directories.
 * ``repro_service_shared_subplans`` (gauge) — resident operators
   multicast to two or more standing queries (multi-query optimization).
 * ``repro_service_sharing_ratio`` (gauge) — logical operators attached
@@ -240,6 +245,17 @@ def render_service_exposition(
            "Session checkpoints written to the checkpoint directory")
     lines.append(
         f"repro_service_checkpoints_total {session.checkpoints_taken}"
+    )
+    family("repro_service_checkpoint_seconds", "gauge",
+           "Wall seconds the most recent session checkpoint took")
+    lines.append(
+        "repro_service_checkpoint_seconds "
+        f"{session.last_checkpoint_seconds:.6f}"
+    )
+    family("repro_service_checkpoint_bytes_total", "counter",
+           "Bytes written to checkpoint directories")
+    lines.append(
+        f"repro_service_checkpoint_bytes_total {session.checkpoint_bytes_total}"
     )
 
     family("repro_service_shared_subplans", "gauge",

@@ -29,16 +29,24 @@ Subscriber deltas are byte-identical with sharing on or off — the
 equivalence suite in ``tests/test_mqo.py`` enforces it, serial and
 sharded, across checkpoint/restore.  See ``docs/MQO.md``.
 
-Durability reuses the PR 4 checkpoint machinery: every
-``retry.checkpoint_interval`` ingested events (and on demand) each
-flow's :meth:`~repro.exec.executor.Dataflow.checkpoint` bytes land in
-``checkpoint_dir`` together with a manifest and the sources' recorded
-prefixes, and :meth:`SessionManager.restore` brings a fresh manager
-back to the cut — resident plans, cursors, and subscription sequence
-numbers intact — so tailers can resume at the recorded offsets.
-Shared operator state is snapshotted once per flow, and the manifest
-records each flow's member queries plus its sharing map so restore can
-rebuild the exact physical DAG.
+Durability is an **append-only checkpoint plane** on the PR 4
+checkpoint machinery: every ``retry.checkpoint_interval`` ingested
+events (and on demand) :meth:`SessionManager.checkpoint` appends what
+each output changelog and each recorded source gained since the last
+cut *of that directory* as one framed segment per log, rewrites only
+the small part — each flow's operator state, timers, telemetry and
+watermark tracks (:meth:`Dataflow.checkpoint(histories=False)
+<repro.exec.executor.Dataflow.checkpoint>`), cursors, and the sharing
+map — and commits by atomically replacing a manifest that records every
+log's committed length.  A cut costs O(events since the last cut + live
+state), not O(history); :meth:`SessionManager.restore` reads the
+committed prefix of every log (a torn tail past it is ignored) and
+brings a fresh manager back to the cut — resident plans, cursors, and
+subscription sequence numbers intact — so tailers can resume at the
+recorded offsets.  Shared operator state is snapshotted once per flow,
+and the manifest records each flow's member queries plus its sharing
+map so restore can rebuild the exact physical DAG.  See
+``docs/SERVICE.md`` for the directory layout.
 """
 
 from __future__ import annotations
@@ -46,14 +54,22 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import struct
 import time
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from ..config import ExecutionConfig
+from ..core.codec import (
+    decode_changes,
+    decode_events,
+    encode_changes,
+    encode_events,
+)
 from ..core.errors import ExecutionError
-from ..core.tvr import StreamEvent
+from ..core.tvr import StreamEvent, TimeVaryingRelation
 from ..exec.executor import Dataflow, merge_source_events
-from ..io import format_script, parse_script
+from ..io import format_schema, parse_schema_line, parse_script
 from ..obs.histogram import Histogram
 from ..obs.lineage import LineageRecorder
 from ..plan import plan_fingerprint
@@ -70,6 +86,145 @@ if TYPE_CHECKING:
 __all__ = ["StandingQuery", "SharedPlanCache", "SessionManager"]
 
 _MANIFEST = "manifest.json"
+#: Manifest layout version.  2 = append-only segment logs with committed
+#: lengths and generation-named state blobs; a manifest without the
+#: field is the whole-history layout (``<id>.ckpt`` carrying every
+#: output changelog, ``sources/*.script``), which still restores.
+_MANIFEST_VERSION = 2
+_LOGS = "logs"
+#: every log segment is ``magic, body length`` + a pickled codec payload
+_SEGMENT_HEADER = struct.Struct(">4sQ")
+_SEGMENT_MAGIC = b"RSEG"
+#: segments a log may accumulate before a cut rewrites it as one
+_MAX_SEGMENTS = 64
+
+
+@dataclass(slots=True)
+class _LogState:
+    """One append-only log as of the last committed cut: its file, the
+    committed ``length`` in bytes, and the segments and items in it.
+
+    ``owner`` is the live object whose history the log records (a
+    :class:`StandingQuery`, a source TVR): a log is only ever appended
+    to for the same object it was started for, so an id reused by a
+    different query or a re-registered source starts a fresh file.
+    """
+
+    file: str
+    length: int
+    segments: int
+    items: int
+    owner: object = None
+
+    def as_manifest(self) -> dict:
+        return {
+            "file": self.file,
+            "length": self.length,
+            "segments": self.segments,
+            "items": self.items,
+        }
+
+
+@dataclass(slots=True)
+class _Cut:
+    """What this session last committed, and where.
+
+    The next :meth:`SessionManager.checkpoint` of the same directory is
+    incremental only while the manifest on disk is still byte for byte
+    the one written here.
+    """
+
+    directory: str
+    generation: int
+    manifest_text: str
+    logs: dict[str, _LogState]
+
+
+def _write_atomic(path: str, chunks: Iterable[bytes]) -> int:
+    """Write ``path`` whole, via a temp file and ``os.replace``."""
+    written = 0
+    with open(path + ".tmp", "wb") as fh:
+        for chunk in chunks:
+            written += fh.write(chunk)
+    os.replace(path + ".tmp", path)
+    return written
+
+
+def _segment(payload) -> tuple[bytes, bytes]:
+    body = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+    return _SEGMENT_HEADER.pack(_SEGMENT_MAGIC, len(body)), body
+
+
+def _read_log(directory: str, spec: dict, decode: Callable) -> list:
+    """The committed prefix of one log, decoded and concatenated.
+
+    Reads exactly ``spec["length"]`` bytes — whatever a failed later
+    cut appended past the committed length is never looked at.
+    """
+    with open(os.path.join(directory, spec["file"]), "rb") as fh:
+        data = fh.read(spec["length"])
+    items: list = []
+    offset = 0
+    view = memoryview(data)
+    while offset < len(data):
+        magic, size = _SEGMENT_HEADER.unpack_from(data, offset)
+        offset += _SEGMENT_HEADER.size
+        if magic != _SEGMENT_MAGIC or offset + size > len(data):
+            break
+        decoded = decode(pickle.loads(view[offset:offset + size]))
+        if items:
+            items.extend(decoded)
+        else:  # the common single-segment log: no copy
+            items = decoded
+        offset += size
+    if offset != spec["length"] or len(items) != spec["items"]:
+        raise ExecutionError(
+            f"checkpoint log {spec['file']!r} does not hold the "
+            f"{spec['items']} items in {spec['length']} bytes its manifest "
+            "committed"
+        )
+    return items
+
+
+def _file_size(path: str) -> int:
+    try:
+        return os.path.getsize(path)
+    except OSError:
+        return -1
+
+
+def _resident_generation(directory: str) -> int:
+    """The generation of whatever manifest ``directory`` holds (0 if none):
+    a full cut numbers itself past it, so nothing it writes can replace
+    a file that manifest still references before the new one commits."""
+    try:
+        with open(os.path.join(directory, _MANIFEST)) as fh:
+            return int(json.load(fh).get("generation", 0))
+    except (OSError, ValueError, TypeError, AttributeError):
+        return 0
+
+
+def _sweep(directory: str, keep: set[str]) -> None:
+    """Delete the checkpoint files a just-committed manifest no longer
+    references: superseded state blobs, compacted or withdrawn logs,
+    leftovers of a failed cut, and the pre-segment layout's files."""
+    for sub, suffixes in (
+        ("", (".ckpt", ".tmp")),
+        (_LOGS, (".log", ".tmp")),
+        ("sources", (".script",)),
+    ):
+        folder = os.path.join(directory, sub) if sub else directory
+        try:
+            names = os.listdir(folder)
+        except OSError:
+            continue
+        for name in names:
+            relative = f"{sub}/{name}" if sub else name
+            if name.endswith(suffixes) and relative not in keep:
+                try:
+                    os.remove(os.path.join(folder, name))
+                except OSError:
+                    pass
 
 
 class StandingQuery:
@@ -273,6 +428,13 @@ class SessionManager:
         #: per-source consumed-event counts, for tailer resumption.
         self.source_offsets: dict[str, int] = {}
         self.checkpoints_taken = 0
+        #: wall seconds the most recent checkpoint took.
+        self.last_checkpoint_seconds = 0.0
+        #: bytes written to checkpoint directories since construction.
+        self.checkpoint_bytes_total = 0
+        #: the last committed cut; the next one of the same directory
+        #: appends to it (see :meth:`checkpoint`).
+        self._committed: Optional[_Cut] = None
         #: threshold-crossing incidents (see metrics.SlowQueryLog).
         self.slow_log = SlowQueryLog()
         self._next_id = 1
@@ -588,42 +750,114 @@ class SessionManager:
     def checkpoint(self, directory: Optional[str] = None) -> str:
         """Write a consistent cut of the whole session to ``directory``.
 
-        Layout: ``manifest.json`` (queries, cursors, per-source
-        offsets, and the flow→members sharing map), one
-        ``<first_member>.ckpt`` blob per resident *flow* — shared
-        operator state is snapshotted exactly once, however many
-        queries read it — and ``sources/<name>.script`` with each
-        source's recorded prefix.  Atomic enough for a single-writer
-        service: the manifest is written last.
+        Output changelogs and recorded sources only ever grow, so each
+        has an append-only log under ``logs/`` and a cut appends just
+        what it gained since the last cut of this directory, as one
+        framed segment.  The small part is rewritten: one
+        ``<first_member>.<generation>.ckpt`` per resident *flow*
+        (operator state — shared state exactly once, however many
+        queries read it — timers, telemetry, watermark tracks) and
+        ``manifest.json`` (queries, cursors, per-source offsets, the
+        flow→members sharing map, every log's committed length).
+
+        The manifest is replaced last, atomically, and everything it
+        will reference is either a new file (written to a temp name
+        and renamed) or bytes appended *past* the previous manifest's
+        committed lengths — so a crash at any point leaves the previous
+        cut intact and restorable.
+
+        A full cut (every log rewritten from position 0) is taken
+        whenever appending does not apply: the first cut of a
+        directory, a different directory than last time, or a manifest
+        on disk that is no longer the one this session committed.  A
+        query registered since the last cut gets its whole history as
+        its first segment; a withdrawn query's log is dropped from the
+        manifest and deleted; a log past ``_MAX_SEGMENTS`` segments is
+        rewritten as one.  Sharded flows keep writing one full,
+        codec-encoded blob per cut.
         """
         directory = directory or self.config.checkpoint_dir
         if not directory:
             raise ExecutionError("no checkpoint directory configured")
-        os.makedirs(os.path.join(directory, "sources"), exist_ok=True)
+        started = time.perf_counter()
+        written = self._write_cut(directory)
+        self.checkpoints_taken += 1
+        self.checkpoint_bytes_total += written
+        self.last_checkpoint_seconds = time.perf_counter() - started
+        return directory
+
+    def _write_cut(self, directory: str) -> int:
+        """One cut of ``directory``; returns the bytes it wrote."""
+        os.makedirs(os.path.join(directory, _LOGS), exist_ok=True)
+        base = self._incremental_base(directory)
+        prior = base.logs if base is not None else {}
+        generation = 1 + (
+            base.generation
+            if base is not None
+            else _resident_generation(directory)
+        )
+        written = 0
+        logs: dict[str, _LogState] = {}
+
+        def persist(key: str, owner, count: int, since, encode) -> dict:
+            """Bring log ``key`` up to ``count`` items; its manifest entry."""
+            nonlocal written
+            log = prior.get(key)
+            if (
+                log is not None
+                and log.owner is owner
+                and log.items <= count
+                and log.segments < _MAX_SEGMENTS
+                and _file_size(os.path.join(directory, log.file)) >= log.length
+            ):
+                if count > log.items:
+                    header, body = _segment(encode(since(log.items)))
+                    with open(os.path.join(directory, log.file), "r+b") as fh:
+                        fh.seek(log.length)
+                        fh.truncate()
+                        fh.write(header)
+                        fh.write(body)
+                    grown = len(header) + len(body)
+                    written += grown
+                    log = _LogState(
+                        log.file, log.length + grown, log.segments + 1,
+                        count, owner,
+                    )
+            else:
+                file = f"{_LOGS}/{key}.{generation}.log"
+                size = _write_atomic(
+                    os.path.join(directory, file), _segment(encode(since(0)))
+                )
+                written += size
+                log = _LogState(file, size, 1, count, owner)
+            logs[key] = log
+            return log.as_manifest()
+
         flows = []
         for record in self.plan_cache.records:
-            blob = record.flow.checkpoint()
+            flow = record.flow
+            sharded = isinstance(flow, ShardedDataflow)
+            blob = flow.checkpoint() if sharded else flow.checkpoint(
+                histories=False
+            )
             blob_id = record.members[0]
-            with open(os.path.join(directory, f"{blob_id}.ckpt"), "wb") as fh:
-                fh.write(blob)
+            state_file = f"{blob_id}.{generation}.ckpt"
+            written += _write_atomic(
+                os.path.join(directory, state_file), (blob,)
+            )
             flows.append(
                 {
                     "id": blob_id,
                     "members": list(record.members),
-                    "parallelism": self._flow_parallelism(record.flow),
-                    "sharing": record.flow.sharing_map(),
+                    "parallelism": self._flow_parallelism(flow),
+                    "sharing": flow.sharing_map(),
+                    "state": state_file,
                 }
             )
-        for name, tvr in self.engine._sources.items():
-            with open(
-                os.path.join(directory, "sources", f"{name}.script"), "w"
-            ) as fh:
-                fh.write(format_script(tvr))
-        manifest = {
-            "events_ingested": self.events_ingested,
-            "source_offsets": dict(self.source_offsets),
-            "flows": flows,
-            "queries": [
+        queries = []
+        for q in self._queries.values():
+            flow, output_id = q.flow, q.output_id
+            queries.append(
                 {
                     "query_id": q.query_id,
                     "tenant": q.tenant,
@@ -631,14 +865,64 @@ class SessionManager:
                     "parallelism": q.parallelism,
                     "cursor": q.cursor,
                     "next_seq": q.subscriptions.next_seq,
+                    # a sharded flow's blob carries its merged changelogs
+                    "log": None if q.sharded else persist(
+                        f"out-{q.query_id}",
+                        q,
+                        flow.output_size_of(output_id),
+                        lambda start: flow.output_slice_of(output_id, start),
+                        encode_changes,
+                    ),
                 }
-                for q in self._queries.values()
-            ],
+            )
+        sources = {
+            name: {
+                "schema": format_schema(tvr.schema),
+                "log": persist(
+                    f"src-{name}", tvr, tvr.event_count, tvr.events,
+                    encode_events,
+                ),
+            }
+            for name, tvr in self.engine._sources.items()
         }
-        with open(os.path.join(directory, _MANIFEST), "w") as fh:
-            json.dump(manifest, fh, indent=2)
-        self.checkpoints_taken += 1
-        return directory
+        manifest_text = json.dumps(
+            {
+                "version": _MANIFEST_VERSION,
+                "generation": generation,
+                "events_ingested": self.events_ingested,
+                "source_offsets": dict(self.source_offsets),
+                "flows": flows,
+                "queries": queries,
+                "sources": sources,
+            },
+            indent=2,
+        )
+        written += _write_atomic(
+            os.path.join(directory, _MANIFEST), (manifest_text.encode(),)
+        )
+        # Committed.  From here on nothing may fail the cut.
+        self._committed = _Cut(
+            os.path.abspath(directory), generation, manifest_text, logs
+        )
+        _sweep(
+            directory,
+            {entry["state"] for entry in flows}
+            | {log.file for log in logs.values()},
+        )
+        return written
+
+    def _incremental_base(self, directory: str) -> Optional[_Cut]:
+        """The committed cut the next cut of ``directory`` may append
+        to, or ``None`` when a full cut is due."""
+        cut = self._committed
+        if cut is None or cut.directory != os.path.abspath(directory):
+            return None
+        try:
+            with open(os.path.join(directory, _MANIFEST)) as fh:
+                on_disk = fh.read()
+        except OSError:
+            return None
+        return cut if on_disk == cut.manifest_text else None
 
     def restore(self, directory: str, admit) -> int:
         """Resume from a checkpoint directory; returns queries restored.
@@ -646,36 +930,76 @@ class SessionManager:
         ``admit`` is a callable ``(tenant, sql) -> QueryPlan`` — the
         service passes its admission gateway, so a policy change between
         runs is enforced at restore time too.  Sources are re-registered
-        from their recorded prefixes, each flow is rebuilt **with the
-        checkpoint's exact sharing structure** (via ``from_structure``:
-        re-running fingerprint matching could legally regroup after
-        withdrawals, and operator states would misalign) and restored
-        from its blob, and ``source_offsets`` tells tailers where to
-        resume reading.  Manifests from before plan sharing (no
-        ``flows`` key) restore one private flow per query.
+        from the committed prefix of their logs, each flow is rebuilt
+        **with the checkpoint's exact sharing structure** (via
+        ``from_structure``: re-running fingerprint matching could
+        legally regroup after withdrawals, and operator states would
+        misalign) and restored from its state blob — unpickled once —
+        plus its members' output logs, and ``source_offsets`` tells
+        tailers where to resume reading.  The restored session goes on
+        appending to the same logs.  Older layouts still restore:
+        whole-history directories (no ``version``: ``<id>.ckpt`` +
+        ``sources/*.script``) and manifests from before plan sharing
+        (no ``flows`` key: one private flow per query).
         """
         with open(os.path.join(directory, _MANIFEST)) as fh:
-            manifest = json.load(fh)
-        sources_dir = os.path.join(directory, "sources")
-        for entry in sorted(os.listdir(sources_dir)):
-            name = entry[: -len(".script")]
-            with open(os.path.join(sources_dir, entry)) as fh:
-                tvr = parse_script(fh.read())
-            if tvr.is_bounded:
-                self.engine.register_table(name, tvr)
-            else:
-                self.engine.register_stream(name, tvr)
+            manifest_text = fh.read()
+        manifest = json.loads(manifest_text)
+        version = manifest.get("version", 1)
+        if version > _MANIFEST_VERSION:
+            raise ExecutionError(
+                f"checkpoint manifest version {version} is newer than this "
+                f"build reads (up to {_MANIFEST_VERSION})"
+            )
+        logs: dict[str, _LogState] = {}
+        if version < 2:
+            self._restore_script_sources(directory)
+        else:
+            for name, spec in manifest["sources"].items():
+                tvr = TimeVaryingRelation(
+                    parse_schema_line(f"schema: {spec['schema']}"),
+                    _read_log(directory, spec["log"], decode_events),
+                )
+                self._register_source(name, tvr)
+                logs[f"src-{name}"] = _LogState(**spec["log"], owner=tvr)
         self.events_ingested = manifest["events_ingested"]
         self.source_offsets = dict(manifest["source_offsets"])
         if "flows" not in manifest:
             return self._restore_legacy(directory, manifest, admit)
         by_id = {spec["query_id"]: spec for spec in manifest["queries"]}
         for entry in manifest["flows"]:
-            self._restore_flow(directory, entry, by_id, admit)
+            self._restore_flow(directory, entry, by_id, admit, logs)
+        if version >= 2:
+            self._committed = _Cut(
+                os.path.abspath(directory),
+                manifest["generation"],
+                manifest_text,
+                logs,
+            )
         return len(manifest["queries"])
 
+    def _register_source(self, name: str, tvr: TimeVaryingRelation) -> None:
+        if tvr.is_bounded:
+            self.engine.register_table(name, tvr)
+        else:
+            self.engine.register_stream(name, tvr)
+
+    def _restore_script_sources(self, directory: str) -> None:
+        """Sources of a whole-history directory: ``sources/*.script``."""
+        sources_dir = os.path.join(directory, "sources")
+        for entry in sorted(os.listdir(sources_dir)):
+            with open(os.path.join(sources_dir, entry)) as fh:
+                self._register_source(
+                    entry[: -len(".script")], parse_script(fh.read())
+                )
+
     def _restore_flow(
-        self, directory: str, entry: dict, by_id: dict, admit
+        self,
+        directory: str,
+        entry: dict,
+        by_id: dict,
+        admit,
+        logs: dict[str, _LogState],
     ) -> None:
         """Rebuild one (possibly shared) flow and its member queries."""
         effective = ExecutionConfig(
@@ -695,11 +1019,15 @@ class SessionManager:
                     ),
                 )
             )
-        with open(os.path.join(directory, f"{entry['id']}.ckpt"), "rb") as fh:
-            blob = fh.read()
-        payload = pickle.loads(blob)
+        state_file = entry.get("state", f"{entry['id']}.ckpt")
+        with open(os.path.join(directory, state_file), "rb") as fh:
+            # Decoded once: the payload serves from_structure *and* the
+            # restore, which takes ownership of it.
+            payload = pickle.loads(fh.read())
         if "shard_count" in payload:
-            structure = pickle.loads(payload["shards"][0])
+            structure = payload["shards"][0] = pickle.loads(
+                payload["shards"][0]
+            )
             decision = analyze_partitioning(plans[0][1])
             flow = ShardedDataflow.from_structure(
                 plans,
@@ -715,6 +1043,7 @@ class SessionManager:
                 two_phase=effective.two_phase != "off",
                 columnar=effective.columnar,
             )
+            flow.restore(payload)
         else:
             flow = Dataflow.from_structure(
                 plans,
@@ -725,7 +1054,16 @@ class SessionManager:
                 coalesce_updates=effective.coalesce_updates,
                 columnar=effective.columnar,
             )
-        flow.restore(blob)
+            flow.restore(
+                payload,
+                histories={
+                    member: _read_log(
+                        directory, by_id[member]["log"], decode_changes
+                    )
+                    for member, _ in plans
+                    if by_id[member].get("log")
+                },
+            )
         record = _FlowRecord(
             flow, SharedPlanCache.config_key(plans[0][1], effective)
         )
@@ -747,6 +1085,8 @@ class SessionManager:
             query.cursor = spec["cursor"]
             query.subscriptions.seek(spec["next_seq"])
             self._queries[member] = query
+            if spec.get("log"):
+                logs[f"out-{member}"] = _LogState(**spec["log"], owner=query)
 
     def _restore_legacy(self, directory: str, manifest: dict, admit) -> int:
         """Restore a pre-sharing manifest: one private flow per query."""
