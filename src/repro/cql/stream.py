@@ -14,7 +14,7 @@ time order, up to the source's final watermark.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from ..core.errors import ValidationError
 from ..core.schema import Schema

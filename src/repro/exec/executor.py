@@ -30,9 +30,8 @@ sharing on or off.
 
 from __future__ import annotations
 
-import heapq
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from ..core.changelog import Change, compact_intra_instant
@@ -42,7 +41,7 @@ from ..core.errors import ExecutionError
 from ..core.relation import Relation
 from ..core.schema import Schema
 from ..core.times import MAX_TIMESTAMP, MIN_TIMESTAMP, Timestamp
-from ..core.tvr import RowEvent, StreamEvent, TimeVaryingRelation, WatermarkEvent
+from ..core.tvr import RowEvent, StreamEvent, TimeVaryingRelation
 from ..core.watermark import WatermarkTrack
 from ..obs.lineage import LineageRecorder
 from ..obs.metrics import MetricsRegistry, MetricsReport
@@ -55,10 +54,10 @@ from ..plan.planner import QueryPlan
 from .compile import build_operator, compile_plan
 from .operators.base import Operator
 from .operators.stateless import ScanOperator
+from .timers import TimerQueue
 
 __all__ = ["CHECKPOINT_VERSION", "Dataflow", "OutputChannel", "RunResult",
-           "check_checkpoint_version", "iter_event_runs",
-           "merge_source_events"]
+           "check_checkpoint_version", "merge_source_events"]
 
 #: Format version stamped on every checkpoint payload (serial and
 #: sharded).  2 = output changelogs go through the changelog codec and
@@ -111,40 +110,6 @@ def merge_source_events(
 
 def _event_ptime(pair: tuple[StreamEvent, str]) -> Timestamp:
     return pair[0].ptime
-
-
-def iter_event_runs(
-    events: list[tuple[StreamEvent, str]],
-    batch_size: int,
-    batchable_source: Callable[[str], bool],
-) -> Iterator[tuple[int, int]]:
-    """Yield ``(start, end)`` slices of a replay stream forming micro-batches.
-
-    A run may only contain consecutive row events with the same ptime
-    and the same source, capped at ``batch_size``, and only for sources
-    ``batchable_source`` admits (those feeding exactly one scan leaf; a
-    multi-scan source delivers each event to all its scans before the
-    next event, so batching would reorder the interleaving).  Watermark
-    events always break runs, so no operator ever sees its input
-    watermark move inside a batch.  Shared by :meth:`Dataflow.run` and
-    the shell's ``\\watch`` replay loop.
-    """
-    i, n = 0, len(events)
-    while i < n:
-        event, source = events[i]
-        j = i + 1
-        if isinstance(event, RowEvent) and batchable_source(source):
-            ptime = event.ptime
-            while (
-                j < n
-                and j - i < batch_size
-                and events[j][1] == source
-                and isinstance(events[j][0], RowEvent)
-                and events[j][0].ptime == ptime
-            ):
-                j += 1
-        yield i, j
-        i = j
 
 
 @dataclass
@@ -247,7 +212,7 @@ class Dataflow:
                 parent, port = entry
                 self._consumers.setdefault(id(op), []).append((parent, port))
                 self._producers.setdefault(id(parent), []).append((port, op))
-            op.bind_timers(self._schedule_timer)
+            op.bind_timers(self._timers)
         self._values_rows = dict(compiled.values_rows)
         for leaf in compiled.leaves:
             self._register_leaf(leaf)
@@ -301,9 +266,9 @@ class Dataflow:
         self.lineage: Optional[LineageRecorder] = None
         self._lineage_shard: Optional[int] = None
         self._lineage_register_outputs = True
-        # processing-time timer service: (deadline, seq, operator)
-        self._timers: list[tuple[Timestamp, int, Operator]] = []
-        self._timer_seq = 0
+        #: processing-time timer service; operators bind to the queue,
+        #: never to the flow, so a dropped flow is not cyclic garbage.
+        self._timers = TimerQueue()
 
     def _exec_root(self, plan: QueryPlan) -> LogicalNode:
         """The logical root this flow actually compiles for ``plan``.
@@ -430,15 +395,13 @@ class Dataflow:
         fps = node_fingerprints(root_node)
         covered = 0
 
-        def walk(node: LogicalNode) -> None:
-            nonlocal covered
+        pending = [root_node]
+        while pending:
+            node = pending.pop()
             if fps[id(node)] in self._fp_index:
                 covered += subtree_size(node)
-                return
-            for child in node.inputs:
-                walk(child)
-
-        walk(root_node)
+            else:
+                pending.extend(node.inputs)
         return covered
 
     def shared_by(self, op: Operator) -> int:
@@ -516,14 +479,16 @@ class Dataflow:
         index = dict(self._fp_index)
         new_ops: list[Operator] = []
 
-        def build(node: LogicalNode) -> Operator:
+        # ``build`` recurses through its own argument: a closure that
+        # named itself would be a reference cycle holding this flow.
+        def build(node: LogicalNode, build) -> Operator:
             fp = fps[id(node)]
             resident = index.get(fp)
             if resident is not None and (
                 allow_root_share or node is not root_node
             ):
                 return resident
-            children = [build(child) for child in node.inputs]
+            children = [build(child, build) for child in node.inputs]
             if donor is not None:
                 op = donor._plan_node_ops[id(node)]
             else:
@@ -538,11 +503,11 @@ class Dataflow:
                 self._register_leaf(op)
             if isinstance(node, ValuesNode):
                 self._values_rows[id(op)] = node.rows
-            op.bind_timers(self._schedule_timer)
+            op.bind_timers(self._timers)
             new_ops.append(op)
             return op
 
-        root_op = build(root_node)
+        root_op = build(root_node, build)
         for op in self._reachable_ops(root_op):
             self._op_refs[id(op)] = self._op_refs.get(id(op), 0) + 1
         channel = OutputChannel(output_id, plan, root_op)
@@ -555,11 +520,9 @@ class Dataflow:
             channel.watermarks = donor_primary.watermarks
             channel.telemetry = donor_primary.telemetry
             new_ids = {id(op) for op in new_ops}
-            for when, _, op in sorted(
-                donor._timers, key=lambda item: (item[0], item[1])
-            ):
+            for when, _, op in sorted(donor._timers):
                 if id(op) in new_ids:
-                    self._schedule_timer(when, op)
+                    self._timers.schedule(when, op)
             self._last_ptime = max(self._last_ptime, donor._last_ptime)
             self._peak_state = max(self._peak_state, donor._peak_state)
         return channel
@@ -619,10 +582,7 @@ class Dataflow:
             self._fp_index = {}
             for op in self._operators:
                 self._fp_index.setdefault(self._op_fps[id(op)], op)
-            self._timers = [
-                entry for entry in self._timers if id(entry[2]) not in dead
-            ]
-            heapq.heapify(self._timers)
+            self._timers.discard(dead)
             self.metrics_registry = MetricsRegistry(self._operators)
         return True
 
@@ -678,9 +638,10 @@ class Dataflow:
             fps = node_fingerprints(root_node)
             pos = 0
 
-            def build(node: LogicalNode) -> Operator:
+            # (self-passing for the same reason as in attach_output)
+            def build(node: LogicalNode, build) -> Operator:
                 nonlocal pos
-                children = [build(child) for child in node.inputs]
+                children = [build(child, build) for child in node.inputs]
                 index = node_ops[pos]
                 pos += 1
                 op = slots[index]
@@ -702,10 +663,10 @@ class Dataflow:
                         self._register_leaf(op)
                     if isinstance(node, ValuesNode):
                         self._values_rows[id(op)] = node.rows
-                    op.bind_timers(self._schedule_timer)
+                    op.bind_timers(self._timers)
                 return op
 
-            root_op = build(root_node)
+            root_op = build(root_node, build)
             channel = OutputChannel(output_id, plan, root_op)
             self._outputs[output_id] = channel
             self._outputs_of.setdefault(id(root_op), []).append(channel)
@@ -781,7 +742,7 @@ class Dataflow:
                 (when, seq, op_index[id(op)])
                 for when, seq, op in self._timers
             ],
-            "timer_seq": self._timer_seq,
+            "timer_seq": self._timers.seq,
             # Shard flows don't own the recorder (the sharded parent
             # snapshots it once); only the owning flow persists it.
             "lineage": (
@@ -852,11 +813,9 @@ class Dataflow:
         self._last_ptime = payload["last_ptime"]
         self._peak_state = payload["peak_state"]
         self._opened = payload["opened"]
-        self._timers = [
-            (when, seq, operators[i]) for when, seq, i in payload["timers"]
-        ]
-        heapq.heapify(self._timers)
-        self._timer_seq = payload["timer_seq"]
+        self._timers.restore(
+            payload["timers"], operators, payload["timer_seq"]
+        )
         if payload.get("lineage") is not None:
             self.set_lineage(LineageRecorder.restore(payload["lineage"]))
 
@@ -877,11 +836,9 @@ class Dataflow:
         self._last_ptime = payload["last_ptime"]
         self._peak_state = payload["peak_state"]
         self._opened = payload["opened"]
-        self._timers = [
-            (when, seq, operators[i]) for when, seq, i in payload["timers"]
-        ]
-        heapq.heapify(self._timers)
-        self._timer_seq = payload["timer_seq"]
+        self._timers.restore(
+            payload["timers"], operators, payload["timer_seq"]
+        )
         telemetry = payload.get("telemetry")
         if telemetry is not None:
             channel.telemetry = RunTelemetry()
@@ -890,136 +847,89 @@ class Dataflow:
     def run(self, until: Optional[Timestamp] = None) -> RunResult:
         """Replay all source events (up to ``until``) and collect the result.
 
-        With ``batch_size > 1`` the replay stream is grouped into
-        micro-batches — maximal runs of row events that share one
-        processing-time instant and one (single-scan) source, capped at
-        ``batch_size`` and broken at watermark events — and each batch
-        is delivered through the operator tree in one pass.  The
-        grouping rule makes the batched changelog byte-identical to the
-        per-change one (see :meth:`process_batch`).
-
-        After the last event, pending processing-time timers (e.g.
-        tail-of-stream expirations) are drained so the returned
+        The replay stream is delivered in the runs :meth:`replay`
+        forms.  After the last event, pending processing-time timers
+        (e.g. tail-of-stream expirations) are drained so the returned
         changelog covers the relation's full known future evolution;
         the materializers then truncate to the instant being queried.
         """
         self._open()
-        events = self._merged_events(until)
-        if self.batch_size <= 1:
-            for event, source in events:
-                self.process(event, source)
-        else:
-            self._run_batched(events)
-        self._fire_timers(until if until is not None else MAX_TIMESTAMP)
-        return self.result()
+        for _ in self.replay(merge_source_events(self._sources, until)):
+            pass
+        return self.finish(until)
 
-    def _run_batched(self, events: list[tuple[StreamEvent, str]]) -> None:
-        """The batching scheduler: deliver the replay stream in runs.
+    def replay(self, events: Sequence[tuple[StreamEvent, str]]) -> Iterator[int]:
+        """Deliver a merged replay stream run by run.
 
-        Same grouping rule as :func:`iter_event_runs` (one ptime, one
-        batchable source, capped at ``batch_size``, broken at watermark
-        events), inlined with the per-source batchability memoized —
-        the generator protocol and the repeated leaf lookups are
-        measurable at batch-scheduling rates.
+        Yields, after each delivery, how many of ``events`` have been
+        consumed — the one run-grouping rule, driven by :meth:`run` and
+        by the shell's ``\\watch`` loop alike.
+
+        With ``batch_size > 1`` a run is a maximal stretch of row
+        events that share one processing-time instant and one source,
+        capped at ``batch_size``, and only for sources
+        :meth:`batchable_source` admits.  Watermark events always break
+        runs, so no operator ever sees its input watermark move inside
+        a batch, and the batched changelog is byte-identical to the
+        per-change one (see :meth:`process_batch`).
         """
-        batchable: dict[str, bool] = {}
-        zero_leaf: dict[str, bool] = {}
         batch_size = self.batch_size
-        process = self.process
-        process_batch = self.process_batch
-        clock_only = self.lineage is None
+        absorb = self.lineage is None
+        batchable: dict[str, bool] = {}  # memo: asked once per run otherwise
         i, n = 0, len(events)
         while i < n:
             event, source = events[i]
             j = i + 1
-            ok = batchable.get(source)
-            if ok is None:
-                ok = batchable[source] = self.batchable_source(source)
-                zero_leaf[source] = not self._leaves_by_source.get(
-                    source.lower()
-                )
-            run = None
-            if ok and isinstance(event, RowEvent):
+            if batch_size > 1 and isinstance(event, RowEvent):
+                ok = batchable.get(source)
+                if ok is None:
+                    ok = batchable[source] = self.batchable_source(source)
+            else:
+                ok = False
+            if ok:
                 ptime = event.ptime
                 run = [event]
-                run_append = run.append
                 while j < n and len(run) < batch_size:
                     nxt, nxt_source = events[j]
                     if nxt.ptime != ptime:
                         break
-                    if nxt_source == source:
-                        if not isinstance(nxt, RowEvent):
+                    if nxt_source != source:
+                        # An event of another source no scan consumes
+                        # is a clock no-op at this very instant (nothing
+                        # to deliver, no clock movement, no timer can be
+                        # due mid-instant) — absorb it so one
+                        # interleaved burst still forms one batch.  Only
+                        # when no lineage recorder is claiming per-event
+                        # ordinals.
+                        if not absorb or self._leaves_by_source.get(
+                            nxt_source.lower()
+                        ):
                             break
-                        run_append(nxt)
-                        j += 1
-                        continue
-                    # An event of another source no scan consumes is a
-                    # clock no-op at this very instant (nothing to
-                    # deliver, no clock movement, no timer can be due
-                    # mid-instant) — absorb it so one interleaved
-                    # burst still forms one batch.  Only when no
-                    # lineage recorder is claiming per-event ordinals.
-                    okz = zero_leaf.get(nxt_source)
-                    if okz is None:
-                        batchable[nxt_source] = self.batchable_source(
-                            nxt_source
-                        )
-                        okz = zero_leaf[nxt_source] = (
-                            not self._leaves_by_source.get(nxt_source.lower())
-                        )
-                    if clock_only and okz:
-                        j += 1
-                        continue
-                    break
-            if run is None or len(run) == 1:
-                # An event no scan consumes, with no timer due and no
-                # lineage recorder claiming ordinals, only advances the
-                # processing-time clock — the full delivery path would
-                # do exactly that and nothing else.  (The replay stream
-                # is ptime-sorted, so the ordering check can't fire.)
-                timers = self._timers
-                if (
-                    clock_only
-                    and zero_leaf[source]
-                    and not (timers and timers[0][0] <= event.ptime)
-                ):
-                    if event.ptime > self._last_ptime:
-                        self._last_ptime = event.ptime
-                else:
-                    process(event, source)
+                    elif isinstance(nxt, RowEvent):
+                        run.append(nxt)
+                    else:
+                        break
+                    j += 1
+                self.process_batch(run, source)
             else:
-                process_batch(run, source)
+                self.process(event, source)
+            yield j
             i = j
 
     def process(self, event: StreamEvent, source: str) -> None:
-        """Feed one source event through the dataflow (incremental API)."""
-        self._open()
-        ptime = event.ptime
-        if ptime < self._last_ptime:
-            raise ExecutionError("events must be fed in processing-time order")
-        timers = self._timers
-        fired = bool(timers) and timers[0][0] <= ptime
-        if fired:
-            self._fire_timers(ptime)
-        if ptime > self._last_ptime:
-            self._last_ptime = ptime
-        cause = self._lineage_cause(event, source)
-        leaves = self._leaves_by_source.get(source.lower(), [])
+        """Feed one source event through the dataflow (incremental API).
+
+        A row event is a batch of one; only the watermark branch is
+        written here.
+        """
         if isinstance(event, RowEvent):
-            for leaf in leaves:
-                self._push_changes(leaf, 0, [event.change], cause)
-        else:
-            for leaf in leaves:
-                self._push_watermark(leaf, 0, event.value, ptime, cause)
-        if not leaves and not fired:
-            # Clock-only event: no operator ran, so no state size moved
-            # and the observe_state sweep below would change nothing.
+            self.process_batch((event,), source)
             return
-        # One sweep both tracks the dataflow-wide peak and refreshes the
-        # per-operator state peaks the metrics layer reports.
-        state = self.metrics_registry.observe_state()
-        if state > self._peak_state:
-            self._peak_state = state
+        leaves, cause, fired = self._arrive((event,), source)
+        for leaf in leaves:
+            self._push_watermark(leaf, 0, event.value, event.ptime, cause)
+        if leaves or fired:
+            self._observe_state()
 
     def process_batch(self, events: Sequence[RowEvent], source: str) -> None:
         """Feed a run of same-instant row events through the dataflow at once.
@@ -1036,45 +946,53 @@ class Dataflow:
         """
         if not events:
             return
-        if len(events) == 1:
-            self.process(events[0], source)
-            return
-        self._open()
         ptime = events[0].ptime
-        if ptime < self._last_ptime:
-            raise ExecutionError("events must be fed in processing-time order")
         for event in events:
             if not isinstance(event, RowEvent) or event.ptime != ptime:
                 raise ExecutionError(
                     "a batch must hold row events of a single processing-time "
                     "instant"
                 )
-        timers = self._timers
-        fired = bool(timers) and timers[0][0] <= ptime
+        leaves, cause, fired = self._arrive(events, source)
+        if leaves:
+            payload = [event.change for event in events]
+            if self._columnar_active and len(payload) > 1:
+                # One transposition up front; the batch retains the
+                # rows, so a row-only pipeline converts back for free.
+                # (A batch of one stays rows: nothing to amortize.)
+                payload = ColumnarBatch.from_changes(
+                    payload, len(leaves[0].schema)
+                )
+            for leaf in leaves:
+                self._push_changes(leaf, 0, payload, cause)
+        if leaves or fired:
+            self._observe_state()
+
+    def _arrive(
+        self, events: Sequence[StreamEvent], source: str
+    ) -> tuple[Sequence[ScanOperator], Optional[tuple[int, ...]], bool]:
+        """The prelude of every delivery, for one instant's ``events``:
+        order check, due timers, clock advance, lineage claim.  Returns
+        the scan leaves to deliver to, the cause token, and whether a
+        timer fired."""
+        self._open()
+        ptime = events[0].ptime
+        if ptime < self._last_ptime:
+            raise ExecutionError("events must be fed in processing-time order")
+        fired = self._timers.due(ptime)
         if fired:
             self._fire_timers(ptime)
         if ptime > self._last_ptime:
             self._last_ptime = ptime
-        cause = self._lineage_batch_cause(events, source)
-        leaves = self._leaves_by_source.get(source.lower(), [])
-        if not leaves:
-            if fired:
-                state = self.metrics_registry.observe_state()
-                if state > self._peak_state:
-                    self._peak_state = state
-            return
-        changes = [event.change for event in events]
-        if self._columnar_active:
-            # One transposition up front; the batch retains ``changes``
-            # so a row-only pipeline converts back for free.
-            payload = ColumnarBatch.from_changes(
-                changes, len(leaves[0].schema)
-            )
-            for leaf in leaves:
-                self._push_changes(leaf, 0, payload, cause)
-        else:
-            for leaf in leaves:
-                self._push_changes(leaf, 0, changes, cause)
+        recorder = self.lineage
+        cause = None if recorder is None else recorder.claim(source, events)
+        return self._leaves_by_source.get(source.lower(), ()), cause, fired
+
+    def _observe_state(self) -> None:
+        """The epilogue of a delivery in which some operator ran (a
+        clock-only event moves no state size): one sweep both tracks
+        the dataflow-wide peak and refreshes the per-operator state
+        peaks the metrics layer reports."""
         state = self.metrics_registry.observe_state()
         if state > self._peak_state:
             self._peak_state = state
@@ -1146,7 +1064,9 @@ class Dataflow:
         channel = self._outputs[output_id or self._primary]
         entries: list[dict] = []
 
-        def visit(op: Operator, depth: int) -> None:
+        pending = [(channel.root, 0)]  # pre-order, inputs in port order
+        while pending:
+            op, depth = pending.pop()
             producers = sorted(
                 self._producers.get(id(op), []), key=lambda pc: pc[0]
             )
@@ -1155,10 +1075,9 @@ class Dataflow:
             entry["leaf"] = not producers
             entry["shared_by"] = self._op_refs.get(id(op), 1)
             entries.append(entry)
-            for _, child in producers:
-                visit(child, depth + 1)
-
-        visit(channel.root, 0)
+            pending.extend(
+                (child, depth + 1) for _, child in reversed(producers)
+            )
         return MetricsReport(operators=entries, telemetry=channel.telemetry)
 
     # -- internals ---------------------------------------------------------------
@@ -1168,33 +1087,38 @@ class Dataflow:
         children before parents, each exactly once."""
         seen: set[int] = set()
         order: list[Operator] = []
-
-        def visit(op: Operator) -> None:
-            if id(op) in seen:
-                return
-            seen.add(id(op))
-            for _, child in self._producers.get(id(op), ()):
-                visit(child)
-            order.append(op)
-
-        visit(root_op)
+        pending = [(root_op, False)]
+        while pending:
+            op, expanded = pending.pop()
+            if expanded:
+                order.append(op)
+            elif id(op) not in seen:
+                seen.add(id(op))
+                pending.append((op, True))
+                pending.extend(
+                    (child, False)
+                    for _, child in reversed(self._producers.get(id(op), ()))
+                )
         return order
 
     def _channel_node_ops(self, channel: OutputChannel) -> list[Operator]:
         """The operator every plan node of ``channel`` resolves to, in
         plan post-order (descending *through* shared operators)."""
         ops: list[Operator] = []
-
-        def walk(node: LogicalNode, op: Operator) -> None:
-            producers = sorted(
-                self._producers.get(id(op), ()), key=lambda pc: pc[0]
-            )
-            for child_node, (_, child_op) in zip(node.inputs, producers):
-                walk(child_node, child_op)
-            ops.append(op)
-
-        walk(self._exec_root(channel.plan), channel.root)
+        self._collect_node_ops(self._exec_root(channel.plan), channel.root, ops)
         return ops
+
+    def _collect_node_ops(
+        self, node: LogicalNode, op: Operator, ops: list[Operator]
+    ) -> None:
+        # A method, not a closure: one that named itself would be a
+        # reference cycle holding this flow.
+        producers = sorted(
+            self._producers.get(id(op), ()), key=lambda pc: pc[0]
+        )
+        for child_node, (_, child_op) in zip(node.inputs, producers):
+            self._collect_node_ops(child_node, child_op, ops)
+        ops.append(op)
 
     def _open(self) -> None:
         if self._opened:
@@ -1220,70 +1144,6 @@ class Dataflow:
                 [Change(ChangeKind.INSERT, row, MIN_TIMESTAMP) for row in rows],
             )
             self._push_watermark(leaf, 0, MAX_TIMESTAMP, MIN_TIMESTAMP)
-
-    def _merged_events(
-        self, until: Optional[Timestamp]
-    ) -> list[tuple[StreamEvent, str]]:
-        return merge_source_events(self._sources, until)
-
-    def _lineage_cause(
-        self, event: StreamEvent, source: str
-    ) -> Optional[tuple[int, ...]]:
-        """The cause token for one incoming event (``None`` = untraced).
-
-        When a sharded parent already made the sampling decision for
-        this event, its pending token is replayed verbatim; otherwise
-        the recorder claims the next per-source ordinal and samples it.
-        """
-        recorder = self.lineage
-        if recorder is None:
-            return None
-        if recorder.pending_active:
-            return recorder.pending
-        seq = recorder.offer(source)
-        if seq is None:
-            return None
-        if isinstance(event, RowEvent):
-            return recorder.trace_event(
-                source,
-                seq,
-                kind="source",
-                values=event.change.values,
-                ptime=event.ptime,
-            )
-        return recorder.trace_event(
-            source, seq, kind="watermark", values=event.value, ptime=event.ptime
-        )
-
-    def _lineage_batch_cause(
-        self, events: Sequence[RowEvent], source: str
-    ) -> Optional[tuple[int, ...]]:
-        """The merged cause token for a micro-batch of row events.
-
-        Each event claims its own ordinal (so sampling decisions agree
-        with per-change execution); the batch's output is attributed to
-        every sampled event it contains.
-        """
-        recorder = self.lineage
-        if recorder is None:
-            return None
-        if recorder.pending_active:
-            return recorder.pending
-        ids: list[int] = []
-        for event in events:
-            seq = recorder.offer(source)
-            if seq is None:
-                continue
-            ids.extend(
-                recorder.trace_event(
-                    source,
-                    seq,
-                    kind="source",
-                    values=event.change.values,
-                    ptime=event.ptime,
-                )
-            )
-        return tuple(ids) if ids else None
 
     def _push_changes(
         self,
@@ -1438,10 +1298,6 @@ class Dataflow:
 
     # -- timer service -------------------------------------------------------------
 
-    def _schedule_timer(self, when: Timestamp, op: Operator) -> None:
-        heapq.heappush(self._timers, (when, self._timer_seq, op))
-        self._timer_seq += 1
-
     def _fire_timers(self, up_to: Timestamp) -> None:
         """Fire pending timers with deadline <= ``up_to``, in order.
 
@@ -1449,8 +1305,7 @@ class Dataflow:
         event: a row whose visibility ends at t is no longer visible at
         t.
         """
-        while self._timers and self._timers[0][0] <= up_to:
-            when, _, op = heapq.heappop(self._timers)
+        for when, op in self._timers.pop_due(up_to):
             changes = op.process_timer(when)
             self._last_ptime = max(self._last_ptime, when)
             if changes:

@@ -21,8 +21,9 @@ Event-time semantics (Extensions 1 & 2):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from operator import itemgetter
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from ...core.changelog import Change, ChangeKind
 from ...core.errors import ExecutionError
@@ -74,8 +75,26 @@ class _GroupState:
     retained: int = field(default=0)
 
 
+def _underflow(key: tuple) -> ExecutionError:
+    return ExecutionError(f"retraction for empty group {key!r} in aggregation")
+
+
+def _rows(arg_cols: Sequence[Sequence], keys: Sequence) -> Iterable[tuple]:
+    """Per-aggregate argument vectors, transposed to one tuple per row."""
+    return zip(*arg_cols) if arg_cols else [()] * len(keys)
+
+
 class AggregateOperator(Operator):
-    """Keyed incremental aggregation over a changelog."""
+    """Keyed incremental aggregation over a changelog.
+
+    The group transition is written once, in :meth:`_fold`, over the
+    one shape every encoding of a changelog slice reduces to: parallel
+    sequences of group keys, change kinds, processing times, and one
+    argument vector per aggregate.  :meth:`on_batch` (rows) and
+    :meth:`on_cols` (columns) are *extractors* producing those
+    sequences; the two-phase combine stage feeds the same fold from
+    its replay payloads.
+    """
 
     supports_columnar = True
 
@@ -104,6 +123,30 @@ class AggregateOperator(Operator):
         # ``state_size()`` — read after every event by the metrics
         # sweep — is O(1) instead of a walk over every group.
         self._retained = 0
+        # Row -> group key, always a tuple.
+        if not self._group_indices:
+            self._key_of = lambda values: ()
+        elif len(self._group_indices) == 1:
+            (sole,) = self._group_indices
+            self._key_of = lambda values: (values[sole],)
+        else:
+            self._key_of = itemgetter(*self._group_indices)
+        # Hot-loop table for _fold: one attribute-free tuple per
+        # aggregate, so the per-row loop does no method resolution on
+        # ``agg.function``.
+        self._fold_specs = tuple(
+            (i, agg.function.add, agg.function.retract, agg.distinct)
+            for i, agg in enumerate(self._aggs)
+        )
+        self._results = tuple(agg.function.result for agg in self._aggs)
+        self._arg_indices = tuple(agg.arg_index for agg in self._aggs)
+        # The dominant shape — one non-DISTINCT aggregate, e.g. MAX or
+        # COUNT(*) per window — binds its functions directly.
+        self._sole = (
+            self._fold_specs[0]
+            if len(self._aggs) == 1 and not self._aggs[0].distinct
+            else None
+        )
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -112,11 +155,10 @@ class AggregateOperator(Operator):
             return []
         # A global aggregate over an empty input still has one row
         # (COUNT(*) = 0, SUM = NULL, ...), like any SQL engine.
-        state = self._new_group()
-        self._groups[()] = state
-        row = self._output_row((), state)
-        state.emitted = row
-        return [Change(ChangeKind.INSERT, row, MIN_TIMESTAMP)]
+        state = self._groups[()] = self._new_group()
+        out: list[Change] = []
+        self._settle((), state, MIN_TIMESTAMP, out.append)
+        return out
 
     def _new_group(self) -> _GroupState:
         accumulators = [agg.function.create() for agg in self._aggs]
@@ -124,422 +166,225 @@ class AggregateOperator(Operator):
         self._groups_created += 1
         return _GroupState(accumulators, distinct)
 
-    # -- data path ---------------------------------------------------------------
+    # -- data path: extractors -----------------------------------------------------
+    #
+    # Each entry point reduces its encoding to ``(keys, kinds, ptimes,
+    # arg_cols)`` — one argument vector per aggregate, all ``None`` for
+    # an argument-less one — drops late rows, and folds what is left.
 
-    def on_change(self, port: int, change: Change) -> list[Change]:
-        values = change.values
-        key = tuple(values[i] for i in self._group_indices)
-
-        if self._is_late(key):
-            self.late_dropped += 1
-            return []
-
-        state = self._groups.get(key)
-        if state is None:
-            state = self._new_group()
-            self._groups[key] = state
-
-        if change.is_insert:
-            state.row_count += 1
-            state.retained += 1
-            self._retained += 1
-            self._accumulate(state, values, add=True)
-        else:
-            if state.row_count <= 0:
-                raise ExecutionError(
-                    f"retraction for empty group {key!r} in aggregation"
-                )
-            state.row_count -= 1
-            state.retained -= 1
-            self._retained -= 1
-            self._accumulate(state, values, add=False)
-
-        out: list[Change] = []
-        if state.row_count == 0 and not self._global:
-            if state.emitted is not None:
-                out.append(Change(ChangeKind.RETRACT, state.emitted, change.ptime))
-            del self._groups[key]
-            return out
-
-        row = self._output_row(key, state)
-        if row == state.emitted:
-            return []
-        if state.emitted is not None:
-            out.append(Change(ChangeKind.RETRACT, state.emitted, change.ptime))
-        out.append(Change(ChangeKind.INSERT, row, change.ptime))
-        state.emitted = row
-        return out
+    def _extract(self, changes: Sequence[Change]) -> tuple:
+        key_of = self._key_of
+        nones = [None] * len(changes)
+        return (
+            [key_of(c.values) for c in changes],
+            [c.kind for c in changes],
+            [c.ptime for c in changes],
+            [
+                nones if i is None else [c.values[i] for c in changes]
+                for i in self._arg_indices
+            ],
+        )
 
     def on_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
-        # Same transitions as on_change, with the per-change lookups
-        # hoisted: one group-dict binding, one lateness cutoff (the
-        # input watermark cannot move inside a batch, because watermark
-        # events break batches), one output list.
-        groups = self._groups
-        group_indices = self._group_indices
-        et_positions = self._et_positions
-        lateness = self._allowed_lateness
-        is_global = self._global
-        wm = self.input_watermark if et_positions else MIN_TIMESTAMP
-        retract = ChangeKind.RETRACT
-        insert = ChangeKind.INSERT
-        out: list[Change] = []
-        append = out.append
-        aggs = self._aggs
-        net = 0  # retained rows gained by this batch
-        if len(aggs) == 1 and not aggs[0].distinct:
-            # The dominant shape (one non-DISTINCT aggregate, e.g.
-            # COUNT(*) per window): inline the single accumulator's
-            # add/retract/result instead of looping the agg list per
-            # change.  Transitions are identical to the generic loop.
-            agg0 = aggs[0]
-            arg0 = agg0.arg_index
-            add0 = agg0.function.add
-            retract0 = agg0.function.retract
-            result0 = agg0.function.result
-            single_key = group_indices[0] if len(group_indices) == 1 else None
-            for change in changes:
-                values = change.values
-                key = (
-                    (values[single_key],)
-                    if single_key is not None
-                    else tuple(values[i] for i in group_indices)
-                )
-                if et_positions and all(
-                    key[pos] + lateness <= wm for pos in et_positions
-                ):
-                    self.late_dropped += 1
-                    continue
-                state = groups.get(key)
-                if state is None:
-                    state = self._new_group()
-                    groups[key] = state
-                value = values[arg0] if arg0 is not None else None
-                if change.kind is insert:
-                    state.row_count += 1
-                    state.retained += 1
-                    net += 1
-                    add0(state.accumulators[0], value)
-                else:
-                    if state.row_count <= 0:
-                        self._retained += net
-                        raise ExecutionError(
-                            f"retraction for empty group {key!r} in aggregation"
-                        )
-                    state.row_count -= 1
-                    state.retained -= 1
-                    net -= 1
-                    retract0(state.accumulators[0], value)
-                emitted = state.emitted
-                if state.row_count == 0 and not is_global:
-                    if emitted is not None:
-                        append(Change(retract, emitted, change.ptime))
-                    del groups[key]
-                    continue
-                row = key + (result0(state.accumulators[0]),)
-                if row == emitted:
-                    continue
-                if emitted is not None:
-                    append(Change(retract, emitted, change.ptime))
-                append(Change(insert, row, change.ptime))
-                state.emitted = row
-            self._retained += net
-            return out
-        for change in changes:
-            values = change.values
-            key = tuple(values[i] for i in group_indices)
-            if et_positions and all(
-                key[pos] + lateness <= wm for pos in et_positions
-            ):
-                self.late_dropped += 1
-                continue
-            state = groups.get(key)
-            if state is None:
-                state = self._new_group()
-                groups[key] = state
-            if change.kind is insert:
-                state.row_count += 1
-                state.retained += 1
-                net += 1
-                self._accumulate(state, values, add=True)
-            else:
-                if state.row_count <= 0:
-                    self._retained += net
-                    raise ExecutionError(
-                        f"retraction for empty group {key!r} in aggregation"
-                    )
-                state.row_count -= 1
-                state.retained -= 1
-                net -= 1
-                self._accumulate(state, values, add=False)
-            if state.row_count == 0 and not is_global:
-                if state.emitted is not None:
-                    append(Change(retract, state.emitted, change.ptime))
-                del groups[key]
-                continue
-            row = self._output_row(key, state)
-            if row == state.emitted:
-                continue
-            if state.emitted is not None:
-                append(Change(retract, state.emitted, change.ptime))
-            append(Change(insert, row, change.ptime))
-            state.emitted = row
-        self._retained += net
-        return out
+        return self._fold(*self._drop_late(*self._extract(changes)))
 
     def on_cols(self, port: int, batch) -> list[Change]:
-        # Columnar entry: the single non-DISTINCT-aggregate fast path
-        # reads the key and argument columns directly, so no row tuple
-        # or Change is materialized per input.  Output is rows either
-        # way — aggregation is where the columnar run ends.
-        aggs = self._aggs
-        if len(aggs) != 1 or aggs[0].distinct:
-            return self.on_batch(port, batch.to_changes())
-        groups = self._groups
-        group_indices = self._group_indices
-        et_positions = self._et_positions
-        lateness = self._allowed_lateness
-        is_global = self._global
-        wm = self.input_watermark if et_positions else MIN_TIMESTAMP
-        retract = ChangeKind.RETRACT
-        insert = ChangeKind.INSERT
-        out: list[Change] = []
-        append = out.append
-        agg0 = aggs[0]
-        arg0 = agg0.arg_index
-        add0 = agg0.function.add
-        retract0 = agg0.function.retract
-        result0 = agg0.function.result
-        # COUNT(*) — no argument, unconditional transition — runs with
-        # the accumulator cell inlined, three method calls fewer per row.
-        count_star = arg0 is None and agg0.function.name == "COUNT"
+        # No row tuple or Change is materialized per input; output is
+        # rows either way — aggregation is where the columnar run ends.
         columns = batch.columns
-        kinds = batch.kinds
-        ptimes = batch.ptimes
-        arg_col = columns[arg0] if arg0 is not None else None
-        # One- and two-column group keys (every windowed GROUP BY is at
-        # least (wend, wstart)) build their key tuples and run their
-        # lateness checks with direct column indexing; wider keys take
-        # the general generator path.
-        key_col = kc0 = kc1 = key_cols = None
-        if len(group_indices) == 1:
-            key_col = columns[group_indices[0]]
-        elif len(group_indices) == 2:
-            kc0, kc1 = columns[group_indices[0]], columns[group_indices[1]]
-        else:
-            key_cols = [columns[i] for i in group_indices]
-        n_et = len(et_positions)
-        et_a = columns[group_indices[et_positions[0]]] if n_et >= 1 else None
-        et_b = columns[group_indices[et_positions[1]]] if n_et >= 2 else None
-        late_bound = wm - lateness
-        net = 0  # retained rows gained by this batch
+        n = len(batch.kinds)
+        key_cols = [columns[i] for i in self._group_indices]
         # A burst usually lands in one window, making the whole batch
-        # one group; ``list.count`` detects that at C speed, and the
-        # constant-key loop then does one lateness check, one state
-        # lookup, and no key tuple per row.
-        n_rows = len(kinds)
-        const_key = None
-        if key_col is not None:
-            v0 = key_col[0]
-            if key_col.count(v0) == n_rows:
-                const_key = (v0,)
-        elif kc0 is not None:
-            a0, b0 = kc0[0], kc1[0]
-            if kc0.count(a0) == n_rows and kc1.count(b0) == n_rows:
-                const_key = (a0, b0)
-        if const_key is not None:
-            key = const_key
-            if n_et and all(key[pos] <= late_bound for pos in et_positions):
-                self.late_dropped += n_rows
-                return out
-            state = groups.get(key)
-            for idx, kind in enumerate(kinds):
-                if state is None:
-                    state = self._new_group()
-                    groups[key] = state
-                acc0 = state.accumulators[0]
-                ptime = ptimes[idx]
-                if kind is insert:
-                    state.row_count += 1
-                    state.retained += 1
-                    net += 1
-                    if count_star:
-                        acc0[0] += 1
-                    else:
-                        add0(
-                            acc0,
-                            arg_col[idx] if arg_col is not None else None,
-                        )
-                else:
-                    if state.row_count <= 0:
-                        self._retained += net
-                        raise ExecutionError(
-                            f"retraction for empty group {key!r} in "
-                            "aggregation"
-                        )
-                    state.row_count -= 1
-                    state.retained -= 1
-                    net -= 1
-                    if count_star:
-                        acc0[0] -= 1
-                    else:
-                        retract0(
-                            acc0,
-                            arg_col[idx] if arg_col is not None else None,
-                        )
-                emitted = state.emitted
-                if state.row_count == 0 and not is_global:
-                    if emitted is not None:
-                        append(Change(retract, emitted, ptime))
-                    del groups[key]
-                    state = None
-                    continue
-                row = key + ((acc0[0] if count_star else result0(acc0)),)
-                if row == emitted:
-                    continue
-                if emitted is not None:
-                    append(Change(retract, emitted, ptime))
-                append(Change(insert, row, ptime))
-                state.emitted = row
-            self._retained += net
-            return out
-        for idx, kind in enumerate(kinds):
-            if n_et:
-                if n_et == 1:
-                    late = et_a[idx] <= late_bound
-                elif n_et == 2:
-                    late = et_a[idx] <= late_bound and et_b[idx] <= late_bound
-                else:
-                    late = all(
-                        columns[group_indices[pos]][idx] <= late_bound
-                        for pos in et_positions
-                    )
-                if late:
-                    self.late_dropped += 1
-                    continue
-            if key_col is not None:
-                key = (key_col[idx],)
-            elif kc0 is not None:
-                key = (kc0[idx], kc1[idx])
-            else:
-                key = tuple(col[idx] for col in key_cols)
-            state = groups.get(key)
-            if state is None:
-                state = self._new_group()
-                groups[key] = state
-            acc0 = state.accumulators[0]
-            ptime = ptimes[idx]
-            if kind is insert:
-                state.row_count += 1
-                state.retained += 1
-                net += 1
-                if count_star:
-                    acc0[0] += 1
-                else:
-                    add0(acc0, arg_col[idx] if arg_col is not None else None)
-            else:
-                if state.row_count <= 0:
-                    self._retained += net
-                    raise ExecutionError(
-                        f"retraction for empty group {key!r} in aggregation"
-                    )
-                state.row_count -= 1
-                state.retained -= 1
-                net -= 1
-                if count_star:
-                    acc0[0] -= 1
-                else:
-                    retract0(acc0, arg_col[idx] if arg_col is not None else None)
-            emitted = state.emitted
-            if state.row_count == 0 and not is_global:
-                if emitted is not None:
-                    append(Change(retract, emitted, ptime))
-                del groups[key]
-                continue
-            row = key + ((acc0[0] if count_star else result0(acc0)),)
-            if row == emitted:
-                continue
-            if emitted is not None:
-                append(Change(retract, emitted, ptime))
-            append(Change(insert, row, ptime))
-            state.emitted = row
-        self._retained += net
-        return out
-
-    def _accumulate(self, state: _GroupState, values: tuple, add: bool) -> None:
-        for i, agg in enumerate(self._aggs):
-            value = values[agg.arg_index] if agg.arg_index is not None else None
-            counts = state.distinct_counts[i]
-            if counts is not None:
-                # DISTINCT: only the first occurrence reaches the
-                # accumulator; only the last removal retracts it.
-                if add:
-                    seen = counts.get(value, 0)
-                    counts[value] = seen + 1
-                    if seen:
-                        continue
-                else:
-                    seen = counts.get(value, 0)
-                    if seen > 1:
-                        counts[value] = seen - 1
-                        continue
-                    counts.pop(value, None)
-            if add:
-                agg.function.add(state.accumulators[i], value)
-            else:
-                agg.function.retract(state.accumulators[i], value)
-
-    def _output_row(self, key: tuple, state: _GroupState) -> tuple:
-        results = tuple(
-            agg.function.result(state.accumulators[i])
-            for i, agg in enumerate(self._aggs)
+        # one group; ``count`` detects that at C speed, and one shared
+        # key object lets the fold keep its group across rows.
+        if n and all(col.count(col[0]) == n for col in key_cols):
+            keys = [tuple(col[0] for col in key_cols)] * n
+        else:
+            keys = list(zip(*key_cols))
+        nones = [None] * n
+        arg_cols = [nones if i is None else columns[i] for i in self._arg_indices]
+        return self._fold(
+            *self._drop_late(keys, batch.kinds, batch.ptimes, arg_cols)
         )
-        return key + results
 
     # -- event time ------------------------------------------------------------------
 
-    def _is_late(self, key: tuple) -> bool:
-        """Whether this change belongs to a group declared complete.
+    def _on_time(self, keys: Sequence[tuple], wm: Timestamp) -> list[bool]:
+        """Per key, whether its group is still open under watermark ``wm``.
 
         A group is complete once *all* of its event-time keys are
         covered by the watermark: for a window grouped by (wstart,
         wend) that is ``wend <= watermark``, since wstart < wend.  (A
         group keyed by wstart alone would otherwise complete while its
         window was still open; the planner's sibling-key injection
-        guarantees wend is always present alongside wstart.)
+        guarantees wend is always present alongside wstart.)  With
+        allowed lateness, a group survives the watermark by that margin
+        so late firings can still update it (the "late" pane of the
+        early/on-time/late pattern).  Only meaningful with event-time
+        keys — callers check ``_et_positions`` first.
         """
-        if not self._et_positions:
-            return False
-        wm = self.input_watermark
-        return all(
-            key[pos] + self._allowed_lateness <= wm
-            for pos in self._et_positions
-        )
+        bound = wm - self._allowed_lateness
+        if len(self._et_positions) == 1:
+            (pos,) = self._et_positions
+            return [key[pos] > bound for key in keys]
+        et_of = itemgetter(*self._et_positions)
+        return [max(et_of(key)) > bound for key in keys]
 
-    def _group_complete_at(self, key: tuple, wm: Timestamp) -> bool:
-        """With allowed lateness, state survives the watermark by that
-        margin so late firings can still update the group (the "late"
-        pane of the early/on-time/late pattern)."""
-        return bool(self._et_positions) and all(
-            key[pos] + self._allowed_lateness <= wm
-            for pos in self._et_positions
-        )
+    def _drop_late(self, keys, kinds, ptimes, arg_cols) -> tuple:
+        """The extracted vectors without the rows of complete groups.
+
+        Inputs whose group the input watermark already declared
+        complete are late data: counted and dropped, here and nowhere
+        else, once per batch — the input watermark cannot move inside
+        a batch, because watermark events break batches.
+        """
+        if self._et_positions:
+            on_time = self._on_time(keys, self.input_watermark)
+            if False in on_time:
+                self.late_dropped += on_time.count(False)
+                keys, kinds, ptimes, *arg_cols = (
+                    list(compress(vector, on_time))
+                    for vector in (keys, kinds, ptimes, *arg_cols)
+                )
+        return keys, kinds, ptimes, arg_cols
 
     def _on_watermark_advanced(self, merged: Timestamp, ptime: Timestamp) -> list[Change]:
         # Free the state of groups that just became complete.  Their
         # output rows are already current; late inputs will be dropped
-        # by _is_late, so the accumulators are never needed again.
+        # by _drop_late, so the accumulators are never needed again.
         if not self._et_positions or merged <= self._finalized_max:
             return []
         self._finalized_max = merged
-        done = [
-            key
-            for key in self._groups
-            if self._group_complete_at(key, merged)
-        ]
-        for key in done:
-            self._retained -= self._groups.pop(key).retained
+        keys = list(self._groups)
+        for key, is_open in zip(keys, self._on_time(keys, merged)):
+            if not is_open:
+                self._retained -= self._groups.pop(key).retained
         return []
+
+    # -- data path: the transition ---------------------------------------------------
+
+    def _fold(self, keys, kinds, ptimes, arg_cols) -> list[Change]:
+        """Apply a run of changes to the groups; the emitted changelog.
+
+        Row ``i`` is ``kinds[i]`` of one occurrence in group
+        ``keys[i]`` at ``ptimes[i]``, with ``arg_cols[a][i]`` the
+        argument of aggregate ``a``.  Per row: find or create the
+        group, apply the insert/retract to its accumulators, then
+        settle its output row — the only place that sequence exists.
+        Lateness is the caller's business (the combine stage must not
+        re-apply it).
+        """
+        groups = self._groups
+        is_global = self._global
+        specs = self._fold_specs
+        results = self._results
+        insert = ChangeKind.INSERT
+        retract = ChangeKind.RETRACT
+        sole = self._sole
+        if sole is not None:
+            _, add0, retract0, _ = sole
+            (result0,) = results
+            (col0,) = arg_cols
+        out: list[Change] = []
+        append = out.append
+        net = 0  # retained rows gained by this run
+        held = state = None
+        try:
+            for idx, key in enumerate(keys):
+                # ``held`` is the previous row's key object: a
+                # constant-key run (see on_cols) looks its group up once.
+                if key is not held or state is None:
+                    held = key
+                    state = groups.get(key)
+                    if state is None:
+                        state = groups[key] = self._new_group()
+                accs = state.accumulators
+                if kinds[idx] is insert:
+                    state.row_count += 1
+                    state.retained += 1
+                    net += 1
+                    if sole is not None:
+                        add0(accs[0], col0[idx])
+                    else:
+                        for i, add, _, distinct in specs:
+                            value = arg_cols[i][idx]
+                            if value is SUPPRESSED:
+                                continue
+                            if distinct:
+                                # DISTINCT: only the first occurrence
+                                # reaches the accumulator ...
+                                counts = state.distinct_counts[i]
+                                seen = counts.get(value, 0)
+                                counts[value] = seen + 1
+                                if seen:
+                                    continue
+                            add(accs[i], value)
+                else:
+                    if state.row_count <= 0:
+                        raise _underflow(key)
+                    state.row_count -= 1
+                    state.retained -= 1
+                    net -= 1
+                    if sole is not None:
+                        retract0(accs[0], col0[idx])
+                    else:
+                        for i, _, remove, distinct in specs:
+                            value = arg_cols[i][idx]
+                            if value is SUPPRESSED:
+                                continue
+                            if distinct:
+                                # ... and only the last removal
+                                # retracts it.
+                                counts = state.distinct_counts[i]
+                                seen = counts.get(value, 0)
+                                if seen > 1:
+                                    counts[value] = seen - 1
+                                    continue
+                                counts.pop(value, None)
+                            remove(accs[i], value)
+                emitted = state.emitted
+                if state.row_count == 0 and not is_global:
+                    if emitted is not None:
+                        append(Change(retract, emitted, ptimes[idx]))
+                    del groups[key]
+                    state = None
+                    continue
+                if sole is not None:
+                    row = key + (result0(accs[0]),)
+                else:
+                    row = key + tuple(
+                        [result(acc) for result, acc in zip(results, accs)]
+                    )
+                if row == emitted:
+                    continue
+                ptime = ptimes[idx]
+                if emitted is not None:
+                    append(Change(retract, emitted, ptime))
+                append(Change(insert, row, ptime))
+                state.emitted = row
+        finally:
+            self._retained += net
+        return out
+
+    def _settle(self, key: tuple, state: _GroupState, ptime: Timestamp, append) -> None:
+        """The group tail for callers outside :meth:`_fold` (the open
+        row, combine-stage deltas): drop an emptied group, otherwise
+        re-derive its output row and emit retract/insert if it moved."""
+        emitted = state.emitted
+        if state.row_count == 0 and not self._global:
+            if emitted is not None:
+                append(Change(ChangeKind.RETRACT, emitted, ptime))
+            del self._groups[key]
+            return
+        row = key + tuple(
+            [result(acc) for result, acc in zip(self._results, state.accumulators)]
+        )
+        if row == emitted:
+            return
+        if emitted is not None:
+            append(Change(ChangeKind.RETRACT, emitted, ptime))
+        append(Change(ChangeKind.INSERT, row, ptime))
+        state.emitted = row
 
     # -- introspection ----------------------------------------------------------------
 
@@ -633,19 +478,6 @@ class PartialAggregateOperator(AggregateOperator):
             )
         self.delta_mode = delta_mode
         self._has_distinct = any(agg.distinct for agg in self._aggs)
-        # Hot-loop table for _delta_batch: one attribute-free tuple per
-        # aggregate, so the per-row loop does no method resolution on
-        # ``agg.function``.
-        self._delta_specs = tuple(
-            (
-                agg.arg_index,
-                agg.distinct,
-                None if agg.distinct else agg.function.delta_create,
-                None if agg.distinct else agg.function.delta_add,
-                None if agg.distinct else agg.function.delta_retract,
-            )
-            for agg in self._aggs
-        )
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -656,153 +488,100 @@ class PartialAggregateOperator(AggregateOperator):
 
     # -- data path ---------------------------------------------------------------
 
-    def on_change(self, port: int, change: Change) -> list[Change]:
-        return self.on_batch(port, (change,))
-
     def on_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
         if not changes:
             return []
-        # Watermark events break batches, so one batch sits at one
-        # processing instant and under one lateness cutoff.
-        if self.delta_mode:
-            return self._delta_batch(changes)
-        return self._replay_batch(changes)
-
-    def _replay_batch(self, changes: Sequence[Change]) -> list[Change]:
-        group_indices = self._group_indices
-        et_positions = self._et_positions
-        lateness = self._allowed_lateness
-        wm = self.input_watermark if et_positions else MIN_TIMESTAMP
-        aggs = self._aggs
-        insert = ChangeKind.INSERT
-        entries: list[tuple] = []
-        if not self._has_distinct:
-            # Stateless: forward each effective row's sign, key, and
-            # aggregate arguments verbatim.
-            arg_indices = tuple(agg.arg_index for agg in aggs)
-            for change in changes:
-                values = change.values
-                key = tuple(values[i] for i in group_indices)
-                if et_positions and all(
-                    key[pos] + lateness <= wm for pos in et_positions
-                ):
-                    self.late_dropped += 1
-                    continue
-                vals = tuple(
-                    values[i] if i is not None else None for i in arg_indices
-                )
-                entries.append(
-                    (1 if change.kind is insert else -1, key, vals)
-                )
-        else:
-            # DISTINCT dedup happens shard-side so the combine stage
-            # never sees a duplicate: forwarded values mark the local
-            # 0->1 / 1->0 transitions, everything else ships as
-            # SUPPRESSED.  Group state exists purely to host the
-            # counts; it mirrors the serial operator's row_count and
-            # empty-retraction guard so errors surface identically.
-            groups = self._groups
-            for change in changes:
-                values = change.values
-                key = tuple(values[i] for i in group_indices)
-                if et_positions and all(
-                    key[pos] + lateness <= wm for pos in et_positions
-                ):
-                    self.late_dropped += 1
-                    continue
-                state = groups.get(key)
-                if state is None:
-                    state = self._new_group()
-                    groups[key] = state
-                adding = change.kind is insert
-                if adding:
-                    state.row_count += 1
-                    state.retained += 1
-                    self._retained += 1
-                else:
-                    if state.row_count <= 0:
-                        raise ExecutionError(
-                            f"retraction for empty group {key!r} in aggregation"
-                        )
-                    state.row_count -= 1
-                    state.retained -= 1
-                    self._retained -= 1
-                vals = []
-                for i, agg in enumerate(aggs):
-                    value = (
-                        values[agg.arg_index]
-                        if agg.arg_index is not None
-                        else None
-                    )
-                    counts = state.distinct_counts[i]
-                    if counts is None:
-                        vals.append(value)
-                    elif adding:
-                        seen = counts.get(value, 0)
-                        counts[value] = seen + 1
-                        vals.append(SUPPRESSED if seen else value)
-                    else:
-                        seen = counts.get(value, 0)
-                        if seen > 1:
-                            counts[value] = seen - 1
-                            vals.append(SUPPRESSED)
-                        else:
-                            counts.pop(value, None)
-                            vals.append(value)
-                if state.row_count == 0:
-                    # Death resets the dedup counts, exactly when the
-                    # serial operator would drop the group.
-                    del groups[key]
-                entries.append(
-                    (1 if adding else -1, key, tuple(vals))
-                )
-        if not entries:
+        # The serial operator's extraction and lateness cutoff, at the
+        # shard's input watermark; one batch sits at one processing
+        # instant, so the payload is stamped with the first ptime.
+        keys, kinds, _, arg_cols = self._drop_late(*self._extract(changes))
+        if not keys:
             return []
-        payload = ("P2R", len(entries), tuple(entries))
-        return [Change(ChangeKind.INSERT, payload, changes[0].ptime)]
-
-    def _delta_batch(self, changes: Sequence[Change]) -> list[Change]:
-        group_indices = self._group_indices
-        et_positions = self._et_positions
-        lateness = self._allowed_lateness
-        wm = self.input_watermark if et_positions else MIN_TIMESTAMP
-        aggs = self._aggs
-        specs = self._delta_specs
         insert = ChangeKind.INSERT
-        if len(group_indices) == 1:
-            sole = group_indices[0]
-            key_of = lambda values: (values[sole],)  # noqa: E731
+        signs = [1 if kind is insert else -1 for kind in kinds]
+        if self.delta_mode:
+            payload = ("P2D", len(keys), self._deltas(keys, signs, arg_cols))
         else:
-            key_of = itemgetter(*group_indices)
-        # First-touch insertion order, so the combine emits groups in
-        # a deterministic order per payload.
+            if self._has_distinct:
+                arg_cols = self._dedup(keys, signs, arg_cols)
+            # Forward each effective row's sign, key, and aggregate
+            # arguments verbatim.
+            payload = (
+                "P2R", len(keys), tuple(zip(signs, keys, _rows(arg_cols, keys)))
+            )
+        return [Change(insert, payload, changes[0].ptime)]
+
+    def _dedup(self, keys, signs, arg_cols) -> list[list]:
+        """The argument vectors with DISTINCT duplicates suppressed.
+
+        DISTINCT dedup happens shard-side so the combine stage never
+        sees a duplicate: forwarded values mark the local 0->1 / 1->0
+        transitions, everything else ships as SUPPRESSED.  Group state
+        exists purely to host the counts; it mirrors the serial
+        operator's row_count and empty-retraction guard so errors
+        surface identically.
+        """
+        groups = self._groups
+        distinct = [i for i, agg in enumerate(self._aggs) if agg.distinct]
+        cols = list(arg_cols)
+        for i in distinct:
+            cols[i] = list(cols[i])  # extractor-owned vectors stay intact
+        for idx, (key, sign) in enumerate(zip(keys, signs)):
+            state = groups.get(key)
+            if state is None:
+                state = groups[key] = self._new_group()
+            if sign < 0 and state.row_count <= 0:
+                raise _underflow(key)
+            state.row_count += sign
+            state.retained += sign
+            self._retained += sign
+            for i in distinct:
+                counts = state.distinct_counts[i]
+                value = cols[i][idx]
+                seen = counts.get(value, 0)
+                if sign > 0:
+                    counts[value] = seen + 1
+                    if seen:
+                        cols[i][idx] = SUPPRESSED
+                elif seen > 1:
+                    counts[value] = seen - 1
+                    cols[i][idx] = SUPPRESSED
+                else:
+                    counts.pop(value, None)
+            if state.row_count == 0:
+                # Death resets the dedup counts, exactly when the
+                # serial operator would drop the group.
+                del groups[key]
+        return cols
+
+    def _deltas(self, keys, signs, arg_cols) -> tuple:
+        """One ``(key, row_count delta, frozen per-aggregate deltas)``
+        entry per touched group, in first-touch order so the combine
+        emits groups in a deterministic order per payload."""
+        specs = [
+            (
+                agg.distinct,
+                None if agg.distinct else agg.function.delta_add,
+                None if agg.distinct else agg.function.delta_retract,
+            )
+            for agg in self._aggs
+        ]
         builders: dict[tuple, list] = {}
-        rows = 0
-        for change in changes:
-            values = change.values
-            key = key_of(values)
-            if et_positions and all(
-                key[pos] + lateness <= wm for pos in et_positions
-            ):
-                self.late_dropped += 1
-                continue
-            rows += 1
+        for key, sign, vals in zip(keys, signs, _rows(arg_cols, keys)):
             builder = builders.get(key)
             if builder is None:
-                builder = [
+                builder = builders[key] = [
                     0,
                     [
-                        ([], []) if distinct else create()
-                        for _, distinct, create, _, _ in specs
+                        ([], []) if agg.distinct else agg.function.delta_create()
+                        for agg in self._aggs
                     ],
                 ]
-                builders[key] = builder
-            adding = change.kind is insert
-            builder[0] += 1 if adding else -1
-            for delta, (arg_index, distinct, _, add, retract) in zip(
-                builder[1], specs
+            builder[0] += sign
+            adding = sign > 0
+            for delta, value, (distinct, add, retract) in zip(
+                builder[1], vals, specs
             ):
-                value = values[arg_index] if arg_index is not None else None
                 if distinct:
                     # DISTINCT deltas are always raw value lists; the
                     # combine's global dedup counts decide what
@@ -812,9 +591,7 @@ class PartialAggregateOperator(AggregateOperator):
                     add(delta, value)
                 else:
                     retract(delta, value)
-        if not builders:
-            return []
-        entries = tuple(
+        return tuple(
             (
                 key,
                 builder[0],
@@ -822,13 +599,11 @@ class PartialAggregateOperator(AggregateOperator):
                     (tuple(delta[0]), tuple(delta[1]))
                     if agg.distinct
                     else agg.function.delta_freeze(delta)
-                    for agg, delta in zip(aggs, builder[1])
+                    for agg, delta in zip(self._aggs, builder[1])
                 ),
             )
             for key, builder in builders.items()
         )
-        payload = ("P2D", rows, entries)
-        return [Change(ChangeKind.INSERT, payload, changes[0].ptime)]
 
     # -- introspection ----------------------------------------------------------------
 
@@ -884,16 +659,13 @@ class CombineAggregateOperator(AggregateOperator):
 
     # -- data path ---------------------------------------------------------------
 
-    def on_change(self, port: int, change: Change) -> list[Change]:
-        return self.on_batch(port, (change,))
-
     def on_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
         out: list[Change] = []
         for change in changes:
             tag, rows, entries = change.values
             self._agg_rows_in += rows
             if tag == "P2R":
-                self._replay(entries, change.ptime, out)
+                out += self._replay(entries, change.ptime)
             elif tag == "P2D":
                 self._apply_deltas(entries, change.ptime, out)
             else:
@@ -902,80 +674,36 @@ class CombineAggregateOperator(AggregateOperator):
                 )
         return out
 
-    def _replay(
-        self, entries: tuple, ptime: Timestamp, out: list[Change]
-    ) -> None:
-        groups = self._groups
-        aggs = self._aggs
-        retract = ChangeKind.RETRACT
-        insert = ChangeKind.INSERT
-        append = out.append
-        for sign, key, vals in entries:
-            state = groups.get(key)
-            if state is None:
-                state = self._new_group()
-                groups[key] = state
-            if sign > 0:
-                state.row_count += 1
-                state.retained += 1
-                self._retained += 1
-                for i, agg in enumerate(aggs):
-                    value = vals[i]
-                    if value is SUPPRESSED:
-                        continue
-                    counts = state.distinct_counts[i]
-                    if counts is not None:
-                        counts[value] = 1
-                    agg.function.add(state.accumulators[i], value)
-            else:
-                if state.row_count <= 0:
-                    raise ExecutionError(
-                        f"retraction for empty group {key!r} in aggregation"
-                    )
-                state.row_count -= 1
-                state.retained -= 1
-                self._retained -= 1
-                for i, agg in enumerate(aggs):
-                    value = vals[i]
-                    if value is SUPPRESSED:
-                        continue
-                    counts = state.distinct_counts[i]
-                    if counts is not None:
-                        counts.pop(value, None)
-                    agg.function.retract(state.accumulators[i], value)
-            emitted = state.emitted
-            if state.row_count == 0:
-                if emitted is not None:
-                    append(Change(retract, emitted, ptime))
-                del groups[key]
-                continue
-            row = self._output_row(key, state)
-            if row == emitted:
-                continue
-            if emitted is not None:
-                append(Change(retract, emitted, ptime))
-            append(Change(insert, row, ptime))
-            state.emitted = row
+    def _replay(self, entries: tuple, ptime: Timestamp) -> list[Change]:
+        # Replay entries are the fold's own input shape, one tuple per
+        # row: keys pre-extracted, lateness applied shard-side,
+        # SUPPRESSED where a shard absorbed a DISTINCT duplicate (what
+        # is forwarded is a 0<->1 transition, which the fold's dedup
+        # counts pass straight on to the accumulator).
+        if not entries:
+            return []
+        signs, keys, vals = zip(*entries)
+        insert, retract = ChangeKind.INSERT, ChangeKind.RETRACT
+        return self._fold(
+            keys,
+            [insert if sign > 0 else retract for sign in signs],
+            [ptime] * len(keys),
+            list(zip(*vals)),
+        )
 
     def _apply_deltas(
         self, entries: tuple, ptime: Timestamp, out: list[Change]
     ) -> None:
         groups = self._groups
         aggs = self._aggs
-        retract = ChangeKind.RETRACT
-        insert = ChangeKind.INSERT
         append = out.append
         for key, rc_delta, frozen in entries:
             state = groups.get(key)
             if state is None:
-                state = self._new_group()
-                groups[key] = state
-            new_count = state.row_count + rc_delta
-            if new_count < 0:
-                raise ExecutionError(
-                    f"retraction for empty group {key!r} in aggregation"
-                )
-            state.row_count = new_count
+                state = groups[key] = self._new_group()
+            if state.row_count + rc_delta < 0:
+                raise _underflow(key)
+            state.row_count += rc_delta
             state.retained += rc_delta
             self._retained += rc_delta
             for i, agg in enumerate(aggs):
@@ -996,19 +724,7 @@ class CombineAggregateOperator(AggregateOperator):
                         agg.function.retract(state.accumulators[i], value)
                 else:
                     agg.function.delta_apply(state.accumulators[i], frozen[i])
-            emitted = state.emitted
-            if new_count == 0:
-                if emitted is not None:
-                    append(Change(retract, emitted, ptime))
-                del groups[key]
-                continue
-            row = self._output_row(key, state)
-            if row == emitted:
-                continue
-            if emitted is not None:
-                append(Change(retract, emitted, ptime))
-            append(Change(insert, row, ptime))
-            state.emitted = row
+            self._settle(key, state, ptime, append)
 
     # -- introspection ----------------------------------------------------------------
 

@@ -10,8 +10,12 @@ The contract:
 
 * ``on_open`` runs once before any input and may emit initial rows
   (e.g. the empty-input row of a global aggregate).
-* ``on_change(port, change)`` consumes one change on an input port and
-  returns the resulting output changes, in order.
+* ``on_batch(port, changes)`` consumes a run of same-instant changes
+  on an input port and returns the resulting output changes, in order.
+  It is where an operator's row transition is written — **once**.
+  ``on_change(port, change)`` is the same transition for a single
+  change; every concrete operator overrides exactly one of the two and
+  the base class derives the other (see :meth:`Operator.on_change`).
 * ``on_watermark(port, value, ptime)`` records an input watermark
   advance and returns ``(changes, output_watermark)`` — the changes the
   advance triggered plus the operator's new output watermark (``None``
@@ -32,13 +36,16 @@ that silently lost OVER and MATCH_RECOGNIZE late drops).
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ...core.changelog import Change
 from ...core.schema import Schema
 from ...core.times import MIN_TIMESTAMP, Timestamp
 from ...core.watermark import merge_watermarks
 from ...obs.metrics import OperatorCounters, watermark_lag
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..timers import TimerQueue
 
 __all__ = ["Operator"]
 
@@ -57,7 +64,7 @@ class Operator:
         self.arity = arity
         self._input_wms: list[Timestamp] = [MIN_TIMESTAMP] * arity
         self._output_wm: Timestamp = MIN_TIMESTAMP
-        self._timer_sink: Optional[Callable[[Timestamp, "Operator"], None]] = None
+        self._timers: Optional["TimerQueue"] = None
         self.counters = OperatorCounters(arity)
         #: rows rejected because the watermark already declared their
         #: position complete; every operator has the counter, whether or
@@ -69,9 +76,9 @@ class Operator:
 
     # -- processing-time timers -----------------------------------------------
 
-    def bind_timers(self, sink: Callable[[Timestamp, "Operator"], None]) -> None:
-        """Connect this operator to the executor's timer service."""
-        self._timer_sink = sink
+    def bind_timers(self, timers: "TimerQueue") -> None:
+        """Connect this operator to its dataflow's timer queue."""
+        self._timers = timers
 
     def register_timer(self, when: Timestamp) -> None:
         """Request an ``on_timer`` callback at processing time ``when``.
@@ -80,8 +87,8 @@ class Operator:
         passage of processing time — the time-progressing expressions of
         Section 8 — rather than with new input.
         """
-        if self._timer_sink is not None:
-            self._timer_sink(when, self)
+        if self._timers is not None:
+            self._timers.schedule(when, self)
 
     def on_timer(self, when: Timestamp) -> list[Change]:
         """Handle a timer firing; returns emitted changes."""
@@ -93,19 +100,23 @@ class Operator:
         """Emit any initial output (before the first input arrives)."""
         return []
 
+    # One transition per operator.  A concrete operator overrides
+    # exactly one of ``on_change`` / ``on_batch`` and inherits the
+    # other from here: hot operators write their transition as a batch
+    # loop (``on_change`` is then a batch of one), cold ones write it
+    # per change (``on_batch`` then loops it).  Either way the row
+    # transition exists once, so the batch output is *by construction*
+    # the ordered concatenation of the per-change outputs — the
+    # invariant the executor's byte-identical batching mode rests on.
+    # (Overriding neither recurses; ``tests/test_api_surface.py``
+    # rejects a class body that defines both.)
+
     def on_change(self, port: int, change: Change) -> list[Change]:
-        raise NotImplementedError
+        """Consume one change: a batch of one."""
+        return self.on_batch(port, (change,))
 
     def on_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
-        """Consume a run of same-instant changes on one port.
-
-        The default delegates to :meth:`on_change` per change and
-        concatenates, so the batch output is *by construction* the
-        ordered concatenation of the per-change outputs — the invariant
-        the executor's byte-identical batching mode rests on.  Hot
-        operators override this with a vectorized loop that must
-        preserve exactly that concatenation.
-        """
+        """Consume a run of same-instant changes on one port."""
         on_change = self.on_change
         out: list[Change] = []
         for change in changes:
@@ -123,17 +134,9 @@ class Operator:
         self.counters.record_out(out)
         return out
 
-    def process_change(self, port: int, change: Change) -> list[Change]:
-        self.counters.record_in(port, change)
-        out = self.on_change(port, change)
-        self.counters.record_out(out)
-        return out
-
     def process_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
         """Counted batch entry point; counters land exactly as if the
         batch had been delivered change by change."""
-        if len(changes) == 1:
-            return self.process_change(port, changes[0])
         self.counters.record_in_batch(port, changes)
         out = self.on_batch(port, changes)
         self.counters.record_out(out)

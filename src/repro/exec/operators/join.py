@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
-from ...core.changelog import Change, ChangeKind
+from ...core.changelog import Change
 from ...core.schema import Schema
 from ...core.times import Duration, Timestamp
 from .base import Operator
@@ -77,53 +77,9 @@ class JoinOperator(Operator):
 
     # -- data path ---------------------------------------------------------------
 
-    def on_change(self, port: int, change: Change) -> list[Change]:
-        values = change.values
-        key = tuple(values[i] for i in self._keys[port])
-        side = self._state[port]
-
-        bucket: Counter = side.get(key)
-        if change.is_insert:
-            if bucket is None:
-                bucket = Counter()
-                side[key] = bucket
-            bucket[values] += 1
-            self._rows += 1
-        else:
-            if bucket is None or bucket[values] <= 0:
-                # The matching insert was expired by the watermark; the
-                # retraction has nothing to undo.
-                self.expired_rows += 1
-                return []
-            bucket[values] -= 1
-            self._rows -= 1
-            if bucket[values] == 0:
-                del bucket[values]
-                if not bucket:
-                    del side[key]
-
-        other = self._state[1 - port]
-        matches = other.get(key)
-        if not matches:
-            return []
-
-        out: list[Change] = []
-        for other_values, count in matches.items():
-            if port == 0:
-                combined = values + other_values
-            else:
-                combined = other_values + values
-            if self._condition is not None and self._condition(combined) is not True:
-                continue
-            out.extend(
-                Change(change.kind, combined, change.ptime) for _ in range(count)
-            )
-        return out
-
     def on_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
-        # The on_change transitions in a tight loop: both sides' state
-        # dicts, the key indices, and the condition are bound once for
-        # the whole batch instead of re-fetched per probe.
+        # Both sides' state dicts, the key indices, and the condition
+        # are bound once for the whole batch instead of per probe.
         key_indices = self._keys[port]
         side = self._state[port]
         other = self._state[1 - port]
@@ -144,6 +100,8 @@ class JoinOperator(Operator):
                 self._rows += 1
             else:
                 if bucket is None or bucket[values] <= 0:
+                    # The matching insert was expired by the watermark;
+                    # the retraction has nothing to undo.
                     self.expired_rows += 1
                     continue
                 bucket[values] -= 1

@@ -217,7 +217,7 @@ class MatchRecognizeOperator(Operator):
                     return result
                 if not taken:
                     break
-                removed = taken.pop()
+                taken.pop()
                 current = dict(current)
                 shortened = current[symbol][:-1]
                 if shortened:

@@ -82,9 +82,6 @@ class PipelineOperator(Operator):
     def on_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
         return self._run_rows(changes)
 
-    def on_change(self, port: int, change: Change) -> list[Change]:
-        return self._run_rows((change,))
-
     def on_cols(self, port: int, batch: ColumnarBatch) -> ColumnarBatch:
         run_cols = self._run_cols
         if run_cols is not None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from ...core.changelog import Change, ChangeKind, diff_bags
+from ...core.changelog import Change, diff_bags
 from ...core.errors import ExecutionError
 from ...core.schema import Schema
 from ...core.times import Duration, Timestamp

@@ -19,23 +19,24 @@ __all__ = ["ScanOperator", "FilterOperator", "ProjectOperator", "UnionOperator",
            "SortOperator"]
 
 
-class ScanOperator(Operator):
-    """Leaf operator bound to a registered source; pure passthrough."""
+class _ForwardOperator(Operator):
+    """Forwards every change untouched, in either encoding."""
 
     supports_columnar = True
-
-    def __init__(self, schema: Schema, source_name: str):
-        super().__init__(schema, arity=1)
-        self.source_name = source_name
-
-    def on_change(self, port: int, change: Change) -> list[Change]:
-        return [change]
 
     def on_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
         return list(changes)
 
     def on_cols(self, port: int, batch):
         return batch
+
+
+class ScanOperator(_ForwardOperator):
+    """Leaf operator bound to a registered source; pure passthrough."""
+
+    def __init__(self, schema: Schema, source_name: str):
+        super().__init__(schema, arity=1)
+        self.source_name = source_name
 
     def name(self) -> str:
         return f"Scan({self.source_name})"
@@ -52,11 +53,6 @@ class FilterOperator(Operator):
         super().__init__(schema, arity=1)
         self._predicate = predicate
 
-    def on_change(self, port: int, change: Change) -> list[Change]:
-        if self._predicate(change.values) is True:
-            return [change]
-        return []
-
     def on_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
         predicate = self._predicate
         return [c for c in changes if predicate(c.values) is True]
@@ -68,11 +64,6 @@ class ProjectOperator(Operator):
     def __init__(self, schema: Schema, exprs: Sequence[Callable[[tuple], Any]]):
         super().__init__(schema, arity=1)
         self._exprs = list(exprs)
-
-    def on_change(self, port: int, change: Change) -> list[Change]:
-        values = change.values
-        projected = tuple(expr(values) for expr in self._exprs)
-        return [Change(change.kind, projected, change.ptime)]
 
     def on_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
         exprs = self._exprs
@@ -100,25 +91,11 @@ class ProjectOperator(Operator):
         ]
 
 
-class UnionOperator(Operator):
+class UnionOperator(_ForwardOperator):
     """Bag union: forwards changes from every input port."""
 
-    supports_columnar = True
 
-    def __init__(self, schema: Schema, arity: int):
-        super().__init__(schema, arity=arity)
-
-    def on_change(self, port: int, change: Change) -> list[Change]:
-        return [change]
-
-    def on_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
-        return list(changes)
-
-    def on_cols(self, port: int, batch):
-        return batch
-
-
-class SortOperator(Operator):
+class SortOperator(_ForwardOperator):
     """ORDER BY / LIMIT placeholder.
 
     Ordering is a property of *table* materialization, not of a
@@ -127,16 +104,5 @@ class SortOperator(Operator):
     (and rejects ``EMIT STREAM`` over LIMIT queries).
     """
 
-    supports_columnar = True
-
     def __init__(self, schema: Schema):
         super().__init__(schema, arity=1)
-
-    def on_change(self, port: int, change: Change) -> list[Change]:
-        return [change]
-
-    def on_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
-        return list(changes)
-
-    def on_cols(self, port: int, batch):
-        return batch

@@ -38,14 +38,6 @@ class TumbleOperator(Operator):
         self._size = size
         self._offset = offset
 
-    def on_change(self, port: int, change: Change) -> list[Change]:
-        ts = change.values[self._timecol]
-        if ts is None:
-            raise ExecutionError("NULL event timestamp in Tumble input")
-        wstart = align_to_window(ts, self._size, self._offset)
-        values = (wstart, wstart + self._size) + change.values
-        return [Change(change.kind, values, change.ptime)]
-
     def on_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
         timecol, size, offset = self._timecol, self._size, self._offset
         make = Change
@@ -126,16 +118,6 @@ class HopOperator(Operator):
         self._size = size
         self._slide = slide
         self._offset = offset
-
-    def on_change(self, port: int, change: Change) -> list[Change]:
-        ts = change.values[self._timecol]
-        if ts is None:
-            raise ExecutionError("NULL event timestamp in Hop input")
-        out = []
-        for wstart, wend in hop_windows(ts, self._size, self._slide, self._offset):
-            values = (wstart, wend) + change.values
-            out.append(Change(change.kind, values, change.ptime))
-        return out
 
     def on_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
         size, slide, offset = self._size, self._slide, self._offset

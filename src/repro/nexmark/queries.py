@@ -11,11 +11,10 @@ forbids them on unbounded inputs.
 from __future__ import annotations
 
 from ..core.schema import SqlType
-from ..core.times import Duration, fmt_duration, minutes
+from ..core.times import Duration, minutes
 from ..core.tvr import TimeVaryingRelation
 from ..cql import CqlStream, range_window, rstream, select
-from ..cql.relops import project, scalar
-from ..core.schema import Schema, int_col, string_col
+from ..cql.relops import scalar
 
 __all__ = [
     "register_udfs",

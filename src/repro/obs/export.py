@@ -29,7 +29,6 @@ import json
 import threading
 from typing import IO, Optional, Union
 
-from ..core.times import MAX_TIMESTAMP, MIN_TIMESTAMP
 from .metrics import MetricsReport
 from .trace import TraceEvent
 

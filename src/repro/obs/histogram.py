@@ -18,7 +18,7 @@ The same layout maps 1:1 onto Prometheus histogram exposition
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 __all__ = ["Histogram", "BUCKET_BOUNDS"]
 

@@ -41,7 +41,9 @@ from __future__ import annotations
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
+
+from ..core.tvr import RowEvent, StreamEvent
 
 __all__ = ["LineageRecorder", "LineageNode", "sample_hash", "is_sampled"]
 
@@ -199,8 +201,8 @@ class LineageRecorder:
 
         The executor's per-event fast path: one call decides sampling
         for the overwhelmingly common *untraced* case, without building
-        the row kwargs :meth:`begin_event` wants.  When this returns a
-        seq, follow up with :meth:`trace_event` to open the trace.
+        the row kwargs :meth:`begin_event` wants.  :meth:`claim` opens
+        the trace when this returns a seq.
         Equivalent to ``begin_event(...) is not None`` bookkeeping-wise
         (the ordinal is consumed and ``events_seen`` counted either
         way), and the same deterministic decision: ``crc32`` of the
@@ -254,17 +256,35 @@ class LineageRecorder:
             ahead += 1
         return ahead
 
-    def trace_event(
-        self,
-        source: str,
-        seq: int,
-        *,
-        kind: str = "source",
-        values: Any = None,
-        ptime: Any = None,
-    ) -> tuple[int, ...]:
-        """Open the trace for an event :meth:`offer` already sampled."""
-        return self._open_source(source.lower(), seq, kind, values, ptime)
+    def claim(
+        self, source: str, events: Sequence[StreamEvent]
+    ) -> Optional[tuple[int, ...]]:
+        """The cause token for a run of events arriving from ``source``.
+
+        Every event claims its own per-source ordinal and is sampled on
+        it (:meth:`offer`), so the decisions are the same whether the
+        run is one event or a micro-batch, serial or sharded; the token
+        merges the source nodes of the sampled events, and the run's
+        output is attributed to all of them.  ``None`` = untraced.
+
+        When a sharded parent already decided for these events, its
+        pending token is replayed verbatim and no ordinal is consumed.
+        """
+        if self.pending_active:
+            return self.pending
+        ids: list[int] = []
+        for event in events:
+            seq = self.offer(source)
+            if seq is None:
+                continue
+            if isinstance(event, RowEvent):
+                kind, values = "source", event.change.values
+            else:
+                kind, values = "watermark", event.value
+            ids.extend(
+                self._open_source(source.lower(), seq, kind, values, event.ptime)
+            )
+        return tuple(ids) if ids else None
 
     def _open_source(
         self, source: str, seq: int, kind: str, values: Any, ptime: Any

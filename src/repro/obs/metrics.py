@@ -126,14 +126,9 @@ class OperatorCounters:
 
     # -- recording (hot path) ------------------------------------------------
 
-    def record_in(self, port: int, change: "Change") -> None:
-        self.rows_in[port] += 1
-        if change.is_retract:
-            self.retracts_in[port] += 1
-
     def record_in_batch(self, port: int, changes: Sequence["Change"]) -> None:
         self.rows_in[port] += len(changes)
-        retracts = sum(1 for c in changes if c.kind is _RETRACT)
+        retracts = len([c for c in changes if c.kind is _RETRACT])
         if retracts:
             self.retracts_in[port] += retracts
 
@@ -141,7 +136,7 @@ class OperatorCounters:
         if not changes:
             return
         self.rows_out += len(changes)
-        retracts = sum(1 for c in changes if c.kind is _RETRACT)
+        retracts = len([c for c in changes if c.kind is _RETRACT])
         if retracts:
             self.retracts_out += retracts
 

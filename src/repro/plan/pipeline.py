@@ -24,10 +24,9 @@ each time and silently break every one of those id-keyed maps.
 
 from __future__ import annotations
 
-from typing import Any, Sequence, Union
+from typing import Any, Sequence
 
 from .logical import FilterNode, LogicalNode, ProjectNode
-from .rex import Rex
 
 __all__ = ["PipelineNode", "fuse_pipelines", "get_fused_root"]
 

@@ -439,7 +439,7 @@ class Planner:
 
     def _plan_values(self, item: ast.ValuesRef) -> LogicalNode:
         from .logical import ValuesNode
-        from .rex import RexLiteral, compile_rex
+        from .rex import compile_rex
 
         empty_scope = Scope([], sql=self._sql)
         translator = ExprTranslator(empty_scope, self._registry, self._sql)

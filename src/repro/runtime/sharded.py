@@ -458,29 +458,7 @@ class ShardedDataflow:
             # sampling decision once; shard flows replay it via the
             # pending context, so lineage sampling is identical to the
             # serial run however the event is routed or broadcast.
-            seq = recorder.offer(source)
-            if seq is None:
-                recorder.set_pending(None)
-            elif isinstance(event, RowEvent):
-                recorder.set_pending(
-                    recorder.trace_event(
-                        source,
-                        seq,
-                        kind="source",
-                        values=event.change.values,
-                        ptime=event.ptime,
-                    )
-                )
-            else:
-                recorder.set_pending(
-                    recorder.trace_event(
-                        source,
-                        seq,
-                        kind="watermark",
-                        values=event.value,
-                        ptime=event.ptime,
-                    )
-                )
+            recorder.set_pending(recorder.claim(source, (event,)))
         try:
             self._route(event, source)
         finally:

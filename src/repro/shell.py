@@ -223,7 +223,7 @@ class Shell:
         """
         import time
 
-        from .exec.executor import iter_event_runs, merge_source_events
+        from .exec.executor import merge_source_events
         from .obs.telemetry import render_dashboard
 
         query = self.engine.query(sql)
@@ -271,11 +271,13 @@ class Shell:
         # Dataflow.run(), so batch_size / coalesce_updates shape the
         # dashboard exactly as they shape a batch run.  Sharded flows
         # route per event (cross-shard batching would break the merge
-        # order), which iter_event_runs with batch_size=1 degenerates to.
-        if use_sharded:
-            batch_size, batchable = 1, lambda source: False
-        else:
-            batch_size, batchable = flow.batch_size, flow.batchable_source
+        # order).
+        def per_event():
+            for done, (event, source) in enumerate(events, 1):
+                flow.process(event, source)
+                yield done
+
+        progress = per_event() if use_sharded else flow.replay(events)
         next_frame = interval
         done = 0
         interrupted = False
@@ -289,18 +291,11 @@ class Shell:
                 sink.write("\x1b[?25l")
                 sink.flush()
                 cursor_hidden = True
-            for i, j in iter_event_runs(events, batch_size, batchable):
-                if j == i + 1:
-                    flow.process(*events[i])
-                else:
-                    flow.process_batch(
-                        [pair[0] for pair in events[i:j]], events[i][1]
-                    )
-                done = j
-                if sink is not None and j < total and j >= next_frame:
-                    sink.write("\x1b[2J\x1b[H" + frame(j, final=False) + "\n")
+            for done in progress:
+                if sink is not None and next_frame <= done < total:
+                    sink.write("\x1b[2J\x1b[H" + frame(done, final=False) + "\n")
                     sink.flush()
-                    next_frame = (j // interval + 1) * interval
+                    next_frame = (done // interval + 1) * interval
             result = flow.finish()
             if exporter is not None:
                 exporter.export(result)

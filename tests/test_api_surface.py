@@ -130,3 +130,64 @@ class TestFacadeCoherence:
         parsed = repro.parse_explain("EXPLAIN (COSTS) SELECT 1")
         assert parsed == ("costs", "SELECT 1")
         assert repro.parse_explain("SELECT 1") is None
+
+
+def _operator_classes():
+    """Every Operator subclass reachable once all operator modules
+    (including the fused pipeline and two-phase halves) are imported."""
+    import repro.exec.compile  # noqa: F401 — imports every operator module
+    from repro.exec.operators.base import Operator
+
+    seen, stack = [], [Operator]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            if sub not in seen:
+                seen.append(sub)
+                stack.append(sub)
+    return sorted(seen, key=lambda cls: cls.__qualname__)
+
+
+class TestOperatorProtocol:
+    """One transition per operator (docs/RUNTIME.md §7): a class body
+    writes ``on_batch`` *or* ``on_change``, never both, and an operator
+    that claims the columnar encoding implements it."""
+
+    def test_walk_finds_the_operator_zoo(self):
+        names = {cls.__name__ for cls in _operator_classes()}
+        assert {"AggregateOperator", "JoinOperator", "OverOperator",
+                "PipelineOperator", "CombineAggregateOperator"} <= names
+
+    @pytest.mark.parametrize(
+        "cls", _operator_classes(), ids=lambda cls: cls.__name__
+    )
+    def test_exactly_one_row_entry_point_per_class_body(self, cls):
+        from repro.exec.operators.base import Operator
+
+        own = {"on_change", "on_batch"} & set(vars(cls))
+        assert len(own) <= 1, (
+            f"{cls.__name__} writes its transition twice: {sorted(own)}"
+        )
+        # ... and at least one is overridden somewhere below the base,
+        # or the two base adapters would call each other forever.
+        assert (
+            cls.on_change is not Operator.on_change
+            or cls.on_batch is not Operator.on_batch
+        ), f"{cls.__name__} overrides neither on_change nor on_batch"
+
+    @pytest.mark.parametrize(
+        "cls", _operator_classes(), ids=lambda cls: cls.__name__
+    )
+    def test_columnar_claim_is_backed_by_on_cols(self, cls):
+        from repro.exec.operators.base import Operator
+
+        if cls.supports_columnar:
+            assert cls.on_cols is not Operator.on_cols, (
+                f"{cls.__name__} sets supports_columnar without on_cols"
+            )
+
+    def test_removed_entry_points_stay_removed(self):
+        from repro.exec.operators.base import Operator
+        from repro.obs.metrics import OperatorCounters
+
+        assert not hasattr(Operator, "process_change")
+        assert not hasattr(OperatorCounters, "record_in")

@@ -28,6 +28,8 @@ from repro.exec.executor import Dataflow
 from repro.nexmark import NexmarkConfig, generate, paper_bid_stream
 from repro.nexmark.queries import Q3_LOCAL_ITEM_SUGGESTION, q7_paper
 
+from . import test_columnar as columnar_cases
+
 KEYED_SCHEMA = Schema(
     [int_col("k"), timestamp_col("ts", event_time=True), int_col("v")]
 )
@@ -128,6 +130,65 @@ def test_batched_join_identical(entries, other):
     _assert_all_batch_sizes_identical(
         JOIN_SQL, _build_events(entries), _build_events(other)
     )
+
+
+# Two-phase replay payloads feed the same aggregate fold as the serial
+# operator: a PartialAggregateOperator (replay mode) condensing each
+# run into one payload, replayed by a CombineAggregateOperator, must
+# emit exactly the single-phase changelog — at any run length, with
+# DISTINCT dedup shard-side, late rows cut shard-side, groups draining
+# to empty, and the empty-group error surfacing on the same step.
+
+
+@pytest.mark.parametrize("lateness", [0, 15])
+@pytest.mark.parametrize("aggs", ["count_max", "distinct", "distinct_sum"])
+@pytest.mark.parametrize("keys", ["wend", "wend_a", "a_wend_b"])
+@settings(max_examples=25, deadline=None)
+@given(steps=columnar_cases._agg_steps, run_length=st.sampled_from([1, 3, 64]))
+def test_combine_replay_matches_single_phase(
+    keys, aggs, lateness, steps, run_length
+):
+    from repro.exec.operators.aggregate import (
+        CombineAggregateOperator,
+        PartialAggregateOperator,
+    )
+
+    script = columnar_cases._agg_script(steps, False)
+    serial_log, serial_end = columnar_cases._drive_aggregate(
+        columnar_cases._aggregate_operator(keys, aggs, lateness),
+        script,
+        columnar_cases._deliver_rows,
+    )
+
+    partial = columnar_cases._aggregate_operator(
+        keys, aggs, lateness, cls=PartialAggregateOperator
+    )
+    combine = columnar_cases._aggregate_operator(
+        keys, aggs, lateness, cls=CombineAggregateOperator
+    )
+    log = [[]]
+    for ptime, step in script:
+        if isinstance(step, int):
+            # Watermarks are broadcast: the shard cuts late rows, the
+            # merged frontier frees combine state.
+            partial.on_watermark(0, step, ptime)
+            log.append(combine.on_watermark(0, step, ptime)[0])
+            continue
+        try:
+            out = []
+            for i in range(0, len(step), run_length):
+                payloads = partial.on_batch(0, step[i:i + run_length])
+                assert len(payloads) <= 1
+                out.extend(combine.on_batch(0, payloads))
+            log.append(out)
+        except ExecutionError:
+            log.append("error")
+            break
+    assert log == serial_log
+    if serial_end is not None:
+        late, _, groups = serial_end
+        assert partial.late_dropped == late
+        assert combine.group_count == groups
 
 
 def test_batched_multi_leaf_source_identical():

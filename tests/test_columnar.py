@@ -373,3 +373,189 @@ def test_columnar_cli_flag():
     parser = build_parser()
     args = parser.parse_args(["--columnar", "on"])
     assert build_config(args).columnar == "on"
+
+
+# ---------------------------------------------------------------------------
+# one transition, three encodings — on operator instances directly
+# ---------------------------------------------------------------------------
+#
+# The SQL-level properties above reach the aggregate through whatever
+# shape the planner builds.  These drive AggregateOperator itself, so
+# the shapes the fold binds differently (global / 1-2-3 group keys,
+# one aggregate vs several, DISTINCT, allowed lateness) each get the
+# rows-batched == columnar == concatenated-singletons check, including
+# retract-to-empty and the empty-group error.
+
+_AGG_INPUT = Schema(
+    [timestamp_col("wend", event_time=True), int_col("a"), int_col("b"),
+     int_col("v")]
+)
+
+# group indices, event-time positions within the key
+_KEY_SHAPES = {
+    "global": ((), ()),
+    "wend": ((0,), (0,)),
+    "wend_a": ((0, 1), (0,)),
+    "a_wend_b": ((1, 0, 2), (1,)),
+}
+
+
+def _agg_calls(names):
+    from repro.core.schema import Column
+    from repro.plan.logical import AggCall
+    from repro.sql.functions import default_registry
+
+    reg = default_registry()
+    calls = []
+    for name in names:
+        if name == "COUNT(*)":
+            fn, arg, distinct = reg.aggregate("COUNT", star=True), None, False
+        elif name.startswith("DISTINCT "):
+            fn, arg, distinct = reg.aggregate(name.split()[1]), 3, True
+        else:
+            fn, arg, distinct = reg.aggregate(name), 3, False
+        calls.append(
+            AggCall(fn, arg, Column(f"c{len(calls)}", SqlType.INT), distinct)
+        )
+    return calls
+
+
+_AGG_SHAPES = {
+    "max": ["MAX"],
+    "count_star": ["COUNT(*)"],
+    "count_max": ["COUNT(*)", "MAX"],
+    "distinct": ["DISTINCT COUNT"],
+    "distinct_sum": ["DISTINCT COUNT", "SUM"],
+}
+
+
+def _aggregate_operator(keys, aggs, lateness, cls=None, **extra):
+    from repro.exec.operators.aggregate import AggregateOperator
+
+    group, et = _KEY_SHAPES[keys]
+    calls = _agg_calls(_AGG_SHAPES[aggs])
+    schema = Schema(
+        [_AGG_INPUT.columns[i] for i in group] + [c.output for c in calls]
+    )
+    return (cls or AggregateOperator)(
+        schema, group, calls, et, False, allowed_lateness=lateness, **extra
+    )
+
+
+# One step: a watermark, or a same-instant run of rows.  A row is
+# (op, wend, a, b, v): op 0/1 insert, 2 retract some live row (so
+# groups really drain to empty), 3 retract a row of a window nothing
+# live belongs to (the empty-group error, unless it is late).
+_agg_steps = st.lists(
+    st.one_of(
+        st.integers(0, 6),
+        st.lists(
+            st.tuples(
+                st.sampled_from([0, 0, 1, 2, 2, 3]),
+                st.integers(0, 6),
+                st.integers(0, 1),
+                st.integers(0, 1),
+                st.integers(0, 3),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _agg_script(steps, is_global):
+    """Turn drawn steps into [(ptime, watermark | [Change])]."""
+    script, live, ptime, watermark = [], [], 100, 0
+    for step in steps:
+        ptime += 10
+        if isinstance(step, int):
+            watermark = max(watermark, step * 10)  # watermarks never regress
+            script.append((ptime, watermark))
+            continue
+        rows = []
+        for op, wend, a, b, v in step:
+            values = (wend * 10, a, b, v)
+            if op == 3 and not (
+                live if is_global else any(r[0] == values[0] for r in live)
+            ):
+                kind = ChangeKind.RETRACT
+            elif op >= 2 and live:
+                values = live.pop(v % len(live))
+                kind = ChangeKind.RETRACT
+            else:
+                live.append(values)
+                kind = ChangeKind.INSERT
+            rows.append(Change(kind, values, ptime))
+        script.append((ptime, rows))
+    return script
+
+
+def _drive_aggregate(op, script, deliver):
+    """Per-step outputs; a step that raises logs "error" and ends the
+    run (what a batch emitted before raising is lost by design)."""
+    log = [list(op.on_open())]
+    for ptime, step in script:
+        if isinstance(step, int):
+            log.append(op.on_watermark(0, step, ptime)[0])
+            continue
+        try:
+            log.append(deliver(op, step))
+        except ExecutionError as exc:
+            assert "retraction for empty group" in str(exc)
+            log.append("error")
+            return log, None
+    return log, (op.late_dropped, op.state_size(), op.group_count)
+
+
+def _deliver_singletons(op, rows):
+    out = []
+    for change in rows:
+        out.extend(op.on_change(0, change))
+    return out
+
+
+def _deliver_rows(op, rows):
+    return op.on_batch(0, rows)
+
+
+def _deliver_columns(op, rows):
+    return op.on_cols(0, ColumnarBatch.from_changes(rows, len(_AGG_INPUT)))
+
+
+@pytest.mark.parametrize("lateness", [0, 15])
+@pytest.mark.parametrize("aggs", sorted(_AGG_SHAPES))
+@pytest.mark.parametrize("keys", sorted(_KEY_SHAPES))
+@settings(max_examples=25, deadline=None)
+@given(steps=_agg_steps)
+def test_aggregate_encodings_identical(keys, aggs, lateness, steps):
+    script = _agg_script(steps, keys == "global")
+    runs = [
+        _drive_aggregate(
+            _aggregate_operator(keys, aggs, lateness), script, deliver
+        )
+        for deliver in (_deliver_singletons, _deliver_rows, _deliver_columns)
+    ]
+    assert runs[1] == runs[0], "rows-batched != concatenated singletons"
+    assert runs[2] == runs[0], "columnar != concatenated singletons"
+
+
+def test_aggregate_encodings_cover_the_edge_paths():
+    """The property above is only as good as its inputs: pin one script
+    that provably takes the late-drop, retract-to-empty, and
+    empty-group-error paths in every encoding."""
+    ins_, ret_ = ChangeKind.INSERT, ChangeKind.RETRACT
+    script = [
+        (110, [Change(ins_, (20, 0, 0, 1), 110), Change(ins_, (30, 0, 0, 2), 110)]),
+        (120, 20),
+        (130, [Change(ins_, (20, 0, 0, 3), 130), Change(ret_, (30, 0, 0, 2), 130)]),
+        (140, [Change(ret_, (40, 0, 0, 1), 140)]),
+    ]
+    for deliver in (_deliver_singletons, _deliver_rows, _deliver_columns):
+        op = _aggregate_operator("wend", "count_max", 0)
+        log, _ = _drive_aggregate(op, script, deliver)
+        assert op.late_dropped == 1
+        assert [(c.kind, c.values) for c in log[3]] == [(ret_, (30, 1, 2))]
+        assert log[-1] == "error"

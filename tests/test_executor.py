@@ -176,3 +176,112 @@ class TestStateAccounting:
         result = engine.query(sql).run()
         assert result.late_dropped == 1
         assert result.snapshot().tuples == [(t("8:10"), 1)]
+
+
+class _RecordingFlow(Dataflow):
+    """Logs the runs a driver delivers: one entry per ``process_batch``
+    call (a row event through ``process`` is a batch of one) or per
+    watermark."""
+
+    def process(self, event, source):
+        if not hasattr(event, "change"):
+            self.runs.append(("wm", source))
+        super().process(event, source)
+
+    def process_batch(self, events, source):
+        self.runs.append((len(events), source))
+        super().process_batch(events, source)
+
+
+def _bursty_engine():
+    from repro.core.tvr import ins, wm
+
+    events, ptime = [], 1000
+    for burst in range(12):
+        ptime += 100
+        for i in range(1 + (burst * 5) % 11):
+            events.append(ins(ptime, (t("8:00") + burst, i, "k")))
+        if burst % 3 == 2:
+            events.append(wm(ptime, t("8:00") + burst))
+    return make_engine(events)
+
+
+class TestRunGrouping:
+    """``Dataflow.replay`` is the one run-grouping rule; the shard
+    supervisor keeps its own loop (it also breaks runs at sequence
+    gaps), so pin that without gaps the two agree."""
+
+    SQL = "SELECT ts, COUNT(*) c FROM S GROUP BY ts"
+
+    def _flow(self, engine, batch_size):
+        flow = _RecordingFlow(
+            engine.query(self.SQL).plan, engine._sources, batch_size=batch_size
+        )
+        flow.runs = []
+        return flow
+
+    @pytest.mark.parametrize("batch_size", [1, 4, 64])
+    def test_supervisor_forms_the_shared_runs_on_a_gap_free_list(
+        self, batch_size
+    ):
+        from repro.exec.executor import merge_source_events
+        from repro.runtime.faults import FaultInjector
+        from repro.runtime.supervisor import RetryPolicy, ShardSupervisor
+
+        engine = _bursty_engine()
+        events = merge_source_events(engine._sources)
+        shared = self._flow(engine, batch_size)
+        consumed = list(shared.replay(events))
+        assert consumed[-1] == len(events)
+        assert consumed == sorted(set(consumed))
+
+        supervised = self._flow(engine, batch_size)
+        tasks = [(seq, event, src) for seq, (event, src) in enumerate(events)]
+        ShardSupervisor(
+            0, supervised, lambda: None, tasks, None, RetryPolicy(),
+            FaultInjector(None),
+        ).run()
+        assert supervised.runs == shared.runs
+        assert supervised.result().changes == shared.result().changes
+        if batch_size > 1:
+            assert max(n for n, _ in shared.runs if n != "wm") > 1
+
+    def test_a_sequence_gap_breaks_only_the_supervisors_run(self):
+        from repro.exec.executor import merge_source_events
+        from repro.runtime.faults import FaultInjector
+        from repro.runtime.supervisor import RetryPolicy, ShardSupervisor
+
+        engine = _bursty_engine()
+        events = merge_source_events(engine._sources)
+        flow = self._flow(engine, 64)
+        # Every other sequence number belongs to "another shard".
+        tasks = [(2 * seq, event, src) for seq, (event, src) in enumerate(events)]
+        ShardSupervisor(
+            0, flow, lambda: None, tasks, None, RetryPolicy(),
+            FaultInjector(None),
+        ).run()
+        assert {n for n, _ in flow.runs} == {1, "wm"}
+
+
+class TestFlowLifetime:
+    def test_a_dropped_flow_is_freed_by_refcount(self):
+        """Operators bind to the flow's timer queue, not to a bound
+        method of the flow, so a replaced flow is not cyclic garbage:
+        with the collector off, the last reference going away frees it
+        (ROADMAP 1(e))."""
+        import gc
+        import weakref
+
+        engine = _bursty_engine()
+        gc.collect()
+        gc.disable()
+        try:
+            flow = engine.query(
+                "SELECT ts, COUNT(*) c, MAX(v) m FROM S GROUP BY ts"
+            ).dataflow()
+            assert flow.run().changes
+            ref = weakref.ref(flow)
+            del flow
+            assert ref() is None
+        finally:
+            gc.enable()
