@@ -56,6 +56,7 @@ from .plan.optimizer import optimize
 from .plan.partition import PartitionDecision, analyze_partitioning
 from .plan.physical import PhysicalDecision, plan_physical
 from .plan.planner import Catalog, Planner, QueryPlan
+from .runtime.build import build_flow
 from .runtime.sharded import ShardedDataflow
 from .sql.functions import FunctionRegistry, default_registry
 
@@ -418,39 +419,24 @@ class PreparedQuery:
         if effective.coalesce_updates and self.plan.emit.stream:
             warn_coalesce_emit_stream()
 
+    def _build(self, effective: ExecutionConfig, decision=None):
+        """A fresh flow for this query under ``effective``: sharded when
+        ``decision`` admits it, else serial (see ``build_flow``)."""
+        self._maybe_warn_coalesce(effective)
+        return build_flow(
+            [("main", self.plan)],
+            self._engine._sources,
+            effective,
+            decision,
+            feedback=self._last_metrics,
+        )
+
     def _execute(self, effective: ExecutionConfig) -> RunResult:
         exporter = self._resolve_exporter(effective)
-        self._maybe_warn_coalesce(effective)
-        flow = None
-        if effective.parallelism > 1:
-            decision = self.partition_decision()
-            if decision.partitionable:
-                physical = plan_physical(
-                    self.plan, decision, effective, feedback=self._last_metrics
-                )
-                flow = ShardedDataflow(
-                    self.plan,
-                    self._engine._sources,
-                    decision.spec,
-                    effective.parallelism,
-                    effective.allowed_lateness,
-                    backend=effective.backend,
-                    retry=effective.retry,
-                    fault_plan=effective.fault_plan,
-                    batch_size=effective.batch_size,
-                    coalesce_updates=effective.coalesce_updates,
-                    two_phase=physical.use_two_phase,
-                    columnar=effective.columnar,
-                )
-        if flow is None:
-            flow = Dataflow(
-                self.plan,
-                self._engine._sources,
-                effective.allowed_lateness,
-                batch_size=effective.batch_size,
-                coalesce_updates=effective.coalesce_updates,
-                columnar=effective.columnar,
-            )
+        flow = self._build(
+            effective,
+            self.partition_decision() if effective.parallelism > 1 else None,
+        )
         if exporter is not None:
             flow.trace = exporter.on_event
         result = flow.run()
@@ -463,18 +449,10 @@ class PreparedQuery:
         """A fresh, un-run serial dataflow (for incremental feeding / benchmarks).
 
         ``config`` overrides the query/engine configs for this dataflow
-        (``allowed_lateness``, ``batch_size``, ``coalesce_updates``).
+        (``allowed_lateness``, ``batch_size``, ``coalesce_updates``,
+        ``columnar``).
         """
-        effective = self._effective(config)
-        self._maybe_warn_coalesce(effective)
-        return Dataflow(
-            self.plan,
-            self._engine._sources,
-            effective.allowed_lateness,
-            batch_size=effective.batch_size,
-            coalesce_updates=effective.coalesce_updates,
-            columnar=effective.columnar,
-        )
+        return self._build(self._effective(config))
 
     def sharded_dataflow(
         self,
@@ -487,8 +465,9 @@ class PreparedQuery:
 
         ``config`` overrides the query/engine configs for this dataflow
         (``parallelism``, ``backend``, ``retry``, ``fault_plan``,
-        ``allowed_lateness``); the bare ``shards=`` / ``backend=``
-        keywords are deprecated spellings of the first two.  Raises
+        ``two_phase`` and the serial dataflow's fields); the bare
+        ``shards=`` / ``backend=`` keywords are deprecated spellings of
+        the first two.  Raises
         :class:`~repro.core.errors.ValidationError` when the partition
         analyzer rejects the plan — check :meth:`partition_decision`
         first to branch gracefully.
@@ -503,30 +482,12 @@ class PreparedQuery:
         if overrides:
             shim = ExecutionConfig(**overrides)
             config = shim.merged_over(config) if config is not None else shim
-        effective = self._effective(config)
         decision = self.partition_decision()
         if not decision.partitionable:
             raise ValidationError(
                 f"query is not key-partitionable: {decision.reason}"
             )
-        self._maybe_warn_coalesce(effective)
-        physical = plan_physical(
-            self.plan, decision, effective, feedback=self._last_metrics
-        )
-        return ShardedDataflow(
-            self.plan,
-            self._engine._sources,
-            decision.spec,
-            effective.parallelism,
-            effective.allowed_lateness,
-            backend=effective.backend,
-            retry=effective.retry,
-            fault_plan=effective.fault_plan,
-            batch_size=effective.batch_size,
-            coalesce_updates=effective.coalesce_updates,
-            two_phase=physical.use_two_phase,
-            columnar=effective.columnar,
-        )
+        return self._build(self._effective(config), decision)
 
     # -- renderings --------------------------------------------------------------
 

@@ -54,19 +54,18 @@ __all__ = ["CompiledPlan", "build_operator", "compile_plan"]
 
 @dataclass
 class CompiledPlan:
-    """The physical tree plus the wiring the executor needs."""
+    """A plan's physical operator tree, stand-alone.
+
+    The executor does not go through this — ``Dataflow`` builds and
+    wires operators node by node (``attach_output``) so resident
+    subplans can be shared; this is the whole-tree view for callers
+    that only inspect the operators (``EXPLAIN``).
+    """
 
     root: Operator
     #: every operator, children before parents (post-order)
     operators: list[Operator]
-    #: leaf scans in plan (left-to-right) order, with their source names
-    leaves: list[ScanOperator]
-    #: id(op) -> (parent op, input port)
-    parents: dict[int, tuple[Operator, int]] = field(default_factory=dict)
-    #: inline rows for ValuesNode leaves, keyed by operator identity
-    values_rows: dict[int, tuple] = field(default_factory=dict)
-    #: (logical node, operator) pairs in post-order — the correlation
-    #: the DAG executor's subplan grafting is built on
+    #: (logical node, operator) pairs in post-order
     node_ops: list[tuple[LogicalNode, Operator]] = field(default_factory=list)
 
 
@@ -77,7 +76,7 @@ def compile_plan(root: LogicalNode, allowed_lateness: int = 0) -> CompiledPlan:
     dropping, state retention, join-state expiry) by the given slack —
     the configurable lateness Extension 2 alludes to.
     """
-    compiled = CompiledPlan(root=None, operators=[], leaves=[])  # type: ignore[arg-type]
+    compiled = CompiledPlan(root=None, operators=[])  # type: ignore[arg-type]
     compiled.root = _compile(root, compiled, allowed_lateness)
     return compiled
 
@@ -85,14 +84,8 @@ def compile_plan(root: LogicalNode, allowed_lateness: int = 0) -> CompiledPlan:
 def _compile(node: LogicalNode, out: CompiledPlan, lateness: int) -> Operator:
     children = [_compile(child, out, lateness) for child in node.inputs]
     op = build_operator(node, children, lateness)
-    for port, child in enumerate(children):
-        out.parents[id(child)] = (op, port)
     out.operators.append(op)
     out.node_ops.append((node, op))
-    if isinstance(op, ScanOperator):
-        out.leaves.append(op)
-    if isinstance(node, ValuesNode):
-        out.values_rows[id(op)] = node.rows
     return op
 
 

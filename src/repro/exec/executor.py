@@ -51,13 +51,14 @@ from ..plan.fingerprint import node_fingerprints, subtree_size
 from ..plan.logical import LogicalNode, ValuesNode
 from ..plan.pipeline import get_fused_root
 from ..plan.planner import QueryPlan
-from .compile import build_operator, compile_plan
+from .compile import build_operator
 from .operators.base import Operator
 from .operators.stateless import ScanOperator
 from .timers import TimerQueue
 
 __all__ = ["CHECKPOINT_VERSION", "Dataflow", "OutputChannel", "RunResult",
-           "check_checkpoint_version", "merge_source_events"]
+           "check_checkpoint_version", "check_same_instant",
+           "merge_source_events", "replay_runs", "stored_changes"]
 
 #: Format version stamped on every checkpoint payload (serial and
 #: sharded).  2 = output changelogs go through the changelog codec and
@@ -110,6 +111,95 @@ def merge_source_events(
 
 def _event_ptime(pair: tuple[StreamEvent, str]) -> Timestamp:
     return pair[0].ptime
+
+
+def check_same_instant(events: Sequence[StreamEvent]) -> None:
+    """The ``process_batch`` input contract, for either flow kind."""
+    ptime = events[0].ptime
+    for event in events:
+        if not isinstance(event, RowEvent) or event.ptime != ptime:
+            raise ExecutionError(
+                "a batch must hold row events of a single processing-time "
+                "instant"
+            )
+
+
+def stored_changes(
+    stored: dict,
+    key: str,
+    histories: Optional[dict[str, list[Change]]],
+    output_id: str,
+) -> list[Change]:
+    """One output's changelog out of its checkpoint entry: decoded from
+    ``stored[key]``, or — for a blob cut with ``histories=False`` — the
+    history the caller kept, which must be as long as the cut recorded."""
+    if stored[key] is not None:
+        return decode_changes(stored[key])
+    changes = (histories or {}).get(output_id)
+    if changes is None or len(changes) != stored["size"]:
+        raise ExecutionError(
+            f"checkpoint carries no changelog for output {output_id!r} "
+            "and no matching history was supplied"
+        )
+    return changes
+
+
+def replay_runs(flow, events: Sequence[tuple[StreamEvent, str]]) -> Iterator[int]:
+    """Deliver a merged replay stream to ``flow`` run by run.
+
+    Yields, after each delivery, how many of ``events`` have been
+    consumed — the one run-grouping rule, behind ``replay`` of the
+    serial and the sharded dataflow alike (and so behind ``run()``,
+    service catch-up and the shell's ``\\watch`` loop).
+
+    With ``batch_size > 1`` a run is a maximal stretch of row events
+    that share one processing-time instant and one source, capped at
+    ``batch_size``, and only for sources ``batchable_source`` admits.
+    Watermark events always break runs, so no operator ever sees its
+    input watermark move inside a batch, and the batched changelog is
+    byte-identical to the per-change one (see
+    :meth:`Dataflow.process_batch`).
+    """
+    batch_size = flow.batch_size
+    absorb = flow.lineage is None
+    batchable: dict[str, bool] = {}  # memo: asked once per run otherwise
+    i, n = 0, len(events)
+    while i < n:
+        event, source = events[i]
+        j = i + 1
+        if batch_size > 1 and isinstance(event, RowEvent):
+            ok = batchable.get(source)
+            if ok is None:
+                ok = batchable[source] = flow.batchable_source(source)
+        else:
+            ok = False
+        if ok:
+            ptime = event.ptime
+            run = [event]
+            while j < n and len(run) < batch_size:
+                nxt, nxt_source = events[j]
+                if nxt.ptime != ptime:
+                    break
+                if nxt_source != source:
+                    # An event of another source no scan consumes
+                    # is a clock no-op at this very instant (nothing
+                    # to deliver, no clock movement, no timer can be
+                    # due mid-instant) — absorb it so one
+                    # interleaved burst still forms one batch.  Only
+                    # when no lineage recorder is claiming per-event
+                    # ordinals.
+                    if not absorb or flow.scans_source(nxt_source):
+                        break
+                elif isinstance(nxt, RowEvent):
+                    run.append(nxt)
+                else:
+                    break
+                j += 1
+            flow.process_batch(run, source)
+        else:
+            flow.process(event, source)
+        yield j
+        i = j
 
 
 @dataclass
@@ -184,11 +274,29 @@ class Dataflow:
         output_id: str = "main",
         columnar: str = "off",
     ):
+        self._init_graph(
+            sources, allowed_lateness, batch_size, coalesce_updates, columnar
+        )
+        self.plan = plan
+        self._primary = output_id
+        # The first output is attached like any later one: onto an
+        # empty graph nothing is resident, so every node builds fresh.
+        self.attach_output(output_id, plan)
+
+    def _init_graph(
+        self,
+        sources: dict[str, TimeVaryingRelation],
+        allowed_lateness: int,
+        batch_size: int,
+        coalesce_updates: bool,
+        columnar: str,
+    ) -> None:
+        """The execution knobs and the empty graph, shared by both
+        construction paths (:meth:`__init__` and :meth:`from_structure`)."""
         if batch_size < 1:
             raise ExecutionError("batch_size must be >= 1")
         if columnar not in ("auto", "on", "off"):
             raise ExecutionError("columnar must be 'auto', 'on', or 'off'")
-        self.plan = plan
         #: maximum row events delivered per micro-batch; 1 = per-change.
         self.batch_size = batch_size
         #: whether intra-instant insert/retract churn is compacted.
@@ -202,43 +310,10 @@ class Dataflow:
         self._sources: dict[str, TimeVaryingRelation] = {
             name.lower(): tvr for name, tvr in sources.items()
         }
-        self._init_graph()
-        root_node = self._exec_root(plan)
-        compiled = compile_plan(root_node, allowed_lateness=allowed_lateness)
-        self._operators = list(compiled.operators)
-        for op in self._operators:
-            entry = compiled.parents.get(id(op))
-            if entry is not None:
-                parent, port = entry
-                self._consumers.setdefault(id(op), []).append((parent, port))
-                self._producers.setdefault(id(parent), []).append((port, op))
-            op.bind_timers(self._timers)
-        self._values_rows = dict(compiled.values_rows)
-        for leaf in compiled.leaves:
-            self._register_leaf(leaf)
-        fps = node_fingerprints(root_node)
-        #: id(logical node) -> operator, for the plan this flow was
-        #: compiled from — the correlation donor transplants rely on.
-        self._plan_node_ops = {
-            id(node): op for node, op in compiled.node_ops
-        }
-        for node, op in compiled.node_ops:
-            self._op_fps[id(op)] = fps[id(node)]
-            # First registration wins; a plan scanning one source twice
-            # (NEXMark Q7) keeps both operators — sharing only dedups
-            # across attach boundaries, never inside one plan.
-            self._fp_index.setdefault(fps[id(node)], op)
-        channel = OutputChannel(output_id, plan, compiled.root)
-        self._outputs: dict[str, OutputChannel] = {output_id: channel}
-        self._primary = output_id
-        self._outputs_of = {id(compiled.root): [channel]}
-        self._op_refs = {id(op): 1 for op in self._operators}
-        self.metrics_registry = MetricsRegistry(self._operators)
-
-    def _init_graph(self) -> None:
-        """The per-instance graph/bookkeeping slots shared by both
-        construction paths (:meth:`__init__` and :meth:`from_structure`)."""
         self._operators: list[Operator] = []
+        self._outputs: dict[str, OutputChannel] = {}
+        #: id(root op) -> the output channels rooted at it
+        self._outputs_of: dict[int, list[OutputChannel]] = {}
         #: id(op) -> [(consumer op, input port)], in attach order
         self._consumers: dict[int, list[tuple[Operator, int]]] = {}
         #: id(op) -> [(input port, producer op)]
@@ -249,6 +324,9 @@ class Dataflow:
         self._op_fps: dict[int, str] = {}
         #: fingerprint -> resident operator (first registered wins)
         self._fp_index: dict[str, Operator] = {}
+        #: id(logical node) -> the operator built for it — the
+        #: correlation donor transplants rely on.
+        self._plan_node_ops: dict[int, Operator] = {}
         self._leaves: list[ScanOperator] = []
         self._leaves_by_source: dict[str, list[ScanOperator]] = {}
         self._values_rows: dict[int, tuple] = {}
@@ -269,6 +347,30 @@ class Dataflow:
         #: processing-time timer service; operators bind to the queue,
         #: never to the flow, so a dropped flow is not cyclic garbage.
         self._timers = TimerQueue()
+
+    def _install(
+        self, op: Operator, node: LogicalNode, fp: str, children: list[Operator]
+    ) -> None:
+        """Wire a freshly built (or transplanted) operator into the graph.
+
+        The one registration block: edges to its producers, the
+        residency index, scan-leaf and VALUES bookkeeping, timers.  The
+        caller places ``op`` in the operator list.
+        """
+        for port, child in enumerate(children):
+            self._consumers.setdefault(id(child), []).append((op, port))
+            self._producers.setdefault(id(op), []).append((port, child))
+        self._op_fps[id(op)] = fp
+        # First registration wins; a plan scanning one source twice
+        # (NEXMark Q7) keeps both operators — sharing only dedups
+        # across attach boundaries, never inside one plan.
+        self._fp_index.setdefault(fp, op)
+        self._plan_node_ops[id(node)] = op
+        if isinstance(op, ScanOperator):
+            self._register_leaf(op)
+        if isinstance(node, ValuesNode):
+            self._values_rows[id(op)] = node.rows
+        op.bind_timers(self._timers)
 
     def _exec_root(self, plan: QueryPlan) -> LogicalNode:
         """The logical root this flow actually compiles for ``plan``.
@@ -355,6 +457,21 @@ class Dataflow:
     def root_watermark_of(self, output_id: str) -> Timestamp:
         return self._outputs[output_id].watermarks.current
 
+    def take_output_of(self, output_id: str) -> list[Change]:
+        """Hand over what ``output_id`` produced since the last take.
+
+        For a driver that is the channel's only reader (the sharded
+        runtime's shard drive loop): the channel forgets what it hands
+        out, so the flow retains — and checkpoints — no output history.
+        An empty result may be the live channel list; test it, don't
+        keep it.
+        """
+        channel = self._outputs[output_id]
+        taken = channel.changes
+        if taken:
+            channel.changes = []
+        return taken
+
     def total_state_rows(self) -> int:
         """Rows currently retained across all operator state."""
         return sum(op.state_size() for op in self._operators)
@@ -437,6 +554,18 @@ class Dataflow:
             for output_id, ch in self._outputs.items()
         }
 
+    def structure(self) -> dict:
+        """The physical sharing recipe :meth:`from_structure` rebuilds
+        from: operator order plus each output's ``node_ops``."""
+        return {
+            "op_types": [type(op).__name__ for op in self._operators],
+            "output_order": list(self._outputs),
+            "outputs": {
+                output_id: {"node_ops": node_ops}
+                for output_id, node_ops in self.sharing_map().items()
+            },
+        }
+
     def attach_output(
         self,
         output_id: str,
@@ -475,7 +604,7 @@ class Dataflow:
         root_node = self._exec_root(plan)
         fps = node_fingerprints(root_node)
         # Matching consults a snapshot of the index: a plan must never
-        # dedup against itself (see the Q7 note in __init__).
+        # dedup against itself (see the Q7 note in _install).
         index = dict(self._fp_index)
         new_ops: list[Operator] = []
 
@@ -493,26 +622,12 @@ class Dataflow:
                 op = donor._plan_node_ops[id(node)]
             else:
                 op = build_operator(node, children, self._allowed_lateness)
-            for port, child in enumerate(children):
-                self._consumers.setdefault(id(child), []).append((op, port))
-                self._producers.setdefault(id(op), []).append((port, child))
+            self._install(op, node, fp, children)
             self._operators.append(op)
-            self._op_fps[id(op)] = fp
-            self._fp_index.setdefault(fp, op)
-            if isinstance(op, ScanOperator):
-                self._register_leaf(op)
-            if isinstance(node, ValuesNode):
-                self._values_rows[id(op)] = node.rows
-            op.bind_timers(self._timers)
             new_ops.append(op)
             return op
 
-        root_op = build(root_node, build)
-        for op in self._reachable_ops(root_op):
-            self._op_refs[id(op)] = self._op_refs.get(id(op), 0) + 1
-        channel = OutputChannel(output_id, plan, root_op)
-        self._outputs[output_id] = channel
-        self._outputs_of.setdefault(id(root_op), []).append(channel)
+        channel = self._open_channel(output_id, plan, build(root_node, build))
         self.metrics_registry = MetricsRegistry(self._operators)
         if donor is not None:
             donor_primary = donor._outputs[donor._primary]
@@ -525,6 +640,18 @@ class Dataflow:
                     self._timers.schedule(when, op)
             self._last_ptime = max(self._last_ptime, donor._last_ptime)
             self._peak_state = max(self._peak_state, donor._peak_state)
+        return channel
+
+    def _open_channel(
+        self, output_id: str, plan: QueryPlan, root_op: Operator
+    ) -> OutputChannel:
+        """Root a new output channel at ``root_op``, taking one
+        reference on every operator it reads through."""
+        for op in self._reachable_ops(root_op):
+            self._op_refs[id(op)] = self._op_refs.get(id(op), 0) + 1
+        channel = OutputChannel(output_id, plan, root_op)
+        self._outputs[output_id] = channel
+        self._outputs_of.setdefault(id(root_op), []).append(channel)
         return channel
 
     def remove_output(self, output_id: str) -> bool:
@@ -582,6 +709,11 @@ class Dataflow:
             self._fp_index = {}
             for op in self._operators:
                 self._fp_index.setdefault(self._op_fps[id(op)], op)
+            self._plan_node_ops = {
+                node_id: op
+                for node_id, op in self._plan_node_ops.items()
+                if id(op) not in dead
+            }
             self._timers.discard(dead)
             self.metrics_registry = MetricsRegistry(self._operators)
         return True
@@ -609,29 +741,16 @@ class Dataflow:
         recipe makes restore structure-exact.  Call :meth:`restore`
         with the full checkpoint afterwards to fill the states.
         """
-        if batch_size < 1:
-            raise ExecutionError("batch_size must be >= 1")
-        if columnar not in ("auto", "on", "off"):
-            raise ExecutionError("columnar must be 'auto', 'on', or 'off'")
         if [oid for oid, _ in plans] != list(structure["output_order"]):
             raise ExecutionError(
                 "checkpoint outputs do not match the plans being restored"
             )
         self = object.__new__(cls)
-        self.batch_size = batch_size
-        self.coalesce_updates = coalesce_updates
-        self.columnar = columnar
-        self._columnar_active = columnar == "on" or (
-            columnar == "auto" and batch_size > 1
+        self._init_graph(
+            sources, allowed_lateness, batch_size, coalesce_updates, columnar
         )
-        self._allowed_lateness = allowed_lateness
-        self._sources = {name.lower(): tvr for name, tvr in sources.items()}
-        self._init_graph()
         slots: list[Optional[Operator]] = [None] * len(structure["op_types"])
         self._operators = slots  # filled in place below
-        self._outputs = {}
-        self._outputs_of = {}
-        self._plan_node_ops = {}
         for output_id, plan in plans:
             node_ops = structure["outputs"][output_id]["node_ops"]
             root_node = self._exec_root(plan)
@@ -646,32 +765,13 @@ class Dataflow:
                 pos += 1
                 op = slots[index]
                 if op is None:
-                    op = build_operator(
+                    op = slots[index] = build_operator(
                         node, children, self._allowed_lateness
                     )
-                    slots[index] = op
-                    for port, child in enumerate(children):
-                        self._consumers.setdefault(id(child), []).append(
-                            (op, port)
-                        )
-                        self._producers.setdefault(id(op), []).append(
-                            (port, child)
-                        )
-                    self._op_fps[id(op)] = fps[id(node)]
-                    self._fp_index.setdefault(fps[id(node)], op)
-                    if isinstance(op, ScanOperator):
-                        self._register_leaf(op)
-                    if isinstance(node, ValuesNode):
-                        self._values_rows[id(op)] = node.rows
-                    op.bind_timers(self._timers)
+                    self._install(op, node, fps[id(node)], children)
                 return op
 
-            root_op = build(root_node, build)
-            channel = OutputChannel(output_id, plan, root_op)
-            self._outputs[output_id] = channel
-            self._outputs_of.setdefault(id(root_op), []).append(channel)
-            for op in self._reachable_ops(root_op):
-                self._op_refs[id(op)] = self._op_refs.get(id(op), 0) + 1
+            self._open_channel(output_id, plan, build(root_node, build))
         if any(op is None for op in slots):
             raise ExecutionError(
                 "checkpoint structure references operators no output builds"
@@ -709,48 +809,35 @@ class Dataflow:
         Call between events (the incremental ``process`` API), not from
         inside a callback.
         """
-        return pickle.dumps(
-            self._checkpoint_payload(histories), pickle.HIGHEST_PROTOCOL
-        )
-
-    def _checkpoint_payload(self, histories: bool) -> dict:
         op_index = {id(op): i for i, op in enumerate(self._operators)}
-        return {
-            "version": CHECKPOINT_VERSION,
-            "op_states": [op.state_snapshot() for op in self._operators],
-            "op_types": [type(op).__name__ for op in self._operators],
-            "output_order": list(self._outputs),
-            "outputs": {
-                output_id: {
-                    "changes": (
-                        encode_changes(channel.changes) if histories else None
-                    ),
-                    "size": len(channel.changes),
-                    "wm_pairs": channel.watermarks.as_pairs(),
-                    "telemetry": channel.telemetry.snapshot(),
-                    "node_ops": [
-                        op_index[id(op)]
-                        for op in self._channel_node_ops(channel)
-                    ],
-                }
-                for output_id, channel in self._outputs.items()
-            },
-            "last_ptime": self._last_ptime,
-            "peak_state": self._peak_state,
-            "opened": self._opened,
-            "timers": [
+        payload = self.structure()
+        for output_id, channel in self._outputs.items():
+            payload["outputs"][output_id].update(
+                changes=encode_changes(channel.changes) if histories else None,
+                size=len(channel.changes),
+                wm_pairs=channel.watermarks.as_pairs(),
+                telemetry=channel.telemetry.snapshot(),
+            )
+        payload.update(
+            version=CHECKPOINT_VERSION,
+            op_states=[op.state_snapshot() for op in self._operators],
+            last_ptime=self._last_ptime,
+            peak_state=self._peak_state,
+            opened=self._opened,
+            timers=[
                 (when, seq, op_index[id(op)])
                 for when, seq, op in self._timers
             ],
-            "timer_seq": self._timers.seq,
+            timer_seq=self._timers.seq,
             # Shard flows don't own the recorder (the sharded parent
             # snapshots it once); only the owning flow persists it.
-            "lineage": (
+            lineage=(
                 self.lineage.snapshot()
                 if self.lineage is not None and self._lineage_register_outputs
                 else None
             ),
-        }
+        )
+        return pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
 
     def restore(
         self,
@@ -775,10 +862,10 @@ class Dataflow:
         if "outputs" not in payload:
             self._restore_legacy(payload)
         else:
-            self._restore_payload(payload, histories or {})
+            self._restore_payload(payload, histories)
 
     def _restore_payload(
-        self, payload: dict, histories: dict[str, list[Change]]
+        self, payload: dict, histories: Optional[dict[str, list[Change]]]
     ) -> None:
         operators = self._operators
         check_checkpoint_version(payload)
@@ -794,30 +881,25 @@ class Dataflow:
             op.state_restore(snapshot)
         for output_id, stored in payload["outputs"].items():
             channel = self._outputs[output_id]
-            encoded = stored["changes"]
-            if encoded is None:
-                changes = histories.get(output_id)
-                if changes is None or len(changes) != stored["size"]:
-                    raise ExecutionError(
-                        f"checkpoint carries no changelog for output "
-                        f"{output_id!r} and no matching history was supplied"
-                    )
-                channel.changes = changes
-            else:
-                channel.changes = decode_changes(encoded)
+            channel.changes = stored_changes(
+                stored, "changes", histories, output_id
+            )
             channel.watermarks = WatermarkTrack()
             for ptime, value in stored["wm_pairs"]:
                 channel.watermarks.advance(ptime, value)
             channel.telemetry = RunTelemetry()
             channel.telemetry.restore(stored["telemetry"])
+        self._restore_clock(payload)
+        if payload.get("lineage") is not None:
+            self.set_lineage(LineageRecorder.restore(payload["lineage"]))
+
+    def _restore_clock(self, payload: dict) -> None:
         self._last_ptime = payload["last_ptime"]
         self._peak_state = payload["peak_state"]
         self._opened = payload["opened"]
         self._timers.restore(
-            payload["timers"], operators, payload["timer_seq"]
+            payload["timers"], self._operators, payload["timer_seq"]
         )
-        if payload.get("lineage") is not None:
-            self.set_lineage(LineageRecorder.restore(payload["lineage"]))
 
     def _restore_legacy(self, payload: dict) -> None:
         """Restore the pre-DAG single-output checkpoint shape."""
@@ -833,12 +915,7 @@ class Dataflow:
         channel.watermarks = WatermarkTrack()
         for ptime, value in payload["root_wm_pairs"]:
             channel.watermarks.advance(ptime, value)
-        self._last_ptime = payload["last_ptime"]
-        self._peak_state = payload["peak_state"]
-        self._opened = payload["opened"]
-        self._timers.restore(
-            payload["timers"], operators, payload["timer_seq"]
-        )
+        self._restore_clock(payload)
         telemetry = payload.get("telemetry")
         if telemetry is not None:
             channel.telemetry = RunTelemetry()
@@ -859,62 +936,8 @@ class Dataflow:
         return self.finish(until)
 
     def replay(self, events: Sequence[tuple[StreamEvent, str]]) -> Iterator[int]:
-        """Deliver a merged replay stream run by run.
-
-        Yields, after each delivery, how many of ``events`` have been
-        consumed — the one run-grouping rule, driven by :meth:`run` and
-        by the shell's ``\\watch`` loop alike.
-
-        With ``batch_size > 1`` a run is a maximal stretch of row
-        events that share one processing-time instant and one source,
-        capped at ``batch_size``, and only for sources
-        :meth:`batchable_source` admits.  Watermark events always break
-        runs, so no operator ever sees its input watermark move inside
-        a batch, and the batched changelog is byte-identical to the
-        per-change one (see :meth:`process_batch`).
-        """
-        batch_size = self.batch_size
-        absorb = self.lineage is None
-        batchable: dict[str, bool] = {}  # memo: asked once per run otherwise
-        i, n = 0, len(events)
-        while i < n:
-            event, source = events[i]
-            j = i + 1
-            if batch_size > 1 and isinstance(event, RowEvent):
-                ok = batchable.get(source)
-                if ok is None:
-                    ok = batchable[source] = self.batchable_source(source)
-            else:
-                ok = False
-            if ok:
-                ptime = event.ptime
-                run = [event]
-                while j < n and len(run) < batch_size:
-                    nxt, nxt_source = events[j]
-                    if nxt.ptime != ptime:
-                        break
-                    if nxt_source != source:
-                        # An event of another source no scan consumes
-                        # is a clock no-op at this very instant (nothing
-                        # to deliver, no clock movement, no timer can be
-                        # due mid-instant) — absorb it so one
-                        # interleaved burst still forms one batch.  Only
-                        # when no lineage recorder is claiming per-event
-                        # ordinals.
-                        if not absorb or self._leaves_by_source.get(
-                            nxt_source.lower()
-                        ):
-                            break
-                    elif isinstance(nxt, RowEvent):
-                        run.append(nxt)
-                    else:
-                        break
-                    j += 1
-                self.process_batch(run, source)
-            else:
-                self.process(event, source)
-            yield j
-            i = j
+        """Deliver a merged replay stream run by run (:func:`replay_runs`)."""
+        return replay_runs(self, events)
 
     def process(self, event: StreamEvent, source: str) -> None:
         """Feed one source event through the dataflow (incremental API).
@@ -946,13 +969,7 @@ class Dataflow:
         """
         if not events:
             return
-        ptime = events[0].ptime
-        for event in events:
-            if not isinstance(event, RowEvent) or event.ptime != ptime:
-                raise ExecutionError(
-                    "a batch must hold row events of a single processing-time "
-                    "instant"
-                )
+        check_same_instant(events)
         leaves, cause, fired = self._arrive(events, source)
         if leaves:
             payload = [event.change for event in events]
@@ -1015,6 +1032,10 @@ class Dataflow:
         if len(leaves) != 1:
             return False
         return len(self._consumers.get(id(leaves[0]), ())) <= 1
+
+    def scans_source(self, source: str) -> bool:
+        """Whether any scan leaf consumes ``source``."""
+        return bool(self._leaves_by_source.get(source.lower()))
 
     def changes_coalesced(self) -> int:
         """Changes dropped by intra-instant compaction, over all operators."""

@@ -9,24 +9,36 @@ gives a total order — sorting by it interleaves the shard changelogs
 into precisely the serial executor's output, ``ptime`` ties included.
 
 Watermark events are broadcast, so the shards' watermark observations
-are replayed into the :class:`~repro.runtime.frontier.WatermarkFrontier`
+are applied to the :class:`~repro.runtime.frontier.WatermarkFrontier`
 in (sequence, shard) order; the frontier's published minimum reproduces
 the serial root watermark track.
+
+A shard reports both per output as a :class:`ShardLog`, and
+:func:`splice` is the one function that folds shard logs into the
+merged outputs — for a chunk of one event routed incrementally and for
+a whole supervised run alike.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Iterator, Mapping, Optional
+
 from ..core.changelog import Change
+from ..core.codec import decode_slices, encode_slices
 from ..core.errors import ExecutionError
 from ..core.times import Timestamp
+from ..obs.lineage import LineageRecorder
+from .combine import CombineStage
 from .frontier import WatermarkFrontier
 
 __all__ = [
+    "MergedOutput",
+    "ShardLog",
     "dedup_by_seq",
     "dedup_observations",
-    "merge_tagged_changes",
-    "merge_tagged_slices",
-    "replay_frontier",
+    "splice",
 ]
 
 #: One shard's tagged output: (global event seq, changes it caused).
@@ -34,6 +46,42 @@ TaggedSlice = tuple[int, list[Change]]
 
 #: One shard's watermark observation: (global event seq, ptime, value).
 WatermarkObservation = tuple[int, Timestamp, Timestamp]
+
+
+@dataclass
+class ShardLog:
+    """What one shard said about one output while it was driven.
+
+    ``slices`` tag what each run of row events made the output gain
+    with the run's first sequence number; ``observations`` record the
+    output's root watermark after each broadcast watermark event.  Both
+    may repeat sequence numbers when a restart replayed input — the
+    ``dedup_*`` functions collapse them.  ``slices`` pickle through the
+    changelog codec (:func:`~repro.core.codec.encode_slices`) and
+    decode to the same ``(seq, slice)`` tags.
+    """
+
+    slices: list[TaggedSlice] = field(default_factory=list)
+    observations: list[WatermarkObservation] = field(default_factory=list)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["slices"] = encode_slices(self.slices)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        state["slices"] = decode_slices(state["slices"])
+        self.__dict__.update(state)
+
+
+class MergedOutput:
+    """Per-output merge state: the spliced changelog and its frontier."""
+
+    __slots__ = ("merged", "frontier")
+
+    def __init__(self, shards: int):
+        self.merged: list[Change] = []
+        self.frontier = WatermarkFrontier(shards)
 
 
 def dedup_by_seq(slices: list[TaggedSlice]) -> tuple[list[TaggedSlice], int]:
@@ -95,62 +143,78 @@ def dedup_observations(
     return unique
 
 
-def merge_tagged_slices(
-    tagged: list[list[TaggedSlice]],
-) -> list[TaggedSlice]:
-    """Interleave per-shard output slices by global event sequence.
+def splice(
+    outputs: Mapping[str, MergedOutput],
+    stages: Mapping[str, CombineStage],
+    logs: Mapping[int, Mapping[str, ShardLog]],
+    recorder: Optional[LineageRecorder] = None,
+) -> None:
+    """Fold shard logs (``logs[shard][output_id]``) into the merged outputs.
 
-    Keeps the per-slice structure — the two-phase combine stage feeds
-    one slice (one payload batch) at a time, in global order.
+    Per output, slices are interleaved by sequence number and
+    observations by (sequence, shard) — an event sequence number names
+    either a routed row run or a broadcast watermark, never both — which
+    is exactly the order the serial executor met them in.  A slice
+    extends the merged changelog, or, for a two-phase output, is fed to
+    the output's combine stage whose *final* changes are spliced in its
+    place; an observation moves the frontier, and the stage with it
+    whenever the merged minimum advances, freeing combine state exactly
+    when the serial root would.
+
+    With a lineage ``recorder`` the position notes its shard flows left
+    (in production order) are drained once and resolved to the merged
+    positions their slices landed at.
     """
-    entries: list[TaggedSlice] = []
-    claimed: dict[int, int] = {}
-    for shard, slices in enumerate(tagged):
-        for seq, changes in slices:
-            prior = claimed.get(seq)
-            if prior is not None:
+    landed: dict[str, Iterator[list[int]]] = {}
+    for oid, merge in outputs.items():
+        stage = stages.get(oid)
+        merged, frontier = merge.merged, merge.frontier
+        entries = [
+            (seq, shard, changes, 0, 0)
+            for shard, shard_logs in logs.items()
+            for seq, changes in shard_logs[oid].slices
+        ]
+        entries += [
+            (seq, shard, None, ptime, value)
+            for shard, shard_logs in logs.items()
+            for seq, ptime, value in shard_logs[oid].observations
+        ]
+        entries.sort(key=itemgetter(0, 1))
+        spans: dict[int, list[list[int]]] = {shard: [] for shard in logs}
+        claimed = (-1, -1)
+        for seq, shard, changes, ptime, value in entries:
+            if changes is None:
+                advanced = frontier.observe(shard, ptime, value)
+                if stage is not None and advanced is not None:
+                    stage.advance(advanced, ptime)
+                continue
+            if seq == claimed[0]:
                 raise ExecutionError(
-                    f"shards {prior} and {shard} both produced output for "
-                    f"event #{seq}; the plan is not cleanly partitioned"
+                    f"shards {claimed[1]} and {shard} both produced output "
+                    f"for event #{seq}; the plan is not cleanly partitioned"
                 )
-            claimed[seq] = shard
-            entries.append((seq, changes))
-    entries.sort(key=lambda item: item[0])
-    return entries
-
-
-def merge_tagged_changes(
-    tagged: list[list[TaggedSlice]],
-) -> list[Change]:
-    """Flattened form of :func:`merge_tagged_slices`."""
-    return [
-        change
-        for _, changes in merge_tagged_slices(tagged)
-        for change in changes
-    ]
-
-
-def replay_frontier(
-    frontier: WatermarkFrontier,
-    observations: list[list[WatermarkObservation]],
-) -> list[tuple[Timestamp, Timestamp]]:
-    """Feed per-shard watermark observations into the frontier.
-
-    Observations are applied in (global sequence, shard index) order —
-    the same order the synchronous path produces them — so the merged
-    track's (ptime, value) steps are identical either way, and a trace
-    callback on the frontier sees the same per-shard ``"frontier"`` /
-    merged ``"watermark"`` timeline a synchronous run would produce.
-    Returns the ``(ptime, value)`` advances the replay published.
-    """
-    by_seq: dict[int, list[tuple[int, Timestamp, Timestamp]]] = {}
-    for shard, obs in enumerate(observations):
-        for seq, ptime, value in obs:
-            by_seq.setdefault(seq, []).append((shard, ptime, value))
-    published: list[tuple[Timestamp, Timestamp]] = []
-    for seq in sorted(by_seq):
-        for shard, ptime, value in sorted(by_seq[seq]):
-            merged = frontier.observe(shard, ptime, value)
-            if merged is not None:
-                published.append((ptime, merged))
-    return published
+            claimed = (seq, shard)
+            start = len(merged)
+            merged.extend(
+                changes
+                if stage is None
+                else stage.feed(changes, frontier.current)
+            )
+            spans[shard].append([start, len(merged), len(changes)])
+        landed[oid] = (span for shard in spans for span in spans[shard])
+    if recorder is None:
+        return
+    # Notes arrive in production order — shard by shard, run by run —
+    # and so do the spans above; a note counts shard-local changes, so
+    # for a two-phase output (where what landed is the combine stage's
+    # output for the slice) the slice's first note takes the whole span.
+    open_span: dict[str, list[int]] = {}
+    for oid, cause, count in recorder.drain_shard_notes():
+        span = open_span.get(oid)
+        if span is None or span[2] <= 0:
+            span = open_span[oid] = next(landed[oid])
+        start, stop, _ = span
+        end = stop if oid in stages else start + count
+        recorder.record_output(cause, oid, range(start, end))
+        span[0] = end
+        span[2] -= count

@@ -41,14 +41,11 @@ def partition_events(
     """
     tasks: list[list[ShardEvent]] = [[] for _ in range(shards)]
     for seq, (event, source) in enumerate(events):
-        if isinstance(event, RowEvent):
-            owner = spec.shard_of(source, event.change.values, shards)
-            if owner is None:
-                for task in tasks:
-                    task.append((seq, event, source))
-            else:
-                tasks[owner].append((seq, event, source))
-        else:
-            for task in tasks:
-                task.append((seq, event, source))
+        owner = (
+            spec.shard_of(source, event.change.values, shards)
+            if isinstance(event, RowEvent)
+            else None  # watermarks are broadcast, like unrouted rows
+        )
+        for task in tasks if owner is None else (tasks[owner],):
+            task.append((seq, event, source))
     return tasks

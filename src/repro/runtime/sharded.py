@@ -1,4 +1,4 @@
-"""``ShardedDataflow``: N shard dataflows behind the serial ``Dataflow`` API.
+"""``ShardedDataflow``: N shard dataflows behind the serial ``Dataflow`` contract.
 
 Each shard is a complete, independent :class:`~repro.exec.executor.Dataflow`
 compiled from the same plan.  Row events are hash-routed to one shard by
@@ -10,28 +10,40 @@ to exactly one routed row event, and interleaving the shard output
 slices in global event order reproduces the serial changelog byte for
 byte (values, ``ptime``, ``undo``, ``ver``, ordering).
 
-Two driving modes share that merge invariant:
+There is one protocol, whoever drives:
 
-* :meth:`process` — the incremental API: route, run, splice inline.
-* :meth:`run` — the batch API: split the merged source sequence into
-  per-shard subsequences, run them on a worker-pool backend
-  (:mod:`repro.runtime.backends`) under a per-shard supervisor
-  (:mod:`repro.runtime.supervisor`) that restarts failed workers from
-  their last checkpoint, then dedup re-emitted slices by sequence
-  number, merge the tagged output slices, and replay the watermark
-  observations into the frontier.
+1. **task** — a chunk of source events is numbered and partitioned
+   into per-shard ``(seq, event, source)`` tasks
+   (:func:`~repro.runtime.routing.partition_events`);
+2. **drive** — :func:`~repro.runtime.supervisor.drive_run` feeds a
+   shard flow its tasks run by run and *takes* what each run produced,
+   logging ``(seq, changes)`` slices and watermark observations per
+   output (:class:`~repro.runtime.merge.ShardLog`) — the shard keeps no
+   output history;
+3. **splice** — :func:`~repro.runtime.merge.splice` interleaves the
+   logs by sequence number into each output's merged changelog and
+   watermark frontier.
+
+:meth:`ShardedDataflow.process` / :meth:`~ShardedDataflow.process_batch`
+/ :meth:`~ShardedDataflow.replay` do this for one run of events at a
+time, driving the shards in the caller.  :meth:`~ShardedDataflow.run`
+does it once for everything the sources hold, driving each shard on a
+worker-pool backend (:mod:`repro.runtime.backends`) under a
+:class:`~repro.runtime.supervisor.ShardSupervisor` that restarts a
+failed worker from its last checkpoint; re-emitted slices are dropped
+by sequence number before the splice.
 
 With ``two_phase=True``, eligible grouped-aggregate plans run split:
 each shard executes the plan's *partial* half (folding only its routed
 rows into per-group payloads), and a
 :class:`~repro.runtime.combine.CombineStage` behind the merge point
-folds those payloads into the final aggregate changelog.  Payload
-slices and watermark observations are applied to the stage in global
+folds those payloads into the final aggregate changelog.  The splice
+feeds payload slices and frontier advances to the stage in global
 sequence order — the same interleaving the serial executor sees — so
-the spliced output keeps the serial guarantee while the merge path
-carries one payload per shard batch instead of one change per input
-row.  Plans the physical planner cannot split (see
-:mod:`repro.plan.physical`) simply run single-phase.
+the output keeps the serial guarantee while the merge path carries one
+payload per shard batch instead of one change per input row.  Plans
+the physical planner cannot split (see :mod:`repro.plan.physical`)
+simply run single-phase.
 
 Like the serial executor, a sharded dataflow can host several output
 channels over shared subplans (:meth:`attach_output` /
@@ -41,27 +53,33 @@ watermark frontier.  Sharing requires the queries to agree on the
 partitioning spec — rows must co-locate identically or shard-local
 state would diverge from the serial oracle.
 
-Checkpoints nest the shard checkpoints plus the frontiers and merged
-changelogs, so a sharded run restores onto a fresh ``ShardedDataflow``
-of the same structure and shard count.
+Checkpoints nest the shard checkpoints (operator state only) plus the
+frontiers and — unless the caller keeps them (``histories=False``) —
+the merged changelogs, so a sharded run restores onto a fresh
+``ShardedDataflow`` of the same structure and shard count.
 """
 
 from __future__ import annotations
 
 import pickle
-from typing import Callable, Optional, Sequence
+from dataclasses import replace
+from functools import partial
+from typing import Callable, Iterator, Optional, Sequence
 
 from ..core.changelog import Change
-from ..core.codec import decode_changes, encode_changes
+from ..core.codec import encode_changes
 from ..core.errors import ExecutionError
 from ..core.times import MIN_TIMESTAMP, Timestamp
-from ..core.tvr import RowEvent, StreamEvent, TimeVaryingRelation, WatermarkEvent
+from ..core.tvr import RowEvent, StreamEvent, TimeVaryingRelation
 from ..exec.executor import (
     CHECKPOINT_VERSION,
     Dataflow,
     RunResult,
     check_checkpoint_version,
+    check_same_instant,
     merge_source_events,
+    replay_runs,
+    stored_changes,
 )
 from ..obs.lineage import LineageRecorder
 from ..obs.metrics import RecoveryStats, merge_shard_reports
@@ -74,29 +92,17 @@ from .combine import CombineStage
 from .faults import FaultInjector, FaultPlan
 from .frontier import WatermarkFrontier
 from .merge import (
-    TaggedSlice,
-    WatermarkObservation,
+    MergedOutput,
+    ShardLog,
     dedup_by_seq,
     dedup_observations,
-    merge_tagged_changes,
-    merge_tagged_slices,
-    replay_frontier,
+    splice,
 )
 from .routing import partition_events
-from .supervisor import RetryPolicy, ShardSupervisor
+from .supervisor import RetryPolicy, ShardSupervisor, drain_timers, drive_run
 
 
 __all__ = ["ShardedDataflow"]
-
-
-class _OutputMerge:
-    """Per-output merge state: the spliced changelog and its frontier."""
-
-    __slots__ = ("merged", "frontier")
-
-    def __init__(self, shards: int):
-        self.merged: list[Change] = []
-        self.frontier = WatermarkFrontier(shards)
 
 
 class ShardedDataflow:
@@ -109,18 +115,66 @@ class ShardedDataflow:
         spec: PartitionSpec,
         shards: int,
         allowed_lateness: int = 0,
+        output_id: str = "main",
+        **options,
+    ):
+        """``options`` are the execution knobs of :meth:`_init`."""
+        self._init(
+            [(output_id, plan)], None, sources, spec, shards,
+            allowed_lateness, **options,
+        )
+
+    @classmethod
+    def from_structure(
+        cls,
+        plans: Sequence[tuple[str, "object"]],
+        structure: dict,
+        sources: dict[str, TimeVaryingRelation],
+        spec: PartitionSpec,
+        shards: int,
+        allowed_lateness: int = 0,
+        **options,
+    ) -> "ShardedDataflow":
+        """Rebuild a multi-output sharded dataflow from a checkpoint recipe.
+
+        ``structure`` is the decoded sharded checkpoint payload; every
+        shard is rebuilt from shard 0's recipe (all shards are
+        structurally identical; see ``Dataflow.from_structure``), whose
+        blob is decoded in place so :meth:`restore` of the same payload
+        does not decode it again.  With ``two_phase`` the physical split
+        is recomputed per plan — the rewrite is deterministic, so the
+        rebuilt shard trees match the checkpointed ones.  Call
+        :meth:`restore` with the payload afterwards.
+        """
+        recipe = structure["shards"][0]
+        if not isinstance(recipe, dict):
+            recipe = structure["shards"][0] = pickle.loads(recipe)
+        self = cls.__new__(cls)
+        self._init(
+            plans, recipe, sources, spec, shards, allowed_lateness, **options
+        )
+        return self
+
+    def _init(
+        self,
+        plans: Sequence[tuple[str, "object"]],
+        structure: Optional[dict],
+        sources: dict[str, TimeVaryingRelation],
+        spec: PartitionSpec,
+        shards: int,
+        allowed_lateness: int,
         backend: str = "threads",
         retry: Optional[RetryPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
         batch_size: int = 1,
         coalesce_updates: bool = False,
         two_phase: bool = False,
-        output_id: str = "main",
         columnar: str = "off",
-    ):
+    ) -> None:
+        """The one initialiser behind both construction paths."""
         if shards < 1:
             raise ExecutionError("a sharded dataflow needs at least one shard")
-        self.plan = plan
+        self._primary, self.plan = plans[0]
         self.spec = spec
         self.backend = backend
         self.retry = retry if retry is not None else RetryPolicy()
@@ -130,41 +184,73 @@ class ShardedDataflow:
         self.two_phase = two_phase
         self.columnar = columnar
         self._allowed_lateness = allowed_lateness
-        self._raw_sources = sources
-        self._sources = {name.lower(): tvr for name, tvr in sources.items()}
+        self._sources = sources
         #: per-output physical split and its combine stage; an output
         #: absent from these maps runs single-phase.
         self._splits: dict[str, TwoPhaseSplit] = {}
         self._stages: dict[str, CombineStage] = {}
-        split = self._prepare_split(plan)
-        shard_plan = split.shard_plan if split is not None else plan
-        self._shards = [
-            Dataflow(
-                shard_plan,
-                sources,
-                allowed_lateness,
-                batch_size=batch_size,
-                coalesce_updates=coalesce_updates,
-                output_id=output_id,
-                columnar=columnar,
-            )
-            for _ in range(shards)
-        ]
-        if split is not None:
-            self._splits[output_id] = split
-            self._stages[output_id] = CombineStage(
-                split, allowed_lateness, coalesce_updates
-            )
-        self._outputs: dict[str, _OutputMerge] = {
-            output_id: _OutputMerge(shards)
-        }
-        self._primary = output_id
+        #: per output, the plan its shards run (the partial half of a
+        #: split plan) — what a fresh shard is built from.
+        self._shard_plans: dict[str, object] = {}
+        self._outputs: dict[str, MergedOutput] = {}
         self._last_ptime: Timestamp = MIN_TIMESTAMP
         self._trace: Optional[Callable[[TraceEvent], None]] = None
         self._recovery = RecoveryStats()
         #: optional lineage recorder shared with every shard flow;
         #: install via :meth:`set_lineage`.
         self.lineage: Optional[LineageRecorder] = None
+        for output_id, plan in plans:
+            self._open_output(output_id, plan, self._prepare_split(plan), shards)
+        self._shards = [self._new_shard(i, structure) for i in range(shards)]
+
+    def _open_output(
+        self,
+        output_id: str,
+        plan,
+        split: Optional[TwoPhaseSplit],
+        shards: int,
+        stage: Optional[CombineStage] = None,
+    ) -> MergedOutput:
+        """Merge-side bookkeeping of one output: the plan its shards run,
+        its combine stage when that plan is split (``stage`` to adopt a
+        donor's), its merged changelog."""
+        if split is not None:
+            self._splits[output_id] = split
+            self._stages[output_id] = (
+                stage
+                if stage is not None
+                else CombineStage(
+                    split, self._allowed_lateness, self.coalesce_updates
+                )
+            )
+        self._shard_plans[output_id] = (
+            split.shard_plan if split is not None else plan
+        )
+        merge = self._outputs[output_id] = MergedOutput(shards)
+        return merge
+
+    def _new_shard(self, index: int, structure: Optional[dict] = None) -> Dataflow:
+        """A fresh shard flow over this flow's outputs — at construction,
+        and for a restarted worker — structure-exact when a checkpoint
+        recipe says which operators the outputs share."""
+        options = dict(
+            batch_size=self.batch_size,
+            coalesce_updates=self.coalesce_updates,
+            columnar=self.columnar,
+        )
+        if structure is None:
+            ((output_id, plan),) = self._shard_plans.items()
+            flow = Dataflow(
+                plan, self._sources, self._allowed_lateness,
+                output_id=output_id, **options,
+            )
+        else:
+            flow = Dataflow.from_structure(
+                list(self._shard_plans.items()), structure,
+                self._sources, self._allowed_lateness, **options,
+            )
+        flow.trace = _shard_batch_tagger(self._trace, index)
+        return flow
 
     def _prepare_split(self, plan) -> Optional[TwoPhaseSplit]:
         """The plan's two-phase split, if this flow runs two-phase.
@@ -182,14 +268,6 @@ class ShardedDataflow:
         if split is not None:
             split.partial.delta_mode = self.coalesce_updates
         return split
-
-    @property
-    def _frontier(self) -> WatermarkFrontier:
-        return self._outputs[self._primary].frontier
-
-    @property
-    def _merged_changes(self) -> list[Change]:
-        return self._outputs[self._primary].merged
 
     @property
     def trace(self) -> Optional[Callable[[TraceEvent], None]]:
@@ -210,7 +288,7 @@ class ShardedDataflow:
     @trace.setter
     def trace(self, callback: Optional[Callable[[TraceEvent], None]]) -> None:
         self._trace = callback
-        self._frontier.trace = callback
+        self.frontier.trace = callback
         for index, shard in enumerate(self._shards):
             shard.trace = _shard_batch_tagger(callback, index)
 
@@ -225,12 +303,13 @@ class ShardedDataflow:
 
     @property
     def frontier(self) -> WatermarkFrontier:
-        return self._frontier
+        """The primary output's watermark frontier."""
+        return self._outputs[self._primary].frontier
 
     @property
     def output_size(self) -> int:
         """Merged primary-output changes so far (mirrors ``Dataflow``)."""
-        return len(self._merged_changes)
+        return self.output_size_of(self._primary)
 
     def output_slice(self, start: int = 0) -> list:
         """Merged primary-output changes from ``start`` (mirrors ``Dataflow``).
@@ -239,12 +318,12 @@ class ShardedDataflow:
         after each :meth:`process` yields every change exactly once —
         the incremental consumption contract service mode relies on.
         """
-        return list(self._merged_changes[start:])
+        return self.output_slice_of(self._primary, start)
 
     @property
     def root_watermark(self) -> Timestamp:
         """The merged (minimum) primary root watermark across all shards."""
-        return self._frontier.current
+        return self.frontier.current
 
     def output_ids(self) -> list[str]:
         """The attached output channels, in attach order."""
@@ -269,15 +348,11 @@ class ShardedDataflow:
 
     def is_two_phase(self, output_id: Optional[str] = None) -> bool:
         """Whether ``output_id`` (default: primary) runs split aggregation."""
-        return (output_id if output_id is not None else self._primary) in (
-            self._stages
-        )
+        return self.combine_stage(output_id) is not None
 
     def combine_stage(self, output_id: Optional[str] = None):
         """The output's :class:`CombineStage`, or ``None`` if single-phase."""
-        return self._stages.get(
-            output_id if output_id is not None else self._primary
-        )
+        return self._stages.get(output_id or self._primary)
 
     @property
     def telemetry(self) -> RunTelemetry:
@@ -402,31 +477,27 @@ class ShardedDataflow:
                 # *identity*, so the attach must use the very plan
                 # object the donor's shards were compiled from.
                 split = donor_split
-        shard_plan = split.shard_plan if split is not None else plan
         for index, shard in enumerate(self._shards):
             shard.attach_output(
                 output_id,
-                shard_plan,
+                split.shard_plan if split is not None else plan,
                 donor=donor._shards[index] if donor is not None else None,
                 allow_root_share=allow_root_share,
             )
-        merge = _OutputMerge(len(self._shards))
-        if split is not None:
-            self._splits[output_id] = split
-            if donor is not None:
-                # The donor's combine stage carries the global per-group
-                # accumulators matching the transplanted shard state.
-                self._stages[output_id] = donor._stages[donor._primary]
-            else:
-                self._stages[output_id] = CombineStage(
-                    split, self._allowed_lateness, self.coalesce_updates
-                )
+        # The donor's combine stage carries the global per-group
+        # accumulators matching the transplanted shard state.
+        merge = self._open_output(
+            output_id,
+            plan,
+            split,
+            len(self._shards),
+            stage=donor._stages.get(donor._primary) if donor is not None else None,
+        )
         if donor is not None:
             donor_merge = donor._outputs[donor._primary]
             merge.merged = donor_merge.merged
             merge.frontier = donor_merge.frontier
             self._last_ptime = max(self._last_ptime, donor._last_ptime)
-        self._outputs[output_id] = merge
         return merge
 
     def remove_output(self, output_id: str) -> bool:
@@ -435,199 +506,125 @@ class ShardedDataflow:
             return False
         for shard in self._shards:
             shard.remove_output(output_id)
-        del self._outputs[output_id]
+        del self._outputs[output_id], self._shard_plans[output_id]
         self._splits.pop(output_id, None)
         self._stages.pop(output_id, None)
         return True
 
-    # -- incremental API ---------------------------------------------------------
+    # -- driving -----------------------------------------------------------------
 
     def process(self, event: StreamEvent, source: str) -> None:
-        """Route one source event and splice its output inline.
+        """Feed one source event through the dataflow (incremental API).
 
-        Mirrors ``Dataflow.process``: events must arrive in
-        processing-time order, and each output's merged changelog grows
-        by exactly the changes the serial executor would have appended.
+        Mirrors ``Dataflow.process``: a row event is a batch of one;
+        events must arrive in processing-time order, and each output's
+        merged changelog grows by exactly the changes the serial
+        executor would have appended.
         """
-        if event.ptime < self._last_ptime:
+        if isinstance(event, RowEvent):
+            self.process_batch((event,), source)
+        else:
+            self._deliver((event,), source)
+
+    def process_batch(self, events: Sequence[RowEvent], source: str) -> None:
+        """Feed a run of same-instant row events of one source at once.
+
+        The run is partitioned, each shard is driven over its share in
+        the caller, and the shard logs are spliced — the merged output
+        is byte-identical to feeding the events one at a time.
+        """
+        if events:
+            check_same_instant(events)
+            self._deliver(events, source)
+
+    def replay(self, events: Sequence[tuple[StreamEvent, str]]) -> Iterator[int]:
+        """Deliver a merged replay stream run by run (:func:`replay_runs`)."""
+        return replay_runs(self, events)
+
+    def batchable_source(self, source: str) -> bool:
+        """Whether ``source`` events may be batched (every shard agrees)."""
+        return self._shards[0].batchable_source(source)
+
+    def scans_source(self, source: str) -> bool:
+        """Whether any scan leaf consumes ``source``."""
+        return self._shards[0].scans_source(source)
+
+    def _deliver(self, events: Sequence[StreamEvent], source: str) -> None:
+        """One instant's ``events``: partition, drive in the caller, splice."""
+        ptime = events[0].ptime
+        if ptime < self._last_ptime:
             raise ExecutionError("events must be fed in processing-time order")
-        self._last_ptime = max(self._last_ptime, event.ptime)
+        self._last_ptime = ptime
         recorder = self.lineage
         if recorder is not None:
-            # The parent claims the per-source ordinal and makes the
+            # The parent claims the per-source ordinals and makes the
             # sampling decision once; shard flows replay it via the
             # pending context, so lineage sampling is identical to the
-            # serial run however the event is routed or broadcast.
-            recorder.set_pending(recorder.claim(source, (event,)))
+            # serial run however the events are routed or broadcast.
+            recorder.set_pending(recorder.claim(source, events))
         try:
-            self._route(event, source)
+            logs = {}
+            for index, tasks in enumerate(
+                partition_events(
+                    [(event, source) for event in events],
+                    self.spec,
+                    len(self._shards),
+                )
+            ):
+                if not tasks:
+                    continue
+                shard = self._shards[index]
+                logs[index] = {oid: ShardLog() for oid in self._outputs}
+                i, n = 0, len(tasks)
+                while i < n:
+                    i = drive_run(shard, tasks, i, logs[index])
+            splice(self._outputs, self._stages, logs, recorder)
         finally:
             if recorder is not None:
                 recorder.clear_pending()
 
-    def _route(self, event: StreamEvent, source: str) -> None:
-        recorder = self.lineage
-        if isinstance(event, RowEvent):
-            owner = self.spec.shard_of(
-                source, event.change.values, len(self._shards)
-            )
-            targets = range(len(self._shards)) if owner is None else (owner,)
-            for index in targets:
-                shard = self._shards[index]
-                before = {
-                    oid: shard.output_size_of(oid) for oid in self._outputs
-                }
-                merged_at: dict[str, int] = {}
-                shard.process(event, source)
-                for oid, merge in self._outputs.items():
-                    produced = shard.output_slice_of(oid, before[oid])
-                    if produced and owner is None:
-                        raise ExecutionError(
-                            f"broadcast row event for {source!r} produced "
-                            f"output in shard {index}; the plan is not "
-                            "cleanly partitioned"
-                        )
-                    stage = self._stages.get(oid)
-                    if stage is not None and produced:
-                        # Two-phase: the shard emitted partial payloads;
-                        # fold them through the combine stage and splice
-                        # the *final* changes instead.
-                        produced = stage.feed(produced, merge.frontier.current)
-                    merged_at[oid] = len(merge.merged)
-                    merge.merged.extend(produced)
-                if recorder is not None:
-                    # Shard notes arrive in production order; walk each
-                    # output's cursor forward over the spliced slice.
-                    for oid, cause, count in recorder.drain_shard_notes():
-                        start = merged_at[oid]
-                        if oid in self._stages:
-                            # The note counted partial payloads; what
-                            # landed in the merged changelog is the
-                            # combine stage's output for this event.
-                            count = len(self._outputs[oid].merged) - start
-                        recorder.record_output(
-                            cause, oid, range(start, start + count)
-                        )
-                        merged_at[oid] = start + count
-        elif isinstance(event, WatermarkEvent):
-            for index, shard in enumerate(self._shards):
-                before = {
-                    oid: shard.output_size_of(oid) for oid in self._outputs
-                }
-                shard.process(event, source)
-                if any(
-                    shard.output_size_of(oid) != before[oid]
-                    for oid in self._outputs
-                ):
-                    raise ExecutionError(
-                        "watermark advance produced output in shard "
-                        f"{index}; the partition analyzer admitted a "
-                        "watermark-triggered operator it should not have"
-                    )
-            for oid, merge in self._outputs.items():
-                stage = self._stages.get(oid)
-                for index, shard in enumerate(self._shards):
-                    advanced = merge.frontier.observe(
-                        index, event.ptime, shard.root_watermark_of(oid)
-                    )
-                    if stage is not None and advanced is not None:
-                        # The merged frontier moved: free combine-stage
-                        # state exactly when the serial root would.
-                        stage.advance(advanced, event.ptime)
-        else:  # pragma: no cover — the event algebra is closed
-            raise ExecutionError(f"unknown stream event {event!r}")
-
     def finish(self, until: Optional[Timestamp] = None) -> RunResult:
-        """Drain shard timers and return the result.
-
-        Partitionable plans schedule no processing-time timers, so the
-        drain must be silent; any output here would have no routed row
-        event to order by, and the merge invariant would be lost.
-        """
+        """Drain shard timers (silently — see
+        :func:`~repro.runtime.supervisor.drain_timers`) and return the
+        result."""
         for index, shard in enumerate(self._shards):
-            before = {
-                oid: shard.output_size_of(oid) for oid in self._outputs
-            }
-            shard.finish(until)
-            if any(
-                shard.output_size_of(oid) != before[oid]
-                for oid in self._outputs
-            ):
-                raise ExecutionError(
-                    f"timer drain produced output in shard {index}; the "
-                    "partition analyzer admitted a timer-driven operator "
-                    "it should not have"
-                )
+            drain_timers(shard, until, index)
         return self.result()
-
-    # -- batch API ---------------------------------------------------------------
 
     def run(self, until: Optional[Timestamp] = None) -> RunResult:
         """Replay all source events (up to ``until``) on the worker pool.
 
-        Batch runs are *supervised*: each shard worker restarts from
-        its last checkpoint on failure (including faults injected by
-        ``fault_plan``) with the retries, backoff, and replay dedup the
-        :class:`~repro.runtime.supervisor.ShardSupervisor` implements.
-        The ``sync`` backend drives the incremental reference path
-        unless a fault plan demands supervision.
+        Everything the sources hold is partitioned at once and each
+        shard is driven by a worker of ``backend`` under supervision:
+        a failed worker (including faults injected by ``fault_plan``)
+        restarts from its last checkpoint with the retries, backoff,
+        and replay the
+        :class:`~repro.runtime.supervisor.ShardSupervisor` implements;
+        what it re-emits is dropped by sequence number before the one
+        splice.  Lineage rides the incremental path only.
         """
         events = merge_source_events(self._sources, until)
-        if (
-            self.backend == "sync"
-            and self.fault_plan is None
-            and self.batch_size <= 1
-        ):
-            for event, source in events:
-                self.process(event, source)
-            return self.finish(until)
-        self._run_batch(events, until)
-        return self.result()
-
-    def _run_batch(
-        self, events: list[tuple[StreamEvent, str]], until: Optional[Timestamp]
-    ) -> None:
-        if len(self._outputs) > 1:
-            raise ExecutionError(
-                "supervised batch runs drive a single output; multi-output "
-                "sharded dataflows must use the incremental process() API"
-            )
         tasks = partition_events(events, self.spec, len(self._shards))
         transfer_state = self.backend == "processes"
         injector = FaultInjector(self.fault_plan)
-        trace = self._trace
-        split = self._splits.get(self._primary)
-        shard_plan = split.shard_plan if split is not None else self.plan
-
-        def make_supervisor(index: int) -> ShardSupervisor:
-            def make_dataflow() -> Dataflow:
-                flow = Dataflow(
-                    shard_plan,
-                    self._raw_sources,
-                    self._allowed_lateness,
-                    batch_size=self.batch_size,
-                    coalesce_updates=self.coalesce_updates,
-                    output_id=self._primary,
-                    columnar=self.columnar,
-                )
-                flow.trace = _shard_batch_tagger(trace, index)
-                return flow
-
-            return ShardSupervisor(
+        structure = self._shards[0].structure()
+        supervisors = [
+            ShardSupervisor(
                 shard=index,
-                dataflow=self._shards[index],
-                make_dataflow=make_dataflow,
+                dataflow=shard,
+                make_dataflow=partial(self._new_shard, index, structure),
                 tasks=tasks[index],
                 until=until,
                 policy=self.retry,
                 injector=injector,
                 transfer_state=transfer_state,
             )
-
-        supervisors = [make_supervisor(i) for i in range(len(self._shards))]
+            for index, shard in enumerate(self._shards)
+        ]
         outcomes = run_shards(
             [supervisor.run for supervisor in supervisors], self.backend
         )
+        logs = {}
         for index, (supervisor, outcome) in enumerate(
             zip(supervisors, outcomes)
         ):
@@ -644,73 +641,29 @@ class ShardedDataflow:
             # Recovery trace events are forwarded post-hoc in shard
             # order, so the annotated trace log is deterministic across
             # backends (forked workers cannot reach the parent's hook).
-            if trace is not None:
+            if self._trace is not None:
                 for event in outcome.events:
-                    trace(event)
-        deduped_slices = []
-        for outcome in outcomes:
-            unique, drops = dedup_by_seq(outcome.slices)
-            self._recovery.dedup_drops += drops
-            deduped_slices.append(unique)
-        observations = [
-            dedup_observations(outcome.observations) for outcome in outcomes
-        ]
-        stage = self._stages.get(self._primary)
-        if stage is None:
-            self._merged_changes.extend(merge_tagged_changes(deduped_slices))
-            replay_frontier(self._frontier, observations)
-        else:
-            self._replay_two_phase(stage, deduped_slices, observations)
-        for event, _ in events:
-            if event.ptime > self._last_ptime:
-                self._last_ptime = event.ptime
-
-    def _replay_two_phase(
-        self,
-        stage: CombineStage,
-        deduped_slices: list[list[TaggedSlice]],
-        observations: list[list[WatermarkObservation]],
-    ) -> None:
-        """Drive the combine stage from a supervised batch run's logs.
-
-        Payload slices and watermark observations are interleaved in
-        global sequence order — exactly how the incremental path would
-        have fed the stage — so a batch run's merged changelog matches
-        the synchronous reference byte for byte.  (An event sequence
-        number names either a routed row batch or a broadcast
-        watermark, never both.)
-        """
-        merge = self._outputs[self._primary]
-        slices = merge_tagged_slices(deduped_slices)
-        by_seq: dict[int, list[tuple[int, Timestamp, Timestamp]]] = {}
-        for shard, obs in enumerate(observations):
-            for seq, ptime, value in obs:
-                by_seq.setdefault(seq, []).append((shard, ptime, value))
-        slice_index = 0
-        for seq in sorted(set(by_seq) | {s for s, _ in slices}):
-            while slice_index < len(slices) and slices[slice_index][0] == seq:
-                merge.merged.extend(
-                    stage.feed(
-                        slices[slice_index][1], merge.frontier.current
-                    )
+                    self._trace(event)
+            logs[index] = {}
+            for oid, log in outcome.logs().items():
+                unique, drops = dedup_by_seq(log.slices)
+                self._recovery.dedup_drops += drops
+                logs[index][oid] = ShardLog(
+                    unique, dedup_observations(log.observations)
                 )
-                slice_index += 1
-            for shard, ptime, value in sorted(by_seq.get(seq, ())):
-                advanced = merge.frontier.observe(shard, ptime, value)
-                if advanced is not None:
-                    stage.advance(advanced, ptime)
+        splice(self._outputs, self._stages, logs)
+        if events:
+            self._last_ptime = max(self._last_ptime, events[-1][0].ptime)
+        return self.result()
 
     @property
     def recovery(self) -> RecoveryStats:
         """Recovery accounting so far (restarts, replay, dedup, clamps)."""
-        stats = RecoveryStats(
-            shard_restarts=self._recovery.shard_restarts,
-            rows_replayed=self._recovery.rows_replayed,
-            dedup_drops=self._recovery.dedup_drops,
+        return replace(
+            self._recovery,
             wm_regressions=self._recovery.wm_regressions
-            + self._frontier.wm_regressions,
+            + self.frontier.wm_regressions,
         )
-        return stats
 
     # -- results -----------------------------------------------------------------
 
@@ -726,8 +679,8 @@ class ShardedDataflow:
         shard_results = [shard.result() for shard in self._shards]
         return RunResult(
             schema=self.plan.schema,
-            changes=list(self._merged_changes),
-            watermarks=self._frontier.merged,
+            changes=self.output_slice_of(self._primary),
+            watermarks=self.frontier.merged,
             last_ptime=max(
                 [self._last_ptime] + [r.last_ptime for r in shard_results]
             ),
@@ -751,9 +704,8 @@ class ShardedDataflow:
             [shard.metrics_report(output_id) for shard in self._shards]
         )
         report.recovery = self.recovery
-        stage = self._stages.get(
-            output_id if output_id is not None else self._primary
-        )
+        output_id = output_id or self._primary
+        stage = self._stages.get(output_id)
         if stage is not None:
             # The combine stage sits above the shards' partial trees:
             # its operators head the report at depths 0..k-1 and every
@@ -763,32 +715,33 @@ class ShardedDataflow:
             for entry in report.operators:
                 entry["depth"] += len(stage_entries)
             report.operators[:0] = stage_entries
-            report.telemetry = self.telemetry_of(
-                output_id if output_id is not None else self._primary
-            )
+            report.telemetry = self.telemetry_of(output_id)
         return report
 
     # -- checkpointing -----------------------------------------------------------
 
-    def checkpoint(self) -> bytes:
+    def checkpoint(self, histories: bool = True) -> bytes:
         """A consistent snapshot of every shard plus the merge state.
 
         Like :meth:`Dataflow.checkpoint` this is snapshot by
-        serialization — shard blobs, combine-stage state and the merged
-        changelogs (through the changelog codec) are all pickled before
-        the call returns.
+        serialization — shard blobs (operator state only: the drive
+        loop leaves no output history in a shard), combine-stage state
+        and the merged changelogs (through the changelog codec) are all
+        pickled before the call returns.  ``histories=False`` leaves the
+        merged changelogs out, for a caller that keeps them in a log of
+        its own and hands them back to :meth:`restore`.
         """
-        return pickle.dumps(self._checkpoint_payload(), pickle.HIGHEST_PROTOCOL)
-
-    def _checkpoint_payload(self) -> dict:
-        return {
+        payload = {
             "version": CHECKPOINT_VERSION,
             "shard_count": len(self._shards),
             "shards": [shard.checkpoint() for shard in self._shards],
             "output_order": list(self._outputs),
             "outputs": {
                 oid: {
-                    "merged": encode_changes(merge.merged),
+                    "merged": (
+                        encode_changes(merge.merged) if histories else None
+                    ),
+                    "size": len(merge.merged),
                     "frontier": merge.frontier.snapshot(),
                 }
                 for oid, merge in self._outputs.items()
@@ -809,22 +762,26 @@ class ShardedDataflow:
                 self.lineage.snapshot() if self.lineage is not None else None
             ),
         }
+        return pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
 
-    def restore(self, checkpoint) -> None:
+    def restore(
+        self,
+        checkpoint,
+        histories: Optional[dict[str, list[Change]]] = None,
+    ) -> None:
         """Restore a checkpoint of the same structure and shard width.
 
         Accepts the checkpoint bytes or the payload already unpickled
         from them (whose shard entries may in turn be decoded shard
         payloads); ownership passes to this flow either way — see
-        :meth:`Dataflow.restore`.
+        :meth:`Dataflow.restore`.  ``histories`` supplies the merged
+        changelogs of a blob cut with ``histories=False``.
         """
-        self._restore_payload(
+        payload = (
             checkpoint
             if isinstance(checkpoint, dict)
             else pickle.loads(checkpoint)
         )
-
-    def _restore_payload(self, payload: dict) -> None:
         check_checkpoint_version(payload)
         if payload["shard_count"] != len(self._shards):
             raise ExecutionError(
@@ -833,6 +790,10 @@ class ShardedDataflow:
             )
         for shard, blob in zip(self._shards, payload["shards"]):
             shard.restore(blob)
+            # Blobs cut before the drive loop took shard output carry a
+            # private history per shard that nothing reads; drop it.
+            for oid in shard.output_ids():
+                shard.take_output_of(oid)
         if "outputs" in payload:
             if set(payload["output_order"]) != set(self._outputs):
                 raise ExecutionError(
@@ -840,7 +801,9 @@ class ShardedDataflow:
                 )
             for oid, stored in payload["outputs"].items():
                 merge = self._outputs[oid]
-                merge.merged = decode_changes(stored["merged"])
+                merge.merged = stored_changes(
+                    stored, "merged", histories, oid
+                )
                 merge.frontier.restore(stored["frontier"])
         else:  # pre-DAG checkpoint shape
             merge = self._outputs[self._primary]
@@ -860,80 +823,6 @@ class ShardedDataflow:
         self._recovery = RecoveryStats(**payload.get("recovery", {}))
         if payload.get("lineage") is not None:
             self.set_lineage(LineageRecorder.restore(payload["lineage"]))
-
-    @classmethod
-    def from_structure(
-        cls,
-        plans: Sequence[tuple[str, "object"]],
-        structure: dict,
-        sources: dict[str, TimeVaryingRelation],
-        spec: PartitionSpec,
-        shards: int,
-        allowed_lateness: int = 0,
-        backend: str = "threads",
-        retry: Optional[RetryPolicy] = None,
-        fault_plan: Optional[FaultPlan] = None,
-        batch_size: int = 1,
-        coalesce_updates: bool = False,
-        two_phase: bool = False,
-        columnar: str = "off",
-    ) -> "ShardedDataflow":
-        """Rebuild a multi-output sharded dataflow from a checkpoint recipe.
-
-        ``structure`` is one shard's checkpoint payload (all shards are
-        structurally identical); see ``Dataflow.from_structure``.  With
-        ``two_phase`` the physical split is recomputed per plan — the
-        rewrite is deterministic, so the rebuilt shard trees match the
-        checkpointed ones.  Call :meth:`restore` with the full sharded
-        checkpoint afterwards.
-        """
-        if shards < 1:
-            raise ExecutionError("a sharded dataflow needs at least one shard")
-        self = cls.__new__(cls)
-        self.plan = plans[0][1]
-        self.spec = spec
-        self.backend = backend
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.fault_plan = fault_plan
-        self.batch_size = batch_size
-        self.coalesce_updates = coalesce_updates
-        self.two_phase = two_phase
-        self.columnar = columnar
-        self._allowed_lateness = allowed_lateness
-        self._raw_sources = sources
-        self._sources = {name.lower(): tvr for name, tvr in sources.items()}
-        self._splits = {}
-        self._stages = {}
-        shard_plans = []
-        for oid, plan in plans:
-            split = self._prepare_split(plan)
-            if split is not None:
-                self._splits[oid] = split
-                self._stages[oid] = CombineStage(
-                    split, allowed_lateness, coalesce_updates
-                )
-                shard_plans.append((oid, split.shard_plan))
-            else:
-                shard_plans.append((oid, plan))
-        self._shards = [
-            Dataflow.from_structure(
-                shard_plans,
-                structure,
-                sources,
-                allowed_lateness,
-                batch_size=batch_size,
-                coalesce_updates=coalesce_updates,
-                columnar=columnar,
-            )
-            for _ in range(shards)
-        ]
-        self._outputs = {oid: _OutputMerge(shards) for oid, _ in plans}
-        self._primary = plans[0][0]
-        self._last_ptime = MIN_TIMESTAMP
-        self._trace = None
-        self._recovery = RecoveryStats()
-        self.lineage = None
-        return self
 
 
 def _shard_batch_tagger(

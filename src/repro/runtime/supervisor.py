@@ -5,8 +5,9 @@ guarantee holds under parallelism; this layer makes it hold under
 *failure*.  Each shard worker runs under a :class:`ShardSupervisor`
 that:
 
-1. drives the shard's routed event subsequence exactly as the plain
-   batch driver did (same invariant checks, same tagged output slices);
+1. drives the shard's routed event subsequence through
+   :func:`drive_run` — the one loop body that feeds a shard flow, also
+   called directly (no supervisor, no pool) by incremental routing;
 2. takes a shard checkpoint every ``RetryPolicy.checkpoint_interval``
    events, recording the input offset it covers (with micro-batching
    enabled, checkpoints land on the next batch boundary, so a restart
@@ -37,20 +38,108 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
-from ..core.codec import decode_slices, encode_slices
 from ..core.errors import ExecutionError
 from ..core.times import MIN_TIMESTAMP, Timestamp
-from ..core.tvr import RowEvent, WatermarkEvent
+from ..core.tvr import RowEvent
 from ..exec.executor import Dataflow
 from ..obs.metrics import RecoveryStats
 from ..obs.trace import TraceEvent
 from .faults import FaultInjector, InjectedFault
-from .merge import TaggedSlice, WatermarkObservation
+from .merge import ShardLog
 from .routing import ShardEvent
 
-__all__ = ["RetryPolicy", "ShardSupervisor", "SupervisedOutcome"]
+__all__ = [
+    "RetryPolicy",
+    "ShardSupervisor",
+    "SupervisedOutcome",
+    "drain_timers",
+    "drive_run",
+]
+
+
+def drive_run(
+    flow: Dataflow,
+    tasks: Sequence[ShardEvent],
+    i: int,
+    logs: Mapping[str, ShardLog],
+    admit: Optional[Callable[[int, int], None]] = None,
+) -> int:
+    """Feed ``flow`` the run of tasks starting at ``tasks[i]``.
+
+    The one protocol a shard speaks: ``(seq, event, source)`` tasks in,
+    ``(seq, changes)`` slices and watermark observations out, logged
+    per output into ``logs``.  Returns the index after the run.
+    ``admit(i, j)`` is called once the run is formed and before it is
+    fed (the supervisor's fault hooks).
+
+    With micro-batching the run extends over consecutive row events
+    that share the first event's instant and source AND carry globally
+    consecutive sequence numbers — a seq gap means another shard owns
+    the missing event, whose output must interleave between ours, so
+    batching across it would break the seq-ordered merge.  The run's
+    output is tagged with its first seq.
+
+    This loop is the only reader of the shard's output channels, so it
+    *takes* what the run produced and the shard retains no history.
+    """
+    seq, event, source = tasks[i]
+    j = i + 1
+    is_row = isinstance(event, RowEvent)
+    batch_size = flow.batch_size
+    if batch_size > 1 and is_row and flow.batchable_source(source):
+        n = min(len(tasks), i + batch_size)
+        ptime = event.ptime
+        prev_seq = seq
+        while j < n:
+            next_seq, next_event, next_source = tasks[j]
+            if (
+                next_seq != prev_seq + 1
+                or next_source != source
+                or not isinstance(next_event, RowEvent)
+                or next_event.ptime != ptime
+            ):
+                break
+            prev_seq = next_seq
+            j += 1
+    if admit is not None:
+        admit(i, j)
+    if j - i == 1:
+        flow.process(event, source)
+    else:
+        flow.process_batch([task[1] for task in tasks[i:j]], source)
+    for output_id, log in logs.items():
+        produced = flow.take_output_of(output_id)
+        if is_row:
+            if produced:
+                log.slices.append((seq, produced))
+            continue
+        if produced:
+            raise ExecutionError(
+                "watermark advance produced output in a shard; the "
+                "partition analyzer admitted a watermark-triggered "
+                "operator it should not have"
+            )
+        log.observations.append(
+            (seq, event.ptime, flow.root_watermark_of(output_id))
+        )
+    return j
+
+
+def drain_timers(flow: Dataflow, until: Optional[Timestamp], shard: int) -> None:
+    """Drain a shard flow's timers, which must stay silent.
+
+    Partitionable plans schedule no processing-time timers; any output
+    here would have no routed row event to order by, and the merge
+    invariant would be lost.
+    """
+    flow.finish(until)
+    if any(flow.take_output_of(output_id) for output_id in flow.output_ids()):
+        raise ExecutionError(
+            f"timer drain produced output in shard {shard}; the partition "
+            "analyzer admitted a timer-driven operator it should not have"
+        )
 
 
 @dataclass(frozen=True)
@@ -97,33 +186,29 @@ class RetryPolicy:
 
 
 @dataclass
-class SupervisedOutcome:
-    """One shard's supervised run: output log, recovery ledger, final state.
+class SupervisedOutcome(ShardLog):
+    """One shard's supervised run: output logs, recovery ledger, final state.
 
-    ``slices``/``observations`` may contain duplicate sequence numbers
-    when restarts replayed input — downstream dedup collapses them.
-    ``state`` carries the final shard checkpoint for process workers
-    (``None`` for thread workers, whose dataflow survives in place).
-    All fields pickle, so the outcome crosses the fork pipe intact;
-    ``slices`` cross it through the changelog codec
-    (:func:`~repro.core.codec.encode_slices`) and decode to the same
-    ``(seq, slice)`` tags.
+    The outcome *is* the :class:`~repro.runtime.merge.ShardLog` of the
+    flow's first output, ``first_output`` (``slices`` /
+    ``observations``); ``attached`` holds the logs of every further
+    output by id.  Logs may contain
+    duplicate sequence numbers when restarts replayed input —
+    downstream dedup collapses them.  ``state`` carries the final shard
+    checkpoint for process workers (``None`` for thread workers, whose
+    dataflow survives in place).  All fields pickle, so the outcome
+    crosses the fork pipe intact.
     """
 
-    slices: list[TaggedSlice] = field(default_factory=list)
-    observations: list[WatermarkObservation] = field(default_factory=list)
     stats: RecoveryStats = field(default_factory=RecoveryStats)
     events: list[TraceEvent] = field(default_factory=list)
     state: Optional[bytes] = None
+    first_output: str = "main"
+    attached: dict[str, ShardLog] = field(default_factory=dict)
 
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["slices"] = encode_slices(self.slices)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        state["slices"] = decode_slices(state["slices"])
-        self.__dict__.update(state)
+    def logs(self) -> dict[str, ShardLog]:
+        """The per-output logs, the first output's (this object) first."""
+        return {self.first_output: self, **self.attached}
 
 
 class ShardSupervisor:
@@ -156,6 +241,9 @@ class ShardSupervisor:
         """Supervise the shard to completion (or until the budget dies)."""
         outcome = SupervisedOutcome()
         policy = self._policy
+        interval = policy.checkpoint_interval
+        tasks = self._tasks
+        n = len(tasks)
         attempt = 0
         offset = 0  # next task index to process
         checkpoint: Optional[bytes] = None
@@ -163,94 +251,39 @@ class ShardSupervisor:
         high_water = -1  # highest task index ever processed
         last_ptime: Timestamp = MIN_TIMESTAMP
         flow = self._flow
+        outcome.first_output, *rest = flow.output_ids()
+        outcome.attached = {output_id: ShardLog() for output_id in rest}
+        logs = outcome.logs()
+
+        def admit(i: int, j: int) -> None:
+            for idx in range(i, j):
+                self._injector.before_event(self._shard, attempt, idx)
+
         while True:
             try:
                 checkpoints_this_attempt = 0
-                tasks = self._tasks
-                n = len(tasks)
-                batch_size = flow.batch_size
                 i = offset
                 while i < n:
-                    seq, event, source = tasks[i]
-                    # Micro-batch: extend over consecutive row events
-                    # that share this event's instant and source AND
-                    # carry globally consecutive sequence numbers — a
-                    # seq gap means another shard owns the missing
-                    # event, whose output must interleave between ours,
-                    # so batching across it would break the seq-ordered
-                    # merge.  Checkpoints are only considered at batch
-                    # boundaries, so a restart replays whole batches and
-                    # re-produces identical (seq, slice) tags for the
-                    # dedup stage.
-                    j = i + 1
-                    if (
-                        batch_size > 1
-                        and isinstance(event, RowEvent)
-                        and flow.batchable_source(source)
-                    ):
-                        ptime = event.ptime
-                        prev_seq = seq
-                        while j < n and j - i < batch_size:
-                            next_seq, next_event, next_source = tasks[j]
-                            if (
-                                next_seq != prev_seq + 1
-                                or next_source != source
-                                or not isinstance(next_event, RowEvent)
-                                or next_event.ptime != ptime
-                            ):
-                                break
-                            prev_seq = next_seq
-                            j += 1
-                    for idx in range(i, j):
-                        self._injector.before_event(self._shard, attempt, idx)
-                    before = flow.output_size
-                    if j - i == 1:
-                        flow.process(event, source)
-                    else:
-                        flow.process_batch(
-                            [task[1] for task in tasks[i:j]], source
-                        )
-                    produced = flow.output_slice(before)
-                    if produced:
-                        if isinstance(event, WatermarkEvent):
-                            raise ExecutionError(
-                                "watermark advance produced output in a "
-                                "shard; the partition analyzer admitted a "
-                                "watermark-triggered operator it should not "
-                                "have"
-                            )
-                        outcome.slices.append((seq, produced))
-                    if isinstance(event, WatermarkEvent):
-                        outcome.observations.append(
-                            (seq, event.ptime, flow.root_watermark)
-                        )
+                    event = tasks[i][1]
+                    j = drive_run(flow, tasks, i, logs, admit)
                     if isinstance(event, RowEvent):
-                        for idx in range(i, j):
-                            if idx <= high_water:
-                                outcome.stats.rows_replayed += 1
+                        outcome.stats.rows_replayed += max(
+                            0, min(j, high_water + 1) - i
+                        )
                     high_water = max(high_water, j - 1)
                     last_ptime = max(last_ptime, event.ptime)
                     i = j
-                    interval = policy.checkpoint_interval
-                    if (
-                        interval
-                        and i < n
-                        and (i - checkpoint_offset) >= interval
-                    ):
+                    # Checkpoints are only considered at run boundaries,
+                    # so a restart replays whole runs and re-produces
+                    # identical (seq, slice) tags for the dedup stage.
+                    if interval and i < n and (i - checkpoint_offset) >= interval:
                         checkpoint = flow.checkpoint()
                         checkpoint_offset = i
                         checkpoints_this_attempt += 1
                         self._injector.after_checkpoint(
                             self._shard, attempt, checkpoints_this_attempt
                         )
-                before = flow.output_size
-                flow.finish(self._until)
-                if flow.output_slice(before):
-                    raise ExecutionError(
-                        "timer drain produced output in a shard; the "
-                        "partition analyzer admitted a timer-driven operator "
-                        "it should not have"
-                    )
+                drain_timers(flow, self._until, self._shard)
                 self.final_flow = flow
                 if self._transfer_state:
                     outcome.state = flow.checkpoint()

@@ -68,7 +68,7 @@ from ..core.codec import (
 )
 from ..core.errors import ExecutionError
 from ..core.tvr import StreamEvent, TimeVaryingRelation
-from ..exec.executor import Dataflow, merge_source_events
+from ..exec.executor import merge_source_events
 from ..io import format_schema, parse_schema_line, parse_script
 from ..obs.histogram import Histogram
 from ..obs.lineage import LineageRecorder
@@ -76,6 +76,7 @@ from ..plan import plan_fingerprint
 from ..plan.optimizer import optimize
 from ..plan.partition import analyze_partitioning
 from ..plan.planner import QueryPlan
+from ..runtime.build import build_flow
 from ..runtime.sharded import ShardedDataflow
 from .metrics import SlowQueryLog
 from .subscriptions import Delta, SubscriptionRegistry
@@ -507,10 +508,9 @@ class SessionManager:
             # covers them from then on, so tracing the donor's replay
             # would only burn time on lineage that is discarded.
             donor = self._build_flow(
-                optimized, effective, output_id=query_id, lineage=False
+                [(query_id, optimized)], effective, lineage=False
             )
-            for event, source in merge_source_events(self.engine._sources):
-                donor.process(event, source)
+            self._catch_up(donor)
             # Root-level sharing is only sound when some member's whole
             # plan (root fingerprint + EMIT clause) coincides; otherwise
             # equal changelogs could hide differing materialization.
@@ -527,31 +527,43 @@ class SessionManager:
             )
             flow, record = host.flow, host
         else:
-            flow = self._build_flow(optimized, effective, output_id=query_id)
+            flow = self._build_flow([(query_id, optimized)], effective)
             record = _FlowRecord(flow, key)
             if catch_up:
-                for event, source in merge_source_events(self.engine._sources):
-                    flow.process(event, source)
+                self._catch_up(flow)
             self.plan_cache.add(record)
+        query = self._adopt(record, query_id, tenant, sql, optimized, effective)
+        if catch_up:
+            # History deltas are never delivered (the cursor starts past
+            # them); delta seq numbers line up with changelog positions,
+            # so seek past the prefix.
+            query.subscriptions.seek(query.cursor)
+        self._next_id += 1
+        return query
+
+    def _adopt(
+        self,
+        record: _FlowRecord,
+        query_id: str,
+        tenant: str,
+        sql: str,
+        plan: QueryPlan,
+        effective: ExecutionConfig,
+    ) -> StandingQuery:
+        """Make ``query_id`` a member of ``record``'s flow and of the session."""
         record.members.append(query_id)
         query = StandingQuery(
             query_id,
             tenant,
             sql,
-            optimized,
-            flow,
+            plan,
+            record.flow,
             subscriber_capacity=effective.subscriber_capacity,
-            parallelism=self._flow_parallelism(flow),
+            parallelism=self._flow_parallelism(record.flow),
             output_id=query_id,
         )
         query.shared_group = record.members
-        if catch_up:
-            query.cursor = flow.output_size_of(query_id)
-            # History deltas are never delivered; delta seq numbers line
-            # up with changelog positions, so seek past the prefix.
-            query.subscriptions.seek(query.cursor)
         self._queries[query_id] = query
-        self._next_id += 1
         return query
 
     def unregister(self, query_id: str) -> bool:
@@ -566,41 +578,30 @@ class SessionManager:
 
     def _build_flow(
         self,
-        plan: QueryPlan,
+        plans: list[tuple[str, QueryPlan]],
         effective: ExecutionConfig,
-        output_id: str,
         lineage: bool = True,
+        structure: Optional[dict] = None,
     ):
-        if effective.parallelism > 1:
-            decision = analyze_partitioning(plan)
-            if decision.partitionable:
-                flow = ShardedDataflow(
-                    plan,
-                    self.engine._sources,
-                    decision.spec,
-                    effective.parallelism,
-                    effective.allowed_lateness,
-                    backend="sync",  # incremental service feeding is in-process
-                    retry=effective.retry,
-                    batch_size=effective.batch_size,
-                    coalesce_updates=effective.coalesce_updates,
-                    two_phase=effective.two_phase != "off",
-                    output_id=output_id,
-                    columnar=effective.columnar,
-                )
-                self._install_lineage(flow, effective, lineage)
-                return flow
-        flow = Dataflow(
-            plan,
+        """A flow for ``plans`` under ``effective`` — sharded when the
+        config asks for parallelism and the analyzer admits the plan —
+        fresh, or rebuilt from a checkpoint ``structure``."""
+        flow = build_flow(
+            plans,
             self.engine._sources,
-            effective.allowed_lateness,
-            batch_size=effective.batch_size,
-            coalesce_updates=effective.coalesce_updates,
-            output_id=output_id,
-            columnar=effective.columnar,
+            effective,
+            analyze_partitioning(plans[0][1])
+            if effective.parallelism > 1
+            else None,
+            structure=structure,
         )
         self._install_lineage(flow, effective, lineage)
         return flow
+
+    def _catch_up(self, flow) -> None:
+        """Replay everything the sources have recorded into ``flow``."""
+        for _ in flow.replay(merge_source_events(self.engine._sources)):
+            pass
 
     @staticmethod
     def _install_lineage(flow, effective: ExecutionConfig, lineage: bool) -> None:
@@ -773,8 +774,8 @@ class SessionManager:
         query registered since the last cut gets its whole history as
         its first segment; a withdrawn query's log is dropped from the
         manifest and deleted; a log past ``_MAX_SEGMENTS`` segments is
-        rewritten as one.  Sharded flows keep writing one full,
-        codec-encoded blob per cut.
+        rewritten as one.  Serial and sharded flows are cut the same
+        way: ``checkpoint(histories=False)`` plus each member's log.
         """
         directory = directory or self.config.checkpoint_dir
         if not directory:
@@ -836,14 +837,11 @@ class SessionManager:
         flows = []
         for record in self.plan_cache.records:
             flow = record.flow
-            sharded = isinstance(flow, ShardedDataflow)
-            blob = flow.checkpoint() if sharded else flow.checkpoint(
-                histories=False
-            )
             blob_id = record.members[0]
             state_file = f"{blob_id}.{generation}.ckpt"
             written += _write_atomic(
-                os.path.join(directory, state_file), (blob,)
+                os.path.join(directory, state_file),
+                (flow.checkpoint(histories=False),),
             )
             flows.append(
                 {
@@ -865,8 +863,7 @@ class SessionManager:
                     "parallelism": q.parallelism,
                     "cursor": q.cursor,
                     "next_seq": q.subscriptions.next_seq,
-                    # a sharded flow's blob carries its merged changelogs
-                    "log": None if q.sharded else persist(
+                    "log": persist(
                         f"out-{q.query_id}",
                         q,
                         flow.output_size_of(output_id),
@@ -1024,67 +1021,33 @@ class SessionManager:
             # Decoded once: the payload serves from_structure *and* the
             # restore, which takes ownership of it.
             payload = pickle.loads(fh.read())
-        if "shard_count" in payload:
-            structure = payload["shards"][0] = pickle.loads(
-                payload["shards"][0]
-            )
-            decision = analyze_partitioning(plans[0][1])
-            flow = ShardedDataflow.from_structure(
-                plans,
-                structure,
-                self.engine._sources,
-                decision.spec,
-                payload["shard_count"],
-                effective.allowed_lateness,
-                backend="sync",
-                retry=effective.retry,
-                batch_size=effective.batch_size,
-                coalesce_updates=effective.coalesce_updates,
-                two_phase=effective.two_phase != "off",
-                columnar=effective.columnar,
-            )
-            flow.restore(payload)
-        else:
-            flow = Dataflow.from_structure(
-                plans,
-                payload,
-                self.engine._sources,
-                effective.allowed_lateness,
-                batch_size=effective.batch_size,
-                coalesce_updates=effective.coalesce_updates,
-                columnar=effective.columnar,
-            )
-            flow.restore(
-                payload,
-                histories={
-                    member: _read_log(
-                        directory, by_id[member]["log"], decode_changes
-                    )
-                    for member, _ in plans
-                    if by_id[member].get("log")
-                },
-            )
+        # Lineage comes back with the payload, not from the config.
+        flow = self._build_flow(
+            plans, effective, lineage=False, structure=payload
+        )
+        flow.restore(
+            payload,
+            histories={
+                member: _read_log(
+                    directory, by_id[member]["log"], decode_changes
+                )
+                for member, _ in plans
+                # (a sharded query of a pre-unification cut has no log:
+                # its blob carries the merged changelog inline)
+                if by_id[member].get("log")
+            },
+        )
         record = _FlowRecord(
             flow, SharedPlanCache.config_key(plans[0][1], effective)
         )
         self.plan_cache.add(record)
         for member, plan in plans:
             spec = by_id[member]
-            record.members.append(member)
-            query = StandingQuery(
-                member,
-                spec["tenant"],
-                spec["sql"],
-                plan,
-                flow,
-                subscriber_capacity=effective.subscriber_capacity,
-                parallelism=self._flow_parallelism(flow),
-                output_id=member,
+            query = self._adopt(
+                record, member, spec["tenant"], spec["sql"], plan, effective
             )
-            query.shared_group = record.members
             query.cursor = spec["cursor"]
             query.subscriptions.seek(spec["next_seq"])
-            self._queries[member] = query
             if spec.get("log"):
                 logs[f"out-{member}"] = _LogState(**spec["log"], owner=query)
 

@@ -267,17 +267,10 @@ class Shell:
             if exporter is not None:
                 exporter.export(result)
             return frame(total, final=True)
-        # Serial flows replay through the same run iterator as
-        # Dataflow.run(), so batch_size / coalesce_updates shape the
-        # dashboard exactly as they shape a batch run.  Sharded flows
-        # route per event (cross-shard batching would break the merge
-        # order).
-        def per_event():
-            for done, (event, source) in enumerate(events, 1):
-                flow.process(event, source)
-                yield done
-
-        progress = per_event() if use_sharded else flow.replay(events)
+        # Both flow kinds replay through the one run iterator behind
+        # run(), so batch_size / coalesce_updates shape the dashboard
+        # exactly as they shape a batch run.
+        progress = flow.replay(events)
         next_frame = interval
         done = 0
         interrupted = False

@@ -191,3 +191,45 @@ class TestOperatorProtocol:
 
         assert not hasattr(Operator, "process_change")
         assert not hasattr(OperatorCounters, "record_in")
+
+
+FLOW_CONTRACT = (
+    "process", "process_batch", "replay", "run", "finish", "result",
+    "checkpoint", "restore", "attach_output", "remove_output", "output_ids",
+    "output_size_of", "output_slice_of", "root_watermark_of", "state_rows_of",
+    "telemetry_of", "total_state_rows", "changes_coalesced", "sharing_map",
+    "set_lineage", "metrics_report",
+)
+
+#: the members a caller drives a flow through: same parameter names and
+#: defaults on both classes, so no caller forks on flow kind
+DRIVING = (
+    "process", "process_batch", "replay", "run", "finish", "checkpoint",
+    "restore",
+)
+
+
+class TestFlowContract:
+    """One flow contract (DESIGN.md): a sharded flow is driven, spliced
+    and checkpointed the way a serial one is."""
+
+    @pytest.mark.parametrize("member", FLOW_CONTRACT)
+    def test_member_exists_on_both_flow_kinds(self, member):
+        from repro.exec.executor import Dataflow
+        from repro.runtime import ShardedDataflow
+
+        assert callable(getattr(Dataflow, member, None)), member
+        assert callable(getattr(ShardedDataflow, member, None)), member
+
+    @pytest.mark.parametrize("member", DRIVING)
+    def test_driving_members_take_the_same_parameters(self, member):
+        import inspect
+
+        from repro.exec.executor import Dataflow
+        from repro.runtime import ShardedDataflow
+
+        def shape(cls):
+            parameters = inspect.signature(getattr(cls, member)).parameters
+            return [(p.name, p.default, p.kind) for p in parameters.values()]
+
+        assert shape(ShardedDataflow) == shape(Dataflow)

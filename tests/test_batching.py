@@ -206,14 +206,21 @@ def test_batched_multi_leaf_source_identical():
     assert batched.watermarks.as_pairs() == baseline.watermarks.as_pairs()
 
 
-@pytest.mark.parametrize("backend", ["threads", "sync"])
-def test_batched_sharded_identical(nexmark_small, backend):
+Q3_OTHER_CATEGORY = Q3_LOCAL_ITEM_SUGGESTION.replace("category = 10", "category = 11")
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 64])
+@pytest.mark.parametrize("backend", ["threads", "sync", "processes"])
+def test_batched_sharded_identical(nexmark_small, backend, batch_size):
     serial = StreamEngine()
     nexmark_small.register_on(serial)
     baseline = serial.query(Q3_LOCAL_ITEM_SUGGESTION).dataflow().run()
+    other = serial.query(Q3_OTHER_CATEGORY).dataflow().run()
 
     sharded = StreamEngine(
-        config=ExecutionConfig(parallelism=4, backend=backend, batch_size=64)
+        config=ExecutionConfig(
+            parallelism=4, backend=backend, batch_size=batch_size
+        )
     )
     nexmark_small.register_on(sharded)
     query = sharded.query(Q3_LOCAL_ITEM_SUGGESTION)
@@ -221,6 +228,54 @@ def test_batched_sharded_identical(nexmark_small, backend):
     result = query.run()
     assert result.changes == baseline.changes
     assert result.watermarks.as_pairs() == baseline.watermarks.as_pairs()
+    # Two outputs through run(): legal at every batch size.
+    flow = query.sharded_dataflow()
+    flow.attach_output("other", sharded.query(Q3_OTHER_CATEGORY).plan)
+    assert flow.run().changes == baseline.changes
+    assert flow.output_slice_of("other") == other.changes
+    assert flow.root_watermark_of("other") == other.watermarks.current
+
+
+@pytest.mark.parametrize("sample_rate", [1, 3])
+@pytest.mark.parametrize("two_phase", ["off", "on"])
+def test_batched_sharded_lineage_matches_serial(two_phase, sample_rate):
+    """A run routed across shards is one lineage claim, as in the serial
+    flow: the same events are sampled, and every merged position
+    explains back to the same source rows (the splice resolves the
+    shards' position notes once per chunk)."""
+    from repro.exec.executor import merge_source_events
+    from repro.obs.lineage import LineageRecorder
+
+    events = _build_events(
+        [
+            (3 if i % 50 == 49 else i % 3, i % 5, (i // 4) * 7 % 240, i % 6 == 0)
+            for i in range(400)
+        ]
+    )
+
+    def traced(shards):
+        engine = _engine(events, 64)
+        query = engine.query(TUMBLE_SQL)
+        flow = (
+            query.sharded_dataflow(
+                ExecutionConfig(
+                    parallelism=shards, backend="sync", two_phase=two_phase
+                )
+            )
+            if shards
+            else query.dataflow()
+        )
+        recorder = LineageRecorder(sample_rate)
+        flow.set_lineage(recorder)
+        for _ in flow.replay(merge_source_events(engine._sources)):
+            pass
+        changes = flow.finish().changes
+        explained = [recorder.explain("main", pos) for pos in range(len(changes))]
+        return changes, [e and e["sources"] for e in explained], recorder.sampled
+
+    serial, sharded = traced(0), traced(3)
+    assert sharded == serial
+    assert any(serial[1]) and len(serial[0]) > 64
 
 
 # ---------------------------------------------------------------------------

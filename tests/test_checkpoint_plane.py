@@ -680,7 +680,7 @@ class TestIncrementalEqualsFull:
             assert a.ingest(event, "L") == published
             assert b.ingest(event, "L") == published
 
-    def test_sharded_flows_write_a_full_blob_and_resume(self, tmp_path):
+    def test_sharded_flows_append_like_serial_ones_and_resume(self, tmp_path):
         events = keyed_events(120)
         svc = new_service(parallelism=2)
         query = svc.submit("t", KEYED_SUM)
@@ -692,7 +692,7 @@ class TestIncrementalEqualsFull:
             svc.ingest(event, "L")
         svc.checkpoint(str(tmp_path))
         (spec,) = manifest_of(tmp_path)["queries"]
-        assert spec["log"] is None  # the blob carries the merged changelog
+        assert spec["log"]["segments"] == 2  # appended to, like a serial query's
         resumed = resumed_from(tmp_path, parallelism=2)
         assert publishes_the_same(svc, resumed, events[80:], "L")
 

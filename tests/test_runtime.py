@@ -59,9 +59,20 @@ TUMBLED_BY_WINDOW = """
 """
 
 
-def paper_engine(parallelism=1, backend="threads"):
+TUMBLED_COUNT_BY_ITEM = """
+    SELECT item, wend, COUNT(*) AS bids
+    FROM Tumble(data => TABLE(Bid),
+                timecol => DESCRIPTOR(bidtime),
+                dur => INTERVAL '10' MINUTE) TB
+    GROUP BY item, wend
+"""
+
+
+def paper_engine(parallelism=1, backend="threads", batch_size=1):
     eng = StreamEngine(
-        config=ExecutionConfig(parallelism=parallelism, backend=backend)
+        config=ExecutionConfig(
+            parallelism=parallelism, backend=backend, batch_size=batch_size
+        )
     )
     eng.register_stream("Bid", paper_bid_stream())
     return eng
@@ -322,12 +333,27 @@ class TestPaperListingEquality:
 
 
 class TestBackendEquality:
+    @pytest.mark.parametrize("batch_size", [1, 7, 64])
     @pytest.mark.parametrize("backend", ["sync", "threads", "processes"])
-    def test_backends_identical(self, backend):
+    def test_backends_identical(self, backend, batch_size):
         serial = paper_engine(1).query(TUMBLED_BY_ITEM + " EMIT STREAM")
-        sharded = paper_engine(3, backend).query(TUMBLED_BY_ITEM + " EMIT STREAM")
+        engine = paper_engine(3, backend, batch_size)
+        sharded = engine.query(TUMBLED_BY_ITEM + " EMIT STREAM")
         assert_identical_results(serial, sharded)
         assert sharded.stream() == serial.stream()
+        # A second output attached before run(): the set of legal
+        # programs must not depend on the batch size (it raised
+        # "supervised batch runs drive a single output" at 7 and 64).
+        second = engine.query(TUMBLED_COUNT_BY_ITEM)
+        assert second.partition_decision().spec == (
+            sharded.partition_decision().spec
+        )
+        flow = sharded.sharded_dataflow()
+        flow.attach_output("second", second.plan)
+        assert flow.run().changes == serial.run().changes
+        assert flow.output_slice_of("second") == (
+            paper_engine(1).query(TUMBLED_COUNT_BY_ITEM).run().changes
+        )
 
     @pytest.mark.parametrize("backend", ["sync", "threads", "processes"])
     def test_backends_identical_join(self, backend):
@@ -424,6 +450,53 @@ class TestShardedCheckpoint:
         result = recovered.result()
         assert result.changes == expected.changes
         assert result.watermarks.as_pairs() == expected.watermarks.as_pairs()
+
+    @pytest.mark.parametrize(
+        "name, two_phase", [("single", "off"), ("two_phase", "on")]
+    )
+    def test_a_parent_written_blob_restores_and_new_cuts_hold_no_shard_history(
+        self, name, two_phase
+    ):
+        """``tests/fixtures/parent_sharded_flow_*.ckpt`` were cut half way
+        through the paper's Bid stream by the commit before the drive
+        loop took shard output (``make_parent_fixtures.py`` there): each
+        shard blob carries a private output history.  They restore and
+        finish with the serial changelog; a cut taken now carries none."""
+        import os
+        import pickle
+
+        from repro.core.codec import decode_changes
+
+        def shard_histories(blob):
+            return [
+                decode_changes(out["changes"])
+                for shard in pickle.loads(blob)["shards"]
+                for out in pickle.loads(shard)["outputs"].values()
+            ]
+
+        path = os.path.join(
+            os.path.dirname(__file__), "fixtures",
+            f"parent_sharded_flow_{name}.ckpt",
+        )
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        assert any(shard_histories(blob))  # the fixture is the old format
+        engine = StreamEngine(
+            config=ExecutionConfig(parallelism=3, two_phase=two_phase)
+        )
+        engine.register_stream("Bid", paper_bid_stream())
+        query = engine.query(TUMBLED_BY_ITEM)
+        recovered = query.sharded_dataflow()
+        assert recovered.is_two_phase() == (two_phase == "on")
+        recovered.restore(blob)
+        events = self._events(engine, ["Bid"])
+        for event, source in events[len(events) // 2:]:
+            recovered.process(event, source)
+        assert not any(shard_histories(recovered.checkpoint()))
+        result = recovered.finish()
+        serial = paper_engine(1).query(TUMBLED_BY_ITEM).run()
+        assert result.changes == serial.changes
+        assert result.watermarks.as_pairs() == serial.watermarks.as_pairs()
 
     def test_shard_count_mismatch_rejected(self):
         engine = paper_engine(3)

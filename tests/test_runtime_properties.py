@@ -6,7 +6,10 @@ shard counts, then checks that the sharded runtime reproduces the
 serial changelog *row for row*: values, ``ptime``, ``undo``, ``ver``,
 ordering, watermark steps, and the late-drop/expiry counters.  A
 second property drives the sharded checkpoint/restore roundtrip at a
-random crash point.
+random crash point, and a third pins the flow contract: however a
+sharded flow is driven — per-event ``process``, ``replay`` at any batch
+size, ``run()`` on any backend, with a crash and a history-less
+checkpoint in the middle — it yields the serial changelog.
 """
 
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 from repro import ExecutionConfig, StreamEngine
 from repro.core.schema import Schema, int_col, timestamp_col
 from repro.core.tvr import TimeVaryingRelation, ins, wm
+from repro.exec.executor import merge_source_events
 
 SCHEMA = Schema([int_col("k"), timestamp_col("ts", event_time=True), int_col("v")])
 
@@ -47,8 +51,12 @@ QUERIES = [KEYED_WINDOW_SUM, WINDOW_ONLY_COUNT, SELF_JOIN]
 
 
 @st.composite
-def event_histories(draw):
-    """A random keyed stream: rows with jittered event times + watermarks."""
+def event_histories(draw, bursty=False):
+    """A random keyed stream: rows with jittered event times + watermarks.
+
+    With ``bursty`` processing time only advances on some steps, so
+    same-instant bursts form real micro-batches.
+    """
     steps = draw(
         st.lists(
             st.tuples(
@@ -56,6 +64,7 @@ def event_histories(draw):
                 st.integers(min_value=0, max_value=7),  # key / advance size
                 st.integers(min_value=-3, max_value=3),  # event-time jitter (min)
                 st.integers(min_value=0, max_value=99),  # value
+                st.integers(min_value=0, max_value=3),  # 0: the clock ticks
             ),
             min_size=1,
             max_size=40,
@@ -64,8 +73,9 @@ def event_histories(draw):
     events = []
     ptime = 1_000_000
     wm_value = 0
-    for is_row, a, b, c in steps:
-        ptime += MINUTE // 4
+    for is_row, a, b, c, tick in steps:
+        if not bursty or tick == 0:
+            ptime += MINUTE // 4
         if is_row:
             event_time = max(0, wm_value + b * MINUTE)  # some rows arrive late
             events.append(ins(ptime, (a, event_time, c)))
@@ -151,3 +161,73 @@ def test_sharded_checkpoint_roundtrip(events, shards, cut):
     assert result.changes == uninterrupted.changes
     assert result.watermarks.as_pairs() == uninterrupted.watermarks.as_pairs()
     assert result.last_ptime == uninterrupted.last_ptime
+
+
+def _finished(flow, drive):
+    drive(flow)
+    result = flow.finish()
+    return result.changes, result.watermarks.as_pairs(), result.last_ptime
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    events=event_histories(bursty=True),
+    sql=st.sampled_from(QUERIES),
+    shards=st.integers(min_value=2, max_value=4),
+    two_phase=st.sampled_from(["off", "on"]),
+    batch_size=st.sampled_from([1, 7, 64]),
+    cut=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_every_driver_yields_the_serial_changelog(
+    events, sql, shards, two_phase, batch_size, cut
+):
+    serial = run_query(events, sql, 1).run()
+    expected = (serial.changes, serial.watermarks.as_pairs(), serial.last_ptime)
+
+    def flow_on(backend):
+        eng = StreamEngine(
+            config=ExecutionConfig(
+                parallelism=shards,
+                backend=backend,
+                two_phase=two_phase,
+                batch_size=batch_size,
+            )
+        )
+        eng.register_stream("S", TimeVaryingRelation(SCHEMA, events))
+        return eng.query(sql).sharded_dataflow()
+
+    merged = merge_source_events(
+        {"S": TimeVaryingRelation(SCHEMA, events)}
+    )
+
+    def per_event(flow):
+        for event, source in merged:
+            flow.process(event, source)
+
+    def replayed(flow):
+        for _ in flow.replay(merged):
+            pass
+
+    assert _finished(flow_on("sync"), per_event) == expected
+    assert _finished(flow_on("sync"), replayed) == expected
+    for backend in ("sync", "threads", "processes"):
+        result = flow_on(backend).run()
+        assert (
+            result.changes, result.watermarks.as_pairs(), result.last_ptime
+        ) == expected, backend
+
+    # Crash in the middle: the cut carries no changelog (the caller
+    # keeps it), the restored flow finishes with the same one.
+    first = flow_on("sync")
+    consumed = 0
+    for consumed in first.replay(merged):
+        if consumed >= int(len(merged) * cut):
+            break
+    blob = first.checkpoint(histories=False)
+    history = {oid: first.output_slice_of(oid) for oid in first.output_ids()}
+    del first
+    recovered = flow_on("sync")
+    recovered.restore(blob, histories=history)
+    assert _finished(
+        recovered, lambda flow: [None for _ in flow.replay(merged[consumed:])]
+    ) == expected

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ExecutionConfig, StreamEngine
+from repro.core.codec import encode_changes
 from repro.core.schema import Schema, int_col, timestamp_col
 from repro.core.tvr import TimeVaryingRelation, ins, wm
 from repro.service import StandingQueryService
@@ -65,6 +66,27 @@ def event_histories(draw):
         else:
             wm_value += a * MINUTE
             events.append(wm(ptime, wm_value))
+    return events
+
+
+WINDOWED_BY_ITEM = (
+    "SELECT item, wend, MAX(price) AS maxprice "
+    "FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime), "
+    "dur => INTERVAL '10' MINUTE) TB "
+    "GROUP BY item, wend EMIT STREAM"
+)
+
+
+def steady_events(n):
+    """Insert-only keyed history, a watermark every 8 events closing all
+    but the latest windows — live state stays flat as history grows."""
+    events = []
+    for i in range(n):
+        ptime = 1_000_000 + i * 3_000
+        if i % 8 == 7:
+            events.append(wm(ptime, max(0, (i // 8 - 1) * MINUTE)))
+        else:
+            events.append(ins(ptime, (i % 4, (i // 8) * MINUTE + i % 50, i % 13)))
     return events
 
 
@@ -305,6 +327,115 @@ class TestDurability:
             svc.ingest(event, "Bid")
         assert svc.session.checkpoints_taken == len(bid_stream.events()) // 4
         assert os.path.exists(tmp_path / "manifest.json")
+
+    def _sharded_service_cut_twice(self, directory, history, tail=16):
+        """A sharded standing query cut after ``history`` events and again
+        ``tail`` events later; returns (service, query, events, bytes
+        the second cut wrote)."""
+        events = steady_events(history + tail + 64)
+        svc = service_with_empty_source(
+            config=ExecutionConfig(parallelism=2, backend="sync")
+        )
+        query = svc.submit("t", KEYED_WINDOW_SUM)
+        assert query.sharded
+        for event in events[:history]:
+            svc.ingest(event, "S")
+        svc.checkpoint(str(directory))
+        before = svc.session.checkpoint_bytes_total
+        for event in events[history:history + tail]:
+            svc.ingest(event, "S")
+        svc.checkpoint(str(directory))
+        return svc, query, events, svc.session.checkpoint_bytes_total - before
+
+    def test_sharded_cuts_append_and_cost_what_they_gained(self, tmp_path):
+        """A sharded query's second cut into one directory costs O(events
+        since the first), not O(history) (ROADMAP 1(c)): its changelog
+        rides the same segment log as a serial query's, and its flow
+        blob carries no changelog at any level."""
+        import json
+        import pickle
+
+        short = tmp_path / "short"
+        svc, query, events, short_cost = self._sharded_service_cut_twice(
+            short, history=160
+        )
+        _, long_query, _, long_cost = self._sharded_service_cut_twice(
+            tmp_path / "long", history=1600
+        )
+        # 10x the history: the cut no longer rewrites the changelog (the
+        # parent wrote 6.6x the short cut here; what still grows is the
+        # watermark tracks, as in a serial flow's blob).
+        assert long_cost < 3 * short_cost
+        changelog = encode_changes(long_query.flow.output_slice_of("q1"))
+        assert long_cost < len(pickle.dumps(changelog)) / 2
+
+        with open(short / "manifest.json") as fh:
+            manifest = json.load(fh)
+        (spec,) = manifest["queries"]
+        assert spec["log"]["segments"] == 2
+        assert spec["log"]["items"] == query.flow.output_size_of("q1") > 0
+        with open(short / manifest["flows"][0]["state"], "rb") as fh:
+            payload = pickle.load(fh)
+        assert all(out["merged"] is None for out in payload["outputs"].values())
+        for blob in payload["shards"]:
+            outputs = pickle.loads(blob)["outputs"].values()
+            assert all(out["size"] == 0 for out in outputs)
+
+        resumed = StandingQueryService(
+            config=ExecutionConfig(parallelism=2, backend="sync")
+        )
+        assert resumed.resume(str(short)) == 1
+        assert resumed.session.get("q1").sharded
+        for event in events[160 + 16:]:
+            assert resumed.ingest(event, "S") == svc.ingest(event, "S")
+        assert resumed.session.get("q1").flow.output_slice_of("q1") == (
+            oneshot_changes(events, KEYED_WINDOW_SUM)
+        )
+
+    def test_a_parent_written_sharded_directory_resumes(
+        self, bid_stream, tmp_path
+    ):
+        """``tests/fixtures/parent_sharded_cut`` was written by the commit
+        before sharded queries got a segment log (``"log": null``, the
+        blob carrying shard histories and the merged changelog inline;
+        see ``make_parent_fixtures.py`` there).  It resumes, continues
+        byte-identically, and the next cut moves it to the log layout."""
+        import json
+        import shutil
+
+        directory = tmp_path / "cut"
+        shutil.copytree(
+            os.path.join(os.path.dirname(__file__), "fixtures", "parent_sharded_cut"),
+            directory,
+        )
+        with open(directory / "manifest.json") as fh:
+            assert json.load(fh)["queries"][0]["log"] is None
+        sql = WINDOWED_BY_ITEM
+        events = bid_stream.events()
+        half = len(events) // 2
+        fresh = service_with_empty_source(
+            config=ExecutionConfig(parallelism=2),
+            schema=bid_stream.schema,
+            name="Bid",
+        )
+        fresh.submit("alice", sql)
+        for event in events[:half]:
+            fresh.ingest(event, "Bid")
+
+        resumed = StandingQueryService(config=ExecutionConfig(parallelism=2))
+        assert resumed.resume(str(directory)) == 1
+        restored = resumed.session.get("q1")
+        assert restored.sharded and restored.cursor == 3
+        for event in events[half:]:
+            assert resumed.ingest(event, "Bid") == fresh.ingest(event, "Bid")
+        eng = StreamEngine()
+        eng.register_stream("Bid", bid_stream)
+        assert restored.flow.output_slice_of("q1") == eng.query(sql).run().changes
+        resumed.checkpoint(str(directory))
+        with open(directory / "manifest.json") as fh:
+            assert json.load(fh)["queries"][0]["log"]["items"] == (
+                restored.flow.output_size_of("q1")
+            )
 
     def test_checkpoint_without_directory_is_an_error(self, bid_stream):
         from repro.core.errors import ExecutionError
