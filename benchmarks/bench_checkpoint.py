@@ -23,7 +23,16 @@ checkpoint plane (``docs/SERVICE.md``, *Durability*):
   and from the single full cut publish exactly the deltas the original
   service publishes for the next 256 events;
 * the **longest ingest call that contained a cut** is reported: the
-  stall a ``--checkpoint-interval`` imposes on the ingest path.
+  stall a ``--checkpoint-interval`` imposes on the ingest path;
+* **a resume is flat in history** — the same 16 queries cut at history
+  H = 2 500 and at 8 H resume within 2x of each other (best of five
+  each), and resuming builds **zero** ``Change`` objects at either
+  size and at 100 k: histories are adopted encoded, still pickled
+  (``repro.core.codec``).  What still grows with history is reported as
+  a slope: reading the log bytes and unpickling the recorded *source*
+  for its watermark track, well under a microsecond per source event
+  (before: every output change and source event rebuilt as objects,
+  resume linear in history — ~8x between these two sizes).
 
 A second, small section keeps what this file has always measured: the
 size and take/restore time of one NEXMark Q7 flow checkpoint, and that
@@ -38,6 +47,7 @@ script::
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import shutil
@@ -46,7 +56,8 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro import ExecutionConfig, RetryPolicy, StreamEngine
+from repro import Change, ExecutionConfig, RetryPolicy, StreamEngine
+from repro.core import codec
 from repro.core.schema import Schema, int_col, timestamp_col
 from repro.core.times import seconds
 from repro.core.tvr import TimeVaryingRelation, ins, wm
@@ -57,7 +68,8 @@ from repro.service import StandingQueryService
 HISTORY = 100_000
 CUT_EVERY = 5_000
 TAIL = 256  # events a resumed service is compared on
-GATE_FLAT = 2.0  # last incremental cuts vs first, time and bytes
+GATE_FLAT = 2.0  # last incremental cuts vs first; resume at 8 H vs H
+RESUME_H = 2_500  # the resume arm cuts at H and at 8 H
 
 BID_SCHEMA = Schema(
     [
@@ -134,20 +146,94 @@ def resumed_from(directory: str) -> StandingQueryService:
     return service
 
 
+def timed_resume(directory: str) -> tuple[StandingQueryService, float]:
+    """One resume and its wall seconds.  Everything alive beforehand is
+    the harness's, not garbage the resume made, so it is frozen out of
+    the collector's way (a restart resumes into an empty heap)."""
+    gc.collect()
+    gc.freeze()
+    try:
+        started = time.perf_counter()
+        service = resumed_from(directory)
+        return service, time.perf_counter() - started
+    finally:
+        gc.unfreeze()
+
+
+def live_service(**config) -> StandingQueryService:
+    service = StandingQueryService(
+        config=ExecutionConfig(batch_size=64, **config)
+    )
+    service.register_stream("Bid", TimeVaryingRelation(BID_SCHEMA))
+    for index, (name, sql) in enumerate(live_queries().items()):
+        service.submit(f"tenant{index % 4}", sql, query_id=name)
+    return service
+
+
+def changes_built_resuming(directory: str) -> int:
+    """``Change`` objects the codec builds during one resume."""
+    built = 0
+
+    def counting(kind, values, ptime):
+        nonlocal built
+        built += 1
+        return Change(kind, values, ptime)
+
+    codec.Change = counting
+    try:
+        resumed_from(directory)
+    finally:
+        codec.Change = Change
+    return built
+
+
+def resume_run() -> dict:
+    """One service cut at history H and at 8 H; each cut resumed five
+    times (best kept: a resume takes tens of milliseconds)."""
+    events = make_events(8 * RESUME_H)
+    workdir = tempfile.mkdtemp(prefix="bench-resume-")
+    arms = []
+    try:
+        service = live_service()
+        fed = 0
+        for history in (RESUME_H, 8 * RESUME_H):
+            for event in events[fed:history]:
+                service.ingest(event, "Bid")
+            fed = history
+            directory = f"{workdir}/h{history}"
+            service.checkpoint(directory)
+            arms.append({
+                "history": history,
+                "output_items": sum(
+                    sum(query.history_items().values())
+                    for query in service.session.queries()
+                ),
+                "state_rows": sum(
+                    query.state_rows() for query in service.session.queries()
+                ),
+                "resume_s": min(timed_resume(directory)[1] for _ in range(5)),
+                "changes_built": changes_built_resuming(directory),
+            })
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+    short, long = arms
+    return {
+        "arms": arms,
+        "us_per_source_event": (long["resume_s"] - short["resume_s"])
+        / (long["history"] - short["history"]) * 1e6,
+    }
+
+
 def session_run() -> dict:
     """Grow one session to ``HISTORY`` events, cutting as it goes."""
     events = make_events(HISTORY + TAIL)
     workdir = tempfile.mkdtemp(prefix="bench-checkpoint-")
     grown, full = f"{workdir}/grown", f"{workdir}/full"
     try:
-        service = StandingQueryService(config=ExecutionConfig(
-            batch_size=64,
+        service = live_service(
             retry=RetryPolicy(checkpoint_interval=CUT_EVERY),
             checkpoint_dir=grown,
-        ))
-        service.register_stream("Bid", TimeVaryingRelation(BID_SCHEMA))
-        for index, (name, sql) in enumerate(live_queries().items()):
-            service.submit(f"tenant{index % 4}", sql, query_id=name)
+        )
         session = service.session
         cuts, plain_ingest = [], []
         for index, event in enumerate(events[:HISTORY], 1):
@@ -172,12 +258,9 @@ def session_run() -> dict:
             "cut_s": session.last_checkpoint_seconds,
             "bytes": session.checkpoint_bytes_total - written,
         }
-        started = time.perf_counter()
-        from_grown = resumed_from(grown)
-        resume_grown_s = time.perf_counter() - started
-        started = time.perf_counter()
-        from_full = resumed_from(full)
-        resume_full_s = time.perf_counter() - started
+        from_grown, resume_grown_s = timed_resume(grown)
+        from_full, resume_full_s = timed_resume(full)
+        resume_changes_built = changes_built_resuming(grown)
         diverged = 0
         for event in events[HISTORY:]:
             published = service.ingest(event, "Bid")
@@ -197,6 +280,7 @@ def session_run() -> dict:
         "grown_directory_bytes": grown_bytes,
         "resume_grown_s": resume_grown_s,
         "resume_full_s": resume_full_s,
+        "resume_changes_built": resume_changes_built,
         "tail_events": TAIL,
         "tail_diverged": diverged,
         "longest_ingest_with_cut_s": max(cut["ingest_s"] for cut in cuts),
@@ -257,6 +341,7 @@ def collect() -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "session": session_run(),
+        "resume": resume_run(),
         "flow": flow_run(),
     }
 
@@ -267,10 +352,17 @@ def write_artifact(payload: dict) -> Path:
 
 
 def test_checkpoint_bench_produces_artifact():
-    """The bench is also the gate: cut cost flat in history, resumed
+    """The bench is also the gate: cut cost flat in history, resume
+    cost flat in history and free of ``Change`` objects, resumed
     services indistinguishable, flow recovery byte-identical."""
     payload = collect()
     session, flow = payload["session"], payload["flow"]
+    short, long = payload["resume"]["arms"]
+    assert long["history"] == 8 * short["history"]
+    assert long["output_items"] > 6 * short["output_items"]
+    assert long["resume_s"] <= GATE_FLAT * short["resume_s"], (short, long)
+    assert short["changes_built"] == long["changes_built"] == 0
+    assert session["resume_changes_built"] == 0
     assert [cut["history"] for cut in session["cuts"]] == list(
         range(CUT_EVERY, HISTORY + 1, CUT_EVERY)
     )
@@ -307,9 +399,18 @@ if __name__ == "__main__":
         f"{run['last_incremental']['bytes']:,} bytes"
     )
     print(
-        f"resume: {run['resume_grown_s']:.2f} s from the grown directory, "
-        f"{run['resume_full_s']:.2f} s from the full cut; "
+        f"resume: {run['resume_grown_s'] * 1e3:.0f} ms from the grown directory, "
+        f"{run['resume_full_s'] * 1e3:.0f} ms from the full cut; "
         f"{run['tail_diverged']} divergences over {run['tail_events']} events"
+    )
+    short, long = data["resume"]["arms"]
+    print(
+        f"resume at history {short['history']:,} / {long['history']:,}: "
+        f"{short['resume_s'] * 1e3:.1f} / {long['resume_s'] * 1e3:.1f} ms "
+        f"({data['resume']['us_per_source_event']:.2f} us per source event), "
+        f"Change objects built {short['changes_built']} / "
+        f"{long['changes_built']} / {run['resume_changes_built']} at "
+        f"{run['history']:,}"
     )
     print(
         f"longest ingest call with a cut {run['longest_ingest_with_cut_s'] * 1e3:.1f} ms "

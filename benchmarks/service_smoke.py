@@ -69,6 +69,8 @@ REQUIRED_FAMILIES = {
     "repro_service_checkpoints_total",
     "repro_service_checkpoint_seconds",
     "repro_service_checkpoint_bytes_total",
+    "repro_service_resume_seconds",
+    "repro_service_history_items",
 }
 
 

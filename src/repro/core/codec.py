@@ -1,13 +1,9 @@
-"""The changelog codec: how a ``list[Change]`` crosses a pickle boundary.
+"""The changelog codec, and the one shape every append-only history has.
 
-A :class:`~repro.core.changelog.Change` is a frozen, slotted dataclass,
-so pickling one goes through the Python-level ``__getstate__`` /
-``__setstate__`` pair dataclasses generate — per object, on both sides.
-Checkpoints, the sharded merge state, the fork pipe of the processes
-backend and the session's durable logs all move whole changelogs, and
-paid that price per change.
-
-The codec transposes a changelog the way
+**The codec.**  A :class:`~repro.core.changelog.Change` is a frozen,
+slotted dataclass, so pickling one goes through the Python-level
+``__getstate__`` / ``__setstate__`` pair dataclasses generate — per
+object, on both sides.  The codec transposes a changelog the way
 :class:`~repro.core.colbatch.ColumnarBatch` transposes a micro-batch —
 parallel ``kinds`` / ``ptimes`` vectors next to the row data — except
 that the row tuples stay whole (operators downstream want rows, and a
@@ -17,32 +13,76 @@ tuple of plain values pickles at C speed):
 * ``values`` — the row tuples, in order;
 * ``ptimes`` — the processing times, in order.
 
-The triple is what gets pickled; :func:`decode_changes` rebuilds the
-``Change`` objects with one C-level ``map``.  Decoding accepts a plain
-``list[Change]`` too and returns it unchanged, which is all it takes to
-keep reading blobs written before the codec existed.
+That triple is a *segment*.  Source events (:func:`encode_events`) and
+the supervisor's tagged output slices (:func:`encode_slices`) are the
+same idea with one more kind byte / one more vector.
 
-Source events (:func:`encode_events`) and the supervisor's tagged
-output slices (:func:`encode_slices`) are the same idea with one more
-vector each.
+**Encoded at rest.**  A stream is one *encoding* of a time-varying
+relation, materialised when somebody asks for it (paper §3, §6.5); a
+recovered flow needs its operators' *state*, not its history as objects
+(App. B.2.1).  So every append-only history in the engine — an output
+channel's changelog, a sharded output's merged changelog, a recorded
+source's events — is a :class:`SegmentedLog`: sealed segments plus a
+live tail.
+
+* **Seal at the cut.**  A checkpoint seals the tail into one more
+  segment, so a change is encoded once in its life however many cuts
+  follow, and every position a cut happened at is a segment boundary:
+  the next cut moves whole segments (:meth:`SegmentedLog.segments`).
+* **Adopt at restore.**  Restoring installs the stored segments as they
+  are.  No ``Change`` is built; lengths, last processing times and
+  watermark entries are read off the encoded vectors.  A segment read
+  back from a log file stays *pickled* as well
+  (:class:`PackedSegment`): only its kind bytes — its length — are
+  taken off the head of the pickle, so resuming a session costs what
+  its operator state and its queries cost, whatever its history.
+* **Decode on read.**  :meth:`SegmentedLog.slice` is the one place a
+  segment turns back into objects, and only when a reader asks for
+  positions below the tail.  The live paths never do —
+  ``publish_pending`` and the session's ``persist`` read the tail —
+  so it costs only ``result()`` / ``finish()`` of a restored flow, a
+  look back from a client, or a late joiner re-reading a restored
+  source (which unseals *once* and keeps the objects —
+  :meth:`SegmentedLog.unseal` — because every later joiner reads it
+  again).
+
+A plain ``list`` of objects is a legal history wherever segments are
+(:func:`decode_changes` returns it unchanged, a log adopts it as its
+tail), which is all it takes to keep reading blobs written before the
+codec existed.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
-from typing import Sequence
+import pickle
+import pickletools
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, chain
+from typing import Callable, Iterator, Optional, Sequence
 
 from .changelog import Change, ChangeKind
+from .errors import ExecutionError
+from .times import Timestamp
 from .tvr import RowEvent, StreamEvent, WatermarkEvent
 
 __all__ = [
+    "PackedSegment",
+    "Segment",
+    "SegmentedLog",
+    "changes_log",
+    "concat_segments",
     "decode_changes",
     "decode_events",
     "decode_slices",
     "encode_changes",
     "encode_events",
     "encode_slices",
+    "events_log",
+    "segment_watermarks",
 ]
+
+#: one encoded run of a history: ``(kinds, values | payloads, ptimes)``
+Segment = tuple[bytes, list, list]
 
 _RETRACT = ChangeKind.RETRACT
 #: kind byte -> ChangeKind member (identity-preserving on decode)
@@ -127,3 +167,174 @@ def decode_slices(encoded) -> list[tuple[int, list[Change]]]:
         (seq, flat[end - length:end])
         for seq, length, end in zip(seqs, lengths, ends)
     ]
+
+
+class PackedSegment:
+    """A segment as a log file holds it: ``pickle.dumps`` of the triple.
+
+    Stands in for the triple wherever one is read (indexing, unpacking)
+    and unpickles itself the first time the row or time vector is
+    asked for.  The kind bytes sit at the head of the pickle and are
+    read from there up front — they are the segment's length, which is
+    all that adopting a history needs.  ``body`` is the pickle until it
+    is unpacked (a log is written from it as is), ``None`` after.
+    """
+
+    __slots__ = ("body", "kinds", "_triple")
+
+    def __init__(self, body: bytes):
+        self.body: Optional[bytes] = body
+        self._triple: Optional[Segment] = None
+        for opcode, arg, _ in pickletools.genops(body):
+            if type(arg) is bytes:
+                self.kinds = arg
+                return
+            if opcode.name not in ("PROTO", "FRAME"):
+                break
+        self.kinds = self._load()[0]  # not a pickle of ours: no shortcut
+
+    def _load(self) -> Segment:
+        if self._triple is None:
+            self._triple = pickle.loads(self.body)
+            self.body = None
+        return self._triple
+
+    def __getitem__(self, index: int):
+        return self.kinds if index == 0 else self._load()[index]
+
+    def __iter__(self):
+        return iter(self._load())
+
+
+def concat_segments(segments: Sequence[Segment]) -> Segment:
+    """One segment — a plain triple — holding what ``segments`` hold, in
+    order: joins and list concatenation, no object rebuilt."""
+    if len(segments) == 1:
+        return tuple(segments[0])
+    return (
+        b"".join(segment[0] for segment in segments),
+        list(chain.from_iterable(segment[1] for segment in segments)),
+        list(chain.from_iterable(segment[2] for segment in segments)),
+    )
+
+
+def segment_watermarks(segment: Segment) -> Iterator[tuple[Timestamp, Timestamp]]:
+    """The ``(ptime, value)`` of every watermark advance in an event
+    segment, found on the kind bytes without building an event."""
+    kinds, payloads, ptimes = segment
+    at = kinds.find(_WATERMARK)
+    while at >= 0:
+        yield ptimes[at], payloads[at]
+        at = kinds.find(_WATERMARK, at + 1)
+
+
+_SEGMENT_TYPES = (tuple, PackedSegment)
+
+
+class SegmentedLog:
+    """An append-only history: sealed codec segments, then a live tail.
+
+    ``sealed[i]`` holds positions ``bounds[i]`` to ``bounds[i + 1]``,
+    ``base`` (``== bounds[-1]``) items are sealed in all, and ``tail``
+    is a plain list holding the rest as objects.  Writers ``extend`` /
+    ``append`` the tail directly and hot readers compute
+    ``base + len(tail)`` themselves: the live path pays attribute loads
+    and one integer add for the container, never a call into it.
+
+    ``history`` (what a restore adopts) is one segment, a list of
+    segments — kept encoded — or a plain list of objects, which becomes
+    the tail; the log owns it from then on.
+    """
+
+    __slots__ = ("encode", "decode", "sealed", "bounds", "base", "tail")
+
+    def __init__(
+        self,
+        encode: Callable[[list], Segment],
+        decode: Callable[[Segment], list],
+        history=None,
+    ):
+        self.encode = encode
+        self.decode = decode
+        self.sealed: list[Segment] = []
+        self.bounds: list[int] = [0]
+        self.base = 0
+        self.tail: list = []
+        if isinstance(history, _SEGMENT_TYPES):
+            self._adopt(history)
+        elif history and isinstance(history[0], _SEGMENT_TYPES):
+            for segment in history:
+                self._adopt(segment)
+        elif history:
+            self.tail = history
+
+    def _adopt(self, segment: Segment) -> None:
+        if segment[0]:  # an empty segment is no boundary
+            self.sealed.append(segment)
+            self.base += len(segment[0])
+            self.bounds.append(self.base)
+
+    def __len__(self) -> int:
+        return self.base + len(self.tail)
+
+    def slice(self, start: int = 0) -> list:
+        """The items from position ``start`` on, as objects (a new list).
+
+        At or above ``base`` — the only case on a live path — that is a
+        slice of the tail.  Below it, the segments overlapping
+        ``[start, base)`` are decoded: the one place in the engine a
+        sealed segment turns back into objects.
+        """
+        base = self.base
+        if start >= base:
+            return self.tail[start - base:]
+        first = bisect_right(self.bounds, start) - 1
+        parts = [self.decode(segment) for segment in self.sealed[first:]]
+        items = parts[0] if len(parts) == 1 else list(chain.from_iterable(parts))
+        del items[:start - self.bounds[first]]
+        items += self.tail
+        return items
+
+    def seal(self) -> None:
+        """Encode the tail into one more segment and drop the objects."""
+        if self.tail:
+            self._adopt(self.encode(self.tail))
+            self.tail = []
+
+    def sealed_from(self, start: int = 0) -> list[Segment]:
+        """The sealed segments from boundary ``start`` on.
+
+        Every position a cut happened at is a boundary by construction
+        (the cut sealed there), so anything else is a caller's bug and
+        raises — there is no decode-and-re-encode fallback.
+        """
+        at = bisect_left(self.bounds, start)
+        if at == len(self.bounds) or self.bounds[at] != start:
+            raise ExecutionError(
+                f"position {start} is not a segment boundary of this log "
+                f"(boundaries: {self.bounds})"
+            )
+        return self.sealed[at:]
+
+    def segments(self, start: int = 0) -> list[Segment]:
+        """Seal, then the segments from boundary ``start`` on: what a
+        cut appends to a log that already holds ``start`` items."""
+        self.seal()
+        return self.sealed_from(start)
+
+    def unseal(self) -> None:
+        """Decode every sealed segment into the tail, for good — for a
+        history that is re-read from the start again and again."""
+        if self.sealed:
+            self.tail = self.slice(0)
+            self.sealed, self.bounds, self.base = [], [0], 0
+
+
+def changes_log(history=None) -> SegmentedLog:
+    """A changelog's :class:`SegmentedLog` (optionally adopting ``history``)."""
+    return SegmentedLog(encode_changes, decode_changes, history)
+
+
+def events_log(history=None) -> SegmentedLog:
+    """A recorded source's :class:`SegmentedLog` of stream events."""
+    return SegmentedLog(encode_events, decode_events, history)

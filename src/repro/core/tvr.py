@@ -21,7 +21,7 @@ which here reads::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from .changelog import Change, ChangeKind, Changelog
 from .errors import ExecutionError
@@ -85,12 +85,23 @@ class TimeVaryingRelation:
     The full suite of relational operators applies to a TVR pointwise in
     time; this class only stores and renders the data — query evaluation
     lives in :mod:`repro.exec`.
+
+    The events are held in a :class:`~repro.core.codec.SegmentedLog`.
+    A relation built by applying events keeps them all as objects (its
+    log is never sealed: every late-joining query re-reads a source
+    from the start).  One brought back by :meth:`restored` keeps its
+    recorded prefix encoded until someone reads below it.
     """
 
     def __init__(self, schema: Schema, events: Iterable[StreamEvent] = ()):
+        # (the codec is built on this module's event classes)
+        from .codec import events_log
+
         self._schema = schema
-        self._events: list[StreamEvent] = []
-        self._changelog = Changelog()
+        self._events = events_log()
+        #: ``None`` while a restored prefix is still encoded: the
+        #: changelog is derived from the events on first use.
+        self._changelog: Optional[Changelog] = Changelog()
         self._watermarks = WatermarkTrack()
         self._last_ptime: Timestamp = MIN_TIMESTAMP
         for event in events:
@@ -115,6 +126,32 @@ class TimeVaryingRelation:
         tvr.advance_watermark(MIN_TIMESTAMP, MAX_TIMESTAMP)
         return tvr
 
+    @classmethod
+    def restored(cls, schema: Schema, segments: list) -> "TimeVaryingRelation":
+        """A recorded relation brought back from its event log's
+        ``segments`` (:func:`~repro.core.codec.encode_events` triples),
+        which it adopts still encoded.
+
+        The event count, the last processing time and the watermark
+        track are read off the encoded vectors; no event is built until
+        :meth:`events` is asked for a position inside the adopted prefix
+        (or :attr:`changelog` / :meth:`snapshot` for the row data).
+        The segments are trusted to be what :meth:`events` of a valid
+        relation encoded to — ordering and arity were checked when the
+        events were first applied.
+        """
+        from .codec import events_log, segment_watermarks
+
+        tvr = cls(schema)
+        log = tvr._events = events_log(segments)
+        if log.sealed:
+            tvr._changelog = None
+            for segment in log.sealed:
+                for ptime, value in segment_watermarks(segment):
+                    tvr._watermarks.advance(ptime, value)
+            tvr._last_ptime = log.sealed[-1][2][-1]  # its ptimes vector
+        return tvr
+
     # -- mutation ------------------------------------------------------
 
     def apply(self, event: StreamEvent) -> None:
@@ -130,10 +167,11 @@ class TimeVaryingRelation:
                     f"row arity {len(event.change.values)} does not match "
                     f"schema arity {len(self._schema)}"
                 )
-            self._changelog.append(event.change)
+            if self._changelog is not None:
+                self._changelog.append(event.change)
         else:
             self._watermarks.advance(event.ptime, event.value)
-        self._events.append(event)
+        self._events.tail.append(event)
         self._last_ptime = event.ptime
 
     def insert(self, ptime: Timestamp, values: Sequence[Any]) -> None:
@@ -157,6 +195,12 @@ class TimeVaryingRelation:
     @property
     def changelog(self) -> Changelog:
         """The stream rendering: the changelog of this TVR."""
+        if self._changelog is None:
+            self._changelog = Changelog(
+                event.change
+                for event in self.events()
+                if isinstance(event, RowEvent)
+            )
         return self._changelog
 
     @property
@@ -180,8 +224,29 @@ class TimeVaryingRelation:
         The event list only grows, so ``events(cursor)`` with a cursor
         taken from :attr:`event_count` returns exactly what was applied
         since — what an append-only log of the relation persists.
+
+        Reading below a restored relation's still-encoded prefix
+        decodes it once and keeps the objects: whoever replays a source
+        (every late-joining query does) will be followed by another.
         """
-        return self._events[start:]
+        log = self._events
+        if start < log.base:
+            log.unseal()
+        return log.slice(start)
+
+    def event_segments(self, start: int = 0) -> list:
+        """The events from position ``start`` on as codec segments.
+
+        Unlike a flow's output log this never seals: the objects stay
+        for the next replay.  ``start`` at or above the encoded prefix
+        (what an appending cut asks) encodes that much of the tail; a
+        ``start`` inside the prefix must be one of its boundaries, and
+        the prefix segments are handed over as they are.
+        """
+        log = self._events
+        if start >= log.base:
+            return [log.encode(log.tail[start - log.base:])]
+        return log.sealed_from(start) + [log.encode(log.tail)]
 
     @property
     def event_count(self) -> int:
@@ -190,7 +255,7 @@ class TimeVaryingRelation:
 
     def snapshot(self, ptime: Timestamp = MAX_TIMESTAMP) -> Relation:
         """The table rendering: the relation's contents at ``ptime``."""
-        return self._changelog.snapshot_at(self._schema, ptime)
+        return self.changelog.snapshot_at(self._schema, ptime)
 
     def watermark_at(self, ptime: Timestamp) -> Timestamp:
         """The watermark in effect at ``ptime``."""
@@ -226,7 +291,7 @@ class TimeVaryingRelation:
         index = self._schema.index_of(time_column)
         violations: list[str] = []
         watermark = MIN_TIMESTAMP
-        for event in self._events:
+        for event in self.events():
             if isinstance(event, WatermarkEvent):
                 watermark = event.value
                 continue
@@ -240,6 +305,6 @@ class TimeVaryingRelation:
 
     def __repr__(self) -> str:
         return (
-            f"TimeVaryingRelation({len(self._events)} events, "
+            f"TimeVaryingRelation({self.event_count} events, "
             f"schema={self._schema})"
         )

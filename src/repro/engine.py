@@ -384,7 +384,7 @@ class PreparedQuery:
         """
         effective = self._effective(config)
         fingerprint = (effective,) + tuple(
-            (name, tvr.last_ptime, len(tvr.events()))
+            (name, tvr.last_ptime, tvr.event_count)
             for name, tvr in sorted(self._engine._sources.items())
         )
         if self._cached is None or fingerprint != self._cached_fingerprint:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from ..core.changelog import Change, compact_intra_instant
-from ..core.codec import decode_changes, encode_changes
+from ..core.codec import SegmentedLog, changes_log, concat_segments
 from ..core.colbatch import ColumnarBatch
 from ..core.errors import ExecutionError
 from ..core.relation import Relation
@@ -56,7 +56,8 @@ from .operators.base import Operator
 from .operators.stateless import ScanOperator
 from .timers import TimerQueue
 
-__all__ = ["CHECKPOINT_VERSION", "Dataflow", "OutputChannel", "RunResult",
+__all__ = ["CHECKPOINT_VERSION", "Dataflow", "OutputChannel", "OutputLogs",
+           "RunResult",
            "check_checkpoint_version", "check_same_instant",
            "merge_source_events", "replay_runs", "stored_changes"]
 
@@ -127,21 +128,24 @@ def check_same_instant(events: Sequence[StreamEvent]) -> None:
 def stored_changes(
     stored: dict,
     key: str,
-    histories: Optional[dict[str, list[Change]]],
+    histories: Optional[dict[str, list]],
     output_id: str,
-) -> list[Change]:
-    """One output's changelog out of its checkpoint entry: decoded from
-    ``stored[key]``, or — for a blob cut with ``histories=False`` — the
-    history the caller kept, which must be as long as the cut recorded."""
+) -> SegmentedLog:
+    """One output's changelog out of its checkpoint entry, as the log a
+    restored flow adopts: ``stored[key]`` — or, for a blob cut with
+    ``histories=False``, the history the caller kept (codec segments or
+    a plain ``list[Change]``), which must be as long as the cut
+    recorded.  Segments stay encoded; no ``Change`` is built here."""
     if stored[key] is not None:
-        return decode_changes(stored[key])
-    changes = (histories or {}).get(output_id)
-    if changes is None or len(changes) != stored["size"]:
+        return changes_log(stored[key])
+    history = (histories or {}).get(output_id)
+    log = changes_log(history)
+    if history is None or len(log) != stored["size"]:
         raise ExecutionError(
             f"checkpoint carries no changelog for output {output_id!r} "
             "and no matching history was supplied"
         )
-    return changes
+    return log
 
 
 def replay_runs(flow, events: Sequence[tuple[StreamEvent, str]]) -> Iterator[int]:
@@ -239,15 +243,17 @@ class OutputChannel:
     """One query's view of a (possibly shared) dataflow.
 
     Holds everything that is *per consuming query* rather than per
-    physical operator: the root changelog, the output watermark track,
-    the latency telemetry, and the plan whose completion columns drive
-    it.  The physical operators below ``root`` may be shared with other
-    channels of the same :class:`Dataflow`.
+    physical operator: the root changelog (``log``: sealed segments
+    from earlier cuts or a restore, then the live tail the executor
+    extends), the output watermark track, the latency telemetry, and
+    the plan whose completion columns drive it.  The physical operators
+    below ``root`` may be shared with other channels of the same
+    :class:`Dataflow`.
     """
 
     __slots__ = (
         "output_id", "plan", "root", "root_name", "completion",
-        "changes", "watermarks", "telemetry",
+        "log", "watermarks", "telemetry",
     )
 
     def __init__(self, output_id: str, plan: QueryPlan, root: Operator):
@@ -256,12 +262,48 @@ class OutputChannel:
         self.root = root
         self.root_name = root.name()
         self.completion = plan.root.completion_indices
-        self.changes: list[Change] = []
+        self.log = changes_log()
         self.watermarks = WatermarkTrack()
         self.telemetry = RunTelemetry()
 
 
-class Dataflow:
+class OutputLogs:
+    """Reading a flow's output changelogs, for either flow kind: each
+    value of ``_outputs`` keeps its changelog as ``log``, a
+    :class:`~repro.core.codec.SegmentedLog`."""
+
+    _outputs: dict
+
+    def output_size_of(self, output_id: str) -> int:
+        log = self._outputs[output_id].log
+        return log.base + len(log.tail)
+
+    def output_slice_of(self, output_id: str, start: int = 0) -> list[Change]:
+        """Changes from position ``start`` on.  At or past the last cut
+        (every live reader) that is a slice of the tail — inlined here,
+        so the live path makes no call into the log; below it the
+        sealed segments are decoded for this call."""
+        log = self._outputs[output_id].log
+        base = log.base
+        if start >= base:
+            return log.tail[start - base:]
+        return log.slice(start)
+
+    def output_segments_of(self, output_id: str, start: int = 0) -> list:
+        """The changelog from position ``start`` — 0 or a position an
+        earlier cut was taken at — as codec segments, sealing the tail:
+        what an append-only log of the output gains at a cut."""
+        return self._outputs[output_id].log.segments(start)
+
+    def history_items_of(self, output_id: str) -> dict[str, int]:
+        """How much of the output's history rests encoded (``sealed``:
+        behind the last cut or restore) and how much is resident as
+        ``Change`` objects (``live``)."""
+        log = self._outputs[output_id].log
+        return {"sealed": log.base, "live": len(log.tail)}
+
+
+class Dataflow(OutputLogs):
     """A compiled, source-bound, runnable query (or DAG of queries)."""
 
     def __init__(
@@ -428,7 +470,7 @@ class Dataflow:
     @property
     def output_size(self) -> int:
         """Primary-output changes produced so far (a resumable cursor)."""
-        return len(self._outputs[self._primary].changes)
+        return self.output_size_of(self._primary)
 
     def output_slice(self, start: int) -> list[Change]:
         """Primary-output changes produced since cursor position ``start``.
@@ -437,7 +479,7 @@ class Dataflow:
         output changes to the input event that caused them — the hook
         the sharded runtime's deterministic merge stage is built on.
         """
-        return self._outputs[self._primary].changes[start:]
+        return self.output_slice_of(self._primary, start)
 
     @property
     def root_watermark(self) -> Timestamp:
@@ -447,12 +489,6 @@ class Dataflow:
     def output_ids(self) -> list[str]:
         """The attached output channels, in attach order."""
         return list(self._outputs)
-
-    def output_size_of(self, output_id: str) -> int:
-        return len(self._outputs[output_id].changes)
-
-    def output_slice_of(self, output_id: str, start: int = 0) -> list[Change]:
-        return self._outputs[output_id].changes[start:]
 
     def root_watermark_of(self, output_id: str) -> Timestamp:
         return self._outputs[output_id].watermarks.current
@@ -466,11 +502,17 @@ class Dataflow:
         An empty result may be the live channel list; test it, don't
         keep it.
         """
-        channel = self._outputs[output_id]
-        taken = channel.changes
+        log = self._outputs[output_id].log
+        taken = log.tail
         if taken:
-            channel.changes = []
+            log.tail = []
         return taken
+
+    def forget_outputs(self) -> None:
+        """Drop every output's history, sealed segments included (a
+        shard that restored a blob cut before shards went history-free)."""
+        for channel in self._outputs.values():
+            channel.log = changes_log()
 
     def total_state_rows(self) -> int:
         """Rows currently retained across all operator state."""
@@ -631,7 +673,8 @@ class Dataflow:
         self.metrics_registry = MetricsRegistry(self._operators)
         if donor is not None:
             donor_primary = donor._outputs[donor._primary]
-            channel.changes = list(donor_primary.changes)
+            # The donor is a throwaway: adopt its log, don't copy it.
+            channel.log = donor_primary.log
             channel.watermarks = donor_primary.watermarks
             channel.telemetry = donor_primary.telemetry
             new_ids = {id(op) for op in new_ops}
@@ -795,11 +838,14 @@ class Dataflow:
 
         Snapshot by serialization: operators hand out references into
         their live state (:meth:`Operator.state_snapshot`) and the
-        pickle taken here is the one and only copy.  Output changelogs
-        go through the changelog codec (:mod:`repro.core.codec`).
-        ``histories=False`` leaves them out — for a caller that keeps
-        each output's changelog in an append-only log of its own (the
-        service session) and hands it back to :meth:`restore`.
+        pickle taken here is the one and only copy.  Each output's live
+        tail is *sealed* — encoded into one more codec segment
+        (:mod:`repro.core.codec`), so a change is encoded once however
+        many cuts follow — and the blob carries the segments joined
+        into one triple.  ``histories=False`` leaves them out — for a
+        caller that keeps each output's changelog in an append-only log
+        of its own (the service session: :meth:`output_segments_of`)
+        and hands it back to :meth:`restore`.
 
         Shared operator state is snapshotted once (the operator list
         holds each physical operator exactly once, however many outputs
@@ -812,9 +858,11 @@ class Dataflow:
         op_index = {id(op): i for i, op in enumerate(self._operators)}
         payload = self.structure()
         for output_id, channel in self._outputs.items():
+            log = channel.log
+            log.seal()
             payload["outputs"][output_id].update(
-                changes=encode_changes(channel.changes) if histories else None,
-                size=len(channel.changes),
+                changes=concat_segments(log.sealed) if histories else None,
+                size=log.base,
                 wm_pairs=channel.watermarks.as_pairs(),
                 telemetry=channel.telemetry.snapshot(),
             )
@@ -842,7 +890,7 @@ class Dataflow:
     def restore(
         self,
         checkpoint,
-        histories: Optional[dict[str, list[Change]]] = None,
+        histories: Optional[dict[str, list]] = None,
     ) -> None:
         """Restore a checkpoint taken from a dataflow of the same structure.
 
@@ -852,7 +900,13 @@ class Dataflow:
         payload on).  Either way the flow takes **ownership**: operators
         adopt the decoded state objects and mutate them from then on,
         so one decoded payload restores one flow.  ``histories`` supplies
-        the output changelogs of a blob cut with ``histories=False``.
+        the output changelogs of a blob cut with ``histories=False``,
+        per output as codec segments or a plain ``list[Change]``.
+
+        Output changelogs are adopted *encoded*: restoring builds no
+        ``Change``, and costs what the operator state costs.  Reading a
+        restored output below the cut (:meth:`result`,
+        ``output_slice_of(oid, 0)``) decodes it then.
         """
         payload = (
             checkpoint
@@ -865,7 +919,7 @@ class Dataflow:
             self._restore_payload(payload, histories)
 
     def _restore_payload(
-        self, payload: dict, histories: Optional[dict[str, list[Change]]]
+        self, payload: dict, histories: Optional[dict[str, list]]
     ) -> None:
         operators = self._operators
         check_checkpoint_version(payload)
@@ -881,7 +935,7 @@ class Dataflow:
             op.state_restore(snapshot)
         for output_id, stored in payload["outputs"].items():
             channel = self._outputs[output_id]
-            channel.changes = stored_changes(
+            channel.log = stored_changes(
                 stored, "changes", histories, output_id
             )
             channel.watermarks = WatermarkTrack()
@@ -911,7 +965,7 @@ class Dataflow:
         for op, snapshot in zip(operators, payload["op_states"]):
             op.state_restore(snapshot)
         channel = self._outputs[self._primary]
-        channel.changes = list(payload["root_changes"])
+        channel.log = changes_log(list(payload["root_changes"]))
         channel.watermarks = WatermarkTrack()
         for ptime, value in payload["root_wm_pairs"]:
             channel.watermarks.advance(ptime, value)
@@ -1065,7 +1119,7 @@ class Dataflow:
         operators = self._reachable_ops(channel.root)
         return RunResult(
             schema=channel.plan.schema,
-            changes=list(channel.changes),
+            changes=channel.log.slice(0),
             watermarks=channel.watermarks,
             last_ptime=self._last_ptime,
             late_dropped=sum(op.late_dropped for op in operators),
@@ -1276,7 +1330,7 @@ class Dataflow:
     ) -> None:
         if cause is not None and self.lineage is not None:
             if self._lineage_register_outputs:
-                start = len(channel.changes)
+                start = channel.log.base + len(channel.log.tail)
                 self.lineage.record_output(
                     cause, channel.output_id, range(start, start + len(changes))
                 )
@@ -1284,7 +1338,7 @@ class Dataflow:
                 self.lineage.note_shard_output(
                     channel.output_id, cause, len(changes)
                 )
-        channel.changes.extend(changes)
+        channel.log.tail.extend(changes)
         root_wm = channel.watermarks.current
         completion = channel.completion
         if len(changes) == 1:

@@ -26,7 +26,7 @@ from operator import itemgetter
 from typing import Iterator, Mapping, Optional
 
 from ..core.changelog import Change
-from ..core.codec import decode_slices, encode_slices
+from ..core.codec import changes_log, decode_slices, encode_slices
 from ..core.errors import ExecutionError
 from ..core.times import Timestamp
 from ..obs.lineage import LineageRecorder
@@ -75,12 +75,14 @@ class ShardLog:
 
 
 class MergedOutput:
-    """Per-output merge state: the spliced changelog and its frontier."""
+    """Per-output merge state: the spliced changelog — ``log``, sealed
+    segments then the live tail :func:`splice` extends — and its
+    frontier."""
 
-    __slots__ = ("merged", "frontier")
+    __slots__ = ("log", "frontier")
 
     def __init__(self, shards: int):
-        self.merged: list[Change] = []
+        self.log = changes_log()
         self.frontier = WatermarkFrontier(shards)
 
 
@@ -168,7 +170,7 @@ def splice(
     landed: dict[str, Iterator[list[int]]] = {}
     for oid, merge in outputs.items():
         stage = stages.get(oid)
-        merged, frontier = merge.merged, merge.frontier
+        merged, base, frontier = merge.log.tail, merge.log.base, merge.frontier
         entries = [
             (seq, shard, changes, 0, 0)
             for shard, shard_logs in logs.items()
@@ -194,13 +196,13 @@ def splice(
                     f"for event #{seq}; the plan is not cleanly partitioned"
                 )
             claimed = (seq, shard)
-            start = len(merged)
+            start = base + len(merged)
             merged.extend(
                 changes
                 if stage is None
                 else stage.feed(changes, frontier.current)
             )
-            spans[shard].append([start, len(merged), len(changes)])
+            spans[shard].append([start, base + len(merged), len(changes)])
         landed[oid] = (span for shard in spans for span in spans[shard])
     if recorder is None:
         return

@@ -66,14 +66,14 @@ from dataclasses import replace
 from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
 
-from ..core.changelog import Change
-from ..core.codec import encode_changes
+from ..core.codec import changes_log, concat_segments
 from ..core.errors import ExecutionError
 from ..core.times import MIN_TIMESTAMP, Timestamp
 from ..core.tvr import RowEvent, StreamEvent, TimeVaryingRelation
 from ..exec.executor import (
     CHECKPOINT_VERSION,
     Dataflow,
+    OutputLogs,
     RunResult,
     check_checkpoint_version,
     check_same_instant,
@@ -105,7 +105,7 @@ from .supervisor import RetryPolicy, ShardSupervisor, drain_timers, drive_run
 __all__ = ["ShardedDataflow"]
 
 
-class ShardedDataflow:
+class ShardedDataflow(OutputLogs):
     """A keyed-parallel dataflow with deterministic, serial-identical output."""
 
     def __init__(
@@ -329,12 +329,6 @@ class ShardedDataflow:
         """The attached output channels, in attach order."""
         return list(self._outputs)
 
-    def output_size_of(self, output_id: str) -> int:
-        return len(self._outputs[output_id].merged)
-
-    def output_slice_of(self, output_id: str, start: int = 0) -> list[Change]:
-        return list(self._outputs[output_id].merged[start:])
-
     def root_watermark_of(self, output_id: str) -> Timestamp:
         return self._outputs[output_id].frontier.current
 
@@ -495,7 +489,7 @@ class ShardedDataflow:
         )
         if donor is not None:
             donor_merge = donor._outputs[donor._primary]
-            merge.merged = donor_merge.merged
+            merge.log = donor_merge.log
             merge.frontier = donor_merge.frontier
             self._last_ptime = max(self._last_ptime, donor._last_ptime)
         return merge
@@ -726,11 +720,15 @@ class ShardedDataflow:
         Like :meth:`Dataflow.checkpoint` this is snapshot by
         serialization — shard blobs (operator state only: the drive
         loop leaves no output history in a shard), combine-stage state
-        and the merged changelogs (through the changelog codec) are all
-        pickled before the call returns.  ``histories=False`` leaves the
-        merged changelogs out, for a caller that keeps them in a log of
-        its own and hands them back to :meth:`restore`.
+        and the merged changelogs (each tail sealed into one more codec
+        segment, the segments joined into one triple) are all pickled
+        before the call returns.  ``histories=False`` leaves the merged
+        changelogs out, for a caller that keeps them in a log of its
+        own (:meth:`output_segments_of`) and hands them back to
+        :meth:`restore`.
         """
+        for merge in self._outputs.values():
+            merge.log.seal()
         payload = {
             "version": CHECKPOINT_VERSION,
             "shard_count": len(self._shards),
@@ -739,9 +737,9 @@ class ShardedDataflow:
             "outputs": {
                 oid: {
                     "merged": (
-                        encode_changes(merge.merged) if histories else None
+                        concat_segments(merge.log.sealed) if histories else None
                     ),
-                    "size": len(merge.merged),
+                    "size": merge.log.base,
                     "frontier": merge.frontier.snapshot(),
                 }
                 for oid, merge in self._outputs.items()
@@ -767,7 +765,7 @@ class ShardedDataflow:
     def restore(
         self,
         checkpoint,
-        histories: Optional[dict[str, list[Change]]] = None,
+        histories: Optional[dict[str, list]] = None,
     ) -> None:
         """Restore a checkpoint of the same structure and shard width.
 
@@ -775,7 +773,8 @@ class ShardedDataflow:
         from them (whose shard entries may in turn be decoded shard
         payloads); ownership passes to this flow either way — see
         :meth:`Dataflow.restore`.  ``histories`` supplies the merged
-        changelogs of a blob cut with ``histories=False``.
+        changelogs of a blob cut with ``histories=False``; either way
+        they are adopted encoded and no ``Change`` is built.
         """
         payload = (
             checkpoint
@@ -792,8 +791,7 @@ class ShardedDataflow:
             shard.restore(blob)
             # Blobs cut before the drive loop took shard output carry a
             # private history per shard that nothing reads; drop it.
-            for oid in shard.output_ids():
-                shard.take_output_of(oid)
+            shard.forget_outputs()
         if "outputs" in payload:
             if set(payload["output_order"]) != set(self._outputs):
                 raise ExecutionError(
@@ -801,14 +799,12 @@ class ShardedDataflow:
                 )
             for oid, stored in payload["outputs"].items():
                 merge = self._outputs[oid]
-                merge.merged = stored_changes(
-                    stored, "merged", histories, oid
-                )
+                merge.log = stored_changes(stored, "merged", histories, oid)
                 merge.frontier.restore(stored["frontier"])
         else:  # pre-DAG checkpoint shape
             merge = self._outputs[self._primary]
             merge.frontier.restore(payload["frontier"])
-            merge.merged = list(payload["merged_changes"])
+            merge.log = changes_log(list(payload["merged_changes"]))
         self._last_ptime = payload["last_ptime"]
         stored_stages = payload.get("stages", {})
         if set(stored_stages) != set(self._stages):

@@ -39,6 +39,12 @@ Families (stable names — renaming is a breaking change for scrapers):
   the previous cut, not history).
 * ``repro_service_checkpoint_bytes_total`` (counter) — bytes written to
   checkpoint directories.
+* ``repro_service_resume_seconds`` (gauge) — wall time the session's
+  resume from a checkpoint directory took (0 when started cold); tracks
+  operator state and query count, not history.
+* ``repro_service_history_items`` (gauge) — changelog items per query,
+  by ``form``: ``sealed`` (encoded segments behind the last cut or
+  restore) or ``live`` (resident ``Change`` objects).
 * ``repro_service_shared_subplans`` (gauge) — resident operators
   multicast to two or more standing queries (multi-query optimization).
 * ``repro_service_sharing_ratio`` (gauge) — logical operators attached
@@ -180,13 +186,20 @@ def render_service_exposition(
            "Standing queries currently resident")
     lines.append(f"repro_service_active_queries {len(queries)}")
 
-    def per_query(name: str, kind: str, help_text: str, value) -> None:
+    def per_query(
+        name: str, kind: str, help_text: str, value, split: str = ""
+    ) -> None:
+        """One sample per query — or, with ``split`` naming one more
+        label, one per entry of the dict ``value(query)`` returns."""
         family(name, kind, help_text)
         for query in queries:
-            labels = format_labels(
-                {"query": query.query_id, "tenant": query.tenant}
-            )
-            lines.append(f"{name}{labels} {value(query)}")
+            base = {"query": query.query_id, "tenant": query.tenant}
+            if not split:
+                lines.append(f"{name}{format_labels(base)} {value(query)}")
+                continue
+            for label, number in value(query).items():
+                labels = format_labels({**base, split: label})
+                lines.append(f"{name}{labels} {number}")
 
     per_query("repro_service_subscribers", "gauge",
               "Live subscribers attached to each standing query",
@@ -257,6 +270,15 @@ def render_service_exposition(
     lines.append(
         f"repro_service_checkpoint_bytes_total {session.checkpoint_bytes_total}"
     )
+    family("repro_service_resume_seconds", "gauge",
+           "Wall seconds the resume from a checkpoint directory took")
+    lines.append(
+        f"repro_service_resume_seconds {session.last_resume_seconds:.6f}"
+    )
+    per_query("repro_service_history_items", "gauge",
+              "Changelog items per standing query, resting encoded "
+              "(sealed) or resident as objects (live)",
+              lambda q: q.history_items(), split="form")
 
     family("repro_service_shared_subplans", "gauge",
            "Resident operators multicast to two or more standing queries")

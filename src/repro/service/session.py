@@ -43,9 +43,14 @@ state), not O(history); :meth:`SessionManager.restore` reads the
 committed prefix of every log (a torn tail past it is ignored) and
 brings a fresh manager back to the cut — resident plans, cursors, and
 subscription sequence numbers intact — so tailers can resume at the
-recorded offsets.  Shared operator state is snapshotted once per flow,
-and the manifest records each flow's member queries plus its sharing
-map so restore can rebuild the exact physical DAG.  See
+recorded offsets.  Histories stay **encoded at rest**
+(:mod:`repro.core.codec`): the cut *seals* each output's tail into a
+codec segment and frames the segments the flow hands over, the restore
+*adopts* the frames still pickled, and nothing here ever turns a
+segment back into objects — so a resume costs what the operator state
+and the query count cost.  Shared operator state is snapshotted once
+per flow, and the manifest records each flow's member queries plus its
+sharing map so restore can rebuild the exact physical DAG.  See
 ``docs/SERVICE.md`` for the directory layout.
 """
 
@@ -57,15 +62,10 @@ import pickle
 import struct
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from ..config import ExecutionConfig
-from ..core.codec import (
-    decode_changes,
-    decode_events,
-    encode_changes,
-    encode_events,
-)
+from ..core.codec import PackedSegment, Segment, concat_segments
 from ..core.errors import ExecutionError
 from ..core.tvr import StreamEvent, TimeVaryingRelation
 from ..exec.executor import merge_source_events
@@ -151,40 +151,42 @@ def _write_atomic(path: str, chunks: Iterable[bytes]) -> int:
     return written
 
 
-def _segment(payload) -> tuple[bytes, bytes]:
-    body = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
-    return _SEGMENT_HEADER.pack(_SEGMENT_MAGIC, len(body)), body
+def _frames(segments: Iterable[Segment]) -> Iterator[bytes]:
+    """``segments`` as the byte chunks of their log frames (a segment
+    that was read from a frame and never unpacked goes back as it came)."""
+    for segment in segments:
+        body = getattr(segment, "body", None) or pickle.dumps(
+            tuple(segment), pickle.HIGHEST_PROTOCOL
+        )
+        yield _SEGMENT_HEADER.pack(_SEGMENT_MAGIC, len(body))
+        yield body
 
 
-def _read_log(directory: str, spec: dict, decode: Callable) -> list:
-    """The committed prefix of one log, decoded and concatenated.
+def _read_log(directory: str, spec: dict) -> list[PackedSegment]:
+    """The committed prefix of one log: its segments, still pickled.
 
     Reads exactly ``spec["length"]`` bytes — whatever a failed later
     cut appended past the committed length is never looked at.
     """
     with open(os.path.join(directory, spec["file"]), "rb") as fh:
         data = fh.read(spec["length"])
-    items: list = []
+    segments: list[PackedSegment] = []
     offset = 0
-    view = memoryview(data)
     while offset < len(data):
         magic, size = _SEGMENT_HEADER.unpack_from(data, offset)
         offset += _SEGMENT_HEADER.size
         if magic != _SEGMENT_MAGIC or offset + size > len(data):
             break
-        decoded = decode(pickle.loads(view[offset:offset + size]))
-        if items:
-            items.extend(decoded)
-        else:  # the common single-segment log: no copy
-            items = decoded
+        segments.append(PackedSegment(data[offset:offset + size]))
         offset += size
-    if offset != spec["length"] or len(items) != spec["items"]:
+    items = sum(len(segment.kinds) for segment in segments)
+    if offset != spec["length"] or items != spec["items"]:
         raise ExecutionError(
             f"checkpoint log {spec['file']!r} does not hold the "
             f"{spec['items']} items in {spec['length']} bytes its manifest "
             "committed"
         )
-    return items
+    return segments
 
 
 def _file_size(path: str) -> int:
@@ -273,6 +275,12 @@ class StandingQuery:
     def state_rows(self) -> int:
         return self.flow.state_rows_of(self.output_id)
 
+    def history_items(self) -> dict[str, int]:
+        """How much of the query's changelog rests encoded (``sealed``:
+        behind the last cut or restore) and how much is resident as
+        ``Change`` objects (``live``)."""
+        return self.flow.history_items_of(self.output_id)
+
     def publish_pending(self) -> list[Delta]:
         """Publish changes the flow produced past the cursor."""
         produced = self.flow.output_slice_of(self.output_id, self.cursor)
@@ -292,6 +300,7 @@ class StandingQuery:
             "deltas": self.subscriptions.next_seq,
             "subscribers": self.subscriptions.live_count,
             "state_rows": self.state_rows(),
+            "history": self.history_items(),
             "watermark": self.flow.root_watermark_of(self.output_id),
             "shared_with": sorted(
                 qid for qid in self.shared_group if qid != self.query_id
@@ -431,6 +440,8 @@ class SessionManager:
         self.checkpoints_taken = 0
         #: wall seconds the most recent checkpoint took.
         self.last_checkpoint_seconds = 0.0
+        #: wall seconds :meth:`restore` took (0 for a session started cold).
+        self.last_resume_seconds = 0.0
         #: bytes written to checkpoint directories since construction.
         self.checkpoint_bytes_total = 0
         #: the last committed cut; the next one of the same directory
@@ -800,8 +811,13 @@ class SessionManager:
         written = 0
         logs: dict[str, _LogState] = {}
 
-        def persist(key: str, owner, count: int, since, encode) -> dict:
-            """Bring log ``key`` up to ``count`` items; its manifest entry."""
+        def persist(key: str, owner, count: int, segments_from) -> dict:
+            """Bring log ``key`` up to ``count`` items; its manifest entry.
+
+            ``segments_from(start)`` is the owner's history from
+            position ``start`` on as codec segments; they are framed as
+            they come, never decoded or re-encoded here.
+            """
             nonlocal written
             log = prior.get(key)
             if (
@@ -812,25 +828,27 @@ class SessionManager:
                 and _file_size(os.path.join(directory, log.file)) >= log.length
             ):
                 if count > log.items:
-                    header, body = _segment(encode(since(log.items)))
+                    segments = segments_from(log.items)
                     with open(os.path.join(directory, log.file), "r+b") as fh:
                         fh.seek(log.length)
                         fh.truncate()
-                        fh.write(header)
-                        fh.write(body)
-                    grown = len(header) + len(body)
+                        grown = sum(map(fh.write, _frames(segments)))
                     written += grown
                     log = _LogState(
-                        log.file, log.length + grown, log.segments + 1,
-                        count, owner,
+                        log.file, log.length + grown,
+                        log.segments + len(segments), count, owner,
                     )
             else:
+                segments = segments_from(0)
+                if len(segments) >= _MAX_SEGMENTS:
+                    # Compaction: joined, not decoded.
+                    segments = [concat_segments(segments)]
                 file = f"{_LOGS}/{key}.{generation}.log"
                 size = _write_atomic(
-                    os.path.join(directory, file), _segment(encode(since(0)))
+                    os.path.join(directory, file), _frames(segments)
                 )
                 written += size
-                log = _LogState(file, size, 1, count, owner)
+                log = _LogState(file, size, len(segments), count, owner)
             logs[key] = log
             return log.as_manifest()
 
@@ -867,8 +885,7 @@ class SessionManager:
                         f"out-{q.query_id}",
                         q,
                         flow.output_size_of(output_id),
-                        lambda start: flow.output_slice_of(output_id, start),
-                        encode_changes,
+                        lambda start: flow.output_segments_of(output_id, start),
                     ),
                 }
             )
@@ -876,8 +893,7 @@ class SessionManager:
             name: {
                 "schema": format_schema(tvr.schema),
                 "log": persist(
-                    f"src-{name}", tvr, tvr.event_count, tvr.events,
-                    encode_events,
+                    f"src-{name}", tvr, tvr.event_count, tvr.event_segments
                 ),
             }
             for name, tvr in self.engine._sources.items()
@@ -938,7 +954,19 @@ class SessionManager:
         whole-history directories (no ``version``: ``<id>.ckpt`` +
         ``sources/*.script``) and manifests from before plan sharing
         (no ``flows`` key: one private flow per query).
+
+        Histories come back **encoded**: output logs and source logs
+        are read as the codec segments they were written as and adopted
+        whole, so a resume costs what the operator state and the query
+        count cost, not what the history costs.  Objects are built when
+        something reads below a log's tail (see :mod:`repro.core.codec`).
         """
+        started = time.perf_counter()
+        restored = self._restore(directory, admit)
+        self.last_resume_seconds = time.perf_counter() - started
+        return restored
+
+    def _restore(self, directory: str, admit) -> int:
         with open(os.path.join(directory, _MANIFEST)) as fh:
             manifest_text = fh.read()
         manifest = json.loads(manifest_text)
@@ -953,9 +981,9 @@ class SessionManager:
             self._restore_script_sources(directory)
         else:
             for name, spec in manifest["sources"].items():
-                tvr = TimeVaryingRelation(
+                tvr = TimeVaryingRelation.restored(
                     parse_schema_line(f"schema: {spec['schema']}"),
-                    _read_log(directory, spec["log"], decode_events),
+                    _read_log(directory, spec["log"]),
                 )
                 self._register_source(name, tvr)
                 logs[f"src-{name}"] = _LogState(**spec["log"], owner=tvr)
@@ -1028,9 +1056,7 @@ class SessionManager:
         flow.restore(
             payload,
             histories={
-                member: _read_log(
-                    directory, by_id[member]["log"], decode_changes
-                )
+                member: _read_log(directory, by_id[member]["log"])
                 for member, _ in plans
                 # (a sharded query of a pre-unification cut has no log:
                 # its blob carries the merged changelog inline)

@@ -132,7 +132,7 @@ class Shell:
                 self.engine.register_stream(args[0], tvr)
                 return (
                     f"registered stream {args[0]} "
-                    f"({len(tvr.events())} events)"
+                    f"({tvr.event_count} events)"
                 )
             if name == "\\at":
                 if not args:
@@ -172,7 +172,7 @@ class Shell:
                 tvr = self.engine.source(args[0])
                 with open(args[1], "w") as handle:
                     handle.write(format_script(tvr))
-                return f"wrote {args[0]} ({len(tvr.events())} events) to {args[1]}"
+                return f"wrote {args[0]} ({tvr.event_count} events) to {args[1]}"
             if name == "\\view":
                 rest = line.split(None, 2)
                 if len(rest) < 3:

@@ -196,7 +196,8 @@ class TestOperatorProtocol:
 FLOW_CONTRACT = (
     "process", "process_batch", "replay", "run", "finish", "result",
     "checkpoint", "restore", "attach_output", "remove_output", "output_ids",
-    "output_size_of", "output_slice_of", "root_watermark_of", "state_rows_of",
+    "output_size_of", "output_slice_of", "output_segments_of",
+    "history_items_of", "root_watermark_of", "state_rows_of",
     "telemetry_of", "total_state_rows", "changes_coalesced", "sharing_map",
     "set_lineage", "metrics_report",
 )

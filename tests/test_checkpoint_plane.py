@@ -1,6 +1,7 @@
-"""The checkpoint plane: codec, ownership, old formats, incremental cuts.
+"""The checkpoint plane: codec, ownership, old formats, incremental cuts,
+histories encoded at rest.
 
-Three layers are under test (``docs/RUNTIME.md``, ``docs/SERVICE.md``):
+Four layers are under test (``docs/RUNTIME.md``, ``docs/SERVICE.md``):
 
 * **the changelog codec** (``repro.core.codec``) round-trips every
   value shape a row can hold, and the supervisor's tagged slices cross
@@ -13,7 +14,11 @@ Three layers are under test (``docs/RUNTIME.md``, ``docs/SERVICE.md``):
 * **incremental session checkpoints**: a directory grown by many
   appending cuts resumes exactly like one full cut, a failed cut leaves
   the previous one intact, a torn tail is ignored, and directories and
-  blobs written before any of this still restore.
+  blobs written before any of this still restore;
+* **encoded at rest**: the :class:`~repro.core.codec.SegmentedLog`
+  behaves like the plain list it replaces, a cut encodes each change
+  once, a resume builds no ``Change``, and reading a restored history
+  gives back exactly what was written.
 """
 
 import builtins
@@ -29,14 +34,21 @@ from hypothesis import strategies as st
 
 from repro import ExecutionConfig, StreamEngine
 from repro.core.changelog import Change, ChangeKind
+from repro.core import codec
 from repro.core.codec import (
+    PackedSegment,
+    SegmentedLog,
+    changes_log,
+    concat_segments,
     decode_changes,
     decode_events,
     decode_slices,
     encode_changes,
     encode_events,
     encode_slices,
+    events_log,
 )
+from repro.core.errors import ExecutionError
 from repro.core.schema import Schema, int_col, timestamp_col
 from repro.core.tvr import TimeVaryingRelation, ins, rm, wm
 from repro.exec.executor import merge_source_events
@@ -519,6 +531,57 @@ class TestParentFormats:
             flow.process(event, "L")
             restored.process(event, "L")
         assert restored.finish().changes == flow.finish().changes
+
+    def test_files_the_parent_commit_wrote(self, tmp_path):
+        """``tests/fixtures/parent_serial_flow.ckpt`` and
+        ``parent_two_cuts/`` were written by the commit before histories
+        stayed encoded (``make_parent_fixtures.py pr17``): the blob
+        restores and finishes with the one-shot changelog; the directory
+        (two frames per log, a serial and a sharded query) resumes
+        unmodified, continues byte-identically, and the next cut appends
+        a third frame to the very same files."""
+        from repro.nexmark import paper_bid_stream
+
+        fixtures = os.path.join(os.path.dirname(__file__), "fixtures")
+        sql = (
+            "SELECT item, wend, MAX(price) AS maxprice "
+            "FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime), "
+            "dur => INTERVAL '10' MINUTE) TB GROUP BY item, wend"
+        )
+        bids = paper_bid_stream()
+        events = bids.events()
+        engine = StreamEngine()
+        engine.register_stream("Bid", bids)
+        expected = engine.query(sql).run()
+        flow = engine.query(sql).dataflow()
+        with open(os.path.join(fixtures, "parent_serial_flow.ckpt"), "rb") as fh:
+            flow.restore(fh.read())
+        for event in events[len(events) // 2:]:
+            flow.process(event, "Bid")
+        assert flow.finish().changes == expected.changes
+
+        directory = tmp_path / "cut"
+        shutil.copytree(os.path.join(fixtures, "parent_two_cuts"), directory)
+        logs = {f: os.path.getsize(directory / f)
+                for f in files_of(directory) if f.startswith("logs")}
+        resumed = StandingQueryService()
+        assert resumed.resume(str(directory)) == 2
+        assert resumed.session.get("sharded").sharded
+        third = len(events) // 3
+        assert resumed.engine.source("Bid").event_count == 2 * third
+        for event in events[2 * third:]:
+            resumed.ingest(event, "Bid")
+        for query_id in ("serial", "sharded"):
+            query = resumed.session.get(query_id)
+            assert query.flow.output_slice_of(query_id, 0) == expected.changes
+        resumed.checkpoint(str(directory))
+        manifest = manifest_of(directory)
+        assert manifest["generation"] == 3
+        for log in [manifest["sources"]["bid"]["log"]] + [
+            q["log"] for q in manifest["queries"]
+        ]:
+            assert log["segments"] == 3
+            assert os.path.getsize(directory / log["file"]) > logs[log["file"]]
 
     def test_newer_blob_version_is_refused(self):
         from repro.core.errors import ExecutionError
@@ -1035,3 +1098,428 @@ class TestCheckpointMetrics:
         assert svc.session.last_checkpoint_seconds > 0
         families = parse_exposition(text)
         assert families["repro_service_checkpoint_seconds"]["samples"][0][2] > 0
+
+
+# ---------------------------------------------------------------------------
+# (e) histories encoded at rest
+# ---------------------------------------------------------------------------
+
+log_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("extend"), st.integers(0, 5)),
+        st.tuples(st.just("seal"), st.just(0)),
+        st.tuples(st.just("slice"), st.integers(0, 40)),
+        st.tuples(st.just("segments"), st.integers(0, 40)),
+        st.tuples(st.just("unseal"), st.just(0)),
+    ),
+    max_size=30,
+)
+
+
+def numbered(start, count):
+    return [
+        Change(ChangeKind.RETRACT if i % 3 == 0 else ChangeKind.INSERT, (i,), i)
+        for i in range(start, start + count)
+    ]
+
+
+class TestSegmentedLog:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        adopted=st.lists(st.integers(0, 4), max_size=3),
+        as_one_triple=st.booleans(),
+        ops=log_ops,
+    )
+    def test_behaves_like_the_plain_list_it_replaces(
+        self, adopted, as_one_triple, ops
+    ):
+        """Any interleaving of extend / seal / slice / segments / unseal,
+        over a log that starts out adopting segments (empty ones
+        included): lengths, every slice — also from inside a sealed
+        segment — and the segments from every boundary agree with a
+        plain list, and a non-boundary is refused."""
+        model: list[Change] = []
+        segments = []
+        boundaries = {0}
+        for count in adopted:
+            segments.append(encode_changes(numbered(len(model), count)))
+            model += numbered(len(model), count)
+            boundaries.add(len(model))
+        if as_one_triple:
+            segments = concat_segments(segments) if segments else None
+            boundaries = {0, len(model)}
+        log = changes_log(segments)
+        for op, arg in ops:
+            if op == "extend":
+                log.tail.extend(numbered(len(model), arg))
+                model += numbered(len(model), arg)
+            elif op == "seal":
+                log.seal()
+                assert log.tail == []
+                boundaries.add(len(model))
+            elif op == "slice":
+                start = min(arg, len(model))
+                got = log.slice(start)
+                assert got == model[start:]
+                got.append(None)  # the caller's own list
+                assert log.slice(start) == model[start:]
+            elif op == "segments":
+                start = min(arg, len(model))
+                if start in boundaries or start == len(model):
+                    parts = log.segments(start)
+                    boundaries.add(len(model))
+                    assert all(kinds for kinds, _, _ in parts)
+                    assert decode_changes(concat_segments(parts) if parts else
+                                          encode_changes([])) == model[start:]
+                else:
+                    with pytest.raises(ExecutionError, match="boundary"):
+                        log.segments(start)
+                    boundaries.add(len(model))  # it sealed before refusing
+            else:
+                log.unseal()
+                assert log.base == 0 and log.sealed == [] and log.tail == model
+                boundaries = {0}
+            assert len(log) == log.base + len(log.tail) == len(model)
+            assert log.base == sum(len(kinds) for kinds, _, _ in log.sealed)
+        assert log.slice(0) == model
+
+    def test_a_plain_list_history_becomes_the_tail(self):
+        """What a pre-codec blob's ``list[Change]`` (and a test's
+        ``histories=``) is adopted as: the very list, nothing sealed."""
+        history = numbered(0, 3)
+        log = changes_log(history)
+        assert log.tail is history and log.base == 0 and log.sealed == []
+        assert len(changes_log()) == 0 and changes_log([]).slice(0) == []
+
+    def test_a_packed_segment_unpickles_on_first_use_of_its_vectors(
+        self, monkeypatch
+    ):
+        """What a log frame is adopted as: its length costs nothing, the
+        row and time vectors cost one ``pickle.loads``, once."""
+        loads = []
+        real = pickle.loads
+        monkeypatch.setattr(
+            pickle, "loads", lambda data: loads.append(1) or real(data)
+        )
+        triple = encode_changes(numbered(0, 5))
+        body = pickle.dumps(triple, pickle.HIGHEST_PROTOCOL)
+        packed = PackedSegment(body)
+        log = changes_log([packed, PackedSegment(pickle.dumps(encode_changes([])))])
+        log.tail.extend(numbered(5, 2))
+        assert packed[0] == triple[0] and len(log) == 7 and log.bounds == [0, 5]
+        assert log.slice(5) == numbered(5, 2)
+        assert packed.body is body and not loads
+        assert log.slice(3) == numbered(3, 4)
+        assert tuple(packed) == triple and concat_segments([packed]) == triple
+        assert type(concat_segments([packed])) is tuple
+        assert packed.body is None and len(loads) == 1
+        # a pickle this codec did not write still works, without the shortcut
+        foreign = PackedSegment(pickle.dumps(triple, 2))
+        assert foreign[0] == triple[0] and tuple(foreign) == triple
+
+    def test_event_logs_use_the_event_codec(self):
+        events = [wm(5, 0), ins(10, (1, 2, None)), rm(10, (1, 2, None)), wm(11, 9)]
+        log = events_log([encode_events(events[:3])])
+        log.tail.append(events[3])
+        assert len(log) == 4 and log.slice(1) == events[1:]
+        assert list(codec.segment_watermarks(log.segments(0)[0])) == [(5, 0)]
+        assert list(codec.segment_watermarks(log.segments(3)[0])) == [(11, 9)]
+        assert isinstance(log, SegmentedLog)
+
+
+def window_queries(count):
+    """``count`` distinct keyed-window queries (window length varies)."""
+    return [
+        (KEYED_SUM if i % 2 else KEYED_MAX).replace(
+            "INTERVAL '2' MINUTE", f"INTERVAL '{1 + i // 2}' MINUTE"
+        )
+        for i in range(count)
+    ]
+
+
+class CodecSpy:
+    """Counts, from installation on, the ``decode_changes`` /
+    ``encode_changes`` calls of logs created afterwards and every
+    ``Change`` the codec builds (for outputs and source events alike)."""
+
+    def __init__(self, monkeypatch):
+        self.decode_calls = 0
+        self.encoded_items = 0
+        self.changes_built = 0
+        real_decode, real_encode = codec.decode_changes, codec.encode_changes
+
+        def decode(encoded):
+            self.decode_calls += 1
+            return real_decode(encoded)
+
+        def encode(changes):
+            self.encoded_items += len(changes)
+            return real_encode(changes)
+
+        def build(kind, values, ptime):
+            self.changes_built += 1
+            return Change(kind, values, ptime)
+
+        monkeypatch.setattr(codec, "decode_changes", decode)
+        monkeypatch.setattr(codec, "encode_changes", encode)
+        monkeypatch.setattr(codec, "Change", build)
+
+
+class TestEncodedAtRest:
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_resuming_sixteen_queries_builds_no_change(
+        self, tmp_path, monkeypatch, parallelism
+    ):
+        events = keyed_events(400)
+        svc = new_service(parallelism=parallelism)
+        for i, sql in enumerate(window_queries(16)):
+            svc.submit(f"t{i % 4}", sql)
+        for event in events[:320]:
+            svc.ingest(event, "L")
+        svc.checkpoint(str(tmp_path))
+        sizes = {
+            q.query_id: q.flow.output_size_of(q.query_id)
+            for q in svc.session.queries()
+        }
+        assert len(sizes) == 16 and min(sizes.values()) > 0
+        history = svc.session.get("q1").flow.output_slice_of("q1", 0)
+        frames = {
+            segment.body: spec["query_id"]
+            for spec in manifest_of(tmp_path)["queries"]
+            for segment in session_module._read_log(tmp_path, spec["log"])
+        }
+        unpickled = []
+        real_loads = pickle.loads
+        monkeypatch.setattr(
+            pickle, "loads",
+            lambda data: unpickled.append(frames.get(data)) or real_loads(data),
+        )
+        spy = CodecSpy(monkeypatch)
+        resumed = resumed_from(tmp_path, parallelism=parallelism)
+        assert len(resumed.session.queries()) == 16
+        # Output logs are not even unpickled: adopted as the frames they are.
+        assert len(frames) == 16 and not any(unpickled)
+        # (the parent: 16 decode calls, one Change per historical change
+        # plus one per recorded source row)
+        assert spy.decode_calls == 0 and spy.changes_built == 0
+        assert {
+            q.query_id: q.history_items() for q in resumed.session.queries()
+        } == {qid: {"sealed": n, "live": 0} for qid, n in sizes.items()}
+        assert resumed.session.last_resume_seconds > 0
+        # Live traffic reads only the tail: still nothing decoded.
+        assert publishes_the_same(svc, resumed, events[320:360], "L")
+        assert spy.decode_calls == 0 and spy.changes_built == 0
+        # Reading one history decodes that one, and it is all there.
+        one = resumed.session.get("q1")
+        assert one.flow.output_slice_of("q1", 0)[:sizes["q1"]] == history
+        assert spy.decode_calls == 1 and spy.changes_built == sizes["q1"]
+        assert [qid for qid in unpickled if qid] == ["q1"]
+
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_a_change_is_encoded_once_however_many_cuts_follow(
+        self, monkeypatch, sharded
+    ):
+        spy = CodecSpy(monkeypatch)
+        engine = StreamEngine(
+            config=ExecutionConfig(parallelism=2 if sharded else 1, backend="sync")
+        )
+        events = keyed_events(160)
+        engine.register_stream("L", TimeVaryingRelation(L, events))
+        query = engine.query(KEYED_SUM)
+        flow = query.sharded_dataflow() if sharded else query.dataflow()
+        blobs = []
+        for part in (events[:60], events[60:120], events[120:]):
+            for event in part:
+                flow.process(event, "L")
+            blobs.append(flow.checkpoint())
+        blobs.append(flow.checkpoint())  # nothing new: nothing to encode
+        changelog = flow.result().changes
+        assert spy.encoded_items == len(changelog) > 0
+        # Every blob still carries its whole history as ONE triple.
+        key = "merged" if sharded else "changes"
+        for blob in blobs:
+            (stored,) = pickle.loads(blob)["outputs"].values()
+            kinds, rows, ptimes = stored[key]
+            assert type(kinds) is bytes and len(kinds) == stored["size"]
+            assert decode_changes(stored[key]) == changelog[:stored["size"]]
+        assert pickle.loads(blobs[-1])["version"] == 2
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_a_late_joiner_after_resume_sees_what_one_before_the_cut_sees(
+        self, tmp_path, parallelism
+    ):
+        """The late joiner replays the restored (still encoded) source:
+        the first replay unseals it once, and the joiner's deltas equal
+        those of the same query admitted to the live service before the
+        cut — and of one admitted to the service that never stopped."""
+        events = keyed_events(360)
+        svc = new_service(parallelism=parallelism)
+        svc.submit("t", KEYED_SUM)
+        for event in events[:200]:
+            svc.ingest(event, "L")
+        early = svc.submit("t", KEYED_MAX, query_id="joiner")
+        svc.checkpoint(str(tmp_path))
+        svc.withdraw("joiner")
+        resumed = resumed_from(tmp_path, parallelism=parallelism)
+        resumed.withdraw("joiner")
+        source = resumed.engine.source("L")
+        assert source.event_count == 200 and source.last_ptime == events[199].ptime
+        assert source.watermarks.as_pairs() == (
+            svc.engine.source("L").watermarks.as_pairs()
+        )
+        late_there = svc.submit("t", KEYED_MAX, query_id="joiner")
+        late_here = resumed.submit("t", KEYED_MAX, query_id="joiner")
+        assert late_here.cursor == late_there.cursor == early.cursor
+        assert source.events() == events[:200]
+        assert publishes_the_same(svc, resumed, events[200:], "L")
+        eng = StreamEngine()
+        eng.register_stream("L", TimeVaryingRelation(L, events))
+        assert late_here.flow.output_slice_of("joiner", 0) == (
+            eng.query(KEYED_MAX).run().changes
+        )
+
+    def test_a_resumed_directory_is_extended_and_cut_again_in_place(
+        self, tmp_path, monkeypatch
+    ):
+        """Resume, ingest, cut into the same directory: the cut appends
+        one segment per log that grew and decodes nothing; full cuts
+        elsewhere frame the adopted segments as they are."""
+        events = keyed_events(240)
+        svc = new_service()
+        svc.submit("t", KEYED_SUM)
+        svc.submit("t", FILTERED)
+        for event in events[:80]:
+            svc.ingest(event, "L")
+        svc.checkpoint(str(tmp_path / "d"))
+        for event in events[80:120]:
+            svc.ingest(event, "L")
+        svc.checkpoint(str(tmp_path / "d"))
+        spy = CodecSpy(monkeypatch)
+        decoded_events = []
+        real = codec.decode_events
+        monkeypatch.setattr(
+            codec, "decode_events",
+            lambda encoded: decoded_events.append(1) or real(encoded),
+        )
+        resumed = resumed_from(tmp_path / "d")
+        for event in events[120:160]:
+            assert resumed.ingest(event, "L") == svc.ingest(event, "L")
+        before = {f: os.path.getsize(tmp_path / "d" / f)
+                  for f in files_of(tmp_path / "d") if f.startswith("logs")}
+        resumed.checkpoint(str(tmp_path / "d"))
+        manifest = manifest_of(tmp_path / "d")
+        assert manifest["generation"] == 3
+        assert manifest["sources"]["l"]["log"]["segments"] == 3
+        assert manifest["sources"]["l"]["log"]["items"] == 160
+        for spec in manifest["queries"]:
+            assert spec["log"]["segments"] == 3
+            assert os.path.getsize(tmp_path / "d" / spec["log"]["file"]) > (
+                before[spec["log"]["file"]]
+            )
+        resumed.checkpoint(str(tmp_path / "elsewhere"))  # a full cut
+        elsewhere = manifest_of(tmp_path / "elsewhere")
+        assert [q["log"]["segments"] for q in elsewhere["queries"]] == [3, 3]
+        assert elsewhere["sources"]["l"]["log"]["items"] == 160
+        assert spy.decode_calls == spy.changes_built == 0 and not decoded_events
+        for directory in ("d", "elsewhere"):
+            again = resumed_from(tmp_path / directory)
+            for query in svc.session.queries():
+                theirs = again.session.get(query.query_id)
+                assert theirs.flow.output_slice_of(query.query_id, 0) == (
+                    query.flow.output_slice_of(query.query_id, 0)
+                )
+            assert again.engine.source("L").events() == events[:160]
+        assert publishes_the_same(svc, again, events[160:], "L")
+
+    def test_a_long_output_log_is_compacted_by_joining_segments(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(session_module, "_MAX_SEGMENTS", 3)
+        events = keyed_events(200)
+        svc = new_service()
+        query = svc.submit("t", KEYED_SUM)
+        spy = CodecSpy(monkeypatch)
+        seen = []
+        for round_ in range(6):
+            for event in events[round_ * 20:(round_ + 1) * 20]:
+                svc.ingest(event, "L")
+            svc.checkpoint(str(tmp_path))
+            seen.append(manifest_of(tmp_path)["queries"][0]["log"]["segments"])
+        assert seen == [1, 2, 3, 1, 2, 3]
+        assert spy.decode_calls == 0
+        assert query.history_items()["sealed"] == query.cursor
+        assert resumed_from(tmp_path).session.get("q1").flow.output_slice_of(
+            "q1", 0
+        ) == query.flow.output_slice_of("q1", 0)
+
+    def test_positions_survive_a_cut(self):
+        """Cursors, lineage positions and slices count from the start of
+        the changelog, sealed or not."""
+        events = keyed_events(120)
+        engine = StreamEngine()
+        engine.register_stream("L", TimeVaryingRelation(L, events))
+        flow = engine.query(KEYED_SUM).dataflow()
+        for event in events[:60]:
+            flow.process(event, "L")
+        cursor = flow.output_size
+        flow.checkpoint()
+        assert flow.output_size == cursor
+        assert flow.history_items_of("main") == {"sealed": cursor, "live": 0}
+        for event in events[60:]:
+            flow.process(event, "L")
+        expected = engine.query(KEYED_SUM).run().changes
+        assert flow.output_slice(cursor) == expected[cursor:]
+        assert flow.output_slice(cursor - 2) == expected[cursor - 2:]
+        assert flow.result().changes == expected
+
+
+class TestLazySources:
+    def test_a_restored_relation_answers_from_the_encoded_vectors(
+        self, monkeypatch
+    ):
+        events = keyed_events(64)
+        live = TimeVaryingRelation(L, events)
+        decoded = []
+        real = codec.decode_events
+        monkeypatch.setattr(
+            codec, "decode_events",
+            lambda encoded: decoded.append(1) or real(encoded),
+        )
+        restored = TimeVaryingRelation.restored(
+            L, [encode_events(events[:40]), encode_events([]),
+                encode_events(events[40:])],
+        )
+        assert restored.event_count == 64
+        assert restored.last_ptime == live.last_ptime
+        assert restored.watermarks.as_pairs() == live.watermarks.as_pairs()
+        assert restored.is_bounded == live.is_bounded
+        assert "64 events" in repr(restored)
+        more = keyed_events(8, start=64)
+        for event in more:
+            restored.apply(event)
+            live.apply(event)
+        assert restored.events(64) == more  # what an appending cut asks
+        assert decode_events(concat_segments(restored.event_segments(40))) == (
+            events[40:] + more
+        )
+        assert not decoded
+        with pytest.raises(ExecutionError, match="order"):
+            restored.apply(ins(0, (1, 1, 1)))
+        # Reading below the tail unseals once, for good.
+        assert restored.events() == live.events()
+        assert restored.events(3) == live.events(3)
+        assert len(decoded) == 2
+        assert list(restored.changelog) == list(live.changelog)
+        assert restored.snapshot().rows() == live.snapshot().rows()
+        assert restored.event_segments(0) == [encode_events(live.events())]
+
+    def test_the_changelog_of_a_restored_relation_includes_later_events(self):
+        events = keyed_events(24)
+        restored = TimeVaryingRelation.restored(L, [encode_events(events[:16])])
+        for event in events[16:]:
+            restored.apply(event)
+        assert list(restored.changelog) == list(
+            TimeVaryingRelation(L, events).changelog
+        )
+        restored.apply(ins(events[-1].ptime, (9, 9, 9)))
+        assert restored.changelog[len(restored.changelog) - 1].values == (9, 9, 9)

@@ -72,6 +72,26 @@ class TestQueryLifecycle:
         tvr.insert(2, (t("8:01"), 2, "y"))
         assert len(query.table()) == 2  # cache refreshed
 
+    def test_counting_a_source_does_not_copy_it(self, monkeypatch):
+        """``run()`` fingerprints its cache on each source's event
+        *count*: the only ``events()`` reads are the replay's own."""
+        eng = StreamEngine()
+        tvr = TimeVaryingRelation(SCHEMA)
+        tvr.insert(1, (t("8:00"), 1, "x"))
+        eng.register_stream("S", tvr)
+        reads = []
+        real = TimeVaryingRelation.events
+        monkeypatch.setattr(
+            TimeVaryingRelation, "events",
+            lambda self, start=0: reads.append(start) or real(self, start),
+        )
+        query = eng.query("SELECT * FROM S")
+        first = query.run()
+        assert reads == [0]  # the replay
+        assert query.run() is first and reads == [0]  # cached: no read at all
+        tvr.insert(2, (t("8:01"), 2, "y"))
+        assert len(query.run().changes) == 2 and reads == [0, 0]
+
     def test_stream_rejected_on_order_by(self, engine):
         query = engine.query("SELECT v FROM T ORDER BY v")
         with pytest.raises(ValidationError, match="stream"):

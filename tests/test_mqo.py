@@ -240,6 +240,48 @@ class TestSharing:
         assert query_changes(q2) == oneshot_changes(events, Q_MAX)
 
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_a_graft_adopts_the_donors_history_instead_of_copying_it(
+        self, parallelism
+    ):
+        """The donor is a throwaway: the grafted channel's log *is* the
+        donor's object (serial and sharded alike), and the late joiner's
+        deltas are what a private flow would have published."""
+        events = make_events(60)
+        svc, private = (
+            service_with_source(
+                ExecutionConfig(
+                    parallelism=parallelism, backend="sync", share_plans=share
+                )
+            )
+            for share in (True, False)
+        )
+        q1 = svc.submit("alice", Q_SUM)
+        private.submit("alice", Q_SUM)
+        for event in events[:30]:
+            svc.ingest(event, "S")
+            private.ingest(event, "S")
+        donors = []
+        attach = q1.flow.attach_output
+
+        def spying_attach(output_id, plan, donor=None, **kwargs):
+            donors.append(donor)
+            return attach(output_id, plan, donor=donor, **kwargs)
+
+        q1.flow.attach_output = spying_attach
+        q2 = svc.submit("bob", Q_MAX)
+        private.submit("bob", Q_MAX)
+        assert q2.flow is q1.flow
+        (donor,) = donors
+        assert q2.flow._outputs[q2.output_id].log is (
+            donor._outputs[donor._primary].log
+        )
+        assert q2.cursor == len(oneshot_changes(events[:30], Q_MAX))
+        for event in events[30:]:
+            assert svc.ingest(event, "S") == private.ingest(event, "S")
+        assert query_changes(q2) == oneshot_changes(events, Q_MAX)
+
+
 class TestWithdrawal:
     def test_withdrawing_one_sharer_preserves_the_survivor(self):
         """The regression this PR fixes: teardown of a withdrawn query

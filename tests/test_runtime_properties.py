@@ -9,9 +9,15 @@ second property drives the sharded checkpoint/restore roundtrip at a
 random crash point, and a third pins the flow contract: however a
 sharded flow is driven — per-event ``process``, ``replay`` at any batch
 size, ``run()`` on any backend, with a crash and a history-less
-checkpoint in the middle — it yields the serial changelog.
+checkpoint in the middle — it yields the serial changelog.  A fourth
+adds the restore-side drivers: a flow restored mid-stream (its history
+adopted still encoded), optionally cut *again* before anything read it,
+finishes with the uninterrupted changelog and lineage positions.
 """
 
+import pickle
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +25,7 @@ from repro import ExecutionConfig, StreamEngine
 from repro.core.schema import Schema, int_col, timestamp_col
 from repro.core.tvr import TimeVaryingRelation, ins, wm
 from repro.exec.executor import merge_source_events
+from repro.obs.lineage import LineageRecorder
 
 SCHEMA = Schema([int_col("k"), timestamp_col("ts", event_time=True), int_col("v")])
 
@@ -231,3 +238,93 @@ def test_every_driver_yields_the_serial_changelog(
     assert _finished(
         recovered, lambda flow: [None for _ in flow.replay(merged[consumed:])]
     ) == expected
+
+
+@pytest.mark.parametrize("shards", [1, 3])  # 1: the serial flow
+@pytest.mark.parametrize("lineage", [False, True])
+@settings(max_examples=15, deadline=None)
+@given(
+    events=event_histories(bursty=True),
+    sql=st.sampled_from(QUERIES),
+    two_phase=st.sampled_from(["off", "on"]),
+    batch_size=st.sampled_from([1, 7, 64]),
+    carried=st.booleans(),  # in the blob, or kept by the caller as segments
+    second_cut=st.booleans(),
+    cuts=st.tuples(
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=1.0),
+    ),
+)
+def test_restore_then_cut_again_then_read_yields_the_uninterrupted_changelog(
+    events, sql, shards, two_phase, batch_size, carried, second_cut, cuts, lineage
+):
+    """Checkpoint mid-stream → restore into a fresh flow → feed the rest
+    → read; and the same with a second checkpoint taken from the
+    *restored* flow before any read (so the second blob is built from
+    adopted segments plus a fresh tail).  Values, ``ptime``, kinds,
+    watermarks and lineage positions equal the uninterrupted flow's."""
+    merged = merge_source_events({"S": TimeVaryingRelation(SCHEMA, events)})
+
+    def fresh():
+        eng = StreamEngine(
+            config=ExecutionConfig(
+                parallelism=shards,
+                backend="sync",
+                two_phase=two_phase,
+                batch_size=batch_size,
+            )
+        )
+        eng.register_stream("S", TimeVaryingRelation(SCHEMA, events))
+        query = eng.query(sql)
+        flow = query.sharded_dataflow() if shards > 1 else query.dataflow()
+        if lineage:
+            flow.set_lineage(LineageRecorder(1))
+        return flow
+
+    def feed(flow, upto, start=0):
+        for consumed in flow.replay(merged[start:]):
+            if start + consumed >= upto:
+                return start + consumed
+        return len(merged)
+
+    def cut_and_restore(flow):
+        blob = flow.checkpoint(histories=carried)
+        kept = None if carried else {
+            oid: flow.output_segments_of(oid) for oid in flow.output_ids()
+        }
+        for stored in pickle.loads(blob)["outputs"].values():
+            history = stored["merged" if shards > 1 else "changes"]
+            if carried:  # one (kinds, values, ptimes) triple, as ever
+                assert type(history) is tuple and len(history[0]) == stored["size"]
+            else:
+                assert history is None
+        restored = fresh()
+        restored.restore(blob, histories=kept)
+        return restored
+
+    def outcome(flow):
+        result = flow.finish()
+        recorder = flow.lineage
+        return (
+            result.changes,
+            result.watermarks.as_pairs(),
+            result.last_ptime,
+            None if recorder is None else [
+                recorder.explain("main", pos)
+                for pos in range(len(result.changes))
+            ],
+        )
+
+    uninterrupted = fresh()
+    feed(uninterrupted, len(merged))
+    expected = outcome(uninterrupted)
+
+    first, second = sorted(int(len(merged) * cut) for cut in cuts)
+    flow = fresh()
+    at = feed(flow, first)
+    flow = cut_and_restore(flow)
+    if second_cut:
+        at = feed(flow, second, at)
+        flow = cut_and_restore(flow)
+    feed(flow, len(merged), at)
+    assert outcome(flow) == expected

@@ -38,6 +38,34 @@ class TestCommands:
         out = shell.feed("\\schema Bid")
         assert "bidtime" in out and "EVENT TIME" in out
 
+    def test_listing_does_not_materialise_a_restored_source(
+        self, script_file, monkeypatch
+    ):
+        """``\\tables`` / ``\\schema`` over a source brought back from its
+        event log (still encoded), and ``\\load``'s event count, build no
+        event list."""
+        from repro.core.codec import encode_events
+        from repro.core.tvr import TimeVaryingRelation
+
+        bids = paper_bid_stream()
+        engine = StreamEngine()
+        engine.register_stream(
+            "Bid",
+            TimeVaryingRelation.restored(
+                bids.schema, [encode_events(bids.events())]
+            ),
+        )
+        monkeypatch.setattr(
+            TimeVaryingRelation, "events",
+            lambda self, start=0: pytest.fail("a listing read the events"),
+        )
+        sh = Shell(engine)
+        assert sh.feed("\\tables") == "bid"
+        assert "bidtime" in sh.feed("\\schema Bid")
+        assert f"({bids.event_count} events)" in sh.feed(
+            f"\\load Again {script_file}"
+        )
+
     def test_load_missing_file(self):
         out = Shell().feed("\\load X /nonexistent/path")
         assert out.startswith("error:")
