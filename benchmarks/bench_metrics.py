@@ -6,6 +6,15 @@ attached, and writes ``BENCH_metrics.json`` — the artifact CI uploads:
 
 * per-configuration wall time and events/second (the metrics layer is
   always on, so these times *include* its cost);
+* what that cost is per delivery, as counts that repeat exactly
+  (``accounting``): a resident 16-output flow is fed one event per
+  ``process`` under ``sys.setprofile``, and the Python-level calls per
+  event — in total, and into ``repro/obs/`` — are recorded.  Accounting
+  rides the edge and settles on read, so the second number is gated:
+  ``obs_calls_per_event <= 32`` (the per-operator, per-emission
+  recorders this replaced made 266 on the same flow).  The edge helper
+  itself (``repro.exec.executor.count_edge``, one call per produced
+  batch) is part of the delivery loop and shows in the total;
 * the per-operator flow totals from the :class:`MetricsReport`;
 * rows routed per shard and the max/min skew summary;
 * the trace summary (batches, changes, watermark advances);
@@ -13,9 +22,10 @@ attached, and writes ``BENCH_metrics.json`` — the artifact CI uploads:
   identical across configurations by the routing invariance argument.
 
 ``schema_version`` is bumped whenever the artifact layout changes so
-downstream dashboards can dispatch on it (currently 3: the workload
-stanza records the execution knobs ``batch_size``/``coalesce_updates``
-so runs at different settings are never compared as equals).
+downstream dashboards can dispatch on it (currently 4: the
+``accounting`` stanza; 3 added the execution knobs ``batch_size``/
+``coalesce_updates`` to the workload stanza so runs at different
+settings are never compared as equals).
 
 Runs under plain pytest (no pytest-benchmark fixtures) and as a
 script::
@@ -26,6 +36,7 @@ script::
 from __future__ import annotations
 
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -45,7 +56,11 @@ SQL = """
 """
 
 ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_metrics.json"
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
+
+#: gate on Python-level calls into ``repro/obs/`` per delivered event
+OBS_CALLS_PER_EVENT_MAX = 32
+ACCOUNTING_EVENTS = 2_000
 
 
 def _latency(report) -> dict:
@@ -84,8 +99,13 @@ def _run_serial_traced(streams) -> dict:
 
 
 def _run_sharded(streams, shards: int) -> dict:
+    # Single-phase pinned: a two-phase run adds a combine stage whose
+    # operators count rows of their own, and the totals below are
+    # compared with the serial run's operator for operator.
     engine = StreamEngine(
-        config=ExecutionConfig(parallelism=shards, backend="threads")
+        config=ExecutionConfig(
+            parallelism=shards, backend="threads", two_phase="off"
+        )
     )
     streams.register_on(engine)
     query = engine.query(SQL)
@@ -108,6 +128,62 @@ def _run_sharded(streams, shards: int) -> dict:
     }
 
 
+def _tumble(select: str, seconds: int, where: str = "") -> str:
+    return (
+        f"SELECT TB.wend, {select} AS x FROM Tumble(data => TABLE(Bid), "
+        f"timecol => DESCRIPTOR(bidtime), "
+        f"dur => INTERVAL '{seconds}' SECONDS) TB {where} GROUP BY TB.wend"
+    )
+
+
+#: 16 standing queries: 8 aggregates over one shared scan + tumble
+#: prefix, 8 with a filter and a window of their own
+ACCOUNTING_QUERIES = [
+    _tumble(aggregate, 10)
+    for aggregate in (
+        "MAX(TB.price)", "MIN(TB.price)", "COUNT(*)", "SUM(TB.price)",
+        "AVG(TB.price)", "MAX(TB.bidder)", "MIN(TB.bidder)", "SUM(TB.bidder)",
+    )
+] + [
+    _tumble("COUNT(*)", 5 * (n + 2), where=f"WHERE TB.price > {100 * (n + 1)}")
+    for n in range(8)
+]
+
+
+def _count_accounting_calls(streams) -> dict:
+    """Python-level calls per event through a resident 16-output flow,
+    one event per ``process`` — counts, so they repeat exactly."""
+    engine = StreamEngine()
+    streams.register_on(engine)
+    flow = engine.query(ACCOUNTING_QUERIES[0]).dataflow()
+    for n, sql in enumerate(ACCOUNTING_QUERIES[1:], 1):
+        flow.attach_output(f"q{n}", engine.query(sql).plan)
+    events = streams.bids.events()[:ACCOUNTING_EVENTS]
+    counts = {"total": 0, "obs": 0}
+    obs_dir = str(Path("repro") / "obs") + "/"
+
+    def profile(frame, event, arg):
+        if event == "call":
+            counts["total"] += 1
+            if obs_dir in frame.f_code.co_filename:
+                counts["obs"] += 1
+
+    sys.setprofile(profile)
+    try:
+        for event in events:
+            flow.process(event, "Bid")
+    finally:
+        sys.setprofile(None)
+    return {
+        "outputs": len(flow.output_ids()),
+        "operators": len(flow.operators),
+        "events": len(events),
+        "calls_per_event": counts["total"] / len(events),
+        "obs_calls_per_event": counts["obs"] / len(events),
+        "obs_calls_per_event_max": OBS_CALLS_PER_EVENT_MAX,
+    }
+
+
 def collect() -> dict:
     """All configurations; the serial totals anchor the sharded ones."""
     streams = _workload()
@@ -122,8 +198,10 @@ def collect() -> dict:
             "query": " ".join(SQL.split()),
             "batch_size": 1,
             "coalesce_updates": False,
+            "two_phase": "off",
         },
         "runs": runs,
+        "accounting": _count_accounting_calls(streams),
     }
 
 
@@ -153,6 +231,9 @@ def test_metrics_bench_produces_artifact():
         assert run["latency"] == serial["latency"]
     assert serial["trace"]["batches"] > 0
     assert serial["trace"]["watermark_advances"] > 0
+    accounting = payload["accounting"]
+    assert accounting["outputs"] == 16
+    assert accounting["obs_calls_per_event"] <= OBS_CALLS_PER_EVENT_MAX, accounting
     path = write_artifact(payload)
     assert path.exists() and path.stat().st_size > 0
 
@@ -166,4 +247,11 @@ if __name__ == "__main__":
             f"{run['seconds']:.3f}s  {run['events_per_second']:,.0f} ev/s  "
             f"rows_out={run['totals']['rows_out']}"
         )
+    counted = data["accounting"]
+    print(
+        f"accounting: {counted['calls_per_event']:.1f} calls/event, "
+        f"{counted['obs_calls_per_event']:.1f} into repro/obs "
+        f"(gate <= {counted['obs_calls_per_event_max']}) over "
+        f"{counted['outputs']} outputs / {counted['operators']} operators"
+    )
     print(f"wrote {path}")

@@ -34,7 +34,7 @@ import pickle
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
-from ..core.changelog import Change, compact_intra_instant
+from ..core.changelog import Change, ChangeKind, compact_intra_instant
 from ..core.codec import SegmentedLog, changes_log, concat_segments
 from ..core.colbatch import ColumnarBatch
 from ..core.errors import ExecutionError
@@ -58,8 +58,10 @@ from .timers import TimerQueue
 
 __all__ = ["CHECKPOINT_VERSION", "Dataflow", "OutputChannel", "OutputLogs",
            "RunResult",
-           "check_checkpoint_version", "check_same_instant",
+           "check_checkpoint_version", "check_same_instant", "count_edge",
            "merge_source_events", "replay_runs", "stored_changes"]
+
+_RETRACT = ChangeKind.RETRACT
 
 #: Format version stamped on every checkpoint payload (serial and
 #: sharded).  2 = output changelogs go through the changelog codec and
@@ -123,6 +125,33 @@ def check_same_instant(events: Sequence[StreamEvent]) -> None:
                 "a batch must hold row events of a single processing-time "
                 "instant"
             )
+
+
+def count_edge(changes, producer, consumers) -> None:
+    """Count one produced batch where it crosses an edge of the graph.
+
+    ``changes`` — a ``list[Change]`` or a :class:`ColumnarBatch` — is
+    sized and its retractions scanned **once**; the two numbers go to
+    ``producer``'s out-counters (``None`` for a source payload, which
+    no operator produced) and to the in-counters of every
+    ``(consumer, port)`` it fans out to.
+    """
+    rows = len(changes)
+    if rows == 1 and type(changes) is list:
+        retracts = changes[0].kind is _RETRACT
+    elif type(changes) is ColumnarBatch:
+        retracts = changes.retract_count()
+    else:
+        retracts = len([c for c in changes if c.kind is _RETRACT])
+    if producer is not None:
+        producer.counters.rows_out += rows
+    for consumer, port in consumers:
+        consumer.counters.rows_in[port] += rows
+    if retracts:
+        if producer is not None:
+            producer.counters.retracts_out += retracts
+        for consumer, port in consumers:
+            consumer.counters.retracts_in[port] += retracts
 
 
 def stored_changes(
@@ -249,11 +278,19 @@ class OutputChannel:
     the plan whose completion columns drive it.  The physical operators
     below ``root`` may be shared with other channels of the same
     :class:`Dataflow`.
+
+    Telemetry **settles on read**.  Emitting records nothing: a sample
+    is a function of a change (its ``ptime``, its completion columns)
+    and of the root watermark, which only moves at this channel's own
+    watermark steps.  So ``log[settled:]`` is recorded in one run
+    (:meth:`settle`) right before the watermark moves, right before the
+    tail leaves (a cut seals it, a shard driver takes it), and whenever
+    :attr:`telemetry` is read.
     """
 
     __slots__ = (
         "output_id", "plan", "root", "root_name", "completion",
-        "log", "watermarks", "telemetry",
+        "log", "watermarks", "settled", "_telemetry",
     )
 
     def __init__(self, output_id: str, plan: QueryPlan, root: Operator):
@@ -262,17 +299,76 @@ class OutputChannel:
         self.root = root
         self.root_name = root.name()
         self.completion = plan.root.completion_indices
-        self.log = changes_log()
-        self.watermarks = WatermarkTrack()
-        self.telemetry = RunTelemetry()
+        self.adopt(changes_log(), WatermarkTrack(), RunTelemetry(), 0)
+
+    def adopt(
+        self,
+        log: SegmentedLog,
+        watermarks: WatermarkTrack,
+        telemetry: RunTelemetry,
+        settled: int,
+    ) -> None:
+        """Take over a history (a restored cut's, a donor's):
+        ``telemetry`` already covers ``log`` up to position ``settled``."""
+        self.log = log
+        self.watermarks = watermarks
+        self._telemetry = telemetry
+        self.settled = settled
+
+    def restore(
+        self,
+        log: SegmentedLog,
+        wm_pairs: Sequence[tuple[Timestamp, Timestamp]],
+        telemetry: Optional[dict],
+    ) -> None:
+        """Install a cut's history; the stored telemetry (none in the
+        oldest blobs) covers the whole stored log."""
+        watermarks = WatermarkTrack()
+        for ptime, value in wm_pairs:
+            watermarks.advance(ptime, value)
+        restored = RunTelemetry()
+        if telemetry is not None:
+            restored.restore(telemetry)
+        self.adopt(log, watermarks, restored, len(log))
+
+    def settle(self) -> None:
+        """Derive the telemetry samples of ``log[settled:]`` — all
+        emitted at the current root watermark.  A position below the
+        live tail (a settle point was missed before a seal) is decoded
+        for the occasion: that may cost time, never samples."""
+        log = self.log
+        end = log.base + len(log.tail)
+        if self.settled < end:
+            self._telemetry.record_emit_run(
+                log.slice(self.settled), self.completion, self.watermarks.current
+            )
+            self.settled = end
+
+    @property
+    def telemetry(self) -> RunTelemetry:
+        """The channel's latency telemetry, settled up to now."""
+        self.settle()
+        return self._telemetry
 
 
 class OutputLogs:
     """Reading a flow's output changelogs, for either flow kind: each
     value of ``_outputs`` keeps its changelog as ``log``, a
-    :class:`~repro.core.codec.SegmentedLog`."""
+    :class:`~repro.core.codec.SegmentedLog`, and ``_touched`` names the
+    outputs whose log grew since somebody last asked."""
 
     _outputs: dict
+    _touched: set
+
+    def take_touched(self) -> set:
+        """The outputs whose changelog may have grown since the last
+        take (a hint: a superset is legal).  A driver that publishes
+        per delivery reads this instead of polling every output; the
+        result may be the live (empty) set — read it, don't keep it."""
+        touched = self._touched
+        if touched:
+            self._touched = set()
+        return touched
 
     def output_size_of(self, output_id: str) -> int:
         log = self._outputs[output_id].log
@@ -372,6 +468,7 @@ class Dataflow(OutputLogs):
         self._leaves: list[ScanOperator] = []
         self._leaves_by_source: dict[str, list[ScanOperator]] = {}
         self._values_rows: dict[int, tuple] = {}
+        self._touched: set[str] = set()
         self._last_ptime: Timestamp = MIN_TIMESTAMP
         self._peak_state = 0
         self._opened = False
@@ -502,17 +599,26 @@ class Dataflow(OutputLogs):
         An empty result may be the live channel list; test it, don't
         keep it.
         """
-        log = self._outputs[output_id].log
+        channel = self._outputs[output_id]
+        log = channel.log
         taken = log.tail
         if taken:
+            channel.settle()  # while the tail is still here to read
             log.tail = []
+            channel.settled = log.base
         return taken
+
+    def output_segments_of(self, output_id: str, start: int = 0) -> list:
+        self._outputs[output_id].settle()  # sealing takes the tail's objects
+        return super().output_segments_of(output_id, start)
 
     def forget_outputs(self) -> None:
         """Drop every output's history, sealed segments included (a
         shard that restored a blob cut before shards went history-free)."""
         for channel in self._outputs.values():
-            channel.log = changes_log()
+            channel.adopt(
+                changes_log(), channel.watermarks, channel.telemetry, 0
+            )
 
     def total_state_rows(self) -> int:
         """Rows currently retained across all operator state."""
@@ -672,11 +778,14 @@ class Dataflow(OutputLogs):
         channel = self._open_channel(output_id, plan, build(root_node, build))
         self.metrics_registry = MetricsRegistry(self._operators)
         if donor is not None:
+            # The donor is a throwaway: adopt its history, don't copy it.
             donor_primary = donor._outputs[donor._primary]
-            # The donor is a throwaway: adopt its log, don't copy it.
-            channel.log = donor_primary.log
-            channel.watermarks = donor_primary.watermarks
-            channel.telemetry = donor_primary.telemetry
+            channel.adopt(
+                donor_primary.log,
+                donor_primary.watermarks,
+                donor_primary.telemetry,
+                donor_primary.settled,
+            )
             new_ids = {id(op) for op in new_ops}
             for when, _, op in sorted(donor._timers):
                 if id(op) in new_ids:
@@ -708,6 +817,7 @@ class Dataflow(OutputLogs):
         channel = self._outputs.pop(output_id, None)
         if channel is None:
             return False
+        self._touched.discard(output_id)
         siblings = self._outputs_of.get(id(channel.root))
         if siblings is not None:
             siblings.remove(channel)
@@ -858,13 +968,14 @@ class Dataflow(OutputLogs):
         op_index = {id(op): i for i, op in enumerate(self._operators)}
         payload = self.structure()
         for output_id, channel in self._outputs.items():
+            telemetry = channel.telemetry.snapshot()  # settles, then seal
             log = channel.log
             log.seal()
             payload["outputs"][output_id].update(
                 changes=concat_segments(log.sealed) if histories else None,
                 size=log.base,
                 wm_pairs=channel.watermarks.as_pairs(),
-                telemetry=channel.telemetry.snapshot(),
+                telemetry=telemetry,
             )
         payload.update(
             version=CHECKPOINT_VERSION,
@@ -934,15 +1045,11 @@ class Dataflow(OutputLogs):
         for op, snapshot in zip(operators, payload["op_states"]):
             op.state_restore(snapshot)
         for output_id, stored in payload["outputs"].items():
-            channel = self._outputs[output_id]
-            channel.log = stored_changes(
-                stored, "changes", histories, output_id
+            self._outputs[output_id].restore(
+                stored_changes(stored, "changes", histories, output_id),
+                stored["wm_pairs"],
+                stored["telemetry"],
             )
-            channel.watermarks = WatermarkTrack()
-            for ptime, value in stored["wm_pairs"]:
-                channel.watermarks.advance(ptime, value)
-            channel.telemetry = RunTelemetry()
-            channel.telemetry.restore(stored["telemetry"])
         self._restore_clock(payload)
         if payload.get("lineage") is not None:
             self.set_lineage(LineageRecorder.restore(payload["lineage"]))
@@ -964,16 +1071,12 @@ class Dataflow(OutputLogs):
             )
         for op, snapshot in zip(operators, payload["op_states"]):
             op.state_restore(snapshot)
-        channel = self._outputs[self._primary]
-        channel.log = changes_log(list(payload["root_changes"]))
-        channel.watermarks = WatermarkTrack()
-        for ptime, value in payload["root_wm_pairs"]:
-            channel.watermarks.advance(ptime, value)
+        self._outputs[self._primary].restore(
+            changes_log(list(payload["root_changes"])),
+            payload["root_wm_pairs"],
+            payload.get("telemetry"),
+        )
         self._restore_clock(payload)
-        telemetry = payload.get("telemetry")
-        if telemetry is not None:
-            channel.telemetry = RunTelemetry()
-            channel.telemetry.restore(telemetry)
 
     def run(self, until: Optional[Timestamp] = None) -> RunResult:
         """Replay all source events (up to ``until``) and collect the result.
@@ -1034,6 +1137,9 @@ class Dataflow(OutputLogs):
                 payload = ColumnarBatch.from_changes(
                     payload, len(leaves[0].schema)
                 )
+            # The graph's entry edges, counted like any other (no
+            # operator produced the payload).
+            count_edge(payload, None, [(leaf, 0) for leaf in leaves])
             for leaf in leaves:
                 self._push_changes(leaf, 0, payload, cause)
         if leaves or fired:
@@ -1061,9 +1167,10 @@ class Dataflow(OutputLogs):
 
     def _observe_state(self) -> None:
         """The epilogue of a delivery in which some operator ran (a
-        clock-only event moves no state size): one sweep both tracks
-        the dataflow-wide peak and refreshes the per-operator state
-        peaks the metrics layer reports."""
+        clock-only event moves no state size): one sweep over the
+        operators that keep state both tracks the dataflow-wide peak
+        and refreshes the per-operator state peaks the metrics layer
+        reports."""
         state = self.metrics_registry.observe_state()
         if state > self._peak_state:
             self._peak_state = state
@@ -1202,7 +1309,7 @@ class Dataflow(OutputLogs):
         # Open every operator first (children before parents), then
         # propagate initial rows (e.g. the global aggregate's
         # empty-input row) so parents are open when they arrive.
-        pending = [(op, op.process_open()) for op in self._operators]
+        pending = [(op, op.on_open()) for op in self._operators]
         for op, initial in pending:
             if initial:
                 self._emit_up(op, initial)
@@ -1211,13 +1318,9 @@ class Dataflow(OutputLogs):
             rows = self._values_rows.get(id(leaf))
             if rows is None:
                 continue
-            from ..core.changelog import ChangeKind
-
-            self._push_changes(
-                leaf,
-                0,
-                [Change(ChangeKind.INSERT, row, MIN_TIMESTAMP) for row in rows],
-            )
+            values = [Change(ChangeKind.INSERT, row, MIN_TIMESTAMP) for row in rows]
+            count_edge(values, None, [(leaf, 0)])
+            self._push_changes(leaf, 0, values)
             self._push_watermark(leaf, 0, MAX_TIMESTAMP, MIN_TIMESTAMP)
 
     def _push_changes(
@@ -1233,15 +1336,19 @@ class Dataflow(OutputLogs):
         mode) a :class:`ColumnarBatch`.  A batch is handed to columnar
         operators as-is and converted to rows at the first operator
         that cannot consume it — after which it stays rows; the
-        executor never re-columnarizes mid-flight.
+        executor never re-columnarizes mid-flight.  The input was
+        counted where it crossed the edge into ``op``
+        (:meth:`_emit_up`, :meth:`process_batch`); the output is counted
+        where it leaves — after compaction, so ``rows_out`` is what
+        went downstream.
         """
         if type(changes) is ColumnarBatch:
             if op.supports_columnar:
-                produced = op.process_cols(port, changes)
+                produced = op.on_cols(port, changes)
             else:
-                produced = op.process_batch(port, changes.to_changes())
+                produced = op.on_batch(port, changes.to_changes())
         else:
-            produced = op.process_batch(port, changes)
+            produced = op.on_batch(port, changes)
         if not produced:
             return
         if self.coalesce_updates and len(produced) > 1:
@@ -1249,7 +1356,7 @@ class Dataflow(OutputLogs):
                 produced = produced.to_changes()
             produced, dropped = compact_intra_instant(produced)
             if dropped:
-                op.counters.record_coalesced(dropped)
+                op.counters.changes_coalesced += dropped
                 if not produced:
                     return
         if cause is not None and self.lineage is not None:
@@ -1269,7 +1376,14 @@ class Dataflow(OutputLogs):
         cause: Optional[tuple[int, ...]] = None,
     ) -> None:
         """Fan an operator's output out: first to any output channels
-        rooted at it, then to its consumer edges in attach order."""
+        rooted at it, then to its consumer edges in attach order.
+
+        Every produced batch — row-, open-, watermark- or timer-driven
+        — passes here exactly once, so this is where it is counted:
+        for its producer and all its consumers in one scan.
+        """
+        consumers = self._consumers.get(id(op), ())
+        count_edge(changes, op, consumers)
         channels = self._outputs_of.get(id(op))
         if channels is not None:
             # Output channels store rows; ``to_changes`` is memoized,
@@ -1281,7 +1395,7 @@ class Dataflow(OutputLogs):
             )
             for channel in channels:
                 self._collect_output(channel, rows, cause)
-        for consumer, port in self._consumers.get(id(op), ()):
+        for consumer, port in consumers:
             self._push_changes(consumer, port, changes, cause)
 
     def _push_watermark(
@@ -1309,6 +1423,7 @@ class Dataflow(OutputLogs):
         channels = self._outputs_of.get(id(op))
         if channels is not None:
             for channel in channels:
+                channel.settle()  # what it emitted so far saw the old one
                 channel.watermarks.advance(ptime, out_wm)
                 if self.trace is not None and channel.output_id == self._primary:
                     self.trace(
@@ -1339,28 +1454,7 @@ class Dataflow(OutputLogs):
                     channel.output_id, cause, len(changes)
                 )
         channel.log.tail.extend(changes)
-        root_wm = channel.watermarks.current
-        completion = channel.completion
-        if len(changes) == 1:
-            change = changes[0]
-            completion_time: Optional[Timestamp] = None
-            if completion is not None:
-                # Completion columns hold event-time bounds, but outer
-                # joins may emit NULLs there; a row with no bound yields
-                # no emit-latency sample.
-                bounds = [
-                    change.values[i]
-                    for i in completion
-                    if isinstance(change.values[i], int)
-                ]
-                if bounds:
-                    completion_time = max(bounds)
-            channel.telemetry.record_emit(change.ptime, completion_time, root_wm)
-        else:
-            # Batched emission: same samples, bulk-recorded.  The root
-            # watermark is constant across the run (batches never span
-            # a watermark event), so one lookup covers every change.
-            channel.telemetry.record_emit_run(changes, completion, root_wm)
+        self._touched.add(channel.output_id)
         if self.trace is not None and channel.output_id == self._primary:
             self.trace(
                 TraceEvent(
@@ -1381,7 +1475,7 @@ class Dataflow(OutputLogs):
         t.
         """
         for when, op in self._timers.pop_due(up_to):
-            changes = op.process_timer(when)
+            changes = op.on_timer(when)
             self._last_ptime = max(self._last_ptime, when)
             if changes:
                 self._emit_up(op, changes)

@@ -25,13 +25,15 @@ The contract:
   "reasoning about the size of query state" lesson and the state
   benchmarks.
 
-Observability is part of the contract, not an add-on: the executor
-drives operators through the ``process_*`` wrappers defined here, which
-count rows in/out around the ``on_*`` hooks, and every operator carries
-the uniform ``late_dropped``/``expired_rows`` counters.  ``metrics()``
-assembles the whole block, so downstream reporting iterates operators
-instead of maintaining per-class ``isinstance`` allowlists (the pattern
-that silently lost OVER and MATCH_RECOGNIZE late drops).
+Observability is part of the contract, not an add-on: every operator
+carries a counter block and the uniform ``late_dropped``/
+``expired_rows`` counters.  Operators do not count their own rows — the
+executor calls the ``on_*`` hooks directly and counts each produced
+batch once, where it crosses the edge to its consumers
+(:func:`~repro.exec.executor.count_edge`).  ``metrics()`` assembles the
+whole block, so downstream reporting iterates operators instead of
+maintaining per-class ``isinstance`` allowlists (the pattern that
+silently lost OVER and MATCH_RECOGNIZE late drops).
 """
 
 from __future__ import annotations
@@ -123,25 +125,6 @@ class Operator:
             out.extend(on_change(port, change))
         return out
 
-    # -- counted entry points -------------------------------------------------
-    #
-    # The executor drives operators through these wrappers so the
-    # metrics layer sees every row on every port of every operator —
-    # counting lives in exactly one place and cannot drift per class.
-
-    def process_open(self) -> list[Change]:
-        out = self.on_open()
-        self.counters.record_out(out)
-        return out
-
-    def process_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
-        """Counted batch entry point; counters land exactly as if the
-        batch had been delivered change by change."""
-        self.counters.record_in_batch(port, changes)
-        out = self.on_batch(port, changes)
-        self.counters.record_out(out)
-        return out
-
     def on_cols(self, port: int, batch):
         """Consume a columnar batch; only called when
         ``supports_columnar`` is True.  May return either a
@@ -149,31 +132,15 @@ class Operator:
         the executor handles both payload encodings downstream."""
         raise NotImplementedError
 
-    def process_cols(self, port: int, batch):
-        """Counted columnar entry point; counters land exactly as if
-        the batch had been delivered change by change."""
-        counters = self.counters
-        counters.record_in_cols(port, batch)
-        out = self.on_cols(port, batch)
-        if isinstance(out, list):
-            counters.record_out(out)
-        else:
-            counters.record_out_cols(out)
-        return out
-
     def process_watermark(
         self, port: int, value: Timestamp, ptime: Timestamp
     ) -> tuple[list[Change], Optional[Timestamp]]:
+        """``on_watermark``, counting output-watermark advances (what
+        the advance *emits* is counted where it crosses the edge)."""
         changes, out_wm = self.on_watermark(port, value, ptime)
-        self.counters.record_out(changes)
         if out_wm is not None:
-            self.counters.record_wm_advance()
+            self.counters.wm_advances += 1
         return changes, out_wm
-
-    def process_timer(self, when: Timestamp) -> list[Change]:
-        out = self.on_timer(when)
-        self.counters.record_out(out)
-        return out
 
     # -- watermark path -------------------------------------------------------
 

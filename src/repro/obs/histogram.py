@@ -62,18 +62,25 @@ class Histogram:
 
     def observe_many(self, values: Iterable[int]) -> None:
         """Record many values at once; identical to observing each in
-        turn, with the attribute traffic hoisted out of the loop."""
+        turn.  Values are tallied first, so the bucket arithmetic runs
+        once per *distinct* value — telemetry settles a watermark
+        step's worth of samples at a time, and those repeat: a burst
+        shares its instant, a window its bound.  (A plain dict, not a
+        ``Counter``: a shard driver settles runs of one.)"""
+        tally: dict[int, int] = {}
+        for value in values:
+            tally[value] = tally.get(value, 0) + 1
         buckets = self.buckets
         top = len(buckets) - 1
         total = 0
         seen = 0
         lo, hi = self.min, self.max
-        for value in values:
+        for value, times in tally.items():
             if value < 0:
                 value = 0
-            buckets[0 if value <= 1 else min((value - 1).bit_length(), top)] += 1
-            total += value
-            seen += 1
+            buckets[0 if value <= 1 else min((value - 1).bit_length(), top)] += times
+            total += value * times
+            seen += times
             if lo is None or value < lo:
                 lo = value
             if hi is None or value > hi:
@@ -83,23 +90,6 @@ class Histogram:
         self.count += seen
         self.sum += total
         self.min, self.max = lo, hi
-
-    def observe_run(self, value: int, times: int) -> None:
-        """Record one value ``times`` times; identical to ``times``
-        calls to :meth:`observe`.  The executor uses this for runs of
-        root changes emitted at one instant, where every sample in the
-        run is the same number."""
-        if times <= 0:
-            return
-        if value < 0:
-            value = 0
-        self.buckets[_bucket_index(value)] += times
-        self.count += times
-        self.sum += value * times
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
 
     def merge(self, other: "Histogram") -> "Histogram":
         """Fold ``other`` into this histogram (in place); returns self."""

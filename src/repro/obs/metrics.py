@@ -8,14 +8,16 @@ rule: a streaming engine you cannot observe is an engine you cannot
 tune.  This module is the engine's observability spine:
 
 * :class:`OperatorCounters` — the mutable counter block every physical
-  operator carries.  Counting happens in the ``process_*`` wrappers of
-  :class:`~repro.exec.operators.base.Operator`, so no operator can opt
-  out and no executor-side ``isinstance`` allowlist can lose a counter
-  (the bug that motivated this layer: OVER and MATCH_RECOGNIZE late
-  drops silently vanished from ``RunResult.late_dropped``).
+  operator carries.  Rows and retractions are counted in one place,
+  :func:`repro.exec.executor.count_edge`: once per produced batch,
+  where it crosses an edge of the graph, for the producer and every
+  consumer at once.  No operator can opt out and no executor-side
+  ``isinstance`` allowlist can lose a counter (the bug that motivated
+  this layer: OVER and MATCH_RECOGNIZE late drops silently vanished
+  from ``RunResult.late_dropped``).
 * :class:`MetricsRegistry` — the executor-side view over one dataflow's
-  operators; snapshotted per ``process()`` step to keep per-operator
-  state peaks current.
+  operators; swept per ``process()`` step, over the operators that keep
+  state, to keep per-operator state peaks current.
 * :class:`MetricsReport` — the assembled, renderable report attached to
   every :class:`~repro.exec.executor.RunResult`; sharded runs merge the
   per-shard reports into per-operator totals plus a per-shard breakdown
@@ -27,15 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from ..core.changelog import ChangeKind
 from ..core.times import MAX_TIMESTAMP, MIN_TIMESTAMP
 from .telemetry import RunTelemetry
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..core.changelog import Change
     from ..exec.operators.base import Operator
-
-_RETRACT = ChangeKind.RETRACT
 
 __all__ = [
     "OperatorCounters",
@@ -107,9 +105,14 @@ class OperatorCounters:
 
     ``rows_in``/``retracts_in`` are per input port (inserts are
     ``rows_in - retracts_in``); outputs are single totals because an
-    operator has one output.  ``peak_state_rows`` is refreshed by the
-    executor's per-step registry sweep rather than per change, keeping
-    the data path free of repeated ``state_size()`` scans.
+    operator has one output.  A plain block of numbers: rows and
+    retractions are written by :func:`~repro.exec.executor.count_edge`,
+    ``peak_state_rows`` by the executor's per-step registry sweep (not
+    per change, keeping the data path free of repeated ``state_size()``
+    scans).
+    ``changes_coalesced`` counts what intra-instant compaction dropped
+    from this operator's output *before* it crossed the edge, so
+    ``rows_out`` means "changes this operator sent downstream".
     """
 
     __slots__ = ("rows_in", "retracts_in", "rows_out", "retracts_out",
@@ -123,57 +126,6 @@ class OperatorCounters:
         self.peak_state_rows = 0
         self.wm_advances = 0
         self.changes_coalesced = 0
-
-    # -- recording (hot path) ------------------------------------------------
-
-    def record_in_batch(self, port: int, changes: Sequence["Change"]) -> None:
-        self.rows_in[port] += len(changes)
-        retracts = len([c for c in changes if c.kind is _RETRACT])
-        if retracts:
-            self.retracts_in[port] += retracts
-
-    def record_out(self, changes: Sequence["Change"]) -> None:
-        if not changes:
-            return
-        self.rows_out += len(changes)
-        retracts = len([c for c in changes if c.kind is _RETRACT])
-        if retracts:
-            self.retracts_out += retracts
-
-    def record_in_cols(self, port: int, batch) -> None:
-        """Columnar twin of :meth:`record_in_batch`; counts from the
-        kinds vector so the totals match the row path exactly."""
-        self.rows_in[port] += len(batch)
-        retracts = batch.retract_count()
-        if retracts:
-            self.retracts_in[port] += retracts
-
-    def record_out_cols(self, batch) -> None:
-        if not len(batch):
-            return
-        self.rows_out += len(batch)
-        retracts = batch.retract_count()
-        if retracts:
-            self.retracts_out += retracts
-
-    def note_state(self, size: int) -> None:
-        if size > self.peak_state_rows:
-            self.peak_state_rows = size
-
-    def record_wm_advance(self) -> None:
-        self.wm_advances += 1
-
-    def record_coalesced(self, dropped: int) -> None:
-        """Account for intra-instant compaction of this operator's output.
-
-        ``dropped`` changes (always insert/retract pairs, so half are
-        retracts) were produced but cancelled before propagating, and
-        the out-counters are walked back so ``rows_out`` keeps meaning
-        "changes this operator sent downstream".
-        """
-        self.changes_coalesced += dropped
-        self.rows_out -= dropped
-        self.retracts_out -= dropped // 2
 
     # -- checkpointing -------------------------------------------------------
 
@@ -214,34 +166,36 @@ def watermark_lag(input_wm: int, output_wm: int) -> int:
 
 
 class MetricsRegistry:
-    """The executor's handle on its operators' counters.
+    """The executor's handle on the operators that keep state.
 
     The executor calls :meth:`observe_state` once per ``process()``
-    step: one sweep refreshes every operator's state peak *and* yields
+    step: one sweep refreshes the operators' state peaks *and* yields
     the dataflow-wide total the executor tracks for
-    ``RunResult.peak_state_rows`` — the same O(operators) cost the old
-    per-step ``total_state_rows()`` scan already paid.
+    ``RunResult.peak_state_rows``.  The sweep walks only the operators
+    whose class overrides ``state_size`` — the rest inherit the base
+    class's constant 0, which can neither raise a peak nor add to the
+    total.
     """
 
     def __init__(self, operators: Iterable["Operator"]):
-        self._operators = list(operators)
+        # (imported here: the operator base class imports this module)
+        from ..exec.operators.base import Operator
 
-    @property
-    def operators(self) -> list["Operator"]:
-        return list(self._operators)
+        self._stateful = [
+            op for op in operators
+            if type(op).state_size is not Operator.state_size
+        ]
 
     def observe_state(self) -> int:
         """Refresh per-operator state peaks; returns the current total."""
         total = 0
-        for op in self._operators:
+        for op in self._stateful:
             size = op.state_size()
-            op.counters.note_state(size)
+            counters = op.counters
+            if size > counters.peak_state_rows:
+                counters.peak_state_rows = size
             total += size
         return total
-
-    def snapshot(self) -> list[dict]:
-        """Every operator's ``metrics()`` dict, in compile (post-) order."""
-        return [op.metrics() for op in self._operators]
 
 
 # Keys that are identity, not quantity: kept from the first shard when

@@ -14,6 +14,14 @@ root, where a change's processing time is final:
   watermark at the instant of emission: how far completeness trails
   the data.
 
+Everything a sample needs is in the output's changelog (each change's
+``ptime`` and completion columns) plus the root watermark, which is
+constant between two watermark steps of that output — so nothing is
+recorded per emission.  The samples are *derived* from the log, a
+watermark step's worth at a time, when the watermark is about to move,
+when the log's tail is about to leave, or when somebody reads the
+telemetry (``OutputChannel.settle`` in :mod:`repro.exec.executor`).
+
 Both are :class:`~repro.obs.histogram.Histogram`\\ s, so per-shard
 telemetry merges into exactly the serial distribution (watermarks are
 broadcast and each root change is produced by exactly one shard).
@@ -42,28 +50,7 @@ class RunTelemetry:
         self.watermark_lag = Histogram()
         self.early_emits = 0
 
-    # -- recording (called by the executor at the dataflow root) --------------
-
-    def record_emit(
-        self,
-        ptime: Timestamp,
-        completion_time: Optional[Timestamp],
-        root_watermark: Timestamp,
-    ) -> None:
-        """Record one root change emitted at ``ptime``.
-
-        ``completion_time`` is the row's event-time completion bound
-        (max over the plan's completion columns) or ``None`` when the
-        plan has none; ``root_watermark`` is the root output watermark
-        at the moment of emission.
-        """
-        if completion_time is not None and _is_finite(completion_time):
-            latency = ptime - completion_time
-            if latency < 0:
-                self.early_emits += 1
-            self.emit_latency.observe(latency)
-        if _is_finite(root_watermark):
-            self.watermark_lag.observe(ptime - root_watermark)
+    # -- recording (the one method; see ``OutputChannel.settle``) --------------
 
     def record_emit_run(
         self,
@@ -73,10 +60,15 @@ class RunTelemetry:
     ) -> None:
         """Record a run of root changes emitted at one watermark state.
 
-        Produces exactly the histograms that calling :meth:`record_emit`
-        once per change would (histograms are order-insensitive), with
-        the per-sample bookkeeping batched.  ``completion`` is the
-        plan's completion column indices, applied to each change's row.
+        One emit-latency sample per change whose row carries a finite
+        event-time completion bound (the max over ``completion``, the
+        plan's completion column indices; outer joins may leave NULLs
+        there, and a row with no bound yields no sample), negative ones
+        also counted in ``early_emits``; one watermark-lag sample per
+        change while ``root_watermark`` — the root output watermark
+        when the run was emitted — is finite.  Histograms are
+        order-insensitive, so recording a run at once equals recording
+        its changes one by one.
         """
         if completion is not None:
             latencies = []
@@ -108,18 +100,11 @@ class RunTelemetry:
             if latencies:
                 self.emit_latency.observe_many(latencies)
                 self.early_emits += early
-        if changes and _is_finite(root_watermark):
-            first = changes[0].ptime
-            if changes[-1].ptime == first:
-                # a scheduler run holds one instant, so every lag sample
-                # in it is the same number — one bulk increment
-                self.watermark_lag.observe_run(
-                    first - root_watermark, len(changes)
-                )
-            else:
-                self.watermark_lag.observe_many(
-                    [c.ptime - root_watermark for c in changes]
-                )
+        if _is_finite(root_watermark):
+            # (a burst shares its instant: few distinct lags to tally)
+            self.watermark_lag.observe_many(
+                [c.ptime - root_watermark for c in changes]
+            )
 
     # -- merging ---------------------------------------------------------------
 

@@ -13,10 +13,13 @@ output splices into the merged changelog byte-identically.
 The stage deliberately mirrors the executor's per-edge behavior:
 outputs are compacted between operators when ``coalesce_updates`` is
 on (with ``changes_coalesced`` charged to the producing operator, as
-``Dataflow._push_changes`` does), per-operator state peaks are noted
-after every feed, and root emissions are recorded into a
-:class:`~repro.obs.telemetry.RunTelemetry` against the original plan
-root's completion columns.
+``Dataflow._push_changes`` does), every hop of the chain is counted
+where it crosses to the next operator
+(:func:`~repro.exec.executor.count_edge`, as ``Dataflow._emit_up`` does),
+per-operator state peaks are swept after every feed, and root emissions
+are recorded into a :class:`~repro.obs.telemetry.RunTelemetry` against
+the original plan root's completion columns — at the frontier value the
+splice passes in, so per feed rather than settled later.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from typing import Optional, Sequence
 from ..core.changelog import Change, compact_intra_instant
 from ..core.errors import ExecutionError
 from ..core.times import Timestamp
+from ..exec.executor import count_edge
+from ..obs.metrics import MetricsRegistry
 from ..obs.telemetry import RunTelemetry
 
 __all__ = ["CombineStage"]
@@ -69,7 +74,7 @@ class CombineStage:
             prev = op
         self._combine = combine
         self._ops = ops  # feed order: combine first, root last
-        self._root = prev
+        self._registry = MetricsRegistry(ops)
         root_node = split.finish[0] if split.finish else agg
         self._completion = root_node.completion_indices
         self.telemetry = RunTelemetry()
@@ -85,18 +90,18 @@ class CombineStage:
         the slice's position.
         """
         current: list[Change] = list(changes)
+        producer = None  # the slice itself: no operator here produced it
         for op in self._ops:
             if not current:
                 break
-            produced = op.process_batch(0, current)
-            if self._coalesce and len(produced) > 1:
-                produced, dropped = compact_intra_instant(produced)
-                if dropped:
-                    op.counters.record_coalesced(dropped)
-            current = produced
-        for op in self._ops:
-            op.counters.note_state(op.state_size())
+            count_edge(current, producer, [(op, 0)])
+            current, producer = op.on_batch(0, current), op
+            if self._coalesce and len(current) > 1:
+                current, dropped = compact_intra_instant(current)
+                op.counters.changes_coalesced += dropped
+        self._registry.observe_state()
         if current:
+            count_edge(current, producer, ())
             self.telemetry.record_emit_run(
                 current, self._completion, root_watermark
             )
@@ -119,8 +124,7 @@ class CombineStage:
                 )
             if wm is None:
                 break
-        for op in self._ops:
-            op.counters.note_state(op.state_size())
+        self._registry.observe_state()
 
     # -- introspection ---------------------------------------------------------
 

@@ -149,9 +149,11 @@ def splice(
     outputs: Mapping[str, MergedOutput],
     stages: Mapping[str, CombineStage],
     logs: Mapping[int, Mapping[str, ShardLog]],
+    touched: set[str],
     recorder: Optional[LineageRecorder] = None,
 ) -> None:
-    """Fold shard logs (``logs[shard][output_id]``) into the merged outputs.
+    """Fold shard logs (``logs[shard][output_id]``) into the merged
+    outputs, adding to ``touched`` the ids of those it appended to.
 
     Per output, slices are interleaved by sequence number and
     observations by (sequence, shard) — an event sequence number names
@@ -202,7 +204,10 @@ def splice(
                 if stage is None
                 else stage.feed(changes, frontier.current)
             )
-            spans[shard].append([start, base + len(merged), len(changes)])
+            end = base + len(merged)
+            spans[shard].append([start, end, len(changes)])
+            if end > start:  # (a combine stage may absorb a slice whole)
+                touched.add(oid)
         landed[oid] = (span for shard in spans for span in spans[shard])
     if recorder is None:
         return

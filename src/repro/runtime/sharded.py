@@ -193,6 +193,7 @@ class ShardedDataflow(OutputLogs):
         #: split plan) — what a fresh shard is built from.
         self._shard_plans: dict[str, object] = {}
         self._outputs: dict[str, MergedOutput] = {}
+        self._touched: set[str] = set()
         self._last_ptime: Timestamp = MIN_TIMESTAMP
         self._trace: Optional[Callable[[TraceEvent], None]] = None
         self._recovery = RecoveryStats()
@@ -501,6 +502,7 @@ class ShardedDataflow(OutputLogs):
         for shard in self._shards:
             shard.remove_output(output_id)
         del self._outputs[output_id], self._shard_plans[output_id]
+        self._touched.discard(output_id)
         self._splits.pop(output_id, None)
         self._stages.pop(output_id, None)
         return True
@@ -572,7 +574,7 @@ class ShardedDataflow(OutputLogs):
                 i, n = 0, len(tasks)
                 while i < n:
                     i = drive_run(shard, tasks, i, logs[index])
-            splice(self._outputs, self._stages, logs, recorder)
+            splice(self._outputs, self._stages, logs, self._touched, recorder)
         finally:
             if recorder is not None:
                 recorder.clear_pending()
@@ -645,7 +647,7 @@ class ShardedDataflow(OutputLogs):
                 logs[index][oid] = ShardLog(
                     unique, dedup_observations(log.observations)
                 )
-        splice(self._outputs, self._stages, logs)
+        splice(self._outputs, self._stages, logs, self._touched)
         if events:
             self._last_ptime = max(self._last_ptime, events[-1][0].ptime)
         return self.result()

@@ -62,6 +62,7 @@ import pickle
 import struct
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from ..config import ExecutionConfig
@@ -98,6 +99,8 @@ _SEGMENT_HEADER = struct.Struct(">4sQ")
 _SEGMENT_MAGIC = b"RSEG"
 #: segments a log may accumulate before a cut rewrites it as one
 _MAX_SEGMENTS = 64
+#: sort key putting touched queries back in the order they were adopted
+_registration_order = attrgetter("ordinal")
 
 
 @dataclass(slots=True)
@@ -267,6 +270,8 @@ class StandingQuery:
         self.cursor = flow.output_size_of(self.output_id)
         #: microseconds from event ingest to this query's delta push.
         self.ingest_push = Histogram()
+        #: position in the session's registration order (set on adoption)
+        self.ordinal = 0
 
     @property
     def sharded(self) -> bool:
@@ -284,9 +289,9 @@ class StandingQuery:
     def publish_pending(self) -> list[Delta]:
         """Publish changes the flow produced past the cursor."""
         produced = self.flow.output_slice_of(self.output_id, self.cursor)
-        self.cursor = self.flow.output_size_of(self.output_id)
         if not produced:
             return []
+        self.cursor += len(produced)  # the slice runs to the log's end
         return self.subscriptions.publish(produced)
 
     def describe(self) -> dict:
@@ -450,6 +455,7 @@ class SessionManager:
         #: threshold-crossing incidents (see metrics.SlowQueryLog).
         self.slow_log = SlowQueryLog()
         self._next_id = 1
+        self._adopted = 0
 
     # -- registry ---------------------------------------------------------------
 
@@ -574,7 +580,11 @@ class SessionManager:
             output_id=query_id,
         )
         query.shared_group = record.members
+        query.ordinal = self._adopted = self._adopted + 1
         self._queries[query_id] = query
+        # Whatever catch-up or a restore appended is history, behind the
+        # query's cursor: nothing for the next ingest to publish.
+        record.flow.take_touched()
         return query
 
     def unregister(self, query_id: str) -> bool:
@@ -646,9 +656,11 @@ class SessionManager:
         queries can catch up and the replay oracle stays checkable),
         pushes it through every resident flow **once** — a flow shared
         by k queries runs its shared prefix a single time — and
-        publishes each query's new changelog deltas to its subscribers.
-        Returns ``{query_id: [deltas]}`` for queries that produced
-        output.
+        publishes the new changelog deltas of the queries whose output
+        the event *touched* (each flow says which: ``take_touched``),
+        in registration order, so the call costs what changed, not what
+        is resident.  Returns ``{query_id: [deltas]}`` for queries that
+        produced output.
         """
         started = time.perf_counter()
         key = source.lower()
@@ -657,17 +669,23 @@ class SessionManager:
         self.engine._sources[key].apply(event)
         self.source_offsets[key] = self.source_offsets.get(key, 0) + 1
         self.events_ingested += 1
+        touched: list[StandingQuery] = []
         for record in self.plan_cache.records:
-            record.flow.process(event, source)
+            flow = record.flow
+            flow.process(event, source)
+            # (an output id is its query's id; a stale hint names none)
+            touched += filter(None, map(self._queries.get, flow.take_touched()))
+        if len(touched) > 1:
+            touched.sort(key=_registration_order)
         published: dict[str, list[Delta]] = {}
-        for query in self._queries.values():
+        for query in touched:
             deltas = query.publish_pending()
             if deltas:
                 published[query.query_id] = deltas
                 query.ingest_push.observe(
                     int((time.perf_counter() - started) * 1_000_000)
                 )
-        self._check_slow_queries()
+        self._check_slow_queries(touched)
         interval = self.config.retry.checkpoint_interval
         if (
             interval
@@ -681,20 +699,22 @@ class SessionManager:
         """Undrained subscriber deltas across all queries."""
         return sum(q.subscriptions.queue_depth() for q in self._queries.values())
 
-    def _check_slow_queries(self) -> None:
-        """Fold every query's health into the slow-query log.
+    def _check_slow_queries(self, touched: Iterable[StandingQuery]) -> None:
+        """Fold the queries' health into the slow-query log.
 
         Thresholds are the session-level config's ``slow_query_p99_ms``
-        and ``slow_query_depth``; 0 disables a check.  The log itself
-        deduplicates per episode, so calling this every ingest is cheap
-        and produces incident entries, not per-event spam.
+        and ``slow_query_depth``; 0 disables a check.  The emit-latency
+        half looks only at ``touched`` — the queries this ingest
+        produced output for: a histogram that gained no sample cannot
+        have crossed a threshold (and reading one settles it).  Queue
+        depth moves with the subscribers too, so every query is asked.
+        The log itself deduplicates per episode, so calling this every
+        ingest produces incident entries, not per-event spam.
         """
         p99_limit = self.config.slow_query_p99_ms
         depth_limit = self.config.slow_query_depth
-        if not p99_limit and not depth_limit:
-            return
-        for query in self._queries.values():
-            if p99_limit:
+        if p99_limit:
+            for query in touched:
                 emit = query.flow.telemetry_of(query.output_id).emit_latency
                 p99 = emit.percentile(0.99)
                 if p99 is not None:
@@ -706,7 +726,8 @@ class SessionManager:
                         p99_limit,
                         self.events_ingested,
                     )
-            if depth_limit:
+        if depth_limit:
+            for query in self._queries.values():
                 self.slow_log.update(
                     query.query_id,
                     query.tenant,

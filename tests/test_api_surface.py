@@ -192,12 +192,37 @@ class TestOperatorProtocol:
         assert not hasattr(Operator, "process_change")
         assert not hasattr(OperatorCounters, "record_in")
 
+    def test_accounting_has_one_site_each(self):
+        """Accounting rides the edge and settles on read (DESIGN.md): no
+        counted wrapper around an operator, no per-operator recorder,
+        one telemetry recording method, one place the executor calls
+        it (``OutputChannel.settle``)."""
+        import inspect
+
+        from repro.exec import executor
+        from repro.exec.operators.base import Operator
+        from repro.obs.metrics import OperatorCounters
+        from repro.obs.telemetry import RunTelemetry
+
+        for name in ("process_batch", "process_cols", "process_open",
+                     "process_timer"):
+            assert not hasattr(Operator, name), name
+        recorders = [n for n in dir(OperatorCounters) if n.startswith("record_")]
+        assert recorders == []
+        recorders = [n for n in dir(RunTelemetry) if n.startswith("record_")]
+        assert recorders == ["record_emit_run"]
+        mentions = [
+            line for line in inspect.getsource(executor).splitlines()
+            if "record_emit" in line
+        ]
+        assert len(mentions) == 1, mentions
+
 
 FLOW_CONTRACT = (
     "process", "process_batch", "replay", "run", "finish", "result",
     "checkpoint", "restore", "attach_output", "remove_output", "output_ids",
     "output_size_of", "output_slice_of", "output_segments_of",
-    "history_items_of", "root_watermark_of", "state_rows_of",
+    "history_items_of", "take_touched", "root_watermark_of", "state_rows_of",
     "telemetry_of", "total_state_rows", "changes_coalesced", "sharing_map",
     "set_lineage", "metrics_report",
 )

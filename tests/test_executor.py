@@ -290,3 +290,134 @@ class TestFlowLifetime:
             assert ref() is None
         finally:
             gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# accounting rides the edge and settles on read: counts that repeat exactly
+# ---------------------------------------------------------------------------
+
+
+def _sixteen_output_flow():
+    """One resident DAG with 16 outputs: 8 aggregates over one shared
+    scan + tumble prefix, 8 with a filter and window of their own."""
+
+    def tumble(select, minutes_, where=""):
+        return (
+            f"SELECT TB.wend, {select} AS x FROM Tumble(data => TABLE(S), "
+            f"timecol => DESCRIPTOR(ts), dur => INTERVAL '{minutes_}' MINUTES) TB "
+            f"{where} GROUP BY TB.wend"
+        )
+
+    sqls = [
+        tumble(agg, 10)
+        for agg in ("MAX(TB.v)", "MIN(TB.v)", "COUNT(*)", "SUM(TB.v)",
+                    "AVG(TB.v)", "MAX(TB.k)", "MIN(TB.k)", "COUNT(TB.k)")
+    ] + [
+        tumble("COUNT(*)", 5 + n, where=f"WHERE TB.v > {10 * n + 5}")
+        for n in range(8)
+    ]
+    engine = make_engine()
+    flow = engine.query(sqls[0]).dataflow()
+    for n, sql in enumerate(sqls[1:], 1):
+        flow.attach_output(f"q{n}", engine.query(sql).plan)
+    return flow
+
+
+def _row(n):
+    from repro.core.tvr import ins
+
+    # strictly increasing instants; values spread so some filters pass
+    return ins(10_000 + n, (t("8:00") + (n % 7) * 1000, (n * 13) % 90, "k"))
+
+
+class TestAccountingCounts:
+    def test_telemetry_is_silent_between_watermark_steps(self, monkeypatch):
+        """191 single events between two watermarks: no histogram is
+        touched and nothing is recorded until the watermark arrives;
+        then each output that produced records once (the parent: once
+        per emission)."""
+        from repro.core.tvr import wm
+        from repro.obs.histogram import Histogram
+        from repro.obs.telemetry import RunTelemetry
+
+        flow = _sixteen_output_flow()
+        assert len(flow.output_ids()) == 16
+        flow.process(wm(9_000, t("7:00")), "S")
+        calls = {"observe": 0, "record": 0}
+
+        def counting(cls, name, key):
+            real = getattr(cls, name)
+
+            def wrapper(self, *args, **kwargs):
+                calls[key] += 1
+                return real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        for name in ("observe", "observe_many"):
+            counting(Histogram, name, "observe")
+        counting(RunTelemetry, "record_emit_run", "record")
+
+        before = {oid: flow.output_size_of(oid) for oid in flow.output_ids()}
+        for n in range(191):
+            flow.process(_row(n), "S")
+        assert calls == {"observe": 0, "record": 0}
+        produced = [
+            oid for oid in flow.output_ids()
+            if flow.output_size_of(oid) > before[oid]
+        ]
+        assert 8 < len(produced) <= 16
+        flow.process(wm(20_000, t("7:30")), "S")
+        assert calls["record"] == len(produced)
+
+    def test_a_batch_is_counted_once_however_many_consumers(self, monkeypatch):
+        """The shared scan feeds one tumble per distinct window (9
+        consumer edges): its batch is sized and scanned for retractions
+        in one ``count_edge`` call, not once per consumer plus once for
+        itself."""
+        from repro.exec import executor
+
+        flow = _sixteen_output_flow()
+        (scan,) = flow._leaves
+        fan_out = len(flow._consumers[id(scan)])
+        assert fan_out == 9
+        seen = []
+        real = executor.count_edge
+
+        def spy(changes, producer, consumers):
+            seen.append((producer, len(list(consumers))))
+            real(changes, producer, consumers)
+
+        monkeypatch.setattr(executor, "count_edge", spy)
+        flow.process(_row(0), "S")
+        assert [n for producer, n in seen if producer is scan] == [fan_out]
+        assert [n for producer, n in seen if producer is None] == [1]
+        # one call per produced batch: every producer appears once
+        producers = [id(p) for p, _ in seen if p is not None]
+        assert len(producers) == len(set(producers))
+
+    def test_state_sweep_skips_operators_without_state(self, monkeypatch):
+        from repro.exec.operators.base import Operator
+
+        swept = []
+        real = Operator.state_size
+        monkeypatch.setattr(
+            Operator, "state_size",
+            lambda self: swept.append(self) or real(self),
+        )
+        flow = _sixteen_output_flow()
+        stateless = [
+            op for op in flow.operators
+            if type(op).state_size is Operator.state_size
+        ]
+        assert stateless and len(stateless) < len(flow.operators)
+        for n in range(50):
+            flow.process(_row(n), "S")
+        assert swept == []
+        peaks = {
+            entry["operator"]: entry["peak_state_rows"]
+            for oid in flow.output_ids()
+            for entry in flow.metrics_report(oid).operators
+        }
+        assert max(peaks.values()) > 0
+        assert flow.result().peak_state_rows > 0

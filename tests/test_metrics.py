@@ -7,8 +7,20 @@ vanished from the result counters.  Counting now lives on the operator
 base class, so these tests pin (a) the recovered drops, (b) per-operator
 counters across the operator zoo, (c) serial/sharded agreement, and
 (d) counter survival across checkpoint/restore.
+
+``TestReportedFromOutside`` pins what is reported against oracles the
+engine does not compute itself: conservation on every edge of every
+flow, and the numbers the *parent* commit reported for the same inputs
+(``tests/fixtures/parent_metrics.json`` and the ``parent_serial_flow``
+blobs — see ``tests/fixtures/make_parent_fixtures.py``).
 """
 
+import json
+import os
+import pickle
+from types import SimpleNamespace
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,8 +28,14 @@ from repro import ExecutionConfig, StreamEngine
 from repro.core.schema import Schema, int_col, string_col, timestamp_col
 from repro.core.times import MAX_TIMESTAMP, minutes, t
 from repro.core.tvr import RowEvent, TimeVaryingRelation, ins, wm
+from repro.core.codec import SegmentedLog
+from repro.exec.executor import OutputChannel
+from repro.nexmark import paper_bid_stream
 from repro.obs import MetricsReport, TraceCollector, merge_shard_reports
+from repro.runtime import ShardedDataflow
 from repro.shell import Shell
+
+from .fixtures import make_parent_fixtures as parent
 
 KEYED_SCHEMA = Schema(
     [int_col("k"), timestamp_col("ts", event_time=True), int_col("v")]
@@ -404,3 +422,212 @@ class TestTraceHooks:
         assert summary["watermark_advances"] == trace.watermark_advances
         kinds = {event.kind for event in trace.events}
         assert kinds <= {"batch", "watermark"}
+
+
+# ---------------------------------------------------------------------------
+# what is reported, pinned from outside the engine
+# ---------------------------------------------------------------------------
+
+with open(os.path.join(parent.HERE, "parent_metrics.json")) as _fh:
+    PARENT_METRICS = json.load(_fh)
+
+
+def _row_events(flow, source: str) -> int:
+    return sum(
+        isinstance(event, RowEvent) for event in flow._sources[source].events()
+    )
+
+
+def _edge_violations(flow) -> list[str]:
+    """Edges of a serial flow (or one shard) whose two ends disagree."""
+    bad = []
+    for op in flow._operators:
+        out = (op.counters.rows_out, op.counters.retracts_out)
+        for consumer, port in flow._consumers.get(id(op), ()):
+            got = (
+                consumer.counters.rows_in[port],
+                consumer.counters.retracts_in[port],
+            )
+            if got != out:
+                bad.append(f"{op.name()} -> {consumer.name()}[{port}]: {out} != {got}")
+    return bad
+
+
+def _scan_rows(flow) -> dict[str, list[int]]:
+    """Per scanned source, every scan leaf's ``rows_in``."""
+    return {
+        source: [leaf.counters.rows_in[0] for leaf in leaves]
+        for source, leaves in flow._leaves_by_source.items()
+        if not source.startswith("$values")
+    }
+
+
+def assert_conserved(flow) -> None:
+    """Producer out == consumer in on every edge; scans saw every row."""
+    if not isinstance(flow, ShardedDataflow):
+        assert _edge_violations(flow) == []
+        for source, scans in _scan_rows(flow).items():
+            assert scans == [_row_events(flow, source)] * len(scans), source
+        return
+    routed: dict[str, list[int]] = {}
+    for shard in flow.shards:
+        assert _edge_violations(shard) == []
+        for source, scans in _scan_rows(shard).items():
+            totals = routed.setdefault(source, [0] * len(scans))
+            routed[source] = [a + b for a, b in zip(totals, scans)]
+    for source, scans in routed.items():
+        # every row is routed to exactly one shard
+        assert scans == [_row_events(flow.shards[0], source)] * len(scans), source
+    stage = flow.combine_stage()
+    if stage is not None:
+        roots = [shard._outputs["main"].root.counters for shard in flow.shards]
+        chain = stage._ops
+        assert chain[0].counters.rows_in[0] == sum(c.rows_out for c in roots)
+        assert chain[0].counters.retracts_in[0] == sum(
+            c.retracts_out for c in roots
+        )
+        for producer, consumer in zip(chain, chain[1:]):
+            assert consumer.counters.rows_in[0] == producer.counters.rows_out
+            assert (
+                consumer.counters.retracts_in[0] == producer.counters.retracts_out
+            )
+
+
+def _canonical(payload: dict) -> dict:
+    """A checkpoint payload with operator state made comparable (group
+    states and multisets define no ``__eq__``; their reprs show all)."""
+    out = dict(payload)
+    out["op_states"] = [
+        {key: repr(value) for key, value in state.items()}
+        for state in payload["op_states"]
+    ]
+    return out
+
+
+def _bid_flow():
+    bids = paper_bid_stream()
+    engine = StreamEngine()
+    engine.register_stream("Bid", bids)
+    return engine.query(parent.TUMBLED_BY_ITEM).dataflow(), bids.events()
+
+
+PARENT_BLOBS = {
+    # right after a watermark step of the output
+    "parent_serial_flow.ckpt": len(paper_bid_stream().events()) // 2,
+    # two rows past one: their samples are unsettled when the cut comes
+    "parent_serial_flow_midstep.ckpt": parent.MIDSTEP_CUT,
+}
+
+
+class TestReportedFromOutside:
+    @pytest.fixture(scope="class")
+    def runs(self):
+        """Every cell of the fixture matrix, run once: the flow (for its
+        edges) and what it reported."""
+        settle_decodes = []
+        settling = []
+        real_settle, real_slice = OutputChannel.settle, SegmentedLog.slice
+
+        def settle(channel):
+            settling.append(channel)
+            try:
+                real_settle(channel)
+            finally:
+                settling.pop()
+
+        def log_slice(log, start=0):
+            if settling and start < log.base:
+                settle_decodes.append(start)
+            return real_slice(log, start)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(OutputChannel, "settle", settle)
+            patch.setattr(SegmentedLog, "slice", log_slice)
+            cells = {
+                case: (flow, parent.reported(flow.run()))
+                for case, flow in parent.metrics_cases()
+            }
+        return SimpleNamespace(cells=cells, settle_decodes=settle_decodes)
+
+    def test_matrix_is_the_parents(self, runs):
+        assert set(runs.cells) == set(PARENT_METRICS)
+
+    @pytest.mark.parametrize("case", sorted(PARENT_METRICS))
+    def test_every_edge_conserves_rows_and_retracts(self, runs, case):
+        assert_conserved(runs.cells[case][0])
+
+    @pytest.mark.parametrize("case", sorted(PARENT_METRICS))
+    def test_report_equals_the_parents_value_for_value(self, runs, case):
+        reported, expected = runs.cells[case][1], PARENT_METRICS[case]
+        for got, want in zip(reported["operators"], expected["operators"]):
+            assert got == want, got["operator"]
+        assert reported == expected
+
+    def test_settling_never_decodes_a_sealed_segment(self, runs):
+        """The decode fallback exists; the settle points make it dead."""
+        assert runs.settle_decodes == []
+
+    def test_open_row_is_counted_once(self):
+        """A global aggregate's empty-input row leaves through the edge
+        like any other output: one row out, not two."""
+        flow = parent.metrics_engine("nexmark").query(
+            "SELECT COUNT(*) FROM Bid"
+        ).dataflow()
+        flow._open()
+        aggregate = flow.metrics_report().find("Aggregate")
+        assert aggregate["rows_out"] == 1
+        assert _edge_violations(flow) == []
+
+    @pytest.mark.parametrize("blob,cut", sorted(PARENT_BLOBS.items()))
+    def test_checkpoint_payload_equals_the_parents(self, blob, cut):
+        """Counters, peaks, ``telemetry`` and ``wm_pairs`` of a cut —
+        also one taken between two watermark steps, where a settle
+        missed at the cut would lose samples."""
+        flow, events = _bid_flow()
+        for event in events[:cut]:
+            flow.process(event, "Bid")
+        with open(os.path.join(parent.HERE, blob), "rb") as fh:
+            expected = pickle.load(fh)
+        assert _canonical(pickle.loads(flow.checkpoint())) == _canonical(expected)
+
+    @pytest.mark.parametrize("blob,cut", sorted(PARENT_BLOBS.items()))
+    def test_parent_blob_continued_reports_an_uninterrupted_run(self, blob, cut):
+        uninterrupted, events = _bid_flow()
+        expected = parent.reported(uninterrupted.run())
+        flow, _ = _bid_flow()
+        with open(os.path.join(parent.HERE, blob), "rb") as fh:
+            flow.restore(fh.read())
+        for event in events[cut:]:
+            flow.process(event, "Bid")
+        assert parent.reported(flow.finish()) == expected
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 64])
+    def test_cut_between_watermark_steps_loses_no_sample(self, batch_size):
+        """Serial and sharded, cut wherever: restore + continue reports
+        the uninterrupted totals and telemetry.  (Single-phase: a
+        two-phase partial ships one payload per *batch*, and a cut
+        inside a burst re-forms the batches.)"""
+        config = ExecutionConfig(batch_size=batch_size)
+        query = parent.metrics_engine("keyed").query(parent.TUMBLED_BY_KEY)
+        events = [(event, "S") for event in parent.keyed_stream().events()]
+        for build in (
+            lambda: query.dataflow(config),
+            lambda: query.sharded_dataflow(
+                ExecutionConfig(
+                    parallelism=2, backend="sync", two_phase="off"
+                ).merged_over(config)
+            ),
+        ):
+            whole = build()
+            for _ in whole.replay(events):
+                pass
+            expected = parent.reported(whole.finish())
+            for cut in (7, 100, 101, 150):
+                first = build()
+                for _ in first.replay(events[:cut]):
+                    pass
+                second = build()
+                second.restore(first.checkpoint())
+                for _ in second.replay(events[cut:]):
+                    pass
+                assert parent.reported(second.finish()) == expected, cut

@@ -130,6 +130,38 @@ class TestSlowQueryLog:
         reasons = {e["reason"] for e in svc.slow_queries()}
         assert "emit_p99_ms" in reasons
 
+    def test_p99_check_reads_only_queries_that_published(self, monkeypatch):
+        """The slow-query check used to walk every query's histogram on
+        every ingest; an idle query's cannot have crossed a threshold."""
+        from repro.obs.histogram import Histogram
+
+        idle_sql = (
+            "SELECT k, wend, SUM(v) AS total FROM Tumble(data => TABLE(S), "
+            "timecol => DESCRIPTOR(ts), dur => INTERVAL '3' MINUTE) TS "
+            "WHERE v < 0 GROUP BY k, wend EMIT STREAM"
+        )
+        config = ExecutionConfig(slow_query_p99_ms=1)
+        svc, (busy, idle) = ingested_service(
+            config=config, sqls=(Q_SUM, idle_sql), events=make_events(10)
+        )
+        assert idle.subscriptions.next_seq == 0  # it never published
+        histograms = {
+            id(q.flow.telemetry_of(q.output_id).emit_latency): q.query_id
+            for q in (busy, idle)
+        }
+        read = []
+        real = Histogram.percentile
+        monkeypatch.setattr(
+            Histogram, "percentile",
+            lambda self, q: read.append(histograms.get(id(self)))
+            or real(self, q),
+        )
+        for event in make_events(30)[10:]:  # (the stream, continued)
+            svc.ingest(event, "S")
+        assert busy.query_id in read
+        assert idle.query_id not in read
+        assert {e["query"] for e in svc.slow_queries()} == {busy.query_id}
+
     def test_thresholds_off_by_default(self):
         svc, _ = ingested_service()
         assert svc.slow_queries() == []

@@ -471,3 +471,62 @@ class TestRegistry:
         svc = service_with_empty_source(schema=bid_stream.schema, name="Bid")
         with pytest.raises(ExecutionError):
             svc.ingest(ins(1, (1, 1, 1)), "Ghost")
+
+
+class TestPublishWhatChanged:
+    """``ingest`` publishes the outputs the event touched, in
+    registration order; resident queries that produced nothing cost it
+    nothing."""
+
+    IDLE = (
+        "SELECT k, wend, SUM(v) AS total FROM Tumble(data => TABLE(S), "
+        "timecol => DESCRIPTOR(ts), dur => INTERVAL '{n}' MINUTE) TS "
+        "WHERE v < -{n} GROUP BY k, wend EMIT STREAM"
+    )
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_publish_calls_equal_outputs_that_changed(
+        self, parallelism, monkeypatch
+    ):
+        from repro.service import TenantPolicy
+        from repro.service.session import StandingQuery
+
+        config = ExecutionConfig(parallelism=parallelism, backend="sync")
+        svc = StandingQueryService(
+            config=config,
+            default_policy=TenantPolicy(name="*", max_standing_queries=512),
+        )
+        svc.register_stream("S", TimeVaryingRelation(SCHEMA))
+        early = steady_events(24)
+        for event in early:  # history for the late submits to catch up on
+            svc.ingest(event, "S")
+        busy = svc.submit("t", KEYED_WINDOW_SUM, query_id="busy")
+        for n in range(256):
+            svc.submit(f"t{n % 4}", self.IDLE.format(n=2 + n), query_id=f"idle{n}")
+        also_busy = svc.submit("t", KEYED_WINDOW_SUM.replace("SUM", "MAX"))
+        queries = svc.session.queries()
+        assert len(queries) == 258
+
+        calls = []
+        real = StandingQuery.publish_pending
+        monkeypatch.setattr(
+            StandingQuery, "publish_pending",
+            lambda query: calls.append(query.query_id) or real(query),
+        )
+        total = 0
+        for event in steady_events(64)[24:]:
+            before = {q.query_id: q.flow.output_size_of(q.output_id) for q in queries}
+            del calls[:]
+            published = svc.ingest(event, "S")
+            changed = [
+                q.query_id for q in queries
+                if q.flow.output_size_of(q.output_id) > before[q.query_id]
+            ]
+            assert calls == changed  # registration order, nothing idle
+            assert list(published) == changed
+            total += len(changed)
+        assert total > 0
+        assert also_busy.subscriptions.next_seq > 0
+        # and what was published is the one-shot changelog, late join included
+        expected = oneshot_changes(steady_events(64), KEYED_WINDOW_SUM)
+        assert busy.flow.output_slice_of("busy") == expected
