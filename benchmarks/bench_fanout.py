@@ -6,9 +6,11 @@ most events retract one row and insert another) is resident in a
 100, 10 000 and 100 000 subscribers to it, ingests the same events,
 and lets every subscriber pull its wire frames (``take_frames``) in
 rounds, without sockets — what is measured is the broadcast log, not
-the kernel.
+the kernel.  A second arm does use them: the same query behind a real
+:class:`~repro.service.ServiceServer` on loopback, 32 subscribers on
+one connection, ``ingest`` ops pipelined 16 at a time on another.
 
-Three things are asserted, making the bench double as a regression
+Four things are asserted, making the bench double as a regression
 gate for the push plane (``docs/SERVICE.md``):
 
 * **publish does not see the audience** — the time
@@ -19,7 +21,10 @@ gate for the push plane (``docs/SERVICE.md``):
   deltas x subscribers;
 * **a subscriber is a cursor** — resident memory grows by under 400
   bytes per added subscriber (measured first, at the largest audience,
-  before the sweep's own garbage can be reused and hide the growth).
+  before the sweep's own garbage can be reused and hide the growth);
+* **a pipelined burst is one batch** (the wire arm) — every burst of 16
+  requests costs exactly two socket writes, one of replies and one of
+  subscriber frames, still with one encode per delta.
 
 Writes ``BENCH_fanout.json`` — the artifact the CI ``fanout-bench`` job
 uploads.  Runs under plain pytest and as a script::
@@ -29,6 +34,7 @@ uploads.  Runs under plain pytest and as a script::
 
 from __future__ import annotations
 
+import asyncio
 import gc
 import json
 import time
@@ -36,7 +42,8 @@ from pathlib import Path
 
 from repro.core.schema import Schema, int_col, timestamp_col
 from repro.core.tvr import TimeVaryingRelation, ins, wm
-from repro.service import StandingQueryService
+from repro.io import format_jsonl
+from repro.service import ServiceServer, StandingQueryService
 
 MINUTE = 60_000
 NUM_EVENTS = 1200
@@ -47,6 +54,9 @@ PULL_EVERY = 64
 REPEATS = 3
 GATE_PUBLISH_RATIO = 2.0
 GATE_BYTES_PER_SUBSCRIBER = 400
+WIRE_SUBSCRIBERS = 32
+WIRE_BURST = 16
+GATE_WRITES_PER_BURST = 2
 
 SCHEMA = Schema(
     [int_col("k"), timestamp_col("ts", event_time=True), int_col("v")]
@@ -58,7 +68,7 @@ CHURN = (
 )
 
 ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_fanout.json"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def make_events(n: int, start: int = 1_000_000) -> list:
@@ -145,6 +155,74 @@ def _run(subscribers: int, events: list) -> dict:
     }
 
 
+def _wire_run(events: list) -> dict:
+    """The churn query behind a loopback server, bursts of ``WIRE_BURST``.
+
+    Socket writes are the server's own counters (reply writes are
+    ``request_batches``), read around each burst once its replies and
+    every subscriber line it caused have arrived.
+    """
+    tvr = TimeVaryingRelation(SCHEMA)
+    for event in events:
+        tvr.apply(event)
+    ops = [
+        (json.dumps({"op": "ingest", "source": "S", "event": line}) + "\n")
+        .encode()
+        for line in format_jsonl(tvr, include_schema=False).splitlines()
+    ]
+    svc, query, _ = _audience(0)
+    registry, metrics = query.subscriptions, svc.metrics
+
+    async def drive() -> tuple[list[int], float, int, int]:
+        server = ServiceServer(svc, "127.0.0.1", 0)
+        await server.start()
+        try:
+            feed_reader, feed = await asyncio.open_connection(*server.address)
+            for n in range(WIRE_SUBSCRIBERS):
+                feed.write((json.dumps(
+                    {"op": "subscribe", "query": query.query_id,
+                     "subscriber": f"sub-{n}"}) + "\n").encode())
+                assert json.loads(await feed_reader.readline())["ok"]
+            reader, control = await asyncio.open_connection(*server.address)
+            writes = []
+            replies_before = metrics.request_batches
+            pushes_before = metrics.push_writes
+            started = time.perf_counter()
+            for at in range(0, len(ops), WIRE_BURST):
+                burst = ops[at:at + WIRE_BURST]
+                seq = registry.next_seq
+                before = metrics.request_batches + metrics.push_writes
+                control.write(b"".join(burst))
+                for _ in burst:
+                    assert json.loads(await reader.readline())["ok"]
+                for _ in range((registry.next_seq - seq) * WIRE_SUBSCRIBERS):
+                    await feed_reader.readline()
+                writes.append(
+                    metrics.request_batches + metrics.push_writes - before)
+            elapsed = time.perf_counter() - started
+            control.close()
+            feed.close()
+            return (writes, elapsed, metrics.request_batches - replies_before,
+                    metrics.push_writes - pushes_before)
+        finally:
+            await server.stop()
+
+    writes, elapsed, reply_writes, push_writes = asyncio.run(drive())
+    return {
+        "subscribers": WIRE_SUBSCRIBERS,
+        "burst": WIRE_BURST,
+        "bursts": len(writes),
+        "deltas": registry.next_seq,
+        "encoded_frames": registry.encoded_frames,
+        "writes_per_burst": sorted(set(writes)),
+        "requests": len(ops),
+        "reply_writes": reply_writes,
+        "push_writes": push_writes,
+        "events_per_second": len(ops) / elapsed,
+        "evictions": registry.evictions,
+    }
+
+
 def collect() -> dict:
     rss_bytes_per_subscriber = footprint(max(SUBSCRIBER_SWEEP))
     events = make_events(NUM_EVENTS)
@@ -160,6 +238,7 @@ def collect() -> dict:
         "query": CHURN,
         "rss_bytes_per_subscriber": rss_bytes_per_subscriber,
         "sweep": sweep,
+        "wire": _wire_run(events),
     }
 
 
@@ -189,6 +268,10 @@ def test_fanout_bench_produces_artifact():
         f"{lone['publish_us_per_delta']:.2f} us at one)"
     )
     assert payload["rss_bytes_per_subscriber"] < GATE_BYTES_PER_SUBSCRIBER
+    wire = payload["wire"]
+    assert wire["deltas"] > NUM_EVENTS and wire["evictions"] == 0, wire
+    assert wire["encoded_frames"] == wire["deltas"], wire
+    assert wire["writes_per_burst"] == [GATE_WRITES_PER_BURST], wire
     path = write_artifact(payload)
     assert path.exists() and path.stat().st_size > 0
 
@@ -205,4 +288,14 @@ if __name__ == "__main__":
         )
     print(f"{data['rss_bytes_per_subscriber']:.0f} resident bytes per "
           f"subscriber at {max(SUBSCRIBER_SWEEP):,}")
+    wire = data["wire"]
+    print(
+        f"wire: {wire['bursts']} bursts of {wire['burst']} to "
+        f"{wire['subscribers']} subscribers, "
+        f"{wire['writes_per_burst']} "
+        f"socket writes per burst ({wire['reply_writes']} reply + "
+        f"{wire['push_writes']} push), encodes/delta "
+        f"{wire['encoded_frames'] / wire['deltas']:.0f}, "
+        f"{wire['events_per_second']:,.0f} events/s"
+    )
     print(f"wrote {path}")

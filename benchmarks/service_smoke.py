@@ -71,6 +71,9 @@ REQUIRED_FAMILIES = {
     "repro_service_checkpoint_bytes_total",
     "repro_service_resume_seconds",
     "repro_service_history_items",
+    "repro_service_requests_total",
+    "repro_service_request_batches_total",
+    "repro_service_push_writes_total",
 }
 
 

@@ -26,6 +26,14 @@ Families (stable names — renaming is a breaking change for scrapers):
 * ``repro_service_admitted_total`` (counter) — queries admitted.
 * ``repro_service_events_ingested_total`` (counter) — source events
   pushed through the resident flows.
+* ``repro_service_requests_total`` (counter) — line-JSON requests the
+  server answered.
+* ``repro_service_request_batches_total`` (counter) — reply writes those
+  answers left in; requests ÷ batches is the mean batch size (1 with a
+  client that waits for each reply, the pipeline depth with one that
+  does not).
+* ``repro_service_push_writes_total`` (counter) — socket writes that
+  carried subscriber frames (one per streaming connection per push).
 * ``repro_service_queue_depth`` (gauge) — undrained subscriber deltas
   (the fan-out backpressure signal).
 * ``repro_service_source_queue_depth`` (gauge) — events waiting in the
@@ -150,6 +158,11 @@ class ServiceMetrics:
         self.admitted = 0
         self.rejects: dict[str, int] = {code: 0 for code in REJECT_CODES}
         self.subscribes = 0
+        #: the line-JSON server's loop: requests answered, the reply
+        #: writes they left in, and writes of subscriber frames.
+        self.requests = 0
+        self.request_batches = 0
+        self.push_writes = 0
 
     def record_admitted(self) -> None:
         self.admitted += 1
@@ -159,6 +172,14 @@ class ServiceMetrics:
 
     def record_subscribe(self) -> None:
         self.subscribes += 1
+
+    def record_replies(self, count: int) -> None:
+        """``count`` requests were answered with one write."""
+        self.requests += count
+        self.request_batches += 1
+
+    def record_push_write(self) -> None:
+        self.push_writes += 1
 
     @property
     def rejected_total(self) -> int:
@@ -234,6 +255,18 @@ def render_service_exposition(
     lines.append(
         f"repro_service_events_ingested_total {session.events_ingested}"
     )
+
+    family("repro_service_requests_total", "counter",
+           "Line-JSON requests answered by the server")
+    lines.append(f"repro_service_requests_total {metrics.requests}")
+    family("repro_service_request_batches_total", "counter",
+           "Reply writes the answered requests left in")
+    lines.append(
+        f"repro_service_request_batches_total {metrics.request_batches}"
+    )
+    family("repro_service_push_writes_total", "counter",
+           "Socket writes that carried subscriber frames")
+    lines.append(f"repro_service_push_writes_total {metrics.push_writes}")
 
     family("repro_service_queue_depth", "gauge",
            "Undrained subscriber deltas across all standing queries")

@@ -25,12 +25,13 @@ Wire protocol (one JSON object per line, both directions)::
     → {"op": "ingest", "source": "bid", "event": "{\\"ptime\\": ...}"}
     ← {"ok": true, "published": {"q1": 2}}
 
-Delta lines are pushed by **one sender coroutine per streaming
-connection**: a request handler (or the live-source pump) writes its
-own reply, wakes the senders, and never waits on a subscriber's socket.
-A stream ends with one unsolicited line — ``{"evicted": id, "query":
-q}`` for a slow consumer, ``{"closed": id, "query": q, "reason":
-"withdrawn" | "unsubscribed"}`` otherwise.
+The request lines one read delivers are **one batch**: dispatched back
+to back, their replies leave in one write, then one synchronous push
+writes each streaming connection the frames it is owed — a reply always
+ahead of the deltas its request caused, and no task or loop turn in
+between.  A stream ends with one unsolicited line — ``{"evicted": id,
+"query": q}`` for a slow consumer, ``{"closed": id, "query": q,
+"reason": "withdrawn" | "unsubscribed"}`` otherwise.
 
 A rejection is ``{"ok": false, "error": {"code": ..., "tenant": ...,
 "detail": ...}}`` — the :class:`~repro.service.admission.AdmissionError`
@@ -54,6 +55,7 @@ import asyncio
 import itertools
 import json
 import os
+from collections import deque
 from typing import Optional
 
 from ..config import ExecutionConfig
@@ -232,17 +234,128 @@ def _line(payload: dict) -> bytes:
     return (json.dumps(payload) + "\n").encode("utf-8")
 
 
-class _PushConnection:
-    """One streaming connection: its streams, its sender, its wake-up."""
+def _error(code: str, detail: str, tenant: str = "") -> dict:
+    """A rejection that did not come from the admission gateway."""
+    return {"ok": False, "error": {
+        "code": code, "tenant": tenant, "detail": detail}}
 
-    __slots__ = ("writer", "streams", "wake", "task")
 
-    def __init__(self, writer: asyncio.StreamWriter):
-        self.writer = writer
-        #: (standing query, subscriber) in subscription order.
-        self.streams: list[tuple[StandingQuery, Subscriber]] = []
-        self.wake = asyncio.Event()
-        self.task: Optional[asyncio.Task] = None
+#: one subscription carried by a connection.
+_Stream = tuple[StandingQuery, Subscriber]
+#: longest request line served; a longer one is a ``parse_error``.
+MAX_LINE = 64 * 1024
+#: requests one connection has answered per loop turn, at most; what a
+#: read delivered beyond that is continued after the other connections'
+#: turn, so a deep pipeline delays nobody else by more than this many.
+REQUESTS_PER_TURN = 64
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: request lines in; replies and frames out."""
+
+    __slots__ = ("server", "transport", "tail", "requests", "writable",
+                 "closing")
+
+    def __init__(self, server: "ServiceServer"):
+        self.server = server
+        self.transport: Optional[asyncio.Transport] = None
+        #: bytes read past the last newline; ``None`` while the rest of
+        #: an over-long line is being discarded.
+        self.tail: Optional[bytes] = b""
+        #: complete request lines not yet answered.
+        self.requests: deque[bytes] = deque()
+        #: False while the transport is above its high-water mark.
+        self.writable = True
+        #: hang up once the backlog is answered.
+        self.closing = False
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+
+    def connection_lost(self, exc) -> None:
+        self.requests.clear()
+        self.server._detach(self)
+
+    def data_received(self, data: bytes) -> None:
+        if self.tail is None:
+            # Closing with the rest of the line unread would reset the
+            # connection and could lose the reply.
+            if b"\n" in data:
+                self.transport.close()
+            return
+        lines = (self.tail + data).split(b"\n")
+        self.tail = lines.pop()
+        self.requests.extend(lines)
+        if len(self.tail) > MAX_LINE:
+            self.requests.append(self.tail)  # answered "too long" in turn
+            self.tail = None
+        self.serve()
+
+    def eof_received(self) -> bool:
+        if self.tail:
+            self.requests.append(self.tail)  # a final unterminated line
+        self.tail = b""
+        self.closing = True
+        self.serve()
+        return True  # serve() closes, once the backlog is answered
+
+    def pause_writing(self) -> None:
+        # The client is not reading: take no more requests from it and
+        # push it nothing, so its lag shows where eviction looks — in
+        # its cursors.
+        self.writable = False
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.writable = True
+        self.serve()  # the backlog, if any, then the push it was skipped by
+
+    def serve(self) -> None:
+        """Answer one batch of queued lines: the replies, then one push."""
+        if not self.writable:
+            return  # resume_writing() comes back here
+        server, requests, transport = self.server, self.requests, self.transport
+        replies: list[bytes] = []
+        try:
+            try:
+                for _ in range(min(len(requests), REQUESTS_PER_TURN)):
+                    line = requests.popleft()
+                    if len(line) > MAX_LINE:
+                        replies.append(_line(_error(
+                            "parse_error", "request line too long")))
+                        requests.clear()
+                        if self.tail is not None:  # else data_received()
+                            self.closing = True  # hangs up at the line's end
+                        break
+                    reply = server._dispatch(line, self)
+                    replies.append(_line(reply))
+                    published = reply.get("published")
+                    if published and server._lagging(published):
+                        # Subscribers must not fall behind by a whole
+                        # pipelined burst: this reply, then its deltas.
+                        self._reply(replies)
+                        server._push()
+            finally:
+                self._reply(replies)
+        except Exception:
+            transport.close()  # this client only; the loop logs the traceback
+            raise
+        server._push()
+        if requests:
+            if self.writable:
+                transport.pause_reading()
+                asyncio.get_running_loop().call_soon(self.serve)
+        elif self.closing:
+            transport.close()
+        elif self.writable:
+            transport.resume_reading()
+
+    def _reply(self, replies: list[bytes]) -> None:
+        """Write (and forget) the replies gathered so far, as one buffer."""
+        if replies:
+            self.transport.write(b"".join(replies))
+            self.server.service.metrics.record_replies(len(replies))
+            replies.clear()
 
 
 class ServiceServer:
@@ -258,8 +371,9 @@ class ServiceServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
-        #: the stream table: connections with at least one live stream.
-        self._streams: dict[asyncio.StreamWriter, _PushConnection] = {}
+        #: the stream table: each connection with a live stream, and its
+        #: streams in subscription order.
+        self._streams: dict[_Connection, list[_Stream]] = {}
         #: default subscriber ids; never reused, whatever detaches.
         self._subscriber_ids = itertools.count(1)
         self.sources: list[LiveSource] = []
@@ -271,15 +385,15 @@ class ServiceServer:
         self._pump_task: Optional[asyncio.Task] = None
         self._follow = True
         #: connection → authenticated tenant (token mode only).
-        self._authed: dict[asyncio.StreamWriter, str] = {}
+        self._authed: dict[_Connection, str] = {}
         #: optional HTTP scrape plane (GET /metrics, GET /healthz).
         self.http: Optional[MetricsHttpServer] = None
 
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port
         )
 
     async def serve_http(self, host: str, port: int) -> MetricsHttpServer:
@@ -365,7 +479,7 @@ class ServiceServer:
 
         async def flush_streams(name, event, result) -> None:
             self._refresh_depths()
-            self._flush_subscribers()
+            self._push()
 
         self._pump_task = asyncio.ensure_future(
             pump(self.sources, self.service.ingest, on_ingest=flush_streams)
@@ -385,10 +499,7 @@ class ServiceServer:
         if self._pump_task is not None:
             await self._pump_task
         self._refresh_depths()
-        self._flush_subscribers()
-        # The ready queue is FIFO: every sender woken above has written
-        # its pending frames by the time this coroutine is resumed.
-        await asyncio.sleep(0)
+        self._push()
 
     async def stop(self) -> None:
         for _, server in self._socket_servers:
@@ -407,61 +518,27 @@ class ServiceServer:
 
     # -- protocol -----------------------------------------------------------
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    data = await reader.readuntil(b"\n")
-                except asyncio.IncompleteReadError as exc:
-                    data = exc.partial  # end of stream
-                except asyncio.LimitOverrunError:
-                    await self._send(writer, {"ok": False, "error": {
-                        "code": "parse_error", "tenant": "",
-                        "detail": "request line too long"}})
-                    # Closing with the rest of the line unread would
-                    # reset the connection and could lose the reply.
-                    await self._discard_line(reader)
-                    break
-                except (asyncio.CancelledError, ConnectionError):
-                    break  # loop shutdown or client reset; just detach
-                if not data:
-                    break
-                try:
-                    request = json.loads(data.decode("utf-8"))
-                except ValueError:
-                    await self._send(writer, {"ok": False, "error": {
-                        "code": "parse_error", "tenant": "",
-                        "detail": "request is not valid JSON"}})
-                    continue
-                response = await self._dispatch(request, writer)
-                await self._send(writer, response)
-                if self._streams:
-                    self._flush_subscribers()
-                    # Pipelined requests arrive without a suspension
-                    # point; yield so the senders push this request's
-                    # deltas before the next one adds to their lag.
-                    await asyncio.sleep(0)
-        finally:
-            self._close_streams(writer)
-            self._authed.pop(writer, None)
-            writer.close()
+    def _lagging(self, query_ids) -> bool:
+        """Is a live cursor on one of these queries' logs more than half
+        the smallest live capacity behind?  O(queries), no subscriber is
+        visited: the log keeps both numbers."""
+        if not self._streams:
+            return False
+        get = self.service.session.get
+        for query_id in query_ids:
+            log = get(query_id).subscriptions
+            if 2 * log.retained > log._min_capacity:
+                return True
+        return False
 
-    @staticmethod
-    async def _discard_line(reader: asyncio.StreamReader) -> None:
-        """Consume the rest of a line longer than the reader's limit."""
-        try:
-            while True:
-                try:
-                    await reader.readuntil(b"\n")
-                    return
-                except asyncio.LimitOverrunError as exc:
-                    await reader.readexactly(exc.consumed)
-        except (asyncio.IncompleteReadError, ConnectionError):
-            return  # the client hung up mid-line
+    def _detach(self, connection: _Connection) -> None:
+        """The connection is gone: free its cursors, forget who it was."""
+        for query, subscriber in self._streams.pop(connection, ()):
+            if query.subscriptions.get(subscriber.id) is subscriber:
+                query.subscriptions.unsubscribe(subscriber.id)
+        self._authed.pop(connection, None)
 
-    def _effective_tenant(self, request: dict, writer) -> str:
+    def _effective_tenant(self, request: dict, connection) -> str:
         """Who this request acts as, spoof-proofed in token mode.
 
         Without configured tokens the request's ``tenant`` field is
@@ -472,7 +549,7 @@ class ServiceServer:
         """
         if not self.service.gateway.tokens_configured:
             return str(request["tenant"])
-        authed = self._authed.get(writer)
+        authed = self._authed.get(connection)
         if authed is None:
             raise AdmissionError(
                 "auth_denied",
@@ -490,7 +567,14 @@ class ServiceServer:
             )
         return authed
 
-    async def _dispatch(self, request: dict, writer) -> dict:
+    def _dispatch(self, line: bytes, connection: _Connection) -> dict:
+        """The reply to one request line."""
+        try:
+            request = json.loads(line.decode("utf-8"))
+        except ValueError:
+            return _error("parse_error", "request is not valid JSON")
+        if not isinstance(request, dict):
+            return _error("parse_error", "request is not a JSON object")
         op = request.get("op")
         try:
             if op == "auth":
@@ -502,11 +586,11 @@ class ServiceServer:
                 except AdmissionError as exc:
                     self.service.metrics.record_reject(exc.code)
                     raise
-                self._authed[writer] = tenant
+                self._authed[connection] = tenant
                 return {"ok": True, "tenant": tenant}
             if op == "submit":
                 try:
-                    tenant = self._effective_tenant(request, writer)
+                    tenant = self._effective_tenant(request, connection)
                 except AdmissionError as exc:
                     self.service.metrics.record_reject(exc.code)
                     raise
@@ -525,8 +609,8 @@ class ServiceServer:
                 if subscriber_id is None:
                     subscriber_id = f"sub-{next(self._subscriber_ids)}"
                 subscriber = self.service.subscribe(query_id, subscriber_id)
-                self._open_stream(
-                    writer, self.service.session.get(query_id), subscriber
+                self._streams.setdefault(connection, []).append(
+                    (self.service.session.get(query_id), subscriber)
                 )
                 return {
                     "ok": True,
@@ -541,9 +625,10 @@ class ServiceServer:
             if op == "withdraw":
                 return {"ok": True, "removed": self.service.withdraw(request["query"])}
             if op == "ingest":
-                published = self.service.ingest_line(
-                    request["source"], request["event"]
-                )
+                source, event = request["source"], request["event"]
+                if not (isinstance(source, str) and isinstance(event, str)):
+                    raise TypeError("ingest needs a string source and event")
+                published = self.service.ingest_line(source, event)
                 return {
                     "ok": True,
                     "published": {q: len(d) for q, d in published.items()},
@@ -569,80 +654,47 @@ class ServiceServer:
                     request.get("directory") or None)}
             if op == "ping":
                 return {"ok": True}
-            return {"ok": False, "error": {
-                "code": "invalid_query", "tenant": "",
-                "detail": f"unknown op {op!r}"}}
+            return _error("invalid_query", f"unknown op {op!r}")
         except AdmissionError as exc:
             return {"ok": False, "error": exc.as_dict()}
         except (ReproError, KeyError, TypeError, ValueError) as exc:
-            return {"ok": False, "error": {
-                "code": "invalid_query", "tenant": str(request.get("tenant", "")),
-                "detail": str(exc)}}
-
-    async def _send(self, writer: asyncio.StreamWriter, payload: dict) -> None:
-        writer.write(_line(payload))
-        await writer.drain()
+            return _error(
+                "invalid_query", str(exc), str(request.get("tenant", "")))
 
     # -- the push plane ------------------------------------------------------
 
-    def _open_stream(
-        self, writer, query: StandingQuery, subscriber: Subscriber
-    ) -> None:
-        connection = self._streams.get(writer)
-        if connection is None:
-            connection = self._streams[writer] = _PushConnection(writer)
-            connection.task = asyncio.ensure_future(self._sender(connection))
-        connection.streams.append((query, subscriber))
+    def _push(self) -> None:
+        """Write every streaming connection the frames it is owed, each
+        in one write.
 
-    def _close_streams(self, writer) -> None:
-        """The connection is gone: stop its sender, free its cursors."""
-        connection = self._streams.pop(writer, None)
-        if connection is None:
-            return
-        connection.task.cancel()
-        for query, subscriber in connection.streams:
-            if query.subscriptions.get(subscriber.id) is subscriber:
-                query.subscriptions.unsubscribe(subscriber.id)
-
-    def _flush_subscribers(self) -> None:
-        """Wake every streaming connection's sender; never blocks."""
-        for connection in self._streams.values():
-            connection.wake.set()
-
-    async def _sender(self, connection: _PushConnection) -> None:
-        """Push one connection's pending frames: one write per wake-up.
-
-        Awaits only this connection's own ``drain()``.  While its
-        transport is above the high-water mark nothing is pulled from
-        the logs, so a client that stops reading accumulates lag in its
-        cursors and is evicted by the ordinary slow-consumer policy.
+        Synchronous: it never waits on a socket.  A connection whose
+        transport is above its high-water mark is skipped, so a client
+        that stops reading accumulates lag in its cursors and is evicted
+        by the ordinary slow-consumer policy.
         """
-        writer = connection.writer
-        try:
-            while connection.streams:
-                await connection.wake.wait()
-                connection.wake.clear()
-                data = self._pull(connection)
-                if data:
-                    writer.write(data)
-                    await writer.drain()
-        except ConnectionError:
-            return  # the handler sees the same reset and cleans up
-        if self._streams.get(writer) is connection:
-            del self._streams[writer]
+        for connection, streams in list(self._streams.items()):
+            transport = connection.transport
+            if not connection.writable or transport.is_closing():
+                continue
+            data = self._pull(streams)
+            if data:
+                transport.write(data)
+                self.service.metrics.record_push_write()
+            if not streams:
+                del self._streams[connection]
 
-    def _pull(self, connection: _PushConnection) -> bytes:
-        """Everything the connection is owed, as one buffer.
+    def _pull(self, streams: list[_Stream]) -> bytes:
+        """Everything one connection's streams are owed, as one buffer.
 
         Subscribers in subscription order, each one's frames ascending
         in ``seq``.  Streams that ended — query withdrawn, subscriber
-        unsubscribed (or replaced), subscriber evicted — are pruned with
-        one final notice line.
+        unsubscribed (or replaced), subscriber evicted — are pruned from
+        ``streams`` with one final notice line.
         """
         session = self.service.session
         chunks: list[bytes] = []
-        kept: list[tuple[StandingQuery, Subscriber]] = []
-        for stream in connection.streams:
+        kept: list[_Stream] = []
+        for stream in streams:
             query, subscriber = stream
             if session.get(query.query_id) is not query:
                 notice = {"closed": subscriber.id, "query": query.query_id,
@@ -657,7 +709,8 @@ class ServiceServer:
                 kept.append(stream)
                 continue
             chunks.append(_line(notice))
-        connection.streams = kept
+        if len(kept) != len(streams):
+            streams[:] = kept
         return b"".join(chunks)
 
 

@@ -5,10 +5,12 @@ functions, so no plugin is needed.
 """
 
 import asyncio
+import contextlib
 import io
 import json
 import os
 import socket
+from unittest import mock
 
 import pytest
 
@@ -623,7 +625,7 @@ class TestListenSource:
         assert unset.resolved().share_plans is True
 
 
-# -- the push plane: one sender per connection ---------------------------------
+# -- the push plane ------------------------------------------------------------
 
 PASSTHROUGH = "SELECT bidtime, price, item FROM Bid EMIT STREAM"
 
@@ -854,3 +856,322 @@ def test_wire_fanout_encodes_each_delta_once(bid_stream):
     labels = f'{{query="{query.query_id}",tenant="alice"}}'
     assert f"repro_service_encoded_frames_total{labels} 20" in scrape
     assert f"repro_service_log_retained{labels} 0" in scrape
+
+
+# -- the batch contract: what a read delivered is one batch --------------------
+
+
+def ingest_op(n: int) -> bytes:
+    return (json.dumps(
+        {"op": "ingest", "source": "Bid", "event": bid_line(n)}
+    ) + "\n").encode()
+
+
+class CountingTransport:
+    """A server-side transport that counts its ``write`` calls."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+@contextlib.contextmanager
+def counted_connections():
+    """Server connections accepted inside write through a
+    :class:`CountingTransport`; yields them in accept order."""
+    from repro.service import server as server_module
+
+    connection_made = server_module._Connection.connection_made
+    transports: list[CountingTransport] = []
+
+    def counting(self, transport):
+        transports.append(CountingTransport(transport))
+        connection_made(self, transports[-1])
+
+    with mock.patch.object(
+        server_module._Connection, "connection_made", counting
+    ):
+        yield transports
+
+
+async def read_lines(reader, count: int) -> list[bytes]:
+    return [await reader.readline() for _ in range(count)]
+
+
+def test_pipelined_burst_is_one_write_per_connection(bid_stream):
+    """16 requests in one segment: one reply write, one push write, no
+    task per streaming connection; 16 single sends: 16 of each."""
+    service = empty_service(bid_stream)
+    query = service.submit("alice", PASSTHROUGH)
+    metrics = service.metrics
+
+    async def script(server):
+        tasks_before = len(asyncio.all_tasks())
+        sub_rpc, sub_reader, sub_writer = await open_rpc(server)
+        for n in range(32):
+            await sub_rpc({"op": "subscribe", "query": query.query_id,
+                           "subscriber": f"s{n}"})
+        rpc, reader, writer = await open_rpc(server)
+        assert await rpc({"op": "ping"}) == {"ok": True}
+        assert len(asyncio.all_tasks()) == tasks_before
+        subscriber_side, requester_side = transports
+
+        def counts():
+            return (requester_side.writes, subscriber_side.writes,
+                    metrics.requests, metrics.request_batches,
+                    metrics.push_writes)
+
+        def since(before):
+            return tuple(now - then for now, then in zip(counts(), before))
+
+        start = counts()
+        writer.write(b"".join(ingest_op(n) for n in range(16)))
+        replies = await read_lines(reader, 16)
+        frames = await read_lines(sub_reader, 16 * 32)
+        burst, start = since(start), counts()
+        for n in range(16, 32):
+            replies.append(json.dumps(await rpc(
+                {"op": "ingest", "source": "Bid", "event": bid_line(n)}
+            )).encode() + b"\n")
+            frames += await read_lines(sub_reader, 32)
+        singles = since(start)
+        writer.close()
+        sub_writer.close()
+        return burst, singles, replies, frames
+
+    with counted_connections() as transports:
+        burst, singles, replies, frames = with_server(service, script)
+    # transport writes on the requester's / the subscribers' connection,
+    # then the server's counters: requests, request batches, push writes
+    assert burst == (1, 1, 16, 1, 1)
+    assert singles == (16, 16, 16, 16, 16)
+    assert all(json.loads(reply)["ok"] for reply in replies)
+    assert len(frames) == 32 * 32
+    assert query.subscriptions.encoded_frames == 32
+
+
+def test_pipelined_and_single_ingests_push_the_same_bytes(bid_stream):
+    count = 40
+
+    def received(pipelined: bool) -> bytes:
+        service = empty_service(bid_stream)
+        query = service.submit("alice", PASSTHROUGH, query_id="hot")
+
+        async def script(server):
+            sub_rpc, sub_reader, sub_writer = await open_rpc(server)
+            await sub_rpc({"op": "subscribe", "query": "hot",
+                           "subscriber": "only"})
+            rpc, reader, writer = await open_rpc(server)
+            if pipelined:
+                writer.write(b"".join(ingest_op(n) for n in range(count)))
+                await read_lines(reader, count)
+            else:
+                for n in range(count):
+                    await rpc({"op": "ingest", "source": "Bid",
+                               "event": bid_line(n)})
+            data = b"".join(await read_lines(sub_reader, count))
+            writer.close()
+            sub_writer.close()
+            return data
+
+        return with_server(service, script)
+
+    assert received(pipelined=True) == received(pipelined=False)
+
+
+@pytest.mark.parametrize("capacity", [256, 2])
+def test_reply_precedes_the_deltas_its_request_caused(bid_stream, capacity):
+    """One connection, requester and subscriber at once, 16 pipelined
+    ingests: replies in request order, reply *i* before delta *i* —
+    also when a small capacity makes the server push mid-batch."""
+    service = empty_service(
+        bid_stream, ExecutionConfig(subscriber_capacity=capacity)
+    )
+    query = service.submit("alice", PASSTHROUGH)
+
+    async def script(server):
+        rpc, reader, writer = await open_rpc(server)
+        await rpc({"op": "subscribe", "query": query.query_id,
+                   "subscriber": "self"})
+        writer.write(b"".join(ingest_op(n) for n in range(16)))
+        lines = [json.loads(line) for line in await read_lines(reader, 32)]
+        writer.close()
+        return lines
+
+    lines = with_server(service, script)
+    replies_seen = 0
+    seqs = []
+    for message in lines:
+        if "delta" in message:
+            seqs.append(message["delta"]["seq"])
+            assert replies_seen > seqs[-1], lines
+        else:
+            assert message == {"ok": True, "published": {query.query_id: 1}}
+            replies_seen += 1
+    assert replies_seen == 16 and seqs == list(range(16))
+    assert query.subscriptions.evictions == 0
+
+
+def test_small_capacity_subscriber_survives_a_pipelined_burst(bid_stream):
+    """Batching must not let a burst outrun a healthy subscriber: once a
+    cursor lags by half the smallest capacity the server pushes."""
+    service = empty_service(bid_stream, ExecutionConfig(subscriber_capacity=4))
+    query = service.submit("alice", PASSTHROUGH)
+
+    async def script(server):
+        sub_rpc, sub_reader, sub_writer = await open_rpc(server)
+        await sub_rpc({"op": "subscribe", "query": query.query_id,
+                       "subscriber": "small"})
+        _, reader, writer = await open_rpc(server)
+        writer.write(b"".join(ingest_op(n) for n in range(64)))
+        replies = await read_lines(reader, 64)
+        frames = await read_lines(sub_reader, 64)
+        writer.close()
+        sub_writer.close()
+        return replies, frames
+
+    replies, frames = with_server(service, script)
+    assert all(json.loads(reply)["ok"] for reply in replies)
+    assert [json.loads(f)["delta"]["seq"] for f in frames] == list(range(64))
+    assert query.subscriptions.evictions == 0
+
+
+def test_deep_pipeline_does_not_starve_another_connection(bid_stream):
+    """A writes 5 000 ingests in one go, B then pings: B is answered
+    while A still has acks to come."""
+    events = 5000
+    service = empty_service(bid_stream)
+    service.submit("alice", PASSTHROUGH)
+
+    async def script(server):
+        _, a_reader, a_writer = await open_rpc(server)
+        b_rpc, _, b_writer = await open_rpc(server)
+        acked = 0
+
+        async def count_acks():
+            nonlocal acked
+            while acked < events:
+                assert json.loads(await a_reader.readline())["ok"]
+                acked += 1
+
+        a_writer.write(b"".join(ingest_op(n) for n in range(events)))
+        counting = asyncio.ensure_future(count_acks())
+        pong = await b_rpc({"op": "ping"})
+        acked_at_pong = acked
+        await counting
+        a_writer.close()
+        b_writer.close()
+        return pong, acked_at_pong
+
+    pong, acked_at_pong = with_server(service, script)
+    assert pong == {"ok": True}
+    assert acked_at_pong < events
+
+
+def test_a_connection_answers_a_bounded_batch_per_loop_turn(bid_stream):
+    """The budget itself, exactly: one read that delivered 200 requests
+    is answered ``REQUESTS_PER_TURN`` per loop turn, one write each."""
+    from repro.service.server import REQUESTS_PER_TURN, _Connection
+
+    service = empty_service(bid_stream)
+
+    async def drive():
+        transport = mock.Mock()
+        connection = _Connection(ServiceServer(service))
+        connection.connection_made(transport)
+        connection.data_received(b'{"op": "ping"}\n' * 200)
+        per_turn = []
+        while connection.requests:
+            per_turn.append(transport.write.call_args[0][0].count(b"\n"))
+            assert transport.write.call_count == len(per_turn)
+            await asyncio.sleep(0)
+        per_turn.append(transport.write.call_args[0][0].count(b"\n"))
+        return per_turn, transport
+
+    per_turn, transport = asyncio.run(drive())
+    full, rest = divmod(200, REQUESTS_PER_TURN)
+    assert full >= 1  # or this test needs a longer read
+    assert per_turn == [REQUESTS_PER_TURN] * full + [rest]
+    assert transport.pause_reading.call_count == full
+    assert transport.resume_reading.call_count == 1
+    assert service.metrics.requests == 200
+    assert service.metrics.request_batches == len(per_turn)
+
+
+def test_unterminated_final_line_is_served_at_eof(bid_stream):
+    service = empty_service(bid_stream)
+
+    async def script(server):
+        reader, writer = await asyncio.open_connection(*server.address)
+        writer.write(b'{"op": "ping"}\n{"op": "queries"}')
+        writer.write_eof()
+        data = await reader.read()  # both replies, then the server's EOF
+        writer.close()
+        return [json.loads(line) for line in data.splitlines()]
+
+    assert with_server(service, script) == [
+        {"ok": True}, {"ok": True, "queries": []},
+    ]
+
+
+@pytest.mark.parametrize("payload, code", [
+    ("[1, 2]", "parse_error"),
+    ("3", "parse_error"),
+    ('"x"', "parse_error"),
+    ("null", "parse_error"),
+    ('{"op": "ingest", "source": 7, "event": "x"}', "invalid_query"),
+    ('{"op": "ingest", "source": "Bid", "event": 7}', "invalid_query"),
+    ('{"op": "ingest", "source": "Bid", "event": {"ptime": 1}}',
+     "invalid_query"),
+])
+def test_hostile_request_gets_a_reply_and_keeps_the_connection(
+    bid_stream, payload, code
+):
+    """Valid JSON of the wrong shape is a client error, not a server
+    one: a coded reply — behind the replies already due in its batch —
+    and the same connection still answers."""
+    service = empty_service(bid_stream)
+
+    async def script(server):
+        rpc, reader, writer = await open_rpc(server)
+        writer.write(b'{"op": "ping"}\n' + payload.encode() + b"\n")
+        before, reply = map(json.loads, await read_lines(reader, 2))
+        after = await rpc({"op": "ping"})
+        writer.close()
+        return before, reply, after
+
+    before, reply, after = with_server(service, script)
+    assert before == after == {"ok": True}
+    assert reply["ok"] is False and reply["error"]["code"] == code
+
+
+def test_an_op_that_raises_costs_its_client_only_the_connection(bid_stream):
+    """An exception ``_dispatch`` does not map is a server bug: the
+    replies already due are still written, that one connection is
+    dropped, and the server goes on serving."""
+    service = empty_service(bid_stream)
+    service.list_queries = mock.Mock(side_effect=RuntimeError("boom"))
+
+    async def script(server):
+        handler = mock.Mock()
+        asyncio.get_running_loop().set_exception_handler(handler)
+        reader, writer = await asyncio.open_connection(*server.address)
+        writer.write(b'{"op": "ping"}\n{"op": "queries"}\n{"op": "ping"}\n')
+        data = await reader.read()
+        writer.close()
+        rpc, _, other = await open_rpc(server)
+        ping = await rpc({"op": "ping"})
+        other.close()
+        return data, ping, handler.call_args[0][1]["exception"]
+
+    data, ping, logged = with_server(service, script)
+    assert data == b'{"ok": true}\n'
+    assert ping == {"ok": True}
+    assert isinstance(logged, RuntimeError)
