@@ -3,9 +3,10 @@
 Inside one micro-batch the executor can move data column-wise instead
 of as per-row :class:`~repro.core.changelog.Change` objects.  A
 :class:`ColumnarBatch` holds one sequence per column plus parallel
-``kinds``/``ptimes`` vectors (and an optional ``seqs`` vector carrying
-merge sequence numbers, reserved for routing layers).  The payoff on
-the hot path is twofold:
+``kinds``/``ptimes`` vectors, and optionally a ``seqs`` vector: per row,
+the sequence number of the source event it derives from, set where a
+shard of the sharded runtime scans its share of a run (see below).  The
+payoff on the hot path is twofold:
 
 * kind-preserving operators (Tumble, pipelines without filters) can
   *share* untouched column sequences with their input instead of
@@ -26,6 +27,17 @@ The row and columnar encodings are two spellings of the same changelog
 slice; converting in either direction is byte-identity-preserving by
 construction, which is what lets the executor mix vectorized and
 row-at-a-time operators freely inside one plan.
+
+**The carry rule for** ``seqs``: wherever an operator derives the
+``ptimes`` of its output batch, it derives ``seqs`` the same way — the
+input's vector shared when rows map 1:1 (Scan, Tumble, a projection),
+gathered by the same indices when rows multiply (Hop), compressed by
+the same mask when rows are dropped (a fused filter, the aggregate's
+late-row cut) — and ``None`` stays ``None``.  The row encoding has no
+place for them, so they survive only along columnar operators
+(``Operator.carries_seqs``); the sharded runtime decides from the plan
+whether they reach the root (``Dataflow.run_split_reason``) and sets
+them where a share is fed (``Dataflow.process_batch(..., seqs)``).
 """
 
 from __future__ import annotations
@@ -45,8 +57,9 @@ class ColumnarBatch:
 
     ``columns`` is one sequence per output column (all the same
     length); ``kinds`` and ``ptimes`` are the parallel per-row change
-    kind and processing-time vectors.  ``seqs`` optionally carries
-    per-row merge sequence numbers for routing layers.
+    kind and processing-time vectors.  ``seqs`` is ``None`` or the
+    parallel vector of source-event sequence numbers (the module
+    docstring has the carry rule).
     """
 
     __slots__ = ("columns", "kinds", "ptimes", "seqs", "_rows", "_retracts")

@@ -310,10 +310,10 @@ def _compile_cols(steps: Sequence[Step], in_width: int) -> Callable:
     Output slots are tracked symbolically: a slot is either
     ``("col", i)`` — still column ``i`` of the input, untouched — or
     ``("var",)`` — a computed scalar.  Without filters, untouched
-    output columns (and the kinds/ptimes vectors) are *shared* with the
-    input batch and only computed columns pay a loop; with filters
-    everything funnels through one generated loop that also rebuilds
-    kinds/ptimes.
+    output columns (and the kinds/ptimes/seqs vectors) are *shared* with
+    the input batch and only computed columns pay a loop; with filters
+    everything funnels through one generated loop that also records
+    which rows it kept, and kinds/ptimes/seqs are gathered by those.
     """
     has_filter = any(kind == "filter" for kind, _ in steps)
     sym: list[tuple] = [("col", i) for i in range(in_width)]
@@ -333,7 +333,11 @@ def _compile_cols(steps: Sequence[Step], in_width: int) -> Callable:
     if not has_filter and all(tag == "col" for tag, _ in sym):
         # Pure column shuffle: no loop at all.
         outs = ", ".join(f"_cols[{i}]" for _, i in sym)
-        em.line(1, f"return {cb}(({outs}{',' if sym else ''}), _kinds, _ptimes)")
+        em.line(
+            1,
+            f"return {cb}(({outs}{',' if sym else ''}), _kinds, _ptimes, "
+            "_batch.seqs)",
+        )
         return _compile_source(em, "_run_cols", "_batch")
 
     # Emit the per-row body against column loads, then decide which
@@ -353,11 +357,14 @@ def _compile_cols(steps: Sequence[Step], in_width: int) -> Callable:
     if has_filter:
         for j in range(width_out):
             body.line(2, f"_a{j}({row[j]})")
-        body.line(2, "_ak(_kinds[_x])")
-        body.line(2, "_ap(_ptimes[_x])")
+        body.line(2, "_keep(_x)")
         out_slots = list(range(width_out))
         outs = ", ".join(f"_oc{j}" for j in range(width_out))
-        tail = f"return {cb}(({outs}{',' if width_out else ''}), _ok, _op)"
+        tail = (
+            f"return {cb}(({outs}{',' if width_out else ''}), "
+            "[_kinds[_x] for _x in _kept], [_ptimes[_x] for _x in _kept], "
+            "None if _seqs is None else [_seqs[_x] for _x in _kept])"
+        )
     else:
         out_slots = [j for j, (tag, _) in enumerate(sym) if tag == "var"]
         for j in out_slots:
@@ -366,7 +373,10 @@ def _compile_cols(steps: Sequence[Step], in_width: int) -> Callable:
             f"_cols[{ref}]" if tag == "col" else f"_oc{j}"
             for j, (tag, ref) in enumerate(sym)
         ]
-        tail = f"return {cb}(({', '.join(parts)}{',' if parts else ''}), _kinds, _ptimes)"
+        tail = (
+            f"return {cb}(({', '.join(parts)}{',' if parts else ''}), "
+            "_kinds, _ptimes, _batch.seqs)"
+        )
 
     for i in range(in_width):
         em.line(1, f"_ic{i} = _cols[{i}]")
@@ -374,10 +384,9 @@ def _compile_cols(steps: Sequence[Step], in_width: int) -> Callable:
         em.line(1, f"_oc{j} = []")
         em.line(1, f"_a{j} = _oc{j}.append")
     if has_filter:
-        em.line(1, "_ok = []")
-        em.line(1, "_ak = _ok.append")
-        em.line(1, "_op = []")
-        em.line(1, "_ap = _op.append")
+        em.line(1, "_seqs = _batch.seqs")
+        em.line(1, "_kept = []")
+        em.line(1, "_keep = _kept.append")
     em.line(1, "for _x in range(len(_kinds)):")
     em.lines.extend(body.lines)
     em.env.update(body.env)

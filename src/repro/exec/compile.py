@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Optional, Sequence
 
 from ..core.errors import PlanError
 from ..plan import rex
@@ -49,7 +50,12 @@ from .operators.temporal import TemporalFilterOperator
 from .operators.temporal_join import TemporalJoinOperator
 from .operators.window import HopOperator, TumbleOperator
 
-__all__ = ["CompiledPlan", "build_operator", "compile_plan"]
+__all__ = ["CompiledPlan", "LINEAGE_SPLITS_RUNS", "build_operator",
+           "compile_plan", "why_runs_split"]
+
+#: The one reason a plan that *can* carry sequence numbers is split at
+#: gaps anyway (``ShardedDataflow.run_split_reason``, ``EXPLAIN``).
+LINEAGE_SPLITS_RUNS = "a lineage recorder claims per-event ordinals"
 
 
 @dataclass
@@ -79,6 +85,34 @@ def compile_plan(root: LogicalNode, allowed_lateness: int = 0) -> CompiledPlan:
     compiled = CompiledPlan(root=None, operators=[])  # type: ignore[arg-type]
     compiled.root = _compile(root, compiled, allowed_lateness)
     return compiled
+
+
+def why_runs_split(
+    columnar: bool, outputs: Iterable[Sequence[Operator]]
+) -> Optional[str]:
+    """Why a shard running these operators must be fed its share of a
+    run piece by gap-free piece — or ``None``: the share's per-row
+    sequence numbers reach every root, so it can be fed whole.
+
+    ``outputs`` lists, per output, the operators below its root and the
+    root (inputs first, the root last).  The numbers ride only columnar
+    batches, through operators that carry them, to a root that ships
+    them; the first place they would be lost is the reason.  Decided
+    from the plan alone — ``Dataflow.run_split_reason`` for a flow,
+    ``EXPLAIN (physical)`` for a query; a sharded flow with a lineage
+    recorder splits whatever the plan (:data:`LINEAGE_SPLITS_RUNS`).
+    """
+    if not columnar:
+        return "row batches carry no sequence numbers"
+    for operators in outputs:
+        *below, root = operators
+        lost = next((op for op in below if not op.carries_seqs), None)
+        if lost is None and not root.ships_seqs:
+            lost = root
+        if lost is not None:
+            kind = type(lost).__name__.removesuffix("Operator")
+            return f"{kind} cannot carry sequence numbers"
+    return None
 
 
 def _compile(node: LogicalNode, out: CompiledPlan, lateness: int) -> Operator:

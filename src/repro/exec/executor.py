@@ -51,7 +51,7 @@ from ..plan.fingerprint import node_fingerprints, subtree_size
 from ..plan.logical import LogicalNode, ValuesNode
 from ..plan.pipeline import get_fused_root
 from ..plan.planner import QueryPlan
-from .compile import build_operator
+from .compile import build_operator, why_runs_split
 from .operators.base import Operator
 from .operators.stateless import ScanOperator
 from .timers import TimerQueue
@@ -59,7 +59,8 @@ from .timers import TimerQueue
 __all__ = ["CHECKPOINT_VERSION", "Dataflow", "OutputChannel", "OutputLogs",
            "RunResult",
            "check_checkpoint_version", "check_same_instant", "count_edge",
-           "merge_source_events", "replay_runs", "stored_changes"]
+           "event_runs", "merge_source_events", "replay_runs",
+           "stored_changes"]
 
 _RETRACT = ChangeKind.RETRACT
 
@@ -177,13 +178,16 @@ def stored_changes(
     return log
 
 
-def replay_runs(flow, events: Sequence[tuple[StreamEvent, str]]) -> Iterator[int]:
-    """Deliver a merged replay stream to ``flow`` run by run.
+def event_runs(
+    flow, events: Sequence[tuple[StreamEvent, str]]
+) -> Iterator[tuple[int, list[StreamEvent], str]]:
+    """The one run-grouping rule: ``(stop, run, source)`` per delivery.
 
-    Yields, after each delivery, how many of ``events`` have been
-    consumed — the one run-grouping rule, behind ``replay`` of the
-    serial and the sharded dataflow alike (and so behind ``run()``,
-    service catch-up and the shell's ``\\watch`` loop).
+    ``run`` is what ``flow`` is to be fed at once — row events of one
+    instant and one source, or a single event — and ``stop`` how many
+    of ``events`` are consumed once it is.  :func:`replay_runs` delivers
+    the runs to a flow; a sharded ``run()`` partitions them, so its
+    shards are fed shares of the very runs the serial executor forms.
 
     With ``batch_size > 1`` a run is a maximal stretch of row events
     that share one processing-time instant and one source, capped at
@@ -199,6 +203,7 @@ def replay_runs(flow, events: Sequence[tuple[StreamEvent, str]]) -> Iterator[int
     i, n = 0, len(events)
     while i < n:
         event, source = events[i]
+        run = [event]
         j = i + 1
         if batch_size > 1 and isinstance(event, RowEvent):
             ok = batchable.get(source)
@@ -208,7 +213,6 @@ def replay_runs(flow, events: Sequence[tuple[StreamEvent, str]]) -> Iterator[int
             ok = False
         if ok:
             ptime = event.ptime
-            run = [event]
             while j < n and len(run) < batch_size:
                 nxt, nxt_source = events[j]
                 if nxt.ptime != ptime:
@@ -228,11 +232,25 @@ def replay_runs(flow, events: Sequence[tuple[StreamEvent, str]]) -> Iterator[int
                 else:
                     break
                 j += 1
+        yield j, run, source
+        i = j
+
+
+def replay_runs(flow, events: Sequence[tuple[StreamEvent, str]]) -> Iterator[int]:
+    """Deliver a merged replay stream to ``flow`` run by run
+    (:func:`event_runs`).
+
+    Yields, after each delivery, how many of ``events`` have been
+    consumed — behind ``replay`` of the serial and the sharded dataflow
+    alike (and so behind the serial ``run()``, service catch-up and the
+    shell's ``\\watch`` loop).
+    """
+    for stop, run, source in event_runs(flow, events):
+        if isinstance(run[0], RowEvent):
             flow.process_batch(run, source)
         else:
-            flow.process(event, source)
-        yield j
-        i = j
+            flow.process(run[0], source)
+        yield stop
 
 
 @dataclass
@@ -776,7 +794,7 @@ class Dataflow(OutputLogs):
             return op
 
         channel = self._open_channel(output_id, plan, build(root_node, build))
-        self.metrics_registry = MetricsRegistry(self._operators)
+        self._graph_changed()
         if donor is not None:
             # The donor is a throwaway: adopt its history, don't copy it.
             donor_primary = donor._outputs[donor._primary]
@@ -793,6 +811,29 @@ class Dataflow(OutputLogs):
             self._last_ptime = max(self._last_ptime, donor._last_ptime)
             self._peak_state = max(self._peak_state, donor._peak_state)
         return channel
+
+    def _graph_changed(self) -> None:
+        """What is derived from the operator graph, re-derived: the
+        state-sweep registry and the run shape."""
+        self.metrics_registry = MetricsRegistry(self._operators)
+        self._split_reason = why_runs_split(
+            self._columnar_active,
+            (
+                self._reachable_ops(channel.root)
+                for channel in self._outputs.values()
+            ),
+        )
+
+    def run_split_reason(self) -> Optional[str]:
+        """Why a driver that attributes output by sequence number (a
+        shard's drive loop) must split its share of a run at sequence
+        gaps — or ``None``: the share may be fed whole, gaps and all,
+        with ``process_batch(events, source, seqs)``, because every
+        output's root ships the numbers with what it produces.  Decided
+        from the plan alone, so every flow built from one structure
+        answers alike (``ShardedDataflow.run_split_reason`` adds what
+        the sharded flow itself knows)."""
+        return self._split_reason
 
     def _open_channel(
         self, output_id: str, plan: QueryPlan, root_op: Operator
@@ -868,7 +909,7 @@ class Dataflow(OutputLogs):
                 if id(op) not in dead
             }
             self._timers.discard(dead)
-            self.metrics_registry = MetricsRegistry(self._operators)
+        self._graph_changed()
         return True
 
     @classmethod
@@ -930,7 +971,7 @@ class Dataflow(OutputLogs):
                 "checkpoint structure references operators no output builds"
             )
         self._primary, self.plan = plans[0][0], plans[0][1]
-        self.metrics_registry = MetricsRegistry(self._operators)
+        self._graph_changed()
         return self
 
     # -- checkpoint / recovery ---------------------------------------------------
@@ -1111,7 +1152,12 @@ class Dataflow(OutputLogs):
         if leaves or fired:
             self._observe_state()
 
-    def process_batch(self, events: Sequence[RowEvent], source: str) -> None:
+    def process_batch(
+        self,
+        events: Sequence[RowEvent],
+        source: str,
+        seqs: Optional[Sequence[int]] = None,
+    ) -> None:
         """Feed a run of same-instant row events through the dataflow at once.
 
         Because every operator's batch output is the ordered
@@ -1123,20 +1169,34 @@ class Dataflow(OutputLogs):
         would have before the run's first event; none can fire *inside*
         the run, since operators only ever schedule deadlines strictly
         after the current instant.
+
+        ``seqs`` is for a shard's share of a run (the sharded runtime's
+        drive loop): one sequence number per event, not necessarily
+        consecutive, which rides the columnar batch to every root, which
+        ships it with what the share produced — so the rows keep their
+        places in the run.  Only a flow whose :meth:`run_split_reason`
+        is ``None`` can take them.
         """
         if not events:
             return
+        if seqs is not None and self._split_reason is not None:
+            raise ExecutionError(
+                "this flow cannot carry sequence numbers to its outputs: "
+                f"{self._split_reason}"
+            )
         check_same_instant(events)
         leaves, cause, fired = self._arrive(events, source)
         if leaves:
             payload = [event.change for event in events]
-            if self._columnar_active and len(payload) > 1:
+            if self._columnar_active and (len(payload) > 1 or seqs is not None):
                 # One transposition up front; the batch retains the
                 # rows, so a row-only pipeline converts back for free.
-                # (A batch of one stays rows: nothing to amortize.)
+                # (A batch of one stays rows: nothing to amortize —
+                # unless it has a sequence number to carry.)
                 payload = ColumnarBatch.from_changes(
                     payload, len(leaves[0].schema)
                 )
+                payload.seqs = seqs
             # The graph's entry edges, counted like any other (no
             # operator produced the payload).
             count_edge(payload, None, [(leaf, 0) for leaf in leaves])

@@ -188,7 +188,7 @@ class AggregateOperator(Operator):
     def on_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
         return self._fold(*self._drop_late(*self._extract(changes)))
 
-    def on_cols(self, port: int, batch) -> list[Change]:
+    def _extract_cols(self, batch) -> tuple:
         # No row tuple or Change is materialized per input; output is
         # rows either way — aggregation is where the columnar run ends.
         columns = batch.columns
@@ -203,9 +203,10 @@ class AggregateOperator(Operator):
             keys = list(zip(*key_cols))
         nones = [None] * n
         arg_cols = [nones if i is None else columns[i] for i in self._arg_indices]
-        return self._fold(
-            *self._drop_late(keys, batch.kinds, batch.ptimes, arg_cols)
-        )
+        return keys, batch.kinds, batch.ptimes, arg_cols
+
+    def on_cols(self, port: int, batch) -> list[Change]:
+        return self._fold(*self._drop_late(*self._extract_cols(batch)))
 
     # -- event time ------------------------------------------------------------------
 
@@ -433,7 +434,11 @@ class PartialAggregateOperator(AggregateOperator):
     * **replay mode** (``delta_mode=False``, the byte-identity path):
       the payload carries the batch's effective rows in order as
       ``(sign, key, values)`` entries; the combine operator replays
-      them through the exact single-phase transitions.
+      them through the exact single-phase transitions.  A columnar
+      batch that carries sequence numbers (a shard's share of a run,
+      gaps and all) ships them beside the entries —
+      ``("P2R", n, entries, seqs)`` — so the merge can put the run's
+      entries back in global order before the combine sees them.
     * **delta mode** (``delta_mode=True``, paired with
       ``coalesce_updates``): the batch is folded into one delta per
       touched group via the :class:`AggregateFunction` delta protocol,
@@ -448,10 +453,15 @@ class PartialAggregateOperator(AggregateOperator):
     empty-group retraction guard falls to the combine stage.
     """
 
-    # Payload condensation overrides on_batch, so the inherited
-    # columnar fast path would bypass it; the executor converts at the
-    # boundary instead.
-    supports_columnar = False
+    # Both encodings condense into the same payload (``_condense``);
+    # the columnar one skips the per-batch ``to_changes()``.
+    supports_columnar = True
+
+    @property
+    def ships_seqs(self) -> bool:
+        """Replay payloads are per row; a delta payload is per group and
+        has no row order left to restore."""
+        return not self.delta_mode
 
     def __init__(
         self,
@@ -491,12 +501,28 @@ class PartialAggregateOperator(AggregateOperator):
     def on_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
         if not changes:
             return []
-        # The serial operator's extraction and lateness cutoff, at the
-        # shard's input watermark; one batch sits at one processing
-        # instant, so the payload is stamped with the first ptime.
-        keys, kinds, _, arg_cols = self._drop_late(*self._extract(changes))
+        return self._condense(*self._extract(changes))
+
+    def on_cols(self, port: int, batch) -> list[Change]:
+        if not len(batch):
+            return []
+        return self._condense(*self._extract_cols(batch), batch.seqs)
+
+    def _condense(self, keys, kinds, ptimes, arg_cols, seqs=None) -> list[Change]:
+        """One payload change for a non-empty extracted batch."""
+        # One batch sits at one processing instant, so the payload is
+        # stamped with the first ptime — of the batch as it came in.
+        ptime = ptimes[0]
+        # The serial operator's lateness cutoff, at the shard's input
+        # watermark; sequence numbers ride through it as one more
+        # per-row vector.
+        if seqs is not None:
+            arg_cols = [*arg_cols, seqs]
+        keys, kinds, _, arg_cols = self._drop_late(keys, kinds, ptimes, arg_cols)
         if not keys:
             return []
+        if seqs is not None:
+            seqs = arg_cols.pop()
         insert = ChangeKind.INSERT
         signs = [1 if kind is insert else -1 for kind in kinds]
         if self.delta_mode:
@@ -509,7 +535,9 @@ class PartialAggregateOperator(AggregateOperator):
             payload = (
                 "P2R", len(keys), tuple(zip(signs, keys, _rows(arg_cols, keys)))
             )
-        return [Change(insert, payload, changes[0].ptime)]
+            if seqs is not None:
+                payload += (tuple(seqs),)
+        return [Change(insert, payload, ptime)]
 
     def _dedup(self, keys, signs, arg_cols) -> list[list]:
         """The argument vectors with DISTINCT duplicates suppressed.

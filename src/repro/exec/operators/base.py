@@ -61,6 +61,16 @@ class Operator:
     #: at the operator boundary.
     supports_columnar = False
 
+    #: What becomes of a columnar input's per-row sequence numbers
+    #: (``ColumnarBatch.seqs``): an operator that *carries* them derives
+    #: its output batch's vector the way it derives ``ptimes``; one that
+    #: *ships* them emits rows that hold them as data (the partial
+    #: aggregate's payload).  The sharded runtime lets a run span
+    #: sequence gaps only when every operator below each root carries
+    #: and the root ships (``Dataflow.run_split_reason``).
+    carries_seqs = False
+    ships_seqs = False
+
     def __init__(self, schema: Schema, arity: int):
         self.schema = schema
         self.arity = arity

@@ -54,6 +54,9 @@ class PipelineOperator(Operator):
                     )
             self._compiled_steps = compiled
             self._run_rows = self._interp_rows
+        #: only the generated columnar loop derives ``seqs``; the
+        #: interpreted fallback goes through rows.
+        self.carries_seqs = self._run_cols is not None
 
     def _interp_rows(self, changes: Sequence[Change]) -> list[Change]:
         out: list[Change] = []

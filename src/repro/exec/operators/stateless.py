@@ -23,6 +23,7 @@ class _ForwardOperator(Operator):
     """Forwards every change untouched, in either encoding."""
 
     supports_columnar = True
+    carries_seqs = True  # the batch goes on as it came
 
     def on_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
         return list(changes)

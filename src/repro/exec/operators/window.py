@@ -29,6 +29,7 @@ class TumbleOperator(Operator):
     """Assigns each row to the fixed window containing its timestamp."""
 
     supports_columnar = True
+    carries_seqs = True
 
     def __init__(
         self, schema: Schema, timecol: int, size: Duration, offset: Duration = 0
@@ -59,9 +60,9 @@ class TumbleOperator(Operator):
 
     def on_cols(self, port: int, batch):
         # The columnar fast path: Tumble is kind-preserving and 1:1,
-        # so every input column, the kinds vector, and the ptimes
-        # vector are shared with the input batch untouched — only the
-        # two window columns are materialized.
+        # so every input column and the kinds, ptimes and seqs vectors
+        # are shared with the input batch untouched — only the two
+        # window columns are materialized.
         size, offset = self._size, self._offset
         wstarts: list[int] = []
         append = wstarts.append
@@ -73,7 +74,10 @@ class TumbleOperator(Operator):
             append(ts - ((ts - offset) % size))
         wends = [ws + size for ws in wstarts]
         return ColumnarBatch(
-            (wstarts, wends) + batch.columns, batch.kinds, batch.ptimes
+            (wstarts, wends) + batch.columns,
+            batch.kinds,
+            batch.ptimes,
+            batch.seqs,
         )
 
 
@@ -104,6 +108,7 @@ class HopOperator(Operator):
     """Assigns each row to every sliding window that contains it."""
 
     supports_columnar = True
+    carries_seqs = True
 
     def __init__(
         self,
@@ -152,6 +157,7 @@ class HopOperator(Operator):
                 indices.append(row)
         kinds = batch.kinds
         ptimes = batch.ptimes
+        seqs = batch.seqs
         out_cols = [wstarts, wends]
         for col in batch.columns:
             out_cols.append([col[i] for i in indices])
@@ -159,4 +165,5 @@ class HopOperator(Operator):
             out_cols,
             [kinds[i] for i in indices],
             [ptimes[i] for i in indices],
+            None if seqs is None else [seqs[i] for i in indices],
         )

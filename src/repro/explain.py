@@ -10,7 +10,10 @@ Every way of asking "what will (did) this query do" — the engine's
   configured.
 * ``physical`` — ``logical`` plus the physical aggregation shape: the
   combine-stage tree and the per-shard partial tree for a two-phase
-  plan, or the single-phase reason.
+  plan, or the single-phase reason; for a sharded plan also the run
+  shape — whether a shard is fed its share of each instant's run whole
+  (``runs: per instant, sequence-tagged``) or split at sequence gaps,
+  and which operator forces that.
 * ``costs`` — ``physical`` plus the cost-model inputs: the configured
   knob, the observed fan-in from counter feedback, the combine
   threshold, and the resulting decision.
@@ -110,17 +113,58 @@ def _logical(query, verbose: bool) -> str:
     return text.rstrip()
 
 
+def _columnar_active(effective) -> bool:
+    return effective.columnar == "on" or (
+        effective.columnar == "auto" and effective.batch_size > 1
+    )
+
+
+def _runs_line(effective, shard_plan) -> str:
+    """The run shape ``shard_plan`` gets on a shard, decided the way the
+    runtime decides it: from the plan
+    (:func:`~repro.exec.compile.why_runs_split`, as the shard's flow
+    does) and, where a flow gets a lineage recorder, from that
+    (``ShardedDataflow.run_split_reason``)."""
+    from .exec.compile import (
+        LINEAGE_SPLITS_RUNS,
+        compile_plan,
+        why_runs_split,
+    )
+
+    columnar = _columnar_active(effective)
+    root = get_fused_root(shard_plan) if columnar else shard_plan.root
+    reason = why_runs_split(
+        columnar, [compile_plan(root, effective.allowed_lateness).operators]
+    )
+    if reason is not None:
+        return f"  runs: split at sequence gaps — {reason}"
+    line = "  runs: per instant, sequence-tagged"
+    if effective.lineage_sample > 0:
+        # Only a standing query's flow is given a recorder.
+        line = (
+            f"{line}; as a standing query (lineage_sample="
+            f"{effective.lineage_sample}) split at sequence gaps — "
+            f"{LINEAGE_SPLITS_RUNS}"
+        )
+    return line
+
+
 def _physical_section(query, verbose: bool) -> str:
     physical = query.physical_decision()
+    effective = query._effective()
     if not physical.use_two_phase:
-        return f"Physical: single-phase — {physical.reason}"
+        text = f"Physical: single-phase — {physical.reason}"
+        if effective.parallelism > 1 and query.partition_decision().partitionable:
+            text = f"{text}\n{_runs_line(effective, query.plan)}"
+        return text
     split, _ = split_eligibility(query.plan)
     assert split is not None  # use_two_phase implies eligibility
-    effective = query._effective()
+    split.partial.delta_mode = effective.coalesce_updates
     payload = "delta" if effective.coalesce_updates else "replay"
     lines = [
         f"Physical: two-phase aggregation ({payload} payloads) — "
         f"{physical.reason}",
+        _runs_line(effective, split.shard_plan),
         "  merge stage:",
     ]
     depth = 2
@@ -143,10 +187,7 @@ def _columnar_section(query) -> str:
     shown is the tree that runs.
     """
     effective = query._effective()
-    active = effective.columnar == "on" or (
-        effective.columnar == "auto" and effective.batch_size > 1
-    )
-    if not active:
+    if not _columnar_active(effective):
         return (
             f"Columnar: off — row-at-a-time batches "
             f"(columnar={effective.columnar}, "

@@ -30,6 +30,7 @@ winning candidate or the reason none exists.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -93,21 +94,14 @@ class Route:
 class PartitionSpec:
     """A complete routing decision: one :class:`Route` per source."""
 
-    routes: dict[str, Route]  # lower-cased source name -> route
+    #: lower-cased source name -> route: a row belongs to shard
+    #: ``stable_hash(route.key_of(values)) % shards``.  Sources the query
+    #: never reads have no route; their row events are no-ops in every
+    #: shard, so the router broadcasts them, which preserves the serial
+    #: executor's bookkeeping (``last_ptime``) without duplicating any
+    #: output (:func:`repro.runtime.routing.partition_events`).
+    routes: dict[str, Route]
     description: str
-
-    def shard_of(self, source: str, values: tuple, shards: int) -> Optional[int]:
-        """The shard owning this row, or ``None`` to broadcast.
-
-        Sources the query never reads have no route; their row events
-        are no-ops in every shard, so broadcasting them preserves the
-        serial executor's bookkeeping (``last_ptime``) without
-        duplicating any output.
-        """
-        route = self.routes.get(source.lower())
-        if route is None:
-            return None
-        return stable_hash(route.key_of(values)) % shards
 
 
 @dataclass(frozen=True)
@@ -124,8 +118,6 @@ class PartitionDecision:
 
 def stable_hash(value: object) -> int:
     """A process-stable hash for routing (Python's ``hash`` is salted)."""
-    import zlib
-
     return zlib.crc32(repr(value).encode("utf-8", "backslashreplace"))
 
 

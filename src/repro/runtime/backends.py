@@ -118,20 +118,32 @@ def _run_processes(workers: list[Callable[[], T]]) -> list[T]:
 
     results: list[Optional[T]] = [None] * len(workers)
     errors: list[Optional[BaseException]] = [None] * len(workers)
-    for i, (conn, proc) in enumerate(zip(pipes, procs)):
-        try:
-            status, value = conn.recv()
-        except EOFError:
-            status, value = "err", ExecutionError(
-                f"shard {i} worker process died without reporting a result"
-            )
-        finally:
+    try:
+        for i, conn in enumerate(pipes):
+            try:
+                status, value = conn.recv()
+            except EOFError:
+                status, value = "err", ExecutionError(
+                    f"shard {i} worker process died without reporting a result"
+                )
+            except Exception as exc:  # noqa: BLE001 — re-raised below
+                # Pickled in the child, failed to load here.
+                status, value = "err", ExecutionError(
+                    f"shard {i} worker's result could not be loaded in the "
+                    f"parent: {exc!r}"
+                )
+                value.__cause__ = exc
+            if status == "ok":
+                results[i] = value
+            else:
+                errors[i] = value
+    finally:
+        # Whatever happened above, no worker outlives the call: closing
+        # our end first unblocks a child still writing its result.
+        for conn in pipes:
             conn.close()
-        proc.join()
-        if status == "ok":
-            results[i] = value
-        else:
-            errors[i] = value
+        for proc in procs:
+            proc.join()
     for exc in errors:
         if exc is not None:
             raise exc

@@ -5,10 +5,11 @@
 the original plan's stateless finishing operators (the Project/Filter
 chain that sat above the aggregate), rebuilt from the logical nodes the
 physical split preserved.  The sharded runtime feeds it partial
-payloads in global sequence order — one :meth:`feed` per merged output
-slice — and watermark advances from the merged frontier, so the stage
-sees exactly the event interleaving the serial executor would and its
-output splices into the merged changelog byte-identically.
+payloads in global sequence order — one :meth:`feed` per run, the
+shards' shares of it put back together by :func:`reassemble` — and
+watermark advances from the merged frontier, so the stage sees exactly
+the event interleaving the serial executor would and its output splices
+into the merged changelog byte-identically.
 
 The stage deliberately mirrors the executor's per-edge behavior:
 outputs are compacted between operators when ``coalesce_updates`` is
@@ -34,7 +35,60 @@ from ..exec.executor import count_edge
 from ..obs.metrics import MetricsRegistry
 from ..obs.telemetry import RunTelemetry
 
-__all__ = ["CombineStage"]
+__all__ = ["CombineStage", "double_claim", "reassemble"]
+
+
+def reassemble(
+    shares: Sequence[tuple[int, list[Change]]], tag: int
+) -> list[Change]:
+    """One run's partial payloads, put back together for the stage.
+
+    ``shares`` are the ``(shard, changes)`` slices the shards logged
+    under one ``tag`` (:data:`~repro.runtime.merge.TaggedSlice`).  The
+    entries of their replay payloads are merged in sequence order into
+    the one payload a serial partial stage would have built for the
+    whole run (a row that multiplied, under Hop, keeps its entries
+    together and in order: they share a number, and the sort is
+    stable).  A payload without numbers has ``tag`` for every entry's —
+    so a lone one is already in order and passes through untouched, and
+    two of them are two shards claiming one event.
+    """
+    if len(shares) == 1 and all(
+        len(change.values) == 3 for change in shares[0][1]
+    ):
+        return shares[0][1]
+    rows = 0
+    entries: list[tuple] = []
+    seqs: list[int] = []
+    owner: dict[int, int] = {}  # sequence number -> the shard claiming it
+    for shard, changes in shares:
+        for change in changes:
+            _, count, part, *numbers = change.values
+            numbers = numbers[0] if numbers else (tag,) * len(part)
+            rows += count
+            entries += part
+            seqs += numbers
+            for seq in numbers:
+                if owner.setdefault(seq, shard) != shard:
+                    raise double_claim(owner[seq], shard, seq)
+    order = sorted(range(len(seqs)), key=seqs.__getitem__)
+    first = shares[0][1][0]
+    return [
+        Change(
+            first.kind,
+            ("P2R", rows, tuple([entries[i] for i in order])),
+            first.ptime,
+        )
+    ]
+
+
+def double_claim(first: int, second: int, seq: int) -> ExecutionError:
+    """Two shards attributed output to one event: a broadcast row that
+    produced some, or routing that split a key."""
+    return ExecutionError(
+        f"shards {first} and {second} both produced output for event "
+        f"#{seq}; the plan is not cleanly partitioned"
+    )
 
 
 class CombineStage:

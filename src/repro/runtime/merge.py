@@ -30,7 +30,7 @@ from ..core.codec import changes_log, decode_slices, encode_slices
 from ..core.errors import ExecutionError
 from ..core.times import Timestamp
 from ..obs.lineage import LineageRecorder
-from .combine import CombineStage
+from .combine import CombineStage, double_claim, reassemble
 from .frontier import WatermarkFrontier
 
 __all__ = [
@@ -41,7 +41,19 @@ __all__ = [
     "splice",
 ]
 
-#: One shard's tagged output: (global event seq, changes it caused).
+#: One shard's tagged output: ``(tag, changes)``, what one feed made an
+#: output gain.  The one statement of what a tag means; there are two
+#: spellings and no third:
+#:
+#: * changes that **carry** their rows' sequence numbers (a partial
+#:   payload ``("P2R", n, entries, seqs)``) — the tag is the id of the
+#:   run the feed was the shard's share of, and the numbers inside say
+#:   where in the run each entry goes;
+#: * changes that carry **none** — every row of them has the tag for its
+#:   sequence number: the feed was gap-free and the tag is its first
+#:   event, which is where all of its output belongs.  (A run's opening
+#:   row fed alone is this spelling even on a flow that carries numbers:
+#:   its sequence number *is* the run id.)
 TaggedSlice = tuple[int, list[Change]]
 
 #: One shard's watermark observation: (global event seq, ptime, value).
@@ -52,10 +64,10 @@ WatermarkObservation = tuple[int, Timestamp, Timestamp]
 class ShardLog:
     """What one shard said about one output while it was driven.
 
-    ``slices`` tag what each run of row events made the output gain
-    with the run's first sequence number; ``observations`` record the
-    output's root watermark after each broadcast watermark event.  Both
-    may repeat sequence numbers when a restart replayed input — the
+    ``slices`` tag what each feed of row events made the output gain
+    (:data:`TaggedSlice` says with what); ``observations``
+    record the output's root watermark after each broadcast watermark
+    event.  Both may repeat tags when a restart replayed input — the
     ``dedup_*`` functions collapse them.  ``slices`` pickle through the
     changelog codec (:func:`~repro.core.codec.encode_slices`) and
     decode to the same ``(seq, slice)`` tags.
@@ -155,13 +167,17 @@ def splice(
     """Fold shard logs (``logs[shard][output_id]``) into the merged
     outputs, adding to ``touched`` the ids of those it appended to.
 
-    Per output, slices are interleaved by sequence number and
-    observations by (sequence, shard) — an event sequence number names
-    either a routed row run or a broadcast watermark, never both — which
-    is exactly the order the serial executor met them in.  A slice
-    extends the merged changelog, or, for a two-phase output, is fed to
-    the output's combine stage whose *final* changes are spliced in its
-    place; an observation moves the frontier, and the stage with it
+    Per output, slices are interleaved by tag and observations by
+    (sequence, shard) — a sequence number names either a row feed (the
+    run it is a share of, or its own first event) or a broadcast
+    watermark, never both — which is exactly the order the serial
+    executor met them in.  A slice extends the merged changelog (two
+    shards under one tag is then an error); for a two-phase output the
+    slices under one tag are the shards' shares of one run, which
+    :func:`~repro.runtime.combine.reassemble` puts back together by the
+    sequence numbers inside, and the output's combine stage is fed
+    **once per run** — its *final* changes are spliced in the run's
+    place.  An observation moves the frontier, and the stage with it
     whenever the merged minimum advances, freeing combine state exactly
     when the serial root would.
 
@@ -185,27 +201,36 @@ def splice(
         ]
         entries.sort(key=itemgetter(0, 1))
         spans: dict[int, list[list[int]]] = {shard: [] for shard in logs}
-        claimed = (-1, -1)
-        for seq, shard, changes, ptime, value in entries:
+        i, n = 0, len(entries)
+        while i < n:
+            seq, shard, changes, ptime, value = entries[i]
+            i += 1
             if changes is None:
                 advanced = frontier.observe(shard, ptime, value)
                 if stage is not None and advanced is not None:
                     stage.advance(advanced, ptime)
                 continue
-            if seq == claimed[0]:
-                raise ExecutionError(
-                    f"shards {claimed[1]} and {shard} both produced output "
-                    f"for event #{seq}; the plan is not cleanly partitioned"
+            count = len(changes)  # shard-local, for the lineage notes
+            if stage is not None:
+                # Every shard's slice under this tag: the shares of one
+                # run, or a lone slice naming its first event.
+                first = i - 1
+                while i < n and entries[i][0] == seq:
+                    i += 1
+                changes = stage.feed(
+                    reassemble(
+                        [(entry[1], entry[2]) for entry in entries[first:i]],
+                        seq,
+                    ),
+                    frontier.current,
                 )
-            claimed = (seq, shard)
+            elif i < n and entries[i][0] == seq:
+                raise double_claim(shard, entries[i][1], seq)
             start = base + len(merged)
-            merged.extend(
-                changes
-                if stage is None
-                else stage.feed(changes, frontier.current)
-            )
+            merged.extend(changes)
             end = base + len(merged)
-            spans[shard].append([start, end, len(changes)])
+            if recorder is not None:  # (then no slice spans shards)
+                spans[shard].append([start, end, count])
             if end > start:  # (a combine stage may absorb a slice whole)
                 touched.add(oid)
         landed[oid] = (span for shard in spans for span in spans[shard])

@@ -1,8 +1,8 @@
-"""Event routing: splitting the global event sequence across shards.
+"""Event routing: splitting the run sequence across shards.
 
-The router consumes the same deterministically merged event sequence
-the serial executor replays (``merge_source_events``) and assigns every
-event a global sequence number:
+The router consumes the runs the serial executor would be fed
+(:func:`~repro.exec.executor.event_runs` over the deterministically
+merged event sequence) and numbers every event in delivery order:
 
 * a **row event** goes to exactly one shard — the hash of its partition
   key (per the :class:`~repro.plan.partition.PartitionSpec`); rows of
@@ -13,39 +13,79 @@ event a global sequence number:
   view of completeness is exactly the serial one — the precondition for
   identical late-row dropping and state expiry on all shards.
 
-The sequence numbers are what the merge stage later sorts by, so shard
-outputs reassemble into the serial changelog order.
+A shard gets its share of a run as **one task**, whole: the rows it
+owns, in order, with their sequence numbers — which have gaps wherever
+another shard owns the row in between — under the run's id (the
+sequence number of the run's first event).  The run was formed once,
+here in the parent; a shard never re-forms it, so a restarted worker
+is fed exactly the shares the failed one was.  The sequence numbers are
+what the merge stage later sorts by, so shard outputs reassemble into
+the serial changelog order.
 """
 
 from __future__ import annotations
 
+from typing import Iterable, Sequence
+
 from ..core.tvr import RowEvent, StreamEvent
-from ..plan.partition import PartitionSpec
+from ..plan.partition import PartitionSpec, stable_hash
 
-__all__ = ["ShardEvent", "partition_events"]
+__all__ = ["ShardTask", "partition_events"]
 
-#: One routed event: (global sequence number, event, source name).
-ShardEvent = tuple[int, StreamEvent, str]
+#: One shard's share of one run: (run id, the sequence numbers of its
+#: events, the events, source name).
+ShardTask = tuple[int, Sequence[int], Sequence[StreamEvent], str]
 
 
 def partition_events(
-    events: list[tuple[StreamEvent, str]],
+    runs: Iterable[tuple[Sequence[StreamEvent], str]],
     spec: PartitionSpec,
     shards: int,
-) -> list[list[ShardEvent]]:
-    """Split a merged event sequence into per-shard subsequences.
+) -> list[list[ShardTask]]:
+    """Split ``(events, source)`` runs into per-shard task lists.
 
-    Each shard's subsequence preserves global (processing-time) order,
-    so feeding it through ``Dataflow.process`` never violates the
-    executor's monotonicity contract.
+    Each shard's list preserves global (processing-time) order, so
+    feeding it never violates the executor's monotonicity contract.
+
+    The hash behind a route is taken once per distinct key for the
+    duration of the call (``int`` and ``str`` keys only: equal keys of
+    those types have equal ``repr``, which is what is hashed — ``1``
+    and ``1.0`` are equal and do not).
     """
-    tasks: list[list[ShardEvent]] = [[] for _ in range(shards)]
-    for seq, (event, source) in enumerate(events):
-        owner = (
-            spec.shard_of(source, event.change.values, shards)
-            if isinstance(event, RowEvent)
-            else None  # watermarks are broadcast, like unrouted rows
+    tasks: list[list[ShardTask]] = [[] for _ in range(shards)]
+    owners: dict[str, dict] = {}  # source -> {key: shard}
+    seq = 0
+    for events, source in runs:
+        run = seq
+        seq += len(events)
+        route = (
+            spec.routes.get(source.lower())
+            if isinstance(events[0], RowEvent)
+            else None
         )
-        for task in tasks if owner is None else (tasks[owner],):
-            task.append((seq, event, source))
+        if route is None:
+            # Watermarks are broadcast, like unrouted rows.
+            task = (run, range(run, seq), events, source)
+            for shard_tasks in tasks:
+                shard_tasks.append(task)
+            continue
+        known = owners.get(source)
+        if known is None:
+            known = owners[source] = {}
+        shares: dict[int, tuple[list[int], list[StreamEvent]]] = {}
+        for number, event in enumerate(events, run):
+            key = route.key_of(event.change.values)
+            if type(key) is int or type(key) is str:
+                owner = known.get(key)
+                if owner is None:
+                    owner = known[key] = stable_hash(key) % shards
+            else:
+                owner = stable_hash(key) % shards
+            share = shares.get(owner)
+            if share is None:
+                share = shares[owner] = ([], [])
+            share[0].append(number)
+            share[1].append(event)
+        for owner, (seqs, share_events) in shares.items():
+            tasks[owner].append((run, seqs, share_events, source))
     return tasks

@@ -12,26 +12,30 @@ byte (values, ``ptime``, ``undo``, ``ver``, ordering).
 
 There is one protocol, whoever drives:
 
-1. **task** — a chunk of source events is numbered and partitioned
-   into per-shard ``(seq, event, source)`` tasks
+1. **task** — the parent forms each instant's run once, by the serial
+   executor's rule (:func:`~repro.exec.executor.event_runs`), numbers
+   the events, and hands every shard its *share* of the run as one
+   ``(run id, seqs, events, source)`` task — sequence gaps and all
    (:func:`~repro.runtime.routing.partition_events`);
 2. **drive** — :func:`~repro.runtime.supervisor.drive_run` feeds a
-   shard flow its tasks run by run and *takes* what each run produced,
-   logging ``(seq, changes)`` slices and watermark observations per
-   output (:class:`~repro.runtime.merge.ShardLog`) — the shard keeps no
-   output history;
+   shard flow a task — whole, when the shard plan carries the rows'
+   sequence numbers to its root; split at the gaps otherwise — and
+   *takes* what it produced, logging ``(tag, changes)`` slices and
+   watermark observations per output
+   (:class:`~repro.runtime.merge.ShardLog`) — the shard keeps no output
+   history;
 3. **splice** — :func:`~repro.runtime.merge.splice` interleaves the
    logs by sequence number into each output's merged changelog and
-   watermark frontier.
+   watermark frontier, putting a run's shares back together first.
 
 :meth:`ShardedDataflow.process` / :meth:`~ShardedDataflow.process_batch`
 / :meth:`~ShardedDataflow.replay` do this for one run of events at a
 time, driving the shards in the caller.  :meth:`~ShardedDataflow.run`
-does it once for everything the sources hold, driving each shard on a
+does it once for every run the sources hold, driving each shard on a
 worker-pool backend (:mod:`repro.runtime.backends`) under a
 :class:`~repro.runtime.supervisor.ShardSupervisor` that restarts a
-failed worker from its last checkpoint; re-emitted slices are dropped
-by sequence number before the splice.
+failed worker from its last checkpoint; what a restarted worker
+re-emitted is dropped by tag before the splice.
 
 With ``two_phase=True``, eligible grouped-aggregate plans run split:
 each shard executes the plan's *partial* half (folding only its routed
@@ -41,7 +45,8 @@ folds those payloads into the final aggregate changelog.  The splice
 feeds payload slices and frontier advances to the stage in global
 sequence order — the same interleaving the serial executor sees — so
 the output keeps the serial guarantee while the merge path carries one
-payload per shard batch instead of one change per input row.  Plans
+payload per shard feed instead of one change per input row, and the
+stage is fed one reassembled payload per run.  Plans
 the physical planner cannot split (see :mod:`repro.plan.physical`)
 simply run single-phase.
 
@@ -70,6 +75,7 @@ from ..core.codec import changes_log, concat_segments
 from ..core.errors import ExecutionError
 from ..core.times import MIN_TIMESTAMP, Timestamp
 from ..core.tvr import RowEvent, StreamEvent, TimeVaryingRelation
+from ..exec.compile import LINEAGE_SPLITS_RUNS
 from ..exec.executor import (
     CHECKPOINT_VERSION,
     Dataflow,
@@ -77,6 +83,7 @@ from ..exec.executor import (
     RunResult,
     check_checkpoint_version,
     check_same_instant,
+    event_runs,
     merge_source_events,
     replay_runs,
     stored_changes,
@@ -390,6 +397,23 @@ class ShardedDataflow(OutputLogs):
         for index, shard in enumerate(self._shards):
             shard.set_lineage(recorder, shard=index, register_outputs=False)
 
+    def run_split_reason(self) -> Optional[str]:
+        """Why this flow's shards are fed their share of a run split at
+        sequence gaps — or ``None``: they are fed it whole, and the
+        splice puts the run back together by sequence number.
+
+        The one place the run shape is decided, read once per delivery
+        and once per :meth:`run` — never by a shard, so a restarted
+        worker's fresh flow cannot see it differently.  The shard plan
+        must carry sequence numbers to every root
+        (``Dataflow.run_split_reason``), and there must be no lineage
+        recorder: its position notes are per shard slice, and a
+        reassembled run is no one shard's.
+        """
+        if self.lineage is not None:
+            return LINEAGE_SPLITS_RUNS
+        return self._shards[0].run_split_reason()
+
     def shard_routed_rows(self) -> list[int]:
         """Rows delivered to each shard's scan leaves (the skew signal)."""
         return [shard.rows_ingested() for shard in self._shards]
@@ -558,22 +582,18 @@ class ShardedDataflow(OutputLogs):
             # pending context, so lineage sampling is identical to the
             # serial run however the events are routed or broadcast.
             recorder.set_pending(recorder.claim(source, events))
+        whole = self.run_split_reason() is None
         try:
             logs = {}
             for index, tasks in enumerate(
                 partition_events(
-                    [(event, source) for event in events],
-                    self.spec,
-                    len(self._shards),
+                    [(events, source)], self.spec, len(self._shards)
                 )
             ):
-                if not tasks:
-                    continue
-                shard = self._shards[index]
-                logs[index] = {oid: ShardLog() for oid in self._outputs}
-                i, n = 0, len(tasks)
-                while i < n:
-                    i = drive_run(shard, tasks, i, logs[index])
+                if tasks:
+                    (task,) = tasks  # one run in: one share, or none
+                    logs[index] = {oid: ShardLog() for oid in self._outputs}
+                    drive_run(self._shards[index], task, logs[index], whole)
             splice(self._outputs, self._stages, logs, self._touched, recorder)
         finally:
             if recorder is not None:
@@ -590,20 +610,26 @@ class ShardedDataflow(OutputLogs):
     def run(self, until: Optional[Timestamp] = None) -> RunResult:
         """Replay all source events (up to ``until``) on the worker pool.
 
-        Everything the sources hold is partitioned at once and each
+        Everything the sources hold is grouped into the runs the
+        serial ``run()`` would deliver, partitioned at once, and each
         shard is driven by a worker of ``backend`` under supervision:
         a failed worker (including faults injected by ``fault_plan``)
         restarts from its last checkpoint with the retries, backoff,
         and replay the
         :class:`~repro.runtime.supervisor.ShardSupervisor` implements;
-        what it re-emits is dropped by sequence number before the one
-        splice.  Lineage rides the incremental path only.
+        what it re-emits is dropped by tag before the one splice.
+        Lineage rides the incremental path only.
         """
         events = merge_source_events(self._sources, until)
-        tasks = partition_events(events, self.spec, len(self._shards))
+        tasks = partition_events(
+            ((run, source) for _, run, source in event_runs(self, events)),
+            self.spec,
+            len(self._shards),
+        )
         transfer_state = self.backend == "processes"
         injector = FaultInjector(self.fault_plan)
         structure = self._shards[0].structure()
+        whole = self.run_split_reason() is None
         supervisors = [
             ShardSupervisor(
                 shard=index,
@@ -614,6 +640,7 @@ class ShardedDataflow(OutputLogs):
                 policy=self.retry,
                 injector=injector,
                 transfer_state=transfer_state,
+                whole_runs=whole,
             )
             for index, shard in enumerate(self._shards)
         ]
@@ -640,13 +667,15 @@ class ShardedDataflow(OutputLogs):
             if self._trace is not None:
                 for event in outcome.events:
                     self._trace(event)
-            logs[index] = {}
-            for oid, log in outcome.logs().items():
-                unique, drops = dedup_by_seq(log.slices)
-                self._recovery.dedup_drops += drops
-                logs[index][oid] = ShardLog(
-                    unique, dedup_observations(log.observations)
-                )
+            logs[index] = shard_logs = outcome.logs()
+            if outcome.stats.shard_restarts:
+                # Only a restarted worker re-emits.
+                for oid, log in list(shard_logs.items()):
+                    unique, drops = dedup_by_seq(log.slices)
+                    self._recovery.dedup_drops += drops
+                    shard_logs[oid] = ShardLog(
+                        unique, dedup_observations(log.observations)
+                    )
         splice(self._outputs, self._stages, logs, self._touched)
         if events:
             self._last_ptime = max(self._last_ptime, events[-1][0].ptime)

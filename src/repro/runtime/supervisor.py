@@ -5,13 +5,14 @@ guarantee holds under parallelism; this layer makes it hold under
 *failure*.  Each shard worker runs under a :class:`ShardSupervisor`
 that:
 
-1. drives the shard's routed event subsequence through
-   :func:`drive_run` — the one loop body that feeds a shard flow, also
+1. drives the shard's tasks — its shares of the runs the parent
+   formed (:func:`~repro.runtime.routing.partition_events`) — through
+   :func:`drive_run`, the one function that feeds a shard flow, also
    called directly (no supervisor, no pool) by incremental routing;
 2. takes a shard checkpoint every ``RetryPolicy.checkpoint_interval``
-   events, recording the input offset it covers (with micro-batching
-   enabled, checkpoints land on the next batch boundary, so a restart
-   always replays whole batches and re-forms them identically);
+   events, recording the task offset it covers (checkpoints land
+   between tasks, and a task is never re-formed, so a restart is fed
+   the very shares the failed attempt was);
 3. on any failure — an operator exception, an injected crash, or a
    simulated hang from the fault harness (:mod:`repro.runtime.faults`)
    — restores a fresh shard dataflow from the last checkpoint (or from
@@ -19,7 +20,7 @@ that:
    replays the input from the recorded offset;
 4. keeps *every* emission in its output log, duplicates included, the
    way a real worker that crashed after shipping output would; the
-   merge stage deduplicates by global sequence number
+   merge stage deduplicates by tag — a global sequence number
    (:func:`repro.runtime.merge.dedup_by_seq`), which is why the merged
    changelog stays byte-identical to a fault-free serial run.
 
@@ -38,7 +39,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from itertools import accumulate
+from typing import Callable, Mapping, Optional
 
 from ..core.errors import ExecutionError
 from ..core.times import MIN_TIMESTAMP, Timestamp
@@ -48,7 +50,7 @@ from ..obs.metrics import RecoveryStats
 from ..obs.trace import TraceEvent
 from .faults import FaultInjector, InjectedFault
 from .merge import ShardLog
-from .routing import ShardEvent
+from .routing import ShardTask
 
 __all__ = [
     "RetryPolicy",
@@ -61,70 +63,69 @@ __all__ = [
 
 def drive_run(
     flow: Dataflow,
-    tasks: Sequence[ShardEvent],
-    i: int,
+    task: ShardTask,
     logs: Mapping[str, ShardLog],
-    admit: Optional[Callable[[int, int], None]] = None,
-) -> int:
-    """Feed ``flow`` the run of tasks starting at ``tasks[i]``.
+    whole: bool = False,
+) -> None:
+    """Feed ``flow`` one task: its share of one run.
 
-    The one protocol a shard speaks: ``(seq, event, source)`` tasks in,
-    ``(seq, changes)`` slices and watermark observations out, logged
-    per output into ``logs``.  Returns the index after the run.
-    ``admit(i, j)`` is called once the run is formed and before it is
-    fed (the supervisor's fault hooks).
+    The one protocol a shard speaks: ``(run id, seqs, events, source)``
+    tasks in, ``(tag, changes)`` slices and watermark observations out,
+    logged per output into ``logs``.
 
-    With micro-batching the run extends over consecutive row events
-    that share the first event's instant and source AND carry globally
-    consecutive sequence numbers — a seq gap means another shard owns
-    the missing event, whose output must interleave between ours, so
-    batching across it would break the seq-ordered merge.  The run's
-    output is tagged with its first seq.
+    The parent formed the run; the share holds the rows of it this
+    shard owns, so its sequence numbers have gaps wherever another
+    shard owns the row in between.  ``whole`` is the run shape, decided
+    once by whoever owns the shards
+    (``ShardedDataflow.run_split_reason() is None``) and the same for
+    every flow that ever drives this shard — a restarted worker's
+    included, which must re-emit the failed one's slices tag for tag.
+    With it the share is fed whole — one ``process_batch`` with its
+    numbers — and what it produced is tagged with the run id: the
+    numbers inside tell the merge where each row goes.  Without it the
+    flow can only say *that* a feed produced output, not which row did,
+    so the share is split at the gaps — another shard's output must
+    interleave there — and each piece's output is tagged with the
+    piece's first sequence number, which is where all of it belongs
+    (see :data:`~repro.runtime.merge.TaggedSlice`).
 
     This loop is the only reader of the shard's output channels, so it
-    *takes* what the run produced and the shard retains no history.
+    *takes* what each feed produced and the shard retains no history.
     """
-    seq, event, source = tasks[i]
-    j = i + 1
-    is_row = isinstance(event, RowEvent)
-    batch_size = flow.batch_size
-    if batch_size > 1 and is_row and flow.batchable_source(source):
-        n = min(len(tasks), i + batch_size)
-        ptime = event.ptime
-        prev_seq = seq
-        while j < n:
-            next_seq, next_event, next_source = tasks[j]
-            if (
-                next_seq != prev_seq + 1
-                or next_source != source
-                or not isinstance(next_event, RowEvent)
-                or next_event.ptime != ptime
-            ):
-                break
-            prev_seq = next_seq
-            j += 1
-    if admit is not None:
-        admit(i, j)
-    if j - i == 1:
+    run, seqs, events, source = task
+    if not isinstance(events[0], RowEvent):
+        (event,) = events
         flow.process(event, source)
-    else:
-        flow.process_batch([task[1] for task in tasks[i:j]], source)
+        for output_id, log in logs.items():
+            if flow.take_output_of(output_id):
+                raise ExecutionError(
+                    "watermark advance produced output in a shard; the "
+                    "partition analyzer admitted a watermark-triggered "
+                    "operator it should not have"
+                )
+            log.observations.append(
+                (run, event.ptime, flow.root_watermark_of(output_id))
+            )
+        return
+    if whole and (len(seqs) > 1 or seqs[0] != run):
+        flow.process_batch(events, source, seqs)
+        _take_slices(flow, logs, run)
+        return
+    # (The one row that opens its run — every row, fed one at a time —
+    # needs no numbers shipped: the tag is its sequence number.)
+    start, n = 0, len(seqs)
+    for stop in range(1, n + 1):
+        if stop == n or seqs[stop] != seqs[stop - 1] + 1:
+            flow.process_batch(events[start:stop], source)
+            _take_slices(flow, logs, seqs[start])
+            start = stop
+
+
+def _take_slices(flow: Dataflow, logs: Mapping[str, ShardLog], tag: int) -> None:
     for output_id, log in logs.items():
         produced = flow.take_output_of(output_id)
-        if is_row:
-            if produced:
-                log.slices.append((seq, produced))
-            continue
         if produced:
-            raise ExecutionError(
-                "watermark advance produced output in a shard; the "
-                "partition analyzer admitted a watermark-triggered "
-                "operator it should not have"
-            )
-        log.observations.append(
-            (seq, event.ptime, flow.root_watermark_of(output_id))
-        )
-    return j
+            log.slices.append((tag, produced))
 
 
 def drain_timers(flow: Dataflow, until: Optional[Timestamp], shard: int) -> None:
@@ -219,11 +220,12 @@ class ShardSupervisor:
         shard: int,
         dataflow: Dataflow,
         make_dataflow: Callable[[], Dataflow],
-        tasks: list[ShardEvent],
+        tasks: list[ShardTask],
         until: Optional[Timestamp],
         policy: RetryPolicy,
         injector: FaultInjector,
         transfer_state: bool = False,
+        whole_runs: bool = False,
     ):
         self._shard = shard
         self._flow = dataflow
@@ -233,6 +235,9 @@ class ShardSupervisor:
         self._policy = policy
         self._injector = injector
         self._transfer_state = transfer_state
+        #: the run shape (see :func:`drive_run`): fixed for the run, so
+        #: every attempt is fed — and tags — alike.
+        self._whole_runs = whole_runs
         #: the shard dataflow after the run — the original instance when
         #: no restart happened, a restored replacement otherwise.
         self.final_flow: Dataflow = dataflow
@@ -244,39 +249,53 @@ class ShardSupervisor:
         interval = policy.checkpoint_interval
         tasks = self._tasks
         n = len(tasks)
+        # Fault positions, the checkpoint interval and the replay
+        # ledger all count *events* of the shard's routed subsequence:
+        # ``starts[i]`` is the event offset at which task ``i`` begins.
+        starts = [0, *accumulate(len(task[2]) for task in tasks)]
+        armed = self._injector.armed
+        whole = self._whole_runs
         attempt = 0
         offset = 0  # next task index to process
         checkpoint: Optional[bytes] = None
         checkpoint_offset = 0
-        high_water = -1  # highest task index ever processed
+        high_water = -1  # highest event offset ever processed
         last_ptime: Timestamp = MIN_TIMESTAMP
         flow = self._flow
         outcome.first_output, *rest = flow.output_ids()
         outcome.attached = {output_id: ShardLog() for output_id in rest}
         logs = outcome.logs()
 
-        def admit(i: int, j: int) -> None:
-            for idx in range(i, j):
-                self._injector.before_event(self._shard, attempt, idx)
-
         while True:
             try:
                 checkpoints_this_attempt = 0
                 i = offset
                 while i < n:
-                    event = tasks[i][1]
-                    j = drive_run(flow, tasks, i, logs, admit)
+                    task = tasks[i]
+                    event = task[2][0]
+                    begin, end = starts[i], starts[i + 1]
+                    if armed:
+                        # Once the share is known and before it is fed.
+                        for position in range(begin, end):
+                            self._injector.before_event(
+                                self._shard, attempt, position
+                            )
+                    drive_run(flow, task, logs, whole)
                     if isinstance(event, RowEvent):
                         outcome.stats.rows_replayed += max(
-                            0, min(j, high_water + 1) - i
+                            0, min(end, high_water + 1) - begin
                         )
-                    high_water = max(high_water, j - 1)
+                    high_water = max(high_water, end - 1)
                     last_ptime = max(last_ptime, event.ptime)
-                    i = j
-                    # Checkpoints are only considered at run boundaries,
-                    # so a restart replays whole runs and re-produces
-                    # identical (seq, slice) tags for the dedup stage.
-                    if interval and i < n and (i - checkpoint_offset) >= interval:
+                    i += 1
+                    # Checkpoints are only considered between tasks, so
+                    # a restart is fed whole shares again and re-produces
+                    # identical (tag, slice) pairs for the dedup stage.
+                    if (
+                        interval
+                        and i < n
+                        and end - starts[checkpoint_offset] >= interval
+                    ):
                         checkpoint = flow.checkpoint()
                         checkpoint_offset = i
                         checkpoints_this_attempt += 1

@@ -234,6 +234,11 @@ DRIVING = (
     "restore",
 )
 
+#: what only the sharded runtime's drive loop passes, to the serial
+#: flows it owns as shards (a share's sequence numbers): optional, and
+#: outside the contract — no caller of either flow kind names it
+SHARD_ONLY = {"process_batch": {"seqs"}}
+
 
 class TestFlowContract:
     """One flow contract (DESIGN.md): a sharded flow is driven, spliced
@@ -258,4 +263,11 @@ class TestFlowContract:
             parameters = inspect.signature(getattr(cls, member)).parameters
             return [(p.name, p.default, p.kind) for p in parameters.values()]
 
-        assert shape(ShardedDataflow) == shape(Dataflow)
+        shard_only = SHARD_ONLY.get(member, set())
+        serial = shape(Dataflow)
+        assert {
+            (name, default) for name, default, _ in serial if name in shard_only
+        } == {(name, None) for name in shard_only}
+        assert shape(ShardedDataflow) == [
+            parameter for parameter in serial if parameter[0] not in shard_only
+        ]

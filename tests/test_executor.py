@@ -207,15 +207,19 @@ def _bursty_engine():
 
 
 class TestRunGrouping:
-    """``Dataflow.replay`` is the one run-grouping rule; the shard
-    supervisor keeps its own loop (it also breaks runs at sequence
-    gaps), so pin that without gaps the two agree."""
+    """``event_runs`` is the one run-grouping rule: ``replay`` delivers
+    its runs, the router hands a shard its share of each as one task
+    and the shard's drive loop never re-forms them — it only splits a
+    share at sequence gaps when the plan cannot carry sequence numbers
+    to its root.  Pin that without gaps the shard is fed ``replay``'s
+    runs exactly."""
 
     SQL = "SELECT ts, COUNT(*) c FROM S GROUP BY ts"
 
-    def _flow(self, engine, batch_size):
+    def _flow(self, engine, batch_size, columnar="off"):
         flow = _RecordingFlow(
-            engine.query(self.SQL).plan, engine._sources, batch_size=batch_size
+            engine.query(self.SQL).plan, engine._sources,
+            batch_size=batch_size, columnar=columnar,
         )
         flow.runs = []
         return flow
@@ -224,8 +228,10 @@ class TestRunGrouping:
     def test_supervisor_forms_the_shared_runs_on_a_gap_free_list(
         self, batch_size
     ):
-        from repro.exec.executor import merge_source_events
+        from repro.exec.executor import event_runs, merge_source_events
+        from repro.plan.partition import PartitionSpec
         from repro.runtime.faults import FaultInjector
+        from repro.runtime.routing import partition_events
         from repro.runtime.supervisor import RetryPolicy, ShardSupervisor
 
         engine = _bursty_engine()
@@ -236,7 +242,15 @@ class TestRunGrouping:
         assert consumed == sorted(set(consumed))
 
         supervised = self._flow(engine, batch_size)
-        tasks = [(seq, event, src) for seq, (event, src) in enumerate(events)]
+        # One shard owns everything: its task list is gap-free.
+        (tasks,) = partition_events(
+            [(run, src) for _, run, src in event_runs(supervised, events)],
+            PartitionSpec({}, "broadcast"),
+            1,
+        )
+        assert [seq for _, seqs, _, _ in tasks for seq in seqs] == list(
+            range(len(events))
+        )
         outcome = ShardSupervisor(
             0, supervised, lambda: None, tasks, None, RetryPolicy(),
             FaultInjector(None),
@@ -251,16 +265,30 @@ class TestRunGrouping:
         if batch_size > 1:
             assert max(n for n, _ in shared.runs if n != "wm") > 1
 
-    def test_a_sequence_gap_breaks_only_the_supervisors_run(self):
-        from repro.exec.executor import merge_source_events
+    def test_a_sequence_gap_splits_a_share_the_plan_cannot_tag(self):
+        """A single-phase aggregate emits rows, not payloads: nothing
+        at its root could say which input row an output change belongs
+        to, so the share is fed piece by consecutive piece."""
+        from repro.exec.executor import event_runs, merge_source_events
         from repro.runtime.faults import FaultInjector
         from repro.runtime.supervisor import RetryPolicy, ShardSupervisor
 
         engine = _bursty_engine()
         events = merge_source_events(engine._sources)
-        flow = self._flow(engine, 64)
+        assert self._flow(engine, 64).run_split_reason() == (
+            "row batches carry no sequence numbers"
+        )
+        flow = self._flow(engine, 64, columnar="auto")
+        assert flow.run_split_reason() == (
+            "Aggregate cannot carry sequence numbers"
+        )
         # Every other sequence number belongs to "another shard".
-        tasks = [(2 * seq, event, src) for seq, (event, src) in enumerate(events)]
+        tasks, seq = [], 0
+        for _, run, src in event_runs(flow, events):
+            seqs = [seq + 2 * k for k in range(len(run))]
+            tasks.append((seqs[0], seqs, run, src))
+            seq = seqs[-1] + 2
+        assert max(len(task[1]) for task in tasks) > 1
         ShardSupervisor(
             0, flow, lambda: None, tasks, None, RetryPolicy(),
             FaultInjector(None),

@@ -279,6 +279,68 @@ class TestEngineConfig:
             run_shards([lambda: 1], backend="fibers")
 
 
+class _LoadsOnlyInTheChild:
+    """A worker result that pickles fine and cannot be unpickled."""
+
+    def __getstate__(self):
+        return {"ok": True}
+
+    def __setstate__(self, state):
+        raise RuntimeError("cannot load this here")
+
+
+class TestProcessPool:
+    """The fork backend joins and closes every worker, whatever the
+    parent meets while collecting their results."""
+
+    def test_result_that_fails_to_load_in_the_parent(self, monkeypatch):
+        import multiprocessing
+        import os
+        import time
+
+        from repro.runtime import backends, run_shards
+
+        if not backends._fork_available():
+            pytest.skip("no fork on this platform")
+        ctx = multiprocessing.get_context("fork")
+        procs, conns = [], []
+        real_process, real_pipe = ctx.Process, ctx.Pipe
+
+        def process(*args, **kwargs):
+            procs.append(real_process(*args, **kwargs))
+            return procs[-1]
+
+        def pipe(*args, **kwargs):
+            ends = real_pipe(*args, **kwargs)
+            conns.append(ends[0])
+            return ends
+
+        monkeypatch.setattr(ctx, "Process", process)
+        monkeypatch.setattr(ctx, "Pipe", pipe)
+        monkeypatch.setattr(multiprocessing, "get_context", lambda kind: ctx)
+
+        def slow():
+            time.sleep(0.2)  # still running when shard 0's load fails
+            return os.getpid()
+
+        with pytest.raises(ExecutionError, match="shard 0 .*cannot load this here"):
+            run_shards([_LoadsOnlyInTheChild, slow, slow], backend="processes")
+        assert len(procs) == 3
+        assert all(proc.exitcode == 0 for proc in procs)  # joined, not killed
+        assert all(conn.closed for conn in conns)
+
+    def test_first_failure_by_shard_index_wins(self):
+        from repro.runtime import run_shards
+
+        def fail():
+            raise ValueError("worker 2 broke")
+
+        with pytest.raises(ExecutionError, match="shard 1 "):
+            run_shards(
+                [lambda: 1, _LoadsOnlyInTheChild, fail], backend="processes"
+            )
+
+
 class TestPaperListingEquality:
     """Section 4's Bid stream: sharded output is byte-identical to serial."""
 
