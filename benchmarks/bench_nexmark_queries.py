@@ -27,7 +27,7 @@ from repro.nexmark.queries import (
 
 def run_dataflow(engine, sql):
     plan = engine.query(sql).plan
-    dataflow = Dataflow(plan, engine._sources)
+    dataflow = Dataflow(plan, engine._sources, engine.config)
     return dataflow.run()
 
 

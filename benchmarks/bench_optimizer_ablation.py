@@ -34,7 +34,7 @@ def run(engine, optimized: bool):
     plan = planner.plan_sql(SQL)
     if optimized:
         plan = optimize(plan)
-    dataflow = Dataflow(plan, engine._sources)
+    dataflow = Dataflow(plan, engine._sources, engine.config)
     dataflow.run()
     return dataflow
 

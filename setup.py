@@ -10,7 +10,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="1.0.0",
+    version="2.0.0",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",

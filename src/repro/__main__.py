@@ -123,11 +123,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
              "changelogs are byte-identical either way",
     )
     obs.add_argument(
-        "--lineage-max-traces", type=int, default=None, metavar="N",
-        help="retain at most N lineage traces per dataflow, evicting "
-             "the oldest (default 4096)",
-    )
-    obs.add_argument(
         "--slow-query-p99-ms", type=int, default=None, metavar="MS",
         help="serve mode: log a standing query whose p99 emit latency "
              "crosses MS milliseconds (default 0: off)",
@@ -262,7 +257,6 @@ def build_config(args: argparse.Namespace) -> ExecutionConfig:
         checkpoint_dir=getattr(args, "checkpoint_dir", None),
         share_plans=getattr(args, "share_plans", None),
         lineage_sample=args.lineage_sample,
-        lineage_max_traces=args.lineage_max_traces,
         slow_query_p99_ms=args.slow_query_p99_ms,
         slow_query_depth=args.slow_query_depth,
     )

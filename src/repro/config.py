@@ -3,11 +3,8 @@
 The standardization retrospective the roadmap leans on (*Lessons
 Learned from Efforts to Standardize Streaming In SQL*) argues that a
 small, stable public configuration surface is what lets query semantics
-survive engine evolution.  Before this module, execution knobs were
-scattered: ``StreamEngine(parallelism=..., backend=..., telemetry=...)``,
-``engine.query(sql, allowed_lateness=...)``, and a parallel set of CLI
-flags.  Now every way of running a query accepts the same frozen
-:class:`ExecutionConfig`::
+survive engine evolution.  Every way of running a query accepts the
+same frozen :class:`ExecutionConfig`::
 
     from repro import ExecutionConfig, StreamEngine
 
@@ -21,11 +18,8 @@ flags.  Now every way of running a query accepts the same frozen
 field: every field defaults to ``None`` meaning "inherit from the next
 layer down", and :meth:`ExecutionConfig.resolved` fills whatever is
 still unset from :data:`EXECUTION_DEFAULTS`.  (``python -m repro``
-flags build the engine-layer config.)
-
-The old keyword arguments keep working through shims that emit one
-:class:`DeprecationWarning` per keyword per process; see ``docs/API.md``
-for the deprecation policy.
+flags build the engine-layer config.)  The pre-config keyword
+spellings were removed in 2.0; ``docs/API.md`` maps each to its field.
 """
 
 from __future__ import annotations
@@ -59,7 +53,6 @@ EXECUTION_DEFAULTS: dict[str, Any] = {
     "checkpoint_dir": "",
     "share_plans": True,
     "lineage_sample": 0,
-    "lineage_max_traces": 4096,
     "slow_query_p99_ms": 0,
     "slow_query_depth": 0,
 }
@@ -132,8 +125,6 @@ class ExecutionConfig:
       ``(source, sequence)`` — no wall clock, no RNG, so reruns sample
       identical events.  The output changelog is byte-identical with
       tracing on, off, or sampled (see docs/OBSERVABILITY.md).
-    * ``lineage_max_traces`` — bound on retained lineage traces; the
-      oldest whole traces are evicted (and counted as dropped) past it.
     * ``slow_query_p99_ms`` — service mode: a standing query whose
       p99 emit latency crosses this many milliseconds is recorded in
       the structured slow-query log; ``0`` (the default) disables the
@@ -162,7 +153,6 @@ class ExecutionConfig:
     checkpoint_dir: Optional[str] = None
     share_plans: Optional[bool] = None
     lineage_sample: Optional[int] = None
-    lineage_max_traces: Optional[int] = None
     slow_query_p99_ms: Optional[int] = None
     slow_query_depth: Optional[int] = None
 
@@ -263,55 +253,14 @@ class ExecutionConfig:
             raise ValidationError(
                 "lineage_sample must be >= 0 (0 = off, 1 = all, N = 1-in-N)"
             )
-        if self.lineage_max_traces is not None and self.lineage_max_traces < 1:
-            raise ValidationError("lineage_max_traces must be at least 1")
         if self.slow_query_p99_ms is not None and self.slow_query_p99_ms < 0:
             raise ValidationError("slow_query_p99_ms must be >= 0 (0 = off)")
         if self.slow_query_depth is not None and self.slow_query_depth < 0:
             raise ValidationError("slow_query_depth must be >= 0 (0 = off)")
 
 
-# ---------------------------------------------------------------------------
-# deprecation shims
-# ---------------------------------------------------------------------------
-
+#: once-per-process warnings already given
 _WARNED: set[str] = set()
-
-
-def warn_deprecated_kwarg(name: str, instead: str) -> None:
-    """Emit one ``DeprecationWarning`` per deprecated keyword per process.
-
-    The test suite runs with ``-W error::DeprecationWarning`` (outside
-    the dedicated shim tests), so any internal use of a deprecated
-    keyword fails CI loudly instead of lingering.
-    """
-    if name in _WARNED:
-        return
-    _WARNED.add(name)
-    warnings.warn(
-        f"the {name!r} keyword is deprecated; pass "
-        f"ExecutionConfig({instead}) via config= instead (see docs/API.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def warn_deprecated_api(name: str, instead: str) -> None:
-    """Emit one ``DeprecationWarning`` per deprecated entry point.
-
-    Same once-per-process discipline as :func:`warn_deprecated_kwarg`
-    but for whole methods (e.g. ``explain_analyze``): the engine and
-    query shims share one key, so migrating callers see exactly one
-    warning however they reached the old name.
-    """
-    if name in _WARNED:
-        return
-    _WARNED.add(name)
-    warnings.warn(
-        f"{name} is deprecated; use {instead} instead (see docs/API.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def warn_coalesce_emit_stream() -> None:

@@ -18,22 +18,13 @@ accepted at three layers with *call-site > engine > defaults* precedence::
     engine = StreamEngine(config=ExecutionConfig(parallelism=4))
     query.run()                                      # engine's config
     query.run(config=ExecutionConfig(backend="sync"))  # override one field
-
-The pre-config keyword arguments (``parallelism=``, ``backend=``,
-``telemetry=``, ``allowed_lateness=``) still work but emit a
-``DeprecationWarning`` once per process; see ``docs/API.md``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from .config import (
-    ExecutionConfig,
-    warn_coalesce_emit_stream,
-    warn_deprecated_api,
-    warn_deprecated_kwarg,
-)
+from .config import ExecutionConfig, warn_coalesce_emit_stream
 from .core.emit import EmitSpec
 from .core.errors import ValidationError
 from .core.relation import Relation
@@ -103,34 +94,11 @@ class StreamEngine:
     line) or ``"prometheus:PATH"`` (text exposition written after each
     run).  Latency telemetry is always *recorded* (it rides on the
     metrics report); the exporter only controls where it goes.
-
-    The ``parallelism=`` / ``backend=`` / ``telemetry=`` keywords are
-    deprecated spellings of the corresponding config fields.
     """
 
-    def __init__(
-        self,
-        config: Optional[ExecutionConfig] = None,
-        *,
-        parallelism: Optional[int] = None,
-        backend: Optional[str] = None,
-        telemetry=None,
-    ) -> None:
-        config = _coerce_config(config)
-        overrides: dict[str, Any] = {}
-        if parallelism is not None:
-            warn_deprecated_kwarg("parallelism", f"parallelism={parallelism!r}")
-            overrides["parallelism"] = parallelism
-        if backend is not None:
-            warn_deprecated_kwarg("backend", f"backend={backend!r}")
-            overrides["backend"] = backend
-        if telemetry is not None:
-            warn_deprecated_kwarg("telemetry", f"telemetry={telemetry!r}")
-            overrides["telemetry"] = telemetry
-        if overrides:
-            config = ExecutionConfig(**overrides).merged_over(config)
+    def __init__(self, config: Optional[ExecutionConfig] = None) -> None:
         #: the engine-layer config, fully resolved (no unset fields).
-        self.config = config.resolved()
+        self.config = _coerce_config(config).resolved()
         try:
             self.telemetry: Optional[TelemetryExporter] = make_exporter(
                 self.config.telemetry
@@ -212,11 +180,7 @@ class StreamEngine:
     # -- queries ---------------------------------------------------------------
 
     def query(
-        self,
-        sql: str,
-        config: Optional[ExecutionConfig] = None,
-        *,
-        allowed_lateness: Optional[int] = None,
+        self, sql: str, config: Optional[ExecutionConfig] = None
     ) -> "PreparedQuery":
         """Parse, validate, plan, and optimize a SQL query.
 
@@ -226,14 +190,8 @@ class StreamEngine:
         (milliseconds) keeps per-group state alive that long past the
         watermark so late rows update results instead of being dropped —
         the configurable lateness Extension 2 notes real deployments
-        need.  The bare ``allowed_lateness=`` keyword is deprecated.
+        need.
         """
-        if allowed_lateness is not None:
-            warn_deprecated_kwarg(
-                "allowed_lateness", f"allowed_lateness={allowed_lateness!r}"
-            )
-            shim = ExecutionConfig(allowed_lateness=allowed_lateness)
-            config = shim.merged_over(config) if config is not None else shim
         planner = Planner(self._catalog, self._registry)
         plan = optimize(planner.plan_sql(sql))
         return PreparedQuery(self, plan, config=config)
@@ -254,11 +212,6 @@ class StreamEngine:
         """
         return self.query(sql).explain(mode=mode, verbose=verbose)
 
-    def explain_analyze(self, sql: str, verbose: bool = False) -> str:
-        """Deprecated spelling of ``explain(sql, mode="analyze")``."""
-        warn_deprecated_api("explain_analyze", 'explain(mode="analyze")')
-        return self.query(sql).explain(mode="analyze", verbose=verbose)
-
 
 class PreparedQuery:
     """A planned query, ready to materialize as a table or a stream.
@@ -273,15 +226,7 @@ class PreparedQuery:
         engine: StreamEngine,
         plan: QueryPlan,
         config: Optional[ExecutionConfig] = None,
-        *,
-        allowed_lateness: Optional[int] = None,
     ):
-        if allowed_lateness is not None:
-            warn_deprecated_kwarg(
-                "allowed_lateness", f"allowed_lateness={allowed_lateness!r}"
-            )
-            shim = ExecutionConfig(allowed_lateness=allowed_lateness)
-            config = shim.merged_over(config) if config is not None else shim
         self._engine = engine
         self.plan = plan
         self.config = config if config is not None else ExecutionConfig()
@@ -319,11 +264,6 @@ class PreparedQuery:
     def explain(self, mode: str = "logical", verbose: bool = False) -> str:
         """One rendered explain ``mode`` (see :data:`repro.explain.EXPLAIN_MODES`)."""
         return render_explain(self, mode=mode, verbose=verbose)
-
-    def explain_analyze(self, verbose: bool = False) -> str:
-        """Deprecated spelling of ``explain(mode="analyze")``."""
-        warn_deprecated_api("explain_analyze", 'explain(mode="analyze")')
-        return self.explain(mode="analyze", verbose=verbose)
 
     def metrics(self):
         """The per-operator :class:`~repro.obs.metrics.MetricsReport`."""
@@ -420,9 +360,15 @@ class PreparedQuery:
             warn_coalesce_emit_stream()
 
     def _build(self, effective: ExecutionConfig, decision=None):
-        """A fresh flow for this query under ``effective``: sharded when
-        ``decision`` admits it, else serial (see ``build_flow``)."""
+        """A fresh flow for this query under ``effective``, to be run or
+        handed out (which may warn: :meth:`_maybe_warn_coalesce`)."""
         self._maybe_warn_coalesce(effective)
+        return self._flow(effective, decision)
+
+    def _flow(self, effective: ExecutionConfig, decision=None):
+        """The unrun flow for this query under ``effective``: sharded
+        when ``decision`` admits it, else serial (see ``build_flow``).
+        No side effects — ``EXPLAIN`` reads the flow a run would use."""
         return build_flow(
             [("main", self.plan)],
             self._engine._sources,
@@ -455,33 +401,17 @@ class PreparedQuery:
         return self._build(self._effective(config))
 
     def sharded_dataflow(
-        self,
-        config: Optional[ExecutionConfig] = None,
-        *,
-        shards: Optional[int] = None,
-        backend: Optional[str] = None,
+        self, config: Optional[ExecutionConfig] = None
     ) -> ShardedDataflow:
         """A fresh, un-run sharded dataflow for this query.
 
         ``config`` overrides the query/engine configs for this dataflow
         (``parallelism``, ``backend``, ``retry``, ``fault_plan``,
-        ``two_phase`` and the serial dataflow's fields); the bare
-        ``shards=`` / ``backend=`` keywords are deprecated spellings of
-        the first two.  Raises
+        ``two_phase`` and the serial dataflow's fields).  Raises
         :class:`~repro.core.errors.ValidationError` when the partition
         analyzer rejects the plan — check :meth:`partition_decision`
         first to branch gracefully.
         """
-        overrides: dict[str, Any] = {}
-        if shards is not None:
-            warn_deprecated_kwarg("shards", f"parallelism={shards!r}")
-            overrides["parallelism"] = shards
-        if backend is not None:
-            warn_deprecated_kwarg("backend", f"backend={backend!r}")
-            overrides["backend"] = backend
-        if overrides:
-            shim = ExecutionConfig(**overrides)
-            config = shim.merged_over(config) if config is not None else shim
         decision = self.partition_decision()
         if not decision.partitionable:
             raise ValidationError(

@@ -1,6 +1,5 @@
 """Incremental streaming executor: operators, dataflow, materializers."""
 
-from .compile import CompiledPlan, compile_plan
 from .executor import Dataflow, RunResult
 from .state import OperatorState, StateReport, collect_state
 from .materialize import (
@@ -14,8 +13,6 @@ from .materialize import (
 )
 
 __all__ = [
-    "compile_plan",
-    "CompiledPlan",
     "Dataflow",
     "RunResult",
     "OperatorState",

@@ -21,10 +21,10 @@ algebraically; any node it cannot express (``CASE``, ``CAST``,
 for that sub-expression only, spliced into the generated loop as an
 opaque callable.
 
-This module is **provisional**: the generated-source strategy and the
-``ENABLED`` switch may change between releases.  Flip ``ENABLED`` to
-``False`` to force the interpreted pipeline path (benchmarks use this
-to isolate codegen's contribution).
+This module is **provisional**: the generated-source strategy may
+change between releases.  The unfused ``FilterOperator`` →
+``ProjectOperator`` chain over ``compile_rex`` closures stays the
+reference implementation the generated loops are tested against.
 """
 
 from __future__ import annotations
@@ -37,12 +37,7 @@ from ..core.errors import ExecutionError
 from ..plan import rex as rexmod
 from ..plan.rex import Rex, RexCall, RexInput, RexLiteral
 
-__all__ = ["ENABLED", "compile_pipeline", "PipelineFns"]
-
-# Module switch: when False, PipelineOperator uses the interpreted
-# (closure-per-step) path.  Provisional; benchmarks flip it to sweep
-# codegen on/off.
-ENABLED = True
+__all__ = ["compile_pipeline", "PipelineFns"]
 
 # Steps are ("filter", Rex) or ("project", tuple[Rex, ...]).
 Step = Tuple[str, Any]

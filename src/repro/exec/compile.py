@@ -1,8 +1,9 @@
-"""Translate a logical plan into a physical operator tree."""
+"""Translate logical plan nodes into physical operators, one at a time:
+``Dataflow`` builds and wires its operators node by node through
+:func:`build_operator`, so resident subplans can be shared."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from ..core.errors import PlanError
@@ -50,41 +51,11 @@ from .operators.temporal import TemporalFilterOperator
 from .operators.temporal_join import TemporalJoinOperator
 from .operators.window import HopOperator, TumbleOperator
 
-__all__ = ["CompiledPlan", "LINEAGE_SPLITS_RUNS", "build_operator",
-           "compile_plan", "why_runs_split"]
+__all__ = ["LINEAGE_SPLITS_RUNS", "build_operator", "why_runs_split"]
 
 #: The one reason a plan that *can* carry sequence numbers is split at
-#: gaps anyway (``ShardedDataflow.run_split_reason``, ``EXPLAIN``).
+#: gaps anyway (``ShardedDataflow.run_split_reason``).
 LINEAGE_SPLITS_RUNS = "a lineage recorder claims per-event ordinals"
-
-
-@dataclass
-class CompiledPlan:
-    """A plan's physical operator tree, stand-alone.
-
-    The executor does not go through this — ``Dataflow`` builds and
-    wires operators node by node (``attach_output``) so resident
-    subplans can be shared; this is the whole-tree view for callers
-    that only inspect the operators (``EXPLAIN``).
-    """
-
-    root: Operator
-    #: every operator, children before parents (post-order)
-    operators: list[Operator]
-    #: (logical node, operator) pairs in post-order
-    node_ops: list[tuple[LogicalNode, Operator]] = field(default_factory=list)
-
-
-def compile_plan(root: LogicalNode, allowed_lateness: int = 0) -> CompiledPlan:
-    """Compile the logical tree rooted at ``root``.
-
-    ``allowed_lateness`` extends every watermark-driven decision (late
-    dropping, state retention, join-state expiry) by the given slack —
-    the configurable lateness Extension 2 alludes to.
-    """
-    compiled = CompiledPlan(root=None, operators=[])  # type: ignore[arg-type]
-    compiled.root = _compile(root, compiled, allowed_lateness)
-    return compiled
 
 
 def why_runs_split(
@@ -98,9 +69,9 @@ def why_runs_split(
     root (inputs first, the root last).  The numbers ride only columnar
     batches, through operators that carry them, to a root that ships
     them; the first place they would be lost is the reason.  Decided
-    from the plan alone — ``Dataflow.run_split_reason`` for a flow,
-    ``EXPLAIN (physical)`` for a query; a sharded flow with a lineage
-    recorder splits whatever the plan (:data:`LINEAGE_SPLITS_RUNS`).
+    from the plan alone (``Dataflow.run_split_reason``); a sharded flow
+    with a lineage recorder splits whatever the plan
+    (:data:`LINEAGE_SPLITS_RUNS`).
     """
     if not columnar:
         return "row batches carry no sequence numbers"
@@ -113,14 +84,6 @@ def why_runs_split(
             kind = type(lost).__name__.removesuffix("Operator")
             return f"{kind} cannot carry sequence numbers"
     return None
-
-
-def _compile(node: LogicalNode, out: CompiledPlan, lateness: int) -> Operator:
-    children = [_compile(child, out, lateness) for child in node.inputs]
-    op = build_operator(node, children, lateness)
-    out.operators.append(op)
-    out.node_ops.append((node, op))
-    return op
 
 
 def build_operator(

@@ -60,7 +60,7 @@ __all__ = ["CHECKPOINT_VERSION", "Dataflow", "OutputChannel", "OutputLogs",
            "RunResult",
            "check_checkpoint_version", "check_same_instant", "count_edge",
            "event_runs", "merge_source_events", "replay_runs",
-           "stored_changes"]
+           "runs_columnar", "stored_changes"]
 
 _RETRACT = ChangeKind.RETRACT
 
@@ -79,6 +79,15 @@ def check_checkpoint_version(payload: dict) -> None:
             f"checkpoint format version {version} is newer than this "
             f"build reads (up to {CHECKPOINT_VERSION})"
         )
+
+
+def runs_columnar(config) -> bool:
+    """Whether a flow built under ``config`` (a resolved
+    ``ExecutionConfig``) runs its micro-batches columnar: ``columnar=
+    "on"``, or ``"auto"`` with batching.  The one place it is decided."""
+    return config.columnar == "on" or (
+        config.columnar == "auto" and config.batch_size > 1
+    )
 
 
 def merge_source_events(
@@ -418,21 +427,21 @@ class OutputLogs:
 
 
 class Dataflow(OutputLogs):
-    """A compiled, source-bound, runnable query (or DAG of queries)."""
+    """A compiled, source-bound, runnable query (or DAG of queries).
+
+    ``config`` is the resolved ``ExecutionConfig`` the flow runs under
+    (already validated); the flow reads ``allowed_lateness``,
+    ``batch_size``, ``coalesce_updates`` and ``columnar`` from it.
+    """
 
     def __init__(
         self,
         plan: QueryPlan,
         sources: dict[str, TimeVaryingRelation],
-        allowed_lateness: int = 0,
-        batch_size: int = 1,
-        coalesce_updates: bool = False,
+        config,
         output_id: str = "main",
-        columnar: str = "off",
     ):
-        self._init_graph(
-            sources, allowed_lateness, batch_size, coalesce_updates, columnar
-        )
+        self._init_graph(sources, config)
         self.plan = plan
         self._primary = output_id
         # The first output is attached like any later one: onto an
@@ -440,29 +449,17 @@ class Dataflow(OutputLogs):
         self.attach_output(output_id, plan)
 
     def _init_graph(
-        self,
-        sources: dict[str, TimeVaryingRelation],
-        allowed_lateness: int,
-        batch_size: int,
-        coalesce_updates: bool,
-        columnar: str,
+        self, sources: dict[str, TimeVaryingRelation], config
     ) -> None:
         """The execution knobs and the empty graph, shared by both
         construction paths (:meth:`__init__` and :meth:`from_structure`)."""
-        if batch_size < 1:
-            raise ExecutionError("batch_size must be >= 1")
-        if columnar not in ("auto", "on", "off"):
-            raise ExecutionError("columnar must be 'auto', 'on', or 'off'")
+        #: the resolved ``ExecutionConfig`` this flow runs under.
+        self.config = config
         #: maximum row events delivered per micro-batch; 1 = per-change.
-        self.batch_size = batch_size
+        self.batch_size = config.batch_size
         #: whether intra-instant insert/retract churn is compacted.
-        self.coalesce_updates = coalesce_updates
-        #: columnar micro-batch mode: "auto" enables it with batching.
-        self.columnar = columnar
-        self._columnar_active = columnar == "on" or (
-            columnar == "auto" and batch_size > 1
-        )
-        self._allowed_lateness = allowed_lateness
+        self.coalesce_updates = config.coalesce_updates
+        self._columnar_active = runs_columnar(config)
         self._sources: dict[str, TimeVaryingRelation] = {
             name.lower(): tvr for name, tvr in sources.items()
         }
@@ -555,11 +552,6 @@ class Dataflow(OutputLogs):
     def operators(self) -> list[Operator]:
         return list(self._operators)
 
-    @property
-    def telemetry(self) -> RunTelemetry:
-        """Latency telemetry sampled at the primary output's root."""
-        return self._outputs[self._primary].telemetry
-
     def telemetry_of(self, output_id: str) -> RunTelemetry:
         """Latency telemetry sampled at one output channel's root."""
         return self._outputs[output_id].telemetry
@@ -581,25 +573,6 @@ class Dataflow(OutputLogs):
         self.lineage = recorder
         self._lineage_shard = shard
         self._lineage_register_outputs = register_outputs
-
-    @property
-    def output_size(self) -> int:
-        """Primary-output changes produced so far (a resumable cursor)."""
-        return self.output_size_of(self._primary)
-
-    def output_slice(self, start: int) -> list[Change]:
-        """Primary-output changes produced since cursor position ``start``.
-
-        Together with :attr:`output_size` this lets a driver attribute
-        output changes to the input event that caused them — the hook
-        the sharded runtime's deterministic merge stage is built on.
-        """
-        return self.output_slice_of(self._primary, start)
-
-    @property
-    def root_watermark(self) -> Timestamp:
-        """The current output watermark of the primary output's root."""
-        return self._outputs[self._primary].watermarks.current
 
     def output_ids(self) -> list[str]:
         """The attached output channels, in attach order."""
@@ -787,7 +760,9 @@ class Dataflow(OutputLogs):
             if donor is not None:
                 op = donor._plan_node_ops[id(node)]
             else:
-                op = build_operator(node, children, self._allowed_lateness)
+                op = build_operator(
+                    node, children, self.config.allowed_lateness
+                )
             self._install(op, node, fp, children)
             self._operators.append(op)
             new_ops.append(op)
@@ -918,10 +893,7 @@ class Dataflow(OutputLogs):
         plans: Sequence[tuple[str, QueryPlan]],
         structure: dict,
         sources: dict[str, TimeVaryingRelation],
-        allowed_lateness: int = 0,
-        batch_size: int = 1,
-        coalesce_updates: bool = False,
-        columnar: str = "off",
+        config,
     ) -> "Dataflow":
         """Rebuild the exact physical sharing structure of a checkpoint.
 
@@ -940,9 +912,7 @@ class Dataflow(OutputLogs):
                 "checkpoint outputs do not match the plans being restored"
             )
         self = object.__new__(cls)
-        self._init_graph(
-            sources, allowed_lateness, batch_size, coalesce_updates, columnar
-        )
+        self._init_graph(sources, config)
         slots: list[Optional[Operator]] = [None] * len(structure["op_types"])
         self._operators = slots  # filled in place below
         for output_id, plan in plans:
@@ -960,7 +930,7 @@ class Dataflow(OutputLogs):
                 op = slots[index]
                 if op is None:
                     op = slots[index] = build_operator(
-                        node, children, self._allowed_lateness
+                        node, children, self.config.allowed_lateness
                     )
                     self._install(op, node, fps[id(node)], children)
                 return op

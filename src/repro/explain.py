@@ -18,7 +18,7 @@ Every way of asking "what will (did) this query do" — the engine's
   knob, the observed fan-in from counter feedback, the combine
   threshold, and the resulting decision.
 * ``analyze`` — ``logical`` plus per-operator runtime counters from an
-  actual execution (the old ``explain_analyze``).
+  actual execution.
 
 SQL spellings map onto the same modes: ``EXPLAIN q`` is ``logical``,
 ``EXPLAIN (PHYSICAL) q`` / ``EXPLAIN (COSTS) q`` select a mode, and
@@ -31,8 +31,10 @@ import re
 from typing import Optional
 
 from .core.errors import ValidationError
-from .plan.physical import MIN_COMBINE_FANIN, split_eligibility
+from .obs.lineage import LineageRecorder
+from .plan.physical import MIN_COMBINE_FANIN
 from .plan.pipeline import PipelineNode, get_fused_root
+from .runtime.sharded import ShardedDataflow
 
 __all__ = ["EXPLAIN_MODES", "parse_explain", "render_explain"]
 
@@ -75,7 +77,11 @@ def render_explain(query, mode: str = "logical", verbose: bool = False) -> str:
     """Render one explain ``mode`` for a prepared query.
 
     ``query`` is a :class:`~repro.engine.PreparedQuery`; ``analyze``
-    executes it over the registered sources, the other modes only plan.
+    executes it over the registered sources.  ``physical`` and
+    ``costs`` build the flow a run would use, unrun and without side
+    effects, and read the runtime's decisions off it — the operator
+    each plan node became, the run shape, whether batches go columnar —
+    so the tree shown is the tree that runs.
     """
     if mode not in EXPLAIN_MODES:
         raise ValidationError(
@@ -89,8 +95,13 @@ def render_explain(query, mode: str = "logical", verbose: bool = False) -> str:
             text = f"{text}\n{result.metrics.render()}"
         return text
     if mode in ("physical", "costs"):
-        text = f"{text}\n{_physical_section(query, verbose)}"
-        text = f"{text}\n{_columnar_section(query)}"
+        effective = query._effective()
+        flow = query._flow(
+            effective,
+            query.partition_decision() if effective.parallelism > 1 else None,
+        )
+        text = f"{text}\n{_physical_section(query, flow, verbose)}"
+        text = f"{text}\n{_columnar_section(query, flow)}"
     if mode == "costs":
         text = f"{text}\n{_costs_section(query)}"
     return text
@@ -113,58 +124,39 @@ def _logical(query, verbose: bool) -> str:
     return text.rstrip()
 
 
-def _columnar_active(effective) -> bool:
-    return effective.columnar == "on" or (
-        effective.columnar == "auto" and effective.batch_size > 1
-    )
-
-
-def _runs_line(effective, shard_plan) -> str:
-    """The run shape ``shard_plan`` gets on a shard, decided the way the
-    runtime decides it: from the plan
-    (:func:`~repro.exec.compile.why_runs_split`, as the shard's flow
-    does) and, where a flow gets a lineage recorder, from that
-    (``ShardedDataflow.run_split_reason``)."""
-    from .exec.compile import (
-        LINEAGE_SPLITS_RUNS,
-        compile_plan,
-        why_runs_split,
-    )
-
-    columnar = _columnar_active(effective)
-    root = get_fused_root(shard_plan) if columnar else shard_plan.root
-    reason = why_runs_split(
-        columnar, [compile_plan(root, effective.allowed_lateness).operators]
-    )
+def _runs_line(flow) -> str:
+    """The run shape the sharded ``flow`` feeds its shards, as the flow
+    decides it (``ShardedDataflow.run_split_reason``) — and, where a
+    standing query's flow gets a lineage recorder, as it decides with
+    one installed (this flow is a throwaway)."""
+    reason = flow.run_split_reason()
     if reason is not None:
         return f"  runs: split at sequence gaps — {reason}"
     line = "  runs: per instant, sequence-tagged"
-    if effective.lineage_sample > 0:
-        # Only a standing query's flow is given a recorder.
+    sample = flow.config.lineage_sample
+    if sample > 0:
+        flow.set_lineage(LineageRecorder(sample))
         line = (
-            f"{line}; as a standing query (lineage_sample="
-            f"{effective.lineage_sample}) split at sequence gaps — "
-            f"{LINEAGE_SPLITS_RUNS}"
+            f"{line}; as a standing query (lineage_sample={sample}) split "
+            f"at sequence gaps — {flow.run_split_reason()}"
         )
     return line
 
 
-def _physical_section(query, verbose: bool) -> str:
+def _physical_section(query, flow, verbose: bool) -> str:
     physical = query.physical_decision()
-    effective = query._effective()
-    if not physical.use_two_phase:
+    sharded = isinstance(flow, ShardedDataflow)
+    split = flow.splits.get("main") if sharded else None
+    if split is None:
         text = f"Physical: single-phase — {physical.reason}"
-        if effective.parallelism > 1 and query.partition_decision().partitionable:
-            text = f"{text}\n{_runs_line(effective, query.plan)}"
+        if sharded:
+            text = f"{text}\n{_runs_line(flow)}"
         return text
-    split, _ = split_eligibility(query.plan)
-    assert split is not None  # use_two_phase implies eligibility
-    split.partial.delta_mode = effective.coalesce_updates
-    payload = "delta" if effective.coalesce_updates else "replay"
+    payload = "delta" if split.partial.delta_mode else "replay"
     lines = [
         f"Physical: two-phase aggregation ({payload} payloads) — "
         f"{physical.reason}",
-        _runs_line(effective, split.shard_plan),
+        _runs_line(flow),
         "  merge stage:",
     ]
     depth = 2
@@ -172,34 +164,36 @@ def _physical_section(query, verbose: bool) -> str:
         lines.append("  " * depth + node._describe())
         depth += 1
     lines.append("  " * depth + "Combine" + split.aggregate._describe())
-    lines.append(f"  each of {effective.parallelism} shards:")
+    lines.append(f"  each of {flow.shard_count} shards:")
     lines.append(split.shard_plan.root.explain(2, verbose).rstrip("\n"))
     return "\n".join(lines)
 
 
-def _columnar_section(query) -> str:
+def _columnar_section(query, flow) -> str:
     """The columnar execution shape: the fused tree, annotated.
 
     ``[columnar]`` marks operators that consume column batches;
     ``[fused: ...]`` marks Filter/Project chains collapsed into one
-    generated pipeline loop.  Rendered only from the plan — the same
-    fusion the executor applies (:func:`get_fused_root`), so the tree
-    shown is the tree that runs.
+    generated pipeline loop.  Read off the serial flow that compiled
+    the plan — ``flow`` or its first shard; a two-phase split's merge
+    half runs in no flow, so there the plan is compiled serially — one
+    operator per plan node, in ``sharing_map``'s post-order.
     """
     effective = query._effective()
-    if not _columnar_active(effective):
+    if isinstance(flow, ShardedDataflow):
+        flow = query._flow(effective) if flow.is_two_phase() else flow.shards[0]
+    if not flow._columnar_active:
         return (
             f"Columnar: off — row-at-a-time batches "
             f"(columnar={effective.columnar}, "
             f"batch_size={effective.batch_size})"
         )
-    from .exec.compile import compile_plan
-
     root = get_fused_root(query.plan)
-    compiled = compile_plan(
-        root, allowed_lateness=effective.allowed_lateness
-    )
-    ops = {id(node): op for node, op in compiled.node_ops}
+    operators = flow.operators
+    ops = {
+        id(node): operators[index]
+        for node, index in zip(_post_order(root), flow.sharing_map()["main"])
+    }
     lines = [
         f"Columnar: on (columnar={effective.columnar}, "
         f"batch_size={effective.batch_size})"
@@ -217,6 +211,12 @@ def _columnar_section(query) -> str:
 
     walk(root, 1)
     return "\n".join(lines)
+
+
+def _post_order(node):
+    for child in node.inputs:
+        yield from _post_order(child)
+    yield node
 
 
 def _costs_section(query) -> str:

@@ -39,6 +39,7 @@ __all__ = [
     "make_exporter",
     "read_events",
     "render_exposition",
+    "Exposition",
     "format_labels",
     "parse_exposition",
 ]
@@ -167,14 +168,46 @@ def _escape_label(value: str) -> str:
 
 
 def format_labels(pairs: dict) -> str:
-    """Render a Prometheus label set, escaping values (shared helper)."""
+    """Render a Prometheus label set, escaping values."""
     inner = ",".join(
         f'{key}="{_escape_label(str(value))}"' for key, value in pairs.items()
     )
     return "{" + inner + "}"
 
 
-_labels = format_labels
+class Exposition:
+    """Prometheus text exposition (format 0.0.4), written in order: the
+    one writer behind :func:`render_exposition` and the service's
+    ``/metrics`` body."""
+
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+
+    def family(self, name: str, kind: str, help_text: str) -> None:
+        self.lines.append(f"# HELP {name} {help_text}")
+        self.lines.append(f"# TYPE {name} {kind}")
+
+    def sample(self, name: str, value, labels: Optional[dict] = None) -> None:
+        braces = format_labels(labels) if labels else ""
+        self.lines.append(f"{name}{braces} {value}")
+
+    def metric(self, name: str, kind: str, help_text: str, value) -> None:
+        """A family of one unlabelled sample."""
+        self.family(name, kind, help_text)
+        self.sample(name, value)
+
+    def histogram(
+        self, name: str, histogram, labels: Optional[dict] = None
+    ) -> None:
+        """One histogram series: cumulative buckets, then sum and count."""
+        for le, cumulative in histogram.cumulative_buckets():
+            bucket = {**(labels or {}), "le": le}
+            self.sample(f"{name}_bucket", cumulative, bucket)
+        self.sample(f"{name}_sum", histogram.sum, labels)
+        self.sample(f"{name}_count", histogram.count, labels)
+
+    def text(self) -> str:
+        return "\n".join(self.lines) + "\n"
 
 
 def render_exposition(report: MetricsReport) -> str:
@@ -184,51 +217,30 @@ def render_exposition(report: MetricsReport) -> str:
     every label set unique even when a plan contains two operators of
     the same name), plus the human-readable ``operator`` and ``type``.
     """
-    lines: list[str] = []
-
-    def family(name: str, kind: str, help_text: str) -> None:
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} {kind}")
-
-    family("repro_operator_rows_in_total", "counter",
-           "Changes received by the operator, per input port")
-    for index, entry in enumerate(report.operators):
-        base = {
-            "index": index,
-            "operator": entry["operator"],
-            "type": entry["type"],
-        }
+    out = Exposition()
+    labels = [
+        {"index": index, "operator": entry["operator"], "type": entry["type"]}
+        for index, entry in enumerate(report.operators)
+    ]
+    out.family("repro_operator_rows_in_total", "counter",
+               "Changes received by the operator, per input port")
+    for base, entry in zip(labels, report.operators):
         for port, rows in enumerate(entry["rows_in"]):
-            lines.append(
-                "repro_operator_rows_in_total"
-                + _labels({**base, "port": port})
-                + f" {rows}"
+            out.sample(
+                "repro_operator_rows_in_total", rows, {**base, "port": port}
             )
-    for name, key, help_text in _OPERATOR_COUNTERS:
-        family(name, "counter", help_text)
-        for index, entry in enumerate(report.operators):
-            labels = _labels({
-                "index": index,
-                "operator": entry["operator"],
-                "type": entry["type"],
-            })
-            lines.append(f"{name}{labels} {entry.get(key, 0)}")
-    for name, key, help_text in _OPERATOR_GAUGES:
-        family(name, "gauge", help_text)
-        for index, entry in enumerate(report.operators):
-            labels = _labels({
-                "index": index,
-                "operator": entry["operator"],
-                "type": entry["type"],
-            })
-            lines.append(f"{name}{labels} {entry.get(key, 0)}")
+    for kind, families in (
+        ("counter", _OPERATOR_COUNTERS), ("gauge", _OPERATOR_GAUGES)
+    ):
+        for name, key, help_text in families:
+            out.family(name, kind, help_text)
+            for base, entry in zip(labels, report.operators):
+                out.sample(name, entry.get(key, 0), base)
 
-    family("repro_shard_routed_rows", "gauge",
-           "Rows routed to each shard's scan leaves")
+    out.family("repro_shard_routed_rows", "gauge",
+               "Rows routed to each shard's scan leaves")
     for shard, rows in enumerate(report.shard_rows or []):
-        lines.append(
-            "repro_shard_routed_rows" + _labels({"shard": shard}) + f" {rows}"
-        )
+        out.sample("repro_shard_routed_rows", rows, {"shard": shard})
 
     recovery = report.recovery
     if recovery is not None:
@@ -242,24 +254,17 @@ def render_exposition(report: MetricsReport) -> str:
             ("repro_recovery_wm_regressions_total", recovery.wm_regressions,
              "Restored shard watermarks clamped to already-observed values"),
         ):
-            family(name, "counter", help_text)
-            lines.append(f"{name} {value}")
+            out.metric(name, "counter", help_text, value)
 
     telemetry = report.telemetry
     if telemetry is not None:
         for name, attr, help_text in _HISTOGRAMS:
-            histogram = getattr(telemetry, attr)
-            family(name, "histogram", help_text)
-            for le, cumulative in histogram.cumulative_buckets():
-                lines.append(
-                    f"{name}_bucket" + _labels({"le": le}) + f" {cumulative}"
-                )
-            lines.append(f"{name}_sum {histogram.sum}")
-            lines.append(f"{name}_count {histogram.count}")
-        family("repro_early_emits_total", "counter",
-               "Root changes emitted before their completion time")
-        lines.append(f"repro_early_emits_total {telemetry.early_emits}")
-    return "\n".join(lines) + "\n"
+            out.family(name, "histogram", help_text)
+            out.histogram(name, getattr(telemetry, attr))
+        out.metric("repro_early_emits_total", "counter",
+                   "Root changes emitted before their completion time",
+                   telemetry.early_emits)
+    return out.text()
 
 
 class PrometheusExporter(TelemetryExporter):

@@ -96,7 +96,7 @@ from ..plan.partition import PartitionSpec
 from ..plan.physical import TwoPhaseSplit, split_eligibility
 from .backends import run_shards
 from .combine import CombineStage
-from .faults import FaultInjector, FaultPlan
+from .faults import FaultInjector
 from .frontier import WatermarkFrontier
 from .merge import (
     MergedOutput,
@@ -106,7 +106,7 @@ from .merge import (
     splice,
 )
 from .routing import partition_events
-from .supervisor import RetryPolicy, ShardSupervisor, drain_timers, drive_run
+from .supervisor import ShardSupervisor, drain_timers, drive_run
 
 
 __all__ = ["ShardedDataflow"]
@@ -119,17 +119,16 @@ class ShardedDataflow(OutputLogs):
         self,
         plan,
         sources: dict[str, TimeVaryingRelation],
-        spec: PartitionSpec,
-        shards: int,
-        allowed_lateness: int = 0,
+        config,
         output_id: str = "main",
-        **options,
+        *,
+        spec: PartitionSpec,
+        two_phase: bool,
     ):
-        """``options`` are the execution knobs of :meth:`_init`."""
-        self._init(
-            [(output_id, plan)], None, sources, spec, shards,
-            allowed_lateness, **options,
-        )
+        """``config`` is the resolved ``ExecutionConfig`` (its
+        ``parallelism`` is the shard count); ``spec`` and ``two_phase``
+        are what the planner decided for it (see ``build_flow``)."""
+        self._init([(output_id, plan)], None, sources, config, spec, two_phase)
 
     @classmethod
     def from_structure(
@@ -137,10 +136,10 @@ class ShardedDataflow(OutputLogs):
         plans: Sequence[tuple[str, "object"]],
         structure: dict,
         sources: dict[str, TimeVaryingRelation],
+        config,
+        *,
         spec: PartitionSpec,
-        shards: int,
-        allowed_lateness: int = 0,
-        **options,
+        two_phase: bool,
     ) -> "ShardedDataflow":
         """Rebuild a multi-output sharded dataflow from a checkpoint recipe.
 
@@ -157,9 +156,7 @@ class ShardedDataflow(OutputLogs):
         if not isinstance(recipe, dict):
             recipe = structure["shards"][0] = pickle.loads(recipe)
         self = cls.__new__(cls)
-        self._init(
-            plans, recipe, sources, spec, shards, allowed_lateness, **options
-        )
+        self._init(plans, recipe, sources, config, spec, two_phase)
         return self
 
     def _init(
@@ -167,34 +164,22 @@ class ShardedDataflow(OutputLogs):
         plans: Sequence[tuple[str, "object"]],
         structure: Optional[dict],
         sources: dict[str, TimeVaryingRelation],
+        config,
         spec: PartitionSpec,
-        shards: int,
-        allowed_lateness: int,
-        backend: str = "threads",
-        retry: Optional[RetryPolicy] = None,
-        fault_plan: Optional[FaultPlan] = None,
-        batch_size: int = 1,
-        coalesce_updates: bool = False,
-        two_phase: bool = False,
-        columnar: str = "off",
+        two_phase: bool,
     ) -> None:
         """The one initialiser behind both construction paths."""
-        if shards < 1:
-            raise ExecutionError("a sharded dataflow needs at least one shard")
         self._primary, self.plan = plans[0]
+        #: the resolved ``ExecutionConfig`` this flow (and every shard)
+        #: runs under.
+        self.config = config
         self.spec = spec
-        self.backend = backend
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.fault_plan = fault_plan
-        self.batch_size = batch_size
-        self.coalesce_updates = coalesce_updates
         self.two_phase = two_phase
-        self.columnar = columnar
-        self._allowed_lateness = allowed_lateness
+        self.batch_size = config.batch_size
         self._sources = sources
         #: per-output physical split and its combine stage; an output
         #: absent from these maps runs single-phase.
-        self._splits: dict[str, TwoPhaseSplit] = {}
+        self.splits: dict[str, TwoPhaseSplit] = {}
         self._stages: dict[str, CombineStage] = {}
         #: per output, the plan its shards run (the partial half of a
         #: split plan) — what a fresh shard is built from.
@@ -207,6 +192,7 @@ class ShardedDataflow(OutputLogs):
         #: optional lineage recorder shared with every shard flow;
         #: install via :meth:`set_lineage`.
         self.lineage: Optional[LineageRecorder] = None
+        shards = config.parallelism
         for output_id, plan in plans:
             self._open_output(output_id, plan, self._prepare_split(plan), shards)
         self._shards = [self._new_shard(i, structure) for i in range(shards)]
@@ -223,12 +209,14 @@ class ShardedDataflow(OutputLogs):
         its combine stage when that plan is split (``stage`` to adopt a
         donor's), its merged changelog."""
         if split is not None:
-            self._splits[output_id] = split
+            self.splits[output_id] = split
             self._stages[output_id] = (
                 stage
                 if stage is not None
                 else CombineStage(
-                    split, self._allowed_lateness, self.coalesce_updates
+                    split,
+                    self.config.allowed_lateness,
+                    self.config.coalesce_updates,
                 )
             )
         self._shard_plans[output_id] = (
@@ -241,21 +229,13 @@ class ShardedDataflow(OutputLogs):
         """A fresh shard flow over this flow's outputs — at construction,
         and for a restarted worker — structure-exact when a checkpoint
         recipe says which operators the outputs share."""
-        options = dict(
-            batch_size=self.batch_size,
-            coalesce_updates=self.coalesce_updates,
-            columnar=self.columnar,
-        )
         if structure is None:
             ((output_id, plan),) = self._shard_plans.items()
-            flow = Dataflow(
-                plan, self._sources, self._allowed_lateness,
-                output_id=output_id, **options,
-            )
+            flow = Dataflow(plan, self._sources, self.config, output_id)
         else:
             flow = Dataflow.from_structure(
-                list(self._shard_plans.items()), structure,
-                self._sources, self._allowed_lateness, **options,
+                list(self._shard_plans.items()), structure, self._sources,
+                self.config,
             )
         flow.trace = _shard_batch_tagger(self._trace, index)
         return flow
@@ -274,7 +254,7 @@ class ShardedDataflow(OutputLogs):
             return None
         split, _ = split_eligibility(plan)
         if split is not None:
-            split.partial.delta_mode = self.coalesce_updates
+            split.partial.delta_mode = self.config.coalesce_updates
         return split
 
     @property
@@ -314,25 +294,6 @@ class ShardedDataflow(OutputLogs):
         """The primary output's watermark frontier."""
         return self._outputs[self._primary].frontier
 
-    @property
-    def output_size(self) -> int:
-        """Merged primary-output changes so far (mirrors ``Dataflow``)."""
-        return self.output_size_of(self._primary)
-
-    def output_slice(self, start: int = 0) -> list:
-        """Merged primary-output changes from ``start`` (mirrors ``Dataflow``).
-
-        The merged changelog only grows, so ``output_slice(cursor)``
-        after each :meth:`process` yields every change exactly once —
-        the incremental consumption contract service mode relies on.
-        """
-        return self.output_slice_of(self._primary, start)
-
-    @property
-    def root_watermark(self) -> Timestamp:
-        """The merged (minimum) primary root watermark across all shards."""
-        return self.frontier.current
-
     def output_ids(self) -> list[str]:
         """The attached output channels, in attach order."""
         return list(self._outputs)
@@ -356,24 +317,16 @@ class ShardedDataflow(OutputLogs):
         """The output's :class:`CombineStage`, or ``None`` if single-phase."""
         return self._stages.get(output_id or self._primary)
 
-    @property
-    def telemetry(self) -> RunTelemetry:
-        """Latency telemetry merged over shards.
-
-        Watermarks are broadcast and every root change is produced by
-        exactly one shard (or, two-phase, by the combine stage fed in
-        that shard's slice position), so this merge reproduces the
-        serial run's distributions sample for sample.
-        """
-        return self.telemetry_of(self._primary)
-
     def telemetry_of(self, output_id: str) -> RunTelemetry:
         """One output channel's latency telemetry, merged over shards.
 
-        For a two-phase output the shards emit partial payloads, not
-        query rows, so the combine stage's telemetry — one sample per
-        final root change, taken at the merged frontier — *is* the
-        channel's telemetry, and the shard channels contribute nothing.
+        Watermarks are broadcast and every root change is produced by
+        exactly one shard, so the merge reproduces the serial run's
+        distributions sample for sample.  For a two-phase output the
+        shards emit partial payloads, not query rows, so the combine
+        stage's telemetry — one sample per final root change, taken at
+        the merged frontier — *is* the channel's telemetry, and the
+        shard channels contribute nothing.
         """
         stage = self._stages.get(output_id)
         if stage is not None:
@@ -484,7 +437,7 @@ class ShardedDataflow(OutputLogs):
                 raise ExecutionError(
                     "donor partition spec does not match the host dataflow"
                 )
-            donor_split = donor._splits.get(donor._primary)
+            donor_split = donor.splits.get(donor._primary)
             if (split is None) != (donor_split is None):
                 raise ExecutionError(
                     "donor and host disagree on two-phase aggregation for "
@@ -527,7 +480,7 @@ class ShardedDataflow(OutputLogs):
             shard.remove_output(output_id)
         del self._outputs[output_id], self._shard_plans[output_id]
         self._touched.discard(output_id)
-        self._splits.pop(output_id, None)
+        self.splits.pop(output_id, None)
         self._stages.pop(output_id, None)
         return True
 
@@ -626,8 +579,8 @@ class ShardedDataflow(OutputLogs):
             self.spec,
             len(self._shards),
         )
-        transfer_state = self.backend == "processes"
-        injector = FaultInjector(self.fault_plan)
+        transfer_state = self.config.backend == "processes"
+        injector = FaultInjector(self.config.fault_plan)
         structure = self._shards[0].structure()
         whole = self.run_split_reason() is None
         supervisors = [
@@ -637,7 +590,7 @@ class ShardedDataflow(OutputLogs):
                 make_dataflow=partial(self._new_shard, index, structure),
                 tasks=tasks[index],
                 until=until,
-                policy=self.retry,
+                policy=self.config.retry,
                 injector=injector,
                 transfer_state=transfer_state,
                 whole_runs=whole,
@@ -645,7 +598,7 @@ class ShardedDataflow(OutputLogs):
             for index, shard in enumerate(self._shards)
         ]
         outcomes = run_shards(
-            [supervisor.run for supervisor in supervisors], self.backend
+            [supervisor.run for supervisor in supervisors], self.config.backend
         )
         logs = {}
         for index, (supervisor, outcome) in enumerate(

@@ -83,8 +83,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
-from ..obs.export import format_labels
-from ..obs.histogram import Histogram
+from ..obs.export import Exposition
 from .admission import REJECT_CODES
 
 if TYPE_CHECKING:
@@ -196,31 +195,24 @@ def render_service_exposition(
     Validates with :func:`repro.obs.export.parse_exposition`; the CI
     smoke job uploads exactly this text as its scrape artifact.
     """
-    lines: list[str] = []
-
-    def family(name: str, kind: str, help_text: str) -> None:
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} {kind}")
-
+    out = Exposition()
     queries = session.queries()
-    family("repro_service_active_queries", "gauge",
-           "Standing queries currently resident")
-    lines.append(f"repro_service_active_queries {len(queries)}")
+    out.metric("repro_service_active_queries", "gauge",
+               "Standing queries currently resident", len(queries))
 
     def per_query(
         name: str, kind: str, help_text: str, value, split: str = ""
     ) -> None:
         """One sample per query — or, with ``split`` naming one more
         label, one per entry of the dict ``value(query)`` returns."""
-        family(name, kind, help_text)
+        out.family(name, kind, help_text)
         for query in queries:
             base = {"query": query.query_id, "tenant": query.tenant}
             if not split:
-                lines.append(f"{name}{format_labels(base)} {value(query)}")
+                out.sample(name, value(query), base)
                 continue
             for label, number in value(query).items():
-                labels = format_labels({**base, split: label})
-                lines.append(f"{name}{labels} {number}")
+                out.sample(name, number, {**base, split: label})
 
     per_query("repro_service_subscribers", "gauge",
               "Live subscribers attached to each standing query",
@@ -237,142 +229,93 @@ def render_service_exposition(
               "Deltas held in each standing query's broadcast log",
               lambda q: q.subscriptions.retained)
 
-    family("repro_service_admitted_total", "counter",
-           "Queries admitted through the gateway")
-    lines.append(f"repro_service_admitted_total {metrics.admitted}")
-
-    family("repro_service_admission_rejects_total", "counter",
-           "Queries rejected by the admission gateway, by structured code")
+    out.metric("repro_service_admitted_total", "counter",
+               "Queries admitted through the gateway", metrics.admitted)
+    out.family("repro_service_admission_rejects_total", "counter",
+               "Queries rejected by the admission gateway, by structured code")
     for code in sorted(metrics.rejects):
-        labels = format_labels({"code": code})
-        lines.append(
-            f"repro_service_admission_rejects_total{labels} "
-            f"{metrics.rejects[code]}"
-        )
-
-    family("repro_service_events_ingested_total", "counter",
-           "Source events pushed through the resident dataflows")
-    lines.append(
-        f"repro_service_events_ingested_total {session.events_ingested}"
-    )
-
-    family("repro_service_requests_total", "counter",
-           "Line-JSON requests answered by the server")
-    lines.append(f"repro_service_requests_total {metrics.requests}")
-    family("repro_service_request_batches_total", "counter",
-           "Reply writes the answered requests left in")
-    lines.append(
-        f"repro_service_request_batches_total {metrics.request_batches}"
-    )
-    family("repro_service_push_writes_total", "counter",
-           "Socket writes that carried subscriber frames")
-    lines.append(f"repro_service_push_writes_total {metrics.push_writes}")
-
-    family("repro_service_queue_depth", "gauge",
-           "Undrained subscriber deltas across all standing queries")
-    lines.append(f"repro_service_queue_depth {session.queue_depth()}")
-
-    family("repro_service_source_queue_depth", "gauge",
-           "Events waiting in each live source's bounded queue")
+        out.sample("repro_service_admission_rejects_total",
+                   metrics.rejects[code], {"code": code})
+    out.metric("repro_service_events_ingested_total", "counter",
+               "Source events pushed through the resident dataflows",
+               session.events_ingested)
+    out.metric("repro_service_requests_total", "counter",
+               "Line-JSON requests answered by the server", metrics.requests)
+    out.metric("repro_service_request_batches_total", "counter",
+               "Reply writes the answered requests left in",
+               metrics.request_batches)
+    out.metric("repro_service_push_writes_total", "counter",
+               "Socket writes that carried subscriber frames",
+               metrics.push_writes)
+    out.metric("repro_service_queue_depth", "gauge",
+               "Undrained subscriber deltas across all standing queries",
+               session.queue_depth())
+    out.family("repro_service_source_queue_depth", "gauge",
+               "Events waiting in each live source's bounded queue")
     for name, depth in sorted((source_depths or {}).items()):
-        labels = format_labels({"source": name})
-        lines.append(f"repro_service_source_queue_depth{labels} {depth}")
-
-    family("repro_service_slow_evictions_total", "counter",
-           "Subscribers evicted for lagging the log by more than their capacity")
-    evictions = sum(q.subscriptions.evictions for q in queries)
-    lines.append(f"repro_service_slow_evictions_total {evictions}")
-
+        out.sample("repro_service_source_queue_depth", depth, {"source": name})
+    out.metric("repro_service_slow_evictions_total", "counter",
+               "Subscribers evicted for lagging the log by more than their "
+               "capacity",
+               sum(q.subscriptions.evictions for q in queries))
     per_query("repro_service_state_rows", "gauge",
               "Operator-state rows resident per standing query",
               lambda q: q.state_rows())
 
-    family("repro_service_checkpoints_total", "counter",
-           "Session checkpoints written to the checkpoint directory")
-    lines.append(
-        f"repro_service_checkpoints_total {session.checkpoints_taken}"
-    )
-    family("repro_service_checkpoint_seconds", "gauge",
-           "Wall seconds the most recent session checkpoint took")
-    lines.append(
-        "repro_service_checkpoint_seconds "
-        f"{session.last_checkpoint_seconds:.6f}"
-    )
-    family("repro_service_checkpoint_bytes_total", "counter",
-           "Bytes written to checkpoint directories")
-    lines.append(
-        f"repro_service_checkpoint_bytes_total {session.checkpoint_bytes_total}"
-    )
-    family("repro_service_resume_seconds", "gauge",
-           "Wall seconds the resume from a checkpoint directory took")
-    lines.append(
-        f"repro_service_resume_seconds {session.last_resume_seconds:.6f}"
-    )
+    out.metric("repro_service_checkpoints_total", "counter",
+               "Session checkpoints written to the checkpoint directory",
+               session.checkpoints_taken)
+    out.metric("repro_service_checkpoint_seconds", "gauge",
+               "Wall seconds the most recent session checkpoint took",
+               f"{session.last_checkpoint_seconds:.6f}")
+    out.metric("repro_service_checkpoint_bytes_total", "counter",
+               "Bytes written to checkpoint directories",
+               session.checkpoint_bytes_total)
+    out.metric("repro_service_resume_seconds", "gauge",
+               "Wall seconds the resume from a checkpoint directory took",
+               f"{session.last_resume_seconds:.6f}")
     per_query("repro_service_history_items", "gauge",
               "Changelog items per standing query, resting encoded "
               "(sealed) or resident as objects (live)",
               lambda q: q.history_items(), split="form")
-
-    family("repro_service_shared_subplans", "gauge",
-           "Resident operators multicast to two or more standing queries")
-    lines.append(
-        f"repro_service_shared_subplans {session.shared_subplans()}"
-    )
-
-    family("repro_service_sharing_ratio", "gauge",
-           "Logical operators attached over physical operators resident")
-    lines.append(
-        f"repro_service_sharing_ratio {session.sharing_ratio():.6f}"
-    )
-
-    def histogram_series(name: str, base: dict, histogram: Histogram) -> None:
-        for le, cumulative in histogram.cumulative_buckets():
-            lines.append(
-                f"{name}_bucket"
-                + format_labels({**base, "le": le})
-                + f" {cumulative}"
-            )
-        lines.append(f"{name}_sum{format_labels(base)} {histogram.sum}")
-        lines.append(f"{name}_count{format_labels(base)} {histogram.count}")
+    out.metric("repro_service_shared_subplans", "gauge",
+               "Resident operators multicast to two or more standing queries",
+               session.shared_subplans())
+    out.metric("repro_service_sharing_ratio", "gauge",
+               "Logical operators attached over physical operators resident",
+               f"{session.sharing_ratio():.6f}")
 
     # Histogram families are only declared when a series exists: the
     # exposition validator (rightly) rejects a histogram TYPE comment
     # with no bucket/sum/count samples.
     if queries:
-        family("repro_service_emit_latency_ms", "histogram",
-               "Root emit latency vs event-time completion, per standing query")
-        for query in queries:
-            histogram_series(
-                "repro_service_emit_latency_ms",
-                {"query": query.query_id, "tenant": query.tenant},
-                query.flow.telemetry_of(query.output_id).emit_latency,
-            )
-        family("repro_service_ingest_to_push_us", "histogram",
-               "Microseconds from event ingest to subscriber delta push")
-        for query in queries:
-            histogram_series(
-                "repro_service_ingest_to_push_us",
-                {"query": query.query_id, "tenant": query.tenant},
-                query.ingest_push,
-            )
+        for name, help_text, histogram in (
+            ("repro_service_emit_latency_ms",
+             "Root emit latency vs event-time completion, per standing query",
+             lambda q: q.flow.telemetry_of(q.output_id).emit_latency),
+            ("repro_service_ingest_to_push_us",
+             "Microseconds from event ingest to subscriber delta push",
+             lambda q: q.ingest_push),
+        ):
+            out.family(name, "histogram", help_text)
+            for query in queries:
+                out.histogram(
+                    name,
+                    histogram(query),
+                    {"query": query.query_id, "tenant": query.tenant},
+                )
 
-    family("repro_service_slow_queries_total", "counter",
-           "Slow-query log entries recorded (threshold-crossing episodes)")
-    lines.append(f"repro_service_slow_queries_total {session.slow_log.total}")
-
+    out.metric("repro_service_slow_queries_total", "counter",
+               "Slow-query log entries recorded (threshold-crossing episodes)",
+               session.slow_log.total)
     lineage = session.lineage_summary()
     if lineage is not None:
-        family("repro_service_lineage_sampled_total", "counter",
-               "Source events opened as lineage traces")
-        lines.append(
-            f"repro_service_lineage_sampled_total {lineage['sampled']}"
-        )
-        family("repro_service_lineage_dropped_total", "counter",
-               "Lineage traces evicted past the retention bound")
-        lines.append(
-            f"repro_service_lineage_dropped_total {lineage['dropped']}"
-        )
-        family("repro_service_lineage_traces", "gauge",
-               "Lineage traces currently retained")
-        lines.append(f"repro_service_lineage_traces {lineage['retained']}")
-    return "\n".join(lines) + "\n"
+        out.metric("repro_service_lineage_sampled_total", "counter",
+                   "Source events opened as lineage traces",
+                   lineage["sampled"])
+        out.metric("repro_service_lineage_dropped_total", "counter",
+                   "Lineage traces evicted past the retention bound",
+                   lineage["dropped"])
+        out.metric("repro_service_lineage_traces", "gauge",
+                   "Lineage traces currently retained", lineage["retained"])
+    return out.text()

@@ -69,7 +69,7 @@ from ..config import ExecutionConfig
 from ..core.codec import PackedSegment, Segment, concat_segments
 from ..core.errors import ExecutionError
 from ..core.tvr import StreamEvent, TimeVaryingRelation
-from ..exec.executor import merge_source_events
+from ..exec.executor import merge_source_events, runs_columnar
 from ..io import format_schema, parse_schema_line, parse_script
 from ..obs.histogram import Histogram
 from ..obs.lineage import LineageRecorder
@@ -77,7 +77,7 @@ from ..plan import plan_fingerprint
 from ..plan.optimizer import optimize
 from ..plan.partition import analyze_partitioning
 from ..plan.planner import QueryPlan
-from ..runtime.build import build_flow
+from ..runtime.build import build_flow, runs_two_phase
 from ..runtime.sharded import ShardedDataflow
 from .metrics import SlowQueryLog
 from .subscriptions import Delta, SubscriptionRegistry
@@ -333,11 +333,11 @@ class SharedPlanCache:
     is grafted onto the record whose flow's resident fingerprints cover
     the most of its plan (:meth:`~repro.exec.executor.Dataflow.plan_overlap`),
     but only when the execution shapes agree: the *config key* — runtime
-    kind, partition spec and shard count for sharded flows, allowed
-    lateness, batch size, compaction — must match exactly, because two
-    queries can only share an operator whose behaviour those knobs do
-    not alter.  Lateness is deliberately **not** part of the plan
-    fingerprint; it gates sharing here instead.
+    kind, partition spec, shard count and two-phase for sharded flows,
+    allowed lateness, batch size, compaction, columnar — must match
+    exactly, because two queries can only share an operator whose
+    behaviour those knobs do not alter.  Lateness is deliberately
+    **not** part of the plan fingerprint; it gates sharing here instead.
     """
 
     def __init__(self):
@@ -345,30 +345,30 @@ class SharedPlanCache:
 
     @staticmethod
     def config_key(plan: QueryPlan, effective: ExecutionConfig) -> tuple:
-        """The execution shape a flow must match to host ``plan``."""
+        """The execution shape a flow must match to host ``plan``: what
+        the flow does, not how its knobs are spelled (``columnar="on"``
+        and ``"auto"`` run alike at ``batch_size > 1``; with no counter
+        feedback, so do ``two_phase="on"`` and ``"auto"``)."""
+        shape = (
+            effective.allowed_lateness,
+            effective.batch_size,
+            effective.coalesce_updates,
+            runs_columnar(effective),
+        )
         if effective.parallelism > 1:
             decision = analyze_partitioning(plan)
             if decision.partitionable:
+                # Two-phase is flow-level, not per-plan: whether an
+                # individual output splits is decided at attach time,
+                # so an ineligible query can still share a two-phase
+                # flow.
                 return (
                     "sharded",
                     decision.spec,
                     effective.parallelism,
-                    effective.allowed_lateness,
-                    effective.batch_size,
-                    effective.coalesce_updates,
-                    # Flow-level, not per-plan: whether an individual
-                    # output splits is decided at attach time, so an
-                    # ineligible query can still share a two-phase flow.
-                    effective.two_phase,
-                    effective.columnar,
-                )
-        return (
-            "serial",
-            effective.allowed_lateness,
-            effective.batch_size,
-            effective.coalesce_updates,
-            effective.columnar,
-        )
+                    runs_two_phase(effective, plan, decision),
+                ) + shape
+        return ("serial",) + shape
 
     def find_host(
         self, plan: QueryPlan, key: tuple
@@ -636,12 +636,7 @@ class SessionManager:
         from-the-start run would have numbered it.
         """
         if lineage and effective.lineage_sample > 0:
-            flow.set_lineage(
-                LineageRecorder(
-                    effective.lineage_sample,
-                    max_traces=effective.lineage_max_traces,
-                )
-            )
+            flow.set_lineage(LineageRecorder(effective.lineage_sample))
 
     @staticmethod
     def _flow_parallelism(flow) -> int:

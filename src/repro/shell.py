@@ -245,10 +245,10 @@ class Shell:
                 title=sql,
                 events_done=done,
                 events_total=total,
-                rows_emitted=flow.output_size,
+                rows_emitted=flow.output_size_of("main"),
                 elapsed=time.perf_counter() - start,
-                watermark=flow.root_watermark,
-                telemetry=flow.telemetry,
+                watermark=flow.root_watermark_of("main"),
+                telemetry=flow.telemetry_of("main"),
                 shard_rows=flow.shard_routed_rows() if use_sharded else None,
                 recovery=getattr(flow, "recovery", None),
                 coalesced=flow.changes_coalesced(),
@@ -259,7 +259,7 @@ class Shell:
             )
 
         sink = self.watch_sink
-        supervised = use_sharded and flow.fault_plan is not None
+        supervised = use_sharded and flow.config.fault_plan is not None
         if supervised:
             # Fault injection only fires on the supervised batch path,
             # so drive the whole run at once and show the outcome frame.

@@ -9,10 +9,16 @@ notices.
 """
 
 import importlib
+import inspect
+import os
+import re
 
 import pytest
 
 import repro
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "repro")
 
 
 # The names docs/API.md calls out explicitly, per stability tier.
@@ -95,6 +101,21 @@ class TestTopLevelSurface:
     def test_version_is_pep440_ish(self):
         major, minor, patch = repro.__version__.split(".")
         assert all(part.isdigit() for part in (major, minor, patch))
+
+    def test_every_version_string_agrees(self):
+        """``pyproject.toml`` (read with a regex: Python 3.10 has no
+        ``tomllib``), ``setup.py`` and ``repro.__version__`` name one
+        release."""
+        def version_in(name, pattern):
+            with open(os.path.join(ROOT, name)) as handle:
+                return re.search(pattern, handle.read(), re.MULTILINE).group(1)
+
+        assert version_in(
+            "pyproject.toml", r'^version\s*=\s*"([^"]+)"'
+        ) == repro.__version__
+        assert version_in(
+            "setup.py", r'version\s*=\s*"([^"]+)"'
+        ) == repro.__version__
 
 
 class TestPackageSurfaces:
@@ -197,8 +218,6 @@ class TestOperatorProtocol:
         counted wrapper around an operator, no per-operator recorder,
         one telemetry recording method, one place the executor calls
         it (``OutputChannel.settle``)."""
-        import inspect
-
         from repro.exec import executor
         from repro.exec.operators.base import Operator
         from repro.obs.metrics import OperatorCounters
@@ -254,8 +273,6 @@ class TestFlowContract:
 
     @pytest.mark.parametrize("member", DRIVING)
     def test_driving_members_take_the_same_parameters(self, member):
-        import inspect
-
         from repro.exec.executor import Dataflow
         from repro.runtime import ShardedDataflow
 
@@ -271,3 +288,64 @@ class TestFlowContract:
         assert shape(ShardedDataflow) == [
             parameter for parameter in serial if parameter[0] not in shard_only
         ]
+
+
+def _parameters(function) -> list[str]:
+    return list(inspect.signature(function).parameters)
+
+
+class TestSaidOnce:
+    """2.0 says each thing once: one config object and no shims, one
+    accessor per output (the ``*_of`` members), one evaluator beside
+    the generated pipeline loops, one place a config becomes a flow."""
+
+    REMOVED = (
+        "warn_deprecated", "explain_analyze", "compile_plan",
+        "CompiledPlan", "codegen.ENABLED",
+    )
+
+    def test_execution_config_has_seventeen_fields(self):
+        import dataclasses
+
+        fields = [f.name for f in dataclasses.fields(repro.ExecutionConfig)]
+        assert len(fields) == 17, fields
+        assert "lineage_max_traces" not in fields
+
+    @pytest.mark.parametrize("name", REMOVED)
+    def test_removed_name_appears_nowhere_in_src(self, name):
+        hits = []
+        for directory, _, files in os.walk(SRC):
+            for file in files:
+                if file.endswith(".py"):
+                    path = os.path.join(directory, file)
+                    with open(path, encoding="utf-8") as handle:
+                        if name in handle.read():
+                            hits.append(os.path.relpath(path, SRC))
+        assert hits == []
+
+    @pytest.mark.parametrize(
+        "member", ["output_size", "output_slice", "root_watermark", "telemetry"]
+    )
+    def test_no_primary_output_twin(self, member):
+        from repro.exec.executor import Dataflow
+        from repro.runtime import ShardedDataflow
+
+        assert not hasattr(Dataflow, member)
+        assert not hasattr(ShardedDataflow, member)
+        assert f"{member}_of" in FLOW_CONTRACT
+
+    @pytest.mark.parametrize("member", ["__init__", "from_structure"])
+    def test_flows_are_built_from_the_config(self, member):
+        """Both flow kinds take the resolved ``ExecutionConfig`` under
+        the same parameter names; the sharded flow adds only what the
+        planner decided for it, keyword-only."""
+        from repro.exec.executor import Dataflow
+        from repro.runtime import ShardedDataflow
+
+        serial = _parameters(getattr(Dataflow, member))
+        sharded = inspect.signature(getattr(ShardedDataflow, member))
+        assert "config" in serial
+        assert list(sharded.parameters)[: len(serial)] == serial
+        extra = list(sharded.parameters.values())[len(serial):]
+        assert [p.name for p in extra] == ["spec", "two_phase"]
+        assert all(p.kind is p.KEYWORD_ONLY for p in extra)

@@ -24,7 +24,6 @@ from repro.core.errors import ExecutionError, ValidationError
 from repro.core.schema import Schema, int_col, timestamp_col
 from repro.core.times import seconds, t
 from repro.core.tvr import TimeVaryingRelation, ins, wm
-from repro.exec.executor import Dataflow
 from repro.nexmark import NexmarkConfig, generate, paper_bid_stream
 from repro.nexmark.queries import Q3_LOCAL_ITEM_SUGGESTION, q7_paper
 
@@ -436,12 +435,6 @@ def test_batch_size_zero_rejected_by_config():
     with pytest.raises(ValidationError, match="batch_size"):
         ExecutionConfig(batch_size=-3).validate()
     ExecutionConfig(batch_size=1).validate()
-
-
-def test_batch_size_zero_rejected_by_dataflow(engine):
-    plan = engine.query("SELECT price FROM Bid").plan
-    with pytest.raises(ExecutionError, match="batch_size"):
-        Dataflow(plan, engine._sources, batch_size=0)
 
 
 def test_coalesce_emit_stream_warns_once(engine):

@@ -1461,15 +1461,16 @@ class TestEncodedAtRest:
         flow = engine.query(KEYED_SUM).dataflow()
         for event in events[:60]:
             flow.process(event, "L")
-        cursor = flow.output_size
+        cursor = flow.output_size_of("main")
         flow.checkpoint()
-        assert flow.output_size == cursor
+        assert flow.output_size_of("main") == cursor
         assert flow.history_items_of("main") == {"sealed": cursor, "live": 0}
         for event in events[60:]:
             flow.process(event, "L")
         expected = engine.query(KEYED_SUM).run().changes
-        assert flow.output_slice(cursor) == expected[cursor:]
-        assert flow.output_slice(cursor - 2) == expected[cursor - 2:]
+        assert flow.output_slice_of("main", cursor) == expected[cursor:]
+        before = cursor - 2
+        assert flow.output_slice_of("main", before) == expected[before:]
         assert flow.result().changes == expected
 
 

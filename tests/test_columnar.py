@@ -21,8 +21,8 @@ from repro.core.schema import Schema, int_col, timestamp_col
 from repro.core.schema import SqlType
 from repro.core.times import seconds, t
 from repro.core.tvr import TimeVaryingRelation, ins, wm
-from repro.exec import codegen
 from repro.exec.operators.pipeline import PipelineOperator
+from repro.exec.operators.stateless import FilterOperator, ProjectOperator
 from repro.nexmark.queries import Q3_LOCAL_ITEM_SUGGESTION
 from repro.plan.rex import (
     RexCase,
@@ -30,6 +30,7 @@ from repro.plan.rex import (
     RexCurrentTime,
     RexInput,
     RexLiteral,
+    compile_rex,
 )
 
 KEYED_SCHEMA = Schema(
@@ -181,23 +182,22 @@ def _changes(rows):
 
 
 def test_pipeline_codegen_matches_interpreter():
-    steps = (
-        ("filter", RexCall_gt(_int_input(0), _lit(2))),
-        ("project", (RexCall_add(_int_input(0), _int_input(1)),)),
+    """The generated loops against the reference: the unfused
+    ``FilterOperator`` -> ``ProjectOperator`` chain over ``compile_rex``
+    closures, on the same batch."""
+    cond = RexCall_gt(_int_input(0), _lit(2))
+    total = RexCall_add(_int_input(0), _int_input(1))
+    compiled = PipelineOperator(
+        _two_int_schema(), 2, (("filter", cond), ("project", (total,)))
     )
-    compiled = PipelineOperator(_two_int_schema(), 2, steps)
-    codegen_was = codegen.ENABLED
-    codegen.ENABLED = False
-    try:
-        interpreted = PipelineOperator(_two_int_schema(), 2, steps)
-    finally:
-        codegen.ENABLED = codegen_was
+    keep = FilterOperator(_two_int_schema(), compile_rex(cond))
+    project = ProjectOperator(_two_int_schema(), [compile_rex(total)])
     batch = _changes([(1, 10), (3, 20), (5, 30), (None, 40)])
-    assert compiled.on_batch(0, batch) == interpreted.on_batch(0, batch)
-    cols = ColumnarBatch.from_changes(batch, 2)
-    out = compiled.on_cols(0, cols)
-    rows = out.to_changes() if isinstance(out, ColumnarBatch) else out
-    assert rows == interpreted.on_batch(0, batch)
+    reference = project.on_batch(0, keep.on_batch(0, batch))
+    assert [c.values for c in reference] == [(23,), (35,)]
+    assert compiled.on_batch(0, batch) == reference
+    out = compiled.on_cols(0, ColumnarBatch.from_changes(batch, 2))
+    assert out.to_changes() == reference
 
 
 def test_case_and_cast_fall_back_to_closures():
@@ -326,8 +326,7 @@ def test_columnar_checkpoint_restore_roundtrip():
         [("main", query.plan)],
         pickle.loads(blob),
         {"S": TimeVaryingRelation(KEYED_SCHEMA, events)},
-        batch_size=64,
-        columnar="on",
+        engine.config,
     )
     restored.restore(blob)
     for event in events[half:]:

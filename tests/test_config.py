@@ -1,22 +1,17 @@
-"""The unified ExecutionConfig surface: layering, validation, shims, CLI.
+"""The unified ExecutionConfig surface: layering, validation, CLI.
 
-One frozen :class:`repro.ExecutionConfig` is the only non-deprecated way
-to configure execution, accepted at three layers with *call-site >
-query > engine > defaults* precedence.  The old keyword arguments
+One frozen :class:`repro.ExecutionConfig` is the only way to configure
+execution, accepted at three layers with *call-site > query > engine >
+defaults* precedence.  The pre-config keyword arguments
 (``parallelism=``, ``backend=``, ``telemetry=``, ``allowed_lateness=``,
-``shards=``) keep working through shims that warn exactly once per
-keyword per process — the suite otherwise runs with
-``-W error::DeprecationWarning``, so these tests are the only place the
-shims are allowed to fire.
+``shards=``) were removed in 2.0.
 """
 
 import dataclasses
-import warnings
 
 import pytest
 
 import repro
-import repro.config as repro_config
 from repro import ExecutionConfig, FaultPlan, RetryPolicy, StreamEngine
 from repro.__main__ import build_config, build_parser
 from repro.config import EXECUTION_DEFAULTS
@@ -37,8 +32,8 @@ TUMBLE_SQL = (
 )
 
 
-def keyed_engine(config=None, **kwargs):
-    engine = StreamEngine(config=config, **kwargs)
+def keyed_engine(config=None):
+    engine = StreamEngine(config=config)
     events = [
         ins(100, (1, t("8:00"), 10)),
         ins(200, (2, t("8:01"), 20)),
@@ -48,16 +43,6 @@ def keyed_engine(config=None, **kwargs):
     ]
     engine.register_stream("S", TimeVaryingRelation(KEYED_SCHEMA, events))
     return engine
-
-
-@pytest.fixture(autouse=True)
-def fresh_warning_registry():
-    """Each test sees a pristine warn-once registry, then restores it."""
-    saved = set(repro_config._WARNED)
-    repro_config._WARNED.clear()
-    yield
-    repro_config._WARNED.clear()
-    repro_config._WARNED.update(saved)
 
 
 # ---------------------------------------------------------------------------
@@ -200,54 +185,21 @@ class TestPrecedence:
 
 
 # ---------------------------------------------------------------------------
-# deprecated keyword shims: warn exactly once per keyword per process
+# the pre-config keywords are gone, not shimmed
 # ---------------------------------------------------------------------------
 
 
-class TestDeprecatedKwargs:
-    def test_engine_kwargs_warn_and_apply(self):
-        with pytest.warns(DeprecationWarning, match="parallelism"):
-            engine = StreamEngine(parallelism=2)
-        assert engine.parallelism == 2
-
-    def test_each_keyword_warns_exactly_once(self):
-        with pytest.warns(DeprecationWarning):
-            StreamEngine(parallelism=2)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            StreamEngine(parallelism=3)  # same keyword: silent now
-        assert caught == []
-
-    def test_distinct_keywords_warn_independently(self):
-        with pytest.warns(DeprecationWarning, match="parallelism"):
-            StreamEngine(parallelism=2)
-        with pytest.warns(DeprecationWarning, match="backend"):
-            StreamEngine(backend="sync")
-
-    def test_deprecated_kwargs_still_validate(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValidationError):
-                StreamEngine(parallelism=0)
-
-    def test_kwargs_override_the_explicit_config(self):
-        with pytest.warns(DeprecationWarning):
-            engine = StreamEngine(
-                config=ExecutionConfig(parallelism=4), parallelism=2
-            )
-        assert engine.parallelism == 2
-
-    def test_query_allowed_lateness_kwarg(self):
-        engine = keyed_engine()
-        with pytest.warns(DeprecationWarning, match="allowed_lateness"):
-            query = engine.query(TUMBLE_SQL, allowed_lateness=60_000)
-        assert query.allowed_lateness == 60_000
-
-    def test_sharded_dataflow_shards_kwarg(self):
+class TestRemovedKeywords:
+    def test_pre_config_keywords_are_type_errors(self):
         engine = keyed_engine()
         query = engine.query(TUMBLE_SQL)
-        with pytest.warns(DeprecationWarning, match="shards"):
-            flow = query.sharded_dataflow(shards=3)
-        assert flow.shard_count == 3
+        for call in (
+            lambda: StreamEngine(parallelism=2),
+            lambda: engine.query(TUMBLE_SQL, allowed_lateness=60_000),
+            lambda: query.sharded_dataflow(shards=3),
+        ):
+            with pytest.raises(TypeError):
+                call()
 
 
 # ---------------------------------------------------------------------------

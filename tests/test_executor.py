@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import StreamEngine
+from repro import ExecutionConfig, StreamEngine
 from repro.core.errors import ExecutionError
 from repro.core.schema import Schema, int_col, string_col, timestamp_col
 from repro.core.times import MAX_TIMESTAMP, minutes, t
@@ -51,7 +51,7 @@ class TestBasics:
         engine = make_engine(bounded_rows=[])
         query = engine.query("SELECT * FROM S")
         with pytest.raises(ExecutionError, match="no source registered"):
-            Dataflow(query.plan, {})
+            Dataflow(query.plan, {}, engine.config)
 
     def test_union_all(self):
         engine = make_engine(bounded_rows=[(1, 10, "a")])
@@ -219,7 +219,8 @@ class TestRunGrouping:
     def _flow(self, engine, batch_size, columnar="off"):
         flow = _RecordingFlow(
             engine.query(self.SQL).plan, engine._sources,
-            batch_size=batch_size, columnar=columnar,
+            ExecutionConfig(batch_size=batch_size, columnar=columnar)
+            .merged_over(engine.config),
         )
         flow.runs = []
         return flow

@@ -3,13 +3,11 @@
 ``StreamEngine.explain``, ``PreparedQuery.explain``, the shell's
 ``\\explain [MODE]`` and the SQL ``EXPLAIN [...]`` spellings all route
 through ``repro.explain.render_explain``, so their output can never
-drift apart; the pre-1.2 ``explain_analyze`` entry points live on as
-warn-once deprecation shims.
+drift apart.
 """
 
 import pytest
 
-import repro.config as repro_config
 from repro import ExecutionConfig, StreamEngine, ValidationError, parse_explain
 from repro.core.schema import Schema, int_col, timestamp_col
 from repro.core.tvr import TimeVaryingRelation, ins, wm
@@ -40,15 +38,6 @@ def make_engine(parallelism=4, two_phase="on"):
     ] + [wm(2_000_000, 1 << 60)]
     engine.register_stream("S", TimeVaryingRelation(SCHEMA, events))
     return engine
-
-
-@pytest.fixture(autouse=True)
-def fresh_warning_registry():
-    saved = set(repro_config._WARNED)
-    repro_config._WARNED.clear()
-    yield
-    repro_config._WARNED.clear()
-    repro_config._WARNED.update(saved)
 
 
 class TestModes:
@@ -100,23 +89,6 @@ class TestParity:
         query = engine.query(SQL)
         for mode in ("logical", "physical", "costs"):
             assert engine.explain(SQL, mode=mode) == query.explain(mode=mode)
-
-
-class TestDeprecatedShims:
-    def test_engine_shim_warns_once_and_matches(self):
-        engine = make_engine()
-        with pytest.warns(DeprecationWarning, match="explain_analyze"):
-            old = engine.explain_analyze(SQL)
-        # second use is silent (warn-once), and output matches the new mode
-        old_again = engine.explain_analyze(SQL)
-        assert old == old_again == engine.explain(SQL, mode="analyze")
-
-    def test_query_shim_shares_the_warn_once_registry(self):
-        engine = make_engine()
-        with pytest.warns(DeprecationWarning, match="explain_analyze"):
-            engine.query(SQL).explain_analyze()
-        # the engine shim is the same deprecated entry point: silent now
-        engine.explain_analyze(SQL)
 
 
 class TestParseExplain:

@@ -112,7 +112,10 @@ def test_optimizer_preserves_results(sql):
     planner = Planner(engine._catalog, default_registry())
     raw_plan = planner.plan_sql(sql)  # no optimize()
     raw = Counter(
-        Dataflow(raw_plan, engine._sources).run().snapshot().tuples
+        Dataflow(raw_plan, engine._sources, engine.config)
+        .run()
+        .snapshot()
+        .tuples
     )
     assert raw == optimized
 

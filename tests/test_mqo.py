@@ -216,6 +216,52 @@ class TestSharing:
         assert query_changes(q1) == oneshot_changes(events, Q_SUM)
         assert query_changes(q2) == oneshot_changes(events, Q_SUM_3MIN)
 
+    @pytest.mark.parametrize(
+        "parallelism, knob", [(1, "columnar"), (2, "two_phase")]
+    )
+    def test_spellings_that_run_alike_share_one_flow(self, parallelism, knob):
+        """At ``batch_size=64`` ``columnar="on"`` and ``"auto"`` both run
+        columnar, and without counter feedback ``two_phase="on"`` and
+        ``"auto"`` both run two-phase: the config key is what the flow
+        does, so each pair shares one flow — and each query's deltas are
+        byte-identical to an unshared run of its own config."""
+        base = dict(parallelism=parallelism, backend="sync", batch_size=64)
+        members = [("alice", Q_SUM, "on"), ("bob", Q_MAX, "auto")]
+        events = make_events(60)
+
+        def deltas(share):
+            svc = service_with_source(
+                ExecutionConfig(**base, share_plans=share)
+            )
+            queries = [
+                svc.submit(tenant, sql, config=ExecutionConfig(**{knob: value}))
+                for tenant, sql, value in members
+            ]
+            subscribers = [
+                svc.subscribe(query.query_id, "sub") for query in queries
+            ]
+            taken = [[] for _ in queries]
+            for event in events:
+                svc.ingest(event, "S")
+                for got, subscriber in zip(taken, subscribers):
+                    got += [(d.seq, d.change) for d in subscriber.take()]
+            return queries, taken
+
+        shared, shared_deltas = deltas(True)
+        assert shared[0].flow is shared[1].flow
+        if parallelism > 1:
+            assert shared[0].flow.is_two_phase(shared[1].output_id)
+        else:
+            assert shared[0].flow._columnar_active
+        private, private_deltas = deltas(False)
+        assert private[0].flow is not private[1].flow
+        assert shared_deltas == private_deltas
+        assert all(shared_deltas)
+        for (_, sql, _), query in zip(members, shared):
+            assert query_changes(query) == oneshot_changes(
+                events, sql, parallelism
+            )
+
     def test_lateness_mismatch_blocks_sharing(self):
         svc = service_with_source()
         q1 = svc.submit("alice", Q_SUM)

@@ -1,7 +1,7 @@
 """Sharded runtime tests: the serial engine is the ground truth.
 
 The contract of :mod:`repro.runtime`: for every query the partition
-analyzer accepts, `StreamEngine(parallelism=N)` produces output
+analyzer accepts, ``ExecutionConfig(parallelism=N)`` produces output
 *identical* to the serial engine — values, ``ptime``, ``undo``,
 ``ver``, and ordering — for any N and any worker-pool backend; every
 query the analyzer rejects silently runs serial, with the reason

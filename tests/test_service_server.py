@@ -242,7 +242,7 @@ class TestServerProtocol:
         eng = StreamEngine()
         eng.register_stream("Bid", bid_stream)
         expected = eng.query(WINDOWED_MAX).run().changes
-        assert query.flow.output_slice(0) == expected
+        assert query.flow.output_slice_of(query.output_id) == expected
         assert [d.change for d in subscriber.take()] == expected
 
 
@@ -542,7 +542,7 @@ class TestListenSource:
         eng = StreamEngine()
         eng.register_stream("Bid", bid_stream)
         expected = eng.query(WINDOWED_MAX).run().changes
-        assert query.flow.output_slice(0) == expected
+        assert query.flow.output_slice_of(query.output_id) == expected
         assert [d.change for d in subscriber.take()] == expected
 
     def test_socket_and_tail_share_one_source(self, bid_stream, tmp_path):
@@ -582,7 +582,7 @@ class TestListenSource:
         eng = StreamEngine()
         eng.register_stream("Bid", bid_stream)
         expected = eng.query(WINDOWED_MAX).run().changes
-        assert query.flow.output_slice(0) == expected
+        assert query.flow.output_slice_of(query.output_id) == expected
 
     def test_listen_source_requires_registered_source(self, bid_stream):
         service = empty_service(bid_stream)

@@ -113,7 +113,7 @@ class TestIncrementalEquivalence:
         eng = StreamEngine()
         eng.register_stream("Bid", bid_stream)
         expected = eng.query(WINDOWED_MAX).run().changes
-        assert query.flow.output_slice(0) == expected
+        assert query.flow.output_slice_of(query.output_id) == expected
 
     def test_sharded_matches_oneshot_paper_stream(self, bid_stream):
         svc = service_with_empty_source(schema=bid_stream.schema, name="Bid")
@@ -125,7 +125,8 @@ class TestIncrementalEquivalence:
             svc.ingest(event, "Bid")
         eng = StreamEngine()
         eng.register_stream("Bid", bid_stream)
-        assert query.flow.output_slice(0) == eng.query(WINDOWED_MAX).run().changes
+        expected = eng.query(WINDOWED_MAX).run().changes
+        assert query.flow.output_slice_of(query.output_id) == expected
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -141,7 +142,7 @@ class TestIncrementalEquivalence:
         assert query.sharded == (parallelism > 1)
         for event in events:
             svc.ingest(event, "S")
-        assert query.flow.output_slice(0) == oneshot_changes(
+        assert query.flow.output_slice_of(query.output_id) == oneshot_changes(
             events, KEYED_WINDOW_SUM, parallelism
         )
 
@@ -156,7 +157,8 @@ class TestIncrementalEquivalence:
                 svc.ingest(ins(event.ptime, (1, event.ptime, 5)), "Other")
         eng = StreamEngine()
         eng.register_stream("Bid", bid_stream)
-        assert query.flow.output_slice(0) == eng.query(WINDOWED_MAX).run().changes
+        expected = eng.query(WINDOWED_MAX).run().changes
+        assert query.flow.output_slice_of(query.output_id) == expected
 
     def test_late_registration_catches_up(self, bid_stream):
         """A query admitted mid-stream replays history before going live."""
@@ -169,7 +171,8 @@ class TestIncrementalEquivalence:
             svc.ingest(event, "Bid")
         eng = StreamEngine()
         eng.register_stream("Bid", bid_stream)
-        assert query.flow.output_slice(0) == eng.query(WINDOWED_MAX).run().changes
+        expected = eng.query(WINDOWED_MAX).run().changes
+        assert query.flow.output_slice_of(query.output_id) == expected
 
     def test_coalesce_config_flows_through(self, bid_stream):
         config = ExecutionConfig(coalesce_updates=True)
@@ -183,7 +186,7 @@ class TestIncrementalEquivalence:
         eng.register_stream("Bid", bid_stream)
         with pytest.warns(UserWarning):
             expected = eng.query(WINDOWED_MAX).run().changes
-        assert query.flow.output_slice(0) == expected
+        assert query.flow.output_slice_of(query.output_id) == expected
 
 
 class TestSubscriptions:
@@ -212,7 +215,8 @@ class TestSubscriptions:
             svc.ingest(event, "Bid")
         deltas = subscriber.take()
         assert [d.seq for d in deltas] == list(range(len(deltas)))
-        assert [d.change for d in deltas] == query.flow.output_slice(0)
+        changes = query.flow.output_slice_of(query.output_id)
+        assert [d.change for d in deltas] == changes
 
     def test_slow_consumer_is_evicted(self, bid_stream):
         svc = service_with_empty_source(
@@ -268,7 +272,7 @@ class TestDurability:
             resumed.ingest(event, "Bid")
         eng = StreamEngine()
         eng.register_stream("Bid", bid_stream)
-        assert restored.flow.output_slice(0) == (
+        assert restored.flow.output_slice_of(restored.output_id) == (
             eng.query(WINDOWED_MAX).run().changes
         )
 

@@ -228,7 +228,10 @@ def test_telemetry_survives_checkpoint():
     flow.run()
     restored = engine.query(TUMBLE_SQL).dataflow()
     restored.restore(flow.checkpoint())
-    assert restored.telemetry.summary() == flow.telemetry.summary()
+    assert (
+        restored.telemetry_of("main").summary()
+        == flow.telemetry_of("main").summary()
+    )
 
 
 def test_run_telemetry_merge():
