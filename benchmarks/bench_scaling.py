@@ -35,6 +35,7 @@ from repro.core.tvr import RowEvent, TimeVaryingRelation, ins, wm
 from repro.exec.executor import Dataflow, event_runs, merge_source_events
 from repro.nexmark import NexmarkConfig, generate
 from repro.nexmark.queries import Q0_PASSTHROUGH, q7_highest_bid
+from repro.plan.physical import PARTIALS
 
 
 def _run(num_events, sql):
@@ -280,9 +281,10 @@ def collect_interleaved() -> dict:
     fed = []
     real = Dataflow.process_batch
 
-    def counting(flow, rows, *rest):
-        fed.append(len(rows))
-        return real(flow, rows, *rest)
+    def counting(flow, rows, source, *rest):
+        if source != PARTIALS:  # shard feeds, not the combine flow's
+            fed.append(len(rows))
+        return real(flow, rows, source, *rest)
 
     arms = []
     for shards in IL_SHARDS:

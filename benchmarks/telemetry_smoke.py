@@ -134,6 +134,14 @@ def run_smoke(fault_plan: str | None = None) -> dict:
         raise AssertionError("JSONL log did not round-trip event for event")
     if not any(event.kind == "batch" for event in events):
         raise AssertionError("JSONL log has no batch events")
+    # Batches are reported where output is made: for this two-phase plan
+    # the combine flow's root, not the shards' partial payloads.
+    traced = sum(event.count for event in events if event.kind == "batch")
+    if traced != len(result.changes):
+        raise AssertionError(
+            f"JSONL batch events count {traced} changes, the run "
+            f"produced {len(result.changes)}"
+        )
 
     if fault_plan is not None:
         recovery = result.metrics.recovery

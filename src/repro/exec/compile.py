@@ -9,6 +9,7 @@ from typing import Iterable, Optional, Sequence
 from ..core.errors import PlanError
 from ..plan import rex
 from ..plan.match import MatchRecognizeNode
+from ..plan.physical import CombineAggregateNode
 from ..plan.pipeline import PipelineNode
 from ..plan.logical import (
     AggregateNode,
@@ -30,7 +31,11 @@ from ..plan.logical import (
     WindowKind,
     WindowNode,
 )
-from .operators.aggregate import AggregateOperator, PartialAggregateOperator
+from .operators.aggregate import (
+    AggregateOperator,
+    CombineAggregateOperator,
+    PartialAggregateOperator,
+)
 from .operators.base import Operator
 from .operators.join import JoinOperator, TimeBound
 from .operators.outer_join import OuterJoinOperator
@@ -138,7 +143,9 @@ def build_operator(
             delta_mode=getattr(node, "delta_mode", False),
         )
     if isinstance(node, AggregateNode):
-        return AggregateOperator(
+        # (a merge plan's leaf is the split aggregate, fed partial payloads)
+        combine = isinstance(node, CombineAggregateNode)
+        return (CombineAggregateOperator if combine else AggregateOperator)(
             node.schema,
             node.group_indices,
             node.aggs,

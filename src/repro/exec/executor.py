@@ -520,7 +520,7 @@ class Dataflow(OutputLogs):
         # across attach boundaries, never inside one plan.
         self._fp_index.setdefault(fp, op)
         self._plan_node_ops[id(node)] = op
-        if isinstance(op, ScanOperator):
+        if not node.inputs:  # a scan, VALUES, or a merge plan's combine
             self._register_leaf(op)
         if isinstance(node, ValuesNode):
             self._values_rows[id(op)] = node.rows
@@ -539,11 +539,13 @@ class Dataflow(OutputLogs):
             return get_fused_root(plan)
         return plan.root
 
-    def _register_leaf(self, leaf: ScanOperator) -> None:
+    def _register_leaf(self, leaf: Operator) -> None:
         key = leaf.source_name.lower()
         self._leaves.append(leaf)
         self._leaves_by_source.setdefault(key, []).append(leaf)
-        if not key.startswith("$values") and key not in self._sources:
+        # ("$"-names are fed by the engine itself: VALUES preludes and
+        # the partial payloads of a merge plan.)
+        if not key.startswith("$") and key not in self._sources:
             raise ExecutionError(f"no source registered for {leaf.source_name!r}")
 
     # -- public API -----------------------------------------------------------

@@ -30,6 +30,7 @@ from ...core.errors import ExecutionError
 from ...core.schema import Schema
 from ...core.times import MIN_TIMESTAMP, Timestamp
 from ...plan.logical import AggCall
+from ...plan.physical import PARTIALS
 from .base import Operator
 
 __all__ = [
@@ -665,6 +666,8 @@ class CombineAggregateOperator(AggregateOperator):
     # Payloads are opaque row changes; the columnar fast path must not
     # apply aggregate transitions to them.
     supports_columnar = False
+    #: The leaf of a merge plan's flow, fed payloads under this name.
+    source_name = PARTIALS
 
     def __init__(
         self,

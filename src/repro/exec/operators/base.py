@@ -189,10 +189,10 @@ class Operator:
         **Snapshot by serialization**: the result holds *references*
         into live state, not copies.  It is valid only until the
         operator next sees input, so every caller serializes it before
-        returning (``Dataflow.checkpoint`` and ``CombineStage.snapshot``
-        pickle it on the spot) — the pickle is the copy, and the only
-        one.  The base snapshot covers the watermark bookkeeping;
-        stateful subclasses extend it.  Together with the executor's
+        returning (``Dataflow.checkpoint``, and ``ShardedDataflow``'s
+        for its combine flows, pickle it on the spot) — the pickle is
+        the copy, and the only one.  The base snapshot covers the
+        watermark bookkeeping; stateful subclasses extend it.  Together with the executor's
         own bookkeeping this gives consistent stop-and-resume, the
         checkpoint/recovery capability Appendix B.2.1 describes for
         Flink.

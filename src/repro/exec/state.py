@@ -95,7 +95,8 @@ def collect_sharded_state(sharded: "ShardedDataflow") -> StateReport:
     Operator names come from each operator class (not the per-shard
     dynamic descriptions, which differ as each shard holds a different
     key subset) and are suffixed with the shard count, so the report
-    still reads in plan order.
+    still reads in plan order.  The operators of each two-phase output's
+    combine flow follow, as :func:`collect_state` reports them.
     """
     shard_ops = [shard.operators for shard in sharded.shards]
     states = []
@@ -108,4 +109,6 @@ def collect_sharded_state(sharded: "ShardedDataflow") -> StateReport:
                 expired_rows=sum(op.expired_rows for op in ops),
             )
         )
+    for combine in sharded.combines.values():
+        states.extend(collect_state(combine).operators)
     return StateReport(tuple(states))

@@ -9,7 +9,7 @@ Every way of asking "what will (did) this query do" — the engine's
   (sharded-by or the serial fallback reason) when parallelism is
   configured.
 * ``physical`` — ``logical`` plus the physical aggregation shape: the
-  combine-stage tree and the per-shard partial tree for a two-phase
+  merge-stage tree and the per-shard partial tree for a two-phase
   plan, or the single-phase reason; for a sharded plan also the run
   shape — whether a shard is fed its share of each instant's run whole
   (``runs: per instant, sequence-tagged``) or split at sequence gaps,
@@ -33,7 +33,7 @@ from typing import Optional
 from .core.errors import ValidationError
 from .obs.lineage import LineageRecorder
 from .plan.physical import MIN_COMBINE_FANIN
-from .plan.pipeline import PipelineNode, get_fused_root
+from .plan.pipeline import PipelineNode
 from .runtime.sharded import ShardedDataflow
 
 __all__ = ["EXPLAIN_MODES", "parse_explain", "render_explain"]
@@ -158,14 +158,10 @@ def _physical_section(query, flow, verbose: bool) -> str:
         f"{physical.reason}",
         _runs_line(flow),
         "  merge stage:",
+        split.merge_plan.root.explain(2),
+        f"  each of {flow.shard_count} shards:",
+        split.shard_plan.root.explain(2, verbose).rstrip("\n"),
     ]
-    depth = 2
-    for node in split.finish:
-        lines.append("  " * depth + node._describe())
-        depth += 1
-    lines.append("  " * depth + "Combine" + split.aggregate._describe())
-    lines.append(f"  each of {flow.shard_count} shards:")
-    lines.append(split.shard_plan.root.explain(2, verbose).rstrip("\n"))
     return "\n".join(lines)
 
 
@@ -174,30 +170,46 @@ def _columnar_section(query, flow) -> str:
 
     ``[columnar]`` marks operators that consume column batches;
     ``[fused: ...]`` marks Filter/Project chains collapsed into one
-    generated pipeline loop.  Read off the serial flow that compiled
-    the plan — ``flow`` or its first shard; a two-phase split's merge
-    half runs in no flow, so there the plan is compiled serially — one
-    operator per plan node, in ``sharing_map``'s post-order.
+    generated pipeline loop.  Read off the serial flows that compiled
+    the plan — ``flow`` or its first shard, and for a two-phase split
+    the combine flow running the merge half above the partial half the
+    shards run — one operator per plan node, in ``sharing_map``'s
+    post-order.
     """
     effective = query._effective()
+    combine = None
     if isinstance(flow, ShardedDataflow):
-        flow = query._flow(effective) if flow.is_two_phase() else flow.shards[0]
+        sharded, flow = flow, flow.shards[0]
+        combine = sharded.combines.get("main")
     if not flow._columnar_active:
         return (
             f"Columnar: off — row-at-a-time batches "
             f"(columnar={effective.columnar}, "
             f"batch_size={effective.batch_size})"
         )
-    root = get_fused_root(query.plan)
+    lines = [
+        f"Columnar: on (columnar={effective.columnar}, "
+        f"batch_size={effective.batch_size})"
+    ]
+    if combine is None:
+        _annotated_tree(flow, 1, lines)
+    else:
+        lines.append("  merge stage:")
+        _annotated_tree(combine, 2, lines)
+        lines.append(f"  each of {sharded.shard_count} shards:")
+        _annotated_tree(flow, 2, lines)
+    return "\n".join(lines)
+
+
+def _annotated_tree(flow, depth: int, lines: list[str]) -> None:
+    """Append the plan tree ``flow`` compiled for its output ``"main"``,
+    each node tagged by the operator it became."""
+    root = flow._exec_root(flow.plan)
     operators = flow.operators
     ops = {
         id(node): operators[index]
         for node, index in zip(_post_order(root), flow.sharing_map()["main"])
     }
-    lines = [
-        f"Columnar: on (columnar={effective.columnar}, "
-        f"batch_size={effective.batch_size})"
-    ]
 
     def walk(node, depth: int) -> None:
         tags = ""
@@ -209,8 +221,7 @@ def _columnar_section(query, flow) -> str:
         for child in node.inputs:
             walk(child, depth + 1)
 
-    walk(root, 1)
-    return "\n".join(lines)
+    walk(root, depth)
 
 
 def _post_order(node):

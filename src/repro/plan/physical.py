@@ -10,7 +10,10 @@ single-phase result — the planner can instead run a
 single combine operator at the merge stage.  The partial stage is the
 pre-aggregate reduction before the merge reshuffle: the only rows that
 cross shards are one payload per (shard, batch), not one changelog
-entry per input row.
+entry per input row.  Both halves are ordinary plans: the merge half is
+the original plan with the aggregate replaced by a
+:class:`CombineAggregateNode` leaf, and runs in a ``Dataflow`` of its
+own.
 
 The choice is made by :func:`plan_physical` from three inputs:
 
@@ -29,7 +32,7 @@ The choice is made by :func:`plan_physical` from three inputs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .logical import (
@@ -56,20 +59,41 @@ __all__ = [
 MIN_COMBINE_FANIN = 4.0
 
 
+#: The source name a merge plan's leaf is fed under: the sharded
+#: runtime hands the flow running the merge half each run's partial
+#: payloads as row events of this internal source.
+PARTIALS = "$partials"
+
+
+class CombineAggregateNode(AggregateNode):
+    """The merge half's leaf: the split aggregate, folded from the
+    shards' partial payloads (fed as :data:`PARTIALS`) instead of from
+    its ``input``'s rows — so it has no inputs, and the finishing nodes
+    rebuilt over it derive the original plan's schema and completion
+    columns."""
+
+    def __init__(self, aggregate: AggregateNode):
+        super().__init__(aggregate.input, aggregate.group_indices, aggregate.aggs)
+        self.inputs = ()
+
+    def _describe(self) -> str:
+        return "Combine" + super()._describe()
+
+
 @dataclass(frozen=True)
 class TwoPhaseSplit:
-    """The rewritten shard-side plan plus the pieces the merge needs.
+    """The two halves of a split plan.
 
-    ``finish`` lists the stateless nodes between the original plan root
-    and the aggregate, root-first; the combine stage rebuilds them as
-    operators downstream of the combine so the merged changelog passes
+    ``shard_plan`` is what every shard runs: the aggregate's input under
+    ``partial``.  ``merge_plan`` is what the merge runs: the stateless
+    nodes that sat between the plan root and the aggregate, rebuilt over
+    a :class:`CombineAggregateNode`, so the merged changelog passes
     through the exact same finishing steps as single-phase execution.
     """
 
     shard_plan: QueryPlan
     partial: PartialAggregateNode
-    aggregate: AggregateNode
-    finish: tuple[LogicalNode, ...] = field(default_factory=tuple)
+    merge_plan: QueryPlan
 
 
 def split_eligibility(
@@ -99,12 +123,13 @@ def split_eligibility(
                 "partial + combine"
             )
     partial = PartialAggregateNode(node.input, node.group_indices, node.aggs)
-    shard_plan = QueryPlan(root=partial, emit=plan.emit, sql=plan.sql)
+    merge: LogicalNode = CombineAggregateNode(node)
+    for step in reversed(finish):
+        merge = step.with_inputs([merge])
     split = TwoPhaseSplit(
-        shard_plan=shard_plan,
+        shard_plan=QueryPlan(root=partial, emit=plan.emit, sql=plan.sql),
         partial=partial,
-        aggregate=node,
-        finish=tuple(finish),
+        merge_plan=QueryPlan(root=merge, emit=plan.emit, sql=plan.sql),
     )
     agg_names = ", ".join(call.function.name for call in node.aggs)
     return split, f"grouped aggregate over decomposable [{agg_names}]"

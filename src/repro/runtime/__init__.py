@@ -22,7 +22,6 @@ engine's, with or without worker failures along the way (see
 """
 
 from .backends import run_shards
-from .combine import CombineStage
 from .faults import (
     FAULT_KINDS,
     FaultInjector,
@@ -38,7 +37,6 @@ from .supervisor import RetryPolicy, ShardSupervisor, SupervisedOutcome
 
 __all__ = [
     "ShardedDataflow",
-    "CombineStage",
     "WatermarkFrontier",
     "run_shards",
     "RetryPolicy",

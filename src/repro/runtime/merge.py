@@ -16,21 +16,25 @@ the serial root watermark track.
 A shard reports both per output as a :class:`ShardLog`, and
 :func:`splice` is the one function that folds shard logs into the
 merged outputs — for a chunk of one event routed incrementally and for
-a whole supervised run alike.
+a whole supervised run alike.  For a two-phase output it drives the
+output's combine flow, an ordinary ``Dataflow`` running the merge half
+of the split plan, with the reassembled payloads and frontier advances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional, Sequence
 
 from ..core.changelog import Change
 from ..core.codec import changes_log, decode_slices, encode_slices
 from ..core.errors import ExecutionError
 from ..core.times import Timestamp
+from ..core.tvr import RowEvent, WatermarkEvent
+from ..exec.executor import Dataflow
 from ..obs.lineage import LineageRecorder
-from .combine import CombineStage, double_claim, reassemble
+from ..plan.physical import PARTIALS
 from .frontier import WatermarkFrontier
 
 __all__ = [
@@ -38,6 +42,8 @@ __all__ = [
     "ShardLog",
     "dedup_by_seq",
     "dedup_observations",
+    "double_claim",
+    "reassemble",
     "splice",
 ]
 
@@ -157,9 +163,62 @@ def dedup_observations(
     return unique
 
 
+def reassemble(
+    shares: Sequence[tuple[int, list[Change]]], tag: int
+) -> list[Change]:
+    """One run's partial payloads, put back together for the combine
+    flow.
+
+    ``shares`` are the ``(shard, changes)`` slices the shards logged
+    under one ``tag`` (:data:`TaggedSlice`).  The entries of their
+    replay payloads are merged in sequence order into the one payload a
+    serial partial stage would have built for the whole run (a row that
+    multiplied, under Hop, keeps its entries together and in order:
+    they share a number, and the sort is stable).  A payload without numbers has ``tag`` for every entry's —
+    so a lone one is already in order and passes through untouched, and
+    two of them are two shards claiming one event.
+    """
+    if len(shares) == 1 and all(
+        len(change.values) == 3 for change in shares[0][1]
+    ):
+        return shares[0][1]
+    rows = 0
+    entries: list[tuple] = []
+    seqs: list[int] = []
+    owner: dict[int, int] = {}  # sequence number -> the shard claiming it
+    for shard, changes in shares:
+        for change in changes:
+            _, count, part, *numbers = change.values
+            numbers = numbers[0] if numbers else (tag,) * len(part)
+            rows += count
+            entries += part
+            seqs += numbers
+            for seq in numbers:
+                if owner.setdefault(seq, shard) != shard:
+                    raise double_claim(owner[seq], shard, seq)
+    order = sorted(range(len(seqs)), key=seqs.__getitem__)
+    first = shares[0][1][0]
+    return [
+        Change(
+            first.kind,
+            ("P2R", rows, tuple([entries[i] for i in order])),
+            first.ptime,
+        )
+    ]
+
+
+def double_claim(first: int, second: int, seq: int) -> ExecutionError:
+    """Two shards attributed output to one event: a broadcast row that
+    produced some, or routing that split a key."""
+    return ExecutionError(
+        f"shards {first} and {second} both produced output for event "
+        f"#{seq}; the plan is not cleanly partitioned"
+    )
+
+
 def splice(
     outputs: Mapping[str, MergedOutput],
-    stages: Mapping[str, CombineStage],
+    combines: Mapping[str, Dataflow],
     logs: Mapping[int, Mapping[str, ShardLog]],
     touched: set[str],
     recorder: Optional[LineageRecorder] = None,
@@ -174,12 +233,14 @@ def splice(
     executor met them in.  A slice extends the merged changelog (two
     shards under one tag is then an error); for a two-phase output the
     slices under one tag are the shards' shares of one run, which
-    :func:`~repro.runtime.combine.reassemble` puts back together by the
-    sequence numbers inside, and the output's combine stage is fed
-    **once per run** — its *final* changes are spliced in the run's
-    place.  An observation moves the frontier, and the stage with it
-    whenever the merged minimum advances, freeing combine state exactly
-    when the serial root would.
+    :func:`reassemble` puts back together by the sequence numbers
+    inside, and the output's combine flow — the ``Dataflow`` running
+    the merge half of the split plan — is fed it **once per run**
+    (``process_batch`` under :data:`~repro.plan.physical.PARTIALS`): what
+    it hands over (``take_output_of``) is spliced in the run's place.
+    An observation moves the frontier, and the combine flow with it
+    (``process``) whenever the merged minimum advances, freeing combine
+    state exactly when the serial root would.
 
     With a lineage ``recorder`` the position notes its shard flows left
     (in production order) are drained once and resolved to the merged
@@ -187,7 +248,7 @@ def splice(
     """
     landed: dict[str, Iterator[list[int]]] = {}
     for oid, merge in outputs.items():
-        stage = stages.get(oid)
+        combine = combines.get(oid)
         merged, base, frontier = merge.log.tail, merge.log.base, merge.frontier
         entries = [
             (seq, shard, changes, 0, 0)
@@ -207,23 +268,24 @@ def splice(
             i += 1
             if changes is None:
                 advanced = frontier.observe(shard, ptime, value)
-                if stage is not None and advanced is not None:
-                    stage.advance(advanced, ptime)
+                if combine is not None and advanced is not None:
+                    combine.process(WatermarkEvent(ptime, advanced), PARTIALS)
                 continue
             count = len(changes)  # shard-local, for the lineage notes
-            if stage is not None:
+            if combine is not None:
                 # Every shard's slice under this tag: the shares of one
                 # run, or a lone slice naming its first event.
                 first = i - 1
                 while i < n and entries[i][0] == seq:
                     i += 1
-                changes = stage.feed(
-                    reassemble(
-                        [(entry[1], entry[2]) for entry in entries[first:i]],
-                        seq,
-                    ),
-                    frontier.current,
+                payload = reassemble(
+                    [(entry[1], entry[2]) for entry in entries[first:i]], seq
                 )
+                combine.process_batch(
+                    [RowEvent(change.ptime, change) for change in payload],
+                    PARTIALS,
+                )
+                changes = combine.take_output_of("main")
             elif i < n and entries[i][0] == seq:
                 raise double_claim(shard, entries[i][1], seq)
             start = base + len(merged)
@@ -231,14 +293,14 @@ def splice(
             end = base + len(merged)
             if recorder is not None:  # (then no slice spans shards)
                 spans[shard].append([start, end, count])
-            if end > start:  # (a combine stage may absorb a slice whole)
+            if end > start:  # (a combine flow may absorb a slice whole)
                 touched.add(oid)
         landed[oid] = (span for shard in spans for span in spans[shard])
     if recorder is None:
         return
     # Notes arrive in production order — shard by shard, run by run —
     # and so do the spans above; a note counts shard-local changes, so
-    # for a two-phase output (where what landed is the combine stage's
+    # for a two-phase output (where what landed is the combine flow's
     # output for the slice) the slice's first note takes the whole span.
     open_span: dict[str, list[int]] = {}
     for oid, cause, count in recorder.drain_shard_notes():
@@ -246,7 +308,7 @@ def splice(
         if span is None or span[2] <= 0:
             span = open_span[oid] = next(landed[oid])
         start, stop, _ = span
-        end = stop if oid in stages else start + count
+        end = stop if oid in combines else start + count
         recorder.record_output(cause, oid, range(start, end))
         span[0] = end
         span[2] -= count

@@ -39,16 +39,18 @@ re-emitted is dropped by tag before the splice.
 
 With ``two_phase=True``, eligible grouped-aggregate plans run split:
 each shard executes the plan's *partial* half (folding only its routed
-rows into per-group payloads), and a
-:class:`~repro.runtime.combine.CombineStage` behind the merge point
-folds those payloads into the final aggregate changelog.  The splice
-feeds payload slices and frontier advances to the stage in global
-sequence order — the same interleaving the serial executor sees — so
-the output keeps the serial guarantee while the merge path carries one
-payload per shard feed instead of one change per input row, and the
-stage is fed one reassembled payload per run.  Plans
-the physical planner cannot split (see :mod:`repro.plan.physical`)
-simply run single-phase.
+rows into per-group payloads), and behind the merge point an ordinary
+:class:`~repro.exec.executor.Dataflow` — the *combine flow* — runs the
+merge half (``TwoPhaseSplit.merge_plan``: the combine aggregate under
+the original finishing steps), folding those payloads into the final
+aggregate changelog.  The splice feeds it payloads and frontier
+advances in global sequence order — the same interleaving the serial
+executor sees — so the output keeps the serial guarantee while the
+merge path carries one payload per shard feed instead of one change per
+input row, and the combine flow is fed one reassembled payload per run.
+Its counting, compaction, state sweep and telemetry are the executor's
+own.  Plans the physical planner cannot split (see
+:mod:`repro.plan.physical`) simply run single-phase.
 
 Like the serial executor, a sharded dataflow can host several output
 channels over shared subplans (:meth:`attach_output` /
@@ -75,6 +77,7 @@ from ..core.codec import changes_log, concat_segments
 from ..core.errors import ExecutionError
 from ..core.times import MIN_TIMESTAMP, Timestamp
 from ..core.tvr import RowEvent, StreamEvent, TimeVaryingRelation
+from ..core.watermark import WatermarkTrack
 from ..exec.compile import LINEAGE_SPLITS_RUNS
 from ..exec.executor import (
     CHECKPOINT_VERSION,
@@ -95,7 +98,6 @@ from ..obs.trace import TraceEvent
 from ..plan.partition import PartitionSpec
 from ..plan.physical import TwoPhaseSplit, split_eligibility
 from .backends import run_shards
-from .combine import CombineStage
 from .faults import FaultInjector
 from .frontier import WatermarkFrontier
 from .merge import (
@@ -177,10 +179,11 @@ class ShardedDataflow(OutputLogs):
         self.two_phase = two_phase
         self.batch_size = config.batch_size
         self._sources = sources
-        #: per-output physical split and its combine stage; an output
-        #: absent from these maps runs single-phase.
+        #: per-output physical split and the flow running its merge
+        #: half (the combine flow, whose one output is ``"main"``); an
+        #: output absent from these maps runs single-phase.
         self.splits: dict[str, TwoPhaseSplit] = {}
-        self._stages: dict[str, CombineStage] = {}
+        self.combines: dict[str, Dataflow] = {}
         #: per output, the plan its shards run (the partial half of a
         #: split plan) — what a fresh shard is built from.
         self._shard_plans: dict[str, object] = {}
@@ -203,22 +206,23 @@ class ShardedDataflow(OutputLogs):
         plan,
         split: Optional[TwoPhaseSplit],
         shards: int,
-        stage: Optional[CombineStage] = None,
+        combine: Optional[Dataflow] = None,
     ) -> MergedOutput:
         """Merge-side bookkeeping of one output: the plan its shards run,
-        its combine stage when that plan is split (``stage`` to adopt a
+        its combine flow when that plan is split (``combine`` to adopt a
         donor's), its merged changelog."""
         if split is not None:
             self.splits[output_id] = split
-            self._stages[output_id] = (
-                stage
-                if stage is not None
-                else CombineStage(
-                    split,
-                    self.config.allowed_lateness,
-                    self.config.coalesce_updates,
+            if combine is None:
+                # Columnar off: the flow is fed one payload per run, so
+                # column batches never engage, and fusing its finishing
+                # chain would change its ``op_types`` — the shape of the
+                # stage state a checkpoint carries.  Fusion waits for
+                # checkpoint format 3.
+                combine = Dataflow(
+                    split.merge_plan, {}, replace(self.config, columnar="off")
                 )
-            )
+            self.combines[output_id] = combine
         self._shard_plans[output_id] = (
             split.shard_plan if split is not None else plan
         )
@@ -237,15 +241,23 @@ class ShardedDataflow(OutputLogs):
                 list(self._shard_plans.items()), structure, self._sources,
                 self.config,
             )
-        flow.trace = _shard_batch_tagger(self._trace, index)
+        flow.trace = self._shard_trace(index)
         return flow
+
+    def _shard_trace(self, index: int) -> Optional[Callable[[TraceEvent], None]]:
+        """Shard ``index``'s trace hook — none when the primary output is
+        two-phase: its shards emit partial payloads, and its batches are
+        reported by the combine flow's root."""
+        if self._primary in self.combines:
+            return None
+        return _batch_events(self._trace, index)
 
     def _prepare_split(self, plan) -> Optional[TwoPhaseSplit]:
         """The plan's two-phase split, if this flow runs two-phase.
 
         The split is recomputed deterministically wherever the flow is
-        (re)built — checkpoints carry only the stage *state*, never the
-        rewritten plan.  ``delta_mode`` tracks the flow's
+        (re)built — checkpoints carry only the combine flows' *state*,
+        never the rewritten plan.  ``delta_mode`` tracks the flow's
         ``coalesce_updates`` flag: with coalescing on, byte-level output
         identity is already waived, so partials ship folded per-group
         deltas instead of replayable per-row entries.
@@ -265,11 +277,15 @@ class ShardedDataflow(OutputLogs):
         from every shard, a ``"frontier"`` event per shard watermark
         advance, and a ``"watermark"`` event when the merged minimum
         moves — per-shard root-watermark events are folded into the
-        frontier timeline rather than reported twice.  With the
-        ``threads`` backend, batch events arrive from worker threads;
-        the callback must tolerate concurrent calls (appending to a
-        list is fine).  With the ``processes`` backend, events observed
-        inside forked shard workers do not reach the parent's callback.
+        frontier timeline rather than reported twice.  For a two-phase
+        primary output the ``"batch"`` events come from the combine
+        flow's root instead (untagged: it runs in the caller), one per
+        run that changed the output — the shards' partial payloads are
+        not output.  With the ``threads`` backend, shard batch events
+        arrive from worker threads; the callback must tolerate
+        concurrent calls (appending to a list is fine).  With the
+        ``processes`` backend, events observed inside forked shard
+        workers do not reach the parent's callback.
         """
         return self._trace
 
@@ -278,7 +294,10 @@ class ShardedDataflow(OutputLogs):
         self._trace = callback
         self.frontier.trace = callback
         for index, shard in enumerate(self._shards):
-            shard.trace = _shard_batch_tagger(callback, index)
+            shard.trace = self._shard_trace(index)
+        combine = self.combines.get(self._primary)
+        if combine is not None:
+            combine.trace = _batch_events(callback)
 
     @property
     def shard_count(self) -> int:
@@ -304,18 +323,14 @@ class ShardedDataflow(OutputLogs):
     def state_rows_of(self, output_id: str) -> int:
         """Rows retained by the operators ``output_id`` reads, all shards."""
         total = sum(shard.state_rows_of(output_id) for shard in self._shards)
-        stage = self._stages.get(output_id)
-        if stage is not None:
-            total += stage.state_rows()
+        combine = self.combines.get(output_id)
+        if combine is not None:
+            total += combine.total_state_rows()
         return total
 
     def is_two_phase(self, output_id: Optional[str] = None) -> bool:
         """Whether ``output_id`` (default: primary) runs split aggregation."""
-        return self.combine_stage(output_id) is not None
-
-    def combine_stage(self, output_id: Optional[str] = None):
-        """The output's :class:`CombineStage`, or ``None`` if single-phase."""
-        return self._stages.get(output_id or self._primary)
+        return (output_id or self._primary) in self.combines
 
     def telemetry_of(self, output_id: str) -> RunTelemetry:
         """One output channel's latency telemetry, merged over shards.
@@ -324,13 +339,13 @@ class ShardedDataflow(OutputLogs):
         exactly one shard, so the merge reproduces the serial run's
         distributions sample for sample.  For a two-phase output the
         shards emit partial payloads, not query rows, so the combine
-        stage's telemetry — one sample per final root change, taken at
-        the merged frontier — *is* the channel's telemetry, and the
-        shard channels contribute nothing.
+        flow's telemetry — its root watermark is the merged frontier's —
+        *is* the channel's telemetry, and the shard channels contribute
+        nothing.
         """
-        stage = self._stages.get(output_id)
-        if stage is not None:
-            return RunTelemetry.merged([stage.telemetry])
+        combine = self.combines.get(output_id)
+        if combine is not None:
+            return RunTelemetry.merged([combine.telemetry_of("main")])
         return RunTelemetry.merged(
             shard.telemetry_of(output_id) for shard in self._shards
         )
@@ -371,17 +386,18 @@ class ShardedDataflow(OutputLogs):
         """Rows delivered to each shard's scan leaves (the skew signal)."""
         return [shard.rows_ingested() for shard in self._shards]
 
+    def _flows(self) -> list[Dataflow]:
+        """Every serial flow this one drives: the shards, then the
+        combine flows."""
+        return [*self._shards, *self.combines.values()]
+
     def total_state_rows(self) -> int:
-        """Rows currently retained across all shards' operator state."""
-        return sum(shard.total_state_rows() for shard in self._shards) + sum(
-            stage.state_rows() for stage in self._stages.values()
-        )
+        """Rows currently retained across all operator state."""
+        return sum(flow.total_state_rows() for flow in self._flows())
 
     def changes_coalesced(self) -> int:
-        """Changes dropped by intra-instant compaction, over all shards."""
-        return sum(shard.changes_coalesced() for shard in self._shards) + sum(
-            stage.changes_coalesced() for stage in self._stages.values()
-        )
+        """Changes dropped by intra-instant compaction, over all flows."""
+        return sum(flow.changes_coalesced() for flow in self._flows())
 
     def state_report(self):
         """Per-operator state breakdown, summed across shards."""
@@ -456,14 +472,14 @@ class ShardedDataflow(OutputLogs):
                 donor=donor._shards[index] if donor is not None else None,
                 allow_root_share=allow_root_share,
             )
-        # The donor's combine stage carries the global per-group
+        # The donor's combine flow carries the global per-group
         # accumulators matching the transplanted shard state.
         merge = self._open_output(
             output_id,
             plan,
             split,
             len(self._shards),
-            stage=donor._stages.get(donor._primary) if donor is not None else None,
+            donor.combines.get(donor._primary) if donor is not None else None,
         )
         if donor is not None:
             donor_merge = donor._outputs[donor._primary]
@@ -481,7 +497,7 @@ class ShardedDataflow(OutputLogs):
         del self._outputs[output_id], self._shard_plans[output_id]
         self._touched.discard(output_id)
         self.splits.pop(output_id, None)
-        self._stages.pop(output_id, None)
+        self.combines.pop(output_id, None)
         return True
 
     # -- driving -----------------------------------------------------------------
@@ -547,7 +563,7 @@ class ShardedDataflow(OutputLogs):
                     (task,) = tasks  # one run in: one share, or none
                     logs[index] = {oid: ShardLog() for oid in self._outputs}
                     drive_run(self._shards[index], task, logs[index], whole)
-            splice(self._outputs, self._stages, logs, self._touched, recorder)
+            splice(self._outputs, self.combines, logs, self._touched, recorder)
         finally:
             if recorder is not None:
                 recorder.clear_pending()
@@ -629,7 +645,7 @@ class ShardedDataflow(OutputLogs):
                     shard_logs[oid] = ShardLog(
                         unique, dedup_observations(log.observations)
                     )
-        splice(self._outputs, self._stages, logs, self._touched)
+        splice(self._outputs, self.combines, logs, self._touched)
         if events:
             self._last_ptime = max(self._last_ptime, events[-1][0].ptime)
         return self.result()
@@ -654,19 +670,15 @@ class ShardedDataflow(OutputLogs):
         equal the serial run's.  The attached metrics report additionally
         keeps the per-shard breakdown, surfacing routing skew.
         """
-        shard_results = [shard.result() for shard in self._shards]
+        results = [flow.result() for flow in self._flows()]
         return RunResult(
             schema=self.plan.schema,
             changes=self.output_slice_of(self._primary),
             watermarks=self.frontier.merged,
-            last_ptime=max(
-                [self._last_ptime] + [r.last_ptime for r in shard_results]
-            ),
-            late_dropped=sum(r.late_dropped for r in shard_results),
-            expired_rows=sum(r.expired_rows for r in shard_results)
-            + sum(s.expired_rows() for s in self._stages.values()),
-            peak_state_rows=sum(r.peak_state_rows for r in shard_results)
-            + sum(s.peak_state_rows() for s in self._stages.values()),
+            last_ptime=max([self._last_ptime] + [r.last_ptime for r in results]),
+            late_dropped=sum(r.late_dropped for r in results),
+            expired_rows=sum(r.expired_rows for r in results),
+            peak_state_rows=sum(r.peak_state_rows for r in results),
             metrics=self.metrics_report(),
         )
 
@@ -683,16 +695,18 @@ class ShardedDataflow(OutputLogs):
         )
         report.recovery = self.recovery
         output_id = output_id or self._primary
-        stage = self._stages.get(output_id)
-        if stage is not None:
-            # The combine stage sits above the shards' partial trees:
-            # its operators head the report at depths 0..k-1 and every
-            # shard entry shifts below them, so the rendered tree reads
-            # root-first like the physical plan actually executed.
-            stage_entries = stage.metrics_entries()
+        combine = self.combines.get(output_id)
+        if combine is not None:
+            # The merge half sits above the shards' partial trees: its
+            # operators head the report at depths 0..k-1 and every shard
+            # entry shifts below them, so the rendered tree reads
+            # root-first like the physical plan actually executed.  Its
+            # leaf is fed by the splice, not routed rows.
+            merge_entries = combine.metrics_report().operators
+            merge_entries[-1]["leaf"] = False
             for entry in report.operators:
-                entry["depth"] += len(stage_entries)
-            report.operators[:0] = stage_entries
+                entry["depth"] += len(merge_entries)
+            report.operators[:0] = merge_entries
             report.telemetry = self.telemetry_of(output_id)
         return report
 
@@ -703,9 +717,9 @@ class ShardedDataflow(OutputLogs):
 
         Like :meth:`Dataflow.checkpoint` this is snapshot by
         serialization — shard blobs (operator state only: the drive
-        loop leaves no output history in a shard), combine-stage state
-        and the merged changelogs (each tail sealed into one more codec
-        segment, the segments joined into one triple) are all pickled
+        loop leaves no output history in a shard), the combine flows'
+        state and the merged changelogs (each tail sealed into one more
+        codec segment, the segments joined into one triple) are all pickled
         before the call returns.  ``histories=False`` leaves the merged
         changelogs out, for a caller that keeps them in a log of its
         own (:meth:`output_segments_of`) and hands them back to
@@ -729,13 +743,14 @@ class ShardedDataflow(OutputLogs):
                 for oid, merge in self._outputs.items()
             },
             "last_ptime": self._last_ptime,
-            # Combine stages carry *state*, never structure: a restored
+            # Combine flows carry *state*, never structure: a restored
             # flow recomputes the physical split from its own plan, so
             # the checkpoint stays valid across planner-identical
             # rebuilds (mirroring how shard plans are never pickled).
-            "two_phase_outputs": sorted(self._stages),
+            "two_phase_outputs": sorted(self.combines),
             "stages": {
-                oid: stage.snapshot() for oid, stage in self._stages.items()
+                oid: _stage_bytes(combine)
+                for oid, combine in self.combines.items()
             },
             "recovery": self._recovery.as_dict(),
             # Shard blobs carry no lineage (they don't own the shared
@@ -791,28 +806,34 @@ class ShardedDataflow(OutputLogs):
             merge.log = changes_log(list(payload["merged_changes"]))
         self._last_ptime = payload["last_ptime"]
         stored_stages = payload.get("stages", {})
-        if set(stored_stages) != set(self._stages):
+        if set(stored_stages) != set(self.combines):
             raise ExecutionError(
                 "checkpoint two-phase outputs "
                 f"{sorted(stored_stages)} do not match this dataflow's "
-                f"{sorted(self._stages)}"
+                f"{sorted(self.combines)}"
             )
         for oid, blob in stored_stages.items():
-            self._stages[oid].restore(blob)
+            _restore_stage(
+                self.combines[oid], blob, self._last_ptime,
+                self._outputs[oid].frontier.current,
+            )
         # Absent in pre-supervisor checkpoints; start the ledger fresh.
         self._recovery = RecoveryStats(**payload.get("recovery", {}))
         if payload.get("lineage") is not None:
             self.set_lineage(LineageRecorder.restore(payload["lineage"]))
 
 
-def _shard_batch_tagger(
-    callback: Optional[Callable[[TraceEvent], None]], shard: int
+def _batch_events(
+    callback: Optional[Callable[[TraceEvent], None]],
+    shard: Optional[int] = None,
 ) -> Optional[Callable[[TraceEvent], None]]:
-    """Forward a shard's batch events, tagged with its index.
+    """Forward a flow's batch events — tagged with its index, for a
+    shard.
 
-    Shard-local watermark events are swallowed: the frontier reports
-    the same advances as ``"frontier"`` events, with the merged-minimum
-    ``"watermark"`` events layered on top, so a collector's
+    The flow's watermark events are swallowed: the frontier reports the
+    same advances as ``"frontier"`` events, with the merged-minimum
+    ``"watermark"`` events layered on top (a combine flow's root
+    watermark *is* that minimum), so a collector's
     ``watermark_advances`` means the same thing serial or sharded.
     """
     if callback is None:
@@ -820,6 +841,48 @@ def _shard_batch_tagger(
 
     def forward(event: TraceEvent) -> None:
         if event.kind == "batch":
-            callback(event.at_shard(shard))
+            callback(event if shard is None else event.at_shard(shard))
 
     return forward
+
+
+def _stage_bytes(combine: Dataflow) -> bytes:
+    """A combine flow's checkpoint entry, serialized on the spot
+    (operator snapshots reference live state): its operator states and
+    its telemetry, ``{"ops": [...], "telemetry": RunTelemetry}``."""
+    return pickle.dumps(
+        {
+            "ops": [op.state_snapshot() for op in combine.operators],
+            "telemetry": combine.telemetry_of("main"),
+        },
+        pickle.HIGHEST_PROTOCOL,
+    )
+
+
+def _restore_stage(
+    combine: Dataflow, blob, ptime: Timestamp, watermark: Timestamp
+) -> None:
+    """Adopt a :func:`_stage_bytes` entry (or the plain dict pre-codec
+    sharded checkpoints embedded) into a fresh combine flow.
+
+    The entry holds no watermark: aggregates pass watermarks through,
+    so the flow's root watermark is the restored frontier's ``watermark``
+    (in effect since ``ptime``), and a sample settled before the next
+    advance is taken against it, as in an uninterrupted run.
+    """
+    payload = blob if isinstance(blob, dict) else pickle.loads(blob)
+    operators = combine.operators
+    if len(payload["ops"]) != len(operators):
+        raise ExecutionError(
+            f"combine flow shape changed: checkpoint has "
+            f"{len(payload['ops'])} operators, the flow has {len(operators)}"
+        )
+    for op, state in zip(operators, payload["ops"]):
+        op.state_restore(state)
+    # One stateful operator (the combine): its peak is the flow's.
+    combine._peak_state = sum(op.counters.peak_state_rows for op in operators)
+    track = WatermarkTrack()
+    track.advance(ptime, watermark)
+    combine._outputs["main"].adopt(
+        changes_log(), track, payload.get("telemetry") or RunTelemetry(), 0
+    )

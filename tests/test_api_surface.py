@@ -70,7 +70,6 @@ PACKAGE_SURFACES = {
     ],
     "repro.runtime": [
         "ShardedDataflow",
-        "CombineStage",
         "WatermarkFrontier",
         "RetryPolicy",
         "FaultPlan",
@@ -294,14 +293,28 @@ def _parameters(function) -> list[str]:
     return list(inspect.signature(function).parameters)
 
 
+def _src_files_matching(pattern: str) -> set[str]:
+    """The modules under ``src/repro`` whose text matches ``pattern``."""
+    hits = set()
+    for directory, _, files in os.walk(SRC):
+        for file in files:
+            if file.endswith(".py"):
+                path = os.path.join(directory, file)
+                with open(path, encoding="utf-8") as handle:
+                    if re.search(pattern, handle.read()):
+                        hits.add(os.path.relpath(path, SRC))
+    return hits
+
+
 class TestSaidOnce:
     """2.0 says each thing once: one config object and no shims, one
     accessor per output (the ``*_of`` members), one evaluator beside
-    the generated pipeline loops, one place a config becomes a flow."""
+    the generated pipeline loops, one place a config becomes a flow,
+    one executor — a two-phase output's merge half is a flow too."""
 
     REMOVED = (
         "warn_deprecated", "explain_analyze", "compile_plan",
-        "CompiledPlan", "codegen.ENABLED",
+        "CompiledPlan", "codegen.ENABLED", "CombineStage", "combine_stage",
     )
 
     def test_execution_config_has_seventeen_fields(self):
@@ -313,15 +326,20 @@ class TestSaidOnce:
 
     @pytest.mark.parametrize("name", REMOVED)
     def test_removed_name_appears_nowhere_in_src(self, name):
-        hits = []
-        for directory, _, files in os.walk(SRC):
-            for file in files:
-                if file.endswith(".py"):
-                    path = os.path.join(directory, file)
-                    with open(path, encoding="utf-8") as handle:
-                        if name in handle.read():
-                            hits.append(os.path.relpath(path, SRC))
-        assert hits == []
+        assert _src_files_matching(re.escape(name)) == set()
+
+    @pytest.mark.parametrize(
+        "call", ["count_edge", "compact_intra_instant", "MetricsRegistry"]
+    )
+    def test_edge_counting_compaction_and_state_sweep_run_in_the_executor(
+        self, call
+    ):
+        """Called in ``exec/executor.py`` and nowhere else (definitions
+        aside): no second copy of the executor's per-edge loop."""
+        pattern = rf"(?<!def )(?<!class )\b{call}\("
+        assert _src_files_matching(pattern) == {
+            os.path.join("exec", "executor.py")
+        }
 
     @pytest.mark.parametrize(
         "member", ["output_size", "output_slice", "root_watermark", "telemetry"]

@@ -419,8 +419,7 @@ class TestRunningStateSize:
         def operators():
             for shard in flow._shards:
                 yield from shard.operators
-            for stage in flow._stages.values():
-                yield from stage._ops
+            yield from flow.combines["main"].operators
 
         assert any(
             type(op).__name__ == "CombineAggregateOperator" for op in operators()

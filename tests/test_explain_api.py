@@ -165,3 +165,35 @@ class TestShell:
     def test_sql_explain_unknown_mode_reports_error(self, shell):
         out = shell.feed("EXPLAIN (QUANTUM) SELECT 1;")
         assert "unknown EXPLAIN mode" in out
+
+
+class TestColumnarSection:
+    def test_two_phase_tags_name_the_operators_that_run(self):
+        """The merge half is read off its combine flow: line for line
+        (root first, a chain), a tag is printed exactly when the
+        operator consumes column batches or is a fused pipeline, and
+        the node is the operator's kind."""
+        from repro.exec.operators.pipeline import PipelineOperator
+
+        engine = StreamEngine(
+            config=ExecutionConfig(
+                parallelism=4, backend="sync", two_phase="on", batch_size=64
+            )
+        )
+        engine.register_stream("S", TimeVaryingRelation(SCHEMA))
+        query = engine.query(
+            "SELECT k, wend, SUM(v) * 2 AS twice FROM Tumble(data => TABLE(S), "
+            "timecol => DESCRIPTOR(ts), dur => INTERVAL '2' MINUTE) TS "
+            "GROUP BY k, wend"
+        )
+        text = query.explain(mode="physical")
+        section = text[text.index("Columnar: on"):]
+        merge = section.split("  merge stage:\n")[1]
+        merge = merge.split("  each of 4 shards:\n")[0].splitlines()
+        operators = query.sharded_dataflow().combines["main"].operators[::-1]
+        assert len(merge) == len(operators) >= 2
+        for line, op in zip(merge, operators):
+            node = line.strip().split("(")[0]
+            assert node == type(op).__name__.removesuffix("Operator"), line
+            assert ("[columnar]" in line) == op.supports_columnar, line
+            assert ("[fused:" in line) == isinstance(op, PipelineOperator), line

@@ -480,28 +480,24 @@ def assert_conserved(flow) -> None:
     for source, scans in routed.items():
         # every row is routed to exactly one shard
         assert scans == [_row_events(flow.shards[0], source)] * len(scans), source
-    stage = flow.combine_stage()
-    if stage is not None:
+    combine = flow.combines.get("main")
+    if combine is not None:
+        assert _edge_violations(combine) == []
         roots = [shard._outputs["main"].root for shard in flow.shards]
         shipped = sum(root.counters.rows_out for root in roots)
-        chain = stage._ops
+        leaf = combine.operators[0]
         if _sequence_tagged(flow):
             # The merge puts each run's per-shard payloads back into the
             # one payload the combine ingests: fewer payloads, every row.
-            assert shipped / len(roots) <= chain[0].counters.rows_in[0] <= shipped
-            assert chain[0].metrics()["agg_rows_in"] == sum(
+            assert shipped / len(roots) <= leaf.counters.rows_in[0] <= shipped
+            assert leaf.metrics()["agg_rows_in"] == sum(
                 root.counters.rows_in[0] - root.late_dropped for root in roots
             )
         else:
-            assert chain[0].counters.rows_in[0] == shipped
-        assert chain[0].counters.retracts_in[0] == sum(
+            assert leaf.counters.rows_in[0] == shipped
+        assert leaf.counters.retracts_in[0] == sum(
             root.counters.retracts_out for root in roots
         )
-        for producer, consumer in zip(chain, chain[1:]):
-            assert consumer.counters.rows_in[0] == producer.counters.rows_out
-            assert (
-                consumer.counters.retracts_in[0] == producer.counters.retracts_out
-            )
 
 
 def _sequence_tagged(flow) -> bool:
@@ -549,11 +545,33 @@ def _canonical(payload: dict) -> dict:
     return out
 
 
-def _bid_flow():
+def _canonical_stages(blob: bytes) -> dict:
+    """A sharded checkpoint's combine entries, decoded and made
+    comparable like :func:`_canonical` (telemetry by its snapshot)."""
+    out = {}
+    for oid, stage in pickle.loads(blob)["stages"].items():
+        payload = pickle.loads(stage)
+        assert set(payload) == {"ops", "telemetry"}
+        out[oid] = {
+            "ops": _canonical({"op_states": payload["ops"]})["op_states"],
+            "telemetry": payload["telemetry"].snapshot(),
+        }
+    return out
+
+
+def _bid_flow(**config):
+    """The paper's Bid stream and a flow of the per-item tumble over it:
+    serial, or sharded under ``config``."""
     bids = paper_bid_stream()
-    engine = StreamEngine()
+    engine = StreamEngine(config=ExecutionConfig(**config))
     engine.register_stream("Bid", bids)
-    return engine.query(parent.TUMBLED_BY_ITEM).dataflow(), bids.events()
+    query = engine.query(parent.TUMBLED_BY_ITEM)
+    flow = query.sharded_dataflow() if config else query.dataflow()
+    return flow, bids.events()
+
+
+#: how ``parent_sharded_flow_two_phase.ckpt`` was cut (half way through)
+TWO_PHASE_BLOB = dict(parallelism=3, two_phase="on")
 
 
 PARENT_BLOBS = {
@@ -657,6 +675,34 @@ class TestReportedFromOutside:
         with open(os.path.join(parent.HERE, blob), "rb") as fh:
             flow.restore(fh.read())
         for event in events[cut:]:
+            flow.process(event, "Bid")
+        assert parent.reported(flow.finish()) == expected
+
+    def test_two_phase_stage_payload_equals_the_parents(self):
+        """The merge half's checkpoint entry — operator states and
+        telemetry — is what the parent's combine stage wrote at the
+        same cut."""
+        flow, events = _bid_flow(**TWO_PHASE_BLOB)
+        for event in events[: len(events) // 2]:
+            flow.process(event, "Bid")
+        path = os.path.join(parent.HERE, "parent_sharded_flow_two_phase.ckpt")
+        with open(path, "rb") as fh:
+            expected = _canonical_stages(fh.read())
+        assert _canonical_stages(flow.checkpoint()) == expected
+
+    def test_parent_two_phase_blob_continued_reports_an_uninterrupted_run(self):
+        """Telemetry included: the restored merge half's root watermark
+        is the restored frontier's, so samples taken before the next
+        watermark step match the uninterrupted run's."""
+        uninterrupted, events = _bid_flow(**TWO_PHASE_BLOB)
+        for event in events:
+            uninterrupted.process(event, "Bid")
+        expected = parent.reported(uninterrupted.finish())
+        flow, _ = _bid_flow(**TWO_PHASE_BLOB)
+        path = os.path.join(parent.HERE, "parent_sharded_flow_two_phase.ckpt")
+        with open(path, "rb") as fh:
+            flow.restore(fh.read())
+        for event in events[len(events) // 2:]:
             flow.process(event, "Bid")
         assert parent.reported(flow.finish()) == expected
 

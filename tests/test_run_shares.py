@@ -5,7 +5,7 @@ hands every shard its share of the run as one task, sequence gaps and
 all; a shard whose plan carries ``ColumnarBatch.seqs`` to its root is
 fed the share whole and ships the numbers with its payload; the splice
 puts the run back together by sequence number and feeds the combine
-stage once per run.
+flow once per run.
 
 Every stream here interleaves keys inside one instant — the case that
 used to cap a shard's batch at one or two rows — and every property is
@@ -26,10 +26,10 @@ from repro.exec.compile import LINEAGE_SPLITS_RUNS
 from repro.exec.executor import Dataflow, event_runs, merge_source_events
 from repro.obs.lineage import LineageRecorder
 from repro.plan.partition import PartitionSpec, Route
+from repro.plan.physical import PARTIALS
 from repro.runtime import merge as merge_module
 from repro.runtime import routing
-from repro.runtime.combine import reassemble
-from repro.runtime.merge import ShardLog, splice
+from repro.runtime.merge import ShardLog, reassemble, splice
 from repro.runtime.routing import partition_events
 
 SCHEMA = Schema(
@@ -138,12 +138,14 @@ def identical(result, serial):
 
 
 def count_batches(monkeypatch_context):
-    """Record the size of every ``Dataflow`` feed of row events."""
+    """Record the size of every ``Dataflow`` feed of source rows (a
+    combine flow's feeds of partial payloads are not counted)."""
     sizes = []
     real = Dataflow.process_batch
 
     def counted(flow, events, source, seqs=None):
-        sizes.append(len(events))
+        if source != PARTIALS:
+            sizes.append(len(events))
         return real(flow, events, source, seqs)
 
     monkeypatch_context.setattr(Dataflow, "process_batch", counted)
@@ -207,7 +209,7 @@ def test_interleaved_keys_yield_the_serial_changelog(
 @pytest.mark.parametrize("batch_size", [1, 2, 7, 64])
 def test_shard_batches_are_bounded_by_the_serial_runs(sql, shards, batch_size):
     """A shard is fed once per run it owns rows of — never once per
-    sequence gap — and the combine stage once per run."""
+    sequence gap — and the combine flow once per run."""
     events = interleaved_events()
     with pytest.MonkeyPatch.context() as patch:
         sizes = count_batches(patch)
@@ -535,7 +537,7 @@ class TestSplice:
             1: {"main": ShardLog([(0, [_payload([entry], [3])])])},
         }
         with pytest.raises(ExecutionError, match="both produced output"):
-            splice(flow._outputs, flow._stages, logs, set())
+            splice(flow._outputs, flow.combines, logs, set())
 
     def test_single_phase_slices_still_may_not_share_a_tag(self):
         flow = self._sharded("off")
@@ -545,7 +547,7 @@ class TestSplice:
             1: {"main": ShardLog([(4, [change])])},
         }
         with pytest.raises(ExecutionError, match="shards 0 and 1 both"):
-            splice(flow._outputs, flow._stages, logs, set())
+            splice(flow._outputs, flow.combines, logs, set())
 
     def test_one_event_at_a_time_stays_on_the_row_path(self, monkeypatch):
         flow = self._sharded("on")
@@ -568,12 +570,12 @@ class TestSplice:
     def test_the_stage_is_fed_once_per_run(self, monkeypatch):
         flow = self._sharded("on")
         feeds = []
-        stage = flow.combine_stage()
-        real = stage.feed
+        combine = flow.combines["main"]
+        real = combine.process_batch
         monkeypatch.setattr(
-            stage, "feed",
-            lambda changes, wm_: feeds.append(changes[0].values[1])
-            or real(changes, wm_),
+            combine, "process_batch",
+            lambda events, source: feeds.append(events[0].change.values[1])
+            or real(events, source),
         )
         events = merge_source_events(flow._sources)
         run_sizes = [

@@ -369,16 +369,20 @@ def test_jsonl_exporter_via_engine(tmp_path):
 
 
 def test_sharded_jsonl_tags_shards(tmp_path):
-    path = tmp_path / "events.jsonl"
-    engine = keyed_engine(
-        windowed_events(), parallelism=2, telemetry=f"jsonl:{path}"
-    )
-    engine.query(TUMBLE_SQL).run()
-    engine.telemetry.close()
-    events = read_events(str(path))
-    shards = {event.shard for event in events if event.kind == "batch"}
-    assert shards <= {0, 1} and shards
-    assert any(event.kind == "frontier" for event in events)
+    """Single-phase, batches reach the log from the shards' roots,
+    tagged; two-phase, from the combine flow's root, untagged."""
+    for two_phase, tags in (("off", {0, 1}), ("on", {None})):
+        path = tmp_path / f"events-{two_phase}.jsonl"
+        engine = keyed_engine(
+            windowed_events(), parallelism=2, two_phase=two_phase,
+            telemetry=f"jsonl:{path}",
+        )
+        engine.query(TUMBLE_SQL).run()
+        engine.telemetry.close()
+        events = read_events(str(path))
+        shards = {event.shard for event in events if event.kind == "batch"}
+        assert shards <= tags and shards
+        assert any(event.kind == "frontier" for event in events)
 
 
 # ---------------------------------------------------------------------------

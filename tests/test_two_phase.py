@@ -2,7 +2,8 @@
 
 The physical planner (``repro.plan.physical``) may split a sharded
 grouped aggregate into per-shard ``PartialAggregate`` operators plus a
-merge-stage ``CombineStage``.  The invariant under test throughout:
+merge half — a combine ``Dataflow`` of its own.  The invariant under
+test throughout:
 
 * with ``coalesce_updates=False`` the final changelog is
   **byte-identical** to the serial run's — values, ``ptime``,
@@ -21,6 +22,8 @@ from hypothesis import strategies as st
 from repro import ExecutionConfig, RetryPolicy, StreamEngine
 from repro.core.schema import Schema, int_col, timestamp_col
 from repro.core.tvr import TimeVaryingRelation, ins, wm
+from repro.nexmark import NexmarkConfig, generate
+from repro.obs import TraceCollector
 from repro.plan.logical import PartialAggregateNode
 from repro.plan.physical import split_eligibility
 from repro.service import StandingQueryService
@@ -322,6 +325,28 @@ class TestRecovery:
         assert result.changes == uninterrupted.changes
         assert result.metrics.totals == uninterrupted.metrics.totals
 
+    def test_a_cut_keeps_the_merge_halfs_state_peak(self):
+        """Cut after the combine state peaked: the restored flow reports
+        the uninterrupted peak, not the smaller one it sees afterwards."""
+        events = keyed_events()
+        query = make_engine(events, parallelism=3, two_phase="on").query(
+            SUM_AVG_SQL
+        )
+        uninterrupted, first = query.sharded_dataflow(), query.sharded_dataflow()
+        cut = len(events) - 10
+        for index, event in enumerate(events):
+            uninterrupted.process(event, "S")
+            if index < cut:
+                first.process(event, "S")
+        recovered = query.sharded_dataflow()
+        recovered.restore(first.checkpoint())
+        for event in events[cut:]:
+            recovered.process(event, "S")
+        assert (
+            recovered.finish().peak_state_rows
+            == uninterrupted.finish().peak_state_rows
+        )
+
 
 class TestMQO:
     def test_shared_and_unshared_deltas_identical(self):
@@ -377,3 +402,64 @@ class TestMetricsShape:
         totals = flow.metrics_report().totals
         combine = flow.metrics_report().find("CombineAggregate")
         assert totals["rows_in"] >= combine["rows_in"][0]
+
+
+#: per-auction 10-minute tumble over NEXMark bids: state outlives the run
+NEXMARK_SQL = (
+    "SELECT TB.auction, TB.wend, COUNT(*) AS bids, MAX(TB.price) AS top "
+    "FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime), "
+    "dur => INTERVAL '10' MINUTE) TB GROUP BY TB.auction, TB.wend"
+)
+
+
+def nexmark_query(**overrides):
+    overrides.setdefault("backend", "sync")
+    engine = StreamEngine(config=ExecutionConfig(**overrides))
+    generate(NexmarkConfig(num_events=2000, seed=42)).register_on(engine)
+    return engine.query(NEXMARK_SQL)
+
+
+class TestObservedLikeSerial:
+    """The merge half is a flow: what a two-phase flow reports about its
+    state and traces about its output is what the serial flow does."""
+
+    @pytest.mark.parametrize("two_phase", ["on", "off"])
+    def test_state_report_counts_the_merge_half(self, two_phase):
+        serial = nexmark_query().dataflow()
+        serial.run()
+        flow = nexmark_query(parallelism=2, two_phase=two_phase).sharded_dataflow()
+        flow.run()
+        assert flow.is_two_phase() == (two_phase == "on")
+        expected = serial.state_report().total_rows
+        assert expected == serial.total_state_rows() > 0
+        assert flow.state_report().total_rows == flow.total_state_rows() == expected
+
+    @pytest.mark.parametrize("two_phase", ["on", "off"])
+    @pytest.mark.parametrize("batch_size", [1, 64])
+    def test_traced_changes_are_the_serial_runs(self, two_phase, batch_size):
+        def traced(flow):
+            collector = TraceCollector()
+            flow.trace = collector
+            return collector, flow.run()
+
+        serial, result = traced(nexmark_query(batch_size=batch_size).dataflow())
+        assert serial.changes == len(result.changes)
+        sharded, _ = traced(
+            nexmark_query(
+                parallelism=2, two_phase=two_phase, batch_size=batch_size
+            ).sharded_dataflow()
+        )
+        assert sharded.changes == serial.changes
+        assert sharded.watermark_advances == serial.watermark_advances
+
+    def test_traced_batches_reach_the_caller_from_forked_shards(self):
+        """Two-phase batches come from the combine flow, which runs in
+        the caller, so a ``processes`` run reports them too."""
+        collector = TraceCollector()
+        flow = nexmark_query(
+            parallelism=2, two_phase="on", backend="processes"
+        ).sharded_dataflow()
+        flow.trace = collector
+        result = flow.run()
+        assert collector.changes == len(result.changes) > 0
+        assert {e.shard for e in collector.events if e.kind == "batch"} == {None}
