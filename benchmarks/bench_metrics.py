@@ -14,7 +14,12 @@ attached, and writes ``BENCH_metrics.json`` — the artifact CI uploads:
   ``obs_calls_per_event <= 32`` (the per-operator, per-emission
   recorders this replaced made 266 on the same flow).  The edge helper
   itself (``repro.exec.executor.count_edge``, one call per produced
-  batch) is part of the delivery loop and shows in the total;
+  batch) is part of the delivery loop and shows in the total.  The same
+  flow built at ``batch_size=64`` — columnar, so its plans are fused and
+  its aggregates absorb their column-selecting Projects — is fed the
+  same events, and the operator invocations per event are counted and
+  gated: ``operator_invocations_per_event <= 22`` (the flow compiled
+  without absorption or tumble steps made 40.78);
 * the per-operator flow totals from the :class:`MetricsReport`;
 * rows routed per shard and the max/min skew summary;
 * the trace summary (batches, changes, watermark advances);
@@ -22,10 +27,11 @@ attached, and writes ``BENCH_metrics.json`` — the artifact CI uploads:
   identical across configurations by the routing invariance argument.
 
 ``schema_version`` is bumped whenever the artifact layout changes so
-downstream dashboards can dispatch on it (currently 4: the
-``accounting`` stanza; 3 added the execution knobs ``batch_size``/
-``coalesce_updates`` to the workload stanza so runs at different
-settings are never compared as equals).
+downstream dashboards can dispatch on it (currently 5: operator
+invocations in ``accounting``; 4 added the ``accounting`` stanza; 3
+added the execution knobs ``batch_size``/``coalesce_updates`` to the
+workload stanza so runs at different settings are never compared as
+equals).
 
 Runs under plain pytest (no pytest-benchmark fixtures) and as a
 script::
@@ -41,6 +47,7 @@ import time
 from pathlib import Path
 
 from repro import ExecutionConfig, StreamEngine, TraceCollector
+from repro.exec.executor import Dataflow
 from repro.nexmark import NexmarkConfig, generate
 
 NUM_EVENTS = 5_000
@@ -56,10 +63,12 @@ SQL = """
 """
 
 ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_metrics.json"
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 #: gate on Python-level calls into ``repro/obs/`` per delivered event
 OBS_CALLS_PER_EVENT_MAX = 32
+#: gate on operator invocations per delivered event, at ``batch_size=64``
+INVOCATIONS_PER_EVENT_MAX = 22
 ACCOUNTING_EVENTS = 2_000
 
 
@@ -150,23 +159,23 @@ ACCOUNTING_QUERIES = [
 ]
 
 
-def _count_accounting_calls(streams) -> dict:
-    """Python-level calls per event through a resident 16-output flow,
-    one event per ``process`` — counts, so they repeat exactly."""
-    engine = StreamEngine()
+def _accounting_flow(streams, config=None) -> Dataflow:
+    """The resident 16-output flow, built under ``config``."""
+    engine = StreamEngine(config=config)
     streams.register_on(engine)
     flow = engine.query(ACCOUNTING_QUERIES[0]).dataflow()
     for n, sql in enumerate(ACCOUNTING_QUERIES[1:], 1):
         flow.attach_output(f"q{n}", engine.query(sql).plan)
-    events = streams.bids.events()[:ACCOUNTING_EVENTS]
-    counts = {"total": 0, "obs": 0}
-    obs_dir = str(Path("repro") / "obs") + "/"
+    return flow
+
+
+def _profiled(flow, events, count) -> None:
+    """Feed ``events`` one ``process`` each, calling ``count(frame)`` on
+    every Python-level call."""
 
     def profile(frame, event, arg):
         if event == "call":
-            counts["total"] += 1
-            if obs_dir in frame.f_code.co_filename:
-                counts["obs"] += 1
+            count(frame)
 
     sys.setprofile(profile)
     try:
@@ -174,6 +183,33 @@ def _count_accounting_calls(streams) -> dict:
             flow.process(event, "Bid")
     finally:
         sys.setprofile(None)
+
+
+def _count_accounting_calls(streams) -> dict:
+    """Python-level calls per event through a resident 16-output flow,
+    one event per ``process`` — counts, so they repeat exactly — and the
+    operator invocations per event of the same flow at ``batch_size=64``
+    (every ``Dataflow._push_changes`` is one operator's ``on_batch`` or
+    ``on_cols``)."""
+    events = streams.bids.events()[:ACCOUNTING_EVENTS]
+    counts = {"total": 0, "obs": 0, "invocations": 0}
+    obs_dir = str(Path("repro") / "obs") + "/"
+
+    def call(frame):
+        counts["total"] += 1
+        if obs_dir in frame.f_code.co_filename:
+            counts["obs"] += 1
+
+    flow = _accounting_flow(streams)
+    _profiled(flow, events, call)
+    push = Dataflow._push_changes.__code__
+
+    def invocation(frame):
+        if frame.f_code is push:
+            counts["invocations"] += 1
+
+    fused = _accounting_flow(streams, ExecutionConfig(batch_size=64))
+    _profiled(fused, events, invocation)
     return {
         "outputs": len(flow.output_ids()),
         "operators": len(flow.operators),
@@ -181,6 +217,9 @@ def _count_accounting_calls(streams) -> dict:
         "calls_per_event": counts["total"] / len(events),
         "obs_calls_per_event": counts["obs"] / len(events),
         "obs_calls_per_event_max": OBS_CALLS_PER_EVENT_MAX,
+        "batch_size_64_operators": len(fused.operators),
+        "operator_invocations_per_event": counts["invocations"] / len(events),
+        "operator_invocations_per_event_max": INVOCATIONS_PER_EVENT_MAX,
     }
 
 
@@ -234,6 +273,9 @@ def test_metrics_bench_produces_artifact():
     accounting = payload["accounting"]
     assert accounting["outputs"] == 16
     assert accounting["obs_calls_per_event"] <= OBS_CALLS_PER_EVENT_MAX, accounting
+    assert (
+        accounting["operator_invocations_per_event"] <= INVOCATIONS_PER_EVENT_MAX
+    ), accounting
     path = write_artifact(payload)
     assert path.exists() and path.stat().st_size > 0
 
@@ -253,5 +295,11 @@ if __name__ == "__main__":
         f"{counted['obs_calls_per_event']:.1f} into repro/obs "
         f"(gate <= {counted['obs_calls_per_event_max']}) over "
         f"{counted['outputs']} outputs / {counted['operators']} operators"
+    )
+    print(
+        f"at batch_size=64: {counted['operator_invocations_per_event']:.2f} "
+        f"operator invocations/event (gate <= "
+        f"{counted['operator_invocations_per_event_max']}) over "
+        f"{counted['batch_size_64_operators']} operators"
     )
     print(f"wrote {path}")

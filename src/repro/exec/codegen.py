@@ -3,11 +3,11 @@
 ``repro.plan.rex.compile_rex`` interprets expressions as a tree of
 nested Python closures: every row pays one function call per node plus
 the intermediate allocations between fused operators.  This module
-compiles a whole pipeline — an ordered list of filter/project steps —
-into a single generated Python loop, ``compile()``d once per plan,
-with constants (literals, regexes, function impls, fallback closures)
-bound through default arguments so the generated code reads them as
-locals.
+compiles a whole pipeline — an ordered list of filter/project/tumble
+steps — into a single generated Python loop, ``compile()``d once per
+plan, with constants (literals, regexes, function impls, fallback
+closures) bound through default arguments so the generated code reads
+them as locals.
 
 Semantics are the house rule: the generated code must be
 observation-equivalent to the closure interpreter — same values, same
@@ -23,8 +23,9 @@ opaque callable.
 
 This module is **provisional**: the generated-source strategy may
 change between releases.  The unfused ``FilterOperator`` →
-``ProjectOperator`` chain over ``compile_rex`` closures stays the
-reference implementation the generated loops are tested against.
+``ProjectOperator`` chain over ``compile_rex`` closures, and
+``TumbleOperator``, stay the reference implementation the generated
+loops are tested against.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from ..plan.rex import Rex, RexCall, RexInput, RexLiteral
 
 __all__ = ["compile_pipeline", "PipelineFns"]
 
-# Steps are ("filter", Rex) or ("project", tuple[Rex, ...]).
+# Steps are ("filter", Rex), ("project", tuple[Rex, ...]) or
+# ("tumble", (timecol, size, offset)).
 Step = Tuple[str, Any]
 PipelineFns = Tuple[Callable, Optional[Callable]]
 
@@ -261,6 +263,36 @@ def _emit_value(
     return target
 
 
+def _emit_tumble(
+    payload: tuple, row: list[str], em: _Emitter, indent: int, columnar: bool
+) -> list[str]:
+    """Emit a tumble step — ``TumbleOperator``'s window assignment, with
+    its error for a NULL timestamp — and return the row it produces:
+    ``wstart, wend`` followed by the row it saw.  The row loop aligns
+    like ``align_to_window``; the columnar loop writes the same grid
+    alignment without the second multiply."""
+    timecol, size, offset = payload
+    ts, start = em.tmp(), em.tmp()
+    em.line(indent, f"{ts} = {row[timecol]}")
+    em.line(indent, f"if {ts} is None:")
+    error = em.bind(ExecutionError, "EE")
+    message = em.bind("NULL event timestamp in Tumble input", "msg")
+    em.line(indent + 1, f"raise {error}({message})")
+    width = em.bind(size, "size")
+    # (A zero offset is left out: subtracting or adding 0 changes no
+    # value, so both forms stay exact.)
+    shift = em.bind(offset, "off") if offset else None
+    shifted = f"({ts} - {shift})" if shift else ts
+    if columnar:
+        em.line(indent, f"{start} = {ts} - ({shifted} % {width})")
+    else:
+        back = f" + {shift}" if shift else ""
+        em.line(indent, f"{start} = ({shifted} // {width}) * {width}{back}")
+    end = em.tmp()
+    em.line(indent, f"{end} = {start} + {width}")
+    return [start, end] + row
+
+
 def _compile_source(em: _Emitter, name: str, param: str) -> Callable:
     params = [param] + [f"{k}={k}" for k in em.env]
     source = f"def {name}({', '.join(params)}):\n" + "\n".join(em.lines)
@@ -279,22 +311,29 @@ def _compile_rows(steps: Sequence[Step], in_width: int) -> Callable:
     em.line(1, "_append = _out.append")
     em.line(1, "for _c in _changes:")
     em.line(2, "_v = _c.values")
-    row: list[str] = [f"_v[{i}]" for i in range(in_width)]
-    projected = False
+    whole: list[str] = [f"_v[{i}]" for i in range(in_width)]
+    row = whole
     for kind, payload in steps:
         if kind == "filter":
             cond = _emit_value(payload, row, em, 2)
             em.line(2, f"if {cond} is not True:")
             em.line(3, "continue")
+        elif kind == "tumble":
+            row = _emit_tumble(payload, row, em, 2, columnar=False)
         else:
             row = [_emit_value(expr, row, em, 2) for expr in payload]
-            projected = True
-    if projected:
-        em.line(2, f"_append({make}(_c.kind, {_row_tuple_expr(row)}, _c.ptime))")
-    else:
+    if row is whole:
         # Pure filters keep the original Change objects, like
         # FilterOperator does.
         em.line(2, "_append(_c)")
+    else:
+        if row[len(row) - in_width:] == whole and len(row) > in_width:
+            # New columns in front of the row it saw (a tumble's window):
+            # concatenate, like TumbleOperator does.
+            values = f"{_row_tuple_expr(row[:len(row) - in_width])} + _v"
+        else:
+            values = _row_tuple_expr(row)
+        em.line(2, f"_append({make}(_c.kind, {values}, _c.ptime))")
     em.line(1, "return _out")
     return _compile_source(em, "_run_rows", "_changes")
 
@@ -304,7 +343,8 @@ def _compile_cols(steps: Sequence[Step], in_width: int) -> Callable:
 
     Output slots are tracked symbolically: a slot is either
     ``("col", i)`` — still column ``i`` of the input, untouched — or
-    ``("var",)`` — a computed scalar.  Without filters, untouched
+    ``("var",)`` — a computed scalar (a tumble step puts two in front of
+    the row, its window).  Without filters, untouched
     output columns (and the kinds/ptimes/seqs vectors) are *shared* with
     the input batch and only computed columns pay a loop; with filters
     everything funnels through one generated loop that also records
@@ -318,6 +358,8 @@ def _compile_cols(steps: Sequence[Step], in_width: int) -> Callable:
                 sym[expr.index] if isinstance(expr, RexInput) else ("var", None)
                 for expr in payload
             ]
+        elif kind == "tumble":
+            sym = [("var", None), ("var", None)] + sym
 
     em = _Emitter()
     cb = em.bind(ColumnarBatch, "CB")
@@ -345,6 +387,8 @@ def _compile_cols(steps: Sequence[Step], in_width: int) -> Callable:
             cond = _emit_value(payload, row, body, 2)
             body.line(2, f"if {cond} is not True:")
             body.line(3, "continue")
+        elif kind == "tumble":
+            row = _emit_tumble(payload, row, body, 2, columnar=True)
         else:
             row = [_emit_value(expr, row, body, 2) for expr in payload]
     width_out = len(row)

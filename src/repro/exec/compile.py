@@ -105,8 +105,8 @@ def build_operator(
         (child,) = children
         return FilterOperator(node.schema, rex.compile_rex(node.condition))
     if isinstance(node, PipelineNode):
-        # Fused Filter/Project chain (columnar mode); the operator runs
-        # the whole chain in one generated loop.
+        # Fused Filter/Project/Tumble chain (columnar mode); the
+        # operator runs the whole chain in one generated loop.
         return PipelineOperator(
             node.schema, len(node.input.schema), node.steps
         )
@@ -143,7 +143,9 @@ def build_operator(
             delta_mode=getattr(node, "delta_mode", False),
         )
     if isinstance(node, AggregateNode):
-        # (a merge plan's leaf is the split aggregate, fed partial payloads)
+        # (a merge plan's leaf is the split aggregate, fed partial
+        # payloads; ``select`` is a Project above it the fusion pass
+        # absorbed)
         combine = isinstance(node, CombineAggregateNode)
         return (CombineAggregateOperator if combine else AggregateOperator)(
             node.schema,
@@ -152,6 +154,7 @@ def build_operator(
             node.event_time_key_positions,
             node.input.bounded,
             allowed_lateness=lateness,
+            select=node.select,
         )
     if isinstance(node, OverNode):
         return OverOperator(

@@ -31,6 +31,7 @@ sharing on or off.
 from __future__ import annotations
 
 import pickle
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -49,7 +50,7 @@ from ..obs.telemetry import RunTelemetry
 from ..obs.trace import TraceEvent
 from ..plan.fingerprint import node_fingerprints, subtree_size
 from ..plan.logical import LogicalNode, ValuesNode
-from ..plan.pipeline import get_fused_root
+from ..plan.pipeline import absorbed_kinds, get_fused_root
 from ..plan.planner import QueryPlan
 from .compile import build_operator, why_runs_split
 from .operators.base import Operator
@@ -65,10 +66,17 @@ __all__ = ["CHECKPOINT_VERSION", "Dataflow", "OutputChannel", "OutputLogs",
 _RETRACT = ChangeKind.RETRACT
 
 #: Format version stamped on every checkpoint payload (serial and
-#: sharded).  2 = output changelogs go through the changelog codec and
-#: may be left out (``histories=False``); a payload without the field
-#: is version 1 (plain ``list[Change]``), which still restores.
-CHECKPOINT_VERSION = 2
+#: sharded).  3 = a columnar flow's operators are those of the plan
+#: fused with absorption (aggregates absorb column-selecting Projects,
+#: Tumble runs inside pipelines — ``repro.plan.pipeline``), so its
+#: ``op_types`` (and a two-phase stage's operator count) differ from a
+#: format-2 cut of the same flow; 2 = output changelogs go through the
+#: changelog codec and may be left out (``histories=False``); a payload
+#: without the field is version 1 (plain ``list[Change]``).  Older cuts
+#: restore through the same reader wherever their operators still match
+#: (every flow that is not fused); where they do not, the refusal says
+#: so (:func:`plan_format_error`).
+CHECKPOINT_VERSION = 3
 
 
 def check_checkpoint_version(payload: dict) -> None:
@@ -79,6 +87,28 @@ def check_checkpoint_version(payload: dict) -> None:
             f"checkpoint format version {version} is newer than this "
             f"build reads (up to {CHECKPOINT_VERSION})"
         )
+
+
+def plan_format_error(
+    what: str, version: int, held: int, compiled: int, absorbed: list[str]
+) -> ExecutionError:
+    """The refusal for ``what`` (a checkpoint, or one of its parts) cut
+    by a format older than 3 that does not match the operators this
+    build compiles, because the fusion pass folded ``absorbed`` (plan
+    node kinds, one per node: :func:`~repro.plan.pipeline.absorbed_kinds`)
+    into the operators around them."""
+    kinds = ", ".join(
+        kind if n == 1 else f"{kind} x{n}"
+        for kind, n in sorted(Counter(absorbed).items())
+    )
+    return ExecutionError(
+        f"{what} was cut by checkpoint format {version}: it holds {held} "
+        f"operators where this flow compiles {compiled}, because format "
+        f"{CHECKPOINT_VERSION} folds {kinds} into the operators around "
+        f"them; a format-{version} cut restores only if it was cut from a "
+        "flow whose plan is not fused (batch_size=1 under "
+        "columnar=\"auto\", or columnar=\"off\"), into one like it"
+    )
 
 
 def runs_columnar(config) -> bool:
@@ -529,14 +559,17 @@ class Dataflow(OutputLogs):
     def _exec_root(self, plan: QueryPlan) -> LogicalNode:
         """The logical root this flow actually compiles for ``plan``.
 
-        In columnar mode adjacent Filter/Project chains are fused into
-        :class:`~repro.plan.pipeline.PipelineNode` steps first; the
-        fused tree is memoized per plan object so every correlation
-        keyed by node identity (donor transplants, checkpoint recipes,
-        sharded shard-plan sharing) sees the same objects.
+        In columnar mode the plan is fused first
+        (:mod:`repro.plan.pipeline`): aggregates absorb their
+        column-selecting Projects — unless the flow compacts
+        (``coalesce_updates``) — and Filter/Project/Tumble chains become
+        :class:`~repro.plan.pipeline.PipelineNode` steps.  The fused
+        tree is memoized per plan object so every correlation keyed by
+        node identity (donor transplants, checkpoint recipes, sharded
+        shard-plan sharing) sees the same objects.
         """
         if self._columnar_active:
-            return get_fused_root(plan)
+            return get_fused_root(plan, absorb=not self.coalesce_updates)
         return plan.root
 
     def _register_leaf(self, leaf: Operator) -> None:
@@ -920,6 +953,9 @@ class Dataflow(OutputLogs):
         for output_id, plan in plans:
             node_ops = structure["outputs"][output_id]["node_ops"]
             root_node = self._exec_root(plan)
+            if subtree_size(root_node) != len(node_ops):
+                # (a cut of a plan fused differently: one entry per node)
+                raise cls._refusal(plans, structure, sources, config)
             fps = node_fingerprints(root_node)
             pos = 0
 
@@ -942,9 +978,39 @@ class Dataflow(OutputLogs):
             raise ExecutionError(
                 "checkpoint structure references operators no output builds"
             )
+        if [type(op).__name__ for op in slots] != structure["op_types"]:
+            raise cls._refusal(plans, structure, sources, config)
         self._primary, self.plan = plans[0][0], plans[0][1]
         self._graph_changed()
         return self
+
+    @classmethod
+    def _refusal(
+        cls, plans, structure: dict, sources, config
+    ) -> ExecutionError:
+        """Why a cut's recipe does not fit the operators ``plans``
+        compile to: the flow they build fresh (only on this error path)
+        says what it compiles instead."""
+        fresh = cls(plans[0][1], sources, config, plans[0][0])
+        for output_id, plan in plans[1:]:
+            fresh.attach_output(output_id, plan)
+        return fresh._mismatch(structure, len(structure["op_types"]))
+
+    def _mismatch(self, payload: dict, held: int) -> ExecutionError:
+        """The refusal of a checkpoint holding ``held`` operators that
+        are not this flow's: a cut older than format 3 of a plan this
+        build fuses says so (:func:`plan_format_error`); anything else is
+        a plain mismatch."""
+        absorbed = absorbed_kinds(
+            *(self._exec_root(ch.plan) for ch in self._outputs.values())
+        )
+        version = payload.get("version", 1)
+        if version < 3 and absorbed:
+            return plan_format_error(
+                "this checkpoint", version, held, len(self._operators),
+                absorbed,
+            )
+        return ExecutionError("checkpoint does not match this dataflow's plan")
 
     # -- checkpoint / recovery ---------------------------------------------------
 
@@ -1048,9 +1114,7 @@ class Dataflow(OutputLogs):
         operators = self._operators
         check_checkpoint_version(payload)
         if payload["op_types"] != [type(op).__name__ for op in operators]:
-            raise ExecutionError(
-                "checkpoint does not match this dataflow's plan"
-            )
+            raise self._mismatch(payload, len(payload["op_types"]))
         if set(payload["output_order"]) != set(self._outputs):
             raise ExecutionError(
                 "checkpoint does not match this dataflow's outputs"

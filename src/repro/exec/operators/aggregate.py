@@ -85,6 +85,17 @@ def _rows(arg_cols: Sequence[Sequence], keys: Sequence) -> Iterable[tuple]:
     return zip(*arg_cols) if arg_cols else [()] * len(keys)
 
 
+def _selector(select: Optional[Sequence[int]], width: int):
+    """The row -> emitted row function of an absorbed output selection,
+    or ``None`` when every row is emitted whole."""
+    if select is None or tuple(select) == tuple(range(width)):
+        return None
+    if len(select) == 1:
+        (sole,) = select
+        return lambda row: (row[sole],)
+    return itemgetter(*select)
+
+
 class AggregateOperator(Operator):
     """Keyed incremental aggregation over a changelog.
 
@@ -95,6 +106,12 @@ class AggregateOperator(Operator):
     :meth:`on_cols` (columns) are *extractors* producing those
     sequences; the two-phase combine stage feeds the same fold from
     its replay payloads.
+
+    ``select`` is the output selection of a Project the fusion pass
+    absorbed (:mod:`repro.plan.pipeline`): the columns of the group's
+    full ``key + results`` row that are emitted.  Group state keeps the
+    full row — a change in a column that is not emitted still moves the
+    row — and only the emitted ``Change`` is built from the selection.
     """
 
     supports_columnar = True
@@ -107,10 +124,14 @@ class AggregateOperator(Operator):
         event_time_key_positions: Sequence[int],
         input_bounded: bool,
         allowed_lateness: int = 0,
+        select: Optional[Sequence[int]] = None,
     ):
         super().__init__(schema, arity=1)
         self._group_indices = tuple(group_indices)
         self._aggs = tuple(aggs)
+        self._select = _selector(
+            select, len(self._group_indices) + len(self._aggs)
+        )
         self._et_positions = tuple(event_time_key_positions)
         self._allowed_lateness = allowed_lateness
         self._groups: dict[tuple, _GroupState] = {}
@@ -282,6 +303,7 @@ class AggregateOperator(Operator):
         results = self._results
         insert = ChangeKind.INSERT
         retract = ChangeKind.RETRACT
+        select = self._select
         sole = self._sole
         if sole is not None:
             _, add0, retract0, _ = sole
@@ -347,7 +369,11 @@ class AggregateOperator(Operator):
                 emitted = state.emitted
                 if state.row_count == 0 and not is_global:
                     if emitted is not None:
-                        append(Change(retract, emitted, ptimes[idx]))
+                        append(Change(
+                            retract,
+                            emitted if select is None else select(emitted),
+                            ptimes[idx],
+                        ))
                     del groups[key]
                     state = None
                     continue
@@ -361,8 +387,14 @@ class AggregateOperator(Operator):
                     continue
                 ptime = ptimes[idx]
                 if emitted is not None:
-                    append(Change(retract, emitted, ptime))
-                append(Change(insert, row, ptime))
+                    append(Change(
+                        retract,
+                        emitted if select is None else select(emitted),
+                        ptime,
+                    ))
+                append(Change(
+                    insert, row if select is None else select(row), ptime
+                ))
                 state.emitted = row
         finally:
             self._retained += net
@@ -373,9 +405,14 @@ class AggregateOperator(Operator):
         row, combine-stage deltas): drop an emptied group, otherwise
         re-derive its output row and emit retract/insert if it moved."""
         emitted = state.emitted
+        select = self._select
         if state.row_count == 0 and not self._global:
             if emitted is not None:
-                append(Change(ChangeKind.RETRACT, emitted, ptime))
+                append(Change(
+                    ChangeKind.RETRACT,
+                    emitted if select is None else select(emitted),
+                    ptime,
+                ))
             del self._groups[key]
             return
         row = key + tuple(
@@ -384,8 +421,14 @@ class AggregateOperator(Operator):
         if row == emitted:
             return
         if emitted is not None:
-            append(Change(ChangeKind.RETRACT, emitted, ptime))
-        append(Change(ChangeKind.INSERT, row, ptime))
+            append(Change(
+                ChangeKind.RETRACT,
+                emitted if select is None else select(emitted),
+                ptime,
+            ))
+        append(Change(
+            ChangeKind.INSERT, row if select is None else select(row), ptime
+        ))
         state.emitted = row
 
     # -- introspection ----------------------------------------------------------------
@@ -677,6 +720,7 @@ class CombineAggregateOperator(AggregateOperator):
         event_time_key_positions: Sequence[int],
         input_bounded: bool,
         allowed_lateness: int = 0,
+        select: Optional[Sequence[int]] = None,
     ):
         super().__init__(
             schema,
@@ -685,6 +729,7 @@ class CombineAggregateOperator(AggregateOperator):
             event_time_key_positions,
             input_bounded,
             allowed_lateness,
+            select,
         )
         self._agg_rows_in = 0
 

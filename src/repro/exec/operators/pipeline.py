@@ -1,7 +1,7 @@
-"""The fused filter/project operator.
+"""The fused filter/project/tumble operator.
 
-One :class:`PipelineOperator` executes a whole chain of filter and
-project steps (see :mod:`repro.plan.pipeline`) as a single generated
+One :class:`PipelineOperator` executes a whole chain of filter, project
+and tumble steps (see :mod:`repro.plan.pipeline`) as a single generated
 loop — one per encoding: a row loop producing ``Change`` objects and a
 columnar loop producing a :class:`~repro.core.colbatch.ColumnarBatch`
 that shares untouched columns with its input.
@@ -21,7 +21,7 @@ __all__ = ["PipelineOperator"]
 
 
 class PipelineOperator(Operator):
-    """Runs fused filter/project steps in one generated loop."""
+    """Runs fused filter/project/tumble steps in one generated loop."""
 
     supports_columnar = True
     carries_seqs = True

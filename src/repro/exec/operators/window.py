@@ -26,10 +26,11 @@ __all__ = ["TumbleOperator", "HopOperator", "hop_windows"]
 
 
 class TumbleOperator(Operator):
-    """Assigns each row to the fixed window containing its timestamp."""
+    """Assigns each row to the fixed window containing its timestamp.
 
-    supports_columnar = True
-    carries_seqs = True
+    Row-at-a-time flows run it; a columnar flow runs every tumble as a
+    step of a fused pipeline (:mod:`repro.plan.pipeline`), whose
+    generated loops are tested against this operator."""
 
     def __init__(
         self, schema: Schema, timecol: int, size: Duration, offset: Duration = 0
@@ -57,28 +58,6 @@ class TumbleOperator(Operator):
                 )
             )
         return out
-
-    def on_cols(self, port: int, batch):
-        # The columnar fast path: Tumble is kind-preserving and 1:1,
-        # so every input column and the kinds, ptimes and seqs vectors
-        # are shared with the input batch untouched — only the two
-        # window columns are materialized.
-        size, offset = self._size, self._offset
-        wstarts: list[int] = []
-        append = wstarts.append
-        for ts in batch.columns[self._timecol]:
-            if ts is None:
-                raise ExecutionError("NULL event timestamp in Tumble input")
-            # Inline align_to_window: ts - ((ts - offset) % size) is
-            # the same grid alignment without the second multiply.
-            append(ts - ((ts - offset) % size))
-        wends = [ws + size for ws in wstarts]
-        return ColumnarBatch(
-            (wstarts, wends) + batch.columns,
-            batch.kinds,
-            batch.ptimes,
-            batch.seqs,
-        )
 
 
 def hop_windows(

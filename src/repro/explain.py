@@ -169,12 +169,14 @@ def _columnar_section(query, flow) -> str:
     """The columnar execution shape: the fused tree, annotated.
 
     ``[columnar]`` marks operators that consume column batches;
-    ``[fused: ...]`` marks Filter/Project chains collapsed into one
-    generated pipeline loop.  Read off the serial flows that compiled
-    the plan — ``flow`` or its first shard, and for a two-phase split
-    the combine flow running the merge half above the partial half the
-    shards run — one operator per plan node, in ``sharing_map``'s
-    post-order.
+    ``[fused: ...]`` marks Filter/Project/Tumble chains collapsed into
+    one generated pipeline loop, and an aggregate that absorbed a
+    column-selecting Project shows its ``in=[...]`` (the input columns
+    it reads) and ``out=[...]`` (the columns it emits).  Read off the
+    serial flows that compiled the plan — ``flow`` or its first shard,
+    and for a two-phase split the combine flow running the merge half
+    above the partial half the shards run — one operator per plan node,
+    in ``sharing_map``'s post-order.
     """
     effective = query._effective()
     combine = None
@@ -216,7 +218,7 @@ def _annotated_tree(flow, depth: int, lines: list[str]) -> None:
         if ops[id(node)].supports_columnar:
             tags += " [columnar]"
         if isinstance(node, PipelineNode):
-            tags += f" [fused: {node.step_kinds()}]"
+            tags += f" [fused: {node.step_labels()}]"
         lines.append("  " * depth + node._describe() + tags)
         for child in node.inputs:
             walk(child, depth + 1)

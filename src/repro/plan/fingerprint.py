@@ -113,6 +113,15 @@ def _agg_token(call) -> tuple:
     )
 
 
+def _step_token(step) -> tuple:
+    kind, payload = step
+    if kind == "filter":
+        return ("filter", rex_token(payload))
+    if kind == "project":
+        return ("project", tuple(rex_token(e) for e in payload))
+    return ("tumble", payload)  # (timecol, size, offset)
+
+
 def _node_token(node: LogicalNode) -> tuple:
     """The per-node canonical parameters, children excluded."""
     if isinstance(node, ScanNode):
@@ -127,17 +136,9 @@ def _node_token(node: LogicalNode) -> tuple:
         return ("project", tuple(rex_token(e) for e in node.exprs))
     if isinstance(node, PipelineNode):
         # A fused chain fingerprints as its ordered steps, so two
-        # pipelines share state exactly when their filter/project
+        # pipelines share state exactly when their filter/project/tumble
         # chains are expression-identical.
-        return (
-            "pipeline",
-            tuple(
-                ("filter", rex_token(payload))
-                if kind == "filter"
-                else ("project", tuple(rex_token(e) for e in payload))
-                for kind, payload in node.steps
-            ),
-        )
+        return ("pipeline", tuple(_step_token(step) for step in node.steps))
     if isinstance(node, TemporalFilterNode):
         return (
             "temporal_filter",
@@ -154,10 +155,13 @@ def _node_token(node: LogicalNode) -> tuple:
             node.key_indices,
         )
     if isinstance(node, AggregateNode):
+        # ``select`` is what an absorbed Project above kept: two outputs
+        # emitting different columns never share the operator.
         return (
             "aggregate",
             node.group_indices,
             tuple(_agg_token(call) for call in node.aggs),
+            node.select,
         )
     if isinstance(node, PartialAggregateNode):
         return (

@@ -393,13 +393,34 @@ class AggCall:
         return f"{self.function.name}({d}{arg}) AS {self.output.name}"
 
 
+def _describe_absorbed(node: LogicalNode) -> str:
+    """The selections the fusion pass folded into an aggregate node, as
+    ``, in=[...]`` (the input columns an absorbed Project below picked)
+    and ``, out=[...]`` (the columns of the full row emitted)."""
+    parts = ""
+    for label, picked in (("in", node.reads), ("out", node.select)):
+        if picked is not None:
+            parts += f", {label}=[{', '.join(f'${i}' for i in picked)}]"
+    return parts
+
+
 class AggregateNode(LogicalNode):
     """Grouped aggregation.
 
     Group keys are input ordinals (the planner pre-projects computed
     keys).  Output schema is the group key columns followed by the
     aggregate results.
+
+    ``reads`` and ``select`` are set only on the copies the fusion pass
+    (:mod:`repro.plan.pipeline`) makes when it absorbs a column-selecting
+    Project: ``reads`` is the input ordinals a Project below picked
+    (the group and argument ordinals already point through it), and
+    ``select`` the columns of the full ``group + aggregates`` row a
+    Project above kept — what the operator emits.
     """
+
+    reads: Optional[tuple[int, ...]] = None
+    select: Optional[tuple[int, ...]] = None
 
     def __init__(
         self,
@@ -439,7 +460,7 @@ class AggregateNode(LogicalNode):
     def _describe(self) -> str:
         keys = ", ".join(f"${i}" for i in self.group_indices)
         aggs = ", ".join(str(a) for a in self.aggs)
-        return f"Aggregate(group=[{keys}], aggs=[{aggs}])"
+        return f"Aggregate(group=[{keys}], aggs=[{aggs}]{_describe_absorbed(self)})"
 
 
 class PartialAggregateNode(LogicalNode):
@@ -452,8 +473,13 @@ class PartialAggregateNode(LogicalNode):
     the single-phase changelog.  The output is not a relation users
     see: each "row" is one opaque per-batch payload ``(tag, entries)``,
     so the schema is a single untyped column and completion metadata
-    is dropped (payloads are never emitted to a sink).
+    is dropped (payloads are never emitted to a sink).  Like the
+    aggregate it splits, it may absorb a column-selecting Project below
+    it (``reads``); it emits payloads, so nothing is selected above it.
     """
+
+    reads: Optional[tuple[int, ...]] = None
+    select = None
 
     def __init__(
         self,
@@ -486,7 +512,10 @@ class PartialAggregateNode(LogicalNode):
     def _describe(self) -> str:
         keys = ", ".join(f"${i}" for i in self.group_indices)
         aggs = ", ".join(str(a) for a in self.aggs)
-        return f"PartialAggregate(group=[{keys}], aggs=[{aggs}])"
+        return (
+            f"PartialAggregate(group=[{keys}], aggs=[{aggs}]"
+            f"{_describe_absorbed(self)})"
+        )
 
 
 class OverNode(LogicalNode):

@@ -22,6 +22,7 @@ global event sequence, so results are identical across all three.
 
 from __future__ import annotations
 
+import gc
 import threading
 from typing import Callable, Optional, TypeVar
 
@@ -84,6 +85,12 @@ def _fork_available() -> bool:
 
 
 def _process_entry(worker: Callable[[], T], conn) -> None:
+    # The heap inherited from the parent leaves the collector's
+    # generations first thing, so a full collection in the worker does
+    # not walk — and copy on write — every object the parent held.
+    # (Done here rather than around the fork in the parent: unfreezing
+    # there would also unfreeze whatever the caller froze itself.)
+    gc.freeze()
     try:
         payload = ("ok", worker())
     except BaseException as exc:  # noqa: BLE001 — re-raised in parent

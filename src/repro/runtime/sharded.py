@@ -88,6 +88,7 @@ from ..exec.executor import (
     check_same_instant,
     event_runs,
     merge_source_events,
+    plan_format_error,
     replay_runs,
     stored_changes,
 )
@@ -97,6 +98,7 @@ from ..obs.telemetry import RunTelemetry
 from ..obs.trace import TraceEvent
 from ..plan.partition import PartitionSpec
 from ..plan.physical import TwoPhaseSplit, split_eligibility
+from ..plan.pipeline import absorbed_kinds
 from .backends import run_shards
 from .faults import FaultInjector
 from .frontier import WatermarkFrontier
@@ -214,14 +216,10 @@ class ShardedDataflow(OutputLogs):
         if split is not None:
             self.splits[output_id] = split
             if combine is None:
-                # Columnar off: the flow is fed one payload per run, so
-                # column batches never engage, and fusing its finishing
-                # chain would change its ``op_types`` — the shape of the
-                # stage state a checkpoint carries.  Fusion waits for
-                # checkpoint format 3.
-                combine = Dataflow(
-                    split.merge_plan, {}, replace(self.config, columnar="off")
-                )
+                # Compiled like every other flow: with columnar batches
+                # on, the combine aggregate absorbs a column-selecting
+                # finishing Project (payloads still arrive as rows).
+                combine = Dataflow(split.merge_plan, {}, self.config)
             self.combines[output_id] = combine
         self._shard_plans[output_id] = (
             split.shard_plan if split is not None else plan
@@ -816,6 +814,7 @@ class ShardedDataflow(OutputLogs):
             _restore_stage(
                 self.combines[oid], blob, self._last_ptime,
                 self._outputs[oid].frontier.current,
+                oid, payload.get("version", 1),
             )
         # Absent in pre-supervisor checkpoints; start the ledger fresh.
         self._recovery = RecoveryStats(**payload.get("recovery", {}))
@@ -860,10 +859,16 @@ def _stage_bytes(combine: Dataflow) -> bytes:
 
 
 def _restore_stage(
-    combine: Dataflow, blob, ptime: Timestamp, watermark: Timestamp
+    combine: Dataflow,
+    blob,
+    ptime: Timestamp,
+    watermark: Timestamp,
+    output_id: str,
+    version: int,
 ) -> None:
     """Adopt a :func:`_stage_bytes` entry (or the plain dict pre-codec
-    sharded checkpoints embedded) into a fresh combine flow.
+    sharded checkpoints embedded) — output ``output_id``'s, of a
+    checkpoint cut by format ``version`` — into a fresh combine flow.
 
     The entry holds no watermark: aggregates pass watermarks through,
     so the flow's root watermark is the restored frontier's ``watermark``
@@ -872,10 +877,17 @@ def _restore_stage(
     """
     payload = blob if isinstance(blob, dict) else pickle.loads(blob)
     operators = combine.operators
-    if len(payload["ops"]) != len(operators):
+    held = len(payload["ops"])
+    if held != len(operators):
+        absorbed = absorbed_kinds(combine._exec_root(combine.plan))
+        if version < 3 and absorbed:
+            raise plan_format_error(
+                f"the two-phase stage of output {output_id!r}", version,
+                held, len(operators), absorbed,
+            )
         raise ExecutionError(
             f"combine flow shape changed: checkpoint has "
-            f"{len(payload['ops'])} operators, the flow has {len(operators)}"
+            f"{held} operators, the flow has {len(operators)}"
         )
     for op, state in zip(operators, payload["ops"]):
         op.state_restore(state)

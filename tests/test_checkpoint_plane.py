@@ -51,7 +51,7 @@ from repro.core.codec import (
 from repro.core.errors import ExecutionError
 from repro.core.schema import Schema, int_col, timestamp_col
 from repro.core.tvr import TimeVaryingRelation, ins, rm, wm
-from repro.exec.executor import merge_source_events
+from repro.exec.executor import CHECKPOINT_VERSION, merge_source_events
 from repro.exec.operators.aggregate import AggregateOperator
 from repro.exec.operators.join import JoinOperator, held_rows
 from repro.exec.operators.outer_join import OuterJoinOperator
@@ -1341,7 +1341,7 @@ class TestEncodedAtRest:
             kinds, rows, ptimes = stored[key]
             assert type(kinds) is bytes and len(kinds) == stored["size"]
             assert decode_changes(stored[key]) == changelog[:stored["size"]]
-        assert pickle.loads(blobs[-1])["version"] == 2
+        assert pickle.loads(blobs[-1])["version"] == CHECKPOINT_VERSION == 3
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_a_late_joiner_after_resume_sees_what_one_before_the_cut_sees(

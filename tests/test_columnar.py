@@ -200,6 +200,60 @@ def test_pipeline_codegen_matches_interpreter():
     assert out.to_changes() == reference
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    stamps=st.lists(st.integers(-10**7, 10**7), min_size=1, max_size=30),
+    size=st.integers(1, 10**6),
+    offset=st.integers(0, 10**5),
+    keep_above=st.integers(-1, 3),
+)
+def test_tumble_step_matches_tumble_operator(stamps, size, offset, keep_above):
+    """The reference is ``TumbleOperator`` (after ``FilterOperator``):
+    the same rows from the row loop and from the columnar loop — which
+    shares the input's columns, kinds, ptimes and ``seqs`` when no
+    filter runs, and gathers ``seqs`` like ``ptimes`` when one does."""
+    from repro.exec.operators.window import TumbleOperator
+
+    schema = Schema([timestamp_col("ts", event_time=True), int_col("v")])
+    tumble = TumbleOperator(schema, 0, size, offset)
+    batch = _changes([(ts, i % 5) for i, ts in enumerate(stamps)])
+    seqs = list(range(0, 2 * len(batch), 2))
+    cols = ColumnarBatch.from_changes(batch, 2)
+    cols.seqs = seqs
+    alone = PipelineOperator(schema, 2, (("tumble", (0, size, offset)),))
+    assert alone.on_batch(0, batch) == tumble.on_batch(0, batch)
+    out = alone.on_cols(0, cols)
+    assert out.to_changes() == tumble.on_batch(0, batch)
+    assert all(a is b for a, b in zip(out.columns[2:], cols.columns))
+    assert out.seqs is seqs
+    assert out.kinds is cols.kinds and out.ptimes is cols.ptimes
+
+    cond = RexCall_gt(_int_input(1), _lit(keep_above))
+    keep = FilterOperator(schema, compile_rex(cond))
+    fused = PipelineOperator(
+        schema, 2, (("filter", cond), ("tumble", (0, size, offset)))
+    )
+    assert fused.on_batch(0, batch) == tumble.on_batch(0, keep.on_batch(0, batch))
+    kept = [c.values[1] > keep_above for c in batch]
+    out = fused.on_cols(0, cols)
+    assert out.to_changes() == tumble.on_batch(0, keep.on_batch(0, batch))
+    assert out.seqs == [seq for seq, k in zip(seqs, kept) if k]
+
+
+def test_a_tumble_step_refuses_a_null_timestamp_like_tumble():
+    schema = Schema([timestamp_col("ts", event_time=True), int_col("v")])
+    op = PipelineOperator(schema, 2, (("tumble", (0, 1000, 0)),))
+    rows = _changes([(5, 1), (None, 2)])
+    for run in (
+        lambda: op.on_batch(0, rows),
+        lambda: op.on_cols(0, ColumnarBatch.from_changes(rows, 2)),
+    ):
+        with pytest.raises(
+            ExecutionError, match="^NULL event timestamp in Tumble input$"
+        ):
+            run()
+
+
 def test_case_and_cast_fall_back_to_closures():
     case = RexCase(
         whens=((RexCall_gt(_int_input(0), _lit(1)), _lit("hi", SqlType.STRING)),),

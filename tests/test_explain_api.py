@@ -6,6 +6,8 @@ through ``repro.explain.render_explain``, so their output can never
 drift apart.
 """
 
+import re
+
 import pytest
 
 from repro import ExecutionConfig, StreamEngine, ValidationError, parse_explain
@@ -27,10 +29,13 @@ SQL = """
 """
 
 
-def make_engine(parallelism=4, two_phase="on"):
+def make_engine(parallelism=4, two_phase="on", batch_size=None):
     engine = StreamEngine(
         config=ExecutionConfig(
-            parallelism=parallelism, backend="sync", two_phase=two_phase
+            parallelism=parallelism,
+            backend="sync",
+            two_phase=two_phase,
+            batch_size=batch_size,
         )
     )
     events = [
@@ -191,9 +196,36 @@ class TestColumnarSection:
         merge = section.split("  merge stage:\n")[1]
         merge = merge.split("  each of 4 shards:\n")[0].splitlines()
         operators = query.sharded_dataflow().combines["main"].operators[::-1]
+        # (``SUM(v) * 2`` computes: that Project is not absorbed)
         assert len(merge) == len(operators) >= 2
         for line, op in zip(merge, operators):
-            node = line.strip().split("(")[0]
+            node = re.match(r"[A-Za-z]+", line.strip()).group()
             assert node == type(op).__name__.removesuffix("Operator"), line
             assert ("[columnar]" in line) == op.supports_columnar, line
             assert ("[fused:" in line) == isinstance(op, PipelineOperator), line
+
+    def test_absorbed_selections_and_the_tumble_step_are_shown(self):
+        """A column-selecting Project shows where it went — the merge
+        half is one combine aggregate emitting ``out``, the shard half a
+        partial aggregate reading ``in`` — and the tumble runs as a step
+        of its pipeline, spec and all."""
+        text = make_engine(batch_size=64).explain(SQL, mode="physical")
+        section = text[text.index("Columnar: on"):].splitlines()
+        assert section[1:] == [
+            "  merge stage:",
+            "    CombineAggregate(group=[$0, $1, $2], "
+            "aggs=[SUM($3) AS $sum0], out=[$0, $1, $3])",
+            "  each of 4 shards:",
+            "    PartialAggregate(group=[$2, $1, $0], aggs=[SUM($4) AS $sum0], "
+            "in=[$2, $1, $0, $4]) [columnar]",
+            "      Pipeline[tumble] [columnar] "
+            "[fused: tumble(timecol=$1, size=2m)]",
+            "        Scan(S stream) [columnar]",
+        ]
+
+    def test_unfused_plans_render_as_they_always_did(self):
+        """``batch_size=1``: nothing is fused, so nothing is absorbed."""
+        text = make_engine().explain(SQL, mode="physical")
+        assert "Columnar: off" in text
+        for mark in ("in=[", "out=[", "Pipeline[", "[fused:"):
+            assert mark not in text

@@ -328,6 +328,77 @@ class TestSharing:
         assert query_changes(q2) == oneshot_changes(events, Q_MAX)
 
 
+def _window(select, minutes):
+    return (
+        f"SELECT {select} FROM Tumble(data => TABLE(S), "
+        f"timecol => DESCRIPTOR(ts), dur => INTERVAL '{minutes}' MINUTE) TS "
+        "GROUP BY wend EMIT STREAM"
+    )
+
+
+#: eight aggregates over one window, as on the suite's ``live.queries``:
+#: they share the scan and the window, and — unfused — the pre-projection
+#: of each argument column
+EIGHT_OVER_ONE_WINDOW = [
+    _window(f"wend, {aggregate} AS x", 2)
+    for aggregate in (
+        "MAX(v)", "MIN(v)", "COUNT(*)", "SUM(v)", "AVG(v)", "MAX(k)",
+        "MIN(k)", "SUM(k)",
+    )
+]
+
+
+class TestAbsorptionTradeOff:
+    """What a fused (columnar) flow shares once its aggregates absorb
+    their column-selecting Projects, against the unfused plan."""
+
+    def flow_of(self, queries, batch_size):
+        svc = service_with_source(
+            config=ExecutionConfig(batch_size=batch_size), max_queries=32
+        )
+        submitted = [svc.submit("t", sql) for sql in queries]
+        assert all(q.flow is submitted[0].flow for q in submitted)
+        return svc, submitted[0].flow
+
+    def aggregates(self, flow):
+        return sum(type(op).__name__ == "AggregateOperator" for op in flow.operators)
+
+    @pytest.mark.parametrize(
+        "batch_size, before, after, aggregates",
+        [
+            # unfused: a tumble, a pre-projection, ONE aggregate both
+            # outputs read, and a Project per SELECT list
+            (1, 21, 26, 9),
+            # fused: a tumble step and one aggregate per SELECT list
+            (64, 10, 13, 10),
+        ],
+    )
+    def test_select_lists_that_differ_no_longer_share_an_aggregate(
+        self, batch_size, before, after, aggregates
+    ):
+        svc, flow = self.flow_of(EIGHT_OVER_ONE_WINDOW, batch_size)
+        assert flow.resident_operator_count() == before
+        for sql in (_window("wend, MAX(v) AS x", 3), _window("MAX(v) AS x, wend", 3)):
+            assert svc.submit("t", sql).flow is flow
+        assert flow.resident_operator_count() == after
+        assert self.aggregates(flow) == aggregates
+
+    @pytest.mark.parametrize("batch_size, shared", [(1, 4), (64, 2)])
+    def test_shared_subplans_counts_what_is_left_to_share(self, batch_size, shared):
+        """Unfused, the eight share the scan, the window and the two
+        pre-projections (of ``v`` and of ``k``); fused, those
+        projections are inside the aggregates — nothing is lost, there
+        is less to count."""
+        svc, flow = self.flow_of(EIGHT_OVER_ONE_WINDOW, batch_size)
+        assert svc.session.shared_subplans() == shared
+        queries = list(svc.session.queries())
+        events = make_events(60)
+        for event in events:
+            svc.ingest(event, "S")
+        for sql, query in zip(EIGHT_OVER_ONE_WINDOW, queries):
+            assert query_changes(query) == oneshot_changes(events, sql)
+
+
 class TestWithdrawal:
     def test_withdrawing_one_sharer_preserves_the_survivor(self):
         """The regression this PR fixes: teardown of a withdrawn query

@@ -400,11 +400,15 @@ class TestSeqsCarry:
         flow.process_batch(rows, "S", seqs)
         return seen, flow.take_output_of("main")
 
-    def test_tumble_and_projection_share_the_vector(self):
+    def test_the_fused_tumble_shares_the_vector(self):
+        """The shard plan is scan, a tumble step, and the partial
+        aggregate that absorbed the projection between them."""
         seqs = list(range(0, 24, 2))
         seen, (payload,) = self._outputs(TUMBLE_SQL, seqs)
+        assert set(seen) == {
+            "ScanOperator", "PipelineOperator", "PartialAggregateOperator"
+        }
         assert seen["ScanOperator"][1].seqs is seqs
-        assert seen["TumbleOperator"][1].seqs is seqs
         assert seen["PipelineOperator"][1].seqs is seqs
         kind, count, entries, shipped = payload.values
         assert (kind, count, shipped) == ("P2R", 12, tuple(seqs))

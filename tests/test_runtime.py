@@ -340,6 +340,28 @@ class TestProcessPool:
                 [lambda: 1, _LoadsOnlyInTheChild, fail], backend="processes"
             )
 
+    def test_a_worker_does_not_collect_what_it_inherited(self):
+        """A forked worker's heap from the parent is frozen before its
+        work starts; the parent's collector is left as it was, whether
+        the workers return or raise."""
+        import gc
+
+        from repro.runtime import backends, run_shards
+
+        if not backends._fork_available():
+            pytest.skip("no fork on this platform")
+        assert gc.get_freeze_count() == 0
+        counts = run_shards([gc.get_freeze_count] * 2, backend="processes")
+        assert all(count > 0 for count in counts)
+        assert gc.get_freeze_count() == 0
+
+        def fail():
+            raise ValueError("worker broke")
+
+        with pytest.raises(ValueError, match="worker broke"):
+            run_shards([gc.get_freeze_count, fail], backend="processes")
+        assert gc.get_freeze_count() == 0
+
 
 class TestPaperListingEquality:
     """Section 4's Bid stream: sharded output is byte-identical to serial."""
