@@ -38,6 +38,16 @@ A second, small section keeps what this file has always measured: the
 size and take/restore time of one NEXMark Q7 flow checkpoint, and that
 restore + replay equals the uninterrupted run.
 
+A third cuts aggregate state the way the suite's ``replay.keyed_state``
+recovery drill does: its ``(bidder, auction)`` keyed tumble, on its
+inputs at seed 42, cut three quarters through (≈ 8 k groups).  Gated on
+counts that repeat exactly: at most ``GATE_BYTES_PER_ROW`` checkpoint
+bytes per state row, and — counted with ``pickletools.genops`` over the
+aggregate's operator state — no ``NEWOBJ`` or ``BUILD`` opcode and no
+global of this package (checkpoint format 4 cuts groups as one table of
+columns; format 3 pickled two objects per group); restore + continue
+equals the uninterrupted run.
+
 Writes ``BENCH_checkpoint.json`` — the artifact the CI
 ``checkpoint-bench`` job uploads.  Runs under plain pytest and as a
 script::
@@ -47,11 +57,15 @@ script::
 
 from __future__ import annotations
 
+import collections
 import gc
 import json
+import pickle
+import pickletools
 import random
 import shutil
 import statistics
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -61,15 +75,22 @@ from repro.core import codec
 from repro.core.schema import Schema, int_col, timestamp_col
 from repro.core.times import seconds
 from repro.core.tvr import TimeVaryingRelation, ins, wm
+from repro.exec.operators.aggregate import AggregateOperator
 from repro.nexmark import NexmarkConfig, generate
 from repro.nexmark.queries import q7_highest_bid
 from repro.service import StandingQueryService
+
+sys.path.insert(0, str(Path(__file__).resolve().parent / "suite"))
+import gen  # noqa: E402  (the suite's input generator)
+import workloads  # noqa: E402  (the suite's workload specs)
+from harness import merged_events  # noqa: E402  (the suite's replay order)
 
 HISTORY = 100_000
 CUT_EVERY = 5_000
 TAIL = 256  # events a resumed service is compared on
 GATE_FLAT = 2.0  # last incremental cuts vs first; resume at 8 H vs H
 RESUME_H = 2_500  # the resume arm cuts at H and at 8 H
+GATE_BYTES_PER_ROW = 80  # the state-table arm's cut (format 3: 147.4)
 
 BID_SCHEMA = Schema(
     [
@@ -81,7 +102,7 @@ BID_SCHEMA = Schema(
 )
 
 ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_checkpoint.json"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def tumble(select: str, seconds_: int = 10, where: str = "") -> str:
@@ -337,12 +358,89 @@ def flow_run() -> dict:
     }
 
 
+def aggregate_opcodes(state: dict) -> dict:
+    """Pickle opcodes of one aggregate's operator state, as a cut writes
+    it, and the globals it names."""
+    blob = pickle.dumps(state, pickle.HIGHEST_PROTOCOL)
+    ops = list(pickletools.genops(blob))
+    counts = collections.Counter(op.name for op, _, _ in ops)
+    return {
+        "bytes": len(blob),
+        "NEWOBJ": counts["NEWOBJ"],
+        "BUILD": counts["BUILD"],
+        "EMPTY_DICT": counts["EMPTY_DICT"],
+        # a module name STACK_GLOBAL reads (or GLOBAL's "module name")
+        "repro_globals": sum(
+            isinstance(arg, str) and arg.startswith("repro")
+            for _, arg, _ in ops
+        ),
+    }
+
+
+def state_table_run(seed: int = 42) -> dict:
+    """``replay.keyed_state``'s recovery drill: its keyed tumble on its
+    inputs, cut three quarters through, what the aggregate's state
+    pickles to, and restore + continue against the uninterrupted run."""
+    spec = workloads.SPECS["replay.keyed_state"]
+    streams = gen.generate(gen.GenConfig(seed=seed, **spec.gen))
+    engine = StreamEngine(config=workloads.FIXED)
+    for name, tvr in streams.items():
+        engine.register_stream(name, tvr)
+    query = engine.query(spec.queries[spec.recover])
+    events = merged_events(streams)
+    cut = len(events) * 3 // 4
+
+    def fed(flow, part):
+        for _ in flow.replay(part):
+            pass
+        return flow
+
+    flow = fed(query.dataflow(), events[:cut])
+    blob = flow.checkpoint()
+    states = [
+        aggregate_opcodes(state)
+        for op, state in zip(flow.operators, pickle.loads(blob)["op_states"])
+        if isinstance(op, AggregateOperator)
+    ]
+    take, restore = [], []
+    for _ in range(10):
+        started = time.perf_counter()
+        blob = flow.checkpoint()
+        take.append(time.perf_counter() - started)
+        restored = query.dataflow()
+        started = time.perf_counter()
+        restored.restore(blob)
+        restore.append(time.perf_counter() - started)
+    finished = fed(restored, events[cut:]).finish()
+    uninterrupted = fed(query.dataflow(), events).finish()
+    state_rows = flow.total_state_rows()
+    return {
+        "seed": seed,
+        "groups": sum(
+            op.group_count for op in flow.operators
+            if isinstance(op, AggregateOperator)
+        ),
+        "state_rows": state_rows,
+        "checkpoint_bytes": len(blob),
+        "bytes_per_state_row": len(blob) / state_rows,
+        "aggregate_states": states,
+        "take_ms": statistics.median(take) * 1e3,
+        "restore_ms": statistics.median(restore) * 1e3,
+        "recovered_equals_uninterrupted": (
+            finished.changes == uninterrupted.changes
+            and finished.watermarks.as_pairs()
+            == uninterrupted.watermarks.as_pairs()
+        ),
+    }
+
+
 def collect() -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "session": session_run(),
         "resume": resume_run(),
         "flow": flow_run(),
+        "state_table": state_table_run(),
     }
 
 
@@ -374,6 +472,12 @@ def test_checkpoint_bench_produces_artifact():
     assert session["tail_diverged"] == 0
     assert flow["recovered_equals_uninterrupted"]
     assert flow["checkpoint_bytes"] > 100
+    table = payload["state_table"]
+    assert table["groups"] > 8_000
+    assert table["bytes_per_state_row"] <= GATE_BYTES_PER_ROW, table
+    (state,) = table["aggregate_states"]
+    assert (state["NEWOBJ"], state["BUILD"], state["repro_globals"]) == (0, 0, 0)
+    assert table["recovered_equals_uninterrupted"]
     path = write_artifact(payload)
     assert path.exists() and path.stat().st_size > 0
 
@@ -421,5 +525,17 @@ if __name__ == "__main__":
         f"Q7 flow checkpoint: {flow['checkpoint_bytes']:,} bytes over "
         f"{flow['state_rows']} state rows, take {flow['take_ms']:.2f} ms, "
         f"restore {flow['restore_ms']:.2f} ms"
+    )
+    table = data["state_table"]
+    (state,) = table["aggregate_states"]
+    print(
+        f"keyed_state cut (seed {table['seed']}): {table['groups']:,} groups, "
+        f"{table['checkpoint_bytes']:,} bytes, "
+        f"{table['bytes_per_state_row']:.1f} bytes per state row "
+        f"(gate <= {GATE_BYTES_PER_ROW}); aggregate state {state['bytes']:,} "
+        f"bytes, NEWOBJ {state['NEWOBJ']} BUILD {state['BUILD']} "
+        f"EMPTY_DICT {state['EMPTY_DICT']} repro globals "
+        f"{state['repro_globals']}; take {table['take_ms']:.1f} ms, "
+        f"restore {table['restore_ms']:.1f} ms"
     )
     print(f"wrote {path}")

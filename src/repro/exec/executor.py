@@ -66,17 +66,19 @@ __all__ = ["CHECKPOINT_VERSION", "Dataflow", "OutputChannel", "OutputLogs",
 _RETRACT = ChangeKind.RETRACT
 
 #: Format version stamped on every checkpoint payload (serial and
-#: sharded).  3 = a columnar flow's operators are those of the plan
-#: fused with absorption (aggregates absorb column-selecting Projects,
-#: Tumble runs inside pipelines — ``repro.plan.pipeline``), so its
-#: ``op_types`` (and a two-phase stage's operator count) differ from a
-#: format-2 cut of the same flow; 2 = output changelogs go through the
-#: changelog codec and may be left out (``histories=False``); a payload
-#: without the field is version 1 (plain ``list[Change]``).  Older cuts
-#: restore through the same reader wherever their operators still match
-#: (every flow that is not fused); where they do not, the refusal says
-#: so (:func:`plan_format_error`).
-CHECKPOINT_VERSION = 3
+#: sharded).  4 = an aggregate's groups are one table of parallel
+#: columns, not a dict of pickled group objects
+#: (``AggregateOperator.state_snapshot``); 3 = a columnar flow's
+#: operators are those of the plan fused with absorption (aggregates
+#: absorb column-selecting Projects, Tumble runs inside pipelines —
+#: ``repro.plan.pipeline``), so its ``op_types`` (and a two-phase
+#: stage's operator count) differ from a format-2 cut of the same flow;
+#: 2 = output changelogs go through the changelog codec and may be left
+#: out (``histories=False``); a payload without the field is version 1
+#: (plain ``list[Change]``).  Older cuts restore through the same reader
+#: wherever their operators still match (every flow that is not fused);
+#: where they do not, the refusal says so (:func:`plan_format_error`).
+CHECKPOINT_VERSION = 4
 
 
 def check_checkpoint_version(payload: dict) -> None:
@@ -103,9 +105,9 @@ def plan_format_error(
     )
     return ExecutionError(
         f"{what} was cut by checkpoint format {version}: it holds {held} "
-        f"operators where this flow compiles {compiled}, because format "
-        f"{CHECKPOINT_VERSION} folds {kinds} into the operators around "
-        f"them; a format-{version} cut restores only if it was cut from a "
+        f"operators where this flow compiles {compiled}, because format 3 "
+        f"folds {kinds} into the operators around them; a "
+        f"format-{version} cut restores only if it was cut from a "
         "flow whose plan is not fused (batch_size=1 under "
         "columnar=\"auto\", or columnar=\"off\"), into one like it"
     )

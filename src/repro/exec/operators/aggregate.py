@@ -20,12 +20,13 @@ Event-time semantics (Extensions 1 & 2):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 from typing import Any, Iterable, Optional, Sequence
 
 from ...core.changelog import Change, ChangeKind
+from ...core.containers import SortedMultiset
 from ...core.errors import ExecutionError
 from ...core.schema import Schema
 from ...core.times import MIN_TIMESTAMP, Timestamp
@@ -66,14 +67,28 @@ class _Suppressed:
 SUPPRESSED = _Suppressed()
 
 
-@dataclass
+@dataclass(slots=True)
 class _GroupState:
     accumulators: list[Any]
     distinct_counts: list[Optional[dict[Any, int]]]
     row_count: int = 0
     emitted: Optional[tuple[Any, ...]] = None
-    # Count of retained input row occurrences (for state accounting).
-    retained: int = field(default=0)
+
+    def __setstate__(self, state: dict) -> None:
+        # Checkpoint format <= 3 pickled each group as its ``__dict__``,
+        # with a ``retained`` count that was ``row_count`` twice.
+        self.accumulators = state["accumulators"]
+        self.distinct_counts = state["distinct_counts"]
+        self.row_count = state["row_count"]
+        self.emitted = state["emitted"]
+
+
+def _adopted(items: list) -> SortedMultiset:
+    """A multiset over ``items`` (sorted, and the caller's to give):
+    wrapped, not copied."""
+    multiset = SortedMultiset.__new__(SortedMultiset)
+    multiset._items = items
+    return multiset
 
 
 def _underflow(key: tuple) -> ExecutionError:
@@ -141,7 +156,7 @@ class AggregateOperator(Operator):
         # the watermark frees state): the cost model's fan-in feedback
         # needs lifetime rows-per-group.
         self._groups_created = 0
-        # Running sum of ``state.retained`` over all groups, so
+        # Running sum of ``state.row_count`` over all groups, so
         # ``state_size()`` — read after every event by the metrics
         # sweep — is O(1) instead of a walk over every group.
         self._retained = 0
@@ -162,6 +177,14 @@ class AggregateOperator(Operator):
         )
         self._results = tuple(agg.function.result for agg in self._aggs)
         self._arg_indices = tuple(agg.arg_index for agg in self._aggs)
+        # For the group table: which accumulators a cut writes as their
+        # sorted item lists, and which aggregates keep DISTINCT counts.
+        self._multisets = tuple(
+            type(agg.function.create()) is SortedMultiset for agg in self._aggs
+        )
+        self._distinct = tuple(
+            i for i, agg in enumerate(self._aggs) if agg.distinct
+        )
         # The dominant shape — one non-DISTINCT aggregate, e.g. MAX or
         # COUNT(*) per window — binds its functions directly.
         self._sole = (
@@ -281,7 +304,7 @@ class AggregateOperator(Operator):
         keys = list(self._groups)
         for key, is_open in zip(keys, self._on_time(keys, merged)):
             if not is_open:
-                self._retained -= self._groups.pop(key).retained
+                self._retained -= self._groups.pop(key).row_count
         return []
 
     # -- data path: the transition ---------------------------------------------------
@@ -325,7 +348,6 @@ class AggregateOperator(Operator):
                 accs = state.accumulators
                 if kinds[idx] is insert:
                     state.row_count += 1
-                    state.retained += 1
                     net += 1
                     if sole is not None:
                         add0(accs[0], col0[idx])
@@ -347,7 +369,6 @@ class AggregateOperator(Operator):
                     if state.row_count <= 0:
                         raise _underflow(key)
                     state.row_count -= 1
-                    state.retained -= 1
                     net -= 1
                     if sole is not None:
                         retract0(accs[0], col0[idx])
@@ -434,22 +455,66 @@ class AggregateOperator(Operator):
     # -- introspection ----------------------------------------------------------------
 
     def state_snapshot(self) -> dict:
+        """The base snapshot plus the groups as one table of parallel
+        columns (checkpoint format 4), in group order: keys, row
+        counts, each group's emitted results (``None`` for a group
+        that never emitted; the row is ``key + results``), one column
+        of accumulator states per aggregate — a MIN/MAX multiset as
+        its sorted item list — and one column of DISTINCT counts per
+        DISTINCT aggregate.  A cut pickles a few vectors, not a group
+        object (and a multiset) per group."""
         snapshot = super().state_snapshot()
-        snapshot["groups"] = self._groups
+        states = list(self._groups.values())
+        width = len(self._group_indices)
+        snapshot["groups"] = (
+            list(self._groups),
+            [state.row_count for state in states],
+            [
+                None if state.emitted is None else state.emitted[width:]
+                for state in states
+            ],
+            [
+                [state.accumulators[i]._items for state in states]
+                if multiset
+                else [state.accumulators[i] for state in states]
+                for i, multiset in enumerate(self._multisets)
+            ],
+            [[state.distinct_counts[i] for state in states] for i in self._distinct],
+        )
         snapshot["finalized_max"] = self._finalized_max
         snapshot["groups_created"] = self._groups_created
-        snapshot["retained"] = self._retained
         return snapshot
 
     def state_restore(self, snapshot: dict) -> None:
         super().state_restore(snapshot)
-        self._groups = snapshot["groups"]
+        groups = snapshot["groups"]
+        if not isinstance(groups, dict):  # format 4: the group table
+            groups = self._adopt_table(*groups)
+        self._groups = groups
         self._finalized_max = snapshot["finalized_max"]
         self._groups_created = snapshot.get("groups_created", 0)
-        retained = snapshot.get("retained")
-        if retained is None:  # a blob from before the running total
-            retained = sum(s.retained for s in self._groups.values())
-        self._retained = retained
+        self._retained = sum(state.row_count for state in groups.values())
+
+    def _adopt_table(self, keys, row_counts, results, accumulators, distinct):
+        """The dict of groups :meth:`state_snapshot`'s table describes,
+        built around the table's own lists (multisets wrap their item
+        lists; nothing is copied)."""
+        none = [None] * len(keys)
+        columns = [
+            [_adopted(items) for items in column] if multiset else column
+            for column, multiset in zip(accumulators, self._multisets)
+        ]
+        counts = [none] * len(self._aggs)
+        for i, column in zip(self._distinct, distinct):
+            counts[i] = column
+        return {
+            key: _GroupState(list(accs), list(dedup), row_count,
+                             None if tail is None else key + tail)
+            for key, accs, dedup, row_count, tail in zip(
+                keys, _rows(columns, keys), _rows(counts, keys), row_counts,
+                results,
+            )
+        }
 
     def state_size(self) -> int:
         return self._retained
@@ -531,7 +596,6 @@ class PartialAggregateOperator(AggregateOperator):
                 "aggregates are not split"
             )
         self.delta_mode = delta_mode
-        self._has_distinct = any(agg.distinct for agg in self._aggs)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -572,7 +636,7 @@ class PartialAggregateOperator(AggregateOperator):
         if self.delta_mode:
             payload = ("P2D", len(keys), self._deltas(keys, signs, arg_cols))
         else:
-            if self._has_distinct:
+            if self._distinct:
                 arg_cols = self._dedup(keys, signs, arg_cols)
             # Forward each effective row's sign, key, and aggregate
             # arguments verbatim.
@@ -594,7 +658,7 @@ class PartialAggregateOperator(AggregateOperator):
         surface identically.
         """
         groups = self._groups
-        distinct = [i for i, agg in enumerate(self._aggs) if agg.distinct]
+        distinct = self._distinct
         cols = list(arg_cols)
         for i in distinct:
             cols[i] = list(cols[i])  # extractor-owned vectors stay intact
@@ -605,7 +669,6 @@ class PartialAggregateOperator(AggregateOperator):
             if sign < 0 and state.row_count <= 0:
                 raise _underflow(key)
             state.row_count += sign
-            state.retained += sign
             self._retained += sign
             for i in distinct:
                 counts = state.distinct_counts[i]
@@ -780,7 +843,6 @@ class CombineAggregateOperator(AggregateOperator):
             if state.row_count + rc_delta < 0:
                 raise _underflow(key)
             state.row_count += rc_delta
-            state.retained += rc_delta
             self._retained += rc_delta
             for i, agg in enumerate(aggs):
                 counts = state.distinct_counts[i]

@@ -44,6 +44,8 @@ from repro.plan.pipeline import PipelineNode, absorbed_kinds, get_fused_root
 from repro.service import StandingQueryService
 from repro.sql.functions import default_registry
 
+from .test_group_table import decoded_groups
+
 SCHEMA = Schema(
     [int_col("k"), timestamp_col("ts", event_time=True), int_col("v")]
 )
@@ -391,9 +393,9 @@ def test_a_late_joiner_grafts_onto_absorbed_operators():
 
 
 def _format2(blob: bytes, op_types: list) -> dict:
-    """A format-3 cut restated as a format-2 cut of the unabsorbed plan."""
+    """A current cut restated as a format-2 cut of the unabsorbed plan."""
     payload = pickle.loads(blob)
-    assert payload["version"] == CHECKPOINT_VERSION == 3
+    assert payload["version"] == CHECKPOINT_VERSION == 4
     payload["version"] = 2
     payload["op_types"] = op_types
     return payload
@@ -506,4 +508,7 @@ def test_an_absorbed_selection_emits_what_the_project_emitted():
     assert picked.on_batch(0, rows) == want
     # COUNT moved, MAX did not: the selected rows repeat, as the Project's did
     assert [c.values for c in want] == [(1, 5), (1, 5), (1, 5), (1, 5), (1, 5)]
-    assert picked.state_snapshot()["groups"][(1,)].emitted == (1, 1, 5)
+    (row_count, emitted, _, _) = decoded_groups(
+        picked.state_snapshot()["groups"]
+    )[(1,)]
+    assert (row_count, emitted) == (1, (1, 1, 5))

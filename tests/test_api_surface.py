@@ -328,6 +328,18 @@ class TestSaidOnce:
     def test_removed_name_appears_nowhere_in_src(self, name):
         assert _src_files_matching(re.escape(name)) == set()
 
+    def test_a_group_counts_its_rows_once(self):
+        """``_GroupState.retained`` was ``row_count`` twice: every write
+        moved both by the same amount.  The row count is the one field."""
+        import dataclasses
+
+        from repro.exec.operators import aggregate
+
+        fields = [f.name for f in dataclasses.fields(aggregate._GroupState)]
+        assert fields == ["accumulators", "distinct_counts", "row_count", "emitted"]
+        assert aggregate._GroupState.__slots__ == tuple(fields)
+        assert re.findall(r"\.retained\b", inspect.getsource(aggregate)) == []
+
     @pytest.mark.parametrize(
         "call", ["count_edge", "compact_intra_instant", "MetricsRegistry"]
     )

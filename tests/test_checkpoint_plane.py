@@ -324,7 +324,7 @@ class TestOwnership:
 
 def recomputed_state_size(op) -> int:
     if isinstance(op, AggregateOperator):
-        return sum(state.retained for state in op._groups.values())
+        return sum(state.row_count for state in op._groups.values())
     if isinstance(op, (JoinOperator, OuterJoinOperator)):
         return held_rows(op._state)
     return op.state_size()
@@ -1341,7 +1341,7 @@ class TestEncodedAtRest:
             kinds, rows, ptimes = stored[key]
             assert type(kinds) is bytes and len(kinds) == stored["size"]
             assert decode_changes(stored[key]) == changelog[:stored["size"]]
-        assert pickle.loads(blobs[-1])["version"] == CHECKPOINT_VERSION == 3
+        assert pickle.loads(blobs[-1])["version"] == CHECKPOINT_VERSION == 4
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_a_late_joiner_after_resume_sees_what_one_before_the_cut_sees(
