@@ -27,6 +27,14 @@ invariant of ``docs/RUNTIME.md`` sections 7 and 9.  Coalesced runs are
 asserted snapshot-equivalent at every distinct processing instant,
 with the churn they removed reported as ``changes_coalesced``.
 
+A **burst-1** arm runs NEXMark's *default* generator — one event per
+processing-time instant, a watermark every 20 events — through Q0, Q1,
+Q2 and the suite's per-auction tumble shape at ``batch_size=64``
+against ``batch_size=1``: byte-identical, and the serial replay must
+deliver the scanned rows in runs that span instants, at most
+``ceil(rows / 64) + watermarks`` deliveries (a count gate; the speedup
+is printed).
+
 ``batch_size=0`` in the sweep is shorthand for *per-instant* batching
 (no size cap: one batch per same-instant run), spelled
 ``PER_INSTANT_BATCH`` at the execution layer.
@@ -48,12 +56,21 @@ script::
 from __future__ import annotations
 
 import json
+import math
 import time
 from pathlib import Path
 
 from repro import ExecutionConfig, StreamEngine
+from repro.exec.executor import Dataflow
 from repro.nexmark import NexmarkConfig, generate
-from repro.nexmark.queries import Q3_LOCAL_ITEM_SUGGESTION, q7_highest_bid
+from repro.nexmark.queries import (
+    Q0_PASSTHROUGH,
+    Q1_CURRENCY,
+    Q3_LOCAL_ITEM_SUGGESTION,
+    q2_selection,
+    q7_highest_bid,
+    register_udfs,
+)
 from repro.service import StandingQueryService
 
 NUM_EVENTS = 5_000
@@ -96,8 +113,24 @@ WORKLOADS = {
     "q7": q7_highest_bid(),
 }
 
+#: the burst-1 arm: queries over ``Bid`` alone, on the default generator
+BURST_ONE = {
+    "q0": Q0_PASSTHROUGH,
+    "q1": Q1_CURRENCY,
+    "q2": q2_selection(),
+    "per_auction": """
+        SELECT TB.auction, TB.wend, COUNT(*) AS bids, MAX(TB.price) AS high
+        FROM Tumble(
+          data    => TABLE(Bid),
+          timecol => DESCRIPTOR(bidtime),
+          dur     => INTERVAL '10' SECONDS) TB
+        GROUP BY TB.auction, TB.wend
+    """,
+}
+BURST_ONE_EVENTS = 20_000
+
 ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_batching.json"
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 
 def _streams():
@@ -200,6 +233,54 @@ def _assert_snapshot_equivalent(baseline, result, label: str) -> None:
         )
 
 
+def _burst_one_run(streams, sql: str, batch_size: int) -> tuple:
+    """One serial run; returns (RunResult, seconds, sizes of the row
+    deliveries of ``Bid`` — each run passes ``Dataflow._deliver`` once)."""
+    engine = _engine(streams, batch_size=batch_size)
+    register_udfs(engine)  # (Q1's currency conversion)
+    flow = engine.query(sql).dataflow()
+    sizes = []
+    real = Dataflow._deliver
+
+    def counted(self, events, source, seqs=None):
+        if source == "bid":
+            sizes.append(len(events))
+        return real(self, events, source, seqs)
+
+    Dataflow._deliver = counted
+    try:
+        start = time.perf_counter()
+        result = flow.run()
+        elapsed = time.perf_counter() - start
+    finally:
+        Dataflow._deliver = real
+    return result, elapsed, sizes
+
+
+def _burst_one() -> list[dict]:
+    """The burst-1 arm: byte-identity with ``batch_size=1``, the delivery
+    count against its bound, and the speedup."""
+    streams = generate(NexmarkConfig(num_events=BURST_ONE_EVENTS, seed=SEED))
+    bids = streams.bids.events()
+    rows = sum(1 for event in bids if hasattr(event, "change"))
+    marks = len(bids) - rows
+    records = []
+    for name, sql in BURST_ONE.items():
+        baseline, per_event_s, _ = _burst_one_run(streams, sql, 1)
+        result, batched_s, sizes = _burst_one_run(streams, sql, GATE_BATCH)
+        _assert_identical(baseline, result, f"burst-1 {name}")
+        assert sum(sizes) == rows, f"burst-1 {name}: rows lost"
+        records.append({
+            "name": name,
+            "rows": rows,
+            "watermarks": marks,
+            "row_deliveries": len(sizes),
+            "bound": math.ceil(rows / GATE_BATCH) + marks,
+            "speedup": per_event_s / batched_s,
+        })
+    return records
+
+
 def _mqo_deltas(streams, share_plans: bool, **config) -> list:
     """Run the tumble workload as a standing query; return its deltas."""
     from repro.core.tvr import TimeVaryingRelation
@@ -283,6 +364,7 @@ def collect() -> dict:
         "schema_version": SCHEMA_VERSION,
         "workloads": workloads,
         "mqo": _check_mqo(streams),
+        "burst_one": _burst_one(),
     }
 
 
@@ -320,11 +402,23 @@ def report_speedup(payload: dict) -> float:
     return speedup
 
 
+def report_burst_one(payload: dict) -> None:
+    """Print the burst-1 arm and gate its delivery counts."""
+    for record in payload["burst_one"]:
+        print(
+            f"burst-1 {record['name']}: {record['row_deliveries']} row "
+            f"deliveries for {record['rows']} rows (bound {record['bound']}), "
+            f"batch={GATE_BATCH} vs batch=1: {record['speedup']:.2f}x"
+        )
+        assert record["row_deliveries"] <= record["bound"], record
+
+
 def test_batching_bench_produces_artifact():
     """The bench is also the regression gate, on counts: coalescing
     must actually shrink the changelog (>= 30% fewer propagated changes
     on the churn workload), and the artifact must land on disk for CI
-    to upload.  The change-for-change and snapshot equivalence checks
+    to upload, and the burst-1 arm's row deliveries must stay within
+    their bound.  The change-for-change and snapshot equivalence checks
     already ran inside :func:`collect`; the columnar speedup is printed
     against its floor, not gated."""
     payload = collect()
@@ -332,6 +426,7 @@ def test_batching_bench_produces_artifact():
     assert payload["mqo"]["identical"]
     assert payload["workloads"][0]["name"] == "tumble"
     report_speedup(payload)
+    report_burst_one(payload)
 
     churn = payload["workloads"][1]
     assert churn["name"] == "tumble_churn"
@@ -365,4 +460,5 @@ if __name__ == "__main__":
     mqo = data["mqo"]
     print(f"== mqo  shared-plan deltas={mqo['deltas']} identical={mqo['identical']}")
     report_speedup(data)
+    report_burst_one(data)
     print(f"wrote {path}")

@@ -52,7 +52,7 @@ from ..plan.fingerprint import node_fingerprints, subtree_size
 from ..plan.logical import LogicalNode, ValuesNode
 from ..plan.pipeline import absorbed_kinds, get_fused_root
 from ..plan.planner import QueryPlan
-from .compile import build_operator, why_runs_split
+from .compile import build_operator, why_runs_split, why_runs_stay_per_instant
 from .operators.base import Operator
 from .operators.stateless import ScanOperator
 from .timers import TimerQueue
@@ -225,21 +225,26 @@ def event_runs(
     """The one run-grouping rule: ``(stop, run, source)`` per delivery.
 
     ``run`` is what ``flow`` is to be fed at once — row events of one
-    instant and one source, or a single event — and ``stop`` how many
-    of ``events`` are consumed once it is.  :func:`replay_runs` delivers
-    the runs to a flow; a sharded ``run()`` partitions them, so its
-    shards are fed shares of the very runs the serial executor forms.
+    source, or a single event — and ``stop`` how many of ``events`` are
+    consumed once it is.  :func:`replay_runs` delivers the runs to a
+    flow; a sharded ``run()`` partitions them, so its shards are fed
+    shares of the very runs the serial executor forms.
 
-    With ``batch_size > 1`` a run is a maximal stretch of row events
-    that share one processing-time instant and one source, capped at
-    ``batch_size``, and only for sources ``batchable_source`` admits.
-    Watermark events always break runs, so no operator ever sees its
-    input watermark move inside a batch, and the batched changelog is
-    byte-identical to the per-change one (see
-    :meth:`Dataflow.process_batch`).
+    With ``batch_size > 1`` a run is a maximal stretch of row events of
+    one source, capped at ``batch_size``, and only for sources
+    ``batchable_source`` admits.  It spans processing-time instants
+    where the flow allows (``flow.run_span_reason()`` is ``None``) and
+    stays within one otherwise.  A watermark of the source and an event
+    of another scanned source always break runs, so no operator ever
+    sees its input watermark move inside a batch, and the batched
+    changelog is byte-identical to the per-change one (see
+    :meth:`Dataflow.process_batch`).  Every event a run consumes lies
+    between its first and its last row's instant, so delivering it
+    leaves the clock where the per-event feed would.
     """
     batch_size = flow.batch_size
     absorb = flow.lineage is None
+    span = flow.run_span_reason() is None
     batchable: dict[str, bool] = {}  # memo: asked once per run otherwise
     i, n = 0, len(events)
     while i < n:
@@ -256,13 +261,12 @@ def event_runs(
             ptime = event.ptime
             while j < n and len(run) < batch_size:
                 nxt, nxt_source = events[j]
-                if nxt.ptime != ptime:
+                if nxt.ptime != ptime and not span:
                     break
                 if nxt_source != source:
-                    # An event of another source no scan consumes
-                    # is a clock no-op at this very instant (nothing
-                    # to deliver, no clock movement, no timer can be
-                    # due mid-instant) — absorb it so one
+                    # An event of another source no scan consumes is a
+                    # clock no-op (nothing to deliver, and no timer can
+                    # be due inside the run) — absorb it so one
                     # interleaved burst still forms one batch.  Only
                     # when no lineage recorder is claiming per-event
                     # ordinals.
@@ -273,6 +277,12 @@ def event_runs(
                 else:
                     break
                 j += 1
+            # Absorbed events past the last row's instant would move the
+            # clock beyond it: they open the next run instead.  Instants
+            # never decrease, so they are a suffix of what was consumed.
+            last = run[-1].ptime
+            while events[j - 1][0].ptime != last:
+                j -= 1
         yield j, run, source
         i = j
 
@@ -284,13 +294,17 @@ def replay_runs(flow, events: Sequence[tuple[StreamEvent, str]]) -> Iterator[int
     Yields, after each delivery, how many of ``events`` have been
     consumed — behind ``replay`` of the serial and the sharded dataflow
     alike (and so behind the serial ``run()``, service catch-up and the
-    shell's ``\\watch`` loop).
+    shell's ``\\watch`` loop).  A run that spans instants — only a
+    serial flow forms one — goes to the body of ``process_batch``
+    without its one-instant check.
     """
     for stop, run, source in event_runs(flow, events):
-        if isinstance(run[0], RowEvent):
+        if not isinstance(run[0], RowEvent):
+            flow.process(run[0], source)
+        elif run[-1].ptime == run[0].ptime:
             flow.process_batch(run, source)
         else:
-            flow.process(run[0], source)
+            flow._deliver(run, source)
         yield stop
 
 
@@ -610,6 +624,7 @@ class Dataflow(OutputLogs):
         self.lineage = recorder
         self._lineage_shard = shard
         self._lineage_register_outputs = register_outputs
+        self._span_changed()
 
     def output_ids(self) -> list[str]:
         """The attached output channels, in attach order."""
@@ -826,7 +841,7 @@ class Dataflow(OutputLogs):
 
     def _graph_changed(self) -> None:
         """What is derived from the operator graph, re-derived: the
-        state-sweep registry and the run shape."""
+        state-sweep registry and the run shapes."""
         self.metrics_registry = MetricsRegistry(self._operators)
         self._split_reason = why_runs_split(
             self._columnar_active,
@@ -835,6 +850,22 @@ class Dataflow(OutputLogs):
                 for channel in self._outputs.values()
             ),
         )
+        self._span_changed()
+
+    def _span_changed(self) -> None:
+        """Re-derive the run span: the graph or the recorder changed."""
+        self._span_reason = why_runs_stay_per_instant(
+            self._operators, self.lineage is not None, self.coalesce_updates
+        )
+
+    def run_span_reason(self) -> Optional[str]:
+        """Why :func:`event_runs` keeps this flow's runs within one
+        processing-time instant — or ``None``: a run of one source's
+        rows may span instants, up to the next watermark.  Decided from
+        the plan and the recorder
+        (:func:`~repro.exec.compile.why_runs_stay_per_instant`), like
+        :meth:`run_split_reason`."""
+        return self._span_reason
 
     def run_split_reason(self) -> Optional[str]:
         """Why a driver that attributes output by sequence number (a
@@ -1223,6 +1254,20 @@ class Dataflow(OutputLogs):
                 f"{self._split_reason}"
             )
         check_same_instant(events)
+        self._deliver(events, source, seqs)
+
+    def _deliver(
+        self,
+        events: Sequence[RowEvent],
+        source: str,
+        seqs: Optional[Sequence[int]] = None,
+    ) -> None:
+        """The one delivery body of a run of row events: that of
+        :meth:`process_batch`, and of a run :func:`replay_runs` formed
+        across instants (``run_span_reason() is None``: no timer can
+        come due inside it, so the on-batch contract carries over — each
+        change still rides at its own ``ptime``).  The state peak is
+        sampled once per delivery, as at the end of any run."""
         leaves, cause, fired = self._arrive(events, source)
         if leaves:
             payload = [event.change for event in events]
@@ -1246,10 +1291,10 @@ class Dataflow(OutputLogs):
     def _arrive(
         self, events: Sequence[StreamEvent], source: str
     ) -> tuple[Sequence[ScanOperator], Optional[tuple[int, ...]], bool]:
-        """The prelude of every delivery, for one instant's ``events``:
-        order check, due timers, clock advance, lineage claim.  Returns
-        the scan leaves to deliver to, the cause token, and whether a
-        timer fired."""
+        """The prelude of every delivery, for one run's ``events``: order
+        check, the timers due at its first instant, the clock advanced
+        to its last, lineage claim.  Returns the scan leaves to deliver
+        to, the cause token, and whether a timer fired."""
         self._open()
         ptime = events[0].ptime
         if ptime < self._last_ptime:
@@ -1257,8 +1302,9 @@ class Dataflow(OutputLogs):
         fired = self._timers.due(ptime)
         if fired:
             self._fire_timers(ptime)
-        if ptime > self._last_ptime:
-            self._last_ptime = ptime
+        last = events[-1].ptime
+        if last > self._last_ptime:
+            self._last_ptime = last
         recorder = self.lineage
         cause = None if recorder is None else recorder.claim(source, events)
         return self._leaves_by_source.get(source.lower(), ()), cause, fired

@@ -13,7 +13,9 @@ Every way of asking "what will (did) this query do" — the engine's
   plan, or the single-phase reason; for a sharded plan also the run
   shape — whether a shard is fed its share of each instant's run whole
   (``runs: per instant, sequence-tagged``) or split at sequence gaps,
-  and which operator forces that.
+  and which operator forces that; for a serial plan that batches,
+  whether its runs span instants (``runs: across instants, up to the
+  next watermark``) or stay per instant, and why.
 * ``costs`` — ``physical`` plus the cost-model inputs: the configured
   knob, the observed fan-in from counter feedback, the combine
   threshold, and the resulting decision.
@@ -125,20 +127,30 @@ def _logical(query, verbose: bool) -> str:
 
 
 def _runs_line(flow) -> str:
-    """The run shape the sharded ``flow`` feeds its shards, as the flow
-    decides it (``ShardedDataflow.run_split_reason``) — and, where a
+    """The run shape ``flow`` is fed in, as the flow decides it — a
+    sharded flow's shares (``ShardedDataflow.run_split_reason``), a
+    serial flow's span (``Dataflow.run_span_reason``) — and, where a
     standing query's flow gets a lineage recorder, as it decides with
     one installed (this flow is a throwaway)."""
-    reason = flow.run_split_reason()
+    # (the shape when nothing forces another, and the one a reason forces)
+    if isinstance(flow, ShardedDataflow):
+        decide = flow.run_split_reason
+        free = "per instant, sequence-tagged"
+        forced = "split at sequence gaps"
+    else:
+        decide = flow.run_span_reason
+        free = "across instants, up to the next watermark"
+        forced = "per instant"
+    reason = decide()
     if reason is not None:
-        return f"  runs: split at sequence gaps — {reason}"
-    line = "  runs: per instant, sequence-tagged"
+        return f"  runs: {forced} — {reason}"
+    line = f"  runs: {free}"
     sample = flow.config.lineage_sample
     if sample > 0:
         flow.set_lineage(LineageRecorder(sample))
         line = (
-            f"{line}; as a standing query (lineage_sample={sample}) split "
-            f"at sequence gaps — {flow.run_split_reason()}"
+            f"{line}; as a standing query (lineage_sample={sample}) "
+            f"{forced} — {decide()}"
         )
     return line
 
@@ -149,7 +161,8 @@ def _physical_section(query, flow, verbose: bool) -> str:
     split = flow.splits.get("main") if sharded else None
     if split is None:
         text = f"Physical: single-phase — {physical.reason}"
-        if sharded:
+        if sharded or flow.batch_size > 1:
+            # (a serial flow at batch_size=1 is fed one event at a time)
             text = f"{text}\n{_runs_line(flow)}"
         return text
     payload = "delta" if split.partial.delta_mode else "replay"

@@ -78,7 +78,7 @@ from ..core.errors import ExecutionError
 from ..core.times import MIN_TIMESTAMP, Timestamp
 from ..core.tvr import RowEvent, StreamEvent, TimeVaryingRelation
 from ..core.watermark import WatermarkTrack
-from ..exec.compile import LINEAGE_SPLITS_RUNS
+from ..exec.compile import LINEAGE_SPLITS_RUNS, SHARDS_KEEP_INSTANTS
 from ..exec.executor import (
     CHECKPOINT_VERSION,
     Dataflow,
@@ -379,6 +379,13 @@ class ShardedDataflow(OutputLogs):
         if self.lineage is not None:
             return LINEAGE_SPLITS_RUNS
         return self._shards[0].run_split_reason()
+
+    def run_span_reason(self) -> str:
+        """Why the runs this flow forms (:func:`event_runs`) stay within
+        one processing-time instant: always, because a two-phase shard's
+        payload for its share of a run carries one ``ptime``
+        (``PartialAggregateOperator._condense``)."""
+        return SHARDS_KEEP_INSTANTS
 
     def shard_routed_rows(self) -> list[int]:
         """Rows delivered to each shard's scan leaves (the skew signal)."""

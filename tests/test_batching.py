@@ -4,10 +4,12 @@ The batching scheduler's contract (docs/RUNTIME.md section 7): at any
 ``batch_size`` the default-mode changelog is *byte-identical* — values,
 ``ptime``, ordering, watermark steps — to per-change execution, because
 every operator's batch output is the ordered concatenation of its
-per-change outputs and batches never span an instant, a source, or a
-watermark event.  ``coalesce_updates=True`` deliberately gives that
-identity up and promises only per-instant snapshot equivalence, with
-the dropped churn accounted in ``changes_coalesced``.
+per-change outputs and batches never span a source or a watermark
+event — nor an instant, where a timer, a lineage recorder or compaction
+needs them not to (``Dataflow.run_span_reason``).
+``coalesce_updates=True`` deliberately gives that identity up and
+promises only per-instant snapshot equivalence, with the dropped churn
+accounted in ``changes_coalesced``.
 """
 
 import warnings
@@ -59,20 +61,11 @@ def fresh_warning_registry():
 # hypothesis: batched == per-change, byte for byte
 # ---------------------------------------------------------------------------
 
-# Each entry: (kind 0-2 = row / 3 = watermark, key, event seconds,
-# advance-ptime-first?).  Not advancing ptime yields same-instant runs —
-# the case batching actually groups; watermarks mid-run split batches;
+# Entries are ``columnar_cases``': (kind 0-2 = row / 3 = watermark, key,
+# event seconds, advance-ptime-first?).  Not advancing ptime yields
+# same-instant runs; advancing before every entry (``burst_one_strategy``)
+# yields runs that span instants; watermarks mid-run split batches;
 # event times at or before the watermark exercise the late-drop path.
-entries_strategy = st.lists(
-    st.tuples(
-        st.integers(0, 3),
-        st.integers(0, 2),
-        st.integers(0, 50),
-        st.booleans(),
-    ),
-    min_size=1,
-    max_size=40,
-)
 
 
 def _build_events(entries):
@@ -112,19 +105,19 @@ def _assert_all_batch_sizes_identical(sql, events, other_events=None):
 
 
 @settings(max_examples=30, deadline=None)
-@given(entries=entries_strategy)
+@given(entries=columnar_cases.any_entries)
 def test_batched_stateless_identical(entries):
     _assert_all_batch_sizes_identical(STATELESS_SQL, _build_events(entries))
 
 
 @settings(max_examples=30, deadline=None)
-@given(entries=entries_strategy)
+@given(entries=columnar_cases.any_entries)
 def test_batched_tumble_aggregate_identical(entries):
     _assert_all_batch_sizes_identical(TUMBLE_SQL, _build_events(entries))
 
 
 @settings(max_examples=20, deadline=None)
-@given(entries=entries_strategy, other=entries_strategy)
+@given(entries=columnar_cases.any_entries, other=columnar_cases.any_entries)
 def test_batched_join_identical(entries, other):
     _assert_all_batch_sizes_identical(
         JOIN_SQL, _build_events(entries), _build_events(other)

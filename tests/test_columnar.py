@@ -79,6 +79,13 @@ entries_strategy = st.lists(
     max_size=40,
 )
 
+#: the same entries, every event at an instant of its own (burst 1): the
+#: shape whose serial runs span instants (``Dataflow.run_span_reason``)
+burst_one_strategy = entries_strategy.map(
+    lambda entries: [(kind, key, secs, True) for kind, key, secs, _ in entries]
+)
+any_entries = st.one_of(entries_strategy, burst_one_strategy)
+
 
 def _build_events(entries):
     events = []
@@ -117,7 +124,7 @@ def _assert_identical(events, sql, **config):
 
 @settings(max_examples=25, deadline=None)
 @given(
-    entries=entries_strategy,
+    entries=any_entries,
     sql=st.sampled_from([STATELESS_SQL, TUMBLE_SQL, FALLBACK_SQL]),
     batch_size=st.sampled_from([1, 2, 7, 64]),
 )
@@ -145,7 +152,7 @@ def test_columnar_identical_sharded(entries, shards, two_phase, coalesce):
 
 
 @settings(max_examples=10, deadline=None)
-@given(entries=entries_strategy)
+@given(entries=any_entries)
 def test_columnar_identical_hop(entries):
     _assert_identical(_build_events(entries), HOP_SQL, batch_size=16)
 

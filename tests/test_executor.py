@@ -216,10 +216,10 @@ class TestRunGrouping:
 
     SQL = "SELECT ts, COUNT(*) c FROM S GROUP BY ts"
 
-    def _flow(self, engine, batch_size, columnar="off"):
+    def _flow(self, engine, batch_size, columnar="off", **config):
         flow = _RecordingFlow(
             engine.query(self.SQL).plan, engine._sources,
-            ExecutionConfig(batch_size=batch_size, columnar=columnar)
+            ExecutionConfig(batch_size=batch_size, columnar=columnar, **config)
             .merged_over(engine.config),
         )
         flow.runs = []
@@ -229,6 +229,7 @@ class TestRunGrouping:
     def test_supervisor_forms_the_shared_runs_on_a_gap_free_list(
         self, batch_size
     ):
+        from repro.exec.compile import COALESCE_KEEPS_INSTANTS
         from repro.exec.executor import event_runs, merge_source_events
         from repro.plan.partition import PartitionSpec
         from repro.runtime.faults import FaultInjector
@@ -237,12 +238,16 @@ class TestRunGrouping:
 
         engine = _bursty_engine()
         events = merge_source_events(engine._sources)
-        shared = self._flow(engine, batch_size)
+        # A shard is fed shares of runs that stay per instant (its
+        # parent's: ``ShardedDataflow.run_span_reason``), so the
+        # reference runs come from a flow whose runs stay per instant.
+        shared = self._flow(engine, batch_size, coalesce_updates=True)
+        assert shared.run_span_reason() == COALESCE_KEEPS_INSTANTS
         consumed = list(shared.replay(events))
         assert consumed[-1] == len(events)
         assert consumed == sorted(set(consumed))
 
-        supervised = self._flow(engine, batch_size)
+        supervised = self._flow(engine, batch_size, coalesce_updates=True)
         # One shard owns everything: its task list is gap-free.
         (tasks,) = partition_events(
             [(run, src) for _, run, src in event_runs(supervised, events)],

@@ -8,9 +8,9 @@ objects per group.  Under test:
 
 * **the round trip**: checkpoint → fresh flow → restore → continue
   equals the uninterrupted run (changelog, watermark track, late drops,
-  peak state) for every aggregate shape, cut at any generated event,
-  serial and two-phase (replay and delta payloads), at batch sizes 1
-  and 64;
+  peak state) for every aggregate shape, cut at any boundary of the
+  runs ``event_runs`` forms, serial and two-phase (replay and delta
+  payloads), at batch sizes 1 and 64;
 * **the old form**: a format-3 payload — a dict of group objects, each
   with the ``retained`` twin of its row count — restores through the
   same ``state_restore`` and continues byte-identically;
@@ -173,14 +173,15 @@ def outcome(result) -> tuple:
     )
 
 
-def instant_boundary(events, cut: int) -> int:
-    """The first index at or after ``cut`` that starts a new processing
-    instant.  A cut inside an instant re-forms that instant's batch: a
-    coalescing flow compacts per batch, and peak state is sampled per
-    batch, so those flows are cut between instants."""
-    while 0 < cut < len(events) and events[cut].ptime == events[cut - 1].ptime:
-        cut += 1
-    return cut
+def run_boundary(flow, events, cut: int) -> int:
+    """The first index at or after ``cut`` at a boundary of the runs
+    ``event_runs`` forms for ``flow``.  A cut inside a run re-forms that
+    run's batch: a coalescing flow compacts per batch, and peak state is
+    sampled once per delivery, so flows are cut between runs."""
+    runs = executor.event_runs(flow, [(event, "S") for event in events])
+    return min(
+        stop for stop in [0, *(stop for stop, _, _ in runs)] if stop >= cut
+    )
 
 
 class TestRoundTrip:
@@ -193,9 +194,8 @@ class TestRoundTrip:
     ):
         events = history(drawn)
         cut = data.draw(st.integers(0, len(events)), label="cut")
-        if flow == "two_phase_delta" or batch_size > 1:
-            cut = instant_boundary(events, cut)
         make = build(shape, flow, batch_size)
+        cut = run_boundary(make(), events, cut)
         whole = make()
         if FLOWS[flow]:
             assert whole.is_two_phase() is SHAPES[shape][1]

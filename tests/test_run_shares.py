@@ -209,27 +209,32 @@ def test_interleaved_keys_yield_the_serial_changelog(
 @pytest.mark.parametrize("batch_size", [1, 2, 7, 64])
 def test_shard_batches_are_bounded_by_the_serial_runs(sql, shards, batch_size):
     """A shard is fed once per run it owns rows of — never once per
-    sequence gap — and the combine flow once per run."""
+    sequence gap — and the combine flow once per run.  The runs are the
+    ones the *sharded* flow forms (per instant, where a serial flow's
+    may span instants: ``run_span_reason``)."""
     events = interleaved_events()
+    serial = engine_for(events, batch_size=batch_size).query(sql).run()
+    flow = engine_for(
+        events, parallelism=shards, batch_size=batch_size, two_phase="on"
+    ).query(sql).sharded_dataflow()
+    runs = sum(
+        1
+        for _, run, _ in event_runs(flow, merge_source_events(flow._sources))
+        if hasattr(run[0], "change")
+    )
     with pytest.MonkeyPatch.context() as patch:
         sizes = count_batches(patch)
-        serial = engine_for(events, batch_size=batch_size).query(sql).run()
-        serial_runs = len(sizes)
-        del sizes[:]
-        flow = engine_for(
-            events, parallelism=shards, batch_size=batch_size, two_phase="on"
-        ).query(sql).sharded_dataflow()
         result = flow.run()
         assert identical(result, serial)
         assert sum(sizes) == sum(
             1 for event in events if hasattr(event, "change")
         )
-        assert len(sizes) <= shards * serial_runs
+        assert len(sizes) <= shards * runs
     combine_in = result.metrics.find("CombineAggregate")["rows_in"][0]
     if flow.shards[0].run_split_reason() is None:
         assert batch_size > 1  # (columnar="auto")
         # one merged payload per run that had an on-time row
-        assert combine_in <= serial_runs
+        assert combine_in <= runs
         if batch_size >= 16:
             assert len(sizes) < len(events) // 2  # real batches formed
     else:
@@ -648,8 +653,12 @@ class TestExplain:
         )
         assert line.endswith("Aggregate cannot carry sequence numbers")
 
-    def test_serial_plans_have_no_run_shape(self):
-        assert self._runs_line(TUMBLE_SQL, parallelism=1, batch_size=64) == []
+    def test_serial_plans_say_their_span_not_a_share_shape(self):
+        """A serial flow has no shares; its line is its run span
+        (``tests/test_run_span.py`` has the grid)."""
+        assert self._runs_line(TUMBLE_SQL, parallelism=1, batch_size=64) == [
+            "runs: across instants, up to the next watermark"
+        ]
 
     def test_explain_agrees_with_the_flow(self):
         for sql in TAGGED_QUERIES + [JOIN_SQL]:
