@@ -192,7 +192,7 @@ def _run_sharded(
     engine = _engine(
         streams,
         parallelism=4,
-        backend="threads",
+        backend="sync",
         batch_size=batch_size,
         columnar=columnar,
         two_phase=two_phase,
@@ -207,7 +207,7 @@ def _run_sharded(
         "batch_size": batch_size,
         "coalesce_updates": False,
         "columnar": columnar,
-        "backend": "threads(4)",
+        "backend": "sync(4)",
         "two_phase": two_phase,
         "seconds": elapsed,
         "events_per_second": NUM_EVENTS / elapsed,

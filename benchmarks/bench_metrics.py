@@ -113,7 +113,7 @@ def _run_sharded(streams, shards: int) -> dict:
     # compared with the serial run's operator for operator.
     engine = StreamEngine(
         config=ExecutionConfig(
-            parallelism=shards, backend="threads", two_phase="off"
+            parallelism=shards, backend="sync", two_phase="off"
         )
     )
     streams.register_on(engine)
@@ -125,7 +125,7 @@ def _run_sharded(streams, shards: int) -> dict:
     report = result.metrics
     return {
         "shards": shards,
-        "backend": "threads",
+        "backend": "sync",
         "seconds": elapsed,
         "events_per_second": NUM_EVENTS / elapsed,
         "totals": report.totals,

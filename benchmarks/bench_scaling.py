@@ -75,7 +75,7 @@ SHARDED_SQL = """
 SHARD_SWEEP = [1, 2, 4, 8]
 
 
-def _run_sharded(streams, shards, backend="threads"):
+def _run_sharded(streams, shards, backend="sync"):
     engine = StreamEngine(
         config=ExecutionConfig(parallelism=shards, backend=backend)
     )

@@ -100,7 +100,7 @@ def run_smoke(fault_plan: str | None = None) -> dict:
     jsonl = JsonLinesExporter(str(JSONL_ARTIFACT))
     config = ExecutionConfig(
         parallelism=SHARDS,
-        backend="threads",
+        backend="sync",
         telemetry=_Tee(prom, jsonl),
         retry=RetryPolicy(max_restarts=4, checkpoint_interval=50),
         fault_plan=fault_plan,

@@ -4,7 +4,7 @@
 Shell flags mirror the fields of :class:`~repro.config.ExecutionConfig`
 and build the engine-layer config behind the shell::
 
-    python -m repro --parallelism 4 --backend threads \\
+    python -m repro --parallelism 4 --backend processes \\
                     --telemetry prometheus:metrics.prom \\
                     --max-restarts 3 --checkpoint-interval 50
 
@@ -47,7 +47,7 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend", default=None,
-        help="shard worker pool: threads (default), processes, or sync",
+        help="shard driver: sync (default, in the caller) or processes",
     )
     parser.add_argument(
         "--telemetry", default=None, metavar="SPEC",

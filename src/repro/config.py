@@ -39,7 +39,7 @@ __all__ = ["ExecutionConfig", "EXECUTION_DEFAULTS", "RetryPolicy", "FaultPlan"]
 #: The bottom layer of the precedence chain: what an unset field means.
 EXECUTION_DEFAULTS: dict[str, Any] = {
     "parallelism": 1,
-    "backend": "threads",
+    "backend": "sync",
     "telemetry": None,
     "allowed_lateness": 0,
     "retry": RetryPolicy(),
@@ -66,8 +66,12 @@ class ExecutionConfig:
 
     * ``parallelism`` — shard count for key-partitionable queries
       (default 1: serial).
-    * ``backend`` — shard worker pool: ``"threads"``, ``"processes"``,
-      or ``"sync"``.
+    * ``backend`` — shard driver: ``"sync"`` (the default) drives every
+      shard in the caller's thread; ``"processes"`` forks one worker per
+      shard and ships its state back (``"sync"`` where ``fork`` is
+      unavailable).  Output is identical on both; sharding is a
+      determinism and recovery harness, not a speed-up (see
+      docs/RUNTIME.md).
     * ``telemetry`` — a :class:`~repro.obs.export.TelemetryExporter`
       instance or a ``"jsonl:PATH"`` / ``"prometheus:PATH"`` spec
       string (default: record latency telemetry, export nowhere).
@@ -81,10 +85,14 @@ class ExecutionConfig:
       its spec string, e.g. ``"crash-after-checkpoint"``) injected into
       sharded batch runs; testing/CI only.
     * ``batch_size`` — maximum row events delivered through the operator
-      tree per micro-batch (default 1: per-change execution).  Batches
-      never span processing-time instants or watermark events, so the
-      output changelog is byte-identical to per-change execution at any
-      value; larger values only trade latency granularity for throughput.
+      tree per micro-batch (default 1: per-change execution).  A serial
+      replay's batches hold one source's rows and span processing-time
+      instants up to the next watermark, unless
+      ``Dataflow.run_span_reason()`` names why not (a ``CURRENT_TIME``
+      tail's timers, a lineage recorder, ``coalesce_updates``; sharded
+      runs always stay per instant).  The output changelog is
+      byte-identical to per-change execution at any value; larger values
+      only trade latency granularity for throughput.
     * ``coalesce_updates`` — opt-in intra-instant compaction: drop
       insert/retract pairs that cancel within one processing-time
       instant.  Per-instant snapshots are preserved, but the changelog
@@ -94,8 +102,10 @@ class ExecutionConfig:
       default) runs micro-batches columnar whenever ``batch_size > 1``,
       ``"on"`` forces it, ``"off"`` keeps row-at-a-time batches.
       Batches flow between operators as per-column vectors, adjacent
-      filters/projections are fused into one generated loop, and
-      operators without a columnar path receive rows at their boundary;
+      filter/project/tumble steps are fused into one generated pipeline,
+      aggregates absorb the column-selecting projections around them,
+      and operators without a columnar path receive rows at their
+      boundary;
       the changelog is byte-identical in every mode (see
       docs/RUNTIME.md).
     * ``two_phase`` — physical aggregation shape for sharded runs:

@@ -76,7 +76,7 @@ class StreamEngine:
 
     ``config`` — an :class:`~repro.config.ExecutionConfig` — sets this
     engine's execution defaults; any field left unset falls back to the
-    library defaults (serial, ``threads`` backend, telemetry recorded
+    library defaults (serial, ``sync`` backend, telemetry recorded
     but not exported, zero lateness, default retry policy, no faults).
 
     ``config.parallelism`` selects the execution runtime: ``1`` (the
@@ -116,7 +116,7 @@ class StreamEngine:
 
     @property
     def backend(self) -> str:
-        """Shard worker pool from the engine config (read-only)."""
+        """Shard driver from the engine config (read-only)."""
         return self.config.backend
 
     # -- catalog ------------------------------------------------------------

@@ -89,9 +89,9 @@ class JsonLinesExporter(TelemetryExporter):
     """Append each trace event to ``target`` as one JSON object per line.
 
     ``target`` is a path (opened for writing) or an open text handle
-    (left open on :meth:`close`).  Events may arrive from shard worker
-    threads; writes are serialized under a lock so lines never
-    interleave.
+    (left open on :meth:`close`).  The engine emits events from one
+    thread; writes are still serialized under a lock, so an exporter
+    shared by threads of the caller's own never interleaves lines.
     """
 
     def __init__(self, target: Union[str, IO[str]]):

@@ -1,29 +1,24 @@
-"""Worker-pool backends for driving shard dataflows.
+"""The two backends that drive shard dataflows.
 
 ``run_shards`` executes one zero-argument worker per shard and returns
-their results in shard order.  Three backends:
+their results in shard order.  Two drivers:
 
-* ``"sync"`` — run the workers one after another in the calling thread.
-  The reference semantics; useful for debugging and tiny inputs.
-* ``"threads"`` — one thread per shard (the default).  Each worker
-  touches only its own shard's ``Dataflow``, so no locking is needed;
-  pure-Python operator work still serialises on the GIL, but any
-  I/O-bound or C-accelerated stages overlap.
+* ``"sync"`` — run the workers one after another in the calling thread
+  (the default).  Each worker mutates its shard's ``Dataflow`` in place.
 * ``"processes"`` — fork one child per shard.  The child inherits its
   shard by fork (no pickling on the way in) and ships its result — and
   a ``Dataflow.checkpoint()`` of the shard's final state — back through
   a pipe, so the parent can restore the shard and keep going
-  incrementally.  Falls back to ``"threads"`` where ``fork`` is
-  unavailable.
+  incrementally.  Falls back to ``"sync"`` where ``fork`` is
+  unavailable (:func:`forks` says which driver a backend gets).
 
 Whatever the backend, the merge stage reassembles the shard outputs by
-global event sequence, so results are identical across all three.
+global event sequence, so results are identical on both.
 """
 
 from __future__ import annotations
 
 import gc
-import threading
 from typing import Callable, Optional, TypeVar
 
 from ..core.errors import ExecutionError
@@ -32,50 +27,27 @@ __all__ = ["run_shards"]
 
 T = TypeVar("T")
 
-BACKENDS = ("sync", "threads", "processes")
+BACKENDS = ("sync", "processes")
 
 
-def run_shards(workers: list[Callable[[], T]], backend: str = "threads") -> list[T]:
+def run_shards(workers: list[Callable[[], T]], backend: str = "sync") -> list[T]:
     """Run one worker per shard; return results in shard order.
 
     The first worker failure (by shard index) is re-raised in the
     caller after all workers have stopped.
     """
-    if backend == "sync":
-        return [worker() for worker in workers]
-    if backend == "threads":
-        return _run_threads(workers)
-    if backend == "processes":
-        if not _fork_available():
-            return _run_threads(workers)
+    if backend not in BACKENDS:
+        raise ExecutionError(
+            f"unknown runtime backend {backend!r}; expected one of {BACKENDS}"
+        )
+    if forks(backend):
         return _run_processes(workers)
-    raise ExecutionError(
-        f"unknown runtime backend {backend!r}; expected one of {BACKENDS}"
-    )
+    return [worker() for worker in workers]
 
 
-def _run_threads(workers: list[Callable[[], T]]) -> list[T]:
-    results: list[Optional[T]] = [None] * len(workers)
-    errors: list[Optional[BaseException]] = [None] * len(workers)
-
-    def entry(index: int, worker: Callable[[], T]) -> None:
-        try:
-            results[index] = worker()
-        except BaseException as exc:  # noqa: BLE001 — re-raised in caller
-            errors[index] = exc
-
-    threads = [
-        threading.Thread(target=entry, args=(i, worker), name=f"repro-shard-{i}")
-        for i, worker in enumerate(workers)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results  # type: ignore[return-value]
+def forks(backend: str) -> bool:
+    """Whether ``backend`` runs its workers in forked children."""
+    return backend == "processes" and _fork_available()
 
 
 def _fork_available() -> bool:
@@ -111,21 +83,22 @@ def _run_processes(workers: list[Callable[[], T]]) -> list[T]:
     ctx = multiprocessing.get_context("fork")
     pipes = []
     procs = []
-    for i, worker in enumerate(workers):
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_process_entry,
-            args=(worker, child_conn),
-            name=f"repro-shard-{i}",
-        )
-        proc.start()
-        child_conn.close()
-        pipes.append(parent_conn)
-        procs.append(proc)
-
     results: list[Optional[T]] = [None] * len(workers)
     errors: list[Optional[BaseException]] = [None] * len(workers)
     try:
+        for i, worker in enumerate(workers):
+            parent_conn, child_conn = ctx.Pipe(duplex=False)
+            pipes.append(parent_conn)
+            try:
+                proc = ctx.Process(
+                    target=_process_entry,
+                    args=(worker, child_conn),
+                    name=f"repro-shard-{i}",
+                )
+                proc.start()
+            finally:
+                child_conn.close()
+            procs.append(proc)
         for i, conn in enumerate(pipes):
             try:
                 status, value = conn.recv()
@@ -145,8 +118,9 @@ def _run_processes(workers: list[Callable[[], T]]) -> list[T]:
             else:
                 errors[i] = value
     finally:
-        # Whatever happened above, no worker outlives the call: closing
-        # our end first unblocks a child still writing its result.
+        # Whatever happened above — a failed fork included — no worker
+        # outlives the call: closing our end first unblocks a child
+        # still writing its result.
         for conn in pipes:
             conn.close()
         for proc in procs:

@@ -27,7 +27,7 @@ Fault kinds (the strings accepted by :meth:`FaultPlan.parse` and the
 Every fault fires on attempts ``0 .. times-1`` of its shard and heals
 afterwards; the injection decision is a pure function of
 ``(spec, shard, attempt, position)``, which is what makes the harness
-deterministic under restart and across the threads/processes backends.
+deterministic under restart and across the sync/processes backends.
 """
 
 from __future__ import annotations

@@ -31,8 +31,8 @@ There is one protocol, whoever drives:
 :meth:`ShardedDataflow.process` / :meth:`~ShardedDataflow.process_batch`
 / :meth:`~ShardedDataflow.replay` do this for one run of events at a
 time, driving the shards in the caller.  :meth:`~ShardedDataflow.run`
-does it once for every run the sources hold, driving each shard on a
-worker-pool backend (:mod:`repro.runtime.backends`) under a
+does it once for every run the sources hold, driving each shard with
+the configured backend (:mod:`repro.runtime.backends`) under a
 :class:`~repro.runtime.supervisor.ShardSupervisor` that restarts a
 failed worker from its last checkpoint; what a restarted worker
 re-emitted is dropped by tag before the splice.
@@ -99,7 +99,7 @@ from ..obs.trace import TraceEvent
 from ..plan.partition import PartitionSpec
 from ..plan.physical import TwoPhaseSplit, split_eligibility
 from ..plan.pipeline import absorbed_kinds
-from .backends import run_shards
+from .backends import forks, run_shards
 from .faults import FaultInjector
 from .frontier import WatermarkFrontier
 from .merge import (
@@ -279,11 +279,10 @@ class ShardedDataflow(OutputLogs):
         primary output the ``"batch"`` events come from the combine
         flow's root instead (untagged: it runs in the caller), one per
         run that changed the output — the shards' partial payloads are
-        not output.  With the ``threads`` backend, shard batch events
-        arrive from worker threads; the callback must tolerate
-        concurrent calls (appending to a list is fine).  With the
-        ``processes`` backend, events observed inside forked shard
-        workers do not reach the parent's callback.
+        not output.  The callback is only ever called from the caller's
+        thread, one event at a time.  With the ``processes`` backend,
+        events observed inside forked shard workers do not reach the
+        parent's callback.
         """
         return self._trace
 
@@ -582,7 +581,7 @@ class ShardedDataflow(OutputLogs):
         return self.result()
 
     def run(self, until: Optional[Timestamp] = None) -> RunResult:
-        """Replay all source events (up to ``until``) on the worker pool.
+        """Replay all source events (up to ``until``) on the shard driver.
 
         Everything the sources hold is grouped into the runs the
         serial ``run()`` would deliver, partitioned at once, and each
@@ -600,7 +599,7 @@ class ShardedDataflow(OutputLogs):
             self.spec,
             len(self._shards),
         )
-        transfer_state = self.config.backend == "processes"
+        transfer_state = forks(self.config.backend)
         injector = FaultInjector(self.config.fault_plan)
         structure = self._shards[0].structure()
         whole = self.run_split_reason() is None
@@ -631,8 +630,8 @@ class ShardedDataflow(OutputLogs):
                 if outcome.state is not None:
                     self._shards[index].restore(outcome.state)
             else:
-                # Thread workers may have replaced a restarted shard's
-                # dataflow with the restored instance.
+                # An in-caller worker may have replaced a restarted
+                # shard's dataflow with the restored instance.
                 self._shards[index] = supervisor.final_flow
             self._recovery.merge(outcome.stats)
             # Recovery trace events are forwarded post-hoc in shard

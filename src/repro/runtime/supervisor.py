@@ -196,9 +196,9 @@ class SupervisedOutcome(ShardLog):
     output by id.  Logs may contain
     duplicate sequence numbers when restarts replayed input —
     downstream dedup collapses them.  ``state`` carries the final shard
-    checkpoint for process workers (``None`` for thread workers, whose
-    dataflow survives in place).  All fields pickle, so the outcome
-    crosses the fork pipe intact.
+    checkpoint for forked workers (``None`` for in-caller ``sync``
+    workers, whose dataflow survives in place).  All fields pickle, so
+    the outcome crosses the fork pipe intact.
     """
 
     stats: RecoveryStats = field(default_factory=RecoveryStats)

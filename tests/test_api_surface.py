@@ -379,3 +379,28 @@ class TestSaidOnce:
         extra = list(sharded.parameters.values())[len(serial):]
         assert [p.name for p in extra] == ["spec", "two_phase"]
         assert all(p.kind is p.KEYWORD_ONLY for p in extra)
+
+    def test_two_shard_drivers(self):
+        """Sharding keeps two drivers: the caller's thread (the default)
+        and a forked worker per shard.  Nothing under ``runtime/``
+        starts a thread."""
+        from repro.config import EXECUTION_DEFAULTS
+        from repro.runtime import backends
+
+        assert backends.BACKENDS == ("sync", "processes")
+        assert EXECUTION_DEFAULTS["backend"] == "sync"
+        assert _src_files_matching(r"_run_threads") == set()
+        threading_imports = _src_files_matching(
+            r"(?m)^\s*(import threading|from threading import)"
+        )
+        assert {
+            path for path in threading_imports
+            if path.startswith("runtime" + os.sep)
+        } == set()
+
+    def test_the_threads_backend_is_refused_by_name(self):
+        from repro.core.errors import ValidationError
+
+        with pytest.raises(ValidationError) as refused:
+            repro.ExecutionConfig(backend="threads")
+        assert "('sync', 'processes')" in str(refused.value)

@@ -202,7 +202,7 @@ Q3_OTHER_CATEGORY = Q3_LOCAL_ITEM_SUGGESTION.replace("category = 10", "category 
 
 
 @pytest.mark.parametrize("batch_size", [1, 7, 64])
-@pytest.mark.parametrize("backend", ["threads", "sync", "processes"])
+@pytest.mark.parametrize("backend", ["sync", "processes"])
 def test_batched_sharded_identical(nexmark_small, backend, batch_size):
     serial = StreamEngine()
     nexmark_small.register_on(serial)
@@ -389,7 +389,7 @@ def test_coalesce_default_off_is_byte_identical():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["threads", "processes"])
+@pytest.mark.parametrize("backend", ["sync", "processes"])
 def test_batched_crash_after_checkpoint_recovers_exactly(
     nexmark_small, backend
 ):

@@ -342,7 +342,7 @@ def test_columnar_crash_after_checkpoint_recovers_exactly(nexmark_small):
     faulted = StreamEngine(
         config=ExecutionConfig(
             parallelism=3,
-            backend="threads",
+            backend="sync",
             batch_size=64,
             columnar="on",
             retry=RetryPolicy(max_restarts=3, checkpoint_interval=3),

@@ -58,9 +58,9 @@ class TestExecutionConfig:
 
     def test_merged_over_keeps_set_fields(self):
         base = ExecutionConfig(parallelism=4, backend="sync")
-        layered = ExecutionConfig(backend="threads").merged_over(base)
+        layered = ExecutionConfig(backend="processes").merged_over(base)
         assert layered.parallelism == 4  # inherited
-        assert layered.backend == "threads"  # overridden
+        assert layered.backend == "processes"  # overridden
 
     def test_merged_over_is_field_wise_not_all_or_nothing(self):
         base = ExecutionConfig(
@@ -121,7 +121,7 @@ class TestPrecedence:
         query = engine.query(TUMBLE_SQL, ExecutionConfig(parallelism=2))
         assert query._effective().parallelism == 2
         # unrelated fields still come from the engine/defaults
-        assert query._effective().backend == "threads"
+        assert query._effective().backend == "sync"
 
     def test_call_site_overrides_query_and_engine(self):
         engine = keyed_engine(ExecutionConfig(parallelism=4, backend="sync"))
@@ -171,10 +171,10 @@ class TestPrecedence:
 
     def test_engine_stores_a_fully_resolved_config(self):
         engine = StreamEngine(config=ExecutionConfig(parallelism=2))
-        assert engine.config.backend == "threads"
+        assert engine.config.backend == "sync"
         assert engine.config.retry == RetryPolicy()
         assert engine.parallelism == 2
-        assert engine.backend == "threads"
+        assert engine.backend == "sync"
 
     def test_config_must_be_an_execution_config(self):
         with pytest.raises(ValidationError):

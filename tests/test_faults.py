@@ -86,10 +86,10 @@ def assert_recovered_exactly(baseline, faulted):
 
 
 class TestFaultMatrix:
-    """Every fault kind × both worker-pool backends, on two queries."""
+    """Every fault kind × both shard drivers, on two queries."""
 
     @pytest.mark.parametrize("kind", sorted(FAULT_MATRIX))
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("backend", ["sync", "processes"])
     def test_paper_tumble_emit_stream(self, kind, backend):
         sql = TUMBLED_BY_ITEM + " EMIT STREAM"
         baseline = paper_engine().query(sql)
@@ -101,7 +101,7 @@ class TestFaultMatrix:
         assert faulted.stream() == baseline.stream()
 
     @pytest.mark.parametrize("kind", sorted(FAULT_MATRIX))
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("backend", ["sync", "processes"])
     def test_nexmark_q3(self, nexmark_small, kind, backend):
         baseline = nexmark_q3_engine(nexmark_small).query(
             Q3_LOCAL_ITEM_SUGGESTION
@@ -112,7 +112,7 @@ class TestFaultMatrix:
         assert faulted.partition_decision().partitionable
         assert_recovered_exactly(baseline, faulted)
 
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("backend", ["sync", "processes"])
     def test_q7_fallback_ignores_fault_plan(self, nexmark_small, backend):
         """Q7 is a global aggregate: it runs serial, where shard fault
         plans have nothing to attach to — output still matches."""
@@ -132,7 +132,7 @@ class TestFaultMatrix:
             Q3_LOCAL_ITEM_SUGGESTION
         )
         faulted = nexmark_q3_engine(
-            nexmark_small, faulted_config(plan, "threads")
+            nexmark_small, faulted_config(plan, "sync")
         ).query(Q3_LOCAL_ITEM_SUGGESTION)
         rs, rf = baseline.run(), faulted.run()
         assert rf.changes == rs.changes

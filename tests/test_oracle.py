@@ -5,7 +5,8 @@ to t must equal the naive evaluator (``tests/oracle.py``) over the input
 snapshots at t.  Streams arrive one event per instant (burst 1 — the
 shape whose runs span instants) or in bursts, out of order, with rows
 behind the watermark and retractions; serial flows at ``batch_size`` 1
-and 64 (fused, absorbed, spanning runs).
+and 64 (fused, absorbed, spanning runs), and sharded flows on both
+drivers, single- and two-phase.
 """
 
 from collections import Counter
@@ -107,6 +108,21 @@ def folded(changes, width: int, t: int):
     return bag(width, (+rows).elements())
 
 
+def prepared(sources, config: ExecutionConfig, query: Query):
+    engine = StreamEngine(config=config)
+    for name, events in sources.items():
+        engine.register_stream(name, TimeVaryingRelation(SCHEMA, events))
+    return engine.query(query.sql())
+
+
+def assert_folds_to_the_naive_snapshot(changes, query: Query, sources) -> None:
+    instants = sorted({e.ptime for events in sources.values() for e in events})
+    for t in instants:
+        assert folded(changes, query.width(), t) == evaluate(query, sources, t), (
+            f"at t={t}"
+        )
+
+
 @pytest.mark.parametrize("batch_size", [1, 64])
 @pytest.mark.parametrize("burst_one", [True, False], ids=["burst1", "bursty"])
 @settings(max_examples=40, deadline=None)
@@ -114,15 +130,31 @@ def folded(changes, width: int, t: int):
 def test_the_changelog_folds_to_the_naive_snapshot(burst_one, batch_size, data):
     query = data.draw(queries(), label="query")
     sources = data.draw(streams(burst_one), label="sources")
-    engine = StreamEngine(config=ExecutionConfig(batch_size=batch_size))
-    for name, events in sources.items():
-        engine.register_stream(name, TimeVaryingRelation(SCHEMA, events))
-    changes = engine.query(query.sql()).run().changes
-    instants = sorted({e.ptime for events in sources.values() for e in events})
-    for t in instants:
-        assert folded(changes, query.width(), t) == evaluate(query, sources, t), (
-            f"at t={t}"
-        )
+    config = ExecutionConfig(batch_size=batch_size)
+    changes = prepared(sources, config, query).run().changes
+    assert_folds_to_the_naive_snapshot(changes, query, sources)
+
+
+@pytest.mark.parametrize("two_phase", ["auto", "off"])
+@pytest.mark.parametrize("backend", ["sync", "processes"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_sharded_changelog_folds_to_the_naive_snapshot(backend, two_phase, data):
+    """The sharding harness against the same referee: two shards on
+    either driver, single- or two-phase, at ``batch_size`` 64."""
+    query = data.draw(queries(), label="query")
+    sources = data.draw(streams(data.draw(st.booleans())), label="sources")
+    config = ExecutionConfig(
+        parallelism=2, backend=backend, two_phase=two_phase, batch_size=64
+    )
+    sharded = prepared(sources, config, query)
+    # Every shape the grammar draws is keyed (by k, or by the window
+    # end), so every draw runs sharded: a sharded run keeps a recovery
+    # ledger, a serial fallback none.
+    assert sharded.partition_decision().partitionable
+    result = sharded.run()
+    assert result.metrics.recovery is not None
+    assert_folds_to_the_naive_snapshot(result.changes, query, sources)
 
 
 def test_the_oracle_states_the_late_rule_naively():

@@ -163,7 +163,7 @@ def count_batches(monkeypatch_context):
     events=interleaved_histories(),
     sql=st.sampled_from(TAGGED_QUERIES + [JOIN_SQL]),
     batch_size=st.sampled_from([1, 2, 7, 64]),
-    backend=st.sampled_from(["sync", "threads", "processes"]),
+    backend=st.sampled_from(["sync", "processes"]),
     columnar=st.sampled_from(["off", "auto"]),
     two_phase=st.sampled_from(["on", "off"]),
     crash=st.sampled_from(
@@ -282,7 +282,7 @@ def test_a_restarted_shard_is_fed_the_same_shares():
     assert recovery.rows_replayed > 0 and recovery.dedup_drops > 0
 
 
-@pytest.mark.parametrize("backend", ["sync", "threads", "processes"])
+@pytest.mark.parametrize("backend", ["sync", "processes"])
 @pytest.mark.parametrize("two_phase", ["on", "off"])
 def test_a_restart_under_lineage_tags_like_the_first_attempt(backend, two_phase):
     """The run shape is decided once, by the sharded flow: the first

@@ -68,7 +68,7 @@ TUMBLED_COUNT_BY_ITEM = """
 """
 
 
-def paper_engine(parallelism=1, backend="threads", batch_size=1):
+def paper_engine(parallelism=1, backend="sync", batch_size=1):
     eng = StreamEngine(
         config=ExecutionConfig(
             parallelism=parallelism, backend=backend, batch_size=batch_size
@@ -78,7 +78,7 @@ def paper_engine(parallelism=1, backend="threads", batch_size=1):
     return eng
 
 
-def two_stream_engine(parallelism=1, backend="threads"):
+def two_stream_engine(parallelism=1, backend="sync"):
     """Two keyed streams for join partitioning tests."""
     eng = StreamEngine(
         config=ExecutionConfig(parallelism=parallelism, backend=backend)
@@ -329,6 +329,51 @@ class TestProcessPool:
         assert all(proc.exitcode == 0 for proc in procs)  # joined, not killed
         assert all(conn.closed for conn in conns)
 
+    def test_a_failed_fork_joins_the_workers_already_started(self, monkeypatch):
+        """Forking worker 1 fails (``EAGAIN``): worker 0, already running,
+        is joined and every pipe end is closed before the error
+        propagates."""
+        import errno
+        import multiprocessing
+        import time
+
+        from repro.runtime import backends, run_shards
+
+        if not backends._fork_available():
+            pytest.skip("no fork on this platform")
+        ctx = multiprocessing.get_context("fork")
+        procs, conns = [], []
+        real_process, real_pipe = ctx.Process, ctx.Pipe
+
+        def refuse():
+            raise OSError(errno.EAGAIN, "fork refused")
+
+        def process(*args, **kwargs):
+            proc = real_process(*args, **kwargs)
+            if procs:
+                proc.start = refuse
+            procs.append(proc)
+            return proc
+
+        def pipe(*args, **kwargs):
+            ends = real_pipe(*args, **kwargs)
+            conns.extend(ends)
+            return ends
+
+        monkeypatch.setattr(ctx, "Process", process)
+        monkeypatch.setattr(ctx, "Pipe", pipe)
+        monkeypatch.setattr(multiprocessing, "get_context", lambda kind: ctx)
+
+        def slow():
+            time.sleep(0.2)  # still running when worker 1's fork fails
+            return 0
+
+        with pytest.raises(OSError, match="fork refused"):
+            run_shards([slow, slow, slow], backend="processes")
+        assert len(procs) == 2  # worker 2 was never built
+        assert procs[0].exitcode == 0  # joined, not left running
+        assert len(conns) == 4 and all(conn.closed for conn in conns)
+
     def test_first_failure_by_shard_index_wins(self):
         from repro.runtime import run_shards
 
@@ -418,7 +463,7 @@ class TestPaperListingEquality:
 
 class TestBackendEquality:
     @pytest.mark.parametrize("batch_size", [1, 7, 64])
-    @pytest.mark.parametrize("backend", ["sync", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["sync", "processes"])
     def test_backends_identical(self, backend, batch_size):
         serial = paper_engine(1).query(TUMBLED_BY_ITEM + " EMIT STREAM")
         engine = paper_engine(3, backend, batch_size)
@@ -439,12 +484,48 @@ class TestBackendEquality:
             paper_engine(1).query(TUMBLED_COUNT_BY_ITEM).run().changes
         )
 
-    @pytest.mark.parametrize("backend", ["sync", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["sync", "processes"])
     def test_backends_identical_join(self, backend):
         sql = "SELECT L.k, L.lv, R.rv FROM L JOIN R ON L.k = R.k"
         serial = two_stream_engine(1).query(sql)
         sharded = two_stream_engine(4, backend).query(sql)
         assert_identical_results(serial, sharded)
+
+    @pytest.mark.parametrize("two_phase", ["off", "auto"])
+    def test_processes_without_fork_runs_in_the_caller(
+        self, monkeypatch, two_phase
+    ):
+        """Where ``fork`` is unavailable ``processes`` is ``sync``: no
+        child is forked, the shards run in the caller (their batch
+        events reach the trace hook) and the changelog is the serial
+        one, single-phase and through the partial/combine split alike."""
+        from repro.runtime import backends
+
+        def no_fork(workers):
+            raise AssertionError("forked without fork")
+
+        monkeypatch.setattr(backends, "_fork_available", lambda: False)
+        monkeypatch.setattr(backends, "_run_processes", no_fork)
+        sql = TUMBLED_BY_ITEM + " EMIT STREAM"
+        serial = paper_engine(1).query(sql).run()
+        flows = {}
+        for backend in ("sync", "processes"):
+            flow = paper_engine(3, backend).query(
+                sql, ExecutionConfig(two_phase=two_phase)
+            ).sharded_dataflow()
+            traced = []
+            flow.trace = traced.append
+            result = flow.run()
+            assert result.changes == serial.changes, backend
+            assert result.watermarks.as_pairs() == serial.watermarks.as_pairs()
+            flows[backend] = (flow.checkpoint(), traced)
+        assert flows["processes"] == flows["sync"]
+        # a two-phase output's batch events come from its combine flow,
+        # so only single-phase shards show theirs to the caller's hook
+        assert any(
+            event.kind == "batch" and event.shard is not None
+            for event in flows["processes"][1]
+        ) == (two_phase == "off")
 
 
 NEXMARK_CASES = [
@@ -522,8 +603,8 @@ class TestShardedCheckpoint:
         assert result.last_ptime == uninterrupted.last_ptime
 
     def test_checkpoint_bytes_restore_across_backends(self):
-        """A batch (threads) run's checkpoint restores into a sync run."""
-        engine = paper_engine(3, backend="threads")
+        """A batch (processes) run's checkpoint restores into a sync run."""
+        engine = paper_engine(3, backend="processes")
         query = engine.query(TUMBLED_BY_ITEM)
         first = query.sharded_dataflow()
         first.run()

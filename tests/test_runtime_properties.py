@@ -135,9 +135,9 @@ def test_sharded_equals_serial(events, sql, shards, lateness):
     events=event_histories(),
     shards=st.integers(min_value=2, max_value=4),
 )
-def test_thread_pool_equals_serial(events, shards):
+def test_process_pool_equals_serial(events, shards):
     serial = run_query(events, KEYED_WINDOW_SUM, 1)
-    sharded = run_query(events, KEYED_WINDOW_SUM, shards, backend="threads")
+    sharded = run_query(events, KEYED_WINDOW_SUM, shards, backend="processes")
     assert sharded.run().changes == serial.run().changes
     assert sharded.stream() == serial.stream()
 
@@ -217,7 +217,7 @@ def test_every_driver_yields_the_serial_changelog(
 
     assert _finished(flow_on("sync"), per_event) == expected
     assert _finished(flow_on("sync"), replayed) == expected
-    for backend in ("sync", "threads", "processes"):
+    for backend in ("sync", "processes"):
         result = flow_on(backend).run()
         assert (
             result.changes, result.watermarks.as_pairs(), result.last_ptime

@@ -284,7 +284,7 @@ class TestDeltaMode:
 
 
 class TestRecovery:
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("backend", ["sync", "processes"])
     def test_crash_after_checkpoint_recovers_exactly(self, backend):
         events = keyed_events(rows=80, keys=4, burst=4)
         serial = serial_run(events, SUM_AVG_SQL)
