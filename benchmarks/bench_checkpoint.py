@@ -18,7 +18,11 @@ checkpoint plane (``docs/SERVICE.md``, *Durability*):
   previous cut plus live state, not the age of the session;
 * **a full cut is not** — one full cut of the same session at 100 k
   into a fresh directory is there for contrast (every log from
-  position 0);
+  position 0) — **but it frames nothing twice**: every history segment
+  it writes was framed by the incremental cut that sealed it, so it
+  makes exactly one ``pickle.dumps`` per flow blob and none for a
+  history segment (before: one more per output and source log — the
+  whole history pickled again);
 * **incremental == full** — services resumed from the grown directory
   and from the single full cut publish exactly the deltas the original
   service publishes for the next 256 events;
@@ -58,6 +62,7 @@ script::
 from __future__ import annotations
 
 import collections
+import contextlib
 import gc
 import json
 import pickle
@@ -102,7 +107,7 @@ BID_SCHEMA = Schema(
 )
 
 ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_checkpoint.json"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def tumble(select: str, seconds_: int = 10, where: str = "") -> str:
@@ -191,6 +196,24 @@ def live_service(**config) -> StandingQueryService:
     return service
 
 
+@contextlib.contextmanager
+def counted_dumps():
+    """Within the block, every ``pickle.dumps`` call appends the size of
+    what it returned to the list this yields."""
+    sizes, real = [], pickle.dumps
+
+    def counting(*args, **kwargs):
+        blob = real(*args, **kwargs)
+        sizes.append(len(blob))
+        return blob
+
+    pickle.dumps = counting
+    try:
+        yield sizes
+    finally:
+        pickle.dumps = real
+
+
 def changes_built_resuming(directory: str) -> int:
     """``Change`` objects the codec builds during one resume."""
     built = 0
@@ -273,11 +296,15 @@ def session_run() -> dict:
                 plain_ingest.append(elapsed)
         grown_bytes = directory_bytes(grown)
         written = session.checkpoint_bytes_total
-        service.checkpoint(full)  # a fresh directory: every log from 0
+        with counted_dumps() as dumps:
+            service.checkpoint(full)  # a fresh directory: every log from 0
         full_cut = {
             "history": HISTORY,
             "cut_s": session.last_checkpoint_seconds,
             "bytes": session.checkpoint_bytes_total - written,
+            "flows": len(session.plan_cache.records),
+            "pickle_dumps": len(dumps),
+            "pickled_bytes": sum(dumps),
         }
         from_grown, resume_grown_s = timed_resume(grown)
         from_full, resume_full_s = timed_resume(full)
@@ -469,6 +496,9 @@ def test_checkpoint_bench_produces_artifact():
     assert last["cut_s"] <= GATE_FLAT * first["cut_s"], (first, last)
     # the contrast: a full cut at the same history rewrites everything
     assert session["full_cut"]["bytes"] > 5 * last["bytes"]
+    # ... and pickles only the flow blobs: every history frame is reused
+    full = session["full_cut"]
+    assert full["pickle_dumps"] == full["flows"], full
     assert session["tail_diverged"] == 0
     assert flow["recovered_equals_uninterrupted"]
     assert flow["checkpoint_bytes"] > 100
@@ -491,9 +521,11 @@ if __name__ == "__main__":
             f"history={cut['history']:>7,}  cut {cut['cut_s'] * 1e3:7.1f} ms  "
             f"{cut['bytes']:>10,} bytes  (ingest call {cut['ingest_s'] * 1e3:.1f} ms)"
         )
+    full = run["full_cut"]
     print(
-        f"full cut at {run['history']:,}: {run['full_cut']['cut_s'] * 1e3:.1f} ms, "
-        f"{run['full_cut']['bytes']:,} bytes"
+        f"full cut at {run['history']:,}: {full['cut_s'] * 1e3:.1f} ms, "
+        f"{full['bytes']:,} bytes; {full['pickle_dumps']} pickle.dumps "
+        f"({full['pickled_bytes']:,} bytes) for {full['flows']} flow blobs"
     )
     print(
         f"incremental cut, first vs last: "

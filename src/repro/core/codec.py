@@ -13,9 +13,10 @@ tuple of plain values pickles at C speed):
 * ``values`` — the row tuples, in order;
 * ``ptimes`` — the processing times, in order.
 
-That triple is a *segment*.  Source events (:func:`encode_events`) and
-the supervisor's tagged output slices (:func:`encode_slices`) are the
-same idea with one more kind byte / one more vector.
+That triple is what a sealed :class:`Segment` holds.  Source events
+(:func:`encode_events`) and the supervisor's tagged output slices
+(:func:`encode_slices`) are the same idea with one more kind byte / one
+more vector.
 
 **Encoded at rest.**  A stream is one *encoding* of a time-varying
 relation, materialised when somebody asks for it (paper §3, §6.5); a
@@ -29,22 +30,30 @@ live tail.
   segment, so a change is encoded once in its life however many cuts
   follow, and every position a cut happened at is a segment boundary:
   the next cut moves whole segments (:meth:`SegmentedLog.segments`).
+* **Frame once.**  A log file holds each segment as its *frame*, the
+  pickle of its triple.  :meth:`Segment.frame` pickles at most once in
+  the segment's life and the segment keeps the bytes instead of the
+  vectors, so every later cut — a full one into a fresh directory
+  included — writes the frames the segments already hold.  A recorded
+  source's events stay objects for late joiners, so it keeps the
+  segments it handed to earlier cuts beside them
+  (:meth:`~repro.core.tvr.TimeVaryingRelation.event_segments`).
 * **Adopt at restore.**  Restoring installs the stored segments as they
   are.  No ``Change`` is built; lengths, last processing times and
   watermark entries are read off the encoded vectors.  A segment read
-  back from a log file stays *pickled* as well
-  (:class:`PackedSegment`): only its kind bytes — its length — are
-  taken off the head of the pickle, so resuming a session costs what
-  its operator state and its queries cost, whatever its history.
+  back from a log file arrives framed: only its kind bytes — its
+  length — are taken off the head of the pickle, so resuming a session
+  costs what its operator state and its queries cost, whatever its
+  history.
 * **Decode on read.**  :meth:`SegmentedLog.slice` is the one place a
   segment turns back into objects, and only when a reader asks for
-  positions below the tail.  The live paths never do —
-  ``publish_pending`` and the session's ``persist`` read the tail —
-  so it costs only ``result()`` / ``finish()`` of a restored flow, a
-  look back from a client, or a late joiner re-reading a restored
-  source (which unseals *once* and keeps the objects —
-  :meth:`SegmentedLog.unseal` — because every later joiner reads it
-  again).
+  positions below the tail (a framed segment unpickles its vectors for
+  that read).  The live paths never do — ``publish_pending`` and the
+  session's ``persist`` read the tail — so it costs only ``result()`` /
+  ``finish()`` of a restored flow, a look back from a client, or a late
+  joiner re-reading a restored source (which unseals *once* and keeps
+  the objects — :meth:`SegmentedLog.unseal` — because every later
+  joiner reads it again).
 
 A plain ``list`` of objects is a legal history wherever segments are
 (:func:`decode_changes` returns it unchanged, a log adopts it as its
@@ -66,9 +75,9 @@ from .times import Timestamp
 from .tvr import RowEvent, StreamEvent, WatermarkEvent
 
 __all__ = [
-    "PackedSegment",
     "Segment",
     "SegmentedLog",
+    "Triple",
     "changes_log",
     "concat_segments",
     "decode_changes",
@@ -81,8 +90,9 @@ __all__ = [
     "segment_watermarks",
 ]
 
-#: one encoded run of a history: ``(kinds, values | payloads, ptimes)``
-Segment = tuple[bytes, list, list]
+#: one encoded run of a history as plain data:
+#: ``(kinds, values | payloads, ptimes)``
+Triple = tuple[bytes, list, list]
 
 _RETRACT = ChangeKind.RETRACT
 #: kind byte -> ChangeKind member (identity-preserving on decode)
@@ -169,35 +179,51 @@ def decode_slices(encoded) -> list[tuple[int, list[Change]]]:
     ]
 
 
-class PackedSegment:
-    """A segment as a log file holds it: ``pickle.dumps`` of the triple.
+def _kinds_of(body: bytes) -> bytes:
+    """The kind bytes at the head of a frame, read without unpickling
+    the vectors behind them."""
+    for opcode, arg, _ in pickletools.genops(body):
+        if type(arg) is bytes:
+            return arg
+        if opcode.name not in ("PROTO", "FRAME"):
+            break
+    return pickle.loads(body)[0]  # not a pickle of ours: no shortcut
 
-    Stands in for the triple wherever one is read (indexing, unpacking)
-    and unpickles itself the first time the row or time vector is
-    asked for.  The kind bytes sit at the head of the pickle and are
-    read from there up front — they are the segment's length, which is
-    all that adopting a history needs.  ``body`` is the pickle until it
-    is unpacked (a log is written from it as is), ``None`` after.
+
+class Segment:
+    """One sealed run of a history: its kind bytes, plus its *frame* —
+    ``pickle.dumps`` of the triple, what a log file holds — and/or its
+    vectors (the triple itself).
+
+    Built from the triple when a log seals (``Segment(triple)``) or
+    from the frame when a log file is read back (``Segment(body=...)``:
+    only the kind bytes — the segment's length, all that adopting a
+    history needs — are taken off the head of the pickle).
+    :meth:`frame` pickles at most once in the segment's life, and from
+    then on the segment keeps the bytes, not the vectors.  Stands in
+    for the triple wherever one is read (indexing, unpacking); a framed
+    segment unpickles its vectors for that read only.
     """
 
-    __slots__ = ("body", "kinds", "_triple")
+    __slots__ = ("kinds", "body", "_triple")
 
-    def __init__(self, body: bytes):
-        self.body: Optional[bytes] = body
-        self._triple: Optional[Segment] = None
-        for opcode, arg, _ in pickletools.genops(body):
-            if type(arg) is bytes:
-                self.kinds = arg
-                return
-            if opcode.name not in ("PROTO", "FRAME"):
-                break
-        self.kinds = self._load()[0]  # not a pickle of ours: no shortcut
+    def __init__(
+        self, triple: Optional[Triple] = None, body: Optional[bytes] = None
+    ):
+        self.body = body
+        self._triple = triple
+        self.kinds: bytes = _kinds_of(body) if triple is None else triple[0]
 
-    def _load(self) -> Segment:
-        if self._triple is None:
-            self._triple = pickle.loads(self.body)
-            self.body = None
-        return self._triple
+    def frame(self) -> bytes:
+        """The segment's log frame, pickled on first use only."""
+        if self.body is None:
+            self.body = pickle.dumps(tuple(self._triple), pickle.HIGHEST_PROTOCOL)
+            self._triple = None
+        return self.body
+
+    def _load(self) -> Triple:
+        triple = self._triple
+        return pickle.loads(self.body) if triple is None else triple
 
     def __getitem__(self, index: int):
         return self.kinds if index == 0 else self._load()[index]
@@ -206,19 +232,23 @@ class PackedSegment:
         return iter(self._load())
 
 
-def concat_segments(segments: Sequence[Segment]) -> Segment:
-    """One segment — a plain triple — holding what ``segments`` hold, in
-    order: joins and list concatenation, no object rebuilt."""
-    if len(segments) == 1:
-        return tuple(segments[0])
+def concat_segments(segments: Sequence[Segment | Triple]) -> Triple:
+    """One plain triple holding what ``segments`` hold, in order: joins
+    and list concatenation, no object rebuilt (a framed segment is
+    unpickled once)."""
+    triples = [tuple(segment) for segment in segments]
+    if len(triples) == 1:
+        return triples[0]
     return (
-        b"".join(segment[0] for segment in segments),
-        list(chain.from_iterable(segment[1] for segment in segments)),
-        list(chain.from_iterable(segment[2] for segment in segments)),
+        b"".join(triple[0] for triple in triples),
+        list(chain.from_iterable(triple[1] for triple in triples)),
+        list(chain.from_iterable(triple[2] for triple in triples)),
     )
 
 
-def segment_watermarks(segment: Segment) -> Iterator[tuple[Timestamp, Timestamp]]:
+def segment_watermarks(
+    segment: Segment | Triple,
+) -> Iterator[tuple[Timestamp, Timestamp]]:
     """The ``(ptime, value)`` of every watermark advance in an event
     segment, found on the kind bytes without building an event."""
     kinds, payloads, ptimes = segment
@@ -228,11 +258,9 @@ def segment_watermarks(segment: Segment) -> Iterator[tuple[Timestamp, Timestamp]
         at = kinds.find(_WATERMARK, at + 1)
 
 
-_SEGMENT_TYPES = (tuple, PackedSegment)
-
-
 class SegmentedLog:
-    """An append-only history: sealed codec segments, then a live tail.
+    """An append-only history: sealed :class:`Segment` runs, then a live
+    tail.
 
     ``sealed[i]`` holds positions ``bounds[i]`` to ``bounds[i + 1]``,
     ``base`` (``== bounds[-1]``) items are sealed in all, and ``tail``
@@ -242,16 +270,17 @@ class SegmentedLog:
     and one integer add for the container, never a call into it.
 
     ``history`` (what a restore adopts) is one segment, a list of
-    segments — kept encoded — or a plain list of objects, which becomes
-    the tail; the log owns it from then on.
+    segments — kept encoded; a plain triple, as a blob or a caller
+    hands one over, is wrapped — or a plain list of objects, which
+    becomes the tail; the log owns it from then on.
     """
 
     __slots__ = ("encode", "decode", "sealed", "bounds", "base", "tail")
 
     def __init__(
         self,
-        encode: Callable[[list], Segment],
-        decode: Callable[[Segment], list],
+        encode: Callable[[list], Triple],
+        decode: Callable[[Triple], list],
         history=None,
     ):
         self.encode = encode
@@ -260,18 +289,20 @@ class SegmentedLog:
         self.bounds: list[int] = [0]
         self.base = 0
         self.tail: list = []
-        if isinstance(history, _SEGMENT_TYPES):
-            self._adopt(history)
-        elif history and isinstance(history[0], _SEGMENT_TYPES):
+        if isinstance(history, (tuple, Segment)):
+            history = [history]
+        if history and isinstance(history[0], (tuple, Segment)):
             for segment in history:
                 self._adopt(segment)
         elif history:
             self.tail = history
 
-    def _adopt(self, segment: Segment) -> None:
+    def _adopt(self, segment: Segment | Triple) -> None:
         if segment[0]:  # an empty segment is no boundary
+            if type(segment) is not Segment:
+                segment = Segment(segment)
             self.sealed.append(segment)
-            self.base += len(segment[0])
+            self.base += len(segment.kinds)
             self.bounds.append(self.base)
 
     def __len__(self) -> int:

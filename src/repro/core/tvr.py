@@ -90,7 +90,9 @@ class TimeVaryingRelation:
     A relation built by applying events keeps them all as objects (its
     log is never sealed: every late-joining query re-reads a source
     from the start).  One brought back by :meth:`restored` keeps its
-    recorded prefix encoded until someone reads below it.
+    recorded prefix encoded until someone reads below it.  Beside the
+    events, a second log with an always-empty tail holds the segments
+    :meth:`event_segments` handed to earlier cuts, one per cut boundary.
     """
 
     def __init__(self, schema: Schema, events: Iterable[StreamEvent] = ()):
@@ -99,6 +101,7 @@ class TimeVaryingRelation:
 
         self._schema = schema
         self._events = events_log()
+        self._cut = events_log()
         #: ``None`` while a restored prefix is still encoded: the
         #: changelog is derived from the events on first use.
         self._changelog: Optional[Changelog] = Changelog()
@@ -145,11 +148,13 @@ class TimeVaryingRelation:
         tvr = cls(schema)
         log = tvr._events = events_log(segments)
         if log.sealed:
+            tvr._cut = events_log(log.sealed)  # (the same segments)
             tvr._changelog = None
             for segment in log.sealed:
-                for ptime, value in segment_watermarks(segment):
+                triple = tuple(segment)  # (a framed one unpickles once)
+                for ptime, value in segment_watermarks(triple):
                     tvr._watermarks.advance(ptime, value)
-            tvr._last_ptime = log.sealed[-1][2][-1]  # its ptimes vector
+            tvr._last_ptime = triple[2][-1]  # its ptimes vector
         return tvr
 
     # -- mutation ------------------------------------------------------
@@ -235,18 +240,19 @@ class TimeVaryingRelation:
         return log.slice(start)
 
     def event_segments(self, start: int = 0) -> list:
-        """The events from position ``start`` on as codec segments.
+        """The events from boundary ``start`` on as codec segments:
+        what a cut appends to a log that already holds ``start`` events.
 
-        Unlike a flow's output log this never seals: the objects stay
-        for the next replay.  ``start`` at or above the encoded prefix
-        (what an appending cut asks) encodes that much of the tail; a
-        ``start`` inside the prefix must be one of its boundaries, and
-        the prefix segments are handed over as they are.
+        The events stay objects for the next replay; the segments are
+        kept beside them, so a later cut — a full one included — gets
+        the very segments earlier cuts framed, plus one new segment for
+        the events since the last cut (none when there are none).
+        Every count a cut was handed is a boundary; anything else
+        raises.
         """
-        log = self._events
-        if start >= log.base:
-            return [log.encode(log.tail[start - log.base:])]
-        return log.sealed_from(start) + [log.encode(log.tail)]
+        cut, log = self._cut, self._events
+        cut.tail = log.slice(cut.base)  # (never below the restored prefix)
+        return cut.segments(start)
 
     @property
     def event_count(self) -> int:

@@ -45,13 +45,15 @@ brings a fresh manager back to the cut — resident plans, cursors, and
 subscription sequence numbers intact — so tailers can resume at the
 recorded offsets.  Histories stay **encoded at rest**
 (:mod:`repro.core.codec`): the cut *seals* each output's tail into a
-codec segment and frames the segments the flow hands over, the restore
-*adopts* the frames still pickled, and nothing here ever turns a
-segment back into objects — so a resume costs what the operator state
-and the query count cost.  Shared operator state is snapshotted once
-per flow, and the manifest records each flow's member queries plus its
-sharing map so restore can rebuild the exact physical DAG.  See
-``docs/SERVICE.md`` for the directory layout.
+codec segment and writes the frames of the segments the flow hands
+over (each segment is pickled once in its life, so a full cut writes
+the frames earlier cuts made), the restore *adopts* the frames still
+pickled, and nothing here ever turns a segment back into objects — so
+a resume costs what the operator state and the query count cost.
+Shared operator state is snapshotted once per flow, and the manifest
+records each flow's member queries plus its sharing map so restore can
+rebuild the exact physical DAG.  See ``docs/SERVICE.md`` for the
+directory layout.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from ..config import ExecutionConfig
-from ..core.codec import PackedSegment, Segment, concat_segments
+from ..core.codec import Segment, concat_segments
 from ..core.errors import ExecutionError
 from ..core.tvr import StreamEvent, TimeVaryingRelation
 from ..exec.executor import merge_source_events, runs_columnar
@@ -155,32 +157,31 @@ def _write_atomic(path: str, chunks: Iterable[bytes]) -> int:
 
 
 def _frames(segments: Iterable[Segment]) -> Iterator[bytes]:
-    """``segments`` as the byte chunks of their log frames (a segment
-    that was read from a frame and never unpacked goes back as it came)."""
+    """``segments`` as the byte chunks of their log frames (each framed
+    once in its life: a segment an earlier cut wrote, or one read back
+    from a log file, goes out as the bytes it holds)."""
     for segment in segments:
-        body = getattr(segment, "body", None) or pickle.dumps(
-            tuple(segment), pickle.HIGHEST_PROTOCOL
-        )
+        body = segment.frame()
         yield _SEGMENT_HEADER.pack(_SEGMENT_MAGIC, len(body))
         yield body
 
 
-def _read_log(directory: str, spec: dict) -> list[PackedSegment]:
-    """The committed prefix of one log: its segments, still pickled.
+def _read_log(directory: str, spec: dict) -> list[Segment]:
+    """The committed prefix of one log: its segments, still framed.
 
     Reads exactly ``spec["length"]`` bytes — whatever a failed later
     cut appended past the committed length is never looked at.
     """
     with open(os.path.join(directory, spec["file"]), "rb") as fh:
         data = fh.read(spec["length"])
-    segments: list[PackedSegment] = []
+    segments: list[Segment] = []
     offset = 0
     while offset < len(data):
         magic, size = _SEGMENT_HEADER.unpack_from(data, offset)
         offset += _SEGMENT_HEADER.size
         if magic != _SEGMENT_MAGIC or offset + size > len(data):
             break
-        segments.append(PackedSegment(data[offset:offset + size]))
+        segments.append(Segment(body=data[offset:offset + size]))
         offset += size
     items = sum(len(segment.kinds) for segment in segments)
     if offset != spec["length"] or items != spec["items"]:
@@ -780,8 +781,9 @@ class SessionManager:
 
         Output changelogs and recorded sources only ever grow, so each
         has an append-only log under ``logs/`` and a cut appends just
-        what it gained since the last cut of this directory, as one
-        framed segment.  The small part is rewritten: one
+        what it gained since the last cut of this directory: one framed
+        segment (one per cut boundary, when other directories were cut
+        in between).  The small part is rewritten: one
         ``<first_member>.<generation>.ckpt`` per resident *flow*
         (operator state — shared state exactly once, however many
         queries read it — timers, telemetry, watermark tracks) and
@@ -794,8 +796,10 @@ class SessionManager:
         committed lengths — so a crash at any point leaves the previous
         cut intact and restorable.
 
-        A full cut (every log rewritten from position 0) is taken
-        whenever appending does not apply: the first cut of a
+        A full cut (every log rewritten from position 0: the frames
+        its segments already hold, one per earlier cut boundary, plus
+        one new frame for what it gained since) is taken whenever
+        appending does not apply: the first cut of a
         directory, a different directory than last time, or a manifest
         on disk that is no longer the one this session committed.  A
         query registered since the last cut gets its whole history as
@@ -858,7 +862,7 @@ class SessionManager:
                 segments = segments_from(0)
                 if len(segments) >= _MAX_SEGMENTS:
                     # Compaction: joined, not decoded.
-                    segments = [concat_segments(segments)]
+                    segments = [Segment(concat_segments(segments))]
                 file = f"{_LOGS}/{key}.{generation}.log"
                 size = _write_atomic(
                     os.path.join(directory, file), _frames(segments)

@@ -36,7 +36,7 @@ from repro import ExecutionConfig, StreamEngine
 from repro.core.changelog import Change, ChangeKind
 from repro.core import codec
 from repro.core.codec import (
-    PackedSegment,
+    Segment,
     SegmentedLog,
     changes_log,
     concat_segments,
@@ -58,7 +58,7 @@ from repro.exec.operators.outer_join import OuterJoinOperator
 from repro.io import format_script
 from repro.runtime.merge import dedup_by_seq
 from repro.runtime.supervisor import SupervisedOutcome
-from repro.service import StandingQueryService
+from repro.service import StandingQueryService, TenantPolicy
 from repro.service import session as session_module
 from repro.obs.export import parse_exposition
 
@@ -653,17 +653,19 @@ def publishes_the_same(a, b, events, source) -> bool:
     return all(a.ingest(event, source) == b.ingest(event, source) for event in events)
 
 
-def new_service(share_plans=True, **config):
+def new_service(share_plans=True, policies=None, **config):
     svc = StandingQueryService(
-        config=ExecutionConfig(share_plans=share_plans, **config)
+        config=ExecutionConfig(share_plans=share_plans, **config),
+        policies=policies,
     )
     svc.register_stream("L", TimeVaryingRelation(L))
     return svc
 
 
-def resumed_from(directory, share_plans=True, **config):
+def resumed_from(directory, share_plans=True, policies=None, **config):
     svc = StandingQueryService(
-        config=ExecutionConfig(share_plans=share_plans, **config)
+        config=ExecutionConfig(share_plans=share_plans, **config),
+        policies=policies,
     )
     svc.resume(str(directory))
     return svc
@@ -672,6 +674,14 @@ def resumed_from(directory, share_plans=True, **config):
 def manifest_of(directory) -> dict:
     with open(os.path.join(directory, "manifest.json")) as fh:
         return json.load(fh)
+
+
+def frame_items(directory, spec) -> list[int]:
+    """The items in each frame of one committed log."""
+    return [
+        len(segment.kinds)
+        for segment in session_module._read_log(str(directory), spec)
+    ]
 
 
 def files_of(directory) -> set[str]:
@@ -694,6 +704,8 @@ session_ops = st.lists(
     min_size=1,
     max_size=14,
 )
+#: room for the first query plus a ``submit`` in every drawable op
+ROOMY = {"t": TenantPolicy(name="t", max_standing_queries=1 + 14)}
 
 
 class TestIncrementalEqualsFull:
@@ -706,7 +718,7 @@ class TestIncrementalEqualsFull:
         grown = tmp_path_factory.mktemp("grown")
         full = tmp_path_factory.mktemp("full")
         events = keyed_events(14 * 24 + 256)
-        svc = new_service(share_plans)
+        svc = new_service(share_plans, ROOMY)
         svc.submit("t", KEYED_SUM)  # late joiners graft onto this one
         position = 0
         for op, arg in ops:
@@ -724,8 +736,8 @@ class TestIncrementalEqualsFull:
                     svc.withdraw(live[arg % len(live)].query_id)
         svc.checkpoint(str(grown))  # the last of many appending cuts
         svc.checkpoint(str(full))  # one cut of a fresh directory
-        a = resumed_from(grown, share_plans)
-        b = resumed_from(full, share_plans)
+        a = resumed_from(grown, share_plans, ROOMY)
+        b = resumed_from(full, share_plans, ROOMY)
         assert [q.query_id for q in a.session.queries()] == [
             q.query_id for q in svc.session.queries()
         ]
@@ -828,7 +840,9 @@ class TestWhenAFullCutIsWritten:
             svc.ingest(event, "L")
         svc.checkpoint(str(directory))
         manifest = manifest_of(directory)
-        assert manifest["sources"]["l"]["log"]["segments"] == 1
+        # rewritten from 0: the frame the first cut made, then the rest
+        assert frame_items(directory, manifest["sources"]["l"]["log"]) == [40, 40]
+        assert manifest["sources"]["l"]["log"]["segments"] == 2
         assert manifest["sources"]["l"]["log"]["items"] == 80
         assert files_of(directory) == {"manifest.json"} | {
             entry["state"] for entry in manifest["flows"]
@@ -846,14 +860,39 @@ class TestWhenAFullCutIsWritten:
         for event in events[40:80]:
             svc.ingest(event, "L")
         svc.checkpoint(str(tmp_path / "b"))
-        assert manifest_of(tmp_path / "b")["sources"]["l"]["log"] == {
+        spec = manifest_of(tmp_path / "b")["sources"]["l"]["log"]
+        assert spec == {
             "file": "logs/src-l.1.log",
             "length": os.path.getsize(tmp_path / "b" / "logs" / "src-l.1.log"),
-            "segments": 1,
+            "segments": 2,
             "items": 80,
         }
+        assert frame_items(tmp_path / "b", spec) == [40, 40]
         assert publishes_the_same(
             svc, resumed_from(tmp_path / "b"), events[80:], "L"
+        )
+
+    def test_a_cut_is_never_handed_an_empty_frame(self, tmp_path):
+        """A full cut of a resumed session writes the source's restored
+        frame and nothing after it; a source with no events is a log of
+        no frames."""
+        events = keyed_events(160)
+        svc = self.setup_service(events, 100)
+        svc.checkpoint(str(tmp_path / "a"))
+        resumed = resumed_from(tmp_path / "a")
+        resumed.checkpoint(str(tmp_path / "b"))
+        spec = manifest_of(tmp_path / "b")["sources"]["l"]["log"]
+        assert frame_items(tmp_path / "b", spec) == [100]
+        assert spec["segments"] == 1 and spec["items"] == 100
+        assert publishes_the_same(
+            svc, resumed_from(tmp_path / "b"), events[100:], "L"
+        )
+        empty = self.setup_service(events, 0)
+        empty.checkpoint(str(tmp_path / "c"))
+        spec = manifest_of(tmp_path / "c")["sources"]["l"]["log"]
+        assert (spec["length"], spec["segments"], spec["items"]) == (0, 0, 0)
+        assert publishes_the_same(
+            empty, resumed_from(tmp_path / "c"), events[:40], "L"
         )
 
     def test_new_and_withdrawn_queries(self, tmp_path):
@@ -1190,30 +1229,42 @@ class TestSegmentedLog:
         assert log.tail is history and log.base == 0 and log.sealed == []
         assert len(changes_log()) == 0 and changes_log([]).slice(0) == []
 
-    def test_a_packed_segment_unpickles_on_first_use_of_its_vectors(
-        self, monkeypatch
-    ):
-        """What a log frame is adopted as: its length costs nothing, the
-        row and time vectors cost one ``pickle.loads``, once."""
-        loads = []
-        real = pickle.loads
+    def test_a_segment_is_pickled_once_in_its_life(self, monkeypatch):
+        """A sealed segment frames on first use and keeps the bytes, not
+        the vectors; one read back from a frame has its length for free
+        and goes out as it came.  Either way a read below the tail costs
+        one ``pickle.loads`` per read, and ``pickle.dumps`` runs once."""
+        loads, dumps = [], []
+        real_loads, real_dumps = pickle.loads, pickle.dumps
         monkeypatch.setattr(
-            pickle, "loads", lambda data: loads.append(1) or real(data)
+            pickle, "loads", lambda data: loads.append(1) or real_loads(data)
         )
+        monkeypatch.setattr(
+            pickle, "dumps",
+            lambda obj, *a: dumps.append(1) or real_dumps(obj, *a),
+        )
+        log = changes_log()
+        log.tail.extend(numbered(0, 5))
+        (sealed,) = log.segments(0)
         triple = encode_changes(numbered(0, 5))
-        body = pickle.dumps(triple, pickle.HIGHEST_PROTOCOL)
-        packed = PackedSegment(body)
-        log = changes_log([packed, PackedSegment(pickle.dumps(encode_changes([])))])
+        assert type(sealed) is Segment and tuple(sealed) == triple
+        body = sealed.frame()
+        assert sealed.frame() is body and len(dumps) == 1
+        assert body == real_dumps(triple, pickle.HIGHEST_PROTOCOL)
+        assert sealed.kinds == triple[0] and sealed._triple is None
+        framed = Segment(body=body)
+        log = changes_log([framed, Segment(body=real_dumps(encode_changes([])))])
         log.tail.extend(numbered(5, 2))
-        assert packed[0] == triple[0] and len(log) == 7 and log.bounds == [0, 5]
+        assert framed[0] == triple[0] and len(log) == 7 and log.bounds == [0, 5]
         assert log.slice(5) == numbered(5, 2)
-        assert packed.body is body and not loads
+        assert framed.frame() is body and not loads
         assert log.slice(3) == numbered(3, 4)
-        assert tuple(packed) == triple and concat_segments([packed]) == triple
-        assert type(concat_segments([packed])) is tuple
-        assert packed.body is None and len(loads) == 1
+        assert log.slice(0) == numbered(0, 7)
+        assert tuple(framed) == triple and concat_segments([framed]) == triple
+        assert type(concat_segments([framed])) is tuple
+        assert framed.frame() is body and len(loads) == 5 and len(dumps) == 1
         # a pickle this codec did not write still works, without the shortcut
-        foreign = PackedSegment(pickle.dumps(triple, 2))
+        foreign = Segment(body=real_dumps(triple, 2))
         assert foreign[0] == triple[0] and tuple(foreign) == triple
 
     def test_event_logs_use_the_event_codec(self):
@@ -1511,7 +1562,11 @@ class TestLazySources:
         assert len(decoded) == 2
         assert list(restored.changelog) == list(live.changelog)
         assert restored.snapshot().rows() == live.snapshot().rows()
-        assert restored.event_segments(0) == [encode_events(live.events())]
+        # a full cut gets the segments earlier cuts got, plus the rest
+        segments = restored.event_segments(0)
+        assert [len(segment.kinds) for segment in segments] == [40, 24, 8]
+        assert decode_events(concat_segments(segments)) == live.events()
+        assert restored.event_segments(72) == []
 
     def test_the_changelog_of_a_restored_relation_includes_later_events(self):
         events = keyed_events(24)

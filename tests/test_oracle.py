@@ -5,10 +5,12 @@ to t must equal the naive evaluator (``tests/oracle.py``) over the input
 snapshots at t.  Streams arrive one event per instant (burst 1 — the
 shape whose runs span instants) or in bursts, out of order, with rows
 behind the watermark and retractions; serial flows at ``batch_size`` 1
-and 64 (fused, absorbed, spanning runs), and sharded flows on both
-drivers, single- and two-phase.
+and 64 (fused, absorbed, spanning runs), sharded flows on both
+drivers, single- and two-phase, and standing queries carried through
+incremental cuts, a full cut and a resume.
 """
 
+import tempfile
 from collections import Counter
 
 import pytest
@@ -19,6 +21,8 @@ from repro import ExecutionConfig, StreamEngine
 from repro.core.changelog import ChangeKind
 from repro.core.schema import Schema, int_col, timestamp_col
 from repro.core.tvr import TimeVaryingRelation, ins, rm, wm
+from repro.exec.executor import merge_source_events
+from repro.service import StandingQueryService
 
 from .oracle import AGGREGATES, COLUMNS, OPS, Query, bag, evaluate
 
@@ -155,6 +159,54 @@ def test_a_sharded_changelog_folds_to_the_naive_snapshot(backend, two_phase, dat
     result = sharded.run()
     assert result.metrics.recovery is not None
     assert_folds_to_the_naive_snapshot(result.changes, query, sources)
+
+
+@pytest.mark.parametrize("share_plans", [False, True], ids=["private", "shared"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_resumed_changelog_folds_to_the_naive_snapshot(share_plans, data):
+    """Checkpoint/resume against the same referee.  A service ingests
+    the stream in ``run()``'s order, takes incremental cuts at drawn
+    positions, admits a twin of the query at a drawn position (a late
+    joiner: with plan sharing it grafts onto the first one's flow), cuts
+    once in full into a fresh directory, and a fresh service resumes
+    there and ingests the rest.  Each query's changelog, read whole from
+    the resumed service — the framed segments decoded on read, then the
+    live tail — folds to the naive snapshot at every instant."""
+    query = data.draw(queries(), label="query")
+    sources = data.draw(streams(data.draw(st.booleans())), label="sources")
+    merged = merge_source_events({
+        name: TimeVaryingRelation(SCHEMA, events)
+        for name, events in sources.items()
+    })
+    resume_at = data.draw(st.integers(0, len(merged)), label="resume_at")
+    cuts = data.draw(
+        st.sets(st.integers(0, resume_at), max_size=3), label="cuts"
+    )
+    twin_at = data.draw(st.integers(0, resume_at), label="twin_at")
+    config = ExecutionConfig(share_plans=share_plans)
+    with tempfile.TemporaryDirectory() as grown, \
+            tempfile.TemporaryDirectory() as full:
+        svc = StandingQueryService(config=config)
+        for name in sources:
+            svc.register_stream(name, TimeVaryingRelation(SCHEMA))
+        ids = [svc.submit("t", query.sql()).query_id]
+        for position in range(resume_at + 1):
+            if position == twin_at:
+                ids.append(svc.submit("t", query.sql()).query_id)
+            if position in cuts:
+                svc.checkpoint(grown)
+            if position < resume_at:
+                svc.ingest(*merged[position])
+        svc.checkpoint(full)
+        resumed = StandingQueryService(config=config)
+        assert resumed.resume(full) == 2
+    for event, source in merged[resume_at:]:
+        resumed.ingest(event, source)
+    for query_id in ids:
+        standing = resumed.session.get(query_id)
+        changes = standing.flow.output_slice_of(standing.output_id, 0)
+        assert_folds_to_the_naive_snapshot(changes, query, sources)
 
 
 def test_the_oracle_states_the_late_rule_naively():
