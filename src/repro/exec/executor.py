@@ -31,7 +31,6 @@ sharing on or off.
 from __future__ import annotations
 
 import pickle
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -50,7 +49,7 @@ from ..obs.telemetry import RunTelemetry
 from ..obs.trace import TraceEvent
 from ..plan.fingerprint import node_fingerprints, subtree_size
 from ..plan.logical import LogicalNode, ValuesNode
-from ..plan.pipeline import absorbed_kinds, get_fused_root
+from ..plan.pipeline import get_fused_root
 from ..plan.planner import QueryPlan
 from .compile import build_operator, why_runs_split, why_runs_stay_per_instant
 from .operators.base import Operator
@@ -64,53 +63,31 @@ __all__ = ["CHECKPOINT_VERSION", "Dataflow", "OutputChannel", "OutputLogs",
            "runs_columnar", "stored_changes"]
 
 _RETRACT = ChangeKind.RETRACT
+_PLAN_MISMATCH = "checkpoint does not match this dataflow's plan"
 
 #: Format version stamped on every checkpoint payload (serial and
-#: sharded).  4 = an aggregate's groups are one table of parallel
-#: columns, not a dict of pickled group objects
-#: (``AggregateOperator.state_snapshot``); 3 = a columnar flow's
-#: operators are those of the plan fused with absorption (aggregates
-#: absorb column-selecting Projects, Tumble runs inside pipelines —
-#: ``repro.plan.pipeline``), so its ``op_types`` (and a two-phase
-#: stage's operator count) differ from a format-2 cut of the same flow;
-#: 2 = output changelogs go through the changelog codec and may be left
-#: out (``histories=False``); a payload without the field is version 1
-#: (plain ``list[Change]``).  Older cuts restore through the same reader
-#: wherever their operators still match (every flow that is not fused);
-#: where they do not, the refusal says so (:func:`plan_format_error`).
+#: sharded), and the only one this build reads: 4 = an aggregate's
+#: groups are one table of parallel columns
+#: (``AggregateOperator.state_snapshot``), a columnar flow's operators
+#: are those of the plan fused with absorption (``repro.plan.pipeline``),
+#: and output changelogs are codec segments that may be left out
+#: (``histories=False``).  A cut of any other format is refused
+#: (:func:`check_checkpoint_version`); release 2.0.0 resumes formats 1-3
+#: and its next cut is format 4.
 CHECKPOINT_VERSION = 4
 
 
 def check_checkpoint_version(payload: dict) -> None:
-    """Refuse a checkpoint written by a newer format than this code reads."""
+    """Refuse a checkpoint payload of any format but
+    :data:`CHECKPOINT_VERSION` — before anything of it is used.  A
+    payload without the field is format 1, as that format wrote it."""
     version = payload.get("version", 1)
-    if version > CHECKPOINT_VERSION:
+    if version != CHECKPOINT_VERSION:
         raise ExecutionError(
-            f"checkpoint format version {version} is newer than this "
-            f"build reads (up to {CHECKPOINT_VERSION})"
+            f"checkpoint format version {version} is not the one this "
+            f"build reads ({CHECKPOINT_VERSION}): resume it with release "
+            "2.0.0 and cut it again"
         )
-
-
-def plan_format_error(
-    what: str, version: int, held: int, compiled: int, absorbed: list[str]
-) -> ExecutionError:
-    """The refusal for ``what`` (a checkpoint, or one of its parts) cut
-    by a format older than 3 that does not match the operators this
-    build compiles, because the fusion pass folded ``absorbed`` (plan
-    node kinds, one per node: :func:`~repro.plan.pipeline.absorbed_kinds`)
-    into the operators around them."""
-    kinds = ", ".join(
-        kind if n == 1 else f"{kind} x{n}"
-        for kind, n in sorted(Counter(absorbed).items())
-    )
-    return ExecutionError(
-        f"{what} was cut by checkpoint format {version}: it holds {held} "
-        f"operators where this flow compiles {compiled}, because format 3 "
-        f"folds {kinds} into the operators around them; a "
-        f"format-{version} cut restores only if it was cut from a "
-        "flow whose plan is not fused (batch_size=1 under "
-        "columnar=\"auto\", or columnar=\"off\"), into one like it"
-    )
 
 
 def runs_columnar(config) -> bool:
@@ -392,16 +369,15 @@ class OutputChannel:
         self,
         log: SegmentedLog,
         wm_pairs: Sequence[tuple[Timestamp, Timestamp]],
-        telemetry: Optional[dict],
+        telemetry: dict,
     ) -> None:
-        """Install a cut's history; the stored telemetry (none in the
-        oldest blobs) covers the whole stored log."""
+        """Install a cut's history; the stored telemetry covers the
+        whole stored log."""
         watermarks = WatermarkTrack()
         for ptime, value in wm_pairs:
             watermarks.advance(ptime, value)
         restored = RunTelemetry()
-        if telemetry is not None:
-            restored.restore(telemetry)
+        restored.restore(telemetry)
         self.adopt(log, watermarks, restored, len(log))
 
     def settle(self) -> None:
@@ -655,14 +631,6 @@ class Dataflow(OutputLogs):
         self._outputs[output_id].settle()  # sealing takes the tail's objects
         return super().output_segments_of(output_id, start)
 
-    def forget_outputs(self) -> None:
-        """Drop every output's history, sealed segments included (a
-        shard that restored a blob cut before shards went history-free)."""
-        for channel in self._outputs.values():
-            channel.adopt(
-                changes_log(), channel.watermarks, channel.telemetry, 0
-            )
-
     def total_state_rows(self) -> int:
         """Rows currently retained across all operator state."""
         return sum(op.state_size() for op in self._operators)
@@ -747,7 +715,8 @@ class Dataflow(OutputLogs):
 
     def structure(self) -> dict:
         """The physical sharing recipe :meth:`from_structure` rebuilds
-        from: operator order plus each output's ``node_ops``."""
+        from: operator order plus each output's ``node_ops``, stamped
+        with the format that reads it."""
         return {
             "op_types": [type(op).__name__ for op in self._operators],
             "output_order": list(self._outputs),
@@ -755,6 +724,7 @@ class Dataflow(OutputLogs):
                 output_id: {"node_ops": node_ops}
                 for output_id, node_ops in self.sharing_map().items()
             },
+            "version": CHECKPOINT_VERSION,
         }
 
     def attach_output(
@@ -975,6 +945,7 @@ class Dataflow(OutputLogs):
         recipe makes restore structure-exact.  Call :meth:`restore`
         with the full checkpoint afterwards to fill the states.
         """
+        check_checkpoint_version(structure)
         if [oid for oid, _ in plans] != list(structure["output_order"]):
             raise ExecutionError(
                 "checkpoint outputs do not match the plans being restored"
@@ -987,8 +958,7 @@ class Dataflow(OutputLogs):
             node_ops = structure["outputs"][output_id]["node_ops"]
             root_node = self._exec_root(plan)
             if subtree_size(root_node) != len(node_ops):
-                # (a cut of a plan fused differently: one entry per node)
-                raise cls._refusal(plans, structure, sources, config)
+                raise ExecutionError(_PLAN_MISMATCH)
             fps = node_fingerprints(root_node)
             pos = 0
 
@@ -1012,38 +982,10 @@ class Dataflow(OutputLogs):
                 "checkpoint structure references operators no output builds"
             )
         if [type(op).__name__ for op in slots] != structure["op_types"]:
-            raise cls._refusal(plans, structure, sources, config)
+            raise ExecutionError(_PLAN_MISMATCH)
         self._primary, self.plan = plans[0][0], plans[0][1]
         self._graph_changed()
         return self
-
-    @classmethod
-    def _refusal(
-        cls, plans, structure: dict, sources, config
-    ) -> ExecutionError:
-        """Why a cut's recipe does not fit the operators ``plans``
-        compile to: the flow they build fresh (only on this error path)
-        says what it compiles instead."""
-        fresh = cls(plans[0][1], sources, config, plans[0][0])
-        for output_id, plan in plans[1:]:
-            fresh.attach_output(output_id, plan)
-        return fresh._mismatch(structure, len(structure["op_types"]))
-
-    def _mismatch(self, payload: dict, held: int) -> ExecutionError:
-        """The refusal of a checkpoint holding ``held`` operators that
-        are not this flow's: a cut older than format 3 of a plan this
-        build fuses says so (:func:`plan_format_error`); anything else is
-        a plain mismatch."""
-        absorbed = absorbed_kinds(
-            *(self._exec_root(ch.plan) for ch in self._outputs.values())
-        )
-        version = payload.get("version", 1)
-        if version < 3 and absorbed:
-            return plan_format_error(
-                "this checkpoint", version, held, len(self._operators),
-                absorbed,
-            )
-        return ExecutionError("checkpoint does not match this dataflow's plan")
 
     # -- checkpoint / recovery ---------------------------------------------------
 
@@ -1090,7 +1032,6 @@ class Dataflow(OutputLogs):
                 telemetry=telemetry,
             )
         payload.update(
-            version=CHECKPOINT_VERSION,
             op_states=[op.state_snapshot() for op in self._operators],
             last_ptime=self._last_ptime,
             peak_state=self._peak_state,
@@ -1117,6 +1058,9 @@ class Dataflow(OutputLogs):
     ) -> None:
         """Restore a checkpoint taken from a dataflow of the same structure.
 
+        Only a cut of format :data:`CHECKPOINT_VERSION` restores; any
+        other is refused before any of it is used
+        (:func:`check_checkpoint_version`), as is a cut of another plan.
         ``checkpoint`` is the bytes :meth:`checkpoint` returned, or the
         payload already unpickled from them (a caller that needed the
         structure for :meth:`from_structure` decodes once and passes the
@@ -1136,18 +1080,10 @@ class Dataflow(OutputLogs):
             if isinstance(checkpoint, dict)
             else pickle.loads(checkpoint)
         )
-        if "outputs" not in payload:
-            self._restore_legacy(payload)
-        else:
-            self._restore_payload(payload, histories)
-
-    def _restore_payload(
-        self, payload: dict, histories: Optional[dict[str, list]]
-    ) -> None:
-        operators = self._operators
         check_checkpoint_version(payload)
+        operators = self._operators
         if payload["op_types"] != [type(op).__name__ for op in operators]:
-            raise self._mismatch(payload, len(payload["op_types"]))
+            raise ExecutionError(_PLAN_MISMATCH)
         if set(payload["output_order"]) != set(self._outputs):
             raise ExecutionError(
                 "checkpoint does not match this dataflow's outputs"
@@ -1160,33 +1096,12 @@ class Dataflow(OutputLogs):
                 stored["wm_pairs"],
                 stored["telemetry"],
             )
-        self._restore_clock(payload)
-        if payload.get("lineage") is not None:
-            self.set_lineage(LineageRecorder.restore(payload["lineage"]))
-
-    def _restore_clock(self, payload: dict) -> None:
         self._last_ptime = payload["last_ptime"]
         self._peak_state = payload["peak_state"]
         self._opened = payload["opened"]
-        self._timers.restore(
-            payload["timers"], self._operators, payload["timer_seq"]
-        )
-
-    def _restore_legacy(self, payload: dict) -> None:
-        """Restore the pre-DAG single-output checkpoint shape."""
-        operators = self._operators
-        if len(payload["op_states"]) != len(operators):
-            raise ExecutionError(
-                "checkpoint does not match this dataflow's plan"
-            )
-        for op, snapshot in zip(operators, payload["op_states"]):
-            op.state_restore(snapshot)
-        self._outputs[self._primary].restore(
-            changes_log(list(payload["root_changes"])),
-            payload["root_wm_pairs"],
-            payload.get("telemetry"),
-        )
-        self._restore_clock(payload)
+        self._timers.restore(payload["timers"], operators, payload["timer_seq"])
+        if payload["lineage"] is not None:
+            self.set_lineage(LineageRecorder.restore(payload["lineage"]))
 
     def run(self, until: Optional[Timestamp] = None) -> RunResult:
         """Replay all source events (up to ``until``) and collect the result.

@@ -74,14 +74,6 @@ class _GroupState:
     row_count: int = 0
     emitted: Optional[tuple[Any, ...]] = None
 
-    def __setstate__(self, state: dict) -> None:
-        # Checkpoint format <= 3 pickled each group as its ``__dict__``,
-        # with a ``retained`` count that was ``row_count`` twice.
-        self.accumulators = state["accumulators"]
-        self.distinct_counts = state["distinct_counts"]
-        self.row_count = state["row_count"]
-        self.emitted = state["emitted"]
-
 
 def _adopted(items: list) -> SortedMultiset:
     """A multiset over ``items`` (sorted, and the caller's to give):
@@ -487,12 +479,9 @@ class AggregateOperator(Operator):
 
     def state_restore(self, snapshot: dict) -> None:
         super().state_restore(snapshot)
-        groups = snapshot["groups"]
-        if not isinstance(groups, dict):  # format 4: the group table
-            groups = self._adopt_table(*groups)
-        self._groups = groups
+        groups = self._groups = self._adopt_table(*snapshot["groups"])
         self._finalized_max = snapshot["finalized_max"]
-        self._groups_created = snapshot.get("groups_created", 0)
+        self._groups_created = snapshot["groups_created"]
         self._retained = sum(state.row_count for state in groups.values())
 
     def _adopt_table(self, keys, row_counts, results, accumulators, distinct):
@@ -873,7 +862,7 @@ class CombineAggregateOperator(AggregateOperator):
 
     def state_restore(self, snapshot: dict) -> None:
         super().state_restore(snapshot)
-        self._agg_rows_in = snapshot.get("agg_rows_in", 0)
+        self._agg_rows_in = snapshot["agg_rows_in"]
 
     def _extra_metrics(self) -> dict:
         extras = super()._extra_metrics()

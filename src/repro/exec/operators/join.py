@@ -26,7 +26,7 @@ from ...core.schema import Schema
 from ...core.times import Duration, Timestamp
 from .base import Operator
 
-__all__ = ["JoinOperator", "TimeBound", "held_rows"]
+__all__ = ["JoinOperator", "TimeBound"]
 
 
 @dataclass(frozen=True)
@@ -40,13 +40,6 @@ class TimeBound:
 
     time_index: int
     slack: Duration
-
-
-def held_rows(state: tuple[dict, dict]) -> int:
-    """Row occurrences in a two-sided ``key -> Counter(row)`` state."""
-    return sum(
-        sum(bucket.values()) for side in state for bucket in side.values()
-    )
 
 
 class JoinOperator(Operator):
@@ -162,10 +155,7 @@ class JoinOperator(Operator):
     def state_restore(self, snapshot: dict) -> None:
         super().state_restore(snapshot)
         self._state = snapshot["state"]
-        rows = snapshot.get("rows")
-        if rows is None:  # a blob from before the running count
-            rows = held_rows(self._state)
-        self._rows = rows
+        self._rows = snapshot["rows"]
 
     def state_size(self) -> int:
         return self._rows

@@ -26,7 +26,6 @@ from ...core.changelog import Change, ChangeKind
 from ...core.errors import ExecutionError
 from ...core.schema import Schema
 from .base import Operator
-from .join import held_rows
 
 __all__ = ["OuterJoinOperator", "LeftJoinOperator"]
 
@@ -195,10 +194,7 @@ class OuterJoinOperator(Operator):
         super().state_restore(snapshot)
         self._state = snapshot["state"]
         self._match_counts = snapshot["match_counts"]
-        rows = snapshot.get("rows")
-        if rows is None:  # a blob from before the running count
-            rows = held_rows(self._state)
-        self._rows = rows
+        self._rows = snapshot["rows"]
 
     def state_size(self) -> int:
         return self._rows

@@ -58,7 +58,7 @@ from .logical import (
 )
 from .rex import RexInput
 
-__all__ = ["PipelineNode", "absorbed_kinds", "fuse_pipelines", "get_fused_root"]
+__all__ = ["PipelineNode", "fuse_pipelines", "get_fused_root"]
 
 # ("filter", Rex), ("project", tuple[Rex, ...]) or
 # ("tumble", (timecol, size, offset))
@@ -243,29 +243,3 @@ def get_fused_root(plan: Any, absorb: bool = True) -> LogicalNode:
     if fused is None:
         fused = cached[1][absorb] = fuse_pipelines(plan.root, absorb)
     return fused
-
-
-def absorbed_kinds(*roots: LogicalNode) -> list[str]:
-    """What the fusion pass folded away in the fused trees ``roots``,
-    one name per plan node that no longer has an operator of its own
-    (a node the trees share counted once): ``"Project"`` for each
-    selection an aggregate absorbed, ``"Tumble"`` for each tumble that
-    runs as a pipeline step."""
-    kinds: list[str] = []
-    seen: set[int] = set()
-    pending = list(roots)
-    while pending:
-        node = pending.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, (AggregateNode, PartialAggregateNode)):
-            kinds += [
-                "Project"
-                for picked in (node.reads, node.select)
-                if picked is not None
-            ]
-        elif isinstance(node, PipelineNode):
-            kinds += ["Tumble" for kind, _ in node.steps if kind == "tumble"]
-        pending.extend(node.inputs)
-    return kinds

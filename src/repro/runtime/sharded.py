@@ -88,7 +88,6 @@ from ..exec.executor import (
     check_same_instant,
     event_runs,
     merge_source_events,
-    plan_format_error,
     replay_runs,
     stored_changes,
 )
@@ -98,7 +97,6 @@ from ..obs.telemetry import RunTelemetry
 from ..obs.trace import TraceEvent
 from ..plan.partition import PartitionSpec
 from ..plan.physical import TwoPhaseSplit, split_eligibility
-from ..plan.pipeline import absorbed_kinds
 from .backends import forks, run_shards
 from .faults import FaultInjector
 from .frontier import WatermarkFrontier
@@ -156,6 +154,7 @@ class ShardedDataflow(OutputLogs):
         rebuilt shard trees match the checkpointed ones.  Call
         :meth:`restore` with the payload afterwards.
         """
+        check_checkpoint_version(structure)
         recipe = structure["shards"][0]
         if not isinstance(recipe, dict):
             recipe = structure["shards"][0] = pickle.loads(recipe)
@@ -772,9 +771,10 @@ class ShardedDataflow(OutputLogs):
     ) -> None:
         """Restore a checkpoint of the same structure and shard width.
 
-        Accepts the checkpoint bytes or the payload already unpickled
-        from them (whose shard entries may in turn be decoded shard
-        payloads); ownership passes to this flow either way — see
+        Only a cut of format ``CHECKPOINT_VERSION`` restores.  Accepts
+        the checkpoint bytes or the payload already unpickled from them
+        (whose shard entries may in turn be decoded shard payloads);
+        ownership passes to this flow either way — see
         :meth:`Dataflow.restore`.  ``histories`` supplies the merged
         changelogs of a blob cut with ``histories=False``; either way
         they are adopted encoded and no ``Change`` is built.
@@ -792,24 +792,16 @@ class ShardedDataflow(OutputLogs):
             )
         for shard, blob in zip(self._shards, payload["shards"]):
             shard.restore(blob)
-            # Blobs cut before the drive loop took shard output carry a
-            # private history per shard that nothing reads; drop it.
-            shard.forget_outputs()
-        if "outputs" in payload:
-            if set(payload["output_order"]) != set(self._outputs):
-                raise ExecutionError(
-                    "checkpoint does not match this dataflow's outputs"
-                )
-            for oid, stored in payload["outputs"].items():
-                merge = self._outputs[oid]
-                merge.log = stored_changes(stored, "merged", histories, oid)
-                merge.frontier.restore(stored["frontier"])
-        else:  # pre-DAG checkpoint shape
-            merge = self._outputs[self._primary]
-            merge.frontier.restore(payload["frontier"])
-            merge.log = changes_log(list(payload["merged_changes"]))
+        if set(payload["output_order"]) != set(self._outputs):
+            raise ExecutionError(
+                "checkpoint does not match this dataflow's outputs"
+            )
+        for oid, stored in payload["outputs"].items():
+            merge = self._outputs[oid]
+            merge.log = stored_changes(stored, "merged", histories, oid)
+            merge.frontier.restore(stored["frontier"])
         self._last_ptime = payload["last_ptime"]
-        stored_stages = payload.get("stages", {})
+        stored_stages = payload["stages"]
         if set(stored_stages) != set(self.combines):
             raise ExecutionError(
                 "checkpoint two-phase outputs "
@@ -820,11 +812,9 @@ class ShardedDataflow(OutputLogs):
             _restore_stage(
                 self.combines[oid], blob, self._last_ptime,
                 self._outputs[oid].frontier.current,
-                oid, payload.get("version", 1),
             )
-        # Absent in pre-supervisor checkpoints; start the ledger fresh.
-        self._recovery = RecoveryStats(**payload.get("recovery", {}))
-        if payload.get("lineage") is not None:
+        self._recovery = RecoveryStats(**payload["recovery"])
+        if payload["lineage"] is not None:
             self.set_lineage(LineageRecorder.restore(payload["lineage"]))
 
 
@@ -869,28 +859,18 @@ def _restore_stage(
     blob,
     ptime: Timestamp,
     watermark: Timestamp,
-    output_id: str,
-    version: int,
 ) -> None:
-    """Adopt a :func:`_stage_bytes` entry (or the plain dict pre-codec
-    sharded checkpoints embedded) — output ``output_id``'s, of a
-    checkpoint cut by format ``version`` — into a fresh combine flow.
+    """Adopt a :func:`_stage_bytes` entry into a fresh combine flow.
 
     The entry holds no watermark: aggregates pass watermarks through,
     so the flow's root watermark is the restored frontier's ``watermark``
     (in effect since ``ptime``), and a sample settled before the next
     advance is taken against it, as in an uninterrupted run.
     """
-    payload = blob if isinstance(blob, dict) else pickle.loads(blob)
+    payload = pickle.loads(blob)
     operators = combine.operators
     held = len(payload["ops"])
     if held != len(operators):
-        absorbed = absorbed_kinds(combine._exec_root(combine.plan))
-        if version < 3 and absorbed:
-            raise plan_format_error(
-                f"the two-phase stage of output {output_id!r}", version,
-                held, len(operators), absorbed,
-            )
         raise ExecutionError(
             f"combine flow shape changed: checkpoint has "
             f"{held} operators, the flow has {len(operators)}"
@@ -902,5 +882,5 @@ def _restore_stage(
     track = WatermarkTrack()
     track.advance(ptime, watermark)
     combine._outputs["main"].adopt(
-        changes_log(), track, payload.get("telemetry") or RunTelemetry(), 0
+        changes_log(), track, payload["telemetry"], 0
     )

@@ -71,8 +71,12 @@ from ..config import ExecutionConfig
 from ..core.codec import Segment, concat_segments
 from ..core.errors import ExecutionError
 from ..core.tvr import StreamEvent, TimeVaryingRelation
-from ..exec.executor import merge_source_events, runs_columnar
-from ..io import format_schema, parse_schema_line, parse_script
+from ..exec.executor import (
+    check_checkpoint_version,
+    merge_source_events,
+    runs_columnar,
+)
+from ..io import format_schema, parse_schema_line
 from ..obs.histogram import Histogram
 from ..obs.lineage import LineageRecorder
 from ..plan import plan_fingerprint
@@ -90,10 +94,9 @@ if TYPE_CHECKING:
 __all__ = ["StandingQuery", "SharedPlanCache", "SessionManager"]
 
 _MANIFEST = "manifest.json"
-#: Manifest layout version.  2 = append-only segment logs with committed
-#: lengths and generation-named state blobs; a manifest without the
-#: field is the whole-history layout (``<id>.ckpt`` carrying every
-#: output changelog, ``sources/*.script``), which still restores.
+#: Manifest layout version, and the only one a resume reads: 2 =
+#: append-only segment logs with committed lengths, generation-named
+#: state blobs and one entry per (possibly shared) flow under ``flows``.
 _MANIFEST_VERSION = 2
 _LOGS = "logs"
 #: every log segment is ``magic, body length`` + a pickled codec payload
@@ -970,10 +973,12 @@ class SessionManager:
         misalign) and restored from its state blob — unpickled once —
         plus its members' output logs, and ``source_offsets`` tells
         tailers where to resume reading.  The restored session goes on
-        appending to the same logs.  Older layouts still restore:
-        whole-history directories (no ``version``: ``<id>.ckpt`` +
-        ``sources/*.script``) and manifests from before plan sharing
-        (no ``flows`` key: one private flow per query).
+        appending to the same logs.
+
+        Only manifest version 2 with flow blobs of checkpoint format 4
+        restores.  The manifest and every flow blob are read and checked
+        before any source is registered, so a refused directory leaves
+        the session as it was.
 
         Histories come back **encoded**: output logs and source logs
         are read as the codec segments they were written as and adopted
@@ -991,36 +996,39 @@ class SessionManager:
             manifest_text = fh.read()
         manifest = json.loads(manifest_text)
         version = manifest.get("version", 1)
-        if version > _MANIFEST_VERSION:
+        if version != _MANIFEST_VERSION or "flows" not in manifest:
+            without = "" if "flows" in manifest else ' without "flows"'
             raise ExecutionError(
-                f"checkpoint manifest version {version} is newer than this "
-                f"build reads (up to {_MANIFEST_VERSION})"
+                f"checkpoint manifest version {version}{without} is not the "
+                f'layout this build reads (version {_MANIFEST_VERSION} with '
+                '"flows"): resume it with release 2.0.0 and cut it again'
             )
+        payloads = []
+        for entry in manifest["flows"]:
+            with open(os.path.join(directory, entry["state"]), "rb") as fh:
+                # Decoded once: the payload serves from_structure *and*
+                # the restore, which takes ownership of it.
+                payloads.append(pickle.loads(fh.read()))
+            check_checkpoint_version(payloads[-1])
         logs: dict[str, _LogState] = {}
-        if version < 2:
-            self._restore_script_sources(directory)
-        else:
-            for name, spec in manifest["sources"].items():
-                tvr = TimeVaryingRelation.restored(
-                    parse_schema_line(f"schema: {spec['schema']}"),
-                    _read_log(directory, spec["log"]),
-                )
-                self._register_source(name, tvr)
-                logs[f"src-{name}"] = _LogState(**spec["log"], owner=tvr)
+        for name, spec in manifest["sources"].items():
+            tvr = TimeVaryingRelation.restored(
+                parse_schema_line(f"schema: {spec['schema']}"),
+                _read_log(directory, spec["log"]),
+            )
+            self._register_source(name, tvr)
+            logs[f"src-{name}"] = _LogState(**spec["log"], owner=tvr)
         self.events_ingested = manifest["events_ingested"]
         self.source_offsets = dict(manifest["source_offsets"])
-        if "flows" not in manifest:
-            return self._restore_legacy(directory, manifest, admit)
         by_id = {spec["query_id"]: spec for spec in manifest["queries"]}
-        for entry in manifest["flows"]:
-            self._restore_flow(directory, entry, by_id, admit, logs)
-        if version >= 2:
-            self._committed = _Cut(
-                os.path.abspath(directory),
-                manifest["generation"],
-                manifest_text,
-                logs,
-            )
+        for entry, payload in zip(manifest["flows"], payloads):
+            self._restore_flow(directory, entry, payload, by_id, admit, logs)
+        self._committed = _Cut(
+            os.path.abspath(directory),
+            manifest["generation"],
+            manifest_text,
+            logs,
+        )
         return len(manifest["queries"])
 
     def _register_source(self, name: str, tvr: TimeVaryingRelation) -> None:
@@ -1029,24 +1037,17 @@ class SessionManager:
         else:
             self.engine.register_stream(name, tvr)
 
-    def _restore_script_sources(self, directory: str) -> None:
-        """Sources of a whole-history directory: ``sources/*.script``."""
-        sources_dir = os.path.join(directory, "sources")
-        for entry in sorted(os.listdir(sources_dir)):
-            with open(os.path.join(sources_dir, entry)) as fh:
-                self._register_source(
-                    entry[: -len(".script")], parse_script(fh.read())
-                )
-
     def _restore_flow(
         self,
         directory: str,
         entry: dict,
+        payload: dict,
         by_id: dict,
         admit,
         logs: dict[str, _LogState],
     ) -> None:
-        """Rebuild one (possibly shared) flow and its member queries."""
+        """Rebuild one (possibly shared) flow and its member queries
+        from ``payload``, its decoded state blob."""
         effective = ExecutionConfig(
             parallelism=entry["parallelism"]
         ).merged_over(self.config).resolved()
@@ -1064,11 +1065,6 @@ class SessionManager:
                     ),
                 )
             )
-        state_file = entry.get("state", f"{entry['id']}.ckpt")
-        with open(os.path.join(directory, state_file), "rb") as fh:
-            # Decoded once: the payload serves from_structure *and* the
-            # restore, which takes ownership of it.
-            payload = pickle.loads(fh.read())
         # Lineage comes back with the payload, not from the config.
         flow = self._build_flow(
             plans, effective, lineage=False, structure=payload
@@ -1078,9 +1074,6 @@ class SessionManager:
             histories={
                 member: _read_log(directory, by_id[member]["log"])
                 for member, _ in plans
-                # (a sharded query of a pre-unification cut has no log:
-                # its blob carries the merged changelog inline)
-                if by_id[member].get("log")
             },
         )
         record = _FlowRecord(
@@ -1094,26 +1087,4 @@ class SessionManager:
             )
             query.cursor = spec["cursor"]
             query.subscriptions.seek(spec["next_seq"])
-            if spec.get("log"):
-                logs[f"out-{member}"] = _LogState(**spec["log"], owner=query)
-
-    def _restore_legacy(self, directory: str, manifest: dict, admit) -> int:
-        """Restore a pre-sharing manifest: one private flow per query."""
-        for spec in manifest["queries"]:
-            plan = admit(spec["tenant"], spec["sql"])
-            effective = ExecutionConfig(
-                parallelism=spec["parallelism"]
-            ).merged_over(self.config).resolved()
-            query = self.register(
-                spec["tenant"],
-                spec["sql"],
-                plan,
-                query_id=spec["query_id"],
-                config=effective,
-                catch_up=False,
-            )
-            with open(os.path.join(directory, f"{spec['query_id']}.ckpt"), "rb") as fh:
-                query.flow.restore(fh.read())
-            query.cursor = spec["cursor"]
-            query.subscriptions.seek(spec["next_seq"])
-        return len(manifest["queries"])
+            logs[f"out-{member}"] = _LogState(**spec["log"], owner=query)

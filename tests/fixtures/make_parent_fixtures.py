@@ -5,17 +5,11 @@ from the repository root::
 
     PYTHONPATH=<checkout>/src python tests/fixtures/make_parent_fixtures.py <generation>
 
-``pr15`` — checkout ad9282f (before the shard drive loop took shard
-output and before sharded session queries got an append-only log): a
-sharded flow blob that carries a private output history per shard and
-its merged changelog inline, and a session directory whose sharded
-query has ``"log": null``.
+``pr15`` — checkout ad9282f: a two-phase sharded flow blob
+(``parent_sharded_flow_two_phase.ckpt``), cut half way through.
 
-``pr17`` — checkout 4495e0c (before histories stayed encoded at rest:
-restore decoded every changelog and every source event eagerly): a
-serial flow blob (``parent_serial_flow.ckpt``) and a session directory
-grown by two cuts (``parent_two_cuts``: two ``RSEG`` frames per log,
-one serial and one sharded query).
+``pr17`` — checkout 4495e0c: a serial flow blob
+(``parent_serial_flow.ckpt``), cut half way through.
 
 ``pr18`` — checkout 382d47b (before accounting moved onto the edge and
 telemetry settled on read): what the engine *reports*, not only what it
@@ -28,16 +22,16 @@ keyed tumble (intra-instant compaction), a watermark-driven session window, a ti
 two watermark steps of its output, so a telemetry sample not settled at
 the cut is missing from it.
 
-They pin the on-disk compatibility promises: all of it must keep
-restoring, byte-identically continued.  The inputs are the paper's Bid
-stream, cut at the half-way event (the two-cut directory: after a third
-and after two thirds); the tests regenerate the same stream.
+The blobs are format 2, which the engine no longer reads: they are
+goldens of what a cut *contains* (counters, peaks, telemetry, watermark
+tracks, a two-phase stage), decoded with plain ``pickle`` by
+``tests/test_metrics.py``.  The inputs are the paper's Bid stream, cut
+at the half-way event; the tests regenerate the same stream.
 """
 
 import json
 import os
 import random
-import shutil
 import sys
 
 from repro import ExecutionConfig, StreamEngine
@@ -45,7 +39,6 @@ from repro.core.schema import Schema, int_col, timestamp_col
 from repro.core.tvr import TimeVaryingRelation
 from repro.nexmark import NexmarkConfig, generate, paper_bid_stream
 from repro.nexmark import queries as nexmark
-from repro.service import StandingQueryService
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -60,27 +53,13 @@ TUMBLED_BY_ITEM = (
 def pr15() -> None:
     bids = paper_bid_stream()
     events = bids.events()
-    half = len(events) // 2
-    for name, two_phase in (("single", "off"), ("two_phase", "on")):
-        engine = StreamEngine(
-            config=ExecutionConfig(parallelism=3, two_phase=two_phase)
-        )
-        engine.register_stream("Bid", bids)
-        flow = engine.query(TUMBLED_BY_ITEM).sharded_dataflow()
-        for event in events[:half]:
-            flow.process(event, "Bid")
-        with open(os.path.join(HERE, f"parent_sharded_flow_{name}.ckpt"), "wb") as fh:
-            fh.write(flow.checkpoint())
-
-    directory = os.path.join(HERE, "parent_sharded_cut")
-    shutil.rmtree(directory, ignore_errors=True)
-    service = StandingQueryService(config=ExecutionConfig(parallelism=2))
-    service.register_stream("Bid", TimeVaryingRelation(bids.schema))
-    query = service.submit("alice", TUMBLED_BY_ITEM + " EMIT STREAM")
-    assert query.sharded
-    for event in events[:half]:
-        service.ingest(event, "Bid")
-    service.checkpoint(directory)
+    engine = StreamEngine(config=ExecutionConfig(parallelism=3, two_phase="on"))
+    engine.register_stream("Bid", bids)
+    flow = engine.query(TUMBLED_BY_ITEM).sharded_dataflow()
+    for event in events[: len(events) // 2]:
+        flow.process(event, "Bid")
+    with open(os.path.join(HERE, "parent_sharded_flow_two_phase.ckpt"), "wb") as fh:
+        fh.write(flow.checkpoint())
 
 
 def pr17() -> None:
@@ -93,26 +72,6 @@ def pr17() -> None:
         flow.process(event, "Bid")
     with open(os.path.join(HERE, "parent_serial_flow.ckpt"), "wb") as fh:
         fh.write(flow.checkpoint())
-
-    directory = os.path.join(HERE, "parent_two_cuts")
-    shutil.rmtree(directory, ignore_errors=True)
-    service = StandingQueryService()
-    service.register_stream("Bid", TimeVaryingRelation(bids.schema))
-    service.submit("alice", TUMBLED_BY_ITEM + " EMIT STREAM", query_id="serial")
-    sharded = service.submit(
-        "bob",
-        TUMBLED_BY_ITEM + " EMIT STREAM",
-        query_id="sharded",
-        config=ExecutionConfig(parallelism=2),
-    )
-    assert sharded.sharded
-    third = len(events) // 3
-    for event in events[:third]:
-        service.ingest(event, "Bid")
-    service.checkpoint(directory)
-    for event in events[third:2 * third]:
-        service.ingest(event, "Bid")
-    service.checkpoint(directory)
 
 
 # -- pr18: what the engine reports -------------------------------------------

@@ -14,8 +14,8 @@ around it.  What is pinned here:
   sharded single- and two-phase × lineage on/off (and the processes
   backend): the changelog of the fused flow is the one the unfused plan
   produces, byte for byte;
-* the refusal of a format-2 checkpoint whose operators the fusion pass
-  absorbed.
+* a cut of operators the fusion pass absorbed differently is refused as
+  a plain mismatch, however it comes back.
 """
 
 import pickle
@@ -27,11 +27,7 @@ from repro.core.changelog import Change, ChangeKind
 from repro.core.errors import ExecutionError
 from repro.core.schema import Column, Schema, SqlType, int_col, timestamp_col
 from repro.core.tvr import TimeVaryingRelation, ins, rm, wm
-from repro.exec.executor import (
-    CHECKPOINT_VERSION,
-    Dataflow,
-    merge_source_events,
-)
+from repro.exec.executor import Dataflow, merge_source_events
 from repro.exec.operators.aggregate import (
     AggregateOperator,
     CombineAggregateOperator,
@@ -40,7 +36,7 @@ from repro.obs.lineage import LineageRecorder
 from repro.plan.fingerprint import node_fingerprint
 from repro.plan.logical import AggCall, AggregateNode, PartialAggregateNode
 from repro.plan.physical import CombineAggregateNode
-from repro.plan.pipeline import PipelineNode, absorbed_kinds, get_fused_root
+from repro.plan.pipeline import PipelineNode, get_fused_root
 from repro.service import StandingQueryService
 from repro.sql.functions import default_registry
 
@@ -149,10 +145,10 @@ class TestShapes:
         (pipeline,) = root.inputs
         assert isinstance(pipeline, PipelineNode)
         assert pipeline.step_kinds() == "tumble"
+        # both Projects and the Tumble are absorbed: no operator of their own
         assert [type(op).__name__ for op in flow.operators] == [
             "ScanOperator", "PipelineOperator", "AggregateOperator",
         ]
-        assert absorbed_kinds(root) == ["Project", "Project", "Tumble"]
 
     def test_the_filter_and_the_tumble_run_in_one_loop(self):
         flow = engine_for(batch_size=64).query(SHAPES["filtered"]).dataflow()
@@ -214,8 +210,9 @@ class TestShapes:
         ).query(SHAPES["collapsing"]).dataflow()
         root = fused(flow)
         assert isinstance(root, PipelineNode) and root.step_kinds() == "project"
-        assert root.inputs[0].inputs[0].step_kinds() == "tumble+project"
-        assert absorbed_kinds(root) == ["Tumble"]
+        (aggregate,) = root.inputs
+        assert aggregate.reads is None and aggregate.select is None
+        assert aggregate.inputs[0].step_kinds() == "tumble+project"
 
     def test_why_a_compacting_flow_does_not_absorb(self, monkeypatch):
         """Absorbed anyway, the collapsing selection is compacted once,
@@ -388,102 +385,61 @@ def test_a_late_joiner_grafts_onto_absorbed_operators():
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format 3
+# a cut of other operators
 # ---------------------------------------------------------------------------
 
 
-def _format2(blob: bytes, op_types: list) -> dict:
-    """A current cut restated as a format-2 cut of the unabsorbed plan."""
-    payload = pickle.loads(blob)
-    assert payload["version"] == CHECKPOINT_VERSION == 4
-    payload["version"] = 2
-    payload["op_types"] = op_types
-    return payload
-
-
-#: what a format-2 columnar flow of SHAPES["keyed"] compiled
+#: what the columnar flow of SHAPES["keyed"] compiles without absorption
 UNABSORBED = [
     "ScanOperator", "TumbleOperator", "PipelineOperator",
     "AggregateOperator", "PipelineOperator",
 ]
+MISMATCH = "^checkpoint does not match this dataflow's plan$"
 
 
-class TestFormat3:
+class TestMismatch:
     def cut(self, **config):
         flow = engine_for(**config).query(SHAPES["keyed"]).dataflow()
         for _ in flow.replay(merge_source_events(flow._sources)[:150]):
             pass
-        return flow.checkpoint()
+        return pickle.loads(flow.checkpoint())
 
-    def test_a_fused_format2_cut_is_refused_by_name(self):
-        config = dict(batch_size=64)
-        payload = _format2(self.cut(**config), UNABSORBED)
-        fresh = engine_for(**config).query(SHAPES["keyed"]).dataflow()
-        message = (
-            "this checkpoint was cut by checkpoint format 2: it holds 5 "
-            "operators where this flow compiles 3, because format 3 folds "
-            "Project x2, Tumble into the operators around them"
-        )
-        with pytest.raises(ExecutionError, match=f"^{message}"):
+    def test_a_cut_of_other_operators_is_a_plain_mismatch(self):
+        payload = self.cut(batch_size=64)
+        payload["op_types"] = UNABSORBED
+        fresh = engine_for(batch_size=64).query(SHAPES["keyed"]).dataflow()
+        with pytest.raises(ExecutionError, match=MISMATCH):
             fresh.restore(payload)
 
-    def test_and_refused_when_rebuilt_from_its_recipe(self):
-        config = dict(batch_size=64)
-        payload = _format2(self.cut(**config), UNABSORBED)
+    def test_and_when_rebuilt_from_its_recipe(self):
+        payload = self.cut(batch_size=64)
+        payload["op_types"] = UNABSORBED
         for entry in payload["outputs"].values():
             entry["node_ops"] = [0, 1, 2, 3, 4]
-        engine = engine_for(**config)
-        with pytest.raises(
-            ExecutionError, match="format 2: it holds 5 operators where this flow "
-            "compiles 3"
-        ):
+        engine = engine_for(batch_size=64)
+        with pytest.raises(ExecutionError, match=MISMATCH):
             Dataflow.from_structure(
                 [("main", engine.query(SHAPES["keyed"]).plan)], payload,
                 {"S": TimeVaryingRelation(SCHEMA)}, engine.config,
             )
 
-    def test_an_unfused_format2_cut_restores_through_the_same_reader(self):
-        """Every default-config flow (``batch_size=1``) compiles what it
-        did: a format-2 cut restores and continues byte-identically."""
-        engine = engine_for()
-        events = merge_source_events(engine._sources)
-        flow = engine.query(SHAPES["keyed"]).dataflow()
-        blob = self.cut()
-        payload = pickle.loads(blob)
-        payload["version"] = 2
-        flow.restore(payload)
-        for _ in flow.replay(events[150:]):
-            pass
-        assert flow.finish().changes == engine.query(SHAPES["keyed"]).run().changes
-
-    def test_a_format2_two_phase_stage_is_refused_by_name(self):
+    def test_a_two_phase_stage_of_other_operators_is_refused(self):
         config = dict(batch_size=64, parallelism=2, two_phase="on")
         query = engine_for(**config).query(SHAPES["keyed"])
         flow = query.sharded_dataflow()
         for _ in flow.replay(merge_source_events(flow._sources)[:150]):
             pass
         payload = pickle.loads(flow.checkpoint())
-        payload["version"] = 2
         stage = pickle.loads(payload["stages"]["main"])
-        # the parent's merge half: the combine, then its Project
+        # the unabsorbed merge half: the combine, then its Project
         stage["ops"].append(stage["ops"][0])
         payload["stages"]["main"] = pickle.dumps(stage)
         with pytest.raises(
             ExecutionError,
-            match="^the two-phase stage of output 'main' was cut by checkpoint "
-            "format 2: it holds 2 operators where this flow compiles 1, "
-            "because format 3 folds Project into",
+            match="^combine flow shape changed: checkpoint has 2 operators, "
+            "the flow has 1$",
         ):
             query.sharded_dataflow().restore(payload)
-
-    def test_a_format3_mismatch_stays_a_plain_mismatch(self):
-        payload = pickle.loads(self.cut(batch_size=64))
-        payload["op_types"] = UNABSORBED
-        fresh = engine_for(batch_size=64).query(SHAPES["keyed"]).dataflow()
-        with pytest.raises(
-            ExecutionError, match="^checkpoint does not match this dataflow's plan$"
-        ):
-            fresh.restore(payload)
 
 
 def test_an_absorbed_selection_emits_what_the_project_emitted():

@@ -8,6 +8,7 @@ fails here, with the docs as the source of truth, before any user
 notices.
 """
 
+import ast
 import importlib
 import inspect
 import os
@@ -306,6 +307,34 @@ def _src_files_matching(pattern: str) -> set[str]:
     return hits
 
 
+def counted_lines(root: str) -> int:
+    """Lines under ``root`` by the rule :meth:`TestSaidOnce.test_counted_src_lines`
+    states."""
+    total = 0
+    for directory, _, files in os.walk(root):
+        for file in sorted(files):
+            if not file.endswith(".py"):
+                continue
+            with open(os.path.join(directory, file), encoding="utf-8") as handle:
+                text = handle.read()
+            docstrings = set()
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(
+                    node,
+                    (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef),
+                ) and ast.get_docstring(node, clean=False) is not None:
+                    first = node.body[0]
+                    docstrings.update(range(first.lineno, first.end_lineno + 1))
+            total += sum(
+                1
+                for number, line in enumerate(text.splitlines(), 1)
+                if line.strip()
+                and not line.lstrip().startswith("#")
+                and number not in docstrings
+            )
+    return total
+
+
 class TestSaidOnce:
     """2.0 says each thing once: one config object and no shims, one
     accessor per output (the ``*_of`` members), one evaluator beside
@@ -397,6 +426,38 @@ class TestSaidOnce:
             path for path in threading_imports
             if path.startswith("runtime" + os.sep)
         } == set()
+
+    def test_one_checkpoint_format_is_read(self):
+        """No reader of a pre-v4 cut is left; the version is read in one
+        place, and a group object has nothing to unpickle."""
+        from repro.exec import executor
+        from repro.exec.operators import aggregate
+
+        readers = (
+            "_restore_legacy", "_restore_script_sources", "plan_format_error",
+            "forget_outputs", "_refusal", '"merged_changes"', '"root_changes"',
+        )
+        assert {
+            name: hits
+            for name in readers
+            if (hits := _src_files_matching(re.escape(name)))
+        } == {}
+        assert _src_files_matching(r'payload\.get\("version"') == {
+            os.path.join("exec", "executor.py")
+        }
+        assert inspect.getsource(executor).count('payload.get("version"') == 1
+        assert 'payload.get("version"' in inspect.getsource(
+            executor.check_checkpoint_version
+        )
+        assert "__setstate__" not in vars(aggregate._GroupState)
+
+    def test_counted_src_lines(self):
+        """Counted lines of ``src/repro`` stay at or below where the
+        last deletion left them.  Counted: every line of a ``.py`` file
+        that is not blank, not a comment (first non-space character
+        ``#``) and not part of a docstring (a string literal that is the
+        first statement of a module, class or function)."""
+        assert counted_lines(SRC) <= 17_649
 
     def test_the_threads_backend_is_refused_by_name(self):
         from repro.core.errors import ValidationError

@@ -1,7 +1,7 @@
-"""The checkpoint plane: codec, ownership, old formats, incremental cuts,
-histories encoded at rest.
+"""The checkpoint plane: codec, ownership, the one format read,
+incremental cuts, histories encoded at rest.
 
-Four layers are under test (``docs/RUNTIME.md``, ``docs/SERVICE.md``):
+Five layers are under test (``docs/RUNTIME.md``, ``docs/SERVICE.md``):
 
 * **the changelog codec** (``repro.core.codec``) round-trips every
   value shape a row can hold, and the supervisor's tagged slices cross
@@ -11,10 +11,13 @@ Four layers are under test (``docs/RUNTIME.md``, ``docs/SERVICE.md``):
   used to buy — a checkpoint is isolated from the flow that cut it, two
   restores of one blob are isolated from each other — now rest on the
   pickle alone, for every stateful operator;
+* **one format**: a flow blob of any format but ``CHECKPOINT_VERSION``
+  is refused with one message — by ``restore``, by ``build_flow`` from
+  its structure and by a service resume, which then leaves the service
+  as it was — and so is a manifest of any other layout;
 * **incremental session checkpoints**: a directory grown by many
   appending cuts resumes exactly like one full cut, a failed cut leaves
-  the previous one intact, a torn tail is ignored, and directories and
-  blobs written before any of this still restore;
+  the previous one intact, and a torn tail is ignored;
 * **encoded at rest**: the :class:`~repro.core.codec.SegmentedLog`
   behaves like the plain list it replaces, a cut encodes each change
   once, a resume builds no ``Change``, and reading a restored history
@@ -53,9 +56,9 @@ from repro.core.schema import Schema, int_col, timestamp_col
 from repro.core.tvr import TimeVaryingRelation, ins, rm, wm
 from repro.exec.executor import CHECKPOINT_VERSION, merge_source_events
 from repro.exec.operators.aggregate import AggregateOperator
-from repro.exec.operators.join import JoinOperator, held_rows
+from repro.exec.operators.join import JoinOperator
 from repro.exec.operators.outer_join import OuterJoinOperator
-from repro.io import format_script
+from repro.runtime.build import build_flow
 from repro.runtime.merge import dedup_by_seq
 from repro.runtime.supervisor import SupervisedOutcome
 from repro.service import StandingQueryService, TenantPolicy
@@ -322,6 +325,13 @@ class TestOwnership:
 # the O(1) state_size
 # ---------------------------------------------------------------------------
 
+def held_rows(state: tuple[dict, dict]) -> int:
+    """Row occurrences in a two-sided ``key -> Counter(row)`` state."""
+    return sum(
+        sum(bucket.values()) for side in state for bucket in side.values()
+    )
+
+
 def recomputed_state_size(op) -> int:
     if isinstance(op, AggregateOperator):
         return sum(state.row_count for state in op._groups.values())
@@ -437,45 +447,10 @@ class TestRunningStateSize:
             for op in operators():
                 assert op.state_size() == recomputed_state_size(op)
 
-    def test_old_snapshots_without_the_total_recompute_it(self):
-        query, events = two_stream_query("aggregate")
-        flow = fed(query, events[:60])
-        payload = pickle.loads(flow.checkpoint())
-        for state in payload["op_states"]:
-            state.pop("retained", None)
-        fresh = query.dataflow()
-        fresh.restore(pickle.dumps(payload))
-        assert fresh.total_state_rows() == flow.total_state_rows() > 0
-
 
 # ---------------------------------------------------------------------------
-# (c) what the parent commit wrote still restores
+# (c) one format is read: every other one is refused, by one message
 # ---------------------------------------------------------------------------
-
-def as_parent_blob(blob: bytes) -> bytes:
-    """Rewrite a flow blob into the pre-codec shape: no version, plain
-    ``list[Change]`` histories, no running totals in operator state."""
-    payload = pickle.loads(blob)
-    del payload["version"]
-    if "shard_count" in payload:
-        payload["shards"] = [as_parent_blob(shard) for shard in payload["shards"]]
-        for stored in payload["outputs"].values():
-            stored["merged"] = decode_changes(stored["merged"])
-        payload["stages"] = {
-            oid: pickle.loads(stage) for oid, stage in payload["stages"].items()
-        }
-        for stage in payload["stages"].values():
-            for state in stage["ops"]:
-                state.pop("retained", None)
-    else:
-        for stored in payload["outputs"].values():
-            stored["changes"] = decode_changes(stored["changes"])
-            del stored["size"]
-        for state in payload["op_states"]:
-            state.pop("retained", None)
-            state.pop("rows", None)
-    return pickle.dumps(payload)
-
 
 KEYED_SUM = (
     "SELECT k, wend, SUM(v) AS total FROM Tumble(data => TABLE(L), "
@@ -503,145 +478,122 @@ def keyed_events(n, start=0):
     return events
 
 
-class TestParentFormats:
-    def test_serial_blob(self):
-        query, events = two_stream_query("join")
-        cut = len(events) // 2
-        flow = fed(query, events[:cut])
-        restored = query.dataflow()
-        restored.restore(as_parent_blob(flow.checkpoint()))
-        for event, src in events[cut:]:
-            restored.process(event, src)
-        assert outcome(restored) == outcome(fed(query, events))
+#: a flow blob's ``version`` in each refused cell (``None``: the field
+#: is absent, as format 1 wrote it)
+REFUSED_VERSIONS = [None, 2, 3, 5]
+REFUSED_FLOWS = {
+    "serial": {},
+    "sharded": dict(parallelism=2, backend="sync", two_phase="off"),
+    "two_phase": dict(parallelism=2, backend="sync", two_phase="on"),
+}
 
-    def test_sharded_two_phase_blob(self):
-        engine = StreamEngine(
-            config=ExecutionConfig(parallelism=2, backend="sync", two_phase="on")
-        )
+
+def stamped(payload: dict, version) -> dict:
+    """``payload`` as a cut of format ``version`` would say it was."""
+    if version is None:
+        del payload["version"]
+    else:
+        payload["version"] = version
+    return payload
+
+
+def refusal(version) -> str:
+    """The one message every refused flow blob raises."""
+    found = 1 if version is None else version
+    return (
+        f"^checkpoint format version {found} is not the one this build "
+        rf"reads \({CHECKPOINT_VERSION}\): resume it with release 2\.0\.0 "
+        "and cut it again$"
+    )
+
+
+class TestOneFormat:
+    @pytest.mark.parametrize("version", REFUSED_VERSIONS)
+    @pytest.mark.parametrize("flow", sorted(REFUSED_FLOWS))
+    @pytest.mark.parametrize("entry", ["restore", "build_flow"])
+    def test_a_blob_of_another_format_is_refused(self, entry, flow, version):
         events = keyed_events(96)
+        engine = StreamEngine(config=ExecutionConfig(**REFUSED_FLOWS[flow]))
         engine.register_stream("L", TimeVaryingRelation(L, events))
         query = engine.query(KEYED_SUM)
-        flow = query.sharded_dataflow()
+        sharded = bool(REFUSED_FLOWS[flow])
+        make = query.sharded_dataflow if sharded else query.dataflow
+        cut = make()
+        if sharded:
+            assert cut.is_two_phase() == (flow == "two_phase")
         for event in events[:48]:
-            flow.process(event, "L")
-        restored = query.sharded_dataflow()
-        restored.restore(as_parent_blob(flow.checkpoint()))
-        for event in events[48:]:
-            flow.process(event, "L")
-            restored.process(event, "L")
-        assert restored.finish().changes == flow.finish().changes
+            cut.process(event, "L")
+        payload = stamped(pickle.loads(cut.checkpoint()), version)
+        with pytest.raises(ExecutionError, match=refusal(version)):
+            if entry == "restore":
+                make().restore(pickle.dumps(payload))
+            else:
+                build_flow(
+                    [("main", query.plan)],
+                    engine._sources,
+                    query._effective(),
+                    query.partition_decision() if sharded else None,
+                    structure=payload,
+                )
 
-    def test_files_the_parent_commit_wrote(self, tmp_path):
-        """``tests/fixtures/parent_serial_flow.ckpt`` and
-        ``parent_two_cuts/`` were written by the commit before histories
-        stayed encoded (``make_parent_fixtures.py pr17``): the blob
-        restores and finishes with the one-shot changelog; the directory
-        (two frames per log, a serial and a sharded query) resumes
-        unmodified, continues byte-identically, and the next cut appends
-        a third frame to the very same files."""
-        from repro.nexmark import paper_bid_stream
-
-        fixtures = os.path.join(os.path.dirname(__file__), "fixtures")
-        sql = (
-            "SELECT item, wend, MAX(price) AS maxprice "
-            "FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime), "
-            "dur => INTERVAL '10' MINUTE) TB GROUP BY item, wend"
-        )
-        bids = paper_bid_stream()
-        events = bids.events()
-        engine = StreamEngine()
-        engine.register_stream("Bid", bids)
-        expected = engine.query(sql).run()
-        flow = engine.query(sql).dataflow()
-        with open(os.path.join(fixtures, "parent_serial_flow.ckpt"), "rb") as fh:
-            flow.restore(fh.read())
-        for event in events[len(events) // 2:]:
-            flow.process(event, "Bid")
-        assert flow.finish().changes == expected.changes
-
-        directory = tmp_path / "cut"
-        shutil.copytree(os.path.join(fixtures, "parent_two_cuts"), directory)
-        logs = {f: os.path.getsize(directory / f)
-                for f in files_of(directory) if f.startswith("logs")}
-        resumed = StandingQueryService()
-        assert resumed.resume(str(directory)) == 2
-        assert resumed.session.get("sharded").sharded
-        third = len(events) // 3
-        assert resumed.engine.source("Bid").event_count == 2 * third
-        for event in events[2 * third:]:
-            resumed.ingest(event, "Bid")
-        for query_id in ("serial", "sharded"):
-            query = resumed.session.get(query_id)
-            assert query.flow.output_slice_of(query_id, 0) == expected.changes
-        resumed.checkpoint(str(directory))
-        manifest = manifest_of(directory)
-        assert manifest["generation"] == 3
-        for log in [manifest["sources"]["bid"]["log"]] + [
-            q["log"] for q in manifest["queries"]
-        ]:
-            assert log["segments"] == 3
-            assert os.path.getsize(directory / log["file"]) > logs[log["file"]]
-
-    def test_newer_blob_version_is_refused(self):
-        from repro.core.errors import ExecutionError
-
-        query, events = two_stream_query("join")
-        payload = pickle.loads(fed(query, events[:10]).checkpoint())
-        payload["version"] = 99
-        with pytest.raises(ExecutionError, match="newer"):
-            query.dataflow().restore(pickle.dumps(payload))
-
+    @pytest.mark.parametrize("version", REFUSED_VERSIONS)
     @pytest.mark.parametrize("parallelism", [1, 2])
-    def test_whole_history_directory(self, tmp_path, parallelism):
-        """``<id>.ckpt`` with every changelog inside, ``sources/*.script``
-        and a manifest without version, generation or segment lengths."""
-        events = keyed_events(80)
-        config = ExecutionConfig(parallelism=parallelism)
-        svc = StandingQueryService(config=config)
-        svc.register_stream("L", TimeVaryingRelation(L))
-        ids = [svc.submit("t", sql).query_id for sql in (KEYED_SUM, KEYED_MAX)]
-        for event in events[:40]:
+    def test_a_refused_resume_leaves_the_service_as_it_was(
+        self, tmp_path, parallelism, version
+    ):
+        """Every flow blob is read and checked before a source is
+        registered or a counter set."""
+        svc = new_service(parallelism=parallelism)
+        svc.submit("t", KEYED_SUM)
+        for event in keyed_events(40):
             svc.ingest(event, "L")
-        directory = tmp_path / "old"
-        os.makedirs(directory / "sources")
-        session = svc.session
-        flows = []
-        for record in session.plan_cache.records:
-            blob_id = record.members[0]
-            (directory / f"{blob_id}.ckpt").write_bytes(
-                as_parent_blob(record.flow.checkpoint())
-            )
-            flows.append({
-                "id": blob_id,
-                "members": list(record.members),
-                "parallelism": parallelism,
-                "sharing": record.flow.sharing_map(),
-            })
-        (directory / "sources" / "l.script").write_text(
-            format_script(session.engine.source("L"))
+        svc.checkpoint(str(tmp_path))
+        (entry,) = manifest_of(tmp_path)["flows"]
+        blob = tmp_path / entry["state"]
+        blob.write_bytes(pickle.dumps(stamped(pickle.loads(blob.read_bytes()), version)))
+        fresh = StandingQueryService(
+            config=ExecutionConfig(parallelism=parallelism)
         )
-        (directory / "manifest.json").write_text(json.dumps({
-            "events_ingested": session.events_ingested,
-            "source_offsets": dict(session.source_offsets),
-            "flows": flows,
-            "queries": [
-                {
-                    "query_id": q.query_id, "tenant": q.tenant, "sql": q.sql,
-                    "parallelism": q.parallelism, "cursor": q.cursor,
-                    "next_seq": q.subscriptions.next_seq,
-                }
-                for q in session.queries()
-            ],
-        }))
-        resumed = StandingQueryService(config=config)
-        assert resumed.resume(str(directory)) == 2
-        assert publishes_the_same(svc, resumed, events[40:], "L")
-        # and the first new cut of that directory replaces the layout
-        resumed.checkpoint(str(directory))
-        assert not list(directory.glob("sources/*.script"))
-        assert not (directory / f"{ids[0]}.ckpt").exists()
-        again = StandingQueryService(config=config)
-        assert again.resume(str(directory)) == 2
+        before = session_state(fresh)
+        with pytest.raises(ExecutionError, match=refusal(version)):
+            fresh.resume(str(tmp_path))
+        assert session_state(fresh) == before
+
+    @pytest.mark.parametrize(
+        "drop, found", [("version", "version 1"), ("flows", 'version 2 without "flows"')]
+    )
+    def test_a_manifest_of_another_layout_is_refused_by_name(
+        self, tmp_path, drop, found
+    ):
+        """A versionless manifest (the whole-history layout) and one
+        without ``flows`` (from before plan sharing)."""
+        svc = new_service()
+        svc.submit("t", KEYED_SUM)
+        svc.checkpoint(str(tmp_path))
+        manifest = manifest_of(tmp_path)
+        del manifest[drop]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        fresh = StandingQueryService()
+        before = session_state(fresh)
+        with pytest.raises(
+            ExecutionError,
+            match=f"^checkpoint manifest {found} is not the layout this "
+            r'build reads \(version 2 with "flows"\): resume it with '
+            r"release 2\.0\.0 and cut it again$",
+        ):
+            fresh.resume(str(tmp_path))
+        assert session_state(fresh) == before
+
+
+def session_state(svc) -> tuple:
+    """What a resume sets up: sources, counters, queries."""
+    session = svc.session
+    return (
+        dict(svc.engine._sources),
+        session.events_ingested,
+        dict(session.source_offsets),
+        svc.list_queries(),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,17 +11,12 @@ objects per group.  Under test:
   peak state) for every aggregate shape, cut at any boundary of the
   runs ``event_runs`` forms, serial and two-phase (replay and delta
   payloads), at batch sizes 1 and 64;
-* **the old form**: a format-3 payload — a dict of group objects, each
-  with the ``retained`` twin of its row count — restores through the
-  same ``state_restore`` and continues byte-identically;
 * **the table itself**: group order survives, nothing of this package
   is pickled, and a build that reads only format 3 refuses the cut.
 """
 
 import pickle
 import pickletools
-from dataclasses import dataclass, field
-from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +28,6 @@ from repro.core.errors import ExecutionError
 from repro.core.schema import Schema, int_col, timestamp_col
 from repro.core.tvr import TimeVaryingRelation, ins, rm, wm
 from repro.exec import executor
-from repro.exec.operators import aggregate
 from repro.exec.operators.aggregate import AggregateOperator
 
 MINUTE = 60_000
@@ -82,8 +76,8 @@ CASES = [
 def decoded_groups(groups) -> dict:
     """``{key: (row_count, emitted, accumulator states, DISTINCT
     counts)}`` of an aggregate's snapshotted ``groups``, in group order:
-    the format-4 table, or the dict of group objects an older format
-    pickled (whose ``retained`` is not read).  Multisets are their item
+    the format-4 table, or the dict of group objects the parent's golden
+    blobs hold (``tests/test_metrics.py``; ``retained`` is not read).  Multisets are their item
     lists; DISTINCT counts are listed for DISTINCT aggregates only."""
     if isinstance(groups, dict):
         return {
@@ -211,62 +205,8 @@ class TestRoundTrip:
 
 
 # ---------------------------------------------------------------------------
-# format 3: a dict of group objects
+# the table
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Format3GroupState:
-    """The group class as format 3 pickled it, under its name there: a
-    plain dataclass whose ``retained`` was ``row_count`` twice."""
-
-    __module__ = aggregate.__name__
-    __qualname__ = "_GroupState"
-
-    accumulators: list
-    distinct_counts: list
-    row_count: int = 0
-    emitted: Optional[tuple] = None
-    retained: int = field(default=0)
-
-
-def _multiset(items: list) -> SortedMultiset:
-    multiset = SortedMultiset()
-    for item in items:
-        multiset.add(item)
-    return multiset
-
-
-def as_format3(blob: bytes, operators) -> bytes:
-    """A format-4 serial cut rewritten as format 3 wrote it: each
-    aggregate's groups a dict of ``_GroupState`` objects (MIN/MAX
-    multisets as objects) and the running total of retained rows
-    beside them."""
-    payload = pickle.loads(blob)
-    payload["version"] = 3
-    for op, state in zip(operators, payload["op_states"]):
-        if not isinstance(op, AggregateOperator):
-            continue
-        groups = {}
-        for key, (count, emitted, accs, distinct) in decoded_groups(
-            state["groups"]
-        ).items():
-            counts = iter(distinct)
-            groups[key] = _Format3GroupState(
-                [
-                    _multiset(acc) if multiset else acc
-                    for acc, multiset in zip(accs, op._multisets)
-                ],
-                [next(counts) if agg.distinct else None for agg in op._aggs],
-                count,
-                emitted,
-                retained=count,
-            )
-        state["groups"] = groups
-        state["retained"] = sum(group.retained for group in groups.values())
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(aggregate, "_GroupState", _Format3GroupState)
-        return pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
 
 
 def opcodes(blob: bytes) -> list:
@@ -286,44 +226,6 @@ def fixed_history() -> list:
         if i % 11 == 10:
             events.append(wm(ptime, (i // 11) * MINUTE))
     return events
-
-
-class TestFormat3:
-    @pytest.mark.parametrize("shape", sorted(SHAPES))
-    @pytest.mark.parametrize("batch_size", [1, 64])
-    def test_a_dict_of_group_objects_restores_and_continues(
-        self, shape, batch_size
-    ):
-        events = fixed_history()
-        make = build(shape, "serial", batch_size)
-        expected = outcome(fed(make(), events).finish())
-        cut = len(events) * 2 // 3
-        first = fed(make(), events[:cut])
-        old = as_format3(first.checkpoint(), first.operators)
-        names = [name for name, arg in opcodes(old) if arg == "_GroupState"]
-        assert names, "the synthetic payload names the group class"
-        restored = make()
-        restored.restore(old)
-        assert outcome(fed(restored, events[cut:]).finish()) == expected
-
-    def test_the_old_groups_are_the_tables_groups(self):
-        """Field by field, ``retained`` dropped, in group order."""
-        make = build("count_distinct", "serial", 1)
-        first = fed(make(), fixed_history()[:20])
-        blob = first.checkpoint()
-        old, new = make(), make()
-        old.restore(as_format3(blob, first.operators))
-        new.restore(blob)
-        (index,) = [
-            i for i, op in enumerate(first.operators)
-            if isinstance(op, AggregateOperator)
-        ]
-        expected = decoded_groups(first.operators[index].state_snapshot()["groups"])
-        assert len(expected) > 1
-        for flow in (old, new):
-            groups = flow.operators[index]._groups
-            assert list(decoded_groups(groups).items()) == list(expected.items())
-            assert not hasattr(next(iter(groups.values())), "retained")
 
 
 class TestTable:
@@ -356,7 +258,7 @@ class TestTable:
         blob = fed(make(), fixed_history()).checkpoint()
         monkeypatch.setattr(executor, "CHECKPOINT_VERSION", 3)
         with pytest.raises(
-            ExecutionError, match="checkpoint format version 4 is newer than "
-            r"this build reads \(up to 3\)"
+            ExecutionError, match="checkpoint format version 4 is not the "
+            r"one this build reads \(3\)"
         ):
             make().restore(blob)

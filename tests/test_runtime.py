@@ -616,53 +616,6 @@ class TestShardedCheckpoint:
         assert result.changes == expected.changes
         assert result.watermarks.as_pairs() == expected.watermarks.as_pairs()
 
-    @pytest.mark.parametrize(
-        "name, two_phase", [("single", "off"), ("two_phase", "on")]
-    )
-    def test_a_parent_written_blob_restores_and_new_cuts_hold_no_shard_history(
-        self, name, two_phase
-    ):
-        """``tests/fixtures/parent_sharded_flow_*.ckpt`` were cut half way
-        through the paper's Bid stream by the commit before the drive
-        loop took shard output (``make_parent_fixtures.py`` there): each
-        shard blob carries a private output history.  They restore and
-        finish with the serial changelog; a cut taken now carries none."""
-        import os
-        import pickle
-
-        from repro.core.codec import decode_changes
-
-        def shard_histories(blob):
-            return [
-                decode_changes(out["changes"])
-                for shard in pickle.loads(blob)["shards"]
-                for out in pickle.loads(shard)["outputs"].values()
-            ]
-
-        path = os.path.join(
-            os.path.dirname(__file__), "fixtures",
-            f"parent_sharded_flow_{name}.ckpt",
-        )
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        assert any(shard_histories(blob))  # the fixture is the old format
-        engine = StreamEngine(
-            config=ExecutionConfig(parallelism=3, two_phase=two_phase)
-        )
-        engine.register_stream("Bid", paper_bid_stream())
-        query = engine.query(TUMBLED_BY_ITEM)
-        recovered = query.sharded_dataflow()
-        assert recovered.is_two_phase() == (two_phase == "on")
-        recovered.restore(blob)
-        events = self._events(engine, ["Bid"])
-        for event, source in events[len(events) // 2:]:
-            recovered.process(event, source)
-        assert not any(shard_histories(recovered.checkpoint()))
-        result = recovered.finish()
-        serial = paper_engine(1).query(TUMBLED_BY_ITEM).run()
-        assert result.changes == serial.changes
-        assert result.watermarks.as_pairs() == serial.watermarks.as_pairs()
-
     def test_shard_count_mismatch_rejected(self):
         engine = paper_engine(3)
         query = engine.query(TUMBLED_BY_ITEM)

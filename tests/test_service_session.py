@@ -396,51 +396,6 @@ class TestDurability:
             oneshot_changes(events, KEYED_WINDOW_SUM)
         )
 
-    def test_a_parent_written_sharded_directory_resumes(
-        self, bid_stream, tmp_path
-    ):
-        """``tests/fixtures/parent_sharded_cut`` was written by the commit
-        before sharded queries got a segment log (``"log": null``, the
-        blob carrying shard histories and the merged changelog inline;
-        see ``make_parent_fixtures.py`` there).  It resumes, continues
-        byte-identically, and the next cut moves it to the log layout."""
-        import json
-        import shutil
-
-        directory = tmp_path / "cut"
-        shutil.copytree(
-            os.path.join(os.path.dirname(__file__), "fixtures", "parent_sharded_cut"),
-            directory,
-        )
-        with open(directory / "manifest.json") as fh:
-            assert json.load(fh)["queries"][0]["log"] is None
-        sql = WINDOWED_BY_ITEM
-        events = bid_stream.events()
-        half = len(events) // 2
-        fresh = service_with_empty_source(
-            config=ExecutionConfig(parallelism=2),
-            schema=bid_stream.schema,
-            name="Bid",
-        )
-        fresh.submit("alice", sql)
-        for event in events[:half]:
-            fresh.ingest(event, "Bid")
-
-        resumed = StandingQueryService(config=ExecutionConfig(parallelism=2))
-        assert resumed.resume(str(directory)) == 1
-        restored = resumed.session.get("q1")
-        assert restored.sharded and restored.cursor == 3
-        for event in events[half:]:
-            assert resumed.ingest(event, "Bid") == fresh.ingest(event, "Bid")
-        eng = StreamEngine()
-        eng.register_stream("Bid", bid_stream)
-        assert restored.flow.output_slice_of("q1") == eng.query(sql).run().changes
-        resumed.checkpoint(str(directory))
-        with open(directory / "manifest.json") as fh:
-            assert json.load(fh)["queries"][0]["log"]["items"] == (
-                restored.flow.output_size_of("q1")
-            )
-
     def test_checkpoint_without_directory_is_an_error(self, bid_stream):
         from repro.core.errors import ExecutionError
 
