@@ -49,8 +49,11 @@ counts that repeat exactly: at most ``GATE_BYTES_PER_ROW`` checkpoint
 bytes per state row, and — counted with ``pickletools.genops`` over the
 aggregate's operator state — no ``NEWOBJ`` or ``BUILD`` opcode and no
 global of this package (checkpoint format 4 cuts groups as one table of
-columns; format 3 pickled two objects per group); restore + continue
-equals the uninterrupted run.
+columns; format 3 pickled two objects per group); **no cyclic
+collection starts inside** ``checkpoint`` or ``restore`` over its ten
+cut + restore cycles (both are paused calls, ``repro.core.collector``;
+before the pause: ≈ 106 / 10 / 1 collections of generation 0 / 1 / 2
+per cycle); restore + continue equals the uninterrupted run.
 
 Writes ``BENCH_checkpoint.json`` — the artifact the CI
 ``checkpoint-bench`` job uploads.  Runs under plain pytest and as a
@@ -64,6 +67,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import gc
+import inspect
 import json
 import pickle
 import pickletools
@@ -80,6 +84,7 @@ from repro.core import codec
 from repro.core.schema import Schema, int_col, timestamp_col
 from repro.core.times import seconds
 from repro.core.tvr import TimeVaryingRelation, ins, wm
+from repro.exec.executor import Dataflow
 from repro.exec.operators.aggregate import AggregateOperator
 from repro.nexmark import NexmarkConfig, generate
 from repro.nexmark.queries import q7_highest_bid
@@ -107,7 +112,7 @@ BID_SCHEMA = Schema(
 )
 
 ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_checkpoint.json"
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def tumble(select: str, seconds_: int = 10, where: str = "") -> str:
@@ -404,6 +409,30 @@ def aggregate_opcodes(state: dict) -> dict:
     }
 
 
+@contextlib.contextmanager
+def collections_inside(*methods):
+    """Count, per generation, the cyclic collections that start while
+    the body of one of ``methods`` is on the Python stack."""
+    bodies = {inspect.unwrap(method).__code__ for method in methods}
+    counts = [0, 0, 0]
+
+    def on_gc(phase, info):
+        if phase != "start":
+            return
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code in bodies:
+                counts[info["generation"]] += 1
+                return
+            frame = frame.f_back
+
+    gc.callbacks.append(on_gc)
+    try:
+        yield counts
+    finally:
+        gc.callbacks.remove(on_gc)
+
+
 def state_table_run(seed: int = 42) -> dict:
     """``replay.keyed_state``'s recovery drill: its keyed tumble on its
     inputs, cut three quarters through, what the aggregate's state
@@ -430,14 +459,15 @@ def state_table_run(seed: int = 42) -> dict:
         if isinstance(op, AggregateOperator)
     ]
     take, restore = [], []
-    for _ in range(10):
-        started = time.perf_counter()
-        blob = flow.checkpoint()
-        take.append(time.perf_counter() - started)
-        restored = query.dataflow()
-        started = time.perf_counter()
-        restored.restore(blob)
-        restore.append(time.perf_counter() - started)
+    with collections_inside(Dataflow.checkpoint, Dataflow.restore) as collected:
+        for _ in range(10):
+            started = time.perf_counter()
+            blob = flow.checkpoint()
+            take.append(time.perf_counter() - started)
+            restored = query.dataflow()
+            started = time.perf_counter()
+            restored.restore(blob)
+            restore.append(time.perf_counter() - started)
     finished = fed(restored, events[cut:]).finish()
     uninterrupted = fed(query.dataflow(), events).finish()
     state_rows = flow.total_state_rows()
@@ -453,6 +483,9 @@ def state_table_run(seed: int = 42) -> dict:
         "aggregate_states": states,
         "take_ms": statistics.median(take) * 1e3,
         "restore_ms": statistics.median(restore) * 1e3,
+        "cycles": len(take),
+        # by generation, summed over the cycles
+        "collections_inside": collected,
         "recovered_equals_uninterrupted": (
             finished.changes == uninterrupted.changes
             and finished.watermarks.as_pairs()
@@ -479,7 +512,8 @@ def write_artifact(payload: dict) -> Path:
 def test_checkpoint_bench_produces_artifact():
     """The bench is also the gate: cut cost flat in history, resume
     cost flat in history and free of ``Change`` objects, resumed
-    services indistinguishable, flow recovery byte-identical."""
+    services indistinguishable, flow recovery byte-identical, no
+    collection inside a keyed_state cut or restore."""
     payload = collect()
     session, flow = payload["session"], payload["flow"]
     short, long = payload["resume"]["arms"]
@@ -507,6 +541,7 @@ def test_checkpoint_bench_produces_artifact():
     assert table["bytes_per_state_row"] <= GATE_BYTES_PER_ROW, table
     (state,) = table["aggregate_states"]
     assert (state["NEWOBJ"], state["BUILD"], state["repro_globals"]) == (0, 0, 0)
+    assert table["collections_inside"] == [0, 0, 0], table["collections_inside"]
     assert table["recovered_equals_uninterrupted"]
     path = write_artifact(payload)
     assert path.exists() and path.stat().st_size > 0
@@ -568,6 +603,9 @@ if __name__ == "__main__":
         f"bytes, NEWOBJ {state['NEWOBJ']} BUILD {state['BUILD']} "
         f"EMPTY_DICT {state['EMPTY_DICT']} repro globals "
         f"{state['repro_globals']}; take {table['take_ms']:.1f} ms, "
-        f"restore {table['restore_ms']:.1f} ms"
+        f"restore {table['restore_ms']:.1f} ms; collections inside "
+        f"checkpoint + restore over {table['cycles']} cycles "
+        f"(gen 0 / 1 / 2): {' / '.join(map(str, table['collections_inside']))} "
+        f"(gate 0)"
     )
     print(f"wrote {path}")

@@ -73,26 +73,6 @@ class WatermarkTrack:
         """The most recently observed watermark value."""
         return self._values[-1] if self._values else MIN_TIMESTAMP
 
-    def first_ptime_at_or_past(self, event_time: Timestamp) -> Timestamp | None:
-        """Earliest processing time when the watermark reached ``event_time``.
-
-        This is how ``EMIT AFTER WATERMARK`` stamps its output rows
-        (Listing 13): the ``ptime`` of a finalized window is the instant
-        the watermark passed the window end, not the arrival time of the
-        winning record.  Returns ``None`` if the watermark never got
-        there.
-        """
-        lo, hi = 0, len(self._values)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._values[mid] >= event_time:
-                hi = mid
-            else:
-                lo = mid + 1
-        if lo == len(self._values):
-            return None
-        return self._ptimes[lo]
-
     def as_pairs(self) -> list[tuple[Timestamp, Timestamp]]:
         """The (ptime, value) steps recorded so far."""
         return list(zip(self._ptimes, self._values))

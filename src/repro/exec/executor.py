@@ -37,6 +37,7 @@ from typing import Callable, Iterator, Optional, Sequence
 from ..core.changelog import Change, ChangeKind, compact_intra_instant
 from ..core.codec import SegmentedLog, changes_log, concat_segments
 from ..core.colbatch import ColumnarBatch
+from ..core.collector import collector_paused
 from ..core.errors import ExecutionError
 from ..core.relation import Relation
 from ..core.schema import Schema
@@ -989,6 +990,7 @@ class Dataflow(OutputLogs):
 
     # -- checkpoint / recovery ---------------------------------------------------
 
+    @collector_paused
     def checkpoint(self, histories: bool = True) -> bytes:
         """A consistent snapshot of the whole dataflow, as bytes.
 
@@ -1051,6 +1053,7 @@ class Dataflow(OutputLogs):
         )
         return pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
 
+    @collector_paused
     def restore(
         self,
         checkpoint,
@@ -1103,6 +1106,7 @@ class Dataflow(OutputLogs):
         if payload["lineage"] is not None:
             self.set_lineage(LineageRecorder.restore(payload["lineage"]))
 
+    @collector_paused
     def run(self, until: Optional[Timestamp] = None) -> RunResult:
         """Replay all source events (up to ``until``) and collect the result.
 

@@ -18,7 +18,6 @@ global event sequence, so results are identical on both.
 
 from __future__ import annotations
 
-import gc
 from typing import Callable, Optional, TypeVar
 
 from ..core.errors import ExecutionError
@@ -57,12 +56,10 @@ def _fork_available() -> bool:
 
 
 def _process_entry(worker: Callable[[], T], conn) -> None:
-    # The heap inherited from the parent leaves the collector's
-    # generations first thing, so a full collection in the worker does
-    # not walk — and copy on write — every object the parent held.
-    # (Done here rather than around the fork in the parent: unfreezing
-    # there would also unfreeze whatever the caller froze itself.)
-    gc.freeze()
+    # The worker inherits the collector the way the parent left it at
+    # the fork: off, since ``ShardedDataflow.run`` (the one caller that
+    # forks) is a paused call.  So no collection in the worker walks —
+    # and copies on write — the heap it inherited.
     try:
         payload = ("ok", worker())
     except BaseException as exc:  # noqa: BLE001 — re-raised in parent

@@ -98,26 +98,6 @@ class WatermarkFrontier:
             return merged
         return None
 
-    def restore_shard(self, shard: int, value: Timestamp) -> Timestamp:
-        """Re-seat one shard's watermark after a mid-run restart.
-
-        A shard restored from a checkpoint resumes with the watermark
-        it had *then*, which is at or behind everything this frontier
-        has already observed — and possibly reported in ``frontier``
-        trace events — for that shard.  Regressing the tracked value
-        would let the merged minimum move backwards, un-asserting a
-        completeness boundary downstream consumers may have acted on.
-        Instead the restored value is clamped to the already-observed
-        one, ``wm_regressions`` is counted, and the clamped value is
-        returned (the shard's replay then re-advances it monotonically).
-        """
-        prior = self._values[shard]
-        if value < prior:
-            self.wm_regressions += 1
-            value = prior
-        self._values[shard] = value
-        return value
-
     # -- checkpointing -------------------------------------------------------
 
     def snapshot(self) -> dict:

@@ -74,6 +74,7 @@ from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
 
 from ..core.codec import changes_log, concat_segments
+from ..core.collector import collector_paused
 from ..core.errors import ExecutionError
 from ..core.times import MIN_TIMESTAMP, Timestamp
 from ..core.tvr import RowEvent, StreamEvent, TimeVaryingRelation
@@ -579,6 +580,7 @@ class ShardedDataflow(OutputLogs):
             drain_timers(shard, until, index)
         return self.result()
 
+    @collector_paused
     def run(self, until: Optional[Timestamp] = None) -> RunResult:
         """Replay all source events (up to ``until``) on the shard driver.
 
@@ -715,6 +717,7 @@ class ShardedDataflow(OutputLogs):
 
     # -- checkpointing -----------------------------------------------------------
 
+    @collector_paused
     def checkpoint(self, histories: bool = True) -> bytes:
         """A consistent snapshot of every shard plus the merge state.
 
@@ -764,6 +767,7 @@ class ShardedDataflow(OutputLogs):
         }
         return pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
 
+    @collector_paused
     def restore(
         self,
         checkpoint,

@@ -69,6 +69,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from ..config import ExecutionConfig
 from ..core.codec import Segment, concat_segments
+from ..core.collector import collector_paused
 from ..core.errors import ExecutionError
 from ..core.tvr import StreamEvent, TimeVaryingRelation
 from ..exec.executor import (
@@ -623,6 +624,7 @@ class SessionManager:
         self._install_lineage(flow, effective, lineage)
         return flow
 
+    @collector_paused
     def _catch_up(self, flow) -> None:
         """Replay everything the sources have recorded into ``flow``."""
         for _ in flow.replay(merge_source_events(self.engine._sources)):
@@ -779,6 +781,7 @@ class SessionManager:
 
     # -- durability --------------------------------------------------------------
 
+    @collector_paused
     def checkpoint(self, directory: Optional[str] = None) -> str:
         """Write a consistent cut of the whole session to ``directory``.
 
@@ -960,6 +963,7 @@ class SessionManager:
             return None
         return cut if on_disk == cut.manifest_text else None
 
+    @collector_paused
     def restore(self, directory: str, admit) -> int:
         """Resume from a checkpoint directory; returns queries restored.
 

@@ -437,14 +437,6 @@ class FunctionRegistry:
         return clone
 
 
-def _numeric_promote(arg_types: list[SqlType]) -> SqlType:
-    return (
-        SqlType.FLOAT
-        if any(t is SqlType.FLOAT for t in arg_types)
-        else SqlType.INT
-    )
-
-
 def _same_as_first(arg_types: list[SqlType]) -> SqlType:
     return arg_types[0] if arg_types else SqlType.NULL
 

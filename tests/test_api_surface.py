@@ -357,6 +357,15 @@ class TestSaidOnce:
     def test_removed_name_appears_nowhere_in_src(self, name):
         assert _src_files_matching(re.escape(name)) == set()
 
+    def test_the_collector_is_paused_in_one_place(self):
+        """``collector_paused`` is the one thing that turns the cyclic
+        collector off, and nothing freezes it: a forked shard worker
+        inherits the pause of the ``run()`` that forked it."""
+        assert _src_files_matching(r"gc\.disable\(") == {
+            os.path.join("core", "collector.py")
+        }
+        assert _src_files_matching(r"gc\.freeze\(") == set()
+
     def test_a_group_counts_its_rows_once(self):
         """``_GroupState.retained`` was ``row_count`` twice: every write
         moved both by the same amount.  The row count is the one field."""

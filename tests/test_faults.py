@@ -349,17 +349,24 @@ def test_dedup_observations_rejects_divergent_replay():
 
 
 class TestFrontierRestoreClamp:
-    def test_restore_shard_clamps_and_counts(self):
+    def test_restoring_a_stale_shard_clamps_and_counts(self):
         frontier = WatermarkFrontier(2)
         frontier.observe(0, 100, 50)
         frontier.observe(1, 110, 60)
         # a restarted shard comes back with its checkpoint-time watermark
-        assert frontier.restore_shard(0, 10) == 50  # clamped, not regressed
-        assert frontier.wm_regressions == 1
-        assert frontier.shard_value(0) == 50
+        stale = WatermarkFrontier(2)
+        stale.observe(0, 90, 10)
+        stale.observe(1, 95, 60)
+        frontier.restore(stale.snapshot())
+        assert frontier.shard_value(0) == 50  # clamped, not regressed
+        assert frontier.wm_regressions == 2  # shard 0, and the merged track
         # at-or-above values pass through unclamped
-        assert frontier.restore_shard(0, 55) == 55
-        assert frontier.wm_regressions == 1
+        ahead = WatermarkFrontier(2)
+        ahead.observe(0, 120, 55)
+        ahead.observe(1, 120, 60)
+        frontier.restore(ahead.snapshot())
+        assert frontier.shard_value(0) == 55
+        assert frontier.wm_regressions == 0  # the snapshot's own count
 
     def test_restore_snapshot_clamps_below_live_values(self):
         frontier = WatermarkFrontier(2)
@@ -377,7 +384,9 @@ class TestFrontierRestoreClamp:
     def test_forward_observation_still_monotonic_after_clamp(self):
         frontier = WatermarkFrontier(2)
         frontier.observe(0, 100, 50)
-        frontier.restore_shard(0, 10)
+        stale = WatermarkFrontier(2)
+        stale.observe(0, 90, 10)
+        frontier.restore(stale.snapshot())
         with pytest.raises(WatermarkError):
             frontier.observe(0, 120, 40)  # regression still rejected
         frontier.observe(0, 120, 70)  # advance still fine

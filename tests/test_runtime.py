@@ -385,27 +385,43 @@ class TestProcessPool:
                 [lambda: 1, _LoadsOnlyInTheChild, fail], backend="processes"
             )
 
-    def test_a_worker_does_not_collect_what_it_inherited(self):
-        """A forked worker's heap from the parent is frozen before its
-        work starts; the parent's collector is left as it was, whether
-        the workers return or raise."""
+    def test_a_worker_does_not_collect_what_it_inherited(self, monkeypatch):
+        """A forked worker inherits the collector as ``ShardedDataflow.run``
+        (a paused call, the one caller that forks) left it: off, so no
+        collection in the worker walks the heap it inherited.  The
+        parent's collector is on again once the run returns or raises."""
         import gc
 
-        from repro.runtime import backends, run_shards
+        from repro.runtime import backends, sharded
 
         if not backends._fork_available():
             pytest.skip("no fork on this platform")
-        assert gc.get_freeze_count() == 0
-        counts = run_shards([gc.get_freeze_count] * 2, backend="processes")
-        assert all(count > 0 for count in counts)
-        assert gc.get_freeze_count() == 0
+        in_workers = []
 
-        def fail():
-            raise ValueError("worker broke")
+        def reporting(workers, backend):
+            told = backends.run_shards(
+                [lambda w=w: (gc.isenabled(), w()) for w in workers], backend
+            )
+            in_workers.extend(enabled for enabled, _ in told)
+            return [result for _, result in told]
 
+        monkeypatch.setattr(sharded, "run_shards", reporting)
+        engine = paper_engine(parallelism=2, backend="processes")
+        assert gc.isenabled()
+        engine.query(TUMBLED_BY_ITEM).sharded_dataflow().run()
+        assert in_workers == [False, False]
+        assert gc.isenabled()
+
+        def failing(workers, backend):
+            def fail():
+                raise ValueError("worker broke")
+
+            return backends.run_shards([workers[0], fail], backend)
+
+        monkeypatch.setattr(sharded, "run_shards", failing)
         with pytest.raises(ValueError, match="worker broke"):
-            run_shards([gc.get_freeze_count, fail], backend="processes")
-        assert gc.get_freeze_count() == 0
+            engine.query(TUMBLED_BY_ITEM).sharded_dataflow().run()
+        assert gc.isenabled()
 
 
 class TestPaperListingEquality:

@@ -48,17 +48,6 @@ class TestWatermarkTrack:
         track.advance(11, 5)
         assert len(track.as_pairs()) == 1
 
-    def test_first_ptime_at_or_past(self):
-        track = WatermarkTrack()
-        track.advance(10, 5)
-        track.advance(20, 12)
-        track.advance(30, 20)
-        # when did the watermark first reach event time 10?
-        assert track.first_ptime_at_or_past(10) == 20
-        assert track.first_ptime_at_or_past(5) == 10
-        assert track.first_ptime_at_or_past(12) == 20
-        assert track.first_ptime_at_or_past(21) is None
-
     @given(st.lists(st.tuples(st.integers(0, 100), st.integers(0, 100)), max_size=20))
     def test_value_at_matches_linear_scan(self, raw_pairs):
         # build a valid monotone track from arbitrary raw input
