@@ -10,9 +10,10 @@ attached, and writes ``BENCH_metrics.json`` — the artifact CI uploads:
   (``accounting``): a resident 16-output flow is fed one event per
   ``process`` under ``sys.setprofile``, and the Python-level calls per
   event — in total, and into ``repro/obs/`` — are recorded.  Accounting
-  rides the edge and settles on read, so the second number is gated:
-  ``obs_calls_per_event <= 32`` (the per-operator, per-emission
-  recorders this replaced made 266 on the same flow).  The edge helper
+  rides the edge and root telemetry is derived when it is read, so the
+  second number is gated: ``obs_calls_per_event <= 1.5`` (1.0 measured;
+  4.6 when every root watermark step recorded its samples, 266 with the
+  per-operator, per-emission recorders before that).  The edge helper
   itself (``repro.exec.executor.count_edge``, one call per produced
   batch) is part of the delivery loop and shows in the total.  The same
   flow built at ``batch_size=64`` — columnar, so its plans are fused and
@@ -20,6 +21,12 @@ attached, and writes ``BENCH_metrics.json`` — the artifact CI uploads:
   same events, and the operator invocations per event are counted and
   gated: ``operator_invocations_per_event <= 22`` (the flow compiled
   without absorption or tumble steps made 40.78);
+* what the aggregate transition costs per row, also counted: one serial
+  ``run()`` of the query, profiled — the calls made while its generated
+  fold is on the stack, per row folded, gated at
+  ``fold_calls_per_row <= 4.4`` (4.33 measured; the hand-written fold
+  loop made 9.02), and the ``record_emit_run`` calls inside ``run()``,
+  gated at 0 (the parent recorded 250: one per root watermark step);
 * the per-operator flow totals from the :class:`MetricsReport`;
 * rows routed per shard and the max/min skew summary;
 * the trace summary (batches, changes, watermark advances);
@@ -27,8 +34,9 @@ attached, and writes ``BENCH_metrics.json`` — the artifact CI uploads:
   identical across configurations by the routing invariance argument.
 
 ``schema_version`` is bumped whenever the artifact layout changes so
-downstream dashboards can dispatch on it (currently 5: operator
-invocations in ``accounting``; 4 added the ``accounting`` stanza; 3
+downstream dashboards can dispatch on it (currently 6: the fold's calls
+per row and the telemetry recorded inside ``run()`` in ``accounting``;
+5 added operator invocations; 4 added the ``accounting`` stanza; 3
 added the execution knobs ``batch_size``/``coalesce_updates`` to the
 workload stanza so runs at different settings are never compared as
 equals).
@@ -48,7 +56,9 @@ from pathlib import Path
 
 from repro import ExecutionConfig, StreamEngine, TraceCollector
 from repro.exec.executor import Dataflow
+from repro.exec.operators.aggregate import AggregateOperator
 from repro.nexmark import NexmarkConfig, generate
+from repro.obs.telemetry import RunTelemetry
 
 NUM_EVENTS = 5_000
 SHARD_SWEEP = [1, 2, 4]
@@ -63,10 +73,12 @@ SQL = """
 """
 
 ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_metrics.json"
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 #: gate on Python-level calls into ``repro/obs/`` per delivered event
-OBS_CALLS_PER_EVENT_MAX = 32
+OBS_CALLS_PER_EVENT_MAX = 1.5
+#: gate on calls made inside the generated aggregate fold, per row folded
+FOLD_CALLS_PER_ROW_MAX = 4.4
 #: gate on operator invocations per delivered event, at ``batch_size=64``
 INVOCATIONS_PER_EVENT_MAX = 22
 ACCOUNTING_EVENTS = 2_000
@@ -223,6 +235,48 @@ def _count_accounting_calls(streams) -> dict:
     }
 
 
+def _count_fold_calls(streams) -> dict:
+    """One serial ``run()`` of the bench query under ``sys.setprofile``:
+    the Python- and C-level calls made while the aggregate's generated
+    fold is on the stack, per row it folds, and the
+    ``record_emit_run`` calls inside ``run()`` — root telemetry is
+    derived when it is read, so none; the read after the run records."""
+    engine = StreamEngine()
+    streams.register_on(engine)
+    flow = engine.query(SQL).dataflow()
+    (aggregate,) = [op for op in flow.operators if isinstance(op, AggregateOperator)]
+    fold = aggregate._fold.__code__
+    counts = {"depth": 0, "calls": 0, "records": 0}
+    real_record = RunTelemetry.record_emit_run
+
+    def profile(frame, event, arg):
+        if frame.f_code is fold and event in ("call", "return"):
+            counts["depth"] += 1 if event == "call" else -1
+        elif counts["depth"] and event in ("call", "c_call"):
+            counts["calls"] += 1
+
+    def record(telemetry, *args):
+        counts["records"] += 1
+        return real_record(telemetry, *args)
+
+    RunTelemetry.record_emit_run = record
+    sys.setprofile(profile)
+    try:
+        result = flow.run()
+    finally:
+        sys.setprofile(None)
+        RunTelemetry.record_emit_run = real_record
+    entry = aggregate.metrics()
+    folded = sum(entry["rows_in"]) - entry["late_dropped"]
+    return {
+        "rows_folded": folded,
+        "fold_calls_per_row": counts["calls"] / folded,
+        "fold_calls_per_row_max": FOLD_CALLS_PER_ROW_MAX,
+        "record_emit_run_in_run": counts["records"],
+        "telemetry_samples_on_read": result.metrics.telemetry.watermark_lag.count,
+    }
+
+
 def collect() -> dict:
     """All configurations; the serial totals anchor the sharded ones."""
     streams = _workload()
@@ -240,7 +294,9 @@ def collect() -> dict:
             "two_phase": "off",
         },
         "runs": runs,
-        "accounting": _count_accounting_calls(streams),
+        "accounting": {
+            **_count_accounting_calls(streams), **_count_fold_calls(streams)
+        },
     }
 
 
@@ -276,6 +332,9 @@ def test_metrics_bench_produces_artifact():
     assert (
         accounting["operator_invocations_per_event"] <= INVOCATIONS_PER_EVENT_MAX
     ), accounting
+    assert accounting["fold_calls_per_row"] <= FOLD_CALLS_PER_ROW_MAX, accounting
+    assert accounting["record_emit_run_in_run"] == 0, accounting
+    assert accounting["telemetry_samples_on_read"] > 0, accounting
     path = write_artifact(payload)
     assert path.exists() and path.stat().st_size > 0
 
@@ -301,5 +360,10 @@ if __name__ == "__main__":
         f"operator invocations/event (gate <= "
         f"{counted['operator_invocations_per_event_max']}) over "
         f"{counted['batch_size_64_operators']} operators"
+    )
+    print(
+        f"fold: {counted['fold_calls_per_row']:.2f} calls/row folded (gate <= "
+        f"{counted['fold_calls_per_row_max']}); record_emit_run inside run(): "
+        f"{counted['record_emit_run_in_run']} (gate 0)"
     )
     print(f"wrote {path}")

@@ -46,17 +46,28 @@ class ChangeKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Change:
     """One element of a changelog.
 
     ``ptime`` is the processing time at which the change became part of
     the relation.  ``values`` is the raw row tuple.
+
+    A frozen dataclass — assignment and deletion raise
+    :class:`~dataclasses.FrozenInstanceError`; equality, hash, repr and
+    the pickled form are the dataclass's — except for ``__init__``,
+    which the hot path pays once per change: it stores through the slot
+    descriptors instead of an ``object.__setattr__`` lookup per field.
     """
 
     kind: ChangeKind
     values: tuple[Any, ...]
     ptime: Timestamp
+
+    def __init__(self, kind: ChangeKind, values: tuple[Any, ...], ptime: Timestamp):
+        _set_kind(self, kind)
+        _set_values(self, values)
+        _set_ptime(self, ptime)
 
     @property
     def is_insert(self) -> bool:
@@ -82,6 +93,11 @@ class Change:
 
     def __str__(self) -> str:
         return f"{self.kind}{self.values}@{self.ptime}"
+
+
+_set_kind = Change.kind.__set__
+_set_values = Change.values.__set__
+_set_ptime = Change.ptime.__set__
 
 
 class Changelog:

@@ -1,4 +1,4 @@
-"""Expression codegen for fused pipelines (provisional API).
+"""Codegen: fused pipeline loops and aggregate fold kernels (provisional API).
 
 ``repro.plan.rex.compile_rex`` interprets expressions as a tree of
 nested Python closures: every row pays one function call per node plus
@@ -21,24 +21,37 @@ algebraically; any node it cannot express (``CASE``, ``CAST``,
 for that sub-expression only, spliced into the generated loop as an
 opaque callable.
 
+The same machinery generates each aggregate operator's group
+transition (:func:`fold_kernel`): the built-in aggregate functions
+write their insert, retract, result and fresh accumulator once, as
+source templates on their classes
+(:class:`~repro.sql.functions.AggregateFunction`), and a list of aggregate calls becomes one
+straight-line fold — DISTINCT, the combine stage's ``SUPPRESSED``, the
+global aggregate and an absorbed output selection spelled inline, a
+function without templates called — compiled once per shape and cached
+here.  A kernel takes its operator as an argument, so it holds none.
+
 This module is **provisional**: the generated-source strategy may
 change between releases.  The unfused ``FilterOperator`` →
 ``ProjectOperator`` chain over ``compile_rex`` closures, and
 ``TumbleOperator``, stay the reference implementation the generated
-loops are tested against.
+loops are tested against; the fold kernels are refereed by a naive
+snapshot evaluator (``tests/test_fold_kernels.py``).
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Optional, Sequence, Tuple
 
-from ..core.changelog import Change
+from ..core.changelog import Change, ChangeKind
 from ..core.colbatch import ColumnarBatch
 from ..core.errors import ExecutionError
 from ..plan import rex as rexmod
 from ..plan.rex import Rex, RexCall, RexInput, RexLiteral
+from ..sql.functions import TEMPLATE_GLOBALS, TEMPLATE_NAMES, indented
 
-__all__ = ["compile_pipeline", "PipelineFns"]
+__all__ = ["compile_pipeline", "fold_kernel", "PipelineFns"]
 
 # Steps are ("filter", Rex), ("project", tuple[Rex, ...]) or
 # ("tumble", (timecol, size, offset)).
@@ -445,3 +458,137 @@ def compile_pipeline(steps: Sequence[Step], in_width: int) -> PipelineFns:
     run_rows = _compile_rows(steps, in_width)
     run_cols = _compile_cols(steps, in_width)
     return run_rows, run_cols
+
+
+# -- fold kernels --------------------------------------------------------------
+
+#: The body of every fold; ``{...}`` are filled from the shape.
+_FOLD = """\
+{prologue}
+    groups = op._groups
+    out = []
+    append = out.append
+    net = created = 0
+    held = state = None
+    try:
+        for key, kind, ptime{values} in zip(keys, kinds, ptimes{columns}):
+            if key is not held or state is None:
+                held = key
+                state = groups.get(key)
+                if state is None:
+                    state = groups[key] = _GroupState([{creates}], [{counts}])
+                    created += 1
+            {unpack} = state.accumulators
+            if kind is _INSERT:
+                state.row_count += 1
+                net += 1
+{inserts}
+            else:
+                if state.row_count <= 0:
+                    raise _underflow(key)
+                state.row_count -= 1
+                net -= 1
+{retracts}
+            emitted = state.emitted
+            if {emptied}:
+                if emitted is not None:
+                    append(_Change(_RETRACT, {select}(emitted), ptime))
+                del groups[key]
+                state = None
+                continue
+            row = key + {results}
+            if row == emitted:
+                continue
+            if emitted is not None:
+                append(_Change(_RETRACT, {select}(emitted), ptime))
+            append(_Change(_INSERT, {select}(row), ptime))
+            state.emitted = row
+    finally:
+        op._retained += net
+        op._groups_created += created
+    return out"""
+
+#: What a DISTINCT aggregate wraps its insert and retract in: only a
+#: value's first occurrence reaches the accumulator, only its last
+#: removal leaves it, and the combine stage's SUPPRESSED does neither.
+_DISTINCT = (
+    "if {v} is not _SUPPRESSED:\n    seen = {d}.get({v}, 0)\n"
+    "    {d}[{v}] = seen + 1\n    if not seen:\n",
+    "if {v} is not _SUPPRESSED:\n    seen = {d}.get({v}, 0)\n"
+    "    if seen > 1:\n        {d}[{v}] = seen - 1\n    else:\n"
+    "        {d}.pop({v}, None)\n",
+)
+
+
+def fold_kernel(aggs: Sequence, is_global: bool, selects: bool) -> Callable:
+    """The generated ``fold(op, keys, kinds, ptimes, arg_cols)`` of an
+    aggregate operator ``op`` computing ``aggs``: its group transition.
+
+    Row ``i`` is ``kinds[i]`` of one occurrence in group ``keys[i]`` at
+    ``ptimes[i]``, with ``arg_cols[a][i]`` the argument of aggregate
+    ``a``.  Per row the fold finds or creates the group, applies the
+    insert/retract to its accumulators, then settles its output row: an
+    emptied group retracts its row and is dropped (a global aggregate's
+    never is), a moved row is retracted and re-inserted (through
+    ``op._select`` when ``selects``).  Lateness is the caller's business
+    (the combine stage must not re-apply it).  Each function's templates
+    are spliced in as statements
+    (:class:`~repro.sql.functions.AggregateFunction`); a function
+    without them is called.  The fold reads all state through ``op``, so
+    it holds no operator and operators of one shape share it.
+    """
+    shape = tuple(
+        (*(getattr(agg.function, name) for name in TEMPLATE_NAMES), agg.distinct)
+        for agg in aggs
+    )
+    return _compile_fold(shape, is_global, selects)
+
+
+@functools.cache  # one compiled fold per shape
+def _compile_fold(shape: tuple, is_global: bool, selects: bool) -> Callable:
+    from .operators.aggregate import SUPPRESSED, _GroupState, _underflow
+
+    em = _Emitter()
+    em.env.update(
+        TEMPLATE_GLOBALS, _Change=Change, _INSERT=ChangeKind.INSERT,
+        _RETRACT=ChangeKind.RETRACT, _GroupState=_GroupState,
+        _SUPPRESSED=SUPPRESSED, _underflow=_underflow,
+    )
+    prologue = ["    select = op._select" if selects else ""]
+    parts: dict[str, list] = {n: [] for n in ("creates", "inserts", "retracts", "results")}
+    reads = []
+    for i, (*templates, distinct) in enumerate(shape):
+        if templates[1] is None:  # no templates: call the methods
+            prologue.append(f"    f{i} = op._aggs[{i}].function")
+            templates = [f"f{i}.{call}" for call in (
+                "create()", "add({a}, {v})", "retract({a}, {v})", "result({a})"
+            )]
+        create, insert, retract, result = (
+            t.format(a=f"a{i}", v=f"v{i}") for t in templates
+        )
+        if distinct:
+            insert, retract = (
+                wrap.format(v=f"v{i}", d=f"state.distinct_counts[{i}]")
+                + indented(body, 2)
+                for wrap, body in zip(_DISTINCT, (insert, retract))
+            )
+        if f"v{i}" in insert + retract:
+            reads.append(i)
+            prologue.append(f"    c{i} = arg_cols[{i}]")
+        for name, text in zip(parts, (create, insert, retract, f"({result})")):
+            parts[name].append(text)
+    em.lines.append(_FOLD.format(
+        prologue="\n".join(prologue),
+        values="".join(f", v{i}" for i in reads),
+        columns="".join(f", c{i}" for i in reads),
+        creates=", ".join(parts["creates"]),
+        counts=", ".join("{}" if spec[-1] else "None" for spec in shape),
+        unpack="".join(f"a{i}, " for i in range(len(shape))) or "_",
+        inserts="\n".join(indented(t, 4) for t in parts["inserts"]),
+        retracts="\n".join(indented(t, 4) for t in parts["retracts"]),
+        # (a global aggregate keeps its row: ``if False`` compiles away)
+        emptied="False" if is_global else "state.row_count == 0",
+        select="select" if selects else "",
+        results=_row_tuple_expr(parts["results"]),
+    ))
+    return _compile_source(em, "_fold", "op, keys, kinds, ptimes, arg_cols")

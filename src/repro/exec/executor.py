@@ -31,6 +31,7 @@ sharing on or off.
 from __future__ import annotations
 
 import pickle
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -333,24 +334,31 @@ class OutputChannel:
     Telemetry **settles on read**.  Emitting records nothing: a sample
     is a function of a change (its ``ptime``, its completion columns)
     and of the root watermark, which only moves at this channel's own
-    watermark steps.  So ``log[settled:]`` is recorded in one run
-    (:meth:`settle`) right before the watermark moves, right before the
-    tail leaves (a cut seals it, a shard driver takes it), and whenever
-    :attr:`telemetry` is read.
+    watermark steps.  A step notes where the log ended and the
+    watermark it leaves (:meth:`step`); :meth:`settle` derives the
+    samples of ``log[settled:]`` from those notes in one pass, when
+    :attr:`telemetry` is read and before the tail leaves (a cut seals
+    it, a shard driver takes it, a late joiner adopts it).
     """
 
     __slots__ = (
-        "output_id", "plan", "root", "root_name", "completion",
-        "log", "watermarks", "settled", "_telemetry",
+        "output_id", "plan", "_root", "root_name", "completion",
+        "log", "watermarks", "settled", "steps", "_telemetry",
     )
 
     def __init__(self, output_id: str, plan: QueryPlan, root: Operator):
         self.output_id = output_id
         self.plan = plan
-        self.root = root
+        self._root = weakref.ref(root)
         self.root_name = root.name()
         self.completion = plan.root.completion_indices
         self.adopt(changes_log(), WatermarkTrack(), RunTelemetry(), 0)
+
+    @property
+    def root(self) -> Operator:
+        """The root operator, which the flow owns: a report that outlives
+        its flow keeps the channel's log, not its operators' state."""
+        return self._root()
 
     def adopt(
         self,
@@ -365,6 +373,7 @@ class OutputChannel:
         self.watermarks = watermarks
         self._telemetry = telemetry
         self.settled = settled
+        self.steps: list[tuple[int, Timestamp]] = []
 
     def restore(
         self,
@@ -381,18 +390,36 @@ class OutputChannel:
         restored.restore(telemetry)
         self.adopt(log, watermarks, restored, len(log))
 
-    def settle(self) -> None:
-        """Derive the telemetry samples of ``log[settled:]`` — all
-        emitted at the current root watermark.  A position below the
-        live tail (a settle point was missed before a seal) is decoded
-        for the occasion: that may cost time, never samples."""
+    def step(self, ptime: Timestamp, value: Timestamp) -> None:
+        """A root watermark step: what the log holds past the last note
+        was emitted at the watermark this step leaves."""
         log = self.log
         end = log.base + len(log.tail)
-        if self.settled < end:
-            self._telemetry.record_emit_run(
-                log.slice(self.settled), self.completion, self.watermarks.current
-            )
+        if end > (self.steps[-1][0] if self.steps else self.settled):
+            self.steps.append((end, self.watermarks.current))
+        self.watermarks.advance(ptime, value)
+
+    def settle(self) -> None:
+        """Derive the telemetry samples of ``log[settled:]``: each noted
+        step's run at the watermark it left, the rest at the current
+        one.  A position below the live tail (a settle point was missed
+        before a seal) is decoded for the occasion: that may cost time,
+        never samples."""
+        log = self.log
+        end = log.base + len(log.tail)
+        start = self.settled
+        if start < end:
+            changes = log.slice(start)
+            for stop, watermark in self.steps + [(end, self.watermarks.current)]:
+                if stop > start:
+                    self._telemetry.record_emit_run(
+                        changes[start - self.settled:stop - self.settled],
+                        self.completion,
+                        watermark,
+                    )
+                    start = stop
             self.settled = end
+        self.steps = []
 
     @property
     def telemetry(self) -> RunTelemetry:
@@ -1323,7 +1350,7 @@ class Dataflow(OutputLogs):
             pending.extend(
                 (child, depth + 1) for _, child in reversed(producers)
             )
-        return MetricsReport(operators=entries, telemetry=channel.telemetry)
+        return MetricsReport(operators=entries, source=channel)
 
     # -- internals ---------------------------------------------------------------
 
@@ -1486,8 +1513,7 @@ class Dataflow(OutputLogs):
         channels = self._outputs_of.get(id(op))
         if channels is not None:
             for channel in channels:
-                channel.settle()  # what it emitted so far saw the old one
-                channel.watermarks.advance(ptime, out_wm)
+                channel.step(ptime, out_wm)
                 if self.trace is not None and channel.output_id == self._primary:
                     self.trace(
                         TraceEvent(

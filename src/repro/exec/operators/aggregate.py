@@ -32,6 +32,7 @@ from ...core.schema import Schema
 from ...core.times import MIN_TIMESTAMP, Timestamp
 from ...plan.logical import AggCall
 from ...plan.physical import PARTIALS
+from ..codegen import fold_kernel
 from .base import Operator
 
 __all__ = [
@@ -106,8 +107,10 @@ def _selector(select: Optional[Sequence[int]], width: int):
 class AggregateOperator(Operator):
     """Keyed incremental aggregation over a changelog.
 
-    The group transition is written once, in :meth:`_fold`, over the
-    one shape every encoding of a changelog slice reduces to: parallel
+    The group transition is written once — generated per aggregate
+    shape from the functions' source templates
+    (:func:`repro.exec.codegen.fold_kernel`) — over the one shape every
+    encoding of a changelog slice reduces to: parallel
     sequences of group keys, change kinds, processing times, and one
     argument vector per aggregate.  :meth:`on_batch` (rows) and
     :meth:`on_cols` (columns) are *extractors* producing those
@@ -160,14 +163,6 @@ class AggregateOperator(Operator):
             self._key_of = lambda values: (values[sole],)
         else:
             self._key_of = itemgetter(*self._group_indices)
-        # Hot-loop table for _fold: one attribute-free tuple per
-        # aggregate, so the per-row loop does no method resolution on
-        # ``agg.function``.
-        self._fold_specs = tuple(
-            (i, agg.function.add, agg.function.retract, agg.distinct)
-            for i, agg in enumerate(self._aggs)
-        )
-        self._results = tuple(agg.function.result for agg in self._aggs)
         self._arg_indices = tuple(agg.arg_index for agg in self._aggs)
         # For the group table: which accumulators a cut writes as their
         # sorted item lists, and which aggregates keep DISTINCT counts.
@@ -177,12 +172,10 @@ class AggregateOperator(Operator):
         self._distinct = tuple(
             i for i, agg in enumerate(self._aggs) if agg.distinct
         )
-        # The dominant shape — one non-DISTINCT aggregate, e.g. MAX or
-        # COUNT(*) per window — binds its functions directly.
-        self._sole = (
-            self._fold_specs[0]
-            if len(self._aggs) == 1 and not self._aggs[0].distinct
-            else None
+        # The group transition: generated per shape, shared by every
+        # operator of that shape, handed this operator on each call.
+        self._fold = fold_kernel(
+            self._aggs, self._global, self._select is not None
         )
 
     # -- lifecycle ------------------------------------------------------------
@@ -223,7 +216,7 @@ class AggregateOperator(Operator):
         )
 
     def on_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
-        return self._fold(*self._drop_late(*self._extract(changes)))
+        return self._fold(self, *self._drop_late(*self._extract(changes)))
 
     def _extract_cols(self, batch) -> tuple:
         # No row tuple or Change is materialized per input; output is
@@ -243,7 +236,7 @@ class AggregateOperator(Operator):
         return keys, batch.kinds, batch.ptimes, arg_cols
 
     def on_cols(self, port: int, batch) -> list[Change]:
-        return self._fold(*self._drop_late(*self._extract_cols(batch)))
+        return self._fold(self, *self._drop_late(*self._extract_cols(batch)))
 
     # -- event time ------------------------------------------------------------------
 
@@ -301,122 +294,10 @@ class AggregateOperator(Operator):
 
     # -- data path: the transition ---------------------------------------------------
 
-    def _fold(self, keys, kinds, ptimes, arg_cols) -> list[Change]:
-        """Apply a run of changes to the groups; the emitted changelog.
-
-        Row ``i`` is ``kinds[i]`` of one occurrence in group
-        ``keys[i]`` at ``ptimes[i]``, with ``arg_cols[a][i]`` the
-        argument of aggregate ``a``.  Per row: find or create the
-        group, apply the insert/retract to its accumulators, then
-        settle its output row — the only place that sequence exists.
-        Lateness is the caller's business (the combine stage must not
-        re-apply it).
-        """
-        groups = self._groups
-        is_global = self._global
-        specs = self._fold_specs
-        results = self._results
-        insert = ChangeKind.INSERT
-        retract = ChangeKind.RETRACT
-        select = self._select
-        sole = self._sole
-        if sole is not None:
-            _, add0, retract0, _ = sole
-            (result0,) = results
-            (col0,) = arg_cols
-        out: list[Change] = []
-        append = out.append
-        net = 0  # retained rows gained by this run
-        held = state = None
-        try:
-            for idx, key in enumerate(keys):
-                # ``held`` is the previous row's key object: a
-                # constant-key run (see on_cols) looks its group up once.
-                if key is not held or state is None:
-                    held = key
-                    state = groups.get(key)
-                    if state is None:
-                        state = groups[key] = self._new_group()
-                accs = state.accumulators
-                if kinds[idx] is insert:
-                    state.row_count += 1
-                    net += 1
-                    if sole is not None:
-                        add0(accs[0], col0[idx])
-                    else:
-                        for i, add, _, distinct in specs:
-                            value = arg_cols[i][idx]
-                            if value is SUPPRESSED:
-                                continue
-                            if distinct:
-                                # DISTINCT: only the first occurrence
-                                # reaches the accumulator ...
-                                counts = state.distinct_counts[i]
-                                seen = counts.get(value, 0)
-                                counts[value] = seen + 1
-                                if seen:
-                                    continue
-                            add(accs[i], value)
-                else:
-                    if state.row_count <= 0:
-                        raise _underflow(key)
-                    state.row_count -= 1
-                    net -= 1
-                    if sole is not None:
-                        retract0(accs[0], col0[idx])
-                    else:
-                        for i, _, remove, distinct in specs:
-                            value = arg_cols[i][idx]
-                            if value is SUPPRESSED:
-                                continue
-                            if distinct:
-                                # ... and only the last removal
-                                # retracts it.
-                                counts = state.distinct_counts[i]
-                                seen = counts.get(value, 0)
-                                if seen > 1:
-                                    counts[value] = seen - 1
-                                    continue
-                                counts.pop(value, None)
-                            remove(accs[i], value)
-                emitted = state.emitted
-                if state.row_count == 0 and not is_global:
-                    if emitted is not None:
-                        append(Change(
-                            retract,
-                            emitted if select is None else select(emitted),
-                            ptimes[idx],
-                        ))
-                    del groups[key]
-                    state = None
-                    continue
-                if sole is not None:
-                    row = key + (result0(accs[0]),)
-                else:
-                    row = key + tuple(
-                        [result(acc) for result, acc in zip(results, accs)]
-                    )
-                if row == emitted:
-                    continue
-                ptime = ptimes[idx]
-                if emitted is not None:
-                    append(Change(
-                        retract,
-                        emitted if select is None else select(emitted),
-                        ptime,
-                    ))
-                append(Change(
-                    insert, row if select is None else select(row), ptime
-                ))
-                state.emitted = row
-        finally:
-            self._retained += net
-        return out
-
     def _settle(self, key: tuple, state: _GroupState, ptime: Timestamp, append) -> None:
-        """The group tail for callers outside :meth:`_fold` (the open
-        row, combine-stage deltas): drop an emptied group, otherwise
-        re-derive its output row and emit retract/insert if it moved."""
+        """The group tail for callers outside the fold (the open row,
+        combine-stage deltas): drop an emptied group, otherwise re-derive
+        its output row and emit retract/insert if it moved."""
         emitted = state.emitted
         select = self._select
         if state.row_count == 0 and not self._global:
@@ -429,7 +310,7 @@ class AggregateOperator(Operator):
             del self._groups[key]
             return
         row = key + tuple(
-            [result(acc) for result, acc in zip(self._results, state.accumulators)]
+            [agg.function.result(acc) for agg, acc in zip(self._aggs, state.accumulators)]
         )
         if row == emitted:
             return
@@ -813,6 +694,7 @@ class CombineAggregateOperator(AggregateOperator):
         signs, keys, vals = zip(*entries)
         insert, retract = ChangeKind.INSERT, ChangeKind.RETRACT
         return self._fold(
+            self,
             keys,
             [insert if sign > 0 else retract for sign in signs],
             [ptime] * len(keys),

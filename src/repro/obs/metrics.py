@@ -27,7 +27,7 @@ tune.  This module is the engine's observability spine:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence
 
 from ..core.times import MAX_TIMESTAMP, MIN_TIMESTAMP
 from .telemetry import RunTelemetry
@@ -212,7 +212,7 @@ class MetricsReport:
     reads like the ``EXPLAIN`` plan annotated with counters.  For
     sharded runs ``shard_count > 1``, each entry carries a ``"shards"``
     per-shard ``rows_in`` breakdown and ``shard_rows`` records rows
-    routed per shard (the skew signal).  ``telemetry`` is the run's
+    routed per shard (the skew signal).  :attr:`telemetry` is the run's
     latency telemetry (emit-latency and watermark-lag histograms),
     merged over shards for sharded runs.
     """
@@ -220,9 +220,16 @@ class MetricsReport:
     operators: list[dict]
     shard_count: int = 1
     shard_rows: list[int] = field(default_factory=list)
-    telemetry: Optional[RunTelemetry] = None
+    #: the run's telemetry, or the output channel it is read from — so
+    #: a report settles the channel's samples when it is read, not
+    #: when it is made
+    source: Any = field(default=None, repr=False)
     #: recovery accounting for supervised sharded runs (``None`` serial).
     recovery: Optional[RecoveryStats] = None
+
+    @property
+    def telemetry(self) -> Optional[RunTelemetry]:
+        return getattr(self.source, "telemetry", self.source)
 
     # -- lookups ---------------------------------------------------------------
 
@@ -366,7 +373,7 @@ def merge_shard_reports(reports: Sequence[MetricsReport]) -> MetricsReport:
             operators=[dict(entry) for entry in only.operators],
             shard_count=1,
             shard_rows=[_routed_rows(only)],
-            telemetry=telemetry,
+            source=telemetry,
         )
     merged: list[dict] = []
     for entries in zip(*(report.operators for report in reports)):
@@ -382,7 +389,7 @@ def merge_shard_reports(reports: Sequence[MetricsReport]) -> MetricsReport:
         operators=merged,
         shard_count=len(reports),
         shard_rows=[_routed_rows(report) for report in reports],
-        telemetry=telemetry,
+        source=telemetry,
     )
 
 

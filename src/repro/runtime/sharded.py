@@ -712,7 +712,7 @@ class ShardedDataflow(OutputLogs):
             for entry in report.operators:
                 entry["depth"] += len(merge_entries)
             report.operators[:0] = merge_entries
-            report.telemetry = self.telemetry_of(output_id)
+            report.source = self.telemetry_of(output_id)
         return report
 
     # -- checkpointing -----------------------------------------------------------

@@ -57,7 +57,20 @@ class ScalarFunction:
 
 
 class AggregateFunction:
-    """Protocol for incremental aggregates with retraction support."""
+    """Protocol for incremental aggregates with retraction support.
+
+    A built-in function says its transition once, as **source
+    templates**: ``create_src`` an expression of a fresh accumulator,
+    ``insert_src`` / ``retract_src`` statements applying value ``{v}``
+    to accumulator ``{a}``, ``result_src`` an expression of the result
+    (names they use beside ``{a}``/``{v}`` come from
+    :data:`TEMPLATE_GLOBALS`).  The generated fold of
+    :func:`repro.exec.codegen.fold_kernel` splices them into its loop,
+    and the methods below are compiled from them for every other caller
+    (OVER windows, the combine stage's deltas).  A function that leaves
+    the templates ``None`` — a user registration — writes the methods
+    instead, and the fold calls them.
+    """
 
     name: str = ""
 
@@ -68,6 +81,16 @@ class AggregateFunction:
     #: (including user registrations) defaults to single-phase so an
     #: unknown function can never be silently split.
     decomposable: bool = False
+
+    create_src: Optional[str] = None
+    insert_src: Optional[str] = None
+    retract_src: Optional[str] = None
+    result_src: Optional[str] = None
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if any(name in vars(cls) for name in TEMPLATE_NAMES):
+            cls.create, cls.add, cls.retract, cls.result = _compiled(cls)
 
     def return_type(self, arg_type: Optional[SqlType]) -> SqlType:
         raise NotImplementedError
@@ -90,9 +113,8 @@ class AggregateFunction:
     # A *delta* is a shard-batch-local summary of adds and retracts,
     # folded cheaply per row and shipped to the combine stage once per
     # micro-batch.  The generic encoding below — the literal value
-    # lists — is correct for any function; numeric functions override
-    # it with O(1) accumulator-shaped deltas (COUNT ships one integer,
-    # SUM/AVG a (total, count) pair).
+    # lists — is correct for any function; the counting functions
+    # override it with O(1) accumulator-shaped deltas (:class:`_Counted`).
 
     def delta_create(self) -> Any:
         """A fresh per-batch delta builder."""
@@ -121,152 +143,110 @@ class AggregateFunction:
             self.retract(acc, value)
 
 
-class _Count(AggregateFunction):
-    """COUNT(x): number of non-null inputs; COUNT(*) counts rows."""
+#: The template attributes of :class:`AggregateFunction`.
+TEMPLATE_NAMES = ("create_src", "insert_src", "retract_src", "result_src")
+#: The names templates may use besides ``{a}`` and ``{v}``.
+TEMPLATE_GLOBALS = {"insort": insort, "SortedMultiset": SortedMultiset}
 
-    name = "COUNT"
+
+def indented(text: str, depth: int) -> str:
+    """``text`` indented by ``depth`` levels of four spaces."""
+    return "\n".join("    " * depth + line for line in text.splitlines())
+
+
+def _compiled(cls: type) -> tuple:
+    """``create``, ``add``, ``retract`` and ``result`` of a templated
+    function class, compiled from its templates."""
+    insert, retract = (
+        indented(template.format(a="acc", v="value"), 1)
+        for template in (cls.insert_src, cls.retract_src)
+    )
+    source = "\n".join([
+        "def create(self):", f"    return {cls.create_src}",
+        "def add(self, acc, value):", insert,
+        "def retract(self, acc, value):", retract,
+        "def result(self, acc):", f"    return {cls.result_src.format(a='acc')}",
+    ])
+    namespace = dict(TEMPLATE_GLOBALS)
+    exec(compile(source, f"<{cls.__name__} templates>", "exec"), namespace)
+    return tuple(namespace[n] for n in ("create", "add", "retract", "result"))
+
+
+class _Counted(AggregateFunction):
+    """A function whose accumulator is a list of counts each row moves
+    by its contribution (COUNT, SUM, AVG): a per-batch delta is an
+    accumulator of its own — COUNT ships one integer, SUM/AVG a
+    (total, count) pair — and merging adds it in."""
+
     decomposable = True
 
-    def __init__(self, star: bool = False):
-        self._star = star
+    def delta_create(self) -> list:
+        return self.create()
+
+    def delta_add(self, delta: list, value: Any) -> None:
+        self.add(delta, value)
+
+    def delta_retract(self, delta: list, value: Any) -> None:
+        self.retract(delta, value)
+
+    def delta_freeze(self, delta: list) -> Any:
+        return delta[0] if len(delta) == 1 else tuple(delta)
+
+    def delta_apply(self, acc: list, frozen: Any) -> None:
+        for i, part in enumerate(frozen if len(acc) > 1 else (frozen,)):
+            acc[i] += part
+
+
+class _Count(_Counted):
+    """COUNT(x): number of non-null inputs."""
+
+    name = "COUNT"
+    create_src = "[0]"
+    insert_src = "if {v} is not None:\n    {a}[0] += 1"
+    retract_src = "if {v} is not None:\n    {a}[0] -= 1"
+    result_src = "{a}[0]"
 
     def return_type(self, arg_type: Optional[SqlType]) -> SqlType:
         return SqlType.INT
 
-    def create(self) -> list[int]:
-        return [0]
 
-    def add(self, acc: list[int], value: Any) -> None:
-        if self._star or value is not None:
-            acc[0] += 1
+class _CountStar(_Count):
+    """COUNT(*): number of rows."""
 
-    def retract(self, acc: list[int], value: Any) -> None:
-        if self._star or value is not None:
-            acc[0] -= 1
-
-    def result(self, acc: list[int]) -> int:
-        return acc[0]
-
-    # delta: one signed integer per (group, batch)
-    def delta_create(self) -> list[int]:
-        return [0]
-
-    def delta_add(self, delta: list[int], value: Any) -> None:
-        if self._star or value is not None:
-            delta[0] += 1
-
-    def delta_retract(self, delta: list[int], value: Any) -> None:
-        if self._star or value is not None:
-            delta[0] -= 1
-
-    def delta_freeze(self, delta: list[int]) -> int:
-        return delta[0]
-
-    def delta_apply(self, acc: list[int], frozen: int) -> None:
-        acc[0] += frozen
+    insert_src = "{a}[0] += 1"
+    retract_src = "{a}[0] -= 1"
 
 
-class _Sum(AggregateFunction):
+class _Sum(_Counted):
     """SUM(x): NULL over an empty (or all-null) group, like SQL."""
 
     name = "SUM"
-    decomposable = True
+    create_src = "[0, 0]"  # running sum, non-null count
+    insert_src = "if {v} is not None:\n    {a}[0] += {v}\n    {a}[1] += 1"
+    retract_src = "if {v} is not None:\n    {a}[0] -= {v}\n    {a}[1] -= 1"
+    result_src = "{a}[0] if {a}[1] else None"
 
     def return_type(self, arg_type: Optional[SqlType]) -> SqlType:
         if arg_type is None or not arg_type.is_numeric:
-            raise ValidationError(f"SUM requires a numeric argument, got {arg_type}")
+            raise ValidationError(
+                f"{self.name} requires a numeric argument, got {arg_type}"
+            )
         return arg_type
 
-    def create(self) -> list:
-        return [0, 0]  # running sum, non-null count
 
-    def add(self, acc: list, value: Any) -> None:
-        if value is not None:
-            acc[0] += value
-            acc[1] += 1
-
-    def retract(self, acc: list, value: Any) -> None:
-        if value is not None:
-            acc[0] -= value
-            acc[1] -= 1
-
-    def result(self, acc: list) -> Any:
-        return acc[0] if acc[1] else None
-
-    # delta: a (sum, non-null count) pair — same shape as the
-    # accumulator, so folding is two additions
-    def delta_create(self) -> list:
-        return [0, 0]
-
-    def delta_add(self, delta: list, value: Any) -> None:
-        if value is not None:
-            delta[0] += value
-            delta[1] += 1
-
-    def delta_retract(self, delta: list, value: Any) -> None:
-        if value is not None:
-            delta[0] -= value
-            delta[1] -= 1
-
-    def delta_freeze(self, delta: list) -> tuple:
-        return (delta[0], delta[1])
-
-    def delta_apply(self, acc: list, frozen: tuple) -> None:
-        acc[0] += frozen[0]
-        acc[1] += frozen[1]
-
-
-class _Avg(AggregateFunction):
+class _Avg(_Sum):
     """AVG(x): arithmetic mean of non-null inputs."""
 
     name = "AVG"
-    decomposable = True
+    result_src = "{a}[0] / {a}[1] if {a}[1] else None"
 
     def return_type(self, arg_type: Optional[SqlType]) -> SqlType:
-        if arg_type is None or not arg_type.is_numeric:
-            raise ValidationError(f"AVG requires a numeric argument, got {arg_type}")
+        super().return_type(arg_type)
         return SqlType.FLOAT
 
-    def create(self) -> list:
-        return [0, 0]
 
-    def add(self, acc: list, value: Any) -> None:
-        if value is not None:
-            acc[0] += value
-            acc[1] += 1
-
-    def retract(self, acc: list, value: Any) -> None:
-        if value is not None:
-            acc[0] -= value
-            acc[1] -= 1
-
-    def result(self, acc: list) -> Any:
-        return acc[0] / acc[1] if acc[1] else None
-
-    # delta: (sum, count), identical to SUM's
-    def delta_create(self) -> list:
-        return [0, 0]
-
-    def delta_add(self, delta: list, value: Any) -> None:
-        if value is not None:
-            delta[0] += value
-            delta[1] += 1
-
-    def delta_retract(self, delta: list, value: Any) -> None:
-        if value is not None:
-            delta[0] -= value
-            delta[1] -= 1
-
-    def delta_freeze(self, delta: list) -> tuple:
-        return (delta[0], delta[1])
-
-    def delta_apply(self, acc: list, frozen: tuple) -> None:
-        acc[0] += frozen[0]
-        acc[1] += frozen[1]
-
-
-class _Extreme(AggregateFunction):
-    """Shared implementation of MIN and MAX.
+class _Min(AggregateFunction):
+    """MIN (and, through :class:`_Max`, MAX).
 
     Keeps the whole multiset so a retraction of the current extreme can
     reveal the runner-up.  Decomposable via the generic value-list
@@ -275,37 +255,17 @@ class _Extreme(AggregateFunction):
     into one payload instead of one changelog entry per row.
     """
 
+    name = "MIN"
     decomposable = True
-
-    def __init__(self, name: str):
-        self.name = name
-        self._take_last = name == "MAX"
+    create_src = "SortedMultiset()"
+    insert_src = "if {v} is not None:\n    insort({a}._items, {v})"
+    retract_src = "if {v} is not None:\n    {a}.remove({v})"
+    result_src = "({a}._items[0] if {a}._items else None)"
 
     def return_type(self, arg_type: Optional[SqlType]) -> SqlType:
         if arg_type is None:
             raise ValidationError(f"{self.name} requires an argument")
         return arg_type
-
-    def create(self) -> SortedMultiset:
-        return SortedMultiset()
-
-    # add/result run once per input row on the hot aggregation path, so
-    # both work on the multiset's backing list directly — one frame per
-    # row instead of three.
-
-    def add(self, acc: SortedMultiset, value: Any) -> None:
-        if value is not None:
-            insort(acc._items, value)
-
-    def retract(self, acc: SortedMultiset, value: Any) -> None:
-        if value is not None:
-            acc.remove(value)
-
-    def result(self, acc: SortedMultiset) -> Any:
-        items = acc._items
-        if not items:
-            return None
-        return items[-1] if self._take_last else items[0]
 
     def delta_add(self, delta: Any, value: Any) -> None:
         if value is not None:
@@ -314,6 +274,13 @@ class _Extreme(AggregateFunction):
     def delta_retract(self, delta: Any, value: Any) -> None:
         if value is not None:
             delta[1].append(value)
+
+
+class _Max(_Min):
+    """MAX: the multiset's last item."""
+
+    name = "MAX"
+    result_src = "({a}._items[-1] if {a}._items else None)"
 
 
 class _Variance(AggregateFunction):
@@ -494,11 +461,11 @@ def default_registry() -> FunctionRegistry:
     reg.register_scalar("GREATEST", max, _same_as_first, 1, 64)
     reg.register_scalar("LEAST", min, _same_as_first, 1, 64)
 
-    reg.register_aggregate("COUNT", lambda star: _Count(star))
+    reg.register_aggregate("COUNT", lambda star: _CountStar() if star else _Count())
     reg.register_aggregate("SUM", lambda star: _Sum())
     reg.register_aggregate("AVG", lambda star: _Avg())
-    reg.register_aggregate("MIN", lambda star: _Extreme("MIN"))
-    reg.register_aggregate("MAX", lambda star: _Extreme("MAX"))
+    reg.register_aggregate("MIN", lambda star: _Min())
+    reg.register_aggregate("MAX", lambda star: _Max())
     for name in ("VAR_POP", "VAR_SAMP", "STDDEV_POP", "STDDEV_SAMP"):
         reg.register_aggregate(name, lambda star, n=name: _Variance(n))
     return reg

@@ -12,8 +12,10 @@ touches are the input events and the result bag,
 :class:`~repro.core.relation.Relation`.
 
 Covered: scan, filter, project, ``Tumble``, grouped ``COUNT(*)`` /
-``COUNT(x)`` / ``SUM`` / ``MIN`` / ``MAX`` / ``AVG`` and an unbounded
-inner equi-join on ``k``.  The one rule that is not a snapshot rule is
+``COUNT(x)`` / ``SUM`` / ``MIN`` / ``MAX`` / ``AVG`` (and, for the
+aggregate kernels' referee, ``VAR_POP``, ``DISTINCT``, a global
+aggregate and a selection of the grouped row's columns) and an
+unbounded inner equi-join on ``k``.  The one rule that is not a snapshot rule is
 lateness, stated naively: a change reaching an aggregate is dropped
 when its ``wend`` is at or below the last watermark *before* its
 ``ptime`` (watermarks here sit at instants of their own).
@@ -36,6 +38,10 @@ from repro.core.tvr import RowEvent
 #: the columns of every generated source, ``S`` and ``R``
 COLUMNS = ("k", "ts", "v")
 AGGREGATES = ("COUNT(*)", "COUNT(v)", "SUM(v)", "MIN(v)", "MAX(v)", "AVG(v)")
+#: what the aggregate kernels' referee draws from besides
+KERNEL_AGGREGATES = AGGREGATES + (
+    "VAR_POP(v)", "COUNT(DISTINCT v)", "SUM(DISTINCT v)", "MAX(DISTINCT v)",
+)
 OPS = {">": lambda a, b: a > b, "=": lambda a, b: a == b, "<>": lambda a, b: a != b}
 
 
@@ -47,8 +53,11 @@ class Query:
     columns of a projection (``S.v``-style names for a join);
     ``window`` (ms, whole minutes) makes the query a tumbling-window
     aggregate grouped by ``keys`` — ``("wend",)`` or ``("k", "wend")``
-    — computing ``aggs`` (entries of :data:`AGGREGATES`).  A join is
-    only projected."""
+    — computing ``aggs`` (entries of :data:`KERNEL_AGGREGATES`);
+    ``aggs`` without a window make it a global aggregate over ``S``.
+    ``pick`` selects, by position, the columns of the grouped row
+    ``keys + aggs`` that are output (default: all).  A join is only
+    projected."""
 
     join: bool = False
     where: Optional[tuple[str, str, int]] = None
@@ -56,6 +65,10 @@ class Query:
     window: Optional[int] = None
     keys: tuple[str, ...] = ("wend",)
     aggs: tuple[str, ...] = ()
+    pick: Optional[tuple[int, ...]] = None
+
+    def grouped(self) -> bool:
+        return self.window is not None or bool(self.aggs)
 
     def sql(self) -> str:
         if self.join:
@@ -71,19 +84,23 @@ class Query:
         if self.where is not None:
             column, op, constant = self.where
             where = f" WHERE {column} {op} {constant}"
-        if self.window is None:
+        if not self.grouped():
             select = ", ".join(f"{c} AS {c.replace('.', '_')}" for c in self.select)
             return f"SELECT {select} FROM {source}{where}"
-        items = [*self.keys] + [f"{a} AS a{i}" for i, a in enumerate(self.aggs)]
-        return (
-            f"SELECT {', '.join(items)} FROM {source}{where} "
-            f"GROUP BY {', '.join(self.keys)}"
-        )
+        keys = self.keys if self.window is not None else ()
+        items = [*keys] + [f"{a} AS a{i}" for i, a in enumerate(self.aggs)]
+        if self.pick is not None:
+            items = [items[i] for i in self.pick]
+        group = f" GROUP BY {', '.join(keys)}" if keys else ""
+        return f"SELECT {', '.join(items)} FROM {source}{where}{group}"
 
     def width(self) -> int:
-        if self.window is None:
+        if not self.grouped():
             return len(self.select)
-        return len(self.keys) + len(self.aggs)
+        if self.pick is not None:
+            return len(self.pick)
+        keys = self.keys if self.window is not None else ()
+        return len(keys) + len(self.aggs)
 
 
 def bag(width: int, rows) -> Relation:
@@ -134,6 +151,9 @@ def _aggregate(agg: str, rows: list[dict]):
     if agg == "COUNT(*)":
         return len(rows)
     values = [row["v"] for row in rows if row["v"] is not None]
+    if "DISTINCT " in agg:
+        values = sorted(set(values))
+        agg = agg.replace("DISTINCT ", "")
     if agg == "COUNT(v)":
         return len(values)
     if not values:
@@ -144,7 +164,19 @@ def _aggregate(agg: str, rows: list[dict]):
         return min(values)
     if agg == "MAX(v)":
         return max(values)
+    if agg == "VAR_POP(v)":
+        # the population variance by the textbook formula, in floats
+        n = len(values)
+        total = float(sum(values))
+        squares = float(sum(v * v for v in values))
+        return max((squares - total * total / n) / n, 0.0)
     return sum(values) / len(values)  # AVG
+
+
+def _picked(query: Query, rows: list[tuple]) -> Relation:
+    if query.pick is not None:
+        rows = [tuple(row[i] for i in query.pick) for row in rows]
+    return bag(query.width(), rows)
 
 
 def evaluate(query: Query, sources: dict[str, list], t: int) -> Relation:
@@ -152,6 +184,14 @@ def evaluate(query: Query, sources: dict[str, list], t: int) -> Relation:
     processing-time order) at processing time ``t``, as a bag."""
     if query.window is not None:
         return _windowed(query, sources["S"], t)
+    if query.aggs:  # global: one row, whatever the input holds
+        rows = [
+            _named(row)
+            for row, count in snapshot(sources["S"], t).items()
+            for _ in range(count)
+        ]
+        rows = [row for row in rows if _where(query, row)]
+        return _picked(query, [tuple(_aggregate(agg, rows) for agg in query.aggs)])
     if query.join:
         rows = [
             {**_named(s, "S."), **_named(r, "R.")}
@@ -194,7 +234,7 @@ def _windowed(query: Query, events: list, t: int) -> Relation:
         groups.setdefault(tuple(row[k] for k in query.keys), []).extend(
             [row] * count
         )
-    return bag(query.width(), [
+    return _picked(query, [
         group + tuple(_aggregate(agg, rows) for agg in query.aggs)
         for group, rows in groups.items()
     ])

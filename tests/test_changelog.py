@@ -160,3 +160,55 @@ class TestUpsertEncoding:
 
         with pytest.raises(ExecutionError):
             upserts_to_changes([Upsert(UpsertKind.DELETE, (1,), (1, "x"), 0)])
+
+
+class TestChangeContract:
+    """``Change`` is built once per emitted change, so its ``__init__``
+    stores through the slot descriptors; everything else about it is the
+    frozen dataclass it was — pinned here against that class's output."""
+
+    CHANGE = (ChangeKind.RETRACT, (7, "x", None, 2.5), 1234)
+    #: what the frozen dataclass printed and pickled for ``CHANGE``
+    REPR = "Change(kind=<ChangeKind.RETRACT: '-'>, values=(7, 'x', None, 2.5), ptime=1234)"
+    PICKLED = {
+        2: b"\x80\x02crepro.core.changelog\nChange\nq\x00)\x81q\x01]q\x02(crepro"
+           b".core.changelog\nChangeKind\nq\x03X\x01\x00\x00\x00-q\x04\x85q\x05R"
+           b"q\x06(K\x07X\x01\x00\x00\x00xq\x07NG@\x04\x00\x00\x00\x00\x00\x00tq"
+           b"\x08M\xd2\x04eb.",
+        5: b"\x80\x05\x95Z\x00\x00\x00\x00\x00\x00\x00\x8c\x14repro.core.changelog"
+           b"\x94\x8c\x06Change\x94\x93\x94)\x81\x94]\x94(h\x00\x8c\nChangeKind\x94"
+           b"\x93\x94\x8c\x01-\x94\x85\x94R\x94(K\x07\x8c\x01x\x94NG@\x04\x00\x00"
+           b"\x00\x00\x00\x00t\x94M\xd2\x04eb.",
+    }
+
+    def test_assignment_and_deletion_raise(self):
+        import dataclasses
+
+        change = Change(*self.CHANGE)
+        for name in ("kind", "values", "ptime"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(change, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(change, name)
+        assert (change.kind, change.values, change.ptime) == self.CHANGE
+
+    def test_equality_is_by_fields_and_class(self):
+        change = Change(*self.CHANGE)
+        assert change == Change(*self.CHANGE)
+        assert change != Change(ChangeKind.INSERT, *self.CHANGE[1:])
+        assert change != self.CHANGE  # not a tuple
+        assert change != list(self.CHANGE)
+        assert hash(change) == hash(self.CHANGE)
+        assert len({change, Change(*self.CHANGE)}) == 1
+
+    def test_repr_and_pickle_are_the_dataclasses(self):
+        import copy
+        import pickle
+
+        change = Change(*self.CHANGE)
+        assert repr(change) == self.REPR
+        for protocol, pickled in self.PICKLED.items():
+            assert pickle.dumps(change, protocol) == pickled
+            assert pickle.loads(pickled) == change
+        assert copy.copy(change) == change and copy.deepcopy(change) == change
+        assert not hasattr(change, "__dict__")

@@ -366,17 +366,21 @@ def _row(n):
 
 class TestAccountingCounts:
     def test_telemetry_is_silent_between_watermark_steps(self, monkeypatch):
-        """191 single events between two watermarks: no histogram is
-        touched and nothing is recorded until the watermark arrives;
-        then each output that produced records once (the parent: once
-        per emission)."""
-        from repro.core.tvr import wm
+        """Telemetry is derived on read: 191 single events and two
+        watermark steps, then a ``run()`` of another flow, touch no
+        histogram and record nothing (the parent recorded once per
+        output at every watermark step); the first read of each output
+        derives samples equal to an eager reference that recorded every
+        root batch on arrival."""
+        from repro.core.tvr import ins, wm
         from repro.obs.histogram import Histogram
         from repro.obs.telemetry import RunTelemetry
 
+        from .test_telemetry_on_read import Eager
+
+        eager = Eager(monkeypatch)
         flow = _sixteen_output_flow()
         assert len(flow.output_ids()) == 16
-        flow.process(wm(9_000, t("7:00")), "S")
         calls = {"observe": 0, "record": 0}
 
         def counting(cls, name, key):
@@ -392,17 +396,29 @@ class TestAccountingCounts:
             counting(Histogram, name, "observe")
         counting(RunTelemetry, "record_emit_run", "record")
 
-        before = {oid: flow.output_size_of(oid) for oid in flow.output_ids()}
+        flow.process(wm(9_000, t("7:00")), "S")
         for n in range(191):
             flow.process(_row(n), "S")
-        assert calls == {"observe": 0, "record": 0}
-        produced = [
-            oid for oid in flow.output_ids()
-            if flow.output_size_of(oid) > before[oid]
-        ]
-        assert 8 < len(produced) <= 16
         flow.process(wm(20_000, t("7:30")), "S")
-        assert calls["record"] == len(produced)
+        flow.process(ins(25_000, (t("8:00"), 50, "k")), "S")
+        flow.process(wm(30_000, t("8:30")), "S")
+        ran = make_engine(
+            [wm(9_000, t("7:00"))] + [_row(n) for n in range(60)]
+            + [wm(20_000, t("8:30"))]
+        ).query(
+            "SELECT TB.wend, MAX(TB.v) AS x FROM Tumble(data => TABLE(S), "
+            "timecol => DESCRIPTOR(ts), dur => INTERVAL '10' MINUTES) TB "
+            "GROUP BY TB.wend"
+        ).dataflow()
+        result = ran.run()
+        assert calls == {"observe": 0, "record": 0}
+        for oid in flow.output_ids():
+            reference = eager.of(flow, oid)
+            assert reference.watermark_lag.count > 0, oid
+            assert flow.telemetry_of(oid).snapshot() == reference.snapshot()
+        assert calls["record"] > 0
+        assert eager.of(ran).watermark_lag.count > 0
+        assert result.metrics.telemetry.snapshot() == eager.of(ran).snapshot()
 
     def test_a_batch_is_counted_once_however_many_consumers(self, monkeypatch):
         """The shared scan feeds one tumble per distinct window (9
