@@ -20,13 +20,18 @@ attached, and writes ``BENCH_metrics.json`` — the artifact CI uploads:
   its aggregates absorb their column-selecting Projects — is fed the
   same events, and the operator invocations per event are counted and
   gated: ``operator_invocations_per_event <= 22`` (the flow compiled
-  without absorption or tumble steps made 40.78);
+  without absorption or tumble steps made 40.78), and so are the
+  Python-level calls per event of that feed:
+  ``batch_size_64_calls_per_event <= 175`` (292.6 when an aggregate
+  extracted its rows into vectors and dropped late ones before the
+  generated fold; its generated row entry reads them inline);
 * what the aggregate transition costs per row, also counted: one serial
   ``run()`` of the query, profiled — the calls made while its generated
-  fold is on the stack, per row folded, gated at
-  ``fold_calls_per_row <= 4.4`` (4.33 measured; the hand-written fold
-  loop made 9.02), and the ``record_emit_run`` calls inside ``run()``,
-  gated at 0 (the parent recorded 250: one per root watermark step);
+  row entry (``_fold_rows``, what a row batch enters) is on the stack,
+  per row folded, gated at ``fold_calls_per_row <= 4.4`` (4.33
+  measured; the hand-written fold loop made 9.02), and the
+  ``record_emit_run`` calls inside ``run()``, gated at 0 (the parent
+  recorded 250: one per root watermark step);
 * the per-operator flow totals from the :class:`MetricsReport`;
 * rows routed per shard and the max/min skew summary;
 * the trace summary (batches, changes, watermark advances);
@@ -34,9 +39,10 @@ attached, and writes ``BENCH_metrics.json`` — the artifact CI uploads:
   identical across configurations by the routing invariance argument.
 
 ``schema_version`` is bumped whenever the artifact layout changes so
-downstream dashboards can dispatch on it (currently 6: the fold's calls
-per row and the telemetry recorded inside ``run()`` in ``accounting``;
-5 added operator invocations; 4 added the ``accounting`` stanza; 3
+downstream dashboards can dispatch on it (currently 7: the calls per
+event at ``batch_size=64`` in ``accounting``, and the fold's calls per
+row counted in its row entry; 6 added the fold's calls per row and the
+telemetry recorded inside ``run()``; 5 added operator invocations; 4 added the ``accounting`` stanza; 3
 added the execution knobs ``batch_size``/``coalesce_updates`` to the
 workload stanza so runs at different settings are never compared as
 equals).
@@ -73,7 +79,7 @@ SQL = """
 """
 
 ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_metrics.json"
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 #: gate on Python-level calls into ``repro/obs/`` per delivered event
 OBS_CALLS_PER_EVENT_MAX = 1.5
@@ -81,6 +87,8 @@ OBS_CALLS_PER_EVENT_MAX = 1.5
 FOLD_CALLS_PER_ROW_MAX = 4.4
 #: gate on operator invocations per delivered event, at ``batch_size=64``
 INVOCATIONS_PER_EVENT_MAX = 22
+#: gate on Python-level calls per delivered event, at ``batch_size=64``
+CALLS_PER_EVENT_64_MAX = 175
 ACCOUNTING_EVENTS = 2_000
 
 
@@ -200,11 +208,11 @@ def _profiled(flow, events, count) -> None:
 def _count_accounting_calls(streams) -> dict:
     """Python-level calls per event through a resident 16-output flow,
     one event per ``process`` — counts, so they repeat exactly — and the
-    operator invocations per event of the same flow at ``batch_size=64``
-    (every ``Dataflow._push_changes`` is one operator's ``on_batch`` or
-    ``on_cols``)."""
+    calls and operator invocations per event of the same flow at
+    ``batch_size=64`` (every ``Dataflow._push_changes`` is one
+    operator's ``on_batch`` or ``on_cols``)."""
     events = streams.bids.events()[:ACCOUNTING_EVENTS]
-    counts = {"total": 0, "obs": 0, "invocations": 0}
+    counts = {"total": 0, "obs": 0, "total_64": 0, "invocations": 0}
     obs_dir = str(Path("repro") / "obs") + "/"
 
     def call(frame):
@@ -217,6 +225,7 @@ def _count_accounting_calls(streams) -> dict:
     push = Dataflow._push_changes.__code__
 
     def invocation(frame):
+        counts["total_64"] += 1
         if frame.f_code is push:
             counts["invocations"] += 1
 
@@ -227,6 +236,8 @@ def _count_accounting_calls(streams) -> dict:
         "operators": len(flow.operators),
         "events": len(events),
         "calls_per_event": counts["total"] / len(events),
+        "batch_size_64_calls_per_event": counts["total_64"] / len(events),
+        "batch_size_64_calls_per_event_max": CALLS_PER_EVENT_64_MAX,
         "obs_calls_per_event": counts["obs"] / len(events),
         "obs_calls_per_event_max": OBS_CALLS_PER_EVENT_MAX,
         "batch_size_64_operators": len(fused.operators),
@@ -238,14 +249,14 @@ def _count_accounting_calls(streams) -> dict:
 def _count_fold_calls(streams) -> dict:
     """One serial ``run()`` of the bench query under ``sys.setprofile``:
     the Python- and C-level calls made while the aggregate's generated
-    fold is on the stack, per row it folds, and the
+    row entry is on the stack, per row it folds, and the
     ``record_emit_run`` calls inside ``run()`` — root telemetry is
     derived when it is read, so none; the read after the run records."""
     engine = StreamEngine()
     streams.register_on(engine)
     flow = engine.query(SQL).dataflow()
     (aggregate,) = [op for op in flow.operators if isinstance(op, AggregateOperator)]
-    fold = aggregate._fold.__code__
+    fold = aggregate._fold_rows.__code__
     counts = {"depth": 0, "calls": 0, "records": 0}
     real_record = RunTelemetry.record_emit_run
 
@@ -332,6 +343,9 @@ def test_metrics_bench_produces_artifact():
     assert (
         accounting["operator_invocations_per_event"] <= INVOCATIONS_PER_EVENT_MAX
     ), accounting
+    assert (
+        accounting["batch_size_64_calls_per_event"] <= CALLS_PER_EVENT_64_MAX
+    ), accounting
     assert accounting["fold_calls_per_row"] <= FOLD_CALLS_PER_ROW_MAX, accounting
     assert accounting["record_emit_run_in_run"] == 0, accounting
     assert accounting["telemetry_samples_on_read"] > 0, accounting
@@ -356,14 +370,16 @@ if __name__ == "__main__":
         f"{counted['outputs']} outputs / {counted['operators']} operators"
     )
     print(
-        f"at batch_size=64: {counted['operator_invocations_per_event']:.2f} "
+        f"at batch_size=64: {counted['batch_size_64_calls_per_event']:.1f} "
+        f"calls/event (gate <= {counted['batch_size_64_calls_per_event_max']}), "
+        f"{counted['operator_invocations_per_event']:.2f} "
         f"operator invocations/event (gate <= "
         f"{counted['operator_invocations_per_event_max']}) over "
         f"{counted['batch_size_64_operators']} operators"
     )
     print(
-        f"fold: {counted['fold_calls_per_row']:.2f} calls/row folded (gate <= "
-        f"{counted['fold_calls_per_row_max']}); record_emit_run inside run(): "
+        f"fold row entry: {counted['fold_calls_per_row']:.2f} calls/row folded "
+        f"(gate <= {counted['fold_calls_per_row_max']}); record_emit_run inside run(): "
         f"{counted['record_emit_run_in_run']} (gate 0)"
     )
     print(f"wrote {path}")

@@ -29,7 +29,11 @@ source templates on their classes
 straight-line fold — DISTINCT, the combine stage's ``SUPPRESSED``, the
 global aggregate and an absorbed output selection spelled inline, a
 function without templates called — compiled once per shape and cached
-here.  A kernel takes its operator as an argument, so it holds none.
+here.  One fold body has two loop headers, as a pipeline has
+``run_rows``/``run_cols``: the vector entry walks parallel key, kind,
+ptime and argument vectors; the row entry walks ``Change`` objects and
+reads each row's key and arguments, and applies the lateness cutoff,
+inline.  A kernel takes its operator as an argument, so it holds none.
 
 This module is **provisional**: the generated-source strategy may
 change between releases.  The unfused ``FilterOperator`` →
@@ -462,7 +466,8 @@ def compile_pipeline(steps: Sequence[Step], in_width: int) -> PipelineFns:
 
 # -- fold kernels --------------------------------------------------------------
 
-#: The body of every fold; ``{...}`` are filled from the shape.
+#: The body of every fold; ``{header}`` is the vector or the row entry's
+#: loop header, the other ``{...}`` are filled from the shape.
 _FOLD = """\
 {prologue}
     groups = op._groups
@@ -471,7 +476,7 @@ _FOLD = """\
     net = created = 0
     held = state = None
     try:
-        for key, kind, ptime{values} in zip(keys, kinds, ptimes{columns}):
+{header}
             if key is not held or state is None:
                 held = key
                 state = groups.get(key)
@@ -520,18 +525,27 @@ _DISTINCT = (
 )
 
 
-def fold_kernel(aggs: Sequence, is_global: bool, selects: bool) -> Callable:
-    """The generated ``fold(op, keys, kinds, ptimes, arg_cols)`` of an
-    aggregate operator ``op`` computing ``aggs``: its group transition.
+def fold_kernel(aggs: Sequence, is_global: bool, selects: bool, rows=None) -> Callable:
+    """The generated group transition of an aggregate operator ``op``
+    computing ``aggs``, in one of two entries over one fold body.
 
-    Row ``i`` is ``kinds[i]`` of one occurrence in group ``keys[i]`` at
-    ``ptimes[i]``, with ``arg_cols[a][i]`` the argument of aggregate
-    ``a``.  Per row the fold finds or creates the group, applies the
+    The vector entry, ``fold(op, keys, kinds, ptimes, arg_cols)``,
+    folds row ``i`` as ``kinds[i]`` of one occurrence in group
+    ``keys[i]`` at ``ptimes[i]``, with ``arg_cols[a][i]`` the argument
+    of aggregate ``a``; lateness is its caller's business (the columnar
+    path drops late rows first, the combine stage must not re-apply
+    it).  The row entry, ``fold(op, changes)``, is generated when
+    ``rows`` gives the row layout ``(group_indices, arg_indices,
+    event_time_positions)``: its loop header reads each ``Change``'s
+    key and arguments inline and drops a late row there — one whose
+    every event-time key is at or below ``op.input_watermark -
+    op._allowed_lateness`` — counting it into ``op.late_dropped``.
+
+    Per row the fold finds or creates the group, applies the
     insert/retract to its accumulators, then settles its output row: an
     emptied group retracts its row and is dropped (a global aggregate's
     never is), a moved row is retracted and re-inserted (through
-    ``op._select`` when ``selects``).  Lateness is the caller's business
-    (the combine stage must not re-apply it).  Each function's templates
+    ``op._select`` when ``selects``).  Each function's templates
     are spliced in as statements
     (:class:`~repro.sql.functions.AggregateFunction`); a function
     without them is called.  The fold reads all state through ``op``, so
@@ -541,11 +555,11 @@ def fold_kernel(aggs: Sequence, is_global: bool, selects: bool) -> Callable:
         (*(getattr(agg.function, name) for name in TEMPLATE_NAMES), agg.distinct)
         for agg in aggs
     )
-    return _compile_fold(shape, is_global, selects)
+    return _compile_fold(shape, is_global, selects, rows)
 
 
 @functools.cache  # one compiled fold per shape
-def _compile_fold(shape: tuple, is_global: bool, selects: bool) -> Callable:
+def _compile_fold(shape: tuple, is_global: bool, selects: bool, rows) -> Callable:
     from .operators.aggregate import SUPPRESSED, _GroupState, _underflow
 
     em = _Emitter()
@@ -574,13 +588,32 @@ def _compile_fold(shape: tuple, is_global: bool, selects: bool) -> Callable:
             )
         if f"v{i}" in insert + retract:
             reads.append(i)
-            prologue.append(f"    c{i} = arg_cols[{i}]")
         for name, text in zip(parts, (create, insert, retract, f"({result})")):
             parts[name].append(text)
+    # The two loop headers: the vector entry zips the vectors its caller
+    # filled; the row entry reads each Change's key and arguments, and
+    # counts and skips a late row before its group is touched.  The
+    # cutoff is read once per call: watermark events break batches.
+    if rows is None:
+        params = "op, keys, kinds, ptimes, arg_cols"
+        prologue += [f"    c{i} = arg_cols[{i}]" for i in reads]
+        header = "for key, kind, ptime{} in zip(keys, kinds, ptimes{}):".format(
+            "".join(f", v{i}" for i in reads), "".join(f", c{i}" for i in reads)
+        )
+    else:
+        params, (group, args, times) = "op, changes", rows
+        key = _row_tuple_expr([f"values[{g}]" for g in group])
+        head = ["for change in changes:", "    values = change.values", f"    key = {key}"]
+        if times:
+            prologue.append("    cutoff = op.input_watermark - op._allowed_lateness")
+            late = " and ".join(f"key[{p}] <= cutoff" for p in times)
+            head += [f"    if {late}:", "        op.late_dropped += 1", "        continue"]
+        head += ["    kind = change.kind", "    ptime = change.ptime"]
+        head += [f"    v{i} = values[{args[i]}]" for i in reads]
+        header = "\n".join(head)
     em.lines.append(_FOLD.format(
         prologue="\n".join(prologue),
-        values="".join(f", v{i}" for i in reads),
-        columns="".join(f", c{i}" for i in reads),
+        header=indented(header, 2),
         creates=", ".join(parts["creates"]),
         counts=", ".join("{}" if spec[-1] else "None" for spec in shape),
         unpack="".join(f"a{i}, " for i in range(len(shape))) or "_",
@@ -591,4 +624,4 @@ def _compile_fold(shape: tuple, is_global: bool, selects: bool) -> Callable:
         select="select" if selects else "",
         results=_row_tuple_expr(parts["results"]),
     ))
-    return _compile_source(em, "_fold", "op, keys, kinds, ptimes, arg_cols")
+    return _compile_source(em, "_fold", params)

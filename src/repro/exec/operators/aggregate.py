@@ -26,6 +26,7 @@ from operator import itemgetter
 from typing import Any, Iterable, Optional, Sequence
 
 from ...core.changelog import Change, ChangeKind
+from ...core.colbatch import ColumnarBatch
 from ...core.containers import SortedMultiset
 from ...core.errors import ExecutionError
 from ...core.schema import Schema
@@ -109,13 +110,14 @@ class AggregateOperator(Operator):
 
     The group transition is written once — generated per aggregate
     shape from the functions' source templates
-    (:func:`repro.exec.codegen.fold_kernel`) — over the one shape every
-    encoding of a changelog slice reduces to: parallel
-    sequences of group keys, change kinds, processing times, and one
-    argument vector per aggregate.  :meth:`on_batch` (rows) and
-    :meth:`on_cols` (columns) are *extractors* producing those
-    sequences; the two-phase combine stage feeds the same fold from
-    its replay payloads.
+    (:func:`repro.exec.codegen.fold_kernel`) — and entered two ways.
+    :meth:`on_batch` hands its ``Change`` list to the row entry, whose
+    loop header reads each row's key and arguments and applies the
+    lateness cutoff inline.  :meth:`on_cols` reduces a columnar batch
+    to parallel sequences of group keys, change kinds, processing times
+    and one argument vector per aggregate, drops late rows, and hands
+    them to the vector entry; the two-phase combine stage feeds the
+    vector entry from its replay payloads.
 
     ``select`` is the output selection of a Project the fusion pass
     absorbed (:mod:`repro.plan.pipeline`): the columns of the group's
@@ -155,14 +157,6 @@ class AggregateOperator(Operator):
         # ``state_size()`` — read after every event by the metrics
         # sweep — is O(1) instead of a walk over every group.
         self._retained = 0
-        # Row -> group key, always a tuple.
-        if not self._group_indices:
-            self._key_of = lambda values: ()
-        elif len(self._group_indices) == 1:
-            (sole,) = self._group_indices
-            self._key_of = lambda values: (values[sole],)
-        else:
-            self._key_of = itemgetter(*self._group_indices)
         self._arg_indices = tuple(agg.arg_index for agg in self._aggs)
         # For the group table: which accumulators a cut writes as their
         # sorted item lists, and which aggregates keep DISTINCT counts.
@@ -173,10 +167,13 @@ class AggregateOperator(Operator):
             i for i, agg in enumerate(self._aggs) if agg.distinct
         )
         # The group transition: generated per shape, shared by every
-        # operator of that shape, handed this operator on each call.
-        self._fold = fold_kernel(
-            self._aggs, self._global, self._select is not None
-        )
+        # operator of that shape, handed this operator on each call —
+        # a vector entry, and a row entry that also knows the layout.
+        selects = self._select is not None
+        self._fold = fold_kernel(self._aggs, self._global, selects)
+        self._fold_rows = fold_kernel(self._aggs, self._global, selects, (
+            self._group_indices, self._arg_indices, self._et_positions
+        ))
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -196,29 +193,14 @@ class AggregateOperator(Operator):
         self._groups_created += 1
         return _GroupState(accumulators, distinct)
 
-    # -- data path: extractors -----------------------------------------------------
-    #
-    # Each entry point reduces its encoding to ``(keys, kinds, ptimes,
-    # arg_cols)`` — one argument vector per aggregate, all ``None`` for
-    # an argument-less one — drops late rows, and folds what is left.
-
-    def _extract(self, changes: Sequence[Change]) -> tuple:
-        key_of = self._key_of
-        nones = [None] * len(changes)
-        return (
-            [key_of(c.values) for c in changes],
-            [c.kind for c in changes],
-            [c.ptime for c in changes],
-            [
-                nones if i is None else [c.values[i] for c in changes]
-                for i in self._arg_indices
-            ],
-        )
+    # -- data path: the two entries ------------------------------------------------
 
     def on_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
-        return self._fold(self, *self._drop_late(*self._extract(changes)))
+        return self._fold_rows(self, changes)
 
     def _extract_cols(self, batch) -> tuple:
+        # ``(keys, kinds, ptimes, arg_cols)``: one argument vector per
+        # aggregate, all ``None`` for an argument-less one.
         # No row tuple or Change is materialized per input; output is
         # rows either way — aggregation is where the columnar run ends.
         columns = batch.columns
@@ -265,9 +247,11 @@ class AggregateOperator(Operator):
         """The extracted vectors without the rows of complete groups.
 
         Inputs whose group the input watermark already declared
-        complete are late data: counted and dropped, here and nowhere
-        else, once per batch — the input watermark cannot move inside
-        a batch, because watermark events break batches.
+        complete are late data: counted and dropped, once per batch —
+        the input watermark cannot move inside a batch, because
+        watermark events break batches.  This is the columnar and the
+        partial stage's cutoff; a row batch meets the same test inline,
+        in the fold's generated row entry.
         """
         if self._et_positions:
             on_time = self._on_time(keys, self.input_watermark)
@@ -282,7 +266,8 @@ class AggregateOperator(Operator):
     def _on_watermark_advanced(self, merged: Timestamp, ptime: Timestamp) -> list[Change]:
         # Free the state of groups that just became complete.  Their
         # output rows are already current; late inputs will be dropped
-        # by _drop_late, so the accumulators are never needed again.
+        # (by the row entry's cutoff, or by _drop_late), so the
+        # accumulators are never needed again.
         if not self._et_positions or merged <= self._finalized_max:
             return []
         self._finalized_max = merged
@@ -432,8 +417,8 @@ class PartialAggregateOperator(AggregateOperator):
     empty-group retraction guard falls to the combine stage.
     """
 
-    # Both encodings condense into the same payload (``_condense``);
-    # the columnar one skips the per-batch ``to_changes()``.
+    # Both encodings condense into the same payload (``_condense``): a
+    # row batch is transposed into columns and takes the columnar path.
     supports_columnar = True
 
     @property
@@ -477,9 +462,8 @@ class PartialAggregateOperator(AggregateOperator):
     # -- data path ---------------------------------------------------------------
 
     def on_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
-        if not changes:
-            return []
-        return self._condense(*self._extract(changes))
+        # (An empty run transposes to an empty batch, whatever its width.)
+        return self.on_cols(port, ColumnarBatch.from_changes(changes, 0))
 
     def on_cols(self, port: int, batch) -> list[Change]:
         if not len(batch):

@@ -75,6 +75,9 @@ class Operator:
         self.schema = schema
         self.arity = arity
         self._input_wms: list[Timestamp] = [MIN_TIMESTAMP] * arity
+        #: the merged watermark over all input ports, kept as the ports
+        #: move (late-data cutoffs read it per batch or per row)
+        self.input_watermark: Timestamp = MIN_TIMESTAMP
         self._output_wm: Timestamp = MIN_TIMESTAMP
         self._timers: Optional["TimerQueue"] = None
         self.counters = OperatorCounters(arity)
@@ -159,7 +162,7 @@ class Operator:
     ) -> tuple[list[Change], Optional[Timestamp]]:
         """Record an input watermark; default merges inputs by minimum."""
         self._input_wms[port] = value
-        merged = merge_watermarks(self._input_wms)
+        merged = self.input_watermark = merge_watermarks(self._input_wms)
         changes = self._on_watermark_advanced(merged, ptime)
         if merged > self._output_wm:
             self._output_wm = merged
@@ -171,11 +174,6 @@ class Operator:
     ) -> list[Change]:
         """Hook for watermark-triggered work (state GC, session closes)."""
         return []
-
-    @property
-    def input_watermark(self) -> Timestamp:
-        """The merged watermark over all input ports."""
-        return merge_watermarks(self._input_wms)
 
     @property
     def output_watermark(self) -> Timestamp:
@@ -214,6 +212,7 @@ class Operator:
         operators would alias their state.
         """
         self._input_wms = snapshot["input_wms"]
+        self.input_watermark = merge_watermarks(self._input_wms)
         self._output_wm = snapshot["output_wm"]
         self.counters.restore(snapshot["counters"])
         self.late_dropped = snapshot["late_dropped"]

@@ -18,7 +18,8 @@ aggregate and a selection of the grouped row's columns) and an
 unbounded inner equi-join on ``k``.  The one rule that is not a snapshot rule is
 lateness, stated naively: a change reaching an aggregate is dropped
 when its ``wend`` is at or below the last watermark *before* its
-``ptime`` (watermarks here sit at instants of their own).
+``ptime`` less the flow's ``allowed_lateness`` (watermarks here sit at
+instants of their own).
 docs/SEMANTICS.md lists what is not covered yet.
 
 A query is a :class:`Query` spec; :meth:`Query.sql` spells it for the
@@ -52,8 +53,11 @@ class Query:
     ``where`` is ``(column, op, constant)``; ``select`` names the output
     columns of a projection (``S.v``-style names for a join);
     ``window`` (ms, whole minutes) makes the query a tumbling-window
-    aggregate grouped by ``keys`` — ``("wend",)`` or ``("k", "wend")``
-    — computing ``aggs`` (entries of :data:`KERNEL_AGGREGATES`);
+    aggregate grouped by ``keys`` — ``wend`` and perhaps one of ``k``,
+    ``wstart`` or ``ts`` — computing ``aggs`` (entries of
+    :data:`KERNEL_AGGREGATES`), with ``allowed_lateness`` (ms; the
+    flow's setting, not part of the SQL) the margin a group survives
+    the watermark by;
     ``aggs`` without a window make it a global aggregate over ``S``.
     ``pick`` selects, by position, the columns of the grouped row
     ``keys + aggs`` that are output (default: all).  A join is only
@@ -66,6 +70,7 @@ class Query:
     keys: tuple[str, ...] = ("wend",)
     aggs: tuple[str, ...] = ()
     pick: Optional[tuple[int, ...]] = None
+    allowed_lateness: int = 0
 
     def grouped(self) -> bool:
         return self.window is not None or bool(self.aggs)
@@ -223,9 +228,12 @@ def _windowed(query: Query, events: list, t: int) -> Relation:
         if not isinstance(event, RowEvent):
             continue
         row = _named(event.change.values)
-        row["wend"] = row["ts"] - row["ts"] % size + size
+        row["wstart"] = row["ts"] - row["ts"] % size
+        row["wend"] = row["wstart"] + size
         mark = watermark_before(events, event.ptime)
-        if not _where(query, row) or (mark is not None and row["wend"] <= mark):
+        if not _where(query, row) or (
+            mark is not None and row["wend"] <= mark - query.allowed_lateness
+        ):
             continue
         kept[tuple(sorted(row.items()))] += _sign(event)
     groups: dict[tuple, list[dict]] = {}

@@ -503,13 +503,33 @@ class TestSaidOnce:
                 assert method.__code__.co_filename == f"<{cls.__name__} templates>"
         assert registry.aggregate("VAR_POP").insert_src is None  # called
 
+    def test_a_live_row_is_folded_not_extracted(self):
+        """A row batch enters the generated fold's row entry, which reads
+        each row's key and arguments and applies the lateness cutoff
+        inline: the row extractor is gone, ``on_batch`` drops nothing
+        itself, and the merged input watermark the cutoff reads is a
+        plain attribute, not a property merging the ports per read."""
+        from repro.exec.operators.aggregate import AggregateOperator
+        from repro.exec.operators.base import Operator
+
+        assert _src_files_matching(r"def _extract\(") == set()
+        on_batch = inspect.getsource(AggregateOperator.on_batch)
+        assert "_drop_late" not in on_batch and "_extract" not in on_batch
+        assert "_fold_rows" in on_batch
+        assert _src_files_matching(
+            r"@property\s+def input_watermark\b"
+        ) == set()
+        assert not isinstance(
+            inspect.getattr_static(Operator, "input_watermark", None), property
+        )
+
     def test_counted_src_lines(self):
         """Counted lines of ``src/repro`` stay at or below where the
         last deletion left them.  Counted: every line of a ``.py`` file
         that is not blank, not a comment (first non-space character
         ``#``) and not part of a docstring (a string literal that is the
         first statement of a module, class or function)."""
-        assert counted_lines(SRC) <= 17_645
+        assert counted_lines(SRC) <= 17_641
 
     def test_the_threads_backend_is_refused_by_name(self):
         from repro.core.errors import ValidationError

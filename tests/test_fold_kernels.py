@@ -9,7 +9,10 @@ late rows: COUNT(*) and COUNT(x), SUM and AVG (all-NULL groups
 included), MIN and MAX (their extreme retracted), VAR_POP (a function
 without templates, which the fold calls), DISTINCT, a global aggregate
 (over empty input too), a selection of the grouped row's columns the
-fusion pass absorbed, and the two-phase combine stage.
+fusion pass absorbed, and the two-phase combine stage.  The row entry
+applies the lateness cutoff itself, inline, so the grouped cells draw
+``allowed_lateness`` (0 or a minute) and keys with one event-time
+position (``wend``, beside ``k`` or ``wstart``) or two (``ts, wend``).
 """
 
 import re
@@ -33,6 +36,8 @@ from .test_oracle import (
     where_clauses,
 )
 
+#: group keys: ``wstart`` is not an event-time column, ``ts`` is
+KEYS = [("wend",), ("k", "wend"), ("wstart", "wend"), ("ts", "wend")]
 #: what a two-phase split accepts (VAR_POP is not decomposable)
 DECOMPOSABLE = AGGREGATES + ("COUNT(DISTINCT v)", "SUM(DISTINCT v)", "MAX(DISTINCT v)")
 
@@ -43,7 +48,7 @@ def aggregates(draw, drawn=KERNEL_AGGREGATES, grouped=True) -> Query:
     perhaps outputting only some columns of its grouped row in another
     order — a selection the fusion pass absorbs into the aggregate."""
     aggs = tuple(draw(st.lists(st.sampled_from(drawn), min_size=1, max_size=3)))
-    keys = draw(st.sampled_from([("wend",), ("k", "wend")])) if grouped else ()
+    keys = draw(st.sampled_from(KEYS)) if grouped else ()
     width = len(keys) + len(aggs)
     pick = draw(st.none() | st.permutations(range(width)).flatmap(
         lambda order: st.integers(1, width).map(lambda n: tuple(order[:n]))
@@ -54,7 +59,12 @@ def aggregates(draw, drawn=KERNEL_AGGREGATES, grouped=True) -> Query:
         keys=keys or ("wend",),
         aggs=aggs,
         pick=pick,
+        allowed_lateness=draw(st.sampled_from([0, MINUTE])) if grouped else 0,
     )
+
+
+def config(query: Query, **knobs) -> ExecutionConfig:
+    return ExecutionConfig(allowed_lateness=query.allowed_lateness, **knobs)
 
 
 def fold_sources(flow) -> list[str]:
@@ -71,7 +81,7 @@ def fold_sources(flow) -> list[str]:
 def test_grouped_fold_folds_to_the_naive_snapshot(batch_size, data):
     query = data.draw(aggregates(), label="query")
     sources = data.draw(streams(data.draw(st.booleans())), label="sources")
-    flow = prepared(sources, ExecutionConfig(batch_size=batch_size), query).dataflow()
+    flow = prepared(sources, config(query, batch_size=batch_size), query).dataflow()
     assert_folds_to_the_naive_snapshot(flow.run().changes, query, sources)
 
 
@@ -104,10 +114,10 @@ def test_two_phase_combine_folds_to_the_naive_snapshot(batch_size, data):
     a DISTINCT duplicate a shard absorbed marked ``SUPPRESSED``."""
     query = data.draw(aggregates(drawn=DECOMPOSABLE), label="query")
     sources = data.draw(streams(data.draw(st.booleans())), label="sources")
-    config = ExecutionConfig(
-        parallelism=2, backend="sync", two_phase="on", batch_size=batch_size
+    sharded = config(
+        query, parallelism=2, backend="sync", two_phase="on", batch_size=batch_size
     )
-    flow = prepared(sources, config, query).sharded_dataflow()
+    flow = prepared(sources, sharded, query).sharded_dataflow()
     assert flow.combines
     assert_folds_to_the_naive_snapshot(flow.run().changes, query, sources)
 
@@ -153,15 +163,51 @@ def test_kernels_are_generated_per_shape_and_hold_no_operator():
         for flow in flows
     )
     assert first._fold is second._fold
+    assert first._fold_rows is second._fold_rows
     assert first._select is not None  # the Project was absorbed
     assert first._fold is fold_kernel(first._aggs, first._global, True)
-    assert first._fold.__closure__ is None
-    assert not any(
-        isinstance(value, AggregateOperator) for value in first._fold.__defaults__
-    )
+    for entry in (first._fold, first._fold_rows):
+        assert entry.__closure__ is None
+        assert not any(
+            isinstance(value, AggregateOperator) for value in entry.__defaults__
+        )
     (source,) = fold_sources(flows[0])
     assert re.search(r"(f\d)\.add\(a\d, v\d\)", source)
     assert re.search(r"f\d\.result\(a\d\)", source)
     assert "_SUPPRESSED" in source and "select(row)" in source
     assert re.search(r"insort\(a\d\._items, v\d\)", source)
     assert_folds_to_the_naive_snapshot(flows[0].run().changes, query, sources)
+
+
+@pytest.mark.parametrize("batch_size", [1, 64])
+@pytest.mark.parametrize("lateness", [0, MINUTE])
+@pytest.mark.parametrize("keys", KEYS)
+def test_the_row_entry_cuts_late_rows_at_the_boundary(keys, lateness, batch_size):
+    """A row whose window ends exactly at the watermark less the allowed
+    lateness is late (``<=``), one a millisecond later is not; every
+    event-time key must be covered (``and``).  Per row at ``batch_size``
+    1, through the row entry, whose source spells the cutoff; the same
+    drops, columnar, at 64."""
+    mark = 3 * MINUTE
+    boundary = mark - lateness  # a window ending here is complete
+    events = [
+        ins(1_000_000, (1, boundary - 1, 1)),
+        wm(1_001_000, mark),
+        ins(1_002_000, (1, boundary - 1, 2)),  # wend == boundary: late
+        ins(1_003_000, (1, boundary, 3)),  # the next window: on time
+        rm(1_004_000, (1, boundary - 1, 1)),  # late too: its group is complete
+    ]
+    sources = {"S": events, "R": []}
+    query = Query(
+        window=MINUTE, keys=keys, aggs=("COUNT(*)", "SUM(v)"),
+        allowed_lateness=lateness,
+    )
+    flow = prepared(sources, config(query, batch_size=batch_size), query).dataflow()
+    (op,) = [op for op in flow.operators if isinstance(op, AggregateOperator)]
+    result = flow.run()
+    assert_folds_to_the_naive_snapshot(result.changes, query, sources)
+    assert op.late_dropped == 2
+    assert len(op._et_positions) == (2 if "ts" in keys else 1)
+    if batch_size == 1:
+        cut = " and ".join(f"key[{p}] <= cutoff" for p in op._et_positions)
+        assert f"if {cut}:" in op._fold_rows._codegen_source
