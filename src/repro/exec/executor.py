@@ -35,7 +35,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
-from ..core.changelog import Change, ChangeKind, compact_intra_instant
+from ..core.changelog import Change, ChangeKind
 from ..core.codec import SegmentedLog, changes_log, concat_segments
 from ..core.colbatch import ColumnarBatch
 from ..core.collector import collector_paused
@@ -53,18 +53,17 @@ from ..plan.fingerprint import node_fingerprints, subtree_size
 from ..plan.logical import LogicalNode, ValuesNode
 from ..plan.pipeline import get_fused_root
 from ..plan.planner import QueryPlan
+from .codegen import fanout_kernel
 from .compile import build_operator, why_runs_split, why_runs_stay_per_instant
 from .operators.base import Operator
 from .operators.stateless import ScanOperator
 from .timers import TimerQueue
 
 __all__ = ["CHECKPOINT_VERSION", "Dataflow", "OutputChannel", "OutputLogs",
-           "RunResult",
-           "check_checkpoint_version", "check_same_instant", "count_edge",
+           "RunResult", "check_checkpoint_version", "check_same_instant",
            "event_runs", "merge_source_events", "replay_runs",
            "runs_columnar", "stored_changes"]
 
-_RETRACT = ChangeKind.RETRACT
 _PLAN_MISMATCH = "checkpoint does not match this dataflow's plan"
 
 #: Format version stamped on every checkpoint payload (serial and
@@ -146,33 +145,6 @@ def check_same_instant(events: Sequence[StreamEvent]) -> None:
                 "a batch must hold row events of a single processing-time "
                 "instant"
             )
-
-
-def count_edge(changes, producer, consumers) -> None:
-    """Count one produced batch where it crosses an edge of the graph.
-
-    ``changes`` — a ``list[Change]`` or a :class:`ColumnarBatch` — is
-    sized and its retractions scanned **once**; the two numbers go to
-    ``producer``'s out-counters (``None`` for a source payload, which
-    no operator produced) and to the in-counters of every
-    ``(consumer, port)`` it fans out to.
-    """
-    rows = len(changes)
-    if rows == 1 and type(changes) is list:
-        retracts = changes[0].kind is _RETRACT
-    elif type(changes) is ColumnarBatch:
-        retracts = changes.retract_count()
-    else:
-        retracts = len([c for c in changes if c.kind is _RETRACT])
-    if producer is not None:
-        producer.counters.rows_out += rows
-    for consumer, port in consumers:
-        consumer.counters.rows_in[port] += rows
-    if retracts:
-        if producer is not None:
-            producer.counters.retracts_out += retracts
-        for consumer, port in consumers:
-            consumer.counters.retracts_in[port] += retracts
 
 
 def stored_changes(
@@ -537,10 +509,9 @@ class Dataflow(OutputLogs):
         self._last_ptime: Timestamp = MIN_TIMESTAMP
         self._peak_state = 0
         self._opened = False
-        #: optional trace hook: a callable receiving
-        #: :class:`~repro.obs.trace.TraceEvent` on every primary-output
-        #: change batch and watermark advance.
-        self.trace: Optional[Callable[[TraceEvent], None]] = None
+        self._trace: Optional[Callable[[TraceEvent], None]] = None
+        #: id(op) (or a source's name) -> its generated fan-out
+        self._fanouts: dict = {}
         #: optional lineage recorder (see :mod:`repro.obs.lineage`);
         #: install via :meth:`set_lineage`.  Tracing threads a *cause*
         #: token alongside batches and never touches the changes
@@ -606,6 +577,19 @@ class Dataflow(OutputLogs):
     @property
     def operators(self) -> list[Operator]:
         return list(self._operators)
+
+    @property
+    def trace(self) -> Optional[Callable[[TraceEvent], None]]:
+        """Optional trace hook: a callable receiving
+        :class:`~repro.obs.trace.TraceEvent` on every primary-output
+        change batch and watermark advance.  Setting it drops the
+        generated fan-outs, which compile the hook in only when set."""
+        return self._trace
+
+    @trace.setter
+    def trace(self, hook: Optional[Callable[[TraceEvent], None]]) -> None:
+        self._trace = hook
+        self._fanouts = {}
 
     def telemetry_of(self, output_id: str) -> RunTelemetry:
         """Latency telemetry sampled at one output channel's root."""
@@ -851,7 +835,9 @@ class Dataflow(OutputLogs):
         self._span_changed()
 
     def _span_changed(self) -> None:
-        """Re-derive the run span: the graph or the recorder changed."""
+        """Re-derive the run span and drop the generated fan-outs: the
+        graph or the recorder changed."""
+        self._fanouts = {}
         self._span_reason = why_runs_stay_per_instant(
             self._operators, self.lineage is not None, self.coalesce_updates
         )
@@ -1226,11 +1212,9 @@ class Dataflow(OutputLogs):
                     payload, len(leaves[0].schema)
                 )
                 payload.seqs = seqs
-            # The graph's entry edges, counted like any other (no
+            # The graph's entry edges fan out like any operator's (no
             # operator produced the payload).
-            count_edge(payload, None, [(leaf, 0) for leaf in leaves])
-            for leaf in leaves:
-                self._push_changes(leaf, 0, payload, cause)
+            self._fanout(None, source.lower())(self, payload, cause)
         if leaves or fired:
             self._observe_state()
 
@@ -1402,91 +1386,32 @@ class Dataflow(OutputLogs):
         pending = [(op, op.on_open()) for op in self._operators]
         for op, initial in pending:
             if initial:
-                self._emit_up(op, initial)
+                self._fanout(op)(self, initial, None)
         # Inline VALUES relations are delivered as a bounded prelude.
         for leaf in self._leaves:
             rows = self._values_rows.get(id(leaf))
             if rows is None:
                 continue
             values = [Change(ChangeKind.INSERT, row, MIN_TIMESTAMP) for row in rows]
-            count_edge(values, None, [(leaf, 0)])
-            self._push_changes(leaf, 0, values)
+            fanout_kernel(self, None, [(leaf, 0)])(self, values, None)
             self._push_watermark(leaf, 0, MAX_TIMESTAMP, MIN_TIMESTAMP)
 
-    def _push_changes(
-        self,
-        op: Operator,
-        port: int,
-        changes: list[Change],
-        cause: Optional[tuple[int, ...]] = None,
-    ) -> None:
-        """Deliver changes into ``op`` and propagate its output onward.
-
-        ``changes`` is either a list of :class:`Change` or (columnar
-        mode) a :class:`ColumnarBatch`.  A batch is handed to columnar
-        operators as-is and converted to rows at the first operator
-        that cannot consume it — after which it stays rows; the
-        executor never re-columnarizes mid-flight.  The input was
-        counted where it crossed the edge into ``op``
-        (:meth:`_emit_up`, :meth:`process_batch`); the output is counted
-        where it leaves — after compaction, so ``rows_out`` is what
-        went downstream.
-        """
-        if type(changes) is ColumnarBatch:
-            if op.supports_columnar:
-                produced = op.on_cols(port, changes)
-            else:
-                produced = op.on_batch(port, changes.to_changes())
-        else:
-            produced = op.on_batch(port, changes)
-        if not produced:
-            return
-        if self.coalesce_updates and len(produced) > 1:
-            if type(produced) is ColumnarBatch:
-                produced = produced.to_changes()
-            produced, dropped = compact_intra_instant(produced)
-            if dropped:
-                op.counters.changes_coalesced += dropped
-                if not produced:
-                    return
-        if cause is not None and self.lineage is not None:
-            cause = self.lineage.record_operator(
-                cause,
-                op.name(),
-                shard=self._lineage_shard,
-                shared_by=self._op_refs.get(id(op), 1),
-                produced=len(produced),
-            )
-        self._emit_up(op, produced, cause)
-
-    def _emit_up(
-        self,
-        op: Operator,
-        changes: list[Change],
-        cause: Optional[tuple[int, ...]] = None,
-    ) -> None:
-        """Fan an operator's output out: first to any output channels
-        rooted at it, then to its consumer edges in attach order.
-
-        Every produced batch — row-, open-, watermark- or timer-driven
-        — passes here exactly once, so this is where it is counted:
-        for its producer and all its consumers in one scan.
-        """
-        consumers = self._consumers.get(id(op), ())
-        count_edge(changes, op, consumers)
-        channels = self._outputs_of.get(id(op))
-        if channels is not None:
-            # Output channels store rows; ``to_changes`` is memoized,
-            # so fan-out across channels converts at most once.
-            rows = (
-                changes.to_changes()
-                if type(changes) is ColumnarBatch
-                else changes
-            )
-            for channel in channels:
-                self._collect_output(channel, rows, cause)
-        for consumer, port in consumers:
-            self._push_changes(consumer, port, changes, cause)
+    def _fanout(self, op: Optional[Operator], source: str = "") -> Callable:
+        """The generated fan-out (:func:`~repro.exec.codegen.fanout_kernel`)
+        of what ``op`` produces — or, with ``op`` ``None``, of a
+        ``source``'s payload into its scan leaves: the one place a
+        produced batch is counted, collected and passed on, whether a
+        row, an open, a watermark or a timer caused it.  Built on first
+        use and cached until the graph, the recorder or the trace hook
+        changes."""
+        key = source if op is None else id(op)
+        kernel = self._fanouts.get(key)
+        if kernel is None:
+            edges = self._consumers.get(id(op), ()) if op is not None else [
+                (leaf, 0) for leaf in self._leaves_by_source.get(source, ())
+            ]
+            kernel = self._fanouts[key] = fanout_kernel(self, op, edges)
+        return kernel
 
     def _push_watermark(
         self,
@@ -1507,7 +1432,7 @@ class Dataflow(OutputLogs):
                     shared_by=self._op_refs.get(id(op), 1),
                     produced=len(changes),
                 )
-            self._emit_up(op, changes, emit_cause)
+            self._fanout(op)(self, changes, emit_cause)
         if out_wm is None:
             return
         channels = self._outputs_of.get(id(op))
@@ -1526,34 +1451,6 @@ class Dataflow(OutputLogs):
         for consumer, consumer_port in self._consumers.get(id(op), ()):
             self._push_watermark(consumer, consumer_port, out_wm, ptime, cause)
 
-    def _collect_output(
-        self,
-        channel: OutputChannel,
-        changes: list[Change],
-        cause: Optional[tuple[int, ...]] = None,
-    ) -> None:
-        if cause is not None and self.lineage is not None:
-            if self._lineage_register_outputs:
-                start = channel.log.base + len(channel.log.tail)
-                self.lineage.record_output(
-                    cause, channel.output_id, range(start, start + len(changes))
-                )
-            else:
-                self.lineage.note_shard_output(
-                    channel.output_id, cause, len(changes)
-                )
-        channel.log.tail.extend(changes)
-        self._touched.add(channel.output_id)
-        if self.trace is not None and channel.output_id == self._primary:
-            self.trace(
-                TraceEvent(
-                    kind="batch",
-                    ptime=changes[-1].ptime,
-                    count=len(changes),
-                    operator=channel.root_name,
-                )
-            )
-
     # -- timer service -------------------------------------------------------------
 
     def _fire_timers(self, up_to: Timestamp) -> None:
@@ -1567,4 +1464,4 @@ class Dataflow(OutputLogs):
             changes = op.on_timer(when)
             self._last_ptime = max(self._last_ptime, when)
             if changes:
-                self._emit_up(op, changes)
+                self._fanout(op)(self, changes, None)

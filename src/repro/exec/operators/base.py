@@ -29,8 +29,8 @@ Observability is part of the contract, not an add-on: every operator
 carries a counter block and the uniform ``late_dropped``/
 ``expired_rows`` counters.  Operators do not count their own rows — the
 executor calls the ``on_*`` hooks directly and counts each produced
-batch once, where it crosses the edge to its consumers
-(:func:`~repro.exec.executor.count_edge`).  ``metrics()`` assembles the
+batch once, where it crosses the edge to its consumers (the operator's
+generated fan-out, :func:`~repro.exec.codegen.fanout_kernel`).  ``metrics()`` assembles the
 whole block, so downstream reporting iterates operators instead of
 maintaining per-class ``isinstance`` allowlists (the pattern that
 silently lost OVER and MATCH_RECOGNIZE late drops).

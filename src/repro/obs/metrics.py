@@ -9,7 +9,8 @@ tune.  This module is the engine's observability spine:
 
 * :class:`OperatorCounters` — the mutable counter block every physical
   operator carries.  Rows and retractions are counted in one place,
-  :func:`repro.exec.executor.count_edge`: once per produced batch,
+  the producing operator's generated fan-out
+  (:func:`repro.exec.codegen.fanout_kernel`): once per produced batch,
   where it crosses an edge of the graph, for the producer and every
   consumer at once.  No operator can opt out and no executor-side
   ``isinstance`` allowlist can lose a counter (the bug that motivated
@@ -106,7 +107,8 @@ class OperatorCounters:
     ``rows_in``/``retracts_in`` are per input port (inserts are
     ``rows_in - retracts_in``); outputs are single totals because an
     operator has one output.  A plain block of numbers: rows and
-    retractions are written by :func:`~repro.exec.executor.count_edge`,
+    retractions are written by the producer's generated fan-out
+    (:func:`~repro.exec.codegen.fanout_kernel`),
     ``peak_state_rows`` by the executor's per-step registry sweep (not
     per change, keeping the data path free of repeated ``state_size()``
     scans).

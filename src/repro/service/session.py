@@ -105,6 +105,8 @@ _SEGMENT_HEADER = struct.Struct(">4sQ")
 _SEGMENT_MAGIC = b"RSEG"
 #: segments a log may accumulate before a cut rewrites it as one
 _MAX_SEGMENTS = 64
+#: ingests between settlings of the noted ingest-to-push samples
+_SETTLE_EVERY = 1024
 #: sort key putting touched queries back in the order they were adopted
 _registration_order = attrgetter("ordinal")
 
@@ -273,10 +275,24 @@ class StandingQuery:
         )
         #: output cursor: merged changes already published to subscribers.
         self.cursor = flow.output_size_of(self.output_id)
-        #: microseconds from event ingest to this query's delta push.
-        self.ingest_push = Histogram()
+        #: microseconds from event ingest to this query's delta push, as
+        #: ``ingest`` notes them; :attr:`ingest_push` settles them.
+        self.push_samples: list[int] = []
+        self._ingest_push = Histogram()
         #: position in the session's registration order (set on adoption)
         self.ordinal = 0
+
+    @property
+    def ingest_push(self) -> Histogram:
+        """Microseconds from event ingest to this query's delta push.
+
+        Derived on read: ``ingest`` only notes each sample
+        (:attr:`push_samples`), and reading settles the notes into the
+        histogram in one ``observe_many``."""
+        if self.push_samples:
+            self._ingest_push.observe_many(self.push_samples)
+            self.push_samples = []
+        return self._ingest_push
 
     @property
     def sharded(self) -> bool:
@@ -665,9 +681,15 @@ class SessionManager:
         """
         started = time.perf_counter()
         key = source.lower()
-        if key not in self.engine._sources:
+        sources = self.engine._sources
+        if key not in sources:
             raise ExecutionError(f"no source registered for {source!r}")
-        self.engine._sources[key].apply(event)
+        # The session clock is the latest instant of any source: every
+        # resident flow refuses an earlier one, so refuse it here,
+        # before the source, the offsets or any flow moves.
+        if event.ptime < max(tvr.last_ptime for tvr in sources.values()):
+            raise ExecutionError("events must be fed in processing-time order")
+        sources[key].apply(event)
         self.source_offsets[key] = self.source_offsets.get(key, 0) + 1
         self.events_ingested += 1
         touched: list[StandingQuery] = []
@@ -683,10 +705,13 @@ class SessionManager:
             deltas = query.publish_pending()
             if deltas:
                 published[query.query_id] = deltas
-                query.ingest_push.observe(
+                query.push_samples.append(
                     int((time.perf_counter() - started) * 1_000_000)
                 )
         self._check_slow_queries(touched)
+        if self.events_ingested % _SETTLE_EVERY == 0:
+            for query in self._queries.values():  # notes stay bounded
+                query.ingest_push
         interval = self.config.retry.checkpoint_interval
         if (
             interval

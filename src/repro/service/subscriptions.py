@@ -39,17 +39,25 @@ from ..core.changelog import Change
 __all__ = ["Delta", "Subscriber", "SubscriptionRegistry", "encode_frame"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Delta:
     """One changelog change of a standing query, as delivered.
 
     ``seq`` is the query's global delta sequence number (0-based,
     gap-free); subscribers admitted mid-stream start at the current
     sequence, so ``seq`` doubles as the resumption cursor.
+
+    Frozen, like :class:`~repro.core.changelog.Change`, and like it
+    stored through its slot descriptors: publishing builds one per
+    delta.
     """
 
     seq: int
     change: Change
+
+    def __init__(self, seq: int, change: Change):
+        _set_seq(self, seq)
+        _set_change(self, change)
 
     def as_dict(self) -> dict:
         return {
@@ -58,6 +66,10 @@ class Delta:
             "kind": "insert" if self.change.is_insert else "retract",
             "values": list(self.change.values),
         }
+
+
+_set_seq = Delta.seq.__set__
+_set_change = Delta.change.__set__
 
 
 def encode_frame(query_id: str, delta: Delta) -> bytes:
@@ -229,7 +241,7 @@ class SubscriptionRegistry:
         delivery to the others continues.
         """
         seq = self._next_seq
-        deltas = [Delta(seq + i, change) for i, change in enumerate(changes)]
+        deltas = list(map(Delta, range(seq, seq + len(changes)), changes))
         self._next_seq = seq + len(deltas)
         if not deltas or not self._live:
             return deltas

@@ -385,18 +385,26 @@ class TestSaidOnce:
         assert aggregate._GroupState.__slots__ == tuple(fields)
         assert re.findall(r"\.retained\b", inspect.getsource(aggregate)) == []
 
-    @pytest.mark.parametrize(
-        "call", ["count_edge", "compact_intra_instant", "MetricsRegistry"]
-    )
+    @pytest.mark.parametrize("use, module", [
+        (r"(?<!def )\bfanout_kernel\(", "executor.py"),
+        (r"import [^\n]*\bcompact_intra_instant\b", "codegen.py"),
+        (r"(?<!class )\bMetricsRegistry\(", "executor.py"),
+    ], ids=["fanout_kernel", "compact_intra_instant", "MetricsRegistry"])
     def test_edge_counting_compaction_and_state_sweep_run_in_the_executor(
-        self, call
+        self, use, module
     ):
-        """Called in ``exec/executor.py`` and nowhere else (definitions
-        aside): no second copy of the executor's per-edge loop."""
-        pattern = rf"(?<!def )(?<!class )\b{call}\("
-        assert _src_files_matching(pattern) == {
-            os.path.join("exec", "executor.py")
-        }
+        """Used in one module of ``exec/`` and nowhere else: the executor
+        builds each operator's fan-out — the one generated place a batch
+        is counted where it crosses an edge, and compacted, which only
+        the fan-out generator imports — and sweeps state.  No second copy
+        of the per-edge loop."""
+        assert _src_files_matching(use) == {os.path.join("exec", module)}
+
+    def test_the_interpreted_walk_is_gone(self):
+        """A produced batch leaves its operator through its generated
+        fan-out only: the walk it replaced is not left in ``src/``."""
+        walk = r"\b(_emit_up|_push_changes|count_edge|_collect_output)\b"
+        assert _src_files_matching(walk) == set()
 
     @pytest.mark.parametrize(
         "member", ["output_size", "output_slice", "root_watermark", "telemetry"]
@@ -529,7 +537,7 @@ class TestSaidOnce:
         that is not blank, not a comment (first non-space character
         ``#``) and not part of a docstring (a string literal that is the
         first statement of a module, class or function)."""
-        assert counted_lines(SRC) <= 17_641
+        assert counted_lines(SRC) <= 17_640
 
     def test_the_threads_backend_is_refused_by_name(self):
         from repro.core.errors import ValidationError

@@ -420,31 +420,34 @@ class TestAccountingCounts:
         assert eager.of(ran).watermark_lag.count > 0
         assert result.metrics.telemetry.snapshot() == eager.of(ran).snapshot()
 
-    def test_a_batch_is_counted_once_however_many_consumers(self, monkeypatch):
+    def test_a_batch_is_counted_once_however_many_consumers(self):
         """The shared scan feeds one tumble per distinct window (9
-        consumer edges): its batch is sized and scanned for retractions
-        in one ``count_edge`` call, not once per consumer plus once for
-        itself."""
-        from repro.exec import executor
+        consumer edges): in the generated fan-out its batch is sized and
+        scanned for retractions in one statement each, and both figures
+        are credited to the scan and to every consumer from there — not
+        once per consumer plus once for itself."""
+        import inspect
+        import re
 
         flow = _sixteen_output_flow()
         (scan,) = flow._leaves
-        fan_out = len(flow._consumers[id(scan)])
-        assert fan_out == 9
-        seen = []
-        real = executor.count_edge
-
-        def spy(changes, producer, consumers):
-            seen.append((producer, len(list(consumers))))
-            real(changes, producer, consumers)
-
-        monkeypatch.setattr(executor, "count_edge", spy)
+        consumers = flow._consumers[id(scan)]
+        assert len(consumers) == 9
         flow.process(_row(0), "S")
-        assert [n for producer, n in seen if producer is scan] == [fan_out]
-        assert [n for producer, n in seen if producer is None] == [1]
-        # one call per produced batch: every producer appears once
-        producers = [id(p) for p, _ in seen if p is not None]
-        assert len(producers) == len(set(producers))
+        kernel = flow._fanout(None, "s")
+        (name,) = [
+            name for name, parameter in inspect.signature(kernel).parameters.items()
+            if parameter.default is scan
+        ]
+        source = kernel._codegen_source
+        for field in ("rows", "retracts"):
+            (figure,) = re.findall(rf"{name}\.counters\.{field}_out \+= (\w+)", source)
+            assert len(re.findall(rf"^\s*{figure} = ", source, re.M)) == 1
+            credited = re.findall(rf"\.counters\.{field}_(?:in\[\d\]|out) \+= {figure}$",
+                                  source, re.M)
+            assert len(credited) == 1 + len(consumers)
+        assert scan.counters.rows_out == 1
+        assert [c.counters.rows_in[port] for c, port in consumers] == [1] * 9
 
     def test_state_sweep_skips_operators_without_state(self, monkeypatch):
         from repro.exec.operators.base import Operator

@@ -489,3 +489,90 @@ class TestPublishWhatChanged:
         # and what was published is the one-shot changelog, late join included
         expected = oneshot_changes(steady_events(64), KEYED_WINDOW_SUM)
         assert busy.flow.output_slice_of("busy") == expected
+
+
+class TestRefusedIngest:
+    """An event earlier than the session clock — the latest instant of
+    *any* source — is refused before anything moves: not the source's
+    recorded TVR (which late joiners replay), not the offsets, not the
+    ingest count, and not any flow."""
+
+    RESIDENT = "SELECT A.k, A.v FROM A EMIT STREAM"
+
+    @staticmethod
+    def two_source_service():
+        svc = StandingQueryService()
+        for name in ("A", "B"):
+            svc.register_stream(name, TimeVaryingRelation(SCHEMA))
+        return svc
+
+    def test_a_refused_event_leaves_the_session_where_it_was(self):
+        from repro.core.errors import ExecutionError
+
+        svc = self.two_source_service()
+        resident = svc.submit("t", self.RESIDENT)
+        svc.ingest(ins(100, (1, 5, 10)), "B")
+        before = (dict(svc.session.source_offsets), svc.session.events_ingested)
+        with pytest.raises(ExecutionError, match="processing-time order"):
+            svc.ingest(ins(50, (2, 5, 20)), "A")
+        assert (dict(svc.session.source_offsets), svc.session.events_ingested) == before
+        assert svc.engine._sources["a"].events() == []
+        svc.ingest(ins(150, (3, 5, 30)), "A")
+        late = svc.submit("t", self.RESIDENT.replace("EMIT", " EMIT"))
+        changelog = [
+            query.flow.output_slice_of(query.output_id, 0)
+            for query in (resident, late)
+        ]
+        assert changelog[0] == changelog[1]
+        assert [(c.values, c.ptime) for c in changelog[1]] == [((3, 30), 150)]
+        assert svc.session.source_offsets == {"b": 1, "a": 1}
+
+    def test_the_wire_ingest_op_answers_with_an_error_and_serves_on(self):
+        import asyncio
+        import json
+
+        from repro.io import format_jsonl
+        from repro.service import ServiceServer
+
+        svc = self.two_source_service()
+
+        def line(event):
+            (text,) = [
+                row for row in format_jsonl(
+                    TimeVaryingRelation(SCHEMA, [event])
+                ).splitlines() if "schema" not in row
+            ]
+            return text
+
+        async def drive():
+            server = ServiceServer(svc, "127.0.0.1", 0)
+            await server.start()
+            reader, writer = await asyncio.open_connection(*server.address)
+
+            async def rpc(payload):
+                writer.write((json.dumps(payload) + "\n").encode())
+                await writer.drain()
+                return json.loads(await reader.readline())
+
+            try:
+                submitted = await rpc({"op": "submit", "tenant": "t", "sql": self.RESIDENT})
+                replies = [
+                    await rpc({"op": "ingest", "source": name, "event": line(event)})
+                    for name, event in (
+                        ("B", ins(100, (1, 5, 10))),
+                        ("A", ins(50, (2, 5, 20))),
+                        ("A", ins(150, (3, 5, 30))),
+                    )
+                ]
+                return submitted, replies, await rpc({"op": "ping"})
+            finally:
+                writer.close()
+                await server.stop()
+
+        submitted, (first, refused, after), ping = asyncio.run(drive())
+        assert submitted["ok"] and first["ok"]
+        assert not refused["ok"]
+        assert "processing-time order" in refused["error"]["detail"]
+        assert after == {"ok": True, "published": {submitted["query"]: 1}}
+        assert ping == {"ok": True}
+        assert svc.session.source_offsets == {"b": 1, "a": 1}

@@ -21,7 +21,8 @@ import pytest
 from repro import ExecutionConfig, StreamEngine
 from repro.core.schema import Schema, int_col, timestamp_col
 from repro.core.tvr import TimeVaryingRelation, ins, rm, wm
-from repro.exec.executor import Dataflow, merge_source_events
+from repro.exec import executor
+from repro.exec.executor import merge_source_events
 from repro.obs.telemetry import RunTelemetry
 from repro.service import StandingQueryService
 
@@ -68,21 +69,31 @@ class Eager:
     noted on arrival with the root watermark in effect (keyed by the log
     object, so a late joiner's adopted history keeps its notes), and
     recorded — by the real ``record_emit_run``, batch by batch — when
-    :meth:`of` is asked."""
+    :meth:`of` is asked.
+
+    Batches reach the logs through the delivery referee's interpreted
+    walk (``tests/test_delivery_kernel.py``'s ``reference_fanout``, which
+    the generated fan-outs are refereed against there), installed as
+    every flow's fan-out with a hook that notes each arrival: the notes
+    are taken where a batch lands, not derived from the steps the
+    engine's settle path reads."""
 
     def __init__(self, monkeypatch):
+        from .test_delivery_kernel import reference_fanout
+
         self.by_log: dict[int, tuple] = {}
-        collect = Dataflow._collect_output
         self.record = RunTelemetry.record_emit_run
 
-        def noting(flow, channel, changes, cause=None):
+        def noting(flow, channel, changes):
             _, notes = self.by_log.setdefault(id(channel.log), (channel.log, []))
             notes.append(
                 (list(changes), channel.completion, channel.watermarks.current)
             )
-            return collect(flow, channel, changes, cause)
 
-        monkeypatch.setattr(Dataflow, "_collect_output", noting)
+        monkeypatch.setattr(
+            executor, "fanout_kernel",
+            lambda flow, op, consumers: reference_fanout(flow, op, consumers, noting),
+        )
 
     def of(self, flow, output_id: str = "main") -> RunTelemetry:
         telemetry = RunTelemetry()
