@@ -535,6 +535,7 @@ class Dataflow(OutputLogs):
         for port, child in enumerate(children):
             self._consumers.setdefault(id(child), []).append((op, port))
             self._producers.setdefault(id(op), []).append((port, child))
+            self._fanouts.pop(id(child), None)  # its edges changed
         self._op_fps[id(op)] = fp
         # First registration wins; a plan scanning one source twice
         # (NEXMark Q7) keeps both operators — sharing only dedups
@@ -567,6 +568,7 @@ class Dataflow(OutputLogs):
         key = leaf.source_name.lower()
         self._leaves.append(leaf)
         self._leaves_by_source.setdefault(key, []).append(leaf)
+        self._fanouts.pop(key, None)
         # ("$"-names are fed by the engine itself: VALUES preludes and
         # the partial payloads of a merge plan.)
         if not key.startswith("$") and key not in self._sources:
@@ -612,6 +614,7 @@ class Dataflow(OutputLogs):
         self.lineage = recorder
         self._lineage_shard = shard
         self._lineage_register_outputs = register_outputs
+        self._fanouts = {}  # they compile the recorder in only when set
         self._span_changed()
 
     def output_ids(self) -> list[str]:
@@ -835,9 +838,7 @@ class Dataflow(OutputLogs):
         self._span_changed()
 
     def _span_changed(self) -> None:
-        """Re-derive the run span and drop the generated fan-outs: the
-        graph or the recorder changed."""
-        self._fanouts = {}
+        """Re-derive the run span: the graph or the recorder changed."""
         self._span_reason = why_runs_stay_per_instant(
             self._operators, self.lineage is not None, self.coalesce_updates
         )
@@ -872,6 +873,7 @@ class Dataflow(OutputLogs):
         channel = OutputChannel(output_id, plan, root_op)
         self._outputs[output_id] = channel
         self._outputs_of.setdefault(id(root_op), []).append(channel)
+        self._fanouts.pop(id(root_op), None)
         return channel
 
     def remove_output(self, output_id: str) -> bool:
@@ -887,53 +889,42 @@ class Dataflow(OutputLogs):
             return False
         self._touched.discard(output_id)
         siblings = self._outputs_of.get(id(channel.root))
+        self._fanouts.pop(id(channel.root), None)
         if siblings is not None:
             siblings.remove(channel)
             if not siblings:
                 del self._outputs_of[id(channel.root)]
         for op in self._reachable_ops(channel.root):
             self._op_refs[id(op)] -= 1
-        dead = {
-            id(op)
-            for op in self._operators
-            if self._op_refs.get(id(op), 0) <= 0
-        }
+        dead = {id(op) for op in self._operators if self._op_refs.get(id(op), 0) <= 0}
         if dead:
-            self._operators = [
-                op for op in self._operators if id(op) not in dead
-            ]
-            self._leaves = [
-                leaf for leaf in self._leaves if id(leaf) not in dead
-            ]
-            for key in list(self._leaves_by_source):
-                kept = [
-                    leaf
-                    for leaf in self._leaves_by_source[key]
-                    if id(leaf) not in dead
-                ]
-                if kept:
-                    self._leaves_by_source[key] = kept
-                else:
-                    del self._leaves_by_source[key]
+            self._operators = [op for op in self._operators if id(op) not in dead]
+            self._leaves = [leaf for leaf in self._leaves if id(leaf) not in dead]
+            for key, leaves in list(self._leaves_by_source.items()):
+                kept = [leaf for leaf in leaves if id(leaf) not in dead]
+                if len(kept) < len(leaves):
+                    self._fanouts.pop(key, None)
+                    if kept:
+                        self._leaves_by_source[key] = kept
+                    else:
+                        del self._leaves_by_source[key]
             for op_id in dead:
+                self._fanouts.pop(op_id, None)  # (an id may be reused)
                 self._op_refs.pop(op_id, None)
                 self._op_fps.pop(op_id, None)
                 self._producers.pop(op_id, None)
                 self._consumers.pop(op_id, None)
                 self._values_rows.pop(op_id, None)
             for op_id, edges in list(self._consumers.items()):
-                self._consumers[op_id] = [
-                    (consumer, port)
-                    for consumer, port in edges
-                    if id(consumer) not in dead
-                ]
+                kept = [(consumer, port) for consumer, port in edges if id(consumer) not in dead]
+                if len(kept) < len(edges):
+                    self._consumers[op_id] = kept
+                    self._fanouts.pop(op_id, None)
             self._fp_index = {}
             for op in self._operators:
                 self._fp_index.setdefault(self._op_fps[id(op)], op)
             self._plan_node_ops = {
-                node_id: op
-                for node_id, op in self._plan_node_ops.items()
-                if id(op) not in dead
+                node_id: op for node_id, op in self._plan_node_ops.items() if id(op) not in dead
             }
             self._timers.discard(dead)
         self._graph_changed()
@@ -1402,8 +1393,9 @@ class Dataflow(OutputLogs):
         ``source``'s payload into its scan leaves: the one place a
         produced batch is counted, collected and passed on, whether a
         row, an open, a watermark or a timer caused it.  Built on first
-        use and cached until the graph, the recorder or the trace hook
-        changes."""
+        use and cached until its edges or channels change (a graft or a
+        withdrawal drops just those kernels) or the recorder or the
+        trace hook does (which drops them all)."""
         key = source if op is None else id(op)
         kernel = self._fanouts.get(key)
         if kernel is None:

@@ -3,8 +3,8 @@
 A produced batch leaves its operator through one generated fan-out
 (``repro.exec.codegen.fanout_kernel``): counted once for its producer
 and every consumer, appended to the output channels rooted at the
-producer, then handed to each consumer in attach order, inlined down to
-the roots.  The referee is :func:`reference_fanout` below, a naive
+producer, then handed to each consumer in attach order, whose own
+fan-out takes what it produced.  The referee is :func:`reference_fanout` below, a naive
 recursive walker with the semantics of the deleted ``_emit_up`` (with
 ``_push_changes`` and ``_collect_output`` folded in).  Two flows are
 built from the same plans and fed in lockstep — one compiling its
@@ -14,8 +14,10 @@ and what the trace hook saw (with every output's log size at the moment
 it saw it, which pins the order of effects inside a delivery) must be
 equal.  Cells: ``batch_size`` {1, 64} x ``columnar`` {auto, off} x
 ``coalesce_updates`` x observers (lineage recorder and trace hook)
-{off, on}; a graft -> withdraw -> checkpoint/restore sequence; and two
-``sync`` shards, two-phase.
+{off, on}; a graft -> withdraw -> checkpoint/restore sequence; a scan
+wider than one kernel (``FANOUT_WIDTH``) grafted onto and withdrawn
+from; and two ``sync`` shards, two-phase.  A graft or a withdrawal
+drops exactly the kernels whose edges or channels it changed.
 """
 
 import contextlib
@@ -192,17 +194,59 @@ def test_serial_deliveries_equal_the_walk(batch_size, columnar, coalesce, observ
     ), observers)
 
 
-@pytest.mark.parametrize("budget, depth", [(2, 32), (256, 2)], ids=["few", "shallow"])
 @pytest.mark.parametrize("batch_size", [1, 64])
-def test_a_kernel_past_its_inlining_limits_calls_on(monkeypatch, batch_size, budget, depth):
-    """Past its inlining budget or depth a kernel calls the consumer's
-    own cached fan-out instead; the deliveries are the same."""
-    from repro.exec import codegen
+def test_a_scan_wider_than_one_kernel(batch_size):
+    """A producer past ``FANOUT_WIDTH`` consumers chains kernels; a
+    graft onto it and a withdrawal from its first kernel's share
+    deliver like the walk."""
+    from repro.exec.codegen import FANOUT_WIDTH
 
-    monkeypatch.setattr(codegen, "_INLINE_BUDGET", budget)
-    monkeypatch.setattr(codegen, "_INLINE_DEPTH", depth)
-    kernel = serial_cell(ExecutionConfig(batch_size=batch_size), True)
-    assert "flow._fanout(" in kernel._fanout(None, "s")._codegen_source
+    wide = [f"SELECT k, ts, v FROM S WHERE v > {n}" for n in range(FANOUT_WIDTH + 2)]
+    pair = [build(ExecutionConfig(batch_size=batch_size), wide) for _ in range(2)]
+    eng, (kernel, reference) = pair[0][0], [flow for _, flow in pair]
+    (scan,) = kernel._leaves
+    assert len(kernel._consumers[id(scan)]) > FANOUT_WIDTH
+    events = merged(eng)
+    assert lockstep((kernel, reference), events[: len(events) // 3]) > 0
+    assert "_more" in kernel._fanout(scan)._codegen_source
+    for (each, flow) in pair:
+        flow.attach_output("late", each.query(QUERIES[1]).plan)
+        assert flow.remove_output("q1")
+    assert lockstep((kernel, reference), events[len(events) // 3:]) > 0
+
+
+def graph(flow):
+    """What each kernel is generated from: every producer's edges and
+    channels, and every source's leaves."""
+    return {
+        **{key: [(id(c), port) for c, port in edges] for key, edges in flow._consumers.items()},
+        **{(key, "out"): [ch.output_id for ch in chans] for key, chans in flow._outputs_of.items()},
+        **{key: [id(leaf) for leaf in leaves] for key, leaves in flow._leaves_by_source.items()},
+    }
+
+
+def test_a_graft_or_a_withdrawal_drops_only_the_kernels_it_changed():
+    eng, flow = build(ExecutionConfig(batch_size=64), QUERIES[:3])
+    events = merged(eng)
+    run = flow.replay(events)
+    for mutate in (
+        lambda: flow.attach_output("q3", eng.query(QUERIES[3]).plan),
+        lambda: flow.attach_output("q4", eng.query(QUERIES[4]).plan),
+        lambda: flow.remove_output("q1"),
+        lambda: flow.remove_output("q3"),
+    ):
+        for _ in range(60):
+            next(run)
+        kernels, before = dict(flow._fanouts), graph(flow)
+        mutate()
+        after = graph(flow)
+        changed = {key if type(key) is not tuple else key[0]
+                   for key in before.keys() | after.keys() if before.get(key) != after.get(key)}
+        assert changed and kernels.keys() - changed
+        assert {key for key in kernels if flow._fanouts.get(key) is kernels[key]} == (
+            kernels.keys() - changed
+        )
+        assert not flow._fanouts.keys() - kernels.keys()
 
 
 def serial_cell(config, observers) -> Dataflow:

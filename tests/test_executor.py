@@ -422,7 +422,7 @@ class TestAccountingCounts:
 
     def test_a_batch_is_counted_once_however_many_consumers(self):
         """The shared scan feeds one tumble per distinct window (9
-        consumer edges): in the generated fan-out its batch is sized and
+        consumer edges): in the scan's generated fan-out its batch is sized and
         scanned for retractions in one statement each, and both figures
         are credited to the scan and to every consumer from there — not
         once per consumer plus once for itself."""
@@ -434,7 +434,7 @@ class TestAccountingCounts:
         consumers = flow._consumers[id(scan)]
         assert len(consumers) == 9
         flow.process(_row(0), "S")
-        kernel = flow._fanout(None, "s")
+        kernel = flow._fanout(scan)
         (name,) = [
             name for name, parameter in inspect.signature(kernel).parameters.items()
             if parameter.default is scan

@@ -21,8 +21,8 @@ import pytest
 from repro import ExecutionConfig, StreamEngine
 from repro.core.schema import Schema, int_col, timestamp_col
 from repro.core.tvr import TimeVaryingRelation, ins, rm, wm
-from repro.exec import executor
-from repro.exec.executor import merge_source_events
+from repro.core.codec import SegmentedLog
+from repro.exec.executor import OutputChannel, merge_source_events
 from repro.obs.telemetry import RunTelemetry
 from repro.service import StandingQueryService
 
@@ -71,29 +71,48 @@ class Eager:
     recorded — by the real ``record_emit_run``, batch by batch — when
     :meth:`of` is asked.
 
-    Batches reach the logs through the delivery referee's interpreted
-    walk (``tests/test_delivery_kernel.py``'s ``reference_fanout``, which
-    the generated fan-outs are refereed against there), installed as
-    every flow's fan-out with a hook that notes each arrival: the notes
-    are taken where a batch lands, not derived from the steps the
-    engine's settle path reads."""
+    The engine delivers through its own generated fan-outs; the notes
+    are taken where a batch lands: every log's live tail is a list
+    whose ``extend`` notes the batch for the channel that reads the log
+    (channels take every log through ``OutputChannel.adopt``), not
+    derived from the steps the engine's settle path reads."""
 
     def __init__(self, monkeypatch):
-        from .test_delivery_kernel import reference_fanout
-
         self.by_log: dict[int, tuple] = {}
         self.record = RunTelemetry.record_emit_run
+        readers: dict[int, tuple] = {}  # id(log) -> (log, the channel reading it)
+        by_log = self.by_log
 
-        def noting(flow, channel, changes):
-            _, notes = self.by_log.setdefault(id(channel.log), (channel.log, []))
-            notes.append(
-                (list(changes), channel.completion, channel.watermarks.current)
-            )
+        class NotingTail(list):
+            __slots__ = ("log",)
 
-        monkeypatch.setattr(
-            executor, "fanout_kernel",
-            lambda flow, op, consumers: reference_fanout(flow, op, consumers, noting),
-        )
+            def extend(self, rows):
+                log, channel = readers.get(id(self.log), (None, None))
+                if log is self.log:
+                    _, notes = by_log.setdefault(id(self.log), (self.log, []))
+                    notes.append(
+                        (list(rows), channel.completion, channel.watermarks.current)
+                    )
+                list.extend(self, rows)
+
+            def __reduce__(self):  # ships (to a forked shard) as a list
+                return list, (list(self),)
+
+        slot = SegmentedLog.tail
+
+        def set_tail(log, rows):
+            tail = NotingTail(rows)
+            tail.log = log
+            slot.__set__(log, tail)
+
+        monkeypatch.setattr(SegmentedLog, "tail", property(slot.__get__, set_tail))
+        adopt = OutputChannel.adopt
+
+        def adopting(channel, log, *history):
+            readers[id(log)] = (log, channel)
+            adopt(channel, log, *history)
+
+        monkeypatch.setattr(OutputChannel, "adopt", adopting)
 
     def of(self, flow, output_id: str = "main") -> RunTelemetry:
         telemetry = RunTelemetry()
