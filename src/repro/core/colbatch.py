@@ -129,11 +129,7 @@ class ColumnarBatch:
         """Retractions in the batch (memoized; counters use this)."""
         count = self._retracts
         if count is None:
-            count = 0
-            for kind in self.kinds:
-                if kind is _RETRACT:
-                    count += 1
-            self._retracts = count
+            count = self._retracts = self.kinds.count(_RETRACT)
         return count
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

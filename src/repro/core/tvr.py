@@ -21,7 +21,7 @@ which here reads::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Sequence
 
 from .changelog import Change, ChangeKind, Changelog
 from .errors import ExecutionError
@@ -102,9 +102,6 @@ class TimeVaryingRelation:
         self._schema = schema
         self._events = events_log()
         self._cut = events_log()
-        #: ``None`` while a restored prefix is still encoded: the
-        #: changelog is derived from the events on first use.
-        self._changelog: Optional[Changelog] = Changelog()
         self._watermarks = WatermarkTrack()
         self._last_ptime: Timestamp = MIN_TIMESTAMP
         for event in events:
@@ -149,7 +146,6 @@ class TimeVaryingRelation:
         log = tvr._events = events_log(segments)
         if log.sealed:
             tvr._cut = events_log(log.sealed)  # (the same segments)
-            tvr._changelog = None
             for segment in log.sealed:
                 triple = tuple(segment)  # (a framed one unpickles once)
                 for ptime, value in segment_watermarks(triple):
@@ -172,8 +168,6 @@ class TimeVaryingRelation:
                     f"row arity {len(event.change.values)} does not match "
                     f"schema arity {len(self._schema)}"
                 )
-            if self._changelog is not None:
-                self._changelog.append(event.change)
         else:
             self._watermarks.advance(event.ptime, event.value)
         self._events.tail.append(event)
@@ -199,14 +193,11 @@ class TimeVaryingRelation:
 
     @property
     def changelog(self) -> Changelog:
-        """The stream rendering: the changelog of this TVR."""
-        if self._changelog is None:
-            self._changelog = Changelog(
-                event.change
-                for event in self.events()
-                if isinstance(event, RowEvent)
-            )
-        return self._changelog
+        """The stream rendering: the changelog of this TVR, derived from
+        its events on each read (the events are the one record kept)."""
+        return Changelog(
+            event.change for event in self.events() if isinstance(event, RowEvent)
+        )
 
     @property
     def watermarks(self) -> WatermarkTrack:

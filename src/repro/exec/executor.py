@@ -245,17 +245,16 @@ def replay_runs(flow, events: Sequence[tuple[StreamEvent, str]]) -> Iterator[int
     Yields, after each delivery, how many of ``events`` have been
     consumed — behind ``replay`` of the serial and the sharded dataflow
     alike (and so behind the serial ``run()``, service catch-up and the
-    shell's ``\\watch`` loop).  A run that spans instants — only a
-    serial flow forms one — goes to the body of ``process_batch``
-    without its one-instant check.
+    shell's ``\\watch`` loop).  A row run goes to the body of
+    ``process_batch`` without its one-instant check: ``event_runs``
+    keeps a run to one instant wherever the flow needs that, and a run
+    that spans instants (only a serial flow forms one) needs no check.
     """
     for stop, run, source in event_runs(flow, events):
-        if not isinstance(run[0], RowEvent):
-            flow.process(run[0], source)
-        elif run[-1].ptime == run[0].ptime:
-            flow.process_batch(run, source)
-        else:
+        if isinstance(run[0], RowEvent):
             flow._deliver(run, source)
+        else:
+            flow.process(run[0], source)
         yield stop
 
 
@@ -310,7 +309,8 @@ class OutputChannel:
     watermark it leaves (:meth:`step`); :meth:`settle` derives the
     samples of ``log[settled:]`` from those notes in one pass, when
     :attr:`telemetry` is read and before the tail leaves (a cut seals
-    it, a shard driver takes it, a late joiner adopts it).
+    it, a shard driver takes it).  A graft adopts a donor's history
+    unsettled, notes and all.
     """
 
     __slots__ = (
@@ -808,14 +808,16 @@ class Dataflow(OutputLogs):
         channel = self._open_channel(output_id, plan, build(root_node, build))
         self._graph_changed()
         if donor is not None:
-            # The donor is a throwaway: adopt its history, don't copy it.
+            # The donor is a throwaway: adopt its history, don't copy it,
+            # and don't settle it either — its step notes come along.
             donor_primary = donor._outputs[donor._primary]
             channel.adopt(
                 donor_primary.log,
                 donor_primary.watermarks,
-                donor_primary.telemetry,
+                donor_primary._telemetry,
                 donor_primary.settled,
             )
+            channel.steps = donor_primary.steps
             new_ids = {id(op) for op in new_ops}
             for when, _, op in sorted(donor._timers):
                 if id(op) in new_ids:

@@ -15,13 +15,17 @@ Event-time semantics (Extensions 1 & 2):
 * when the watermark passes a group's event-time key, the group's
   accumulators are **freed** — this is the "state for an ongoing
   aggregation can be freed" lesson of Section 5, and what keeps state
-  bounded on unbounded inputs (see ``bench_state_size``).
+  bounded on unbounded inputs (see ``bench_state_size``).  Completed
+  groups are found through an index by completion bound, so an advance
+  costs the groups created since the last one plus the groups it
+  frees, not the groups held.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from heapq import heappop, heappush
+from itertools import compress, groupby, islice
 from operator import itemgetter
 from typing import Any, Iterable, Optional, Sequence
 
@@ -147,6 +151,18 @@ class AggregateOperator(Operator):
         self._et_positions = tuple(event_time_key_positions)
         self._allowed_lateness = allowed_lateness
         self._groups: dict[tuple, _GroupState] = {}
+        # A group completes once the watermark covers all of its
+        # event-time keys (for a window keyed by (wstart, wend): wend),
+        # so its completion bound is their max.
+        positions = self._et_positions
+        et_of = itemgetter(*positions) if positions else None
+        self._bound_of = et_of if len(positions) < 2 else lambda key: max(et_of(key))
+        # The expiry index: bound -> keys of the groups created at it,
+        # and a heap of its bounds.  It is never cut: a restore empties
+        # it, and the next advance indexes the whole restored table.
+        self._expiry: dict = {}
+        self._expiry_bounds: list = []
+        self._indexed = 0  # ``_groups_created`` when the index was filled
         self._finalized_max: Timestamp = MIN_TIMESTAMP
         self._global = not self._group_indices
         # Monotonic, unlike the ``groups`` gauge (which drops back as
@@ -222,39 +238,22 @@ class AggregateOperator(Operator):
 
     # -- event time ------------------------------------------------------------------
 
-    def _on_time(self, keys: Sequence[tuple], wm: Timestamp) -> list[bool]:
-        """Per key, whether its group is still open under watermark ``wm``.
-
-        A group is complete once *all* of its event-time keys are
-        covered by the watermark: for a window grouped by (wstart,
-        wend) that is ``wend <= watermark``, since wstart < wend.  (A
-        group keyed by wstart alone would otherwise complete while its
-        window was still open; the planner's sibling-key injection
-        guarantees wend is always present alongside wstart.)  With
-        allowed lateness, a group survives the watermark by that margin
-        so late firings can still update it (the "late" pane of the
-        early/on-time/late pattern).  Only meaningful with event-time
-        keys — callers check ``_et_positions`` first.
-        """
-        bound = wm - self._allowed_lateness
-        if len(self._et_positions) == 1:
-            (pos,) = self._et_positions
-            return [key[pos] > bound for key in keys]
-        et_of = itemgetter(*self._et_positions)
-        return [max(et_of(key)) > bound for key in keys]
-
     def _drop_late(self, keys, kinds, ptimes, arg_cols) -> tuple:
         """The extracted vectors without the rows of complete groups.
 
-        Inputs whose group the input watermark already declared
-        complete are late data: counted and dropped, once per batch —
-        the input watermark cannot move inside a batch, because
-        watermark events break batches.  This is the columnar and the
-        partial stage's cutoff; a row batch meets the same test inline,
-        in the fold's generated row entry.
+        A group is complete once its completion bound is at or below
+        the input watermark less the allowed lateness (with lateness, a
+        group survives the watermark by that margin so late firings can
+        still update it: the "late" pane of the early/on-time/late
+        pattern).  Inputs whose group is complete are late data:
+        counted and dropped, once per batch — the input watermark cannot
+        move inside a batch, because watermark events break batches.
+        This is the columnar and the partial stage's cutoff; a row batch
+        meets the same test inline, in the fold's generated row entry.
         """
         if self._et_positions:
-            on_time = self._on_time(keys, self.input_watermark)
+            cutoff = self.input_watermark - self._allowed_lateness
+            on_time = [bound > cutoff for bound in map(self._bound_of, keys)]
             if False in on_time:
                 self.late_dropped += on_time.count(False)
                 keys, kinds, ptimes, *arg_cols = (
@@ -271,10 +270,24 @@ class AggregateOperator(Operator):
         if not self._et_positions or merged <= self._finalized_max:
             return []
         self._finalized_max = merged
-        keys = list(self._groups)
-        for key, is_open in zip(keys, self._on_time(keys, merged)):
-            if not is_open:
-                self._retained -= self._groups.pop(key).row_count
+        groups, expiry, bounds = self._groups, self._expiry, self._expiry_bounds
+        # New groups sit at the end of the table, in creation order: the
+        # last ``created`` entries hold every one still alive (and
+        # perhaps older keys, indexed again: harmless).
+        fresh = islice(reversed(groups), self._groups_created - self._indexed)
+        self._indexed = self._groups_created
+        for bound, keys in groupby(fresh, self._bound_of):
+            if bound not in expiry:
+                heappush(bounds, bound)
+            expiry.setdefault(bound, []).extend(keys)
+        # A key whose group was emptied (and perhaps created again, at
+        # the same bound) is freed once; the other entries find nothing.
+        cutoff = merged - self._allowed_lateness
+        while bounds and bounds[0] <= cutoff:
+            for key in expiry.pop(heappop(bounds)):
+                state = groups.pop(key, None)
+                if state is not None:
+                    self._retained -= state.row_count
         return []
 
     # -- data path: the transition ---------------------------------------------------
@@ -346,6 +359,7 @@ class AggregateOperator(Operator):
     def state_restore(self, snapshot: dict) -> None:
         super().state_restore(snapshot)
         groups = self._groups = self._adopt_table(*snapshot["groups"])
+        self._expiry, self._expiry_bounds, self._indexed = {}, [], 0
         self._finalized_max = snapshot["finalized_max"]
         self._groups_created = snapshot["groups_created"]
         self._retained = sum(state.row_count for state in groups.values())

@@ -19,14 +19,24 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Optional, Sequence
 
-from ...core.changelog import Change
+from ...core.changelog import Change, ChangeKind
 from ...core.schema import Schema
 from ...core.times import Duration, Timestamp
 from .base import Operator
 
 __all__ = ["JoinOperator", "TimeBound"]
+
+_INSERT = ChangeKind.INSERT
+
+
+def _key_getter(indices: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """``row -> tuple(row[i] for i in indices)``, without the generator."""
+    if len(indices) != 1:
+        return itemgetter(*indices) if indices else lambda values: ()
+    return lambda values, only=indices[0]: (values[only],)
 
 
 @dataclass(frozen=True)
@@ -60,7 +70,7 @@ class JoinOperator(Operator):
         self._condition = condition
         # Hash keys: equal-length index tuples into each side's rows.
         # Without equi-keys everything lands in one bucket.
-        self._keys = (left_key or (), right_key or ())
+        self._key_of = tuple(map(_key_getter, (left_key or (), right_key or ())))
         self._state: tuple[dict, dict] = ({}, {})
         self._bounds = (left_bound, right_bound)
         # Running count of row occurrences held on both sides, so
@@ -71,52 +81,57 @@ class JoinOperator(Operator):
     # -- data path ---------------------------------------------------------------
 
     def on_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
-        # Both sides' state dicts, the key indices, and the condition
-        # are bound once for the whole batch instead of per probe.
-        key_indices = self._keys[port]
+        # Both sides' state dicts, the key getter, the condition and the
+        # row count are bound once for the whole batch instead of per
+        # probe; bucket counts go through ``get`` (a ``Counter``'s
+        # ``+=`` on a new row would call its ``__missing__``).
+        key_of = self._key_of[port]
         side = self._state[port]
         other = self._state[1 - port]
         condition = self._condition
         left = port == 0
+        rows = self._rows
         out: list[Change] = []
         append = out.append
-        extend = out.extend
-        for change in changes:
-            values = change.values
-            key = tuple(values[i] for i in key_indices)
-            bucket = side.get(key)
-            if change.is_insert:
-                if bucket is None:
-                    bucket = Counter()
-                    side[key] = bucket
-                bucket[values] += 1
-                self._rows += 1
-            else:
-                if bucket is None or bucket[values] <= 0:
-                    # The matching insert was expired by the watermark;
-                    # the retraction has nothing to undo.
-                    self.expired_rows += 1
-                    continue
-                bucket[values] -= 1
-                self._rows -= 1
-                if bucket[values] == 0:
-                    del bucket[values]
-                    if not bucket:
-                        del side[key]
-            matches = other.get(key)
-            if not matches:
-                continue
-            kind, ptime = change.kind, change.ptime
-            for other_values, count in matches.items():
-                combined = (
-                    values + other_values if left else other_values + values
-                )
-                if condition is not None and condition(combined) is not True:
-                    continue
-                if count == 1:
-                    append(Change(kind, combined, ptime))
+        try:
+            for change in changes:
+                values = change.values
+                key = key_of(values)
+                bucket = side.get(key)
+                kind = change.kind
+                if kind is _INSERT:
+                    if bucket is None:
+                        bucket = side[key] = Counter()
+                    bucket[values] = bucket.get(values, 0) + 1
+                    rows += 1
                 else:
-                    extend(Change(kind, combined, ptime) for _ in range(count))
+                    count = 0 if bucket is None else bucket.get(values, 0)
+                    if not count:
+                        # The matching insert was expired by the
+                        # watermark; the retraction has nothing to undo.
+                        self.expired_rows += 1
+                        continue
+                    rows -= 1
+                    if count > 1:
+                        bucket[values] = count - 1
+                    else:
+                        del bucket[values]
+                        if not bucket:
+                            del side[key]
+                matches = other.get(key)
+                if not matches:
+                    continue
+                ptime = change.ptime
+                for other_values, count in matches.items():
+                    combined = (
+                        values + other_values if left else other_values + values
+                    )
+                    if condition is not None and condition(combined) is not True:
+                        continue
+                    for _ in range(count):
+                        append(Change(kind, combined, ptime))
+        finally:
+            self._rows = rows
         return out
 
     # -- watermark-driven state expiry -----------------------------------------------
@@ -127,21 +142,16 @@ class JoinOperator(Operator):
             if bound is None:
                 continue
             side = self._state[port]
-            empty_keys = []
-            for key, bucket in side.items():
-                doomed = [
-                    values
-                    for values in bucket
+            for key, bucket in list(side.items()):
+                for values in [
+                    values for values in bucket
                     if values[bound.time_index] + bound.slack <= merged
-                ]
-                for values in doomed:
+                ]:
                     count = bucket.pop(values)
                     self.expired_rows += count
                     self._rows -= count
                 if not bucket:
-                    empty_keys.append(key)
-            for key in empty_keys:
-                del side[key]
+                    del side[key]
         return []
 
     # -- introspection ---------------------------------------------------------------

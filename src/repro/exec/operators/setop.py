@@ -30,8 +30,8 @@ class SetOpOperator(Operator):
     def _output_multiplicity(self, left: int, right: int) -> int:
         if self._op == "INTERSECT":
             result = min(left, right)
-        else:  # EXCEPT
-            result = max(left - right, 0)
+        else:  # EXCEPT ALL subtracts bags; EXCEPT keeps what the right lacks
+            result = max(left - right, 0) if self._all or not right else 0
         if not self._all:
             return 1 if result > 0 else 0
         return result

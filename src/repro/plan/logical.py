@@ -829,9 +829,11 @@ class SetOpNode(LogicalNode):
     """INTERSECT [ALL] / EXCEPT [ALL] with bag semantics.
 
     Output multiplicity per row: ``min(l, r)`` for INTERSECT ALL,
-    ``max(l - r, 0)`` for EXCEPT ALL; the DISTINCT variants cap the
-    result at one when positive.  Maintained incrementally from both
-    sides' counts, so rows flip in and out as either input changes.
+    ``max(l - r, 0)`` for EXCEPT ALL; INTERSECT holds a row once when
+    ``l > 0 and r > 0``, EXCEPT once when ``l > 0 and r == 0`` (not
+    ``DISTINCT(S EXCEPT ALL R)``: one copy on the right removes the
+    row however many the left holds).  Maintained incrementally from
+    both sides' counts, so rows flip in and out as either input changes.
     """
 
     def __init__(self, left: LogicalNode, right: LogicalNode, op: str,

@@ -531,6 +531,17 @@ class TestSaidOnce:
             inspect.getattr_static(Operator, "input_watermark", None), property
         )
 
+    def test_an_advance_does_not_list_the_group_table(self):
+        """Completed groups are found through the expiry index: the
+        watermark hook neither lists nor walks the group table, and the
+        per-key completion test lives in one place, ``_drop_late``."""
+        from repro.exec.operators.aggregate import AggregateOperator
+
+        advance = inspect.getsource(AggregateOperator._on_watermark_advanced)
+        assert "list(self._groups)" not in advance
+        assert "list(groups)" not in advance
+        assert _src_files_matching(r"def _on_time\(") == set()
+
     def test_counted_src_lines(self):
         """Counted lines of ``src/repro`` stay at or below where the
         last deletion left them.  Counted: every line of a ``.py`` file

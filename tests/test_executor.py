@@ -179,8 +179,9 @@ class TestStateAccounting:
 
 
 class _RecordingFlow(Dataflow):
-    """Logs the runs a driver delivers: one entry per ``process_batch``
-    call (a row event through ``process`` is a batch of one) or per
+    """Logs the runs a driver delivers: one entry per run of rows that
+    reaches ``_deliver`` (the body ``process_batch`` and ``replay``
+    share; a row event through ``process`` is a run of one) or per
     watermark."""
 
     def process(self, event, source):
@@ -188,9 +189,9 @@ class _RecordingFlow(Dataflow):
             self.runs.append(("wm", source))
         super().process(event, source)
 
-    def process_batch(self, events, source):
+    def _deliver(self, events, source, seqs=None):
         self.runs.append((len(events), source))
-        super().process_batch(events, source)
+        super()._deliver(events, source, seqs)
 
 
 def _bursty_engine():

@@ -1,12 +1,13 @@
 """Tests for INTERSECT / EXCEPT set operations."""
 
+import sqlite3
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import StreamEngine
+from repro import ExecutionConfig, StreamEngine
 from repro.core.schema import Schema, int_col, timestamp_col
 from repro.core.times import t
 from repro.core.tvr import TimeVaryingRelation
@@ -95,9 +96,84 @@ def test_matches_bag_model(left, right, op, use_all):
     expected: Counter = Counter()
     for value in set(left) | set(right):
         l, r = lcount.get(value, 0), rcount.get(value, 0)
-        n = min(l, r) if op == "INTERSECT" else max(l - r, 0)
-        if not use_all:
-            n = 1 if n > 0 else 0
+        if use_all:  # bags: the smaller count, or what the right leaves
+            n = min(l, r) if op == "INTERSECT" else max(l - r, 0)
+        else:  # sets: on both sides, or on the left only
+            n = int(l > 0 and (r > 0 if op == "INTERSECT" else r == 0))
         if n:
             expected[value] = n
     assert got == Counter(expected.elements())
+
+
+# ---------------------------------------------------------------------------
+# sqlite3 as the outside referee: at every instant, the engine's snapshot
+# equals the non-temporal query over that instant's snapshot tables
+# ---------------------------------------------------------------------------
+
+PAIR = Schema([int_col("a"), int_col("b")])
+SET_SQL = "SELECT a, b FROM S {op} SELECT a, b FROM R"
+
+
+def sqlite_answer(sql: str, tables: dict) -> Counter:
+    con = sqlite3.connect(":memory:")
+    for name, rows in tables.items():
+        con.execute(f"CREATE TABLE {name} (a INTEGER, b INTEGER)")
+        con.executemany(f"INSERT INTO {name} VALUES (?, ?)", rows)
+    return Counter(con.execute(sql).fetchall())
+
+
+def refereed(streams: dict, op: str, batch_size: int) -> None:
+    """Compare the engine with sqlite at every instant of ``streams``
+    (name -> ``(ptime, row, +1 | -1)`` events, in ptime order)."""
+    engine = StreamEngine(config=ExecutionConfig(batch_size=batch_size))
+    for name, events in streams.items():
+        tvr = TimeVaryingRelation(PAIR)
+        for ptime, row, sign in events:
+            (tvr.insert if sign > 0 else tvr.retract)(ptime, row)
+        engine.register_stream(name, tvr)
+    result = engine.query(SET_SQL.format(op=op)).run()
+    instants = sorted({ptime for events in streams.values() for ptime, _, _ in events})
+    for at in instants:
+        tables = {}
+        for name, events in streams.items():
+            bag = Counter()
+            for ptime, row, sign in events:
+                if ptime <= at:
+                    bag[row] += sign
+            tables[name] = list(bag.elements())
+        got = Counter(result.snapshot(at).tuples)
+        assert got == sqlite_answer(SET_SQL.format(op=op), tables), (op, at)
+
+
+class TestSqliteReferee:
+    @pytest.mark.parametrize("batch_size", [1, 64])
+    def test_one_copy_on_the_right_removes_the_row(self, batch_size):
+        """``S EXCEPT R`` holds a row iff ``S`` holds it and ``R`` does
+        not, however many copies ``S`` holds."""
+        streams = {"S": [(1, (0, 1), 1), (2, (0, 1), 1)], "R": [(3, (0, 1), 1)]}
+        refereed(streams, "EXCEPT", batch_size)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from("SR"),
+                st.tuples(st.sampled_from([0, 1, None]), st.sampled_from([0, 1])),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=16,
+        ),
+        st.sampled_from(["INTERSECT", "EXCEPT"]),
+        st.sampled_from([1, 64]),
+    )
+    def test_matches_sqlite_at_every_instant(self, draws, op, batch_size):
+        streams: dict = {"S": [], "R": []}
+        live: dict = {"S": [], "R": []}
+        for ptime, (side, row, retract) in enumerate(draws, 1):
+            if retract and live[side]:
+                streams[side].append((ptime, live[side].pop(), -1))
+            else:
+                live[side].append(row)
+                streams[side].append((ptime, row, 1))
+        refereed(streams, op, batch_size)

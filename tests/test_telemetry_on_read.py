@@ -2,8 +2,8 @@
 
 A root watermark step only notes where the output's log ended and the
 watermark it leaves; the latency samples are derived from those notes
-when somebody reads the telemetry (or a cut, a take or a late joiner's
-adoption needs them settled).  The referee is an eager recorder built
+when somebody reads the telemetry (or a cut or a take needs them
+settled; a late joiner's graft adopts them still owed).  The referee is an eager recorder built
 here, outside the engine's settle path: every batch that reaches an
 output's log is recorded on arrival, at the root watermark in effect
 — what the engine did at each watermark step before samples were
@@ -230,8 +230,8 @@ def test_cut_then_resume(eager, records, batch_size):
 
 def test_late_joiner_graft(eager, records):
     """A late joiner grafts onto a resident flow with the history its
-    donor replayed: the donor's samples are settled when they are
-    adopted, and the grafted output's later ones are owed until read."""
+    donor replayed: the donor's samples are owed when they are adopted,
+    and so are the grafted output's later ones, until read."""
     events = generated(SEEDS[2])
     merged = merge_source_events({"S": TimeVaryingRelation(SCHEMA, events)})
     svc = StandingQueryService(config=ExecutionConfig(share_plans=True))
@@ -252,3 +252,55 @@ def test_late_joiner_graft(eager, records):
         read = query.flow.telemetry_of(query.output_id)
         assert read.snapshot() == eager.of(query.flow, query.output_id).snapshot()
         assert read.watermark_lag.count > 0
+
+
+def test_graft_adopts_the_donor_history_unsettled(records, tmp_path):
+    """Submitting a late joiner settles nothing: the graft adopts the
+    donor's raw telemetry, settle point and step notes.  After more
+    input, and after a cut, the grafted output reads what a graft that
+    settled on attach reads."""
+    events = generated(SEEDS[0])
+    merged = merge_source_events({"S": TimeVaryingRelation(SCHEMA, events)})
+    half = len(merged) // 2
+    late_sql = SQL.replace("MAX(T.v)", "MIN(T.v)") + " EMIT STREAM"
+    grafts = []
+    for settle_on_attach in (False, True):
+        svc = StandingQueryService(config=ExecutionConfig(share_plans=True))
+        svc.register_stream("S", TimeVaryingRelation(SCHEMA))
+        first = svc.submit("t", SQL + " EMIT STREAM").query_id
+        for event, source in merged[:half]:
+            svc.ingest(event, source)
+        records.clear()
+        late = svc.submit("t", late_sql).query_id
+        queries = {q.query_id: q for q in svc.session._queries.values()}
+        query = queries[late]
+        assert query.flow is queries[first].flow  # grafted
+        assert query.flow._outputs[query.output_id].steps
+        if settle_on_attach:
+            query.flow.telemetry_of(query.output_id)
+        else:
+            assert records == []
+        grafts.append((svc, query))
+
+    def readings() -> list:
+        out = []
+        for _, query in grafts:
+            read = query.flow.telemetry_of(query.output_id)
+            out.append((
+                read.emit_latency.snapshot(), read.watermark_lag.snapshot(),
+                read.early_emits,
+            ))
+        return out
+
+    for upto in (half + 40, len(merged)):
+        for svc, _ in grafts:
+            for event, source in merged[half:upto]:
+                svc.ingest(event, source)
+        half = upto
+        unsettled, settled = readings()
+        assert unsettled == settled
+        assert unsettled[1]["count"] > 0
+    for n, (svc, _) in enumerate(grafts):
+        svc.checkpoint(str(tmp_path / str(n)))
+    unsettled, settled = readings()
+    assert unsettled == settled
