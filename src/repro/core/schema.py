@@ -159,7 +159,7 @@ class Schema:
                 name = f"{col.name}{n}"
                 n += 1
             taken.add(name.lower())
-            merged.append(col.renamed(name))
+            merged.append(col if name == col.name else col.renamed(name))
         return Schema(merged)
 
     def project(self, names: Sequence[str]) -> "Schema":

@@ -9,6 +9,7 @@ from typing import Iterable, Optional, Sequence
 from ..core.errors import PlanError
 from ..plan import rex
 from ..plan.match import MatchRecognizeNode
+from ..plan.optimizer import join_residual
 from ..plan.physical import CombineAggregateNode
 from ..plan.pipeline import PipelineNode
 from ..plan.logical import (
@@ -218,10 +219,12 @@ def build_operator(
             node.right_keys,
         )
     if isinstance(node, JoinNode):
-        condition = (
-            rex.compile_rex(node.condition) if node.condition is not None else None
-        )
-        if node.kind in (JoinKind.LEFT, JoinKind.FULL):
+        outer = node.kind in (JoinKind.LEFT, JoinKind.FULL)
+        # An inner join evaluates only what its hash keys do not decide.
+        condition = node.condition if outer else join_residual(node)
+        if condition is not None:
+            condition = rex.compile_rex(condition)
+        if outer:
             return OuterJoinOperator(
                 node.schema,
                 left_width=len(node.left.schema),

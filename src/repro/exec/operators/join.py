@@ -121,6 +121,19 @@ class JoinOperator(Operator):
                 matches = other.get(key)
                 if not matches:
                     continue
+                # ``condition`` is only the residual the keys do not
+                # decide (the compiler drops the key equalities), so a
+                # key with a NULL or NaN part, where ``=`` is never
+                # TRUE, must not match the bucket it finds.  (A loop:
+                # a generator here costs more than the comparisons.)
+                if key:
+                    joinable = True
+                    for part in key:
+                        if part is None or part != part:
+                            joinable = False
+                            break
+                    if not joinable:
+                        continue
                 ptime = change.ptime
                 for other_values, count in matches.items():
                     combined = (

@@ -26,6 +26,10 @@ class SetOpOperator(Operator):
         self._all = all
         # row values -> [left count, right count]
         self._counts: dict[tuple, list[int]] = {}
+        # Running sum of every count, so ``state_size()`` — read after
+        # every delivery by the metrics sweep — is O(1).  Not part of a
+        # cut: a restore recomputes it from the counts.
+        self._rows = 0
 
     def _output_multiplicity(self, left: int, right: int) -> int:
         if self._op == "INTERSECT":
@@ -43,6 +47,7 @@ class SetOpOperator(Operator):
         counts[port] += change.delta
         if counts[port] < 0:
             raise ExecutionError("set operation retracted a missing row")
+        self._rows += change.delta
         after = self._output_multiplicity(*counts)
         if counts == [0, 0]:
             del self._counts[values]
@@ -63,11 +68,12 @@ class SetOpOperator(Operator):
     def state_restore(self, snapshot: dict) -> None:
         super().state_restore(snapshot)
         self._counts = snapshot["counts"]
+        self._rows = sum(l + r for l, r in self._counts.values())
 
     # -- introspection -----------------------------------------------------------
 
     def state_size(self) -> int:
-        return sum(l + r for l, r in self._counts.values())
+        return self._rows
 
     def _extra_metrics(self) -> dict:
         return {"distinct_rows": len(self._counts)}

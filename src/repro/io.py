@@ -245,9 +245,14 @@ def _parse_jsonl_event(payload: dict, schema: Schema, where: str = "") -> Stream
     """One decoded JSONL record as a stream event, schema-validated."""
     if "ptime" not in payload:
         raise ScriptError(f"{where}JSONL record has no 'ptime' field")
-    ptime = _parse_time(str(payload["ptime"]))
+    # An integer time is taken as it is (what ``_parse_time`` of its
+    # text returns); anything else goes through the text parser.
+    ptime = payload["ptime"]
+    if type(ptime) is not int:
+        ptime = _parse_time(str(ptime))
     if "wm" in payload:
-        return wm(ptime, _parse_time(str(payload["wm"])))
+        mark = payload["wm"]
+        return wm(ptime, mark if type(mark) is int else _parse_time(str(mark)))
     kind = "insert" if "insert" in payload else "retract" if "retract" in payload else None
     if kind is None:
         raise ScriptError(
@@ -295,6 +300,11 @@ def parse_event_line(
     return _parse_script_event(line, schema, where)
 
 
+#: the compact encoder every event record is rendered with (what
+#: ``json.dumps(record, separators=(",", ":"))`` builds per call)
+_COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
 def format_jsonl(tvr: TimeVaryingRelation, include_schema: bool = True) -> str:
     """Render a TVR as the JSONL feed encoding (round-trips)."""
     lines: list[str] = []
@@ -307,7 +317,7 @@ def format_jsonl(tvr: TimeVaryingRelation, include_schema: bool = True) -> str:
             assert isinstance(event, RowEvent)
             kind = "insert" if event.is_insert else "retract"
             record = {"ptime": event.ptime, kind: list(event.change.values)}
-        lines.append(json.dumps(record, separators=(",", ":")))
+        lines.append(_COMPACT_JSON.encode(record))
     return "\n".join(lines) + "\n"
 
 

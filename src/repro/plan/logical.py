@@ -281,6 +281,13 @@ class WindowKind(enum.Enum):
     SESSION = "Session"
 
 
+#: the ``wstart, wend`` columns a windowing TVF puts before its input's
+_WINDOW_COLUMNS = Schema([
+    Column("wstart", SqlType.TIMESTAMP),
+    Column("wend", SqlType.TIMESTAMP, event_time=True),
+])
+
+
 class WindowNode(LogicalNode):
     """A windowing TVF (Extension 3): Tumble, Hop, or Session.
 
@@ -334,11 +341,7 @@ class WindowNode(LogicalNode):
         self.offset = offset
         self.key_indices = tuple(key_indices)
         self.inputs = (input,)
-        window_cols = [
-            Column("wstart", SqlType.TIMESTAMP),
-            Column("wend", SqlType.TIMESTAMP, event_time=True),
-        ]
-        self.schema = Schema(window_cols).concat(input.schema)
+        self.schema = _WINDOW_COLUMNS.concat(input.schema)
         self.bounded = input.bounded
         if input.completion_indices is None:
             self.completion_indices = None

@@ -14,6 +14,7 @@ echoing the Section 5 lessons:
 
 from __future__ import annotations
 
+from operator import is_not
 from typing import Callable, Optional
 
 from ..core.schema import SqlType
@@ -40,7 +41,7 @@ from .rex import (
     shift_inputs,
 )
 
-__all__ = ["optimize", "optimize_node"]
+__all__ = ["join_residual", "optimize", "optimize_node"]
 
 _MAX_PASSES = 20
 
@@ -51,23 +52,37 @@ def optimize(plan: QueryPlan) -> QueryPlan:
 
 
 def optimize_node(node: LogicalNode) -> LogicalNode:
-    """Apply all rewrite rules to a fixpoint."""
+    """Apply all rewrite rules to a fixpoint.
+
+    A pass rewrites bottom-up and applies at most one rule per node:
+    the first of its type's rules (:data:`_RULES`, in order) that fires.
+    Rules are pure functions of the subtree they are given, so a node
+    none of whose rules fired, over inputs that are themselves settled,
+    is *settled*: any later pass would hand it back unchanged.  Settled
+    nodes are remembered by identity for this call and not walked
+    again, so a pass after a rule hit costs the path from the hit to the
+    root, and no pass is made only to confirm the fixpoint.
+    """
+    settled: dict[int, LogicalNode] = {}
     for _ in range(_MAX_PASSES):
-        rewritten = _rewrite(node)
-        if rewritten is node:
+        if id(node) in settled:
             return node
-        node = rewritten
+        node = _rewrite(node, settled)
     return node
 
 
-def _rewrite(node: LogicalNode) -> LogicalNode:
-    new_inputs = [_rewrite(child) for child in node.inputs]
-    if any(a is not b for a, b in zip(new_inputs, node.inputs)):
+def _rewrite(node: LogicalNode, settled: dict[int, LogicalNode]) -> LogicalNode:
+    if id(node) in settled:
+        return node
+    new_inputs = [_rewrite(child, settled) for child in node.inputs]
+    if any(map(is_not, new_inputs, node.inputs)):
         node = node.with_inputs(new_inputs)
-    for rule in _RULES:
+    for rule in _RULES.get(type(node), ()):
         replaced = rule(node)
         if replaced is not None:
             return replaced
+    if all(map(settled.__contains__, map(id, node.inputs))):
+        settled[id(node)] = node
     return node
 
 
@@ -161,8 +176,6 @@ def and_all(conjuncts: list[Rex]) -> Rex:
 
 def _rule_fold_filter(node: LogicalNode) -> Optional[LogicalNode]:
     """Constant-fold filter predicates; drop always-true filters."""
-    if not isinstance(node, FilterNode):
-        return None
     folded = fold_constants(node.condition)
     if isinstance(folded, RexLiteral) and folded.value is True:
         return node.input
@@ -172,8 +185,6 @@ def _rule_fold_filter(node: LogicalNode) -> Optional[LogicalNode]:
 
 
 def _rule_fold_project(node: LogicalNode) -> Optional[LogicalNode]:
-    if not isinstance(node, ProjectNode):
-        return None
     folded = tuple(fold_constants(e) for e in node.exprs)
     if folded != node.exprs:
         return ProjectNode(node.input, folded, node.names)
@@ -182,7 +193,7 @@ def _rule_fold_project(node: LogicalNode) -> Optional[LogicalNode]:
 
 def _rule_merge_filters(node: LogicalNode) -> Optional[LogicalNode]:
     """Filter(Filter(x)) → Filter(x, a AND b)."""
-    if isinstance(node, FilterNode) and isinstance(node.input, FilterNode):
+    if isinstance(node.input, FilterNode):
         inner = node.input
         combined = and_all(
             split_conjuncts(inner.condition) + split_conjuncts(node.condition)
@@ -219,7 +230,7 @@ def _substitute(rex: Rex, exprs: tuple[Rex, ...]) -> Rex:
 
 def _rule_merge_projects(node: LogicalNode) -> Optional[LogicalNode]:
     """Project(Project(x)) → Project(x) by expression inlining."""
-    if isinstance(node, ProjectNode) and isinstance(node.input, ProjectNode):
+    if isinstance(node.input, ProjectNode):
         inner = node.input
         merged = tuple(_substitute(e, inner.exprs) for e in node.exprs)
         return ProjectNode(inner.input, merged, node.names)
@@ -228,7 +239,7 @@ def _rule_merge_projects(node: LogicalNode) -> Optional[LogicalNode]:
 
 def _rule_filter_through_project(node: LogicalNode) -> Optional[LogicalNode]:
     """Filter(Project(x)) → Project(Filter(x)): evaluate the predicate early."""
-    if isinstance(node, FilterNode) and isinstance(node.input, ProjectNode):
+    if isinstance(node.input, ProjectNode):
         project = node.input
         pushed = _substitute(node.condition, project.exprs)
         return ProjectNode(
@@ -239,7 +250,7 @@ def _rule_filter_through_project(node: LogicalNode) -> Optional[LogicalNode]:
 
 def _rule_filter_into_join(node: LogicalNode) -> Optional[LogicalNode]:
     """Push a filter over a join into the join sides and condition."""
-    if not (isinstance(node, FilterNode) and isinstance(node.input, JoinNode)):
+    if not isinstance(node.input, JoinNode):
         return None
     join = node.input
     if join.kind not in (JoinKind.INNER, JoinKind.CROSS):
@@ -292,7 +303,7 @@ def _rule_filter_through_window(node: LogicalNode) -> Optional[LogicalNode]:
     a conjunct that references only the original data columns filters
     the same rows more cheaply below the expansion.
     """
-    if not (isinstance(node, FilterNode) and isinstance(node.input, WindowNode)):
+    if not isinstance(node.input, WindowNode):
         return None
     window = node.input
     pushable: list[Rex] = []
@@ -314,7 +325,7 @@ def _rule_filter_through_window(node: LogicalNode) -> Optional[LogicalNode]:
 
 
 def _rule_filter_through_union(node: LogicalNode) -> Optional[LogicalNode]:
-    if isinstance(node, FilterNode) and isinstance(node.input, UnionNode):
+    if isinstance(node.input, UnionNode):
         union = node.input
         return UnionNode(
             [FilterNode(child, node.condition) for child in union.inputs]
@@ -324,7 +335,7 @@ def _rule_filter_through_union(node: LogicalNode) -> Optional[LogicalNode]:
 
 def _rule_join_analysis(node: LogicalNode) -> Optional[LogicalNode]:
     """Derive hash keys and state-expiry bounds from a join condition."""
-    if not isinstance(node, JoinNode) or node.condition is None:
+    if node.condition is None:
         return None
     if node.hash_left or node.expire_left or node.expire_right:
         return None  # already analyzed
@@ -381,6 +392,25 @@ def _rule_join_analysis(node: LogicalNode) -> Optional[LogicalNode]:
     clone.expire_left = expire_left
     clone.expire_right = expire_right
     return clone if _join_meta_differs(node, clone) else None
+
+
+def join_residual(join: JoinNode) -> Optional[Rex]:
+    """The part of an analyzed join's condition its hash keys do not
+    decide: every conjunct but the ``$l = $r`` pairs that became
+    ``hash_left``/``hash_right``, or ``None`` when nothing is left.
+
+    A hash bucket holds equal keys, so a probe's matches already satisfy
+    the key equalities — except where a key part is NULL or NaN, where
+    ``=`` is never TRUE; the join operator guards those itself.
+    """
+    if join.condition is None or not join.hash_left:
+        return join.condition
+    width = len(join.left.schema)
+    keys = set(zip(join.hash_left, (r + width for r in join.hash_right)))
+    residual = [c for c in split_conjuncts(join.condition) if not (
+        isinstance(c, RexCall) and c.op == "=" and _input_pair(c.args, width) in keys
+    )]
+    return and_all(residual) if residual else None
 
 
 def _join_meta_differs(a: JoinNode, b: JoinNode) -> bool:
@@ -466,20 +496,22 @@ def _time_bound_of(
 
 
 def _rule_drop_trivial_sort(node: LogicalNode) -> Optional[LogicalNode]:
-    if isinstance(node, SortNode) and not node.keys and node.limit is None:
+    if not node.keys and node.limit is None:
         return node.input
     return None
 
 
-_RULES: list[Callable[[LogicalNode], Optional[LogicalNode]]] = [
-    _rule_fold_filter,
-    _rule_fold_project,
-    _rule_merge_filters,
-    _rule_merge_projects,
-    _rule_filter_through_project,
-    _rule_filter_into_join,
-    _rule_filter_through_window,
-    _rule_filter_through_union,
-    _rule_join_analysis,
-    _rule_drop_trivial_sort,
-]
+#: node class -> the rules that apply to it, in the order they are tried
+_RULES: dict[type, tuple[Callable[[LogicalNode], Optional[LogicalNode]], ...]] = {
+    FilterNode: (
+        _rule_fold_filter,
+        _rule_merge_filters,
+        _rule_filter_through_project,
+        _rule_filter_into_join,
+        _rule_filter_through_window,
+        _rule_filter_through_union,
+    ),
+    ProjectNode: (_rule_fold_project, _rule_merge_projects),
+    JoinNode: (_rule_join_analysis,),
+    SortNode: (_rule_drop_trivial_sort,),
+}

@@ -1223,6 +1223,8 @@ def _conjuncts_of(condition: rex.Rex) -> list[rex.Rex]:
 
 
 def _mentions_current_time(expr: rex.Rex) -> bool:
+    if isinstance(expr, (rex.RexInput, rex.RexLiteral)):
+        return False  # most select-list and key expressions: no walk
     return any(isinstance(n, rex.RexCurrentTime) for n in rex.walk(expr))
 
 
@@ -1301,31 +1303,40 @@ def referenced_tables(
     names: set[str] = set()
     expanding: set[str] = set()
 
-    def expand_view(name: str) -> None:
-        if catalog is None or name in expanding:
-            return
-        view = catalog.lookup_view(name)
-        if view is not None:
-            expanding.add(name)
-            visit(view)
-            expanding.discard(name)
-
-    def visit(node) -> None:
-        if isinstance(node, ast.TableRef):
-            names.add(node.name.lower())
-            expand_view(node.name.lower())
-            return
-        if isinstance(node, ast.TableArg):
-            names.add(node.name.lower())
-            expand_view(node.name.lower())
-            return
-        if isinstance(node, (tuple, list)):
-            for item in node:
-                visit(item)
-            return
-        if dataclasses.is_dataclass(node) and not isinstance(node, type):
-            for spec in dataclasses.fields(node):
-                visit(getattr(node, spec.name))
+    def visit(root) -> None:
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.TableRef, ast.TableArg)):
+                name = node.name.lower()
+                names.add(name)
+                view = catalog.lookup_view(name) if catalog is not None else None
+                if view is not None and name not in expanding:
+                    expanding.add(name)
+                    visit(view)
+                    expanding.discard(name)
+            elif isinstance(node, (tuple, list)):
+                stack.extend(node)
+            else:
+                for field in _CHILD_FIELDS.get(type(node), ()):
+                    stack.append(getattr(node, field))
 
     visit(statement)
     return names
+
+
+#: annotations of AST fields that never hold a node
+_LEAF_ANNOTATIONS = frozenset(
+    {"str", "int", "bool", "Any", "Optional[str]", "Optional[int]",
+     "Optional[EmitSpec]", "tuple[str, ...]"}
+)
+#: AST class -> the fields :func:`referenced_tables` descends into
+_CHILD_FIELDS: dict[type, tuple[str, ...]] = {
+    cls: tuple(
+        spec.name
+        for spec in dataclasses.fields(cls)
+        if spec.name != "pos" and spec.type not in _LEAF_ANNOTATIONS
+    )
+    for cls in vars(ast).values()
+    if isinstance(cls, type) and issubclass(cls, ast.Node)
+}

@@ -128,19 +128,21 @@ class RexCurrentTime(Rex):
 
 
 def walk(rex: Rex) -> Iterator[Rex]:
-    """Pre-order traversal of a rex tree."""
-    yield rex
-    if isinstance(rex, RexCall):
-        for arg in rex.args:
-            yield from walk(arg)
-    elif isinstance(rex, RexCase):
-        for cond, value in rex.whens:
-            yield from walk(cond)
-            yield from walk(value)
-        if rex.else_ is not None:
-            yield from walk(rex.else_)
-    elif isinstance(rex, RexCast):
-        yield from walk(rex.operand)
+    """Pre-order traversal of a rex tree (one generator, any depth)."""
+    stack = [rex]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, RexCall):
+            stack.extend(reversed(node.args))
+        elif isinstance(node, RexCase):
+            if node.else_ is not None:
+                stack.append(node.else_)
+            for cond, value in reversed(node.whens):
+                stack.append(value)
+                stack.append(cond)
+        elif isinstance(node, RexCast):
+            stack.append(node.operand)
 
 
 def references(rex: Rex) -> set[int]:

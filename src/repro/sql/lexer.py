@@ -1,6 +1,7 @@
-"""Hand-written SQL tokenizer.
+"""SQL tokenizer.
 
-Produces a flat list of :class:`Token` for the parser.  The dialect is
+Produces a flat list of :class:`Token` for the parser, one compiled
+pattern match per token.  The dialect is
 standard SQL plus the paper's extensions, which need three lexical
 additions over a textbook SQL lexer: the named-argument arrow ``=>``
 (used by the windowing table-valued functions), and the ``EMIT`` family
@@ -12,7 +13,8 @@ the engine).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
+from typing import NamedTuple, Optional
 
 from ..core.errors import LexError
 
@@ -45,32 +47,55 @@ KEYWORDS = frozenset(
     }
 )
 
-_SIMPLE_OPS = {
-    "(", ")", ",", ".", ";", "+", "-", "*", "/", "%", "=", "?",
-    "[", "]",  # CQL window specifications: Bid [RANGE 10 MINUTE]
+#: One pattern per token: the whitespace before it, then a word, a
+#: number, an operator, a string literal, a quoted identifier, or a
+#: comment or the end of the text (``skip``: no token).  An
+#: unterminated comment, string or quoted identifier and a stray
+#: character match nothing, and :func:`tokenize` reports them where
+#: they start.
+_MASTER = re.compile(
+    r"""
+    [ \t\r\n]*
+    (?:
+      (?P<word> [A-Za-z_$][A-Za-z0-9_$]* )
+    | (?P<number> (?: [0-9]+ \.? [0-9]* | \.[0-9]+ ) (?: [eE][+-]?[0-9]+ )? )
+    | (?P<op> => | <> | != | <= | >= | \|\| | /(?!\*) | -(?!-) | [(),.;+*%=?\[\]<>] )
+    | (?P<string> '(?: [^'] | '' )*'(?!') )
+    | (?P<quoted> "[^"]*" )
+    | (?P<skip> --[^\n]*\n? | /\*.*?\*/ | \Z )
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_SPACE = re.compile(r"[ \t\r\n]*")
+_PLAIN = {"op": TokenType.OP, "number": TokenType.NUMBER}
+
+_UNTERMINATED = {
+    "/": "unterminated block comment",
+    "'": "unterminated string literal",
+    '"': "unterminated quoted identifier",
 }
 
-_WORD_START = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$"
-)
-_WORD_CONT = _WORD_START | frozenset("0123456789")
-_DIGITS = frozenset("0123456789")
 
+class Token(NamedTuple):
+    """One lexical token with its position in the source text.
 
-@dataclass(frozen=True)
-class Token:
-    """One lexical token with its position in the source text."""
+    ``keyword`` is the upper-cased word of a ``KEYWORD`` token and
+    ``None`` for every other token, so a keyword test is one membership
+    test of a field.
+    """
 
     type: TokenType
     value: str
     pos: int
+    keyword: Optional[str] = None
 
     @property
     def upper(self) -> str:
         return self.value.upper()
 
     def is_keyword(self, *words: str) -> bool:
-        return self.type is TokenType.KEYWORD and self.upper in words
+        return self.keyword in words
 
     def __str__(self) -> str:
         if self.type is TokenType.EOF:
@@ -81,89 +106,37 @@ class Token:
 def tokenize(sql: str) -> list[Token]:
     """Tokenize ``sql``, raising :class:`LexError` on bad input."""
     tokens: list[Token] = []
-    i = 0
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch in " \t\r\n":
-            i += 1
+    append = tokens.append
+    new = tuple.__new__  # Token(...) without its Python-level __new__
+    end = 0
+    for m in _MASTER.finditer(sql):
+        if m.start() != end:
+            break  # nothing matched at ``end``
+        end = m.end()
+        kind = m.lastgroup
+        if kind == "skip":
             continue
-        if ch == "-" and sql.startswith("--", i):
-            end = sql.find("\n", i)
-            i = n if end == -1 else end + 1
-            continue
-        if ch == "/" and sql.startswith("/*", i):
-            end = sql.find("*/", i + 2)
-            if end == -1:
-                raise LexError("unterminated block comment", sql, i)
-            i = end + 2
-            continue
-        if ch in _WORD_START:
-            start = i
-            while i < n and sql[i] in _WORD_CONT:
-                i += 1
-            word = sql[start:i]
-            kind = TokenType.KEYWORD if word.upper() in KEYWORDS else TokenType.IDENT
-            tokens.append(Token(kind, word, start))
-            continue
-        if ch in _DIGITS or (ch == "." and i + 1 < n and sql[i + 1] in _DIGITS):
-            start = i
-            seen_dot = False
-            seen_exp = False
-            while i < n:
-                c = sql[i]
-                if c in _DIGITS:
-                    i += 1
-                elif c == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    i += 1
-                elif c in "eE" and not seen_exp and i + 1 < n and (
-                    sql[i + 1] in _DIGITS
-                    or (sql[i + 1] in "+-" and i + 2 < n and sql[i + 2] in _DIGITS)
-                ):
-                    seen_exp = True
-                    i += 2 if sql[i + 1] in "+-" else 1
-                else:
-                    break
-            tokens.append(Token(TokenType.NUMBER, sql[start:i], start))
-            continue
-        if ch == "'":
-            start = i
-            i += 1
-            parts: list[str] = []
-            while True:
-                if i >= n:
-                    raise LexError("unterminated string literal", sql, start)
-                if sql[i] == "'":
-                    if i + 1 < n and sql[i + 1] == "'":  # escaped quote
-                        parts.append("'")
-                        i += 2
-                        continue
-                    i += 1
-                    break
-                parts.append(sql[i])
-                i += 1
-            tokens.append(Token(TokenType.STRING, "".join(parts), start))
-            continue
-        if ch == '"':
-            start = i
-            end = sql.find('"', i + 1)
-            if end == -1:
-                raise LexError("unterminated quoted identifier", sql, start)
-            tokens.append(Token(TokenType.IDENT, sql[i + 1 : end], start))
-            i = end + 1
-            continue
-        # multi-character operators, longest match first
-        for op in ("=>", "<>", "!=", "<=", ">=", "||"):
-            if sql.startswith(op, i):
-                tokens.append(Token(TokenType.OP, op, i))
-                i += len(op)
-                break
-        else:
-            if ch in _SIMPLE_OPS or ch in "<>":
-                tokens.append(Token(TokenType.OP, ch, i))
-                i += 1
+        text = m.group(kind)
+        pos = m.start(kind)
+        if kind == "word":
+            upper = text.upper()
+            if upper in KEYWORDS:
+                append(new(Token, (TokenType.KEYWORD, text, pos, upper)))
             else:
-                raise LexError(f"unexpected character {ch!r}", sql, i)
-    tokens.append(Token(TokenType.EOF, "", n))
+                append(new(Token, (TokenType.IDENT, text, pos, None)))
+        elif kind in _PLAIN:  # op, number
+            append(new(Token, (_PLAIN[kind], text, pos, None)))
+        elif kind == "string":
+            value = text[1:-1].replace("''", "'")
+            append(new(Token, (TokenType.STRING, value, pos, None)))
+        else:  # quoted
+            append(new(Token, (TokenType.IDENT, text[1:-1], pos, None)))
+    n = len(sql)
+    if end != n:
+        i = _SPACE.match(sql, end).end()
+        ch = sql[i]
+        if ch in _UNTERMINATED and (ch != "/" or sql.startswith("/*", i)):
+            raise LexError(_UNTERMINATED[ch], sql, i)
+        raise LexError(f"unexpected character {ch!r}", sql, i)
+    append(Token(TokenType.EOF, "", n))
     return tokens

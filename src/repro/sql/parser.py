@@ -47,7 +47,21 @@ _INTERVAL_UNITS = {
     "DAYS": MILLIS_PER_DAY,
 }
 
-_COMPARISON_OPS = {"=", "<>", "!=", "<", "<=", ">", ">="}
+# expression precedence levels, loosest first (see ``_Parser._expr``)
+_OR, _AND, _NOT, _COMPARE, _ADD, _MUL, _UNARY = range(1, 8)
+#: the level of each operator token that continues an expression
+_OP_LEVELS = {
+    "=": _COMPARE, "<>": _COMPARE, "!=": _COMPARE, "<": _COMPARE,
+    "<=": _COMPARE, ">": _COMPARE, ">=": _COMPARE,
+    "+": _ADD, "-": _ADD, "||": _ADD,
+    "*": _MUL, "/": _MUL, "%": _MUL,
+}
+#: ... and of each keyword that does (NOT only before IN/BETWEEN/LIKE)
+_KEYWORD_LEVELS = {
+    "OR": _OR, "AND": _AND, "IS": _COMPARE, "NOT": _COMPARE,
+    "BETWEEN": _COMPARE, "IN": _COMPARE, "LIKE": _COMPARE, "MOD": _MUL,
+}
+_LITERAL_KEYWORDS = {"TRUE": True, "FALSE": False, "NULL": None}
 
 
 def parse(sql: str) -> ast.Statement:
@@ -70,61 +84,69 @@ class _Parser:
         self._i = 0
 
     # -- token plumbing -------------------------------------------------
-
-    @property
-    def _cur(self) -> Token:
-        return self._tokens[self._i]
+    #
+    # Each helper reads ``self._tokens[self._i]`` itself; a keyword test
+    # is a membership test of the token's ``keyword`` field (``None``
+    # for every non-keyword token, EOF included), so accepting one never
+    # needs an EOF check before the step.
 
     def _peek(self, ahead: int = 1) -> Token:
         j = min(self._i + ahead, len(self._tokens) - 1)
         return self._tokens[j]
 
     def _advance(self) -> Token:
-        token = self._cur
+        token = self._tokens[self._i]
         if token.type is not TokenType.EOF:
             self._i += 1
         return token
 
     def _error(self, message: str, token: Token | None = None) -> ParseError:
-        token = token or self._cur
+        if token is None:
+            token = self._tokens[self._i]
         return ParseError(message, self._sql, token.pos)
 
     def _at_keyword(self, *words: str) -> bool:
-        return self._cur.is_keyword(*words)
+        return self._tokens[self._i].keyword in words
 
     def _accept_keyword(self, *words: str) -> bool:
-        if self._at_keyword(*words):
-            self._advance()
+        if self._tokens[self._i].keyword in words:
+            self._i += 1
             return True
         return False
 
     def _expect_keyword(self, word: str) -> Token:
-        if not self._at_keyword(word):
-            raise self._error(f"expected {word}, found {self._cur}")
-        return self._advance()
+        token = self._tokens[self._i]
+        if token.keyword != word:
+            raise self._error(f"expected {word}, found {token}")
+        self._i += 1
+        return token
 
     def _at_op(self, *ops: str) -> bool:
-        return self._cur.type is TokenType.OP and self._cur.value in ops
+        token = self._tokens[self._i]
+        return token.type is TokenType.OP and token.value in ops
 
-    def _accept_op(self, *ops: str) -> bool:
-        if self._at_op(*ops):
-            self._advance()
+    def _accept_op(self, op: str) -> bool:
+        token = self._tokens[self._i]
+        if token.type is TokenType.OP and token.value == op:
+            self._i += 1
             return True
         return False
 
-    def _expect_op(self, op: str) -> Token:
-        if not self._at_op(op):
-            raise self._error(f"expected {op!r}, found {self._cur}")
-        return self._advance()
+    def _expect_op(self, op: str) -> None:
+        if not self._accept_op(op):
+            raise self._error(f"expected {op!r}, found {self._tokens[self._i]}")
 
     def _expect_ident(self, what: str = "identifier") -> Token:
-        if self._cur.type is not TokenType.IDENT:
-            raise self._error(f"expected {what}, found {self._cur}")
-        return self._advance()
+        token = self._tokens[self._i]
+        if token.type is not TokenType.IDENT:
+            raise self._error(f"expected {what}, found {token}")
+        self._i += 1
+        return token
 
     def _expect_eof(self) -> None:
-        if self._cur.type is not TokenType.EOF:
-            raise self._error(f"unexpected trailing input: {self._cur}")
+        token = self._tokens[self._i]
+        if token.type is not TokenType.EOF:
+            raise self._error(f"unexpected trailing input: {token}")
 
     # -- statements -------------------------------------------------------
 
@@ -144,7 +166,7 @@ class _Parser:
                 right,
                 all=is_all,
                 emit=hoisted,
-                op=op_token.upper,
+                op=op_token.keyword,
                 pos=op_token.pos,
             )
         emit = self._emit_clause()
@@ -230,32 +252,26 @@ class _Parser:
         )
 
     def _select_item(self) -> ast.SelectItem:
-        pos = self._cur.pos
+        token = self._tokens[self._i]
+        pos = token.pos
         # `*` and `alias.*`
-        if self._at_op("*"):
-            self._advance()
+        if token.type is TokenType.OP and token.value == "*":
+            self._i += 1
             return ast.SelectItem(ast.Star(pos=pos), pos=pos)
         if (
-            self._cur.type is TokenType.IDENT
+            token.type is TokenType.IDENT
             and self._peek().type is TokenType.OP
             and self._peek().value == "."
             and self._peek(2).type is TokenType.OP
             and self._peek(2).value == "*"
         ):
-            qualifier = self._advance().value
-            self._advance()  # .
-            self._advance()  # *
-            return ast.SelectItem(ast.Star(qualifier=qualifier, pos=pos), pos=pos)
+            self._i += 3  # alias . *
+            return ast.SelectItem(ast.Star(qualifier=token.value, pos=pos), pos=pos)
         expr = self._expr()
-        alias: Optional[str] = None
-        if self._accept_keyword("AS"):
-            alias = self._expect_ident("alias").value
-        elif self._cur.type is TokenType.IDENT:
-            alias = self._advance().value
-        return ast.SelectItem(expr, alias, pos=pos)
+        return ast.SelectItem(expr, self._alias(), pos=pos)
 
     def _order_item(self) -> ast.OrderItem:
-        pos = self._cur.pos
+        pos = self._tokens[self._i].pos
         expr = self._expr()
         ascending = True
         if self._accept_keyword("DESC"):
@@ -269,19 +285,18 @@ class _Parser:
     def _join_chain(self) -> ast.FromItem:
         left = self._from_primary()
         while True:
-            kind: Optional[str] = None
-            pos = self._cur.pos
-            if self._accept_keyword("CROSS"):
-                kind = "CROSS"
-            elif self._accept_keyword("INNER"):
-                kind = "INNER"
-            elif self._at_keyword("LEFT", "RIGHT", "FULL"):
-                kind = self._advance().upper
+            token = self._tokens[self._i]
+            kind = token.keyword
+            if kind in ("CROSS", "INNER"):
+                self._i += 1
+            elif kind in ("LEFT", "RIGHT", "FULL"):
+                self._i += 1
                 self._accept_keyword("OUTER")
-            elif self._at_keyword("JOIN"):
+            elif kind == "JOIN":
                 kind = "INNER"
-            if kind is None:
+            else:
                 return left
+            pos = token.pos
             self._expect_keyword("JOIN")
             right = self._from_primary()
             # `FOR SYSTEM_TIME AS OF <expr>`: a correlated temporal join.
@@ -292,7 +307,7 @@ class _Parser:
                 self._expect_keyword("OF")
                 as_of = self._expr()
                 # the version-table alias follows the AS OF clause
-                alias = self._from_alias()
+                alias = self._alias()
                 if alias is not None:
                     if isinstance(right, ast.TableRef):
                         right = ast.TableRef(right.name, alias, pos=right.pos)
@@ -307,7 +322,7 @@ class _Parser:
             left = ast.JoinClause(left, right, kind, condition, as_of=as_of, pos=pos)
 
     def _from_primary(self) -> ast.FromItem:
-        pos = self._cur.pos
+        pos = self._tokens[self._i].pos
         if self._accept_op("("):
             if self._at_keyword("VALUES"):
                 self._advance()
@@ -315,11 +330,11 @@ class _Parser:
                 while self._accept_op(","):
                     rows.append(self._values_row())
                 self._expect_op(")")
-                alias = self._from_alias()
+                alias = self._alias()
                 return ast.ValuesRef(tuple(rows), alias, pos=pos)
             query = self._select()
             self._expect_op(")")
-            alias = self._from_alias()
+            alias = self._alias()
             return ast.SubqueryRef(query, alias, pos=pos)
         name_token = self._expect_ident("table name")
         if self._at_keyword("MATCH_RECOGNIZE"):
@@ -335,9 +350,9 @@ class _Parser:
                 while self._accept_op(","):
                     args.append(self._tvf_arg())
             self._expect_op(")")
-            alias = self._from_alias()
+            alias = self._alias()
             return ast.TvfCall(name_token.value, tuple(args), alias, pos=pos)
-        alias = self._from_alias()
+        alias = self._alias()
         return ast.TableRef(name_token.value, alias, pos=pos)
 
     def _values_row(self) -> tuple[ast.Expr, ...]:
@@ -348,24 +363,24 @@ class _Parser:
         self._expect_op(")")
         return tuple(exprs)
 
-    def _from_alias(self) -> Optional[str]:
-        if self._accept_keyword("AS"):
+    def _alias(self) -> Optional[str]:
+        token = self._tokens[self._i]
+        if token.keyword == "AS":
+            self._i += 1
             return self._expect_ident("alias").value
-        if self._cur.type is TokenType.IDENT:
-            return self._advance().value
+        if token.type is TokenType.IDENT:
+            self._i += 1
+            return token.value
         return None
 
     def _tvf_arg(self) -> ast.Expr:
         # `name => value` named argument
-        if (
-            self._cur.type is TokenType.IDENT
-            and self._peek().type is TokenType.OP
-            and self._peek().value == "=>"
-        ):
-            pos = self._cur.pos
-            name = self._advance().value
-            self._advance()  # =>
-            return ast.NamedArg(name, self._expr(), pos=pos)
+        token = self._tokens[self._i]
+        if token.type is TokenType.IDENT:
+            arrow = self._tokens[self._i + 1]
+            if arrow.type is TokenType.OP and arrow.value == "=>":
+                self._i += 2
+                return ast.NamedArg(token.value, self._expr(), pos=token.pos)
         return self._expr()
 
     # -- OVER windows ----------------------------------------------------------
@@ -405,9 +420,10 @@ class _Parser:
 
     def _at_word(self, word: str) -> bool:
         """Soft keyword: match an IDENT or KEYWORD by its text."""
+        token = self._tokens[self._i]
         return (
-            self._cur.type in (TokenType.IDENT, TokenType.KEYWORD)
-            and self._cur.upper == word
+            token.type in (TokenType.IDENT, TokenType.KEYWORD)
+            and token.value.upper() == word
         )
 
     def _accept_word(self, word: str) -> bool:
@@ -418,7 +434,7 @@ class _Parser:
 
     def _expect_word(self, word: str) -> None:
         if not self._accept_word(word):
-            raise self._error(f"expected {word}, found {self._cur}")
+            raise self._error(f"expected {word}, found {self._tokens[self._i]}")
 
     def _column_ref(self) -> ast.ColumnRef:
         expr = self._ident_expr()
@@ -494,7 +510,7 @@ class _Parser:
                 break
 
         self._expect_op(")")
-        alias = self._from_alias()
+        alias = self._alias()
         return ast.MatchRecognize(
             input=input_ref,
             partition_by=tuple(partition_by),
@@ -533,53 +549,79 @@ class _Parser:
         return EmitSpec(stream=stream, after_watermark=after_watermark, delay=delay)
 
     # -- expressions ----------------------------------------------------------
+    #
+    # Precedence climbing over the levels of the module docstring:
+    # ``_expr(floor)`` parses an expression whose binary operators all
+    # bind at least as tightly as ``floor``.  ``ceiling`` caps the level
+    # of the next operator this frame may take: it drops to 3 after a
+    # comparison-level construct (they do not chain: ``a = b = c`` leaves
+    # ``= c`` to the caller) and to 2 after a prefix NOT (whose operand
+    # already took every tighter operator).  A lone operand costs one
+    # ``_expr`` frame and its primary.
 
-    def _expr(self) -> ast.Expr:
-        return self._or_expr()
+    def _expr(self, floor: int = _OR) -> ast.Expr:
+        tokens = self._tokens
+        token = tokens[self._i]
+        ceiling = _MUL
+        if token.keyword == "NOT" and floor <= _NOT:
+            self._i += 1
+            left: ast.Expr = ast.UnaryOp("NOT", self._expr(_NOT), pos=token.pos)
+            ceiling = _AND
+        elif token.type is TokenType.OP and token.value in ("-", "+"):
+            self._i += 1
+            left = self._expr(_UNARY)  # takes no binary operator
+            if token.value == "-":
+                left = ast.UnaryOp("-", left, pos=token.pos)
+        else:
+            left = self._primary()
+        while True:
+            token = tokens[self._i]
+            if token.type is TokenType.OP:
+                level = _OP_LEVELS.get(token.value)
+            else:
+                level = _KEYWORD_LEVELS.get(token.keyword)
+            if level is None or not floor <= level <= ceiling:
+                return left
+            if level == _COMPARE:
+                negated = token.keyword == "NOT"
+                if negated:
+                    if tokens[self._i + 1].keyword not in ("IN", "BETWEEN", "LIKE"):
+                        return left
+                    self._i += 1
+                left = self._comparison(left, negated)
+                ceiling = _NOT
+                continue
+            self._i += 1
+            pos = token.pos
+            if level == _MUL:
+                op = "%" if token.keyword == "MOD" else token.value
+                left = ast.BinaryOp(op, left, self._expr(_UNARY), pos=pos)
+            elif level == _ADD:
+                left = ast.BinaryOp(token.value, left, self._expr(_MUL), pos=pos)
+            else:  # AND, OR: the right operand is one level tighter
+                right = self._expr(level + 1)
+                left = ast.BinaryOp(token.keyword, left, right, pos=pos)
+            ceiling = level
 
-    def _or_expr(self) -> ast.Expr:
-        left = self._and_expr()
-        while self._at_keyword("OR"):
-            pos = self._advance().pos
-            left = ast.BinaryOp("OR", left, self._and_expr(), pos=pos)
-        return left
-
-    def _and_expr(self) -> ast.Expr:
-        left = self._not_expr()
-        while self._at_keyword("AND"):
-            pos = self._advance().pos
-            left = ast.BinaryOp("AND", left, self._not_expr(), pos=pos)
-        return left
-
-    def _not_expr(self) -> ast.Expr:
-        if self._at_keyword("NOT"):
-            pos = self._advance().pos
-            return ast.UnaryOp("NOT", self._not_expr(), pos=pos)
-        return self._comparison()
-
-    def _comparison(self) -> ast.Expr:
-        left = self._additive()
-        if self._cur.type is TokenType.OP and self._cur.value in _COMPARISON_OPS:
-            token = self._advance()
+    def _comparison(self, left: ast.Expr, negated: bool) -> ast.Expr:
+        """The one comparison-level construct after ``left`` (a leading
+        NOT of NOT IN/BETWEEN/LIKE already taken as ``negated``)."""
+        token = self._advance()
+        pos = token.pos
+        if token.type is TokenType.OP:
             op = "<>" if token.value == "!=" else token.value
-            return ast.BinaryOp(op, left, self._additive(), pos=token.pos)
-        if self._at_keyword("IS"):
-            pos = self._advance().pos
-            negated = self._accept_keyword("NOT")
+            return ast.BinaryOp(op, left, self._expr(_ADD), pos=pos)
+        keyword = token.keyword
+        if keyword == "IS":
+            is_not = self._accept_keyword("NOT")
             self._expect_keyword("NULL")
-            return ast.IsNull(left, negated, pos=pos)
-        negated = False
-        if self._at_keyword("NOT") and self._peek().is_keyword("IN", "BETWEEN", "LIKE"):
-            self._advance()
-            negated = True
-        if self._at_keyword("BETWEEN"):
-            pos = self._advance().pos
-            low = self._additive()
+            return ast.IsNull(left, is_not, pos=pos)
+        if keyword == "BETWEEN":
+            low = self._expr(_ADD)
             self._expect_keyword("AND")
-            high = self._additive()
+            high = self._expr(_ADD)
             return ast.Between(left, low, high, negated, pos=pos)
-        if self._at_keyword("IN"):
-            pos = self._advance().pos
+        if keyword == "IN":
             self._expect_op("(")
             if self._at_keyword("SELECT"):
                 query = self._select()
@@ -590,85 +632,30 @@ class _Parser:
                 items.append(self._expr())
             self._expect_op(")")
             return ast.InList(left, tuple(items), negated, pos=pos)
-        if self._at_keyword("LIKE"):
-            pos = self._advance().pos
-            pattern = self._additive()
-            expr: ast.Expr = ast.BinaryOp("LIKE", left, pattern, pos=pos)
-            if negated:
-                expr = ast.UnaryOp("NOT", expr, pos=pos)
-            return expr
+        # LIKE
+        expr: ast.Expr = ast.BinaryOp("LIKE", left, self._expr(_ADD), pos=pos)
         if negated:
-            raise self._error("expected IN, BETWEEN, or LIKE after NOT")
-        return left
-
-    def _additive(self) -> ast.Expr:
-        left = self._multiplicative()
-        while self._at_op("+", "-", "||"):
-            token = self._advance()
-            left = ast.BinaryOp(token.value, left, self._multiplicative(), pos=token.pos)
-        return left
-
-    def _multiplicative(self) -> ast.Expr:
-        left = self._unary()
-        while self._at_op("*", "/", "%") or self._at_keyword("MOD"):
-            token = self._advance()
-            op = "%" if token.upper == "MOD" else token.value
-            left = ast.BinaryOp(op, left, self._unary(), pos=token.pos)
-        return left
-
-    def _unary(self) -> ast.Expr:
-        if self._at_op("-"):
-            pos = self._advance().pos
-            return ast.UnaryOp("-", self._unary(), pos=pos)
-        if self._at_op("+"):
-            self._advance()
-            return self._unary()
-        return self._primary()
+            expr = ast.UnaryOp("NOT", expr, pos=pos)
+        return expr
 
     def _primary(self) -> ast.Expr:
-        token = self._cur
+        token = self._tokens[self._i]
         pos = token.pos
-        if token.type is TokenType.NUMBER:
-            self._advance()
+        kind = token.type
+        if kind is TokenType.IDENT:
+            return self._ident_expr()
+        if kind is TokenType.NUMBER:
+            self._i += 1
             text = token.value
             value = float(text) if ("." in text or "e" in text or "E" in text) else int(text)
             return ast.Literal(value, pos=pos)
-        if token.type is TokenType.STRING:
-            self._advance()
+        if kind is TokenType.STRING:
+            self._i += 1
             return ast.Literal(token.value, pos=pos)
-        if self._accept_keyword("TRUE"):
-            return ast.Literal(True, pos=pos)
-        if self._accept_keyword("FALSE"):
-            return ast.Literal(False, pos=pos)
-        if self._accept_keyword("NULL"):
-            return ast.Literal(None, pos=pos)
-        if self._at_keyword("INTERVAL"):
-            return self._interval_literal()
-        if self._at_keyword("CASE"):
-            return self._case_expr()
-        if self._accept_keyword("CAST"):
-            self._expect_op("(")
-            operand = self._expr()
-            self._expect_keyword("AS")
-            type_name = self._advance().value.upper()
-            self._expect_op(")")
-            return ast.Cast(operand, type_name, pos=pos)
-        if self._accept_keyword("EXISTS"):
-            self._expect_op("(")
-            query = self._select()
-            self._expect_op(")")
-            return ast.Exists(query, pos=pos)
-        if self._accept_keyword("TABLE"):
-            self._expect_op("(")
-            name = self._expect_ident("table name").value
-            self._expect_op(")")
-            return ast.TableArg(name, pos=pos)
-        if self._accept_keyword("DESCRIPTOR"):
-            self._expect_op("(")
-            column = self._expect_ident("column name").value
-            self._expect_op(")")
-            return ast.Descriptor(column, pos=pos)
-        if self._accept_op("("):
+        if kind is TokenType.OP:
+            if token.value != "(":
+                raise self._error(f"unexpected {token} in expression")
+            self._i += 1
             if self._at_keyword("SELECT"):
                 query = self._select()
                 self._expect_op(")")
@@ -676,45 +663,70 @@ class _Parser:
             expr = self._expr()
             self._expect_op(")")
             return expr
-        if token.type is TokenType.IDENT:
-            return self._ident_expr()
-        raise self._error(f"unexpected {token} in expression")
+        keyword = token.keyword
+        if keyword in _LITERAL_KEYWORDS:
+            self._i += 1
+            return ast.Literal(_LITERAL_KEYWORDS[keyword], pos=pos)
+        if keyword == "INTERVAL":
+            return self._interval_literal()
+        if keyword == "CASE":
+            return self._case_expr()
+        if keyword not in ("CAST", "EXISTS", "TABLE", "DESCRIPTOR"):
+            raise self._error(f"unexpected {token} in expression")
+        # KEYWORD ( ... )
+        self._i += 1
+        self._expect_op("(")
+        if keyword == "CAST":
+            operand = self._expr()
+            self._expect_keyword("AS")
+            expr = ast.Cast(operand, self._advance().value.upper(), pos=pos)
+        elif keyword == "EXISTS":
+            expr = ast.Exists(self._select(), pos=pos)
+        elif keyword == "TABLE":
+            expr = ast.TableArg(self._expect_ident("table name").value, pos=pos)
+        else:
+            expr = ast.Descriptor(self._expect_ident("column name").value, pos=pos)
+        self._expect_op(")")
+        return expr
 
     def _ident_expr(self) -> ast.Expr:
+        tokens = self._tokens
         token = self._advance()
         pos = token.pos
-        if token.upper in ("CURRENT_TIME", "CURRENT_TIMESTAMP") and not self._at_op("("):
+        follower = tokens[self._i]
+        opens = follower.type is TokenType.OP and follower.value == "("
+        name = token.value.upper()
+        if not opens and name in ("CURRENT_TIME", "CURRENT_TIMESTAMP"):
             return ast.CurrentTime(pos=pos)
         # function call?
-        if self._at_op("(") and token.type is TokenType.IDENT:
-            self._advance()
+        if opens and token.type is TokenType.IDENT:
+            self._i += 1
             distinct = self._accept_keyword("DISTINCT")
-            if self._at_op("*"):
-                self._advance()
+            if self._accept_op("*"):
                 self._expect_op(")")
-                star_call = ast.FunctionCall(
-                    token.value.upper(), (), is_star=True, pos=pos
-                )
-                if self._at_keyword("OVER"):
-                    return self._over_clause(star_call)
-                return star_call
-            args: list[ast.Expr] = []
-            if not self._at_op(")"):
-                args.append(self._expr())
-                while self._accept_op(","):
+                call = ast.FunctionCall(name, (), is_star=True, pos=pos)
+            else:
+                args: list[ast.Expr] = []
+                if not self._at_op(")"):
                     args.append(self._expr())
-            self._expect_op(")")
-            call = ast.FunctionCall(
-                token.value.upper(), tuple(args), distinct=distinct, pos=pos
-            )
+                    while self._accept_op(","):
+                        args.append(self._expr())
+                self._expect_op(")")
+                call = ast.FunctionCall(name, tuple(args), distinct=distinct, pos=pos)
             if self._at_keyword("OVER"):
                 return self._over_clause(call)
             return call
         # qualified column reference
         parts = [token.value]
-        while self._at_op(".") and self._peek().type is TokenType.IDENT:
-            self._advance()
-            parts.append(self._advance().value)
+        while True:
+            dot = tokens[self._i]
+            if not (dot.type is TokenType.OP and dot.value == "."):
+                break
+            part = tokens[self._i + 1]
+            if part.type is not TokenType.IDENT:
+                break
+            self._i += 2
+            parts.append(part.value)
         return ast.ColumnRef(tuple(parts), pos=pos)
 
     def _interval_literal(self) -> ast.IntervalLiteral:

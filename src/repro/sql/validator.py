@@ -70,9 +70,7 @@ class Scope:
             qualifier, column = parts
             for entry in self.entries:
                 if entry.matches_alias(qualifier):
-                    if column.lower() not in {
-                        c.name.lower() for c in entry.schema.columns
-                    }:
+                    if column not in entry.schema:
                         raise ValidationError(
                             f"table {qualifier!r} has no column {column!r}",
                             self.sql,
@@ -85,7 +83,7 @@ class Scope:
             name = parts[0]
             hits: list[tuple[int, Column]] = []
             for entry in self.entries:
-                if name.lower() in {c.name.lower() for c in entry.schema.columns}:
+                if name in entry.schema:
                     idx = entry.schema.index_of(name)
                     hits.append((entry.offset + idx, entry.schema.columns[idx]))
             if not hits:

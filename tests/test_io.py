@@ -92,3 +92,60 @@ class TestRoundTrip:
         text = format_script(paper_bid_stream())
         assert "8:07  WM -> 8:05" in text
         assert "8:08  INSERT (8:07, 2, 'A')" in text
+
+
+class TestJsonlFastPaths:
+    """The hoisted encoder renders what ``json.dumps`` did, and an
+    integer ``ptime``/``wm`` is taken as the text round trip read it."""
+
+    SCHEMA = Schema([timestamp_col("ts", event_time=True), int_col("n"),
+                     string_col("s")])
+
+    @staticmethod
+    def round_trip_time(value):
+        """How every time field was read before: through its text."""
+        from repro.io import _parse_time
+
+        return _parse_time(str(value))
+
+    def test_format_jsonl_is_byte_identical_to_json_dumps(self):
+        import json
+
+        from repro.core.tvr import TimeVaryingRelation
+        from repro.io import format_jsonl, format_schema
+
+        tvr = TimeVaryingRelation(self.SCHEMA)
+        tvr.insert(1, (5, -3, "é \"q\" \n\x00 ☃"))
+        tvr.insert(2, (6, None, ""))
+        tvr.advance_watermark(3, 4)
+        tvr.retract(4, (5, -3, "é \"q\" \n\x00 ☃"))
+        lines = [json.dumps({"schema": format_schema(self.SCHEMA)})]
+        for event in tvr.events():
+            if hasattr(event, "value"):
+                record = {"ptime": event.ptime, "wm": event.value}
+            else:
+                kind = "insert" if event.is_insert else "retract"
+                record = {"ptime": event.ptime, kind: list(event.change.values)}
+            lines.append(json.dumps(record, separators=(",", ":")))
+        assert format_jsonl(tvr) == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize(
+        "value", [0, 7, -5, 10**18, "8:05", "12", " 3", "1.5", 1.5, True, None,
+                  "x", [1], {"a": 1}],
+    )
+    @pytest.mark.parametrize("field", ["ptime", "wm"])
+    def test_time_fields_read_as_their_text_did(self, value, field):
+        from repro.io import parse_event_line
+
+        payload = {"ptime": 1, "wm": 2, field: value}
+        line = __import__("json").dumps(payload)
+        try:
+            expected = ("ok", self.round_trip_time(value))
+        except ScriptError as exc:
+            expected = ("error", str(exc))
+        try:
+            event = parse_event_line(line, self.SCHEMA)
+            got = ("ok", event.ptime if field == "ptime" else event.value)
+        except ScriptError as exc:
+            got = ("error", str(exc))
+        assert got == expected

@@ -177,3 +177,63 @@ class TestSqliteReferee:
                 live[side].append(row)
                 streams[side].append((ptime, row, 1))
         refereed(streams, op, batch_size)
+
+
+# ---------------------------------------------------------------------------
+# state_size is a running count: it equals the sum of every row's counts
+# after every delivery and across a cut + restore
+# ---------------------------------------------------------------------------
+
+
+class TestRunningCount:
+    @staticmethod
+    def setops(flow) -> list:
+        from repro.exec.operators.setop import SetOpOperator
+
+        return [op for op in flow.operators if isinstance(op, SetOpOperator)]
+
+    @staticmethod
+    def check(flow) -> None:
+        for op in TestRunningCount.setops(flow):
+            assert op.state_size() == sum(l + r for l, r in op._counts.values())
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from("SR"),
+                st.tuples(st.sampled_from([0, 1, None]), st.sampled_from([0, 1])),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=24,
+        ),
+        st.sampled_from(["INTERSECT", "EXCEPT", "INTERSECT ALL", "EXCEPT ALL"]),
+        st.sampled_from([1, 64]),
+        st.integers(0, 24),
+    )
+    def test_equals_the_full_sum_after_every_delivery(self, draws, op, batch_size, cut):
+        from repro.core.tvr import ins, rm
+
+        engine = StreamEngine(config=ExecutionConfig(batch_size=batch_size))
+        for name in "SR":
+            engine.register_stream(name, TimeVaryingRelation(PAIR))
+        query = engine.query(SET_SQL.format(op=op))
+        flow = query.dataflow()
+        live: dict = {"S": [], "R": []}
+        for ptime, (side, row, retract) in enumerate(draws, 1):
+            if retract and live[side]:
+                event = rm(ptime, live[side].pop())
+            else:
+                live[side].append(row)
+                event = ins(ptime, row)
+            flow.process(event, side)
+            self.check(flow)
+            if ptime == cut:
+                blob = flow.checkpoint()
+                before = [op.state_size() for op in self.setops(flow)]
+                flow = query.dataflow()
+                flow.restore(blob)
+                assert [op.state_size() for op in self.setops(flow)] == before
+                assert flow.checkpoint() == blob  # the count is not in the cut
+                self.check(flow)
