@@ -1307,7 +1307,11 @@ def referenced_tables(
         stack = [root]
         while stack:
             node = stack.pop()
-            if isinstance(node, (ast.TableRef, ast.TableArg)):
+            fields = _CHILD_FIELDS.get(type(node))
+            if fields is not None:
+                for field in fields:
+                    stack.append(getattr(node, field))
+            elif isinstance(node, (ast.TableRef, ast.TableArg)):
                 name = node.name.lower()
                 names.add(name)
                 view = catalog.lookup_view(name) if catalog is not None else None
@@ -1317,26 +1321,19 @@ def referenced_tables(
                     expanding.discard(name)
             elif isinstance(node, (tuple, list)):
                 stack.extend(node)
-            else:
-                for field in _CHILD_FIELDS.get(type(node), ()):
-                    stack.append(getattr(node, field))
 
     visit(statement)
     return names
 
 
-#: annotations of AST fields that never hold a node
-_LEAF_ANNOTATIONS = frozenset(
-    {"str", "int", "bool", "Any", "Optional[str]", "Optional[int]",
-     "Optional[EmitSpec]", "tuple[str, ...]"}
-)
-#: AST class -> the fields :func:`referenced_tables` descends into
+#: AST class -> the fields :func:`referenced_tables` descends into:
+#: every field but ``pos``, so no field can hide a table from the walk
+#: (a leaf value and a table reference have no entry here)
 _CHILD_FIELDS: dict[type, tuple[str, ...]] = {
     cls: tuple(
-        spec.name
-        for spec in dataclasses.fields(cls)
-        if spec.name != "pos" and spec.type not in _LEAF_ANNOTATIONS
+        spec.name for spec in dataclasses.fields(cls) if spec.name != "pos"
     )
     for cls in vars(ast).values()
     if isinstance(cls, type) and issubclass(cls, ast.Node)
+    and cls not in (ast.TableRef, ast.TableArg)
 }

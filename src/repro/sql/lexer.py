@@ -108,13 +108,20 @@ def tokenize(sql: str) -> list[Token]:
     tokens: list[Token] = []
     append = tokens.append
     new = tuple.__new__  # Token(...) without its Python-level __new__
+    # an anchored match per token: a search would retry every later
+    # start and backtrack through each whitespace run it finds there
+    match = _MASTER.match
+    n = len(sql)
     end = 0
-    for m in _MASTER.finditer(sql):
-        if m.start() != end:
-            break  # nothing matched at ``end``
+    while True:
+        m = match(sql, end)
+        if m is None:
+            break  # nothing matches at ``end``
         end = m.end()
         kind = m.lastgroup
         if kind == "skip":
+            if end == n:
+                break  # the end of the text, or a comment that reaches it
             continue
         text = m.group(kind)
         pos = m.start(kind)
@@ -131,7 +138,6 @@ def tokenize(sql: str) -> list[Token]:
             append(new(Token, (TokenType.STRING, value, pos, None)))
         else:  # quoted
             append(new(Token, (TokenType.IDENT, text[1:-1], pos, None)))
-    n = len(sql)
     if end != n:
         i = _SPACE.match(sql, end).end()
         ch = sql[i]

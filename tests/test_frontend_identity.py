@@ -24,6 +24,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -205,6 +206,33 @@ def test_the_lexer_matches_the_character_loop(pieces):
 @given(st.text(max_size=40))
 def test_the_lexer_matches_the_character_loop_on_any_text(sql):
     assert lexed(tokenize, sql) == lexed(reference_tokenize, sql)
+
+
+@pytest.mark.parametrize("head", ["", "select a", "x -- c\n"])
+@pytest.mark.parametrize("bad", ["!", "'abc", '"abc', "/* x", "@ y"])
+def test_a_lex_error_costs_linear_time_in_the_text_before_it(head, bad):
+    # searching for the next token instead of matching at it retries
+    # every later start and backtracks through the whitespace run
+    # there: quadratic in the run, minutes for a 64 KiB request line
+    sql = head + " " * 60_000 + bad
+    start = time.perf_counter()
+    with pytest.raises(LexError) as caught:
+        tokenize(sql)
+    elapsed = time.perf_counter() - start
+    assert caught.value.pos == len(head) + 60_000
+    assert lexed(tokenize, sql) == lexed(reference_tokenize, sql)
+    assert elapsed < 1.0, f"{elapsed:.2f} s to reject {len(sql)} characters"
+
+
+def test_the_table_walk_reads_every_field_but_pos():
+    # the admission ACL check rests on this walk: a node in any field,
+    # even one typed ``Any``, must not hide its tables from it
+    from repro.plan.planner import referenced_tables
+    from repro.sql import ast
+    from repro.sql.parser import parse
+
+    inner = parse("SELECT a FROM hidden WHERE b IN (SELECT c FROM deeper)")
+    assert referenced_tables(ast.Literal(inner)) == {"hidden", "deeper"}
 
 
 def test_every_token_carries_its_keyword_once():
