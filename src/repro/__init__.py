@@ -94,7 +94,7 @@ from .plan.physical import (
 from .runtime.faults import FaultPlan, FaultSpec
 from .runtime.supervisor import RetryPolicy
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "StreamEngine",

@@ -114,13 +114,7 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
              f"kinds: {', '.join(FAULT_KINDS)}",
     )
     obs = parser.add_argument_group(
-        "observability (ExecutionConfig lineage / slow-query fields)"
-    )
-    obs.add_argument(
-        "--lineage-sample", type=int, default=None, metavar="N",
-        help="trace delta provenance for a deterministic 1-in-N sample "
-             "of source events (0 = off, the default; 1 = every event); "
-             "changelogs are byte-identical either way",
+        "observability (ExecutionConfig slow-query fields)"
     )
     obs.add_argument(
         "--slow-query-p99-ms", type=int, default=None, metavar="MS",
@@ -256,7 +250,6 @@ def build_config(args: argparse.Namespace) -> ExecutionConfig:
         subscriber_capacity=getattr(args, "subscriber_capacity", None),
         checkpoint_dir=getattr(args, "checkpoint_dir", None),
         share_plans=getattr(args, "share_plans", None),
-        lineage_sample=args.lineage_sample,
         slow_query_p99_ms=args.slow_query_p99_ms,
         slow_query_depth=args.slow_query_depth,
     )

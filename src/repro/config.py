@@ -52,7 +52,6 @@ EXECUTION_DEFAULTS: dict[str, Any] = {
     "subscriber_capacity": 256,
     "checkpoint_dir": "",
     "share_plans": True,
-    "lineage_sample": 0,
     "slow_query_p99_ms": 0,
     "slow_query_depth": 0,
 }
@@ -89,7 +88,7 @@ class ExecutionConfig:
       replay's batches hold one source's rows and span processing-time
       instants up to the next watermark, unless
       ``Dataflow.run_span_reason()`` names why not (a ``CURRENT_TIME``
-      tail's timers, a lineage recorder, ``coalesce_updates``; sharded
+      tail's timers, ``coalesce_updates``; sharded
       runs always stay per instant).  The output changelog is
       byte-identical to per-change execution at any value; larger values
       only trade latency granularity for throughput.
@@ -129,12 +128,6 @@ class ExecutionConfig:
       grafted onto the resident dataflow, computing the shared prefix
       once and multicasting its changelog; subscriber deltas are
       byte-identical either way (see docs/MQO.md).
-    * ``lineage_sample`` — delta provenance tracing: ``0`` (the
-      default) disables lineage, ``1`` traces every source event, and
-      ``N > 1`` traces a deterministic 1-in-N sample picked by hashing
-      ``(source, sequence)`` — no wall clock, no RNG, so reruns sample
-      identical events.  The output changelog is byte-identical with
-      tracing on, off, or sampled (see docs/OBSERVABILITY.md).
     * ``slow_query_p99_ms`` — service mode: a standing query whose
       p99 emit latency crosses this many milliseconds is recorded in
       the structured slow-query log; ``0`` (the default) disables the
@@ -162,7 +155,6 @@ class ExecutionConfig:
     subscriber_capacity: Optional[int] = None
     checkpoint_dir: Optional[str] = None
     share_plans: Optional[bool] = None
-    lineage_sample: Optional[int] = None
     slow_query_p99_ms: Optional[int] = None
     slow_query_depth: Optional[int] = None
 
@@ -258,10 +250,6 @@ class ExecutionConfig:
         ):
             raise ValidationError(
                 f"share_plans must be a bool, got {self.share_plans!r}"
-            )
-        if self.lineage_sample is not None and self.lineage_sample < 0:
-            raise ValidationError(
-                "lineage_sample must be >= 0 (0 = off, 1 = all, N = 1-in-N)"
             )
         if self.slow_query_p99_ms is not None and self.slow_query_p99_ms < 0:
             raise ValidationError("slow_query_p99_ms must be >= 0 (0 = off)")

@@ -653,7 +653,7 @@ FANOUT_WIDTH = 16
 
 
 def fanout_kernel(flow, producer, consumers) -> Callable:
-    """The generated fan-out ``fanout(flow, changes, cause)`` of a batch
+    """The generated fan-out ``fanout(flow, changes)`` of a batch
     ``producer`` produced (``None``: a source payload entering its scan
     leaves) into ``consumers``, its ``(operator, port)`` edges in attach
     order.
@@ -665,14 +665,13 @@ def fanout_kernel(flow, producer, consumers) -> Callable:
     (``on_cols`` for a columnar batch it takes) runs and what it
     produced goes on through that consumer's own cached fan-out.  Past
     :data:`FANOUT_WIDTH` consumers the kernel hands the batch, sized,
-    to a kernel ``more(flow, changes, cause, n, r)`` that counts and
-    calls the next ones the same way.  Intra-instant compaction,
-    lineage causes and the trace hook are compiled in only when
-    ``flow`` has them.  Operators and channels are bound into the
-    kernel and counters and logs read through them, so a restore
-    (which replaces counter lists and logs) needs no rebuild; ``flow``
-    is an argument, so the kernel the flow caches holds no cycle
-    through it.  A kernel reads only its producer's edges and channels,
+    to a kernel ``more(flow, changes, n, r)`` that counts and calls the
+    next ones the same way.  Intra-instant compaction and the trace
+    hook are compiled in only when ``flow`` has them.  Operators and
+    channels are bound into the kernel and counters and logs read
+    through them, so a restore (which replaces counter lists and logs)
+    needs no rebuild; ``flow`` is an argument, so the kernel the flow
+    caches holds no cycle through it.  A kernel reads only its producer's edges and channels,
     so a graft or a withdrawal drops just the kernels whose edges or
     channels it changed (``Dataflow._fanout``).
     """
@@ -708,11 +707,6 @@ def _fanout_code(flow, producer, consumers, sized: bool, more) -> Callable:
     rows = "(changes.to_changes() if type(changes) is _CB else changes)" if columnar else "changes"
     for channel in channels:  # (to_changes() is memoized)
         ch, oid = em.bind(channel, "ch"), em.bind(channel.output_id, "id")
-        if flow.lineage is not None and flow._lineage_register_outputs:
-            em.line(1, f"if cause is not None: d = {ch}.log.base + len({ch}.log.tail); flow.lineage"
-                       f".record_output(cause, {oid}, range(d, d + len({rows})))")
-        elif flow.lineage is not None:  # a shard's: the parent places them
-            em.line(1, f"if cause is not None: flow.lineage.note_shard_output({oid}, cause, len({rows}))")
         em.line(1, f"{ch}.log.tail.extend({rows})")
         em.line(1, f"flow._touched.add({oid})")
         if flow.trace is not None and channel.output_id == flow._primary:
@@ -729,14 +723,8 @@ def _fanout_code(flow, producer, consumers, sized: bool, more) -> Callable:
             em.line(2, "p, d = _compact(p.to_changes() if type(p) is _CB else p)")
             em.line(2, f"{name}.counters.changes_coalesced += d")
         em.line(1, "if p:")
-        caused = "cause"
-        if flow.lineage is not None:
-            caused = "caused"
-            em.line(2, f"caused = None if cause is None else flow.lineage.record_operator("
-                       f"cause, {name}.name(), shard={flow._lineage_shard!r}, "
-                       f"shared_by=flow._op_refs.get({key}, 1), produced=len(p))")
-        em.line(2, f"(flow._fanouts.get({key}) or flow._fanout({name}))(flow, p, {caused})")
+        em.line(2, f"(flow._fanouts.get({key}) or flow._fanout({name}))(flow, p)")
     if more is not None:
-        em.line(1, f"{em.bind(more, 'more')}(flow, changes, cause, n, r)")
-    params = "flow, changes, cause, n, r" if sized else "flow, changes, cause"
+        em.line(1, f"{em.bind(more, 'more')}(flow, changes, n, r)")
+    params = "flow, changes, n, r" if sized else "flow, changes"
     return _compile_source(em, "_fanout", params)

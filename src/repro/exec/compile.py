@@ -58,18 +58,13 @@ from .operators.temporal_join import TemporalJoinOperator
 from .operators.window import HopOperator, TumbleOperator
 
 __all__ = [
-    "COALESCE_KEEPS_INSTANTS", "LINEAGE_SPLITS_RUNS", "SHARDS_KEEP_INSTANTS",
+    "COALESCE_KEEPS_INSTANTS", "SHARDS_KEEP_INSTANTS",
     "TIMERS_KEEP_INSTANTS", "build_operator", "why_runs_split",
     "why_runs_stay_per_instant",
 ]
 
-#: The one reason a plan that *can* carry sequence numbers is split at
-#: gaps anyway (``ShardedDataflow.run_split_reason``) — and one of the
-#: reasons a serial flow's runs stay per instant (below).
-LINEAGE_SPLITS_RUNS = "a lineage recorder claims per-event ordinals"
-
 #: Why a flow's runs stay within one processing-time instant
-#: (``Dataflow.run_span_reason``), besides a lineage recorder.
+#: (``Dataflow.run_span_reason``).
 TIMERS_KEEP_INSTANTS = "a processing-time timer could come due inside a run"
 COALESCE_KEEPS_INSTANTS = "coalesce_updates compacts per instant"
 SHARDS_KEEP_INSTANTS = "a partial payload carries one processing time"
@@ -86,9 +81,7 @@ def why_runs_split(
     root (inputs first, the root last).  The numbers ride only columnar
     batches, through operators that carry them, to a root that ships
     them; the first place they would be lost is the reason.  Decided
-    from the plan alone (``Dataflow.run_split_reason``); a sharded flow
-    with a lineage recorder splits whatever the plan
-    (:data:`LINEAGE_SPLITS_RUNS`).
+    from the plan alone (``Dataflow.run_split_reason``).
     """
     if not columnar:
         return "row batches carry no sequence numbers"
@@ -104,7 +97,7 @@ def why_runs_split(
 
 
 def why_runs_stay_per_instant(
-    operators: Iterable[Operator], lineage: bool, coalesce: bool
+    operators: Iterable[Operator], coalesce: bool
 ) -> Optional[str]:
     """Why a serial flow running ``operators`` must be fed its runs one
     processing-time instant at a time — or ``None``: a run of one
@@ -114,14 +107,11 @@ def why_runs_stay_per_instant(
     the input watermark cannot move inside a run, so a spanning run
     changes nothing but the number of deliveries — unless a timer could
     come due between two of its instants (an operator class that
-    overrides ``on_timer``), a lineage recorder claims per-event
-    ordinals (``lineage``), or the flow compacts per instant
+    overrides ``on_timer``) or the flow compacts per instant
     (``coalesce``).
     """
     if any(type(op).on_timer is not Operator.on_timer for op in operators):
         return TIMERS_KEEP_INSTANTS
-    if lineage:
-        return LINEAGE_SPLITS_RUNS
     if coalesce:
         return COALESCE_KEEPS_INSTANTS
     return None

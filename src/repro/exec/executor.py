@@ -45,7 +45,6 @@ from ..core.schema import Schema
 from ..core.times import MAX_TIMESTAMP, MIN_TIMESTAMP, Timestamp
 from ..core.tvr import RowEvent, StreamEvent, TimeVaryingRelation
 from ..core.watermark import WatermarkTrack
-from ..obs.lineage import LineageRecorder
 from ..obs.metrics import MetricsRegistry, MetricsReport
 from ..obs.telemetry import RunTelemetry
 from ..obs.trace import TraceEvent
@@ -194,7 +193,6 @@ def event_runs(
     leaves the clock where the per-event feed would.
     """
     batch_size = flow.batch_size
-    absorb = flow.lineage is None
     span = flow.run_span_reason() is None
     batchable: dict[str, bool] = {}  # memo: asked once per run otherwise
     i, n = 0, len(events)
@@ -218,10 +216,8 @@ def event_runs(
                     # An event of another source no scan consumes is a
                     # clock no-op (nothing to deliver, and no timer can
                     # be due inside the run) — absorb it so one
-                    # interleaved burst still forms one batch.  Only
-                    # when no lineage recorder is claiming per-event
-                    # ordinals.
-                    if not absorb or flow.scans_source(nxt_source):
+                    # interleaved burst still forms one batch.
+                    if flow.scans_source(nxt_source):
                         break
                 elif isinstance(nxt, RowEvent):
                     run.append(nxt)
@@ -512,13 +508,6 @@ class Dataflow(OutputLogs):
         self._trace: Optional[Callable[[TraceEvent], None]] = None
         #: id(op) (or a source's name) -> its generated fan-out
         self._fanouts: dict = {}
-        #: optional lineage recorder (see :mod:`repro.obs.lineage`);
-        #: install via :meth:`set_lineage`.  Tracing threads a *cause*
-        #: token alongside batches and never touches the changes
-        #: themselves, so the changelog is byte-identical either way.
-        self.lineage: Optional[LineageRecorder] = None
-        self._lineage_shard: Optional[int] = None
-        self._lineage_register_outputs = True
         #: processing-time timer service; operators bind to the queue,
         #: never to the flow, so a dropped flow is not cyclic garbage.
         self._timers = TimerQueue()
@@ -596,26 +585,6 @@ class Dataflow(OutputLogs):
     def telemetry_of(self, output_id: str) -> RunTelemetry:
         """Latency telemetry sampled at one output channel's root."""
         return self._outputs[output_id].telemetry
-
-    def set_lineage(
-        self,
-        recorder: Optional[LineageRecorder],
-        shard: Optional[int] = None,
-        register_outputs: bool = True,
-    ) -> None:
-        """Install (or remove) a lineage recorder on this flow.
-
-        ``shard`` tags recorded operator nodes with a shard index; a
-        shard flow of a :class:`~repro.runtime.sharded.ShardedDataflow`
-        passes ``register_outputs=False`` because its local changelog
-        positions differ from the merged ones — the parent assigns the
-        merged positions via the recorder's shard notes.
-        """
-        self.lineage = recorder
-        self._lineage_shard = shard
-        self._lineage_register_outputs = register_outputs
-        self._fanouts = {}  # they compile the recorder in only when set
-        self._span_changed()
 
     def output_ids(self) -> list[str]:
         """The attached output channels, in attach order."""
@@ -837,19 +806,15 @@ class Dataflow(OutputLogs):
                 for channel in self._outputs.values()
             ),
         )
-        self._span_changed()
-
-    def _span_changed(self) -> None:
-        """Re-derive the run span: the graph or the recorder changed."""
         self._span_reason = why_runs_stay_per_instant(
-            self._operators, self.lineage is not None, self.coalesce_updates
+            self._operators, self.coalesce_updates
         )
 
     def run_span_reason(self) -> Optional[str]:
         """Why :func:`event_runs` keeps this flow's runs within one
         processing-time instant — or ``None``: a run of one source's
         rows may span instants, up to the next watermark.  Decided from
-        the plan and the recorder
+        the plan and the config
         (:func:`~repro.exec.compile.why_runs_stay_per_instant`), like
         :meth:`run_split_reason`."""
         return self._span_reason
@@ -1049,13 +1014,8 @@ class Dataflow(OutputLogs):
                 for when, seq, op in self._timers
             ],
             timer_seq=self._timers.seq,
-            # Shard flows don't own the recorder (the sharded parent
-            # snapshots it once); only the owning flow persists it.
-            lineage=(
-                self.lineage.snapshot()
-                if self.lineage is not None and self._lineage_register_outputs
-                else None
-            ),
+            # (format 4 keeps the entry a lineage recorder once filled)
+            lineage=None,
         )
         return pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
 
@@ -1109,8 +1069,6 @@ class Dataflow(OutputLogs):
         self._peak_state = payload["peak_state"]
         self._opened = payload["opened"]
         self._timers.restore(payload["timers"], operators, payload["timer_seq"])
-        if payload["lineage"] is not None:
-            self.set_lineage(LineageRecorder.restore(payload["lineage"]))
 
     @collector_paused
     def run(self, until: Optional[Timestamp] = None) -> RunResult:
@@ -1140,9 +1098,9 @@ class Dataflow(OutputLogs):
         if isinstance(event, RowEvent):
             self.process_batch((event,), source)
             return
-        leaves, cause, fired = self._arrive((event,), source)
+        leaves, fired = self._arrive((event,), source)
         for leaf in leaves:
-            self._push_watermark(leaf, 0, event.value, event.ptime, cause)
+            self._push_watermark(leaf, 0, event.value, event.ptime)
         if leaves or fired:
             self._observe_state()
 
@@ -1193,7 +1151,7 @@ class Dataflow(OutputLogs):
         come due inside it, so the on-batch contract carries over — each
         change still rides at its own ``ptime``).  The state peak is
         sampled once per delivery, as at the end of any run."""
-        leaves, cause, fired = self._arrive(events, source)
+        leaves, fired = self._arrive(events, source)
         if leaves:
             payload = [event.change for event in events]
             if self._columnar_active and (len(payload) > 1 or seqs is not None):
@@ -1207,17 +1165,17 @@ class Dataflow(OutputLogs):
                 payload.seqs = seqs
             # The graph's entry edges fan out like any operator's (no
             # operator produced the payload).
-            self._fanout(None, source.lower())(self, payload, cause)
+            self._fanout(None, source.lower())(self, payload)
         if leaves or fired:
             self._observe_state()
 
     def _arrive(
         self, events: Sequence[StreamEvent], source: str
-    ) -> tuple[Sequence[ScanOperator], Optional[tuple[int, ...]], bool]:
+    ) -> tuple[Sequence[ScanOperator], bool]:
         """The prelude of every delivery, for one run's ``events``: order
         check, the timers due at its first instant, the clock advanced
-        to its last, lineage claim.  Returns the scan leaves to deliver
-        to, the cause token, and whether a timer fired."""
+        to its last.  Returns the scan leaves to deliver to and whether
+        a timer fired."""
         self._open()
         ptime = events[0].ptime
         if ptime < self._last_ptime:
@@ -1228,9 +1186,7 @@ class Dataflow(OutputLogs):
         last = events[-1].ptime
         if last > self._last_ptime:
             self._last_ptime = last
-        recorder = self.lineage
-        cause = None if recorder is None else recorder.claim(source, events)
-        return self._leaves_by_source.get(source.lower(), ()), cause, fired
+        return self._leaves_by_source.get(source.lower(), ()), fired
 
     def _observe_state(self) -> None:
         """The epilogue of a delivery in which some operator ran (a
@@ -1379,14 +1335,14 @@ class Dataflow(OutputLogs):
         pending = [(op, op.on_open()) for op in self._operators]
         for op, initial in pending:
             if initial:
-                self._fanout(op)(self, initial, None)
+                self._fanout(op)(self, initial)
         # Inline VALUES relations are delivered as a bounded prelude.
         for leaf in self._leaves:
             rows = self._values_rows.get(id(leaf))
             if rows is None:
                 continue
             values = [Change(ChangeKind.INSERT, row, MIN_TIMESTAMP) for row in rows]
-            fanout_kernel(self, None, [(leaf, 0)])(self, values, None)
+            fanout_kernel(self, None, [(leaf, 0)])(self, values)
             self._push_watermark(leaf, 0, MAX_TIMESTAMP, MIN_TIMESTAMP)
 
     def _fanout(self, op: Optional[Operator], source: str = "") -> Callable:
@@ -1396,8 +1352,8 @@ class Dataflow(OutputLogs):
         produced batch is counted, collected and passed on, whether a
         row, an open, a watermark or a timer caused it.  Built on first
         use and cached until its edges or channels change (a graft or a
-        withdrawal drops just those kernels) or the recorder or the
-        trace hook does (which drops them all)."""
+        withdrawal drops just those kernels) or the trace hook does
+        (which drops them all)."""
         key = source if op is None else id(op)
         kernel = self._fanouts.get(key)
         if kernel is None:
@@ -1413,20 +1369,10 @@ class Dataflow(OutputLogs):
         port: int,
         value: Timestamp,
         ptime: Timestamp,
-        cause: Optional[tuple[int, ...]] = None,
     ) -> None:
         changes, out_wm = op.process_watermark(port, value, ptime)
         if changes:
-            emit_cause = cause
-            if emit_cause is not None and self.lineage is not None:
-                emit_cause = self.lineage.record_operator(
-                    emit_cause,
-                    op.name(),
-                    shard=self._lineage_shard,
-                    shared_by=self._op_refs.get(id(op), 1),
-                    produced=len(changes),
-                )
-            self._fanout(op)(self, changes, emit_cause)
+            self._fanout(op)(self, changes)
         if out_wm is None:
             return
         channels = self._outputs_of.get(id(op))
@@ -1443,7 +1389,7 @@ class Dataflow(OutputLogs):
                         )
                     )
         for consumer, consumer_port in self._consumers.get(id(op), ()):
-            self._push_watermark(consumer, consumer_port, out_wm, ptime, cause)
+            self._push_watermark(consumer, consumer_port, out_wm, ptime)
 
     # -- timer service -------------------------------------------------------------
 
@@ -1458,4 +1404,4 @@ class Dataflow(OutputLogs):
             changes = op.on_timer(when)
             self._last_ptime = max(self._last_ptime, when)
             if changes:
-                self._fanout(op)(self, changes, None)
+                self._fanout(op)(self, changes)

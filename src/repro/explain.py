@@ -33,7 +33,6 @@ import re
 from typing import Optional
 
 from .core.errors import ValidationError
-from .obs.lineage import LineageRecorder
 from .plan.physical import MIN_COMBINE_FANIN
 from .plan.pipeline import PipelineNode
 from .runtime.sharded import ShardedDataflow
@@ -129,9 +128,7 @@ def _logical(query, verbose: bool) -> str:
 def _runs_line(flow) -> str:
     """The run shape ``flow`` is fed in, as the flow decides it — a
     sharded flow's shares (``ShardedDataflow.run_split_reason``), a
-    serial flow's span (``Dataflow.run_span_reason``) — and, where a
-    standing query's flow gets a lineage recorder, as it decides with
-    one installed (this flow is a throwaway)."""
+    serial flow's span (``Dataflow.run_span_reason``)."""
     # (the shape when nothing forces another, and the one a reason forces)
     if isinstance(flow, ShardedDataflow):
         decide = flow.run_split_reason
@@ -144,15 +141,7 @@ def _runs_line(flow) -> str:
     reason = decide()
     if reason is not None:
         return f"  runs: {forced} — {reason}"
-    line = f"  runs: {free}"
-    sample = flow.config.lineage_sample
-    if sample > 0:
-        flow.set_lineage(LineageRecorder(sample))
-        line = (
-            f"{line}; as a standing query (lineage_sample={sample}) "
-            f"{forced} — {decide()}"
-        )
-    return line
+    return f"  runs: {free}"
 
 
 def _physical_section(query, flow, verbose: bool) -> str:

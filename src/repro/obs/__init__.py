@@ -3,14 +3,13 @@
 See :mod:`repro.obs.metrics` for the counter/report layer,
 :mod:`repro.obs.histogram` / :mod:`repro.obs.telemetry` for the
 latency-distribution layer, :mod:`repro.obs.trace` for the
-event-callback API, :mod:`repro.obs.lineage` for sampled delta
-provenance, and :mod:`repro.obs.export` for the JSONL and
+event-callback API, :mod:`repro.obs.lineage` for delta provenance
+recomputed on read, and :mod:`repro.obs.export` for the JSONL and
 Prometheus exporters; docs/OBSERVABILITY.md has the user-facing
 catalogue (including the stable Prometheus metric names).
 """
 
 from .histogram import BUCKET_BOUNDS, Histogram
-from .lineage import LineageRecorder
 from .metrics import (
     MetricsRegistry,
     MetricsReport,
@@ -35,5 +34,4 @@ __all__ = [
     "render_dashboard",
     "TraceCollector",
     "TraceEvent",
-    "LineageRecorder",
 ]

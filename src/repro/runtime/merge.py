@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from ..core.changelog import Change
 from ..core.codec import changes_log, decode_slices, encode_slices
@@ -33,7 +33,6 @@ from ..core.errors import ExecutionError
 from ..core.times import Timestamp
 from ..core.tvr import RowEvent, WatermarkEvent
 from ..exec.executor import Dataflow
-from ..obs.lineage import LineageRecorder
 from ..plan.physical import PARTIALS
 from .frontier import WatermarkFrontier
 
@@ -221,7 +220,6 @@ def splice(
     combines: Mapping[str, Dataflow],
     logs: Mapping[int, Mapping[str, ShardLog]],
     touched: set[str],
-    recorder: Optional[LineageRecorder] = None,
 ) -> None:
     """Fold shard logs (``logs[shard][output_id]``) into the merged
     outputs, adding to ``touched`` the ids of those it appended to.
@@ -241,15 +239,10 @@ def splice(
     An observation moves the frontier, and the combine flow with it
     (``process``) whenever the merged minimum advances, freeing combine
     state exactly when the serial root would.
-
-    With a lineage ``recorder`` the position notes its shard flows left
-    (in production order) are drained once and resolved to the merged
-    positions their slices landed at.
     """
-    landed: dict[str, Iterator[list[int]]] = {}
     for oid, merge in outputs.items():
         combine = combines.get(oid)
-        merged, base, frontier = merge.log.tail, merge.log.base, merge.frontier
+        merged, frontier = merge.log.tail, merge.frontier
         entries = [
             (seq, shard, changes, 0, 0)
             for shard, shard_logs in logs.items()
@@ -261,7 +254,6 @@ def splice(
             for seq, ptime, value in shard_logs[oid].observations
         ]
         entries.sort(key=itemgetter(0, 1))
-        spans: dict[int, list[list[int]]] = {shard: [] for shard in logs}
         i, n = 0, len(entries)
         while i < n:
             seq, shard, changes, ptime, value = entries[i]
@@ -271,7 +263,6 @@ def splice(
                 if combine is not None and advanced is not None:
                     combine.process(WatermarkEvent(ptime, advanced), PARTIALS)
                 continue
-            count = len(changes)  # shard-local, for the lineage notes
             if combine is not None:
                 # Every shard's slice under this tag: the shares of one
                 # run, or a lone slice naming its first event.
@@ -288,27 +279,6 @@ def splice(
                 changes = combine.take_output_of("main")
             elif i < n and entries[i][0] == seq:
                 raise double_claim(shard, entries[i][1], seq)
-            start = base + len(merged)
-            merged.extend(changes)
-            end = base + len(merged)
-            if recorder is not None:  # (then no slice spans shards)
-                spans[shard].append([start, end, count])
-            if end > start:  # (a combine flow may absorb a slice whole)
+            if changes:  # (a combine flow may absorb a slice whole)
+                merged.extend(changes)
                 touched.add(oid)
-        landed[oid] = (span for shard in spans for span in spans[shard])
-    if recorder is None:
-        return
-    # Notes arrive in production order — shard by shard, run by run —
-    # and so do the spans above; a note counts shard-local changes, so
-    # for a two-phase output (where what landed is the combine flow's
-    # output for the slice) the slice's first note takes the whole span.
-    open_span: dict[str, list[int]] = {}
-    for oid, cause, count in recorder.drain_shard_notes():
-        span = open_span.get(oid)
-        if span is None or span[2] <= 0:
-            span = open_span[oid] = next(landed[oid])
-        start, stop, _ = span
-        end = stop if oid in combines else start + count
-        recorder.record_output(cause, oid, range(start, end))
-        span[0] = end
-        span[2] -= count

@@ -79,7 +79,7 @@ from ..core.errors import ExecutionError
 from ..core.times import MIN_TIMESTAMP, Timestamp
 from ..core.tvr import RowEvent, StreamEvent, TimeVaryingRelation
 from ..core.watermark import WatermarkTrack
-from ..exec.compile import LINEAGE_SPLITS_RUNS, SHARDS_KEEP_INSTANTS
+from ..exec.compile import SHARDS_KEEP_INSTANTS
 from ..exec.executor import (
     CHECKPOINT_VERSION,
     Dataflow,
@@ -92,7 +92,6 @@ from ..exec.executor import (
     replay_runs,
     stored_changes,
 )
-from ..obs.lineage import LineageRecorder
 from ..obs.metrics import RecoveryStats, merge_shard_reports
 from ..obs.telemetry import RunTelemetry
 from ..obs.trace import TraceEvent
@@ -194,9 +193,6 @@ class ShardedDataflow(OutputLogs):
         self._last_ptime: Timestamp = MIN_TIMESTAMP
         self._trace: Optional[Callable[[TraceEvent], None]] = None
         self._recovery = RecoveryStats()
-        #: optional lineage recorder shared with every shard flow;
-        #: install via :meth:`set_lineage`.
-        self.lineage: Optional[LineageRecorder] = None
         shards = config.parallelism
         for output_id, plan in plans:
             self._open_output(output_id, plan, self._prepare_split(plan), shards)
@@ -347,21 +343,6 @@ class ShardedDataflow(OutputLogs):
             shard.telemetry_of(output_id) for shard in self._shards
         )
 
-    def set_lineage(self, recorder: Optional[LineageRecorder]) -> None:
-        """Install (or remove) one lineage recorder across all shards.
-
-        The parent makes the sampling decision once per routed event
-        (so per-source ordinals — and therefore the sampled set — match
-        the serial run exactly, even though watermarks are broadcast to
-        every shard) and assigns merged-changelog positions; the shard
-        flows record the operator path, tagged with their index.
-        Lineage rides the incremental :meth:`process` path — the one
-        service mode drives; supervised batch runs leave it inert.
-        """
-        self.lineage = recorder
-        for index, shard in enumerate(self._shards):
-            shard.set_lineage(recorder, shard=index, register_outputs=False)
-
     def run_split_reason(self) -> Optional[str]:
         """Why this flow's shards are fed their share of a run split at
         sequence gaps — or ``None``: they are fed it whole, and the
@@ -371,12 +352,8 @@ class ShardedDataflow(OutputLogs):
         and once per :meth:`run` — never by a shard, so a restarted
         worker's fresh flow cannot see it differently.  The shard plan
         must carry sequence numbers to every root
-        (``Dataflow.run_split_reason``), and there must be no lineage
-        recorder: its position notes are per shard slice, and a
-        reassembled run is no one shard's.
+        (``Dataflow.run_split_reason``).
         """
-        if self.lineage is not None:
-            return LINEAGE_SPLITS_RUNS
         return self._shards[0].run_split_reason()
 
     def run_span_reason(self) -> str:
@@ -548,29 +525,16 @@ class ShardedDataflow(OutputLogs):
         if ptime < self._last_ptime:
             raise ExecutionError("events must be fed in processing-time order")
         self._last_ptime = ptime
-        recorder = self.lineage
-        if recorder is not None:
-            # The parent claims the per-source ordinals and makes the
-            # sampling decision once; shard flows replay it via the
-            # pending context, so lineage sampling is identical to the
-            # serial run however the events are routed or broadcast.
-            recorder.set_pending(recorder.claim(source, events))
         whole = self.run_split_reason() is None
-        try:
-            logs = {}
-            for index, tasks in enumerate(
-                partition_events(
-                    [(events, source)], self.spec, len(self._shards)
-                )
-            ):
-                if tasks:
-                    (task,) = tasks  # one run in: one share, or none
-                    logs[index] = {oid: ShardLog() for oid in self._outputs}
-                    drive_run(self._shards[index], task, logs[index], whole)
-            splice(self._outputs, self.combines, logs, self._touched, recorder)
-        finally:
-            if recorder is not None:
-                recorder.clear_pending()
+        logs = {}
+        for index, tasks in enumerate(
+            partition_events([(events, source)], self.spec, len(self._shards))
+        ):
+            if tasks:
+                (task,) = tasks  # one run in: one share, or none
+                logs[index] = {oid: ShardLog() for oid in self._outputs}
+                drive_run(self._shards[index], task, logs[index], whole)
+        splice(self._outputs, self.combines, logs, self._touched)
 
     def finish(self, until: Optional[Timestamp] = None) -> RunResult:
         """Drain shard timers (silently — see
@@ -592,7 +556,6 @@ class ShardedDataflow(OutputLogs):
         and replay the
         :class:`~repro.runtime.supervisor.ShardSupervisor` implements;
         what it re-emits is dropped by tag before the one splice.
-        Lineage rides the incremental path only.
         """
         events = merge_source_events(self._sources, until)
         tasks = partition_events(
@@ -759,11 +722,8 @@ class ShardedDataflow(OutputLogs):
                 for oid, combine in self.combines.items()
             },
             "recovery": self._recovery.as_dict(),
-            # Shard blobs carry no lineage (they don't own the shared
-            # recorder); the parent snapshots it exactly once.
-            "lineage": (
-                self.lineage.snapshot() if self.lineage is not None else None
-            ),
+            # (format 4 keeps the entry a lineage recorder once filled)
+            "lineage": None,
         }
         return pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
 
@@ -818,8 +778,6 @@ class ShardedDataflow(OutputLogs):
                 self._outputs[oid].frontier.current,
             )
         self._recovery = RecoveryStats(**payload["recovery"])
-        if payload["lineage"] is not None:
-            self.set_lineage(LineageRecorder.restore(payload["lineage"]))
 
 
 def _batch_events(

@@ -65,9 +65,6 @@ Families (stable names — renaming is a breaking change for scrapers):
   deltas being appended to its broadcast log, per standing query.
 * ``repro_service_slow_queries_total`` (counter) — slow-query-log
   entries recorded (threshold-crossing episodes, not per-event spam).
-* ``repro_service_lineage_sampled_total`` / ``_dropped_total``
-  (counters) and ``repro_service_lineage_traces`` (gauge) — delta
-  provenance tracing volume, when lineage is enabled.
 
 The **slow-query log** (:class:`SlowQueryLog`) is the structured
 companion to the histograms: whenever a standing query's p99 emit
@@ -308,14 +305,4 @@ def render_service_exposition(
     out.metric("repro_service_slow_queries_total", "counter",
                "Slow-query log entries recorded (threshold-crossing episodes)",
                session.slow_log.total)
-    lineage = session.lineage_summary()
-    if lineage is not None:
-        out.metric("repro_service_lineage_sampled_total", "counter",
-                   "Source events opened as lineage traces",
-                   lineage["sampled"])
-        out.metric("repro_service_lineage_dropped_total", "counter",
-                   "Lineage traces evicted past the retention bound",
-                   lineage["dropped"])
-        out.metric("repro_service_lineage_traces", "gauge",
-                   "Lineage traces currently retained", lineage["retained"])
     return out.text()

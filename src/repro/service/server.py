@@ -192,12 +192,13 @@ class StandingQueryService:
     # -- observability --------------------------------------------------------
 
     def explain_delta(self, query_id: str, seq: int) -> Optional[dict]:
-        """Trace one subscriber delta back to its source rows.
+        """Trace one subscriber delta back to its source rows, by
+        replaying the recorded sources into a fresh flow of the query.
 
-        ``None`` when the query's flow has lineage disabled
-        (``lineage_sample=0``) or position ``seq`` was not in the
-        sample; raises :class:`~repro.core.errors.ExecutionError` for an
-        unknown query.  See docs/OBSERVABILITY.md for the result shape.
+        ``None`` for a position outside the query's changelog or a
+        withdrawn query; raises :class:`~repro.core.errors.ExecutionError`
+        for a query never registered.  See docs/OBSERVABILITY.md for the
+        result shape and what an explain costs.
         """
         return self.session.explain_delta(query_id, seq)
 

@@ -79,7 +79,7 @@ from ..exec.executor import (
 )
 from ..io import format_schema, parse_schema_line
 from ..obs.histogram import Histogram
-from ..obs.lineage import LineageRecorder
+from ..obs.lineage import explain_delta
 from ..plan import plan_fingerprint
 from ..plan.optimizer import optimize
 from ..plan.partition import analyze_partitioning
@@ -458,6 +458,9 @@ class SessionManager:
             config if config is not None else engine.config
         ).resolved()
         self._queries: dict[str, StandingQuery] = {}
+        #: ids of withdrawn queries: explaining one of their deltas
+        #: finds nothing, where an id never registered is an error.
+        self._withdrawn: set[str] = set()
         self.plan_cache = SharedPlanCache()
         #: source events ingested since construction (or restore).
         self.events_ingested = 0
@@ -542,12 +545,8 @@ class SessionManager:
             host = self.plan_cache.find_host(optimized, key)
         if host is not None:
             # The donor is a throwaway state supplier: its operators are
-            # transplanted into the host flow, whose recorder (if any)
-            # covers them from then on, so tracing the donor's replay
-            # would only burn time on lineage that is discarded.
-            donor = self._build_flow(
-                [(query_id, optimized)], effective, lineage=False
-            )
+            # transplanted into the host flow.
+            donor = self._build_flow([(query_id, optimized)], effective)
             self._catch_up(donor)
             # Root-level sharing is only sound when some member's whole
             # plan (root fingerprint + EMIT clause) coincides; otherwise
@@ -615,6 +614,7 @@ class SessionManager:
         # Ref-counted teardown: only operators no surviving member
         # reads are closed and dropped; shared state is untouched.
         self.plan_cache.drop_member(query_id)
+        self._withdrawn.add(query_id)
         self.slow_log.forget(query_id)
         return True
 
@@ -622,13 +622,12 @@ class SessionManager:
         self,
         plans: list[tuple[str, QueryPlan]],
         effective: ExecutionConfig,
-        lineage: bool = True,
         structure: Optional[dict] = None,
     ):
         """A flow for ``plans`` under ``effective`` — sharded when the
         config asks for parallelism and the analyzer admits the plan —
         fresh, or rebuilt from a checkpoint ``structure``."""
-        flow = build_flow(
+        return build_flow(
             plans,
             self.engine._sources,
             effective,
@@ -637,28 +636,12 @@ class SessionManager:
             else None,
             structure=structure,
         )
-        self._install_lineage(flow, effective, lineage)
-        return flow
 
     @collector_paused
     def _catch_up(self, flow) -> None:
         """Replay everything the sources have recorded into ``flow``."""
         for _ in flow.replay(merge_source_events(self.engine._sources)):
             pass
-
-    @staticmethod
-    def _install_lineage(flow, effective: ExecutionConfig, lineage: bool) -> None:
-        """Give a fresh flow its own provenance recorder when enabled.
-
-        One recorder per physical flow: every resident flow sees every
-        ingested event in the same order, so per-source sequence numbers
-        (and hence the deterministic sampling decisions) agree across
-        flows without any shared state.  Installed before catch-up, so a
-        late-joining query's replayed history is numbered exactly as a
-        from-the-start run would have numbered it.
-        """
-        if lineage and effective.lineage_sample > 0:
-            flow.set_lineage(LineageRecorder(effective.lineage_sample))
 
     @staticmethod
     def _flow_parallelism(flow) -> int:
@@ -765,44 +748,26 @@ class SessionManager:
 
     # -- lineage -------------------------------------------------------------------
 
+    @collector_paused
     def explain_delta(self, query_id: str, seq: int) -> Optional[dict]:
-        """The provenance of delta ``seq`` of a standing query.
+        """The provenance of delta ``seq`` of a standing query,
+        recomputed by replaying the recorded sources into a fresh flow
+        of the query (:func:`repro.obs.lineage.explain_delta`).
 
         Delta sequence numbers line up with changelog positions (the
-        subscription registry seeks past the history prefix), so the
-        flow's lineage recorder resolves them directly.  Returns
-        ``None`` when lineage is disabled for the query's flow or the
-        position was not sampled; raises for an unknown query.
+        subscription registry seeks past the history prefix).  Returns
+        ``None`` for a position outside the changelog or a withdrawn
+        query; raises for a query id never registered.  Reads the
+        resident flow, never advances it.
         """
         query = self._queries.get(query_id)
         if query is None:
+            if query_id in self._withdrawn:
+                return None
             raise ExecutionError(f"no standing query {query_id!r}")
-        recorder = getattr(query.flow, "lineage", None)
-        if recorder is None:
-            return None
-        return recorder.explain(query.output_id, seq)
-
-    def lineage_summary(self) -> Optional[dict]:
-        """Tracing volume aggregated over all resident flows' recorders.
-
-        ``None`` when no flow has lineage enabled.  ``events_seen`` and
-        ``sampled`` count per flow (every flow sees every event), so the
-        totals measure recording work done, not distinct source events.
-        """
-        summaries = [
-            record.flow.lineage.summary()
-            for record in self.plan_cache.records
-            if getattr(record.flow, "lineage", None) is not None
-        ]
-        if not summaries:
-            return None
-        return {
-            "flows": len(summaries),
-            "events_seen": sum(s["events_seen"] for s in summaries),
-            "sampled": sum(s["sampled"] for s in summaries),
-            "retained": sum(s["retained"] for s in summaries),
-            "dropped": sum(s["dropped"] for s in summaries),
-        }
+        return explain_delta(
+            query.flow, query.output_id, query.plan, self.engine._sources, seq
+        )
 
     # -- durability --------------------------------------------------------------
 
@@ -1094,9 +1059,8 @@ class SessionManager:
                     ),
                 )
             )
-        # Lineage comes back with the payload, not from the config.
         flow = self._build_flow(
-            plans, effective, lineage=False, structure=payload
+            plans, effective, structure=payload
         )
         flow.restore(
             payload,

@@ -315,19 +315,9 @@ class Shell:
         statements query.
         """
         if self._service is None:
-            from dataclasses import replace
-
             from .service import StandingQueryService
 
-            # The shell is an exploration tool, so provenance tracing
-            # defaults on — \lineage works out of the box — whenever the
-            # launch flags left it at the global default (off).
-            config = self.engine.config
-            if config.lineage_sample == 0:
-                config = replace(config, lineage_sample=1)
-            self._service = StandingQueryService(
-                engine=self.engine, config=config
-            )
+            self._service = StandingQueryService(engine=self.engine)
         return self._service
 
     def _subscribe(self, tenant: str, sql: str) -> str:
@@ -398,10 +388,7 @@ class Shell:
             return "(no standing queries; \\subscribe first)"
         explanation = self.service.explain_delta(query_id, seq)
         if explanation is None:
-            return (
-                f"{query_id} #{seq}: not traced (position outside the "
-                f"sample, evicted, or lineage disabled)"
-            )
+            return f"{query_id} #{seq}: not traced (no such delta)"
         lines = [
             f"{query_id} #{seq}  trace={explanation['trace_id']}",
             "source rows:",

@@ -11,8 +11,7 @@ around it.  What is pinned here:
   is not fused; a compacting flow does not absorb);
 * the house invariant over the matrix ``batch_size`` {1, 64} ×
   ``columnar`` {off, auto, on} × ``coalesce_updates`` × serial /
-  sharded single- and two-phase × lineage on/off (and the processes
-  backend): the changelog of the fused flow is the one the unfused plan
+  sharded single- and two-phase (and the processes backend): the changelog of the fused flow is the one the unfused plan
   produces, byte for byte;
 * a cut of operators the fusion pass absorbed differently is refused as
   a plain mismatch, however it comes back.
@@ -32,7 +31,6 @@ from repro.exec.operators.aggregate import (
     AggregateOperator,
     CombineAggregateOperator,
 )
-from repro.obs.lineage import LineageRecorder
 from repro.plan.fingerprint import node_fingerprint
 from repro.plan.logical import AggCall, AggregateNode, PartialAggregateNode
 from repro.plan.physical import CombineAggregateNode
@@ -269,15 +267,13 @@ RUNTIMES = {
 }
 
 
-def _run(engine, sql, runtime, lineage, **config):
+def _run(engine, sql, runtime, **config):
     query = engine.query(sql)
     config = ExecutionConfig(**RUNTIMES[runtime], **config)
     flow = (
         query.sharded_dataflow(config) if runtime != "serial"
         else query.dataflow(config)
     )
-    if lineage:
-        flow.set_lineage(LineageRecorder())
     for _ in flow.replay(merge_source_events(flow._sources)):
         pass
     return flow.finish()
@@ -300,29 +296,28 @@ def test_every_configuration_emits_the_unfused_changelog(shape):
     engine = engine_for()
     sql = SHAPES[shape]
     partitionable = engine.query(sql).partition_decision().partitionable
-    reference = _run(engine, sql, "serial", False, batch_size=1, columnar="off")
+    reference = _run(engine, sql, "serial", batch_size=1, columnar="off")
     assert reference.changes
     cells = 0
     for runtime in RUNTIMES if partitionable else ["serial"]:
         for batch_size in (1, 64):
             for coalesce in (False, True):
-                for lineage in (False, True):
-                    unfused = reference
-                    if coalesce:
-                        unfused = _run(
-                            engine, sql, runtime, lineage, batch_size=batch_size,
-                            columnar="off", coalesce_updates=True,
-                        )
-                    for columnar in ("auto", "on"):
-                        got = _run(
-                            engine, sql, runtime, lineage, batch_size=batch_size,
-                            columnar=columnar, coalesce_updates=coalesce,
-                        )
-                        assert _same(got, unfused), (
-                            runtime, batch_size, coalesce, lineage, columnar
-                        )
-                        cells += 1
-    assert cells == (48 if partitionable else 16)
+                unfused = reference
+                if coalesce:
+                    unfused = _run(
+                        engine, sql, runtime, batch_size=batch_size,
+                        columnar="off", coalesce_updates=True,
+                    )
+                for columnar in ("auto", "on"):
+                    got = _run(
+                        engine, sql, runtime, batch_size=batch_size,
+                        columnar=columnar, coalesce_updates=coalesce,
+                    )
+                    assert _same(got, unfused), (
+                        runtime, batch_size, coalesce, columnar
+                    )
+                    cells += 1
+    assert cells == (24 if partitionable else 8)
 
 
 @pytest.mark.parametrize("two_phase", ["off", "on"])

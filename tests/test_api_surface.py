@@ -80,7 +80,6 @@ PACKAGE_SURFACES = {
         "RunTelemetry",
         "RecoveryStats",
         "TraceCollector",
-        "LineageRecorder",
     ],
 }
 
@@ -250,7 +249,7 @@ FLOW_CONTRACT = (
     "output_size_of", "output_slice_of", "output_segments_of",
     "history_items_of", "take_touched", "root_watermark_of", "state_rows_of",
     "telemetry_of", "total_state_rows", "changes_coalesced", "sharing_map",
-    "set_lineage", "metrics_report",
+    "metrics_report",
 )
 
 #: the members a caller drives a flow through: same parameter names and
@@ -351,14 +350,39 @@ class TestSaidOnce:
     REMOVED = (
         "warn_deprecated", "explain_analyze", "compile_plan",
         "CompiledPlan", "codegen.ENABLED", "CombineStage", "combine_stage",
+        # 4.0: lineage is recomputed on read (repro.obs.lineage)
+        "LineageRecorder", "set_lineage", "set_pending", "sample_hash",
+        "LINEAGE_SPLITS_RUNS", "lineage_sample",
     )
 
-    def test_execution_config_has_seventeen_fields(self):
+    def test_execution_config_has_sixteen_fields(self):
         import dataclasses
 
         fields = [f.name for f in dataclasses.fields(repro.ExecutionConfig)]
-        assert len(fields) == 17, fields
+        assert len(fields) == 16, fields
         assert "lineage_max_traces" not in fields
+
+    def test_no_lineage_cause_rides_a_fan_out(self):
+        """A generated fan-out takes the batch and nothing else: no
+        lineage cause is threaded through delivery."""
+        from repro.exec import codegen
+
+        eng = repro.StreamEngine()
+        eng.register_stream("S", repro.TimeVaryingRelation(
+            repro.Schema(
+                [repro.int_col("k"), repro.timestamp_col("ts", event_time=True)]
+            ),
+            [repro.ins(1, (1, 1)), repro.wm(2, 1)],
+        ))
+        flow = eng.query("SELECT k, ts, COUNT(*) AS n FROM S GROUP BY k, ts").dataflow()
+        flow.run()
+        kernels = [kernel._codegen_source for kernel in flow._fanouts.values()]
+        assert kernels
+        for text in kernels + [
+            inspect.getsource(codegen.fanout_kernel),
+            inspect.getsource(codegen._fanout_code),
+        ]:
+            assert not re.search(r"\bcause", text), text
 
     @pytest.mark.parametrize("name", REMOVED)
     def test_removed_name_appears_nowhere_in_src(self, name):
@@ -548,7 +572,7 @@ class TestSaidOnce:
         that is not blank, not a comment (first non-space character
         ``#``) and not part of a docstring (a string literal that is the
         first statement of a module, class or function)."""
-        assert counted_lines(SRC) <= 17_635
+        assert counted_lines(SRC) <= 17_224
 
     def test_the_threads_backend_is_refused_by_name(self):
         from repro.core.errors import ValidationError

@@ -5,8 +5,8 @@ The batching scheduler's contract (docs/RUNTIME.md section 7): at any
 ``ptime``, ordering, watermark steps — to per-change execution, because
 every operator's batch output is the ordered concatenation of its
 per-change outputs and batches never span a source or a watermark
-event — nor an instant, where a timer, a lineage recorder or compaction
-needs them not to (``Dataflow.run_span_reason``).
+event — nor an instant, where a timer or compaction needs them not to
+(``Dataflow.run_span_reason``).
 ``coalesce_updates=True`` deliberately gives that identity up and
 promises only per-instant snapshot equivalence, with the dropped churn
 accounted in ``changes_coalesced``.
@@ -226,48 +226,6 @@ def test_batched_sharded_identical(nexmark_small, backend, batch_size):
     assert flow.run().changes == baseline.changes
     assert flow.output_slice_of("other") == other.changes
     assert flow.root_watermark_of("other") == other.watermarks.current
-
-
-@pytest.mark.parametrize("sample_rate", [1, 3])
-@pytest.mark.parametrize("two_phase", ["off", "on"])
-def test_batched_sharded_lineage_matches_serial(two_phase, sample_rate):
-    """A run routed across shards is one lineage claim, as in the serial
-    flow: the same events are sampled, and every merged position
-    explains back to the same source rows (the splice resolves the
-    shards' position notes once per chunk)."""
-    from repro.exec.executor import merge_source_events
-    from repro.obs.lineage import LineageRecorder
-
-    events = _build_events(
-        [
-            (3 if i % 50 == 49 else i % 3, i % 5, (i // 4) * 7 % 240, i % 6 == 0)
-            for i in range(400)
-        ]
-    )
-
-    def traced(shards):
-        engine = _engine(events, 64)
-        query = engine.query(TUMBLE_SQL)
-        flow = (
-            query.sharded_dataflow(
-                ExecutionConfig(
-                    parallelism=shards, backend="sync", two_phase=two_phase
-                )
-            )
-            if shards
-            else query.dataflow()
-        )
-        recorder = LineageRecorder(sample_rate)
-        flow.set_lineage(recorder)
-        for _ in flow.replay(merge_source_events(engine._sources)):
-            pass
-        changes = flow.finish().changes
-        explained = [recorder.explain("main", pos) for pos in range(len(changes))]
-        return changes, [e and e["sources"] for e in explained], recorder.sampled
-
-    serial, sharded = traced(0), traced(3)
-    assert sharded == serial
-    assert any(serial[1]) and len(serial[0]) > 64
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ their changelogs, every ``OperatorCounters`` field, ``take_touched()``
 and what the trace hook saw (with every output's log size at the moment
 it saw it, which pins the order of effects inside a delivery) must be
 equal.  Cells: ``batch_size`` {1, 64} x ``columnar`` {auto, off} x
-``coalesce_updates`` x observers (lineage recorder and trace hook)
-{off, on}; a graft -> withdraw -> checkpoint/restore sequence; a scan
-wider than one kernel (``FANOUT_WIDTH``) grafted onto and withdrawn
-from; and two ``sync`` shards, two-phase.  A graft or a withdrawal
+``coalesce_updates`` x a trace hook {off, on}; a graft -> withdraw ->
+checkpoint/restore sequence; a scan wider than one kernel
+(``FANOUT_WIDTH``) grafted onto and withdrawn from; and two ``sync``
+shards, two-phase, a row output beside the aggregates.  A graft or a withdrawal
 drops exactly the kernels whose edges or channels it changed.
 """
 
@@ -31,7 +31,6 @@ from repro.core.tvr import TimeVaryingRelation
 from repro.exec import executor
 from repro.exec.executor import Dataflow
 from repro.obs.histogram import Histogram
-from repro.obs.lineage import LineageRecorder
 from repro.obs.trace import TraceEvent
 from repro.service import StandingQueryService
 
@@ -54,7 +53,7 @@ QUERIES = [
 def reference_fanout(flow, op, consumers, arrived=None):
     """The interpreted walk of what ``op`` (``None``: a source) produced:
     count, collect (showing each arrival to ``arrived``), push, recurse."""
-    def fan(flow, changes, cause):
+    def fan(flow, changes):
         rows = changes.to_changes() if type(changes) is ColumnarBatch else list(changes)
         retracts = sum(change.kind is ChangeKind.RETRACT for change in rows)
         if op is not None:
@@ -63,13 +62,7 @@ def reference_fanout(flow, op, consumers, arrived=None):
         for consumer, port in consumers:
             consumer.counters.rows_in[port] += len(rows)
             consumer.counters.retracts_in[port] += retracts
-        lineage = None if cause is None else flow.lineage
         for channel in flow._outputs_of.get(id(op), ()) if op is not None else ():
-            if lineage is not None and flow._lineage_register_outputs:
-                start = len(channel.log)
-                lineage.record_output(cause, channel.output_id, range(start, start + len(rows)))
-            elif lineage is not None:
-                lineage.note_shard_output(channel.output_id, cause, len(rows))
             if arrived is not None:
                 arrived(flow, channel, rows)
             channel.log.tail.extend(rows)
@@ -85,11 +78,8 @@ def reference_fanout(flow, op, consumers, arrived=None):
                     produced.to_changes() if type(produced) is ColumnarBatch else produced)
                 consumer.counters.changes_coalesced += dropped
             if produced:
-                caused = None if lineage is None else lineage.record_operator(
-                    cause, consumer.name(), shard=flow._lineage_shard,
-                    shared_by=flow._op_refs.get(id(consumer), 1), produced=len(produced))
                 walk = reference_fanout(flow, consumer, flow._consumers.get(id(consumer), ()), arrived)
-                walk(flow, produced, caused)
+                walk(flow, produced)
     return fan
 
 
@@ -141,9 +131,8 @@ def build(config, queries, observers=False, sharded=False):
 
 
 def observe(flow) -> None:
-    """Install a lineage recorder, and a trace hook noting each event
-    with every output's log size at the moment it arrives."""
-    flow.set_lineage(LineageRecorder(1))
+    """Install a trace hook noting each event with every output's log
+    size at the moment it arrives."""
     flow.seen = []
     flow.trace = lambda event: flow.seen.append(
         (event, [flow.output_size_of(oid) for oid in flow.output_ids()])
@@ -264,7 +253,7 @@ def serial_cell(config, observers) -> Dataflow:
     out = {type(op).__name__: op.counters for op in kernel.operators}
     assert out["OverOperator"].rows_out and out["TemporalFilterOperator"].retracts_out
     if observers:
-        assert kernel.seen and kernel.lineage.snapshot() == reference.lineage.snapshot()
+        assert kernel.seen
     return kernel
 
 
@@ -302,11 +291,7 @@ def test_graft_withdraw_then_checkpoint_and_restore(observers):
 @pytest.mark.parametrize("observers", [False, True], ids=["bare", "observed"])
 def test_two_sync_shards_two_phase(observers):
     config = ExecutionConfig(parallelism=2, backend="sync", two_phase="on", batch_size=64)
-    # (A recorder on a sharded flow that mixes a row output with the
-    # aggregates fails in the merge, kernel or not: observed cells keep
-    # to the aggregates.)
-    queries = QUERIES[1:4] + ([] if observers else [PRIMARY])
-    pair = [build(config, queries, observers, sharded=True) for _ in range(2)]
+    pair = [build(config, QUERIES[1:4] + [PRIMARY], observers, sharded=True) for _ in range(2)]
     assert lockstep([flow for _, flow in pair], merged(pair[0][0])) > 0
 
 

@@ -41,15 +41,13 @@ def run_exposition(parallelism: int) -> str:
 
 
 def service_exposition(monkeypatch):
-    """A service with two tenants' queries (one shared prefix), lineage
-    on, a rejected submit and a fake clock."""
+    """A service with two tenants' queries (one shared prefix), a
+    rejected submit and a fake clock."""
     ticks = itertools.count()
     monkeypatch.setattr(
         "repro.service.session.time.perf_counter", lambda: next(ticks) * 7e-6
     )
-    svc = service_with_source(
-        config=ExecutionConfig(lineage_sample=2), max_queries=2
-    )
+    svc = service_with_source(max_queries=2)
     queries = [svc.submit("alice", Q_SUM), svc.submit("bob", Q_MAX)]
     svc.submit("alice", Q_MAX)
     try:

@@ -1,302 +1,330 @@
-"""Delta lineage: deterministic sampling, provenance, byte-identity.
+"""Delta lineage, recomputed on read.
 
-The load-bearing guarantees, mirroring docs/OBSERVABILITY.md:
+The guarantees, mirroring docs/OBSERVABILITY.md:
 
-* sampling is a pure function of ``(source, sequence)`` — no wall
-  clock, no RNG — so reruns trace identical events;
-* the output changelog is **byte-identical** with tracing on, off, or
-  sampled, serial and sharded, shared and unshared plans (tracing rides
-  alongside the data path as cause tokens, never in it);
-* a subscriber delta explains back to concrete source rows through the
-  operator path, with ``[shared ×k]`` attribution on shared subplans
-  and shard tags on sharded flows;
-* lineage survives checkpoint/restore, and the trace store is bounded
-  (whole-trace eviction, counted in ``dropped``).
+* every position of every standing query's changelog explains — serial,
+  sharded (two-phase or not, several outputs on one flow), shared, a
+  late joiner's catch-up history, a delta a timer emitted, and after a
+  checkpoint and a resume;
+* the explanation equals what the live recorder it replaced said, field
+  for field (``fixtures/lineage_referee.json``, recorded on the parent
+  commit by ``fixtures/make_lineage_referee.py``), apart from the
+  differences docs/OBSERVABILITY.md lists;
+* an explain only reads the resident flow: changelogs, subscriber
+  cursors and what the next ``take()`` hands out are unchanged;
+* a position outside the changelog, or a withdrawn query's, explains to
+  ``None``; a query id never registered is an error.
 """
+
+import importlib.util
+import json
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ExecutionConfig, StreamEngine
-from repro.core.tvr import TimeVaryingRelation, ins, wm
-from repro.obs.lineage import LineageRecorder, is_sampled, sample_hash
-from repro.obs.trace import TraceCollector, TraceEvent
+from repro import ExecutionConfig
+from repro.core.errors import ExecutionError
+from repro.core.tvr import ins, wm
+from repro.service import StandingQueryService
+from repro.service.admission import TenantPolicy
 
-from .test_mqo import (
-    MINUTE,
-    Q_MAX,
-    Q_SUM,
-    Q_SUM_ALIASED,
-    SCHEMA,
-    make_events,
-    oneshot_changes,
-    query_changes,
-    service_with_source,
-)
+from .test_mqo import MINUTE, Q_MAX, Q_SUM, make_events, service_with_source
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+Q_FILTER = "SELECT k, v FROM S WHERE v > 20 EMIT STREAM"
 
 
-def run_standing(events, sqls, config, tenant="t"):
-    """Submit ``sqls``, subscribe to each, ingest ``events``; return
-    (changelogs, delta streams) for byte-identity comparison."""
+def _maker():
+    path = os.path.join(HERE, "fixtures", "make_lineage_referee.py")
+    spec = importlib.util.spec_from_file_location("make_lineage_referee", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+maker = _maker()
+
+
+def standing(config, sqls, events):
+    """A service with ``sqls`` standing over source ``S``, fed ``events``."""
     svc = service_with_source(config=config)
-    queries = [svc.submit(tenant, sql) for sql in sqls]
-    subscribers = [
-        svc.subscribe(q.query_id, f"sub-{i}") for i, q in enumerate(queries)
-    ]
+    queries = [svc.submit("t", sql) for sql in sqls]
     for event in events:
         svc.ingest(event, "S")
-    changelogs = [query_changes(q) for q in queries]
-    deltas = [
-        [(d.seq, d.change) for d in sub.take()] for sub in subscribers
+    return svc, queries
+
+
+def explain_all(svc, query):
+    size = query.flow.output_size_of(query.output_id)
+    return [svc.explain_delta(query.query_id, seq) for seq in range(size)]
+
+
+def _unshared(explanation: dict) -> dict:
+    """``explanation`` without the ``shared_by`` of its path steps."""
+    path = [
+        {key: value for key, value in step.items() if key != "shared_by"}
+        for step in explanation["path"]
     ]
-    return svc, queries, changelogs, deltas
+    return {**explanation, "path": path}
 
 
-class TestSampling:
-    def test_sample_hash_is_deterministic(self):
-        assert sample_hash("bid", 7) == sample_hash("bid", 7)
-        assert sample_hash("bid", 7) != sample_hash("bid", 8)
-        assert sample_hash("bid", 7) != sample_hash("ask", 7)
+class TestReferee:
+    @pytest.fixture(scope="class")
+    def runs(self):
+        with open(maker.REFEREE) as fh:
+            referee = json.load(fh)
+        return referee, maker.scenarios({})
 
-    def test_rate_zero_samples_nothing_rate_one_everything(self):
-        assert not any(is_sampled("s", seq, 0) for seq in range(100))
-        assert all(is_sampled("s", seq, 1) for seq in range(100))
+    @pytest.mark.parametrize("name", [
+        "serial_batch1", "serial_batch64", "mqo_pair_late_joiner",
+        "join_two_sources", "sharded_two_sync_shards",
+    ])
+    def test_every_delta_explains_as_the_recorder_did(self, runs, name):
+        referee, scenarios = runs
+        svc, ids = scenarios[name]
+        assert sorted(ids) == sorted(referee[name])
+        for qid in ids:
+            got = maker.explained(svc, qid)
+            want = referee[name][qid]
+            assert len(got) == len(want)
+            for seq, (mine, theirs) in enumerate(zip(got, want)):
+                assert mine is not None, (name, qid, seq)
+                if theirs is None:
+                    # a late joiner's catch-up history: its donor was
+                    # never traced, so the recorder could not explain it
+                    assert name == "mqo_pair_late_joiner", (qid, seq)
+                    continue
+                if name == "mqo_pair_late_joiner":
+                    # ``shared_by`` counts readers now, when the explain
+                    # runs; the recorder counted them when it recorded
+                    mine, theirs = _unshared(mine), _unshared(theirs)
+                assert mine == theirs, (name, qid, seq)
 
-    def test_one_in_n_hits_roughly_a_fraction(self):
-        hits = sum(is_sampled("s", seq, 8) for seq in range(4096))
-        assert 0 < hits < 4096
-        assert abs(hits / 4096 - 1 / 8) < 0.05
-
-    def test_recorder_lowercases_source_names(self):
-        rec = LineageRecorder(sample_rate=1)
-        cause = rec.begin_event("Bid", kind="source", values=(1,), ptime=5)
-        assert cause is not None
-        assert rec.next_seq("BID") == 1  # same counter as "Bid"
+    def test_shared_by_counts_the_readers_at_explain_time(self, runs):
+        referee, scenarios = runs
+        svc, ids = scenarios["mqo_pair_late_joiner"]
+        for qid in ids:
+            # the last delta came after the joiner: both counts agree
+            assert maker.explained(svc, qid)[-1] == referee[
+                "mqo_pair_late_joiner"][qid][-1]
 
 
 class TestExplain:
-    def test_delta_explains_to_source_rows_and_path(self):
-        config = ExecutionConfig(lineage_sample=1)
-        svc, (query,), (changes,), _ = run_standing(
-            make_events(30), [Q_SUM], config
-        )
-        assert changes  # the query produced output
-        recorder = query.flow.lineage
-        positions = recorder.traced_positions(query.output_id)
-        assert positions == list(range(len(changes)))
-        explanation = svc.explain_delta(query.query_id, positions[0])
-        assert explanation["output_id"] == query.query_id
-        assert explanation["sources"], "no source rows attributed"
-        for row in explanation["sources"]:
-            assert row["source"] == "s"
-            assert row["kind"] in ("source", "watermark")
-        assert explanation["path"], "no operator path recorded"
-        operators = [step["operator"] for step in explanation["path"]]
-        assert any("scan" in op.lower() for op in operators)
+    def test_a_delta_explains_to_its_source_row_and_path(self):
+        svc, (query,) = standing(ExecutionConfig(), [Q_SUM], make_events(30))
+        explanations = explain_all(svc, query)
+        assert explanations and None not in explanations
+        first = explanations[0]
+        assert first["output_id"] == query.query_id and first["seq"] == 0
+        (row,) = first["sources"]
+        assert row["source"] == "s" and row["kind"] == "source"
+        assert make_events(30)[first["trace_id"]].change.values == row["values"]
+        operators = [step["operator"] for step in first["path"]]
+        assert operators[0] == "Scan(S)" and len(operators) > 2
 
     def test_shared_subplan_attribution(self):
-        config = ExecutionConfig(lineage_sample=1, share_plans=True)
-        svc, queries, changelogs, _ = run_standing(
-            make_events(30), [Q_SUM, Q_SUM_ALIASED], config
+        svc, (q1, q2) = standing(
+            ExecutionConfig(share_plans=True), [Q_SUM, Q_MAX], make_events(30)
         )
-        q1, q2 = queries
         assert q1.flow is q2.flow  # grafted onto one dataflow
-        explanation = svc.explain_delta(q1.query_id, 0)
-        assert explanation is not None
-        shared = [s for s in explanation["path"] if s["shared_by"] >= 2]
-        assert shared, "no [shared ×k] step on a shared plan"
+        path = svc.explain_delta(q1.query_id, 0)["path"]
+        assert [s["shared_by"] for s in path if s["operator"] == "Scan(S)"] == [2]
+        assert path[-1]["shared_by"] == 1  # the private root
 
-    def test_sharded_path_carries_shard_tags(self):
-        config = ExecutionConfig(parallelism=2, lineage_sample=1)
-        svc, (query,), (changes,), _ = run_standing(
-            make_events(30), [Q_SUM], config
+    @pytest.mark.parametrize("two_phase", ["auto", "off"])
+    def test_a_sharded_flow_mixing_a_row_output_with_an_aggregate(self, two_phase):
+        """Two ``sync`` shards carrying a tumble aggregate and a
+        ``WHERE`` row output on one flow: every delta of both explains,
+        to the event and shard the serial run's explanation names."""
+        config = ExecutionConfig(parallelism=2, backend="sync", two_phase=two_phase)
+        events = make_events(60)
+        svc, queries = standing(config, [Q_SUM, Q_FILTER], events)
+        assert queries[0].sharded and queries[0].flow is queries[1].flow
+        serial, twins = standing(ExecutionConfig(), [Q_SUM, Q_FILTER], events)
+        for query, twin in zip(queries, twins):
+            sharded = explain_all(svc, query)
+            assert sharded and None not in sharded
+            for mine, theirs in zip(sharded, explain_all(serial, twin)):
+                assert mine["trace_id"] == theirs["trace_id"]
+                assert mine["sources"] == theirs["sources"]
+                shards = {step["shard"] for step in mine["path"]}
+                assert len(shards - {None}) == 1  # one shard took the row
+        combined = explain_all(svc, queries[0])[0]["path"]
+        if two_phase == "auto":  # the merge half closes the path
+            assert combined[-1]["shard"] is None
+            assert any("CombineAggregate" in s["operator"] for s in combined)
+        else:
+            assert None not in {step["shard"] for step in combined}
+
+    def test_a_timer_delta_is_explained_by_the_event_that_fired_it(self):
+        events, ptime = [], 1_000_000
+        for i in range(12):
+            ptime += 15_000
+            events.append(ins(ptime, (i % 2, ptime - 5_000, i)))
+        tail = (
+            "SELECT k, v FROM S WHERE ts > CURRENT_TIME - INTERVAL '30' "
+            "SECOND EMIT STREAM"
         )
-        assert query.sharded
-        assert changes
-        explanation = svc.explain_delta(query.query_id, 0)
-        assert explanation is not None
-        shards = {s["shard"] for s in explanation["path"]}
-        assert shards and shards != {None}
+        svc, (query,) = standing(ExecutionConfig(), [tail], events)
+        changes = query.flow.output_slice_of(query.output_id, 0)
+        expired = [seq for seq, c in enumerate(changes) if c.kind.name == "RETRACT"]
+        assert expired
+        for seq in expired:
+            explanation = svc.explain_delta(query.query_id, seq)
+            (cause,) = explanation["sources"]
+            assert cause["ptime"] > changes[seq].ptime  # the timer was due before
+            assert any("Temporal" in s["operator"] for s in explanation["path"])
 
-    def test_unsampled_position_returns_none(self):
-        config = ExecutionConfig(lineage_sample=0)
-        svc, (query,), (changes,), _ = run_standing(
-            make_events(20), [Q_SUM], config
+    def test_a_self_join_lists_both_scans(self):
+        sql = (
+            "SELECT a.k, a.v, b.v AS w FROM S a JOIN S b ON a.k = b.k "
+            "WHERE a.v < b.v EMIT STREAM"
         )
-        assert svc.explain_delta(query.query_id, 0) is None
+        svc, (query,) = standing(ExecutionConfig(), [sql], make_events(30))
+        path = svc.explain_delta(query.query_id, 0)["path"]
+        assert [s["operator"] for s in path[:2]] == ["Scan(S)", "Scan(S)"]
 
-    def test_unknown_query_raises(self):
-        from repro.core.errors import ExecutionError
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_every_position_explains_after_checkpoint_and_resume(
+        self, tmp_path, parallelism
+    ):
+        config = ExecutionConfig(
+            parallelism=parallelism, backend="sync", checkpoint_dir=str(tmp_path)
+        )
+        events = make_events(40)
+        svc, queries = standing(config, [Q_SUM, Q_FILTER], events[:25])
+        svc.checkpoint()
+        before = [explain_all(svc, query) for query in queries]
+        resumed = StandingQueryService(
+            config=config,
+            default_policy=TenantPolicy(name="*", max_standing_queries=8),
+        )
+        assert resumed.resume() == 2
+        after = [explain_all(resumed, resumed.session.get(q.query_id)) for q in queries]
+        assert after == before and None not in after[0]
+        for event in events[25:]:
+            resumed.ingest(event, "S")
+            svc.ingest(event, "S")
+        for query in queries:
+            again = resumed.session.get(query.query_id)
+            assert explain_all(resumed, again) == explain_all(svc, query)
 
-        svc = service_with_source(config=ExecutionConfig(lineage_sample=1))
+
+@pytest.mark.parametrize("two_phase", ["auto", "off"])
+@settings(max_examples=10, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 9), st.integers(-50, 50)),
+        min_size=1,
+        max_size=30,
+    ),
+)
+def test_every_delta_explains_alike_serial_and_sharded(two_phase, rows):
+    """Drawn histories (late rows, watermarks): every delta of both
+    queries explains, its cause is at or past the delta's instant, and
+    two ``sync`` shards name the cause the serial flow names."""
+    events, ptime = [], 1_000_000
+    for i, (k, w, v) in enumerate(rows):
+        ptime += 10_000
+        events.append(ins(ptime, (k, w * MINUTE, v)))
+        if i % 4 == 3:
+            ptime += 1_000
+            events.append(wm(ptime, (i // 4 + 1) * 2 * MINUTE))
+    sqls = [Q_SUM, Q_FILTER]
+    serial, queries = standing(ExecutionConfig(), sqls, events)
+    sharded, twins = standing(
+        ExecutionConfig(parallelism=2, backend="sync", two_phase=two_phase),
+        sqls, events,
+    )
+    for query, twin in zip(queries, twins):
+        changes = query.flow.output_slice_of(query.output_id, 0)
+        mine, theirs = explain_all(serial, query), explain_all(sharded, twin)
+        assert len(mine) == len(theirs) == len(changes)
+        for change, one, other in zip(changes, mine, theirs):
+            assert one["sources"][0]["ptime"] >= change.ptime
+            assert (one["trace_id"], one["sources"]) == (
+                other["trace_id"], other["sources"]
+            )
+
+
+class TestInputEdges:
+    def test_out_of_range_and_withdrawn_explain_to_none(self):
+        svc, (query, other) = standing(
+            ExecutionConfig(), [Q_SUM, Q_MAX], make_events(30)
+        )
+        size = query.flow.output_size_of(query.output_id)
+        assert svc.explain_delta(query.query_id, size - 1) is not None
+        for seq in (-1, -size, size, size + 5):
+            assert svc.explain_delta(query.query_id, seq) is None
+        assert svc.withdraw(other.query_id)
+        assert svc.explain_delta(other.query_id, 0) is None
+
+    def test_an_unknown_query_is_an_error(self):
+        svc = service_with_source()
         with pytest.raises(ExecutionError):
             svc.explain_delta("nope", 0)
 
+    def test_an_explain_leaves_the_resident_flow_untouched(self):
+        events = make_events(60)
+        twins = []
+        for _ in range(2):
+            svc, queries = standing(ExecutionConfig(), [Q_SUM, Q_FILTER], events[:40])
+            subscribers = [
+                svc.subscribe(q.query_id, "sub") for q in queries
+            ]
+            for subscriber in subscribers:  # half drained
+                subscriber.take(3)
+            twins.append((svc, queries, subscribers))
+        svc, queries, _ = twins[0]
+        for query in queries:
+            explain_all(svc, query)
 
-class TestByteIdentity:
+        def observed(svc, queries, subscribers):
+            return (
+                [q.flow.output_slice_of(q.output_id, 0) for q in queries],
+                [s.cursor for s in subscribers],
+                [[(d.seq, d.change) for d in s.take()] for s in subscribers],
+            )
+
+        assert observed(*twins[0]) == observed(*twins[1])
+        for svc, _, _ in twins:
+            for event in events[40:]:
+                svc.ingest(event, "S")
+        assert observed(*twins[0]) == observed(*twins[1])
+
+
+class TestCheckpointEntry:
     @pytest.mark.parametrize("parallelism", [1, 2])
-    @pytest.mark.parametrize("share", [True, False])
-    def test_changelogs_identical_across_sampling_rates(
-        self, parallelism, share
+    def test_the_lineage_entry_is_none_and_a_carried_recorder_is_ignored(
+        self, parallelism
     ):
-        events = make_events(40)
-        sqls = [Q_SUM, Q_MAX]
-        baseline = None
-        for sample in (0, 1, 4):
-            config = ExecutionConfig(
-                parallelism=parallelism,
-                share_plans=share,
-                lineage_sample=sample,
+        """Format 4 keeps the ``lineage`` entry: a cut writes ``None``,
+        and a 3.x cut's recorder snapshot there is ignored on restore."""
+        import pickle
+
+        from repro import StreamEngine
+        from repro.core.tvr import TimeVaryingRelation
+        from repro.exec.executor import merge_source_events
+
+        from .test_mqo import SCHEMA
+
+        def flow():
+            engine = StreamEngine(
+                config=ExecutionConfig(parallelism=parallelism, backend="sync")
             )
-            _, _, changelogs, deltas = run_standing(events, sqls, config)
-            if baseline is None:
-                baseline = (changelogs, deltas)
-            else:
-                assert (changelogs, deltas) == baseline, (
-                    f"sample={sample} changed the changelog"
-                )
-        # and the service changelog equals the one-shot oracle
-        assert baseline[0][0] == oneshot_changes(events, Q_SUM, parallelism)
+            engine.register_stream("S", TimeVaryingRelation(SCHEMA, make_events(40)))
+            query = engine.query(Q_SUM)
+            return query.sharded_dataflow() if parallelism > 1 else query.dataflow()
 
-    @settings(max_examples=25, deadline=None)
-    @given(
-        rows=st.lists(
-            st.tuples(
-                st.integers(0, 3),
-                st.integers(0, 9),
-                st.integers(-50, 50),
-            ),
-            min_size=1,
-            max_size=30,
-        ),
-        sample=st.sampled_from([1, 3, 7]),
-        parallelism=st.sampled_from([1, 2]),
-        share=st.booleans(),
-    )
-    def test_property_tracing_never_touches_the_changelog(
-        self, rows, sample, parallelism, share
-    ):
-        events, ptime = [], 1_000_000
-        for i, (k, w, v) in enumerate(rows):
-            ptime += 10_000
-            events.append(ins(ptime, (k, w * MINUTE, v)))
-            if i % 4 == 3:
-                ptime += 1_000
-                events.append(wm(ptime, (i // 4 + 1) * 2 * MINUTE))
-        sqls = [Q_SUM, Q_SUM_ALIASED] if share else [Q_SUM]
-        off = ExecutionConfig(
-            parallelism=parallelism, share_plans=share, lineage_sample=0
-        )
-        on = ExecutionConfig(
-            parallelism=parallelism, share_plans=share, lineage_sample=sample
-        )
-        _, _, base_changes, base_deltas = run_standing(events, sqls, off)
-        _, _, traced_changes, traced_deltas = run_standing(events, sqls, on)
-        assert traced_changes == base_changes
-        assert traced_deltas == base_deltas
-
-
-class TestCheckpointRestore:
-    def test_lineage_survives_checkpoint_restore(self, tmp_path):
-        config = ExecutionConfig(
-            lineage_sample=1, checkpoint_dir=str(tmp_path)
-        )
-        events = make_events(40)
-        svc = service_with_source(config=config)
-        query = svc.submit("t", Q_SUM)
-        for event in events[:25]:
-            svc.ingest(event, "S")
-        svc.checkpoint()
-        before = query.flow.lineage.traced_positions(query.query_id)
-
-        resumed = StandingQueryService_resume(config)
-        restored = resumed.session.get(query.query_id)
-        recorder = restored.flow.lineage
-        assert recorder is not None
-        assert recorder.traced_positions(query.query_id) == before
-        # provenance recorded before the cut still explains
-        if before:
-            explanation = resumed.explain_delta(query.query_id, before[0])
-            assert explanation is not None and explanation["sources"]
-        # and the resumed flow keeps tracing new deltas
-        for event in events[25:]:
-            resumed.ingest(event, "S")
-        after = recorder.traced_positions(query.query_id)
-        assert len(after) >= len(before)
-        assert query_changes(restored) == oneshot_changes(events, Q_SUM)
-
-    def test_sharded_lineage_survives_restore(self, tmp_path):
-        config = ExecutionConfig(
-            parallelism=2, lineage_sample=1, checkpoint_dir=str(tmp_path)
-        )
-        events = make_events(40)
-        svc = service_with_source(config=config)
-        query = svc.submit("t", Q_SUM)
-        for event in events[:25]:
-            svc.ingest(event, "S")
-        svc.checkpoint()
-
-        resumed = StandingQueryService_resume(config)
-        restored = resumed.session.get(query.query_id)
-        assert restored.sharded
-        assert restored.flow.lineage is not None
-        for event in events[25:]:
-            resumed.ingest(event, "S")
-        assert query_changes(restored) == oneshot_changes(events, Q_SUM, 2)
-        assert restored.flow.lineage.traced_positions(query.query_id)
-
-
-def StandingQueryService_resume(config):
-    """A fresh service resumed from ``config.checkpoint_dir``."""
-    from repro.service import StandingQueryService
-    from repro.service.admission import TenantPolicy
-
-    svc = StandingQueryService(
-        config=config,
-        default_policy=TenantPolicy(name="*", max_standing_queries=8),
-    )
-    assert svc.resume() >= 1
-    return svc
-
-
-class TestBoundedStores:
-    def test_recorder_evicts_whole_traces_past_max(self):
-        rec = LineageRecorder(sample_rate=1, max_traces=4)
-        for seq in range(10):
-            cause = rec.begin_event(
-                "s", kind="source", values=(seq,), ptime=seq
-            )
-            cause = rec.record_operator(cause, "scan(s)", produced=1)
-            rec.record_output(cause, "q1", range(seq, seq + 1))
-        summary = rec.summary()
-        assert summary["sampled"] == 10
-        assert summary["retained"] == 4
-        assert summary["dropped"] == 6
-        positions = rec.traced_positions("q1")
-        assert positions == [6, 7, 8, 9]  # oldest evicted first
-        assert rec.explain("q1", 0) is None
-        assert rec.explain("q1", 9) is not None
-
-    def test_trace_collector_ring_drops_oldest_but_counts_exactly(self):
-        collector = TraceCollector(max_events=3)
-        for i in range(8):
-            collector(TraceEvent(kind="batch", ptime=i, count=2))
-        assert len(collector.events) == 3
-        assert [e.ptime for e in collector.events] == [5, 6, 7]
-        assert collector.dropped == 5
-        summary = collector.summary()
-        assert summary["batches"] == 8  # exact despite the drops
-        assert summary["changes"] == 16
-        assert summary["dropped"] == 5
-
-    def test_trace_collector_unbounded_mode(self):
-        collector = TraceCollector(max_events=None)
-        for i in range(10):
-            collector(TraceEvent(kind="watermark", ptime=i, value=i))
-        assert len(collector.events) == 10
-        assert collector.dropped == 0
-
-    def test_trace_collector_rejects_zero_capacity(self):
-        with pytest.raises(ValueError):
-            TraceCollector(max_events=0)
+        cut = flow()
+        for _ in cut.replay(merge_source_events(cut._sources)):
+            pass
+        payload = pickle.loads(cut.checkpoint())
+        assert "lineage" in payload and payload["lineage"] is None
+        payload["lineage"] = {"sample_rate": 1, "nodes": [], "outputs": []}
+        restored = flow()
+        restored.restore(payload)
+        assert not hasattr(restored, "lineage")
+        assert restored.output_slice_of("main", 0) == cut.output_slice_of("main", 0)

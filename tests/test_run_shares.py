@@ -22,9 +22,7 @@ from repro.core.colbatch import ColumnarBatch
 from repro.core.errors import ExecutionError
 from repro.core.schema import Schema, int_col, timestamp_col
 from repro.core.tvr import TimeVaryingRelation, ins, wm
-from repro.exec.compile import LINEAGE_SPLITS_RUNS
 from repro.exec.executor import Dataflow, event_runs, merge_source_events
-from repro.obs.lineage import LineageRecorder
 from repro.plan.partition import PartitionSpec, Route
 from repro.plan.physical import PARTIALS
 from repro.runtime import merge as merge_module
@@ -170,11 +168,9 @@ def count_batches(monkeypatch_context):
         [None, "crash-after-checkpoint:shard=1,at=1",
          "crash-before-batch:shard=1,at=5"]
     ),
-    lineage=st.booleans(),
 )
 def test_interleaved_keys_yield_the_serial_changelog(
     shards, events, sql, batch_size, backend, columnar, two_phase, crash,
-    lineage,
 ):
     serial_query = engine_for(
         events, batch_size=batch_size, columnar=columnar
@@ -191,11 +187,6 @@ def test_interleaved_keys_yield_the_serial_changelog(
         )
     query = engine_for(events, **config).query(sql)
     flow = query.sharded_dataflow()
-    if lineage:
-        # A restarted worker's fresh flow has no recorder; the shape
-        # was decided before it existed, so it tags as the first did.
-        flow.set_lineage(LineageRecorder())
-        assert flow.run_split_reason() == LINEAGE_SPLITS_RUNS
     result = flow.run()
     assert identical(result, serial)
     assert query.stream() == serial_query.stream()  # undo, ver
@@ -280,30 +271,6 @@ def test_a_restarted_shard_is_fed_the_same_shares():
     # It re-ran from the last checkpoint's offset to the crash: whole
     # shares, re-emitted and dropped.
     assert recovery.rows_replayed > 0 and recovery.dedup_drops > 0
-
-
-@pytest.mark.parametrize("backend", ["sync", "processes"])
-@pytest.mark.parametrize("two_phase", ["on", "off"])
-def test_a_restart_under_lineage_tags_like_the_first_attempt(backend, two_phase):
-    """The run shape is decided once, by the sharded flow: the first
-    attempt's flows hold the lineage recorder and a restarted worker's
-    fresh one does not, and both split at sequence gaps."""
-    events = interleaved_events()
-    serial = engine_for(events, batch_size=64).query(TUMBLE_SQL).run()
-    flow = engine_for(
-        events, parallelism=2, batch_size=64, two_phase=two_phase,
-        backend=backend,
-        fault_plan="crash-before-batch:shard=1,at=100",
-        retry=RetryPolicy(max_restarts=2, checkpoint_interval=64),
-    ).query(TUMBLE_SQL).sharded_dataflow()
-    assert (flow.run_split_reason() is None) == (two_phase == "on")
-    flow.set_lineage(LineageRecorder())
-    assert flow.run_split_reason() == LINEAGE_SPLITS_RUNS
-    result = flow.run()
-    assert identical(result, serial)
-    assert result.metrics.recovery.shard_restarts == 1
-    flow.set_lineage(None)
-    assert (flow.run_split_reason() is None) == (two_phase == "on")
 
 
 # ---------------------------------------------------------------------------
@@ -637,21 +604,6 @@ class TestExplain:
                 "runs: split at sequence gaps — row batches carry no "
                 "sequence numbers"
             ]
-
-    def test_a_standing_querys_lineage_recorder_is_named(self):
-        """Only the service installs a recorder (``lineage_sample``);
-        the flow it builds splits, and EXPLAIN says so."""
-        (line,) = self._runs_line(TUMBLE_SQL, batch_size=64, lineage_sample=4)
-        assert line == (
-            "runs: per instant, sequence-tagged; as a standing query "
-            "(lineage_sample=4) split at sequence gaps — "
-            + LINEAGE_SPLITS_RUNS
-        )
-        # a plan that splits anyway has one reason, the plan's
-        (line,) = self._runs_line(
-            TUMBLE_SQL, batch_size=64, two_phase="off", lineage_sample=4
-        )
-        assert line.endswith("Aggregate cannot carry sequence numbers")
 
     def test_serial_plans_say_their_span_not_a_share_shape(self):
         """A serial flow has no shares; its line is its run span

@@ -2,8 +2,7 @@
 
 A serial flow's replay feeds one source's rows in runs that span
 processing-time instants, up to the next watermark, wherever no timer
-can come due inside the run, no lineage recorder claims per-event
-ordinals and the flow does not compact per instant
+can come due inside the run and the flow does not compact per instant
 (``Dataflow.run_span_reason``); a sharded flow's runs stay per instant.
 The changelog and the watermark track are those of per-event
 execution; only the number of deliveries changes.
@@ -18,12 +17,10 @@ from repro.core.schema import Schema, int_col, timestamp_col
 from repro.core.tvr import TimeVaryingRelation, ins, wm
 from repro.exec.compile import (
     COALESCE_KEEPS_INSTANTS,
-    LINEAGE_SPLITS_RUNS,
     SHARDS_KEEP_INSTANTS,
     TIMERS_KEEP_INSTANTS,
 )
 from repro.exec.executor import Dataflow, event_runs, merge_source_events
-from repro.obs.lineage import LineageRecorder
 
 SCHEMA = Schema([int_col("k"), timestamp_col("ts", event_time=True), int_col("v")])
 MINUTE = 60_000
@@ -126,7 +123,7 @@ def test_absorbed_events_past_the_last_row_open_the_next_run():
     assert flow.result().last_ptime == 40
 
 
-@pytest.mark.parametrize("reason", ["timer", "lineage", "coalesce", "sharded"])
+@pytest.mark.parametrize("reason", ["timer", "coalesce", "sharded"])
 def test_runs_stay_per_instant_for_each_reason(monkeypatch, reason):
     events, _ = burst_one()
     rows = sum(1 for event in events if hasattr(event, "change"))
@@ -138,11 +135,8 @@ def test_runs_stay_per_instant_for_each_reason(monkeypatch, reason):
         config.update(parallelism=2, two_phase="on")
     query = engine_for(events, **config).query(sql)
     flow = query.sharded_dataflow() if reason == "sharded" else query.dataflow()
-    if reason == "lineage":
-        flow.set_lineage(LineageRecorder())
     assert flow.run_span_reason() == {
         "timer": TIMERS_KEEP_INSTANTS,
-        "lineage": LINEAGE_SPLITS_RUNS,
         "coalesce": COALESCE_KEEPS_INSTANTS,
         "sharded": SHARDS_KEEP_INSTANTS,
     }[reason]
@@ -152,9 +146,6 @@ def test_runs_stay_per_instant_for_each_reason(monkeypatch, reason):
         for _ in flow.replay(merge_source_events(flow._sources)):
             pass
         assert sizes == [1] * rows
-    if reason == "lineage":
-        flow.set_lineage(None)  # the answer is refreshed with the recorder
-        assert flow.run_span_reason() is None
 
 
 @pytest.mark.parametrize("sql", [TUMBLE_SQL, TAIL_SQL], ids=["tumble", "tail"])
@@ -162,12 +153,11 @@ def test_runs_stay_per_instant_for_each_reason(monkeypatch, reason):
     "config",
     [
         dict(batch_size=64),
-        dict(batch_size=64, lineage_sample=4),
         dict(batch_size=64, coalesce_updates=True),
         dict(batch_size=64, parallelism=2),
         dict(batch_size=1),
     ],
-    ids=["plain", "lineage", "coalesce", "sharded", "batch1"],
+    ids=["plain", "coalesce", "sharded", "batch1"],
 )
 def test_explain_says_the_run_shape_the_flow_reports(sql, config):
     query = engine_for(burst_one()[0], **config).query(sql)
@@ -193,12 +183,4 @@ def test_explain_says_the_run_shape_the_flow_reports(sql, config):
     if reason is not None:
         assert lines == [f"runs: per instant — {reason}"]
         return
-    expected = "runs: across instants, up to the next watermark"
-    if config.get("lineage_sample"):
-        # what the service's flow reports once it installs its recorder
-        flow.set_lineage(LineageRecorder(config["lineage_sample"]))
-        expected += (
-            f"; as a standing query (lineage_sample=4) per instant — "
-            f"{flow.run_span_reason()}"
-        )
-    assert lines == [expected]
+    assert lines == ["runs: across instants, up to the next watermark"]

@@ -12,7 +12,7 @@ size, ``run()`` on any backend, with a crash and a history-less
 checkpoint in the middle — it yields the serial changelog.  A fourth
 adds the restore-side drivers: a flow restored mid-stream (its history
 adopted still encoded), optionally cut *again* before anything read it,
-finishes with the uninterrupted changelog and lineage positions.
+finishes with the uninterrupted changelog.
 """
 
 import pickle
@@ -25,7 +25,6 @@ from repro import ExecutionConfig, StreamEngine
 from repro.core.schema import Schema, int_col, timestamp_col
 from repro.core.tvr import TimeVaryingRelation, ins, wm
 from repro.exec.executor import merge_source_events
-from repro.obs.lineage import LineageRecorder
 
 SCHEMA = Schema([int_col("k"), timestamp_col("ts", event_time=True), int_col("v")])
 
@@ -241,7 +240,6 @@ def test_every_driver_yields_the_serial_changelog(
 
 
 @pytest.mark.parametrize("shards", [1, 3])  # 1: the serial flow
-@pytest.mark.parametrize("lineage", [False, True])
 @settings(max_examples=15, deadline=None)
 @given(
     events=event_histories(bursty=True),
@@ -256,13 +254,13 @@ def test_every_driver_yields_the_serial_changelog(
     ),
 )
 def test_restore_then_cut_again_then_read_yields_the_uninterrupted_changelog(
-    events, sql, shards, two_phase, batch_size, carried, second_cut, cuts, lineage
+    events, sql, shards, two_phase, batch_size, carried, second_cut, cuts
 ):
     """Checkpoint mid-stream → restore into a fresh flow → feed the rest
     → read; and the same with a second checkpoint taken from the
     *restored* flow before any read (so the second blob is built from
-    adopted segments plus a fresh tail).  Values, ``ptime``, kinds,
-    watermarks and lineage positions equal the uninterrupted flow's."""
+    adopted segments plus a fresh tail).  Values, ``ptime``, kinds and
+    watermarks equal the uninterrupted flow's."""
     merged = merge_source_events({"S": TimeVaryingRelation(SCHEMA, events)})
 
     def fresh():
@@ -276,10 +274,7 @@ def test_restore_then_cut_again_then_read_yields_the_uninterrupted_changelog(
         )
         eng.register_stream("S", TimeVaryingRelation(SCHEMA, events))
         query = eng.query(sql)
-        flow = query.sharded_dataflow() if shards > 1 else query.dataflow()
-        if lineage:
-            flow.set_lineage(LineageRecorder(1))
-        return flow
+        return query.sharded_dataflow() if shards > 1 else query.dataflow()
 
     def feed(flow, upto, start=0):
         for consumed in flow.replay(merged[start:]):
@@ -304,16 +299,7 @@ def test_restore_then_cut_again_then_read_yields_the_uninterrupted_changelog(
 
     def outcome(flow):
         result = flow.finish()
-        recorder = flow.lineage
-        return (
-            result.changes,
-            result.watermarks.as_pairs(),
-            result.last_ptime,
-            None if recorder is None else [
-                recorder.explain("main", pos)
-                for pos in range(len(result.changes))
-            ],
-        )
+        return result.changes, result.watermarks.as_pairs(), result.last_ptime
 
     uninterrupted = fresh()
     feed(uninterrupted, len(merged))

@@ -174,19 +174,6 @@ class TestSlowQueryLog:
         assert sample[2] >= 1
 
 
-class TestLineageFamilies:
-    def test_scrape_exposes_lineage_counters_when_enabled(self):
-        svc, _ = ingested_service(config=ExecutionConfig(lineage_sample=1))
-        families = parse_exposition(svc.scrape())
-        assert families["repro_service_lineage_sampled_total"]["samples"][0][2] > 0
-        assert "repro_service_lineage_traces" in families
-
-    def test_lineage_families_absent_when_disabled(self):
-        svc, _ = ingested_service()
-        families = parse_exposition(svc.scrape())
-        assert "repro_service_lineage_sampled_total" not in families
-
-
 class TestWireOps:
     def run_session(self, service, script):
         async def drive():
@@ -209,17 +196,21 @@ class TestWireOps:
         return asyncio.run(drive())
 
     def test_lineage_op_traces_a_delta(self):
-        svc, (query,) = ingested_service(
-            config=ExecutionConfig(lineage_sample=1)
-        )
+        svc, (query, other) = ingested_service(sqls=(Q_SUM, Q_MAX))
+        svc.withdraw(other.query_id)
+        size = query.flow.output_size_of(query.output_id)
 
         async def script(rpc, reader, server):
             traced = await rpc(
                 {"op": "lineage", "query": query.query_id, "seq": 0}
             )
-            missing = await rpc(
-                {"op": "lineage", "query": query.query_id, "seq": 10**9}
-            )
+            missing = [
+                await rpc({"op": "lineage", "query": qid, "seq": seq})
+                for qid, seq in [
+                    (query.query_id, 10**9), (query.query_id, size),
+                    (query.query_id, -1), (other.query_id, 0),
+                ]
+            ]
             unknown = await rpc({"op": "lineage", "query": "nope", "seq": 0})
             return traced, missing, unknown
 
@@ -227,9 +218,10 @@ class TestWireOps:
         assert traced["ok"] and traced["traced"]
         assert traced["lineage"]["sources"]
         assert traced["lineage"]["path"]
-        assert missing["ok"] and not missing["traced"]
-        assert missing["lineage"] is None
+        for reply in missing:  # past the end, negative, withdrawn
+            assert reply == {"ok": True, "traced": False, "lineage": None}
         assert not unknown["ok"]
+        assert unknown["error"]["code"] == "invalid_query"
 
     def test_slowlog_op_returns_entries(self):
         svc, (query,) = ingested_service(
@@ -359,6 +351,7 @@ class TestShellObservability:
         shell = self.shell_with_standing_query()
         query = shell.service.session.queries()[0]
         assert "not traced" in shell.feed(f"\\lineage {query.query_id} 99999")
+        assert "not traced" in shell.feed(f"\\lineage {query.query_id} -1")
         assert "usage" in shell.feed("\\lineage q1")
         fresh = Shell()
         assert "no standing queries" in fresh.feed("\\lineage q1 0")

@@ -36,6 +36,7 @@ from repro.obs.export import (
     read_events,
     render_exposition,
 )
+from repro.obs.trace import TraceEvent
 from repro.nexmark import NexmarkConfig, generate
 from repro.nexmark.queries import (
     Q3_LOCAL_ITEM_SUGGESTION,
@@ -407,3 +408,28 @@ def test_make_exporter_specs(tmp_path):
 def test_engine_rejects_bad_telemetry_spec():
     with pytest.raises(ValidationError):
         StreamEngine(config=ExecutionConfig(telemetry="sparkline:/tmp/x"))
+
+
+class TestBoundedStores:
+    def test_trace_collector_ring_drops_oldest_but_counts_exactly(self):
+        collector = TraceCollector(max_events=3)
+        for i in range(8):
+            collector(TraceEvent(kind="batch", ptime=i, count=2))
+        assert len(collector.events) == 3
+        assert [e.ptime for e in collector.events] == [5, 6, 7]
+        assert collector.dropped == 5
+        summary = collector.summary()
+        assert summary["batches"] == 8  # exact despite the drops
+        assert summary["changes"] == 16
+        assert summary["dropped"] == 5
+
+    def test_trace_collector_unbounded_mode(self):
+        collector = TraceCollector(max_events=None)
+        for i in range(10):
+            collector(TraceEvent(kind="watermark", ptime=i, value=i))
+        assert len(collector.events) == 10
+        assert collector.dropped == 0
+
+    def test_trace_collector_rejects_zero_capacity(self):
+        with pytest.raises(ValueError):
+            TraceCollector(max_events=0)
