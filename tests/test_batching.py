@@ -228,6 +228,50 @@ def test_batched_sharded_identical(nexmark_small, backend, batch_size):
     assert flow.root_watermark_of("other") == other.watermarks.current
 
 
+@pytest.mark.parametrize("parallelism", [1, 3])
+@pytest.mark.parametrize("two_phase", ["off", "on"])
+def test_batched_sharded_lineage_matches_serial(two_phase, parallelism):
+    """A sharded flow fed in runs of 64 explains its changelog as the
+    serial flow does: the explain replays the recorded sources one event
+    at a time into a fresh flow, so the batches the resident flow was
+    fed leave no trace in the cause each position names."""
+    from repro.exec.executor import merge_source_events
+    from repro.obs.lineage import explain_delta
+
+    events = _build_events(
+        [
+            (3 if i % 50 == 49 else i % 3, i % 5, (i // 4) * 7 % 240, i % 6 == 0)
+            for i in range(400)
+        ]
+    )
+
+    def explained(shards):
+        engine = _engine(events, 64)
+        query = engine.query(TUMBLE_SQL)
+        flow = (
+            query.sharded_dataflow(
+                ExecutionConfig(
+                    parallelism=shards, backend="sync", two_phase=two_phase,
+                    batch_size=64,
+                )
+            )
+            if shards
+            else query.dataflow()
+        )
+        for _ in flow.replay(merge_source_events(engine._sources)):
+            pass
+        changes = flow.finish().changes
+        causes = [
+            explain_delta(flow, "main", flow.plan, engine._sources, pos)
+            for pos in [*range(0, len(changes), 7), len(changes) - 1]
+        ]
+        return changes, [(e["trace_id"], e["sources"]) for e in causes]
+
+    serial, sharded = explained(0), explained(parallelism)
+    assert sharded == serial
+    assert len(serial[0]) > 64 and len({cause for cause, _ in serial[1]}) > 1
+
+
 # ---------------------------------------------------------------------------
 # compaction: snapshot-equivalent, never byte-equivalent by accident
 # ---------------------------------------------------------------------------

@@ -158,6 +158,20 @@ class TestExplain:
         else:
             assert None not in {step["shard"] for step in combined}
 
+    def test_sharded_path_carries_shard_tags(self):
+        """One aggregate over two shards (two-phase by default): the
+        path climbs one shard's operators, tagged with that shard, and
+        only the merge half that closes it is untagged."""
+        svc, (query,) = standing(
+            ExecutionConfig(parallelism=2), [Q_SUM], make_events(30)
+        )
+        assert query.sharded
+        for explanation in explain_all(svc, query):
+            shards = [step["shard"] for step in explanation["path"]]
+            tagged = [shard for shard in shards if shard is not None]
+            assert tagged and len(set(tagged)) == 1
+            assert shards == tagged + [None] * (len(shards) - len(tagged))
+
     def test_a_timer_delta_is_explained_by_the_event_that_fired_it(self):
         events, ptime = [], 1_000_000
         for i in range(12):
@@ -210,6 +224,61 @@ class TestExplain:
         for query in queries:
             again = resumed.session.get(query.query_id)
             assert explain_all(resumed, again) == explain_all(svc, query)
+
+
+class TestCheckpointRestore:
+    """A flow cut and restored outside the service explains every
+    position as the uninterrupted flow does, before and after the cut."""
+
+    @staticmethod
+    def _cut_and_resume(parallelism):
+        from repro import StreamEngine
+        from repro.core.tvr import TimeVaryingRelation
+        from repro.exec.executor import merge_source_events
+        from repro.obs.lineage import explain_delta
+
+        from .test_mqo import SCHEMA
+
+        engine = StreamEngine(
+            config=ExecutionConfig(parallelism=parallelism, backend="sync")
+        )
+        engine.register_stream("S", TimeVaryingRelation(SCHEMA, make_events(40)))
+        query = engine.query(Q_SUM)
+
+        def flow():
+            return query.sharded_dataflow() if parallelism > 1 else query.dataflow()
+
+        events = merge_source_events(engine._sources)
+        whole, cut = flow(), flow()
+        for _ in whole.replay(events):
+            pass
+        for _ in cut.replay(events[:25]):
+            pass
+        resumed = flow()
+        resumed.restore(cut.checkpoint())
+        for _ in resumed.replay(events[25:]):
+            pass
+
+        def explained(f):
+            return [
+                explain_delta(f, "main", f.plan, engine._sources, seq)
+                for seq in range(f.output_size_of("main"))
+            ]
+
+        return explained(whole), explained(resumed)
+
+    def test_lineage_survives_checkpoint_restore(self):
+        whole, resumed = self._cut_and_resume(1)
+        assert whole and None not in whole
+        assert resumed == whole
+
+    def test_sharded_lineage_survives_restore(self):
+        whole, resumed = self._cut_and_resume(2)
+        assert whole and None not in whole
+        assert resumed == whole
+        assert all(
+            {step["shard"] for step in e["path"]} - {None} for e in whole
+        )
 
 
 @pytest.mark.parametrize("two_phase", ["auto", "off"])

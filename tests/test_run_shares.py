@@ -273,6 +273,39 @@ def test_a_restarted_shard_is_fed_the_same_shares():
     assert recovery.rows_replayed > 0 and recovery.dedup_drops > 0
 
 
+@pytest.mark.parametrize("backend", ["sync", "processes"])
+@pytest.mark.parametrize("two_phase", ["on", "off"])
+def test_a_restart_under_lineage_tags_like_the_first_attempt(backend, two_phase):
+    """A run that restarted a worker explains its deltas as an
+    uninterrupted serial run does: the explain replays the recorded
+    sources into a fresh flow, never the crashed attempt's logs, under
+    the same config, fault plan included."""
+    from repro.obs.lineage import explain_delta
+
+    events = interleaved_events()
+    engine = engine_for(events, batch_size=64)
+    serial = engine.query(TUMBLE_SQL).dataflow()
+    clean = serial.run()
+    restarted = engine_for(
+        events, parallelism=2, batch_size=64, two_phase=two_phase,
+        backend=backend,
+        fault_plan="crash-before-batch:shard=1,at=100",
+        retry=RetryPolicy(max_restarts=2, checkpoint_interval=64),
+    )
+    flow = restarted.query(TUMBLE_SQL).sharded_dataflow()
+    result = flow.run()
+    assert identical(result, clean)
+    assert result.metrics.recovery.shard_restarts == 1
+    last = len(result.changes) - 1
+    for pos in (0, last // 2, last):
+        mine = explain_delta(flow, "main", flow.plan, restarted._sources, pos)
+        theirs = explain_delta(serial, "main", serial.plan, engine._sources, pos)
+        assert (mine["trace_id"], mine["sources"]) == (
+            theirs["trace_id"], theirs["sources"]
+        )
+        assert {step["shard"] for step in mine["path"]} - {None}
+
+
 # ---------------------------------------------------------------------------
 # routing: shares, run ids, the per-route memo
 # ---------------------------------------------------------------------------
