@@ -18,6 +18,17 @@ regression gate:
 * **it pays** — at 16 standing queries the shared service must ingest
   at least 3x the events/second of the unshared one.
 
+A counted arm admits 8 late joiners, one after another, onto a
+16-member host whose history does not change between them (each is
+withdrawn again), then one more after a single appended event.  Per
+register it counts what a graft re-derives, and the counts must repeat
+exactly: ``plan_fingerprint`` calls (at most 1: the joiner's own; the
+members' are kept on the flow record), ``node_fingerprints`` walks (at
+most 4: the joiner's plan, the host-overlap probe, the donor and the
+graft) and passes of the merge and of run grouping over the recorded
+history (1 for the first joiner after an append, 0 for every other:
+replays read the engine's prepared history, ``repro.exec.history``).
+
 Writes ``BENCH_mqo.json`` — the artifact the CI ``mqo-bench`` job
 uploads.  Runs under plain pytest and as a script::
 
@@ -30,6 +41,10 @@ import json
 import time
 from pathlib import Path
 
+import repro.exec.executor
+import repro.exec.history
+import repro.plan.fingerprint
+import repro.service.session
 from repro import ExecutionConfig
 from repro.core.schema import Schema, int_col, timestamp_col
 from repro.core.tvr import TimeVaryingRelation, ins, wm
@@ -66,7 +81,11 @@ POOL = [
 ]
 
 ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_mqo.json"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+LATE_JOINERS = 8
+#: what one register may re-derive on the counted arm (see the module doc)
+MAX_PLAN_FINGERPRINTS = 1
+MAX_NODE_WALKS = 4
 
 
 def make_events(n: int, start: int = 1_000_000) -> list:
@@ -124,6 +143,77 @@ def _run(n: int, events: list, share_plans: bool) -> tuple[dict, list]:
     return record, deltas
 
 
+#: (module, attribute, count key) of every call the counted arm counts
+COUNTED = (
+    (repro.service.session, "plan_fingerprint", "plan_fingerprints"),
+    (repro.exec.executor, "node_fingerprints", "node_walks"),
+    (repro.plan.fingerprint, "node_fingerprints", "node_walks"),
+    (repro.exec.history, "merge_events", "merges"),
+    (repro.exec.history, "event_runs", "groupings"),
+)
+
+
+def late_joiner_counts(events: list) -> dict:
+    """The counted arm: per register, the calls :data:`COUNTED` names,
+    for 8 late joiners onto a 16-member host with history unchanged
+    between them, then for one joiner after one appended event."""
+    svc = _service(share_plans=True)
+    hosts = {id(svc.submit("bench", sql).flow) for sql in pool_queries(GATE_POINT)}
+    assert len(hosts) == 1, "the 16 members do not share one flow"
+    for event in events[:-1]:
+        svc.ingest(event, "S")
+    counts: dict[str, int] = {}
+
+    def counting(real, key):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    saved = [(module, name, getattr(module, name)) for module, name, _ in COUNTED]
+    for (module, name, key), (_, _, real) in zip(COUNTED, saved):
+        setattr(module, name, counting(real, key))
+    per_register: list[dict[str, int]] = []
+
+    def register(sql: str) -> None:
+        counts.update(dict.fromkeys((key for _, _, key in COUNTED), 0))
+        started = time.perf_counter()
+        query = svc.submit("late", sql)
+        elapsed = time.perf_counter() - started
+        assert id(query.flow) in hosts, "a late joiner did not graft"
+        per_register.append({**counts, "register_ms": elapsed * 1e3})
+        svc.withdraw(query.query_id)
+
+    try:
+        late = [
+            POOL[i % len(POOL)].format(i=GATE_POINT + i) for i in range(LATE_JOINERS + 1)
+        ]
+        for sql in late[:-1]:
+            register(sql)
+        svc.ingest(events[-1], "S")
+        register(late[-1])
+    finally:
+        for module, name, real in saved:
+            setattr(module, name, real)
+    return {
+        "members": GATE_POINT,
+        "history_events": len(events) - 1,
+        "late_joiners": per_register[:-1],
+        "after_append": per_register[-1],
+    }
+
+
+def check_counts(arm: dict) -> None:
+    """The counted arm's gate: the counts repeat exactly."""
+    joiners, after = arm["late_joiners"], arm["after_append"]
+    for entry in [*joiners, after]:
+        assert entry["plan_fingerprints"] <= MAX_PLAN_FINGERPRINTS, entry
+        assert entry["node_walks"] <= MAX_NODE_WALKS, entry
+    passes = [(entry["merges"], entry["groupings"]) for entry in joiners]
+    assert passes == [(1, 1)] + [(0, 0)] * (LATE_JOINERS - 1), passes
+    assert (after["merges"], after["groupings"]) == (1, 1), after
+
+
 def collect() -> dict:
     events = make_events(NUM_EVENTS)
     sweep = []
@@ -143,11 +233,14 @@ def collect() -> dict:
                 / unshared["events_per_second"],
             }
         )
+    arm = late_joiner_counts(events)
+    check_counts(arm)
     return {
         "schema_version": SCHEMA_VERSION,
         "events": NUM_EVENTS,
         "distinct_subplans": len(POOL),
         "sweep": sweep,
+        "late_joiner_counts": arm,
     }
 
 
@@ -161,7 +254,8 @@ def test_mqo_bench_produces_artifact():
     distinct subplans, sharing must hold at least a 3x ingest-
     throughput advantage, the sharing ratio must reflect the 4-way
     multicast, and every delta stream must be byte-identical either
-    way (asserted inside :func:`collect`)."""
+    way, and the counted arm's counts must repeat exactly (both asserted
+    inside :func:`collect`)."""
     payload = collect()
     assert payload["schema_version"] == SCHEMA_VERSION
     (point,) = [p for p in payload["sweep"] if p["queries"] == GATE_POINT]
@@ -190,5 +284,13 @@ if __name__ == "__main__":
             f"unshared: {unshared['events_per_second']:>9,.0f} ev/s "
             f"(ops={unshared['resident_operators']})  "
             f"speedup={point['speedup']:.2f}x"
+        )
+    arm = data["late_joiner_counts"]
+    for index, entry in enumerate([*arm["late_joiners"], arm["after_append"]]):
+        label = "after append" if index == LATE_JOINERS else f"joiner {index + 1}"
+        print(
+            f"{label:>12}: plan_fingerprint={entry['plan_fingerprints']} "
+            f"node walks={entry['node_walks']} merges={entry['merges']} "
+            f"groupings={entry['groupings']} ({entry['register_ms']:.2f} ms)"
         )
     print(f"wrote {path}")

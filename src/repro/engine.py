@@ -32,6 +32,7 @@ from .core.schema import Schema, SqlType
 from .core.times import MAX_TIMESTAMP, Timestamp, t
 from .core.tvr import TimeVaryingRelation
 from .exec.executor import Dataflow, RunResult
+from .exec.history import RecordedSources
 from .explain import render_explain
 from .exec.materialize import (
     DeltaChange,
@@ -107,7 +108,8 @@ class StreamEngine:
             raise ValidationError(str(exc)) from exc
         self._catalog = Catalog()
         self._registry = default_registry()
-        self._sources: dict[str, TimeVaryingRelation] = {}
+        #: the recorded sources, and the prepared history replays read
+        self._sources: dict[str, TimeVaryingRelation] = RecordedSources()
 
     @property
     def parallelism(self) -> int:
@@ -430,16 +432,9 @@ class PreparedQuery:
         relation holding exactly the rows the result contains at ``at``,
         with no change metadata.
         """
-        result = self.run()
         sort_keys, limit = self._sort_spec()
-        return table_view(
-            result,
-            self.plan.emit,
-            self.plan.root.completion_indices,
-            self.plan.root.emit_key_indices,
-            at=_as_ptime(at),
-            sort_keys=sort_keys,
-            limit=limit,
+        return self._view(
+            table_view, at=_as_ptime(at), sort_keys=sort_keys, limit=limit
         )
 
     def stream(self, until: Timestamp | str = MAX_TIMESTAMP) -> list[StreamChange]:
@@ -459,14 +454,7 @@ class PreparedQuery:
                 "ORDER BY / LIMIT define a table ordering and cannot be "
                 "rendered as a stream; drop them or use .table()"
             )
-        result = self.run()
-        return stream_view(
-            result,
-            self.plan.emit,
-            self.plan.root.completion_indices,
-            self.plan.root.emit_key_indices,
-            until=_as_ptime(until),
-        )
+        return self._view(stream_view, until=_as_ptime(until))
 
     def stream_deltas(
         self, until: Timestamp | str = MAX_TIMESTAMP
@@ -478,14 +466,7 @@ class PreparedQuery:
         difference against the group's previous version instead of a
         retract/insert pair.
         """
-        result = self.run()
-        return delta_view(
-            result,
-            self.plan.emit,
-            self.plan.root.completion_indices,
-            self.plan.root.emit_key_indices,
-            until=_as_ptime(until),
-        )
+        return self._view(delta_view, until=_as_ptime(until))
 
     def stream_table(self, until: Timestamp | str = MAX_TIMESTAMP) -> Relation:
         """The changelog encoding rendered as a printable relation.
@@ -501,6 +482,15 @@ class PreparedQuery:
         )
 
     # -- helpers ----------------------------------------------------------------
+
+    def _view(self, render, **bounds):
+        """``render`` (a :mod:`repro.exec.materialize` view) of this
+        query's run, under its EMIT clause and its root's keys."""
+        root = self.plan.root
+        return render(
+            self.run(), self.plan.emit, root.completion_indices,
+            root.emit_key_indices, **bounds,
+        )
 
     def _sort_spec(self) -> tuple[Sequence[tuple[int, bool]], Optional[int]]:
         root = self.plan.root

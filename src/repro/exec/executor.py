@@ -54,6 +54,7 @@ from ..plan.pipeline import get_fused_root
 from ..plan.planner import QueryPlan
 from .codegen import fanout_kernel
 from .compile import build_operator, why_runs_split, why_runs_stay_per_instant
+from .history import PreparedHistory, event_runs, merge_source_events, replay_runs
 from .operators.base import Operator
 from .operators.stateless import ScanOperator
 from .timers import TimerQueue
@@ -99,42 +100,6 @@ def runs_columnar(config) -> bool:
     )
 
 
-def merge_source_events(
-    sources: dict[str, TimeVaryingRelation],
-    until: Optional[Timestamp] = None,
-) -> list[tuple[StreamEvent, str]]:
-    """All source events merged in deterministic processing-time order.
-
-    Events are ordered by (ptime, source registration order, arrival
-    order) — the exact replay order the serial executor uses.  The
-    sharded runtime routes the *same* sequence through its shards, which
-    is what lets its merged output reproduce the serial changelog
-    byte for byte.
-
-    Each source's events are already ptime-ordered (the ``until``
-    cutoff has always relied on that), so concatenating the per-source
-    lists in registration order and stable-sorting by ptime alone
-    yields exactly the (ptime, source order, arrival order) sequence: a
-    stable sort keeps the concatenation order among equal ptimes.
-    Timsort's galloping mode makes that sort nearly linear over k
-    already-sorted runs, and it runs entirely in C — measurably faster
-    here than a Python-level k-way heap merge.
-    """
-    merged: list[tuple[StreamEvent, str]] = []
-    append = merged.append
-    for name, tvr in sources.items():
-        for event in tvr.events():
-            if until is not None and event.ptime > until:
-                break
-            append((event, name))
-    merged.sort(key=_event_ptime)
-    return merged
-
-
-def _event_ptime(pair: tuple[StreamEvent, str]) -> Timestamp:
-    return pair[0].ptime
-
-
 def check_same_instant(events: Sequence[StreamEvent]) -> None:
     """The ``process_batch`` input contract, for either flow kind."""
     ptime = events[0].ptime
@@ -167,91 +132,6 @@ def stored_changes(
             "and no matching history was supplied"
         )
     return log
-
-
-def event_runs(
-    flow, events: Sequence[tuple[StreamEvent, str]]
-) -> Iterator[tuple[int, list[StreamEvent], str]]:
-    """The one run-grouping rule: ``(stop, run, source)`` per delivery.
-
-    ``run`` is what ``flow`` is to be fed at once — row events of one
-    source, or a single event — and ``stop`` how many of ``events`` are
-    consumed once it is.  :func:`replay_runs` delivers the runs to a
-    flow; a sharded ``run()`` partitions them, so its shards are fed
-    shares of the very runs the serial executor forms.
-
-    With ``batch_size > 1`` a run is a maximal stretch of row events of
-    one source, capped at ``batch_size``, and only for sources
-    ``batchable_source`` admits.  It spans processing-time instants
-    where the flow allows (``flow.run_span_reason()`` is ``None``) and
-    stays within one otherwise.  A watermark of the source and an event
-    of another scanned source always break runs, so no operator ever
-    sees its input watermark move inside a batch, and the batched
-    changelog is byte-identical to the per-change one (see
-    :meth:`Dataflow.process_batch`).  Every event a run consumes lies
-    between its first and its last row's instant, so delivering it
-    leaves the clock where the per-event feed would.
-    """
-    batch_size = flow.batch_size
-    span = flow.run_span_reason() is None
-    batchable: dict[str, bool] = {}  # memo: asked once per run otherwise
-    i, n = 0, len(events)
-    while i < n:
-        event, source = events[i]
-        run = [event]
-        j = i + 1
-        if batch_size > 1 and isinstance(event, RowEvent):
-            ok = batchable.get(source)
-            if ok is None:
-                ok = batchable[source] = flow.batchable_source(source)
-        else:
-            ok = False
-        if ok:
-            ptime = event.ptime
-            while j < n and len(run) < batch_size:
-                nxt, nxt_source = events[j]
-                if nxt.ptime != ptime and not span:
-                    break
-                if nxt_source != source:
-                    # An event of another source no scan consumes is a
-                    # clock no-op (nothing to deliver, and no timer can
-                    # be due inside the run) — absorb it so one
-                    # interleaved burst still forms one batch.
-                    if flow.scans_source(nxt_source):
-                        break
-                elif isinstance(nxt, RowEvent):
-                    run.append(nxt)
-                else:
-                    break
-                j += 1
-            # Absorbed events past the last row's instant would move the
-            # clock beyond it: they open the next run instead.  Instants
-            # never decrease, so they are a suffix of what was consumed.
-            last = run[-1].ptime
-            while events[j - 1][0].ptime != last:
-                j -= 1
-        yield j, run, source
-        i = j
-
-
-def replay_runs(flow, events: Sequence[tuple[StreamEvent, str]]) -> Iterator[int]:
-    """Deliver a merged replay stream to ``flow`` run by run
-    (:func:`event_runs`).
-
-    Yields, after each delivery, how many of ``events`` have been
-    consumed — behind ``replay`` of the serial and the sharded dataflow
-    alike (and so behind the serial ``run()``, service catch-up and the
-    shell's ``\\watch`` loop).  A row run goes to the body of
-    ``process_batch`` without its one-instant check: ``event_runs``
-    keeps a run to one instant wherever the flow needs that, and a run
-    that spans instants (only a serial flow forms one) needs no check.
-    """
-    for stop, run, source in event_runs(flow, events):
-        if isinstance(run[0], RowEvent):
-            flow._deliver(run, source)
-        else:
-            flow.process(run[0], source)
-        yield stop
 
 
 @dataclass
@@ -397,13 +277,18 @@ class OutputChannel:
 
 
 class OutputLogs:
-    """Reading a flow's output changelogs, for either flow kind: each
-    value of ``_outputs`` keeps its changelog as ``log``, a
-    :class:`~repro.core.codec.SegmentedLog`, and ``_touched`` names the
-    outputs whose log grew since somebody last asked."""
+    """Replaying into a flow and reading its output changelogs, for
+    either flow kind: each value of ``_outputs`` keeps its changelog as
+    ``log``, a :class:`~repro.core.codec.SegmentedLog`, and ``_touched``
+    names the outputs whose log grew since somebody last asked."""
 
     _outputs: dict
     _touched: set
+
+    def replay(self, events=None, until: Optional[Timestamp] = None) -> Iterator[int]:
+        """Deliver ``events`` — by default the recorded history up to
+        ``until`` — run by run (:func:`replay_runs`)."""
+        return replay_runs(self, events, until)
 
     def take_touched(self) -> set:
         """The outputs whose changelog may have grown since the last
@@ -481,6 +366,8 @@ class Dataflow(OutputLogs):
         self._sources: dict[str, TimeVaryingRelation] = {
             name.lower(): tvr for name, tvr in sources.items()
         }
+        #: what replays read: an engine's sources carry its history
+        self._history = getattr(sources, "history", None) or PreparedHistory()
         self._operators: list[Operator] = []
         self._outputs: dict[str, OutputChannel] = {}
         #: id(root op) -> the output channels rooted at it
@@ -1074,20 +961,17 @@ class Dataflow(OutputLogs):
     def run(self, until: Optional[Timestamp] = None) -> RunResult:
         """Replay all source events (up to ``until``) and collect the result.
 
-        The replay stream is delivered in the runs :meth:`replay`
-        forms.  After the last event, pending processing-time timers
-        (e.g. tail-of-stream expirations) are drained so the returned
-        changelog covers the relation's full known future evolution;
-        the materializers then truncate to the instant being queried.
+        The replay is delivered in the runs :meth:`replay` forms, read
+        off the sources' prepared history.  After the last event,
+        pending processing-time timers (e.g. tail-of-stream
+        expirations) are drained so the returned changelog covers the
+        relation's full known future evolution; the materializers then
+        truncate to the instant being queried.
         """
         self._open()
-        for _ in self.replay(merge_source_events(self._sources, until)):
+        for _ in self.replay(until=until):
             pass
         return self.finish(until)
-
-    def replay(self, events: Sequence[tuple[StreamEvent, str]]) -> Iterator[int]:
-        """Deliver a merged replay stream run by run (:func:`replay_runs`)."""
-        return replay_runs(self, events)
 
     def process(self, event: StreamEvent, source: str) -> None:
         """Feed one source event through the dataflow (incremental API).

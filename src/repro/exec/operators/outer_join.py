@@ -209,21 +209,5 @@ class OuterJoinOperator(Operator):
         return f"{kind}(state={self.state_size()} rows)"
 
 
-def LeftJoinOperator(
-    schema: Schema,
-    left_width: int,
-    right_width: int,
-    condition: Optional[Callable[[tuple], Any]],
-    left_key: Optional[tuple[int, ...]] = None,
-    right_key: Optional[tuple[int, ...]] = None,
-) -> OuterJoinOperator:
-    """A LEFT OUTER JOIN operator (kept as a named constructor)."""
-    return OuterJoinOperator(
-        schema,
-        left_width,
-        right_width,
-        condition,
-        left_key,
-        right_key,
-        outer=(True, False),
-    )
+#: A LEFT OUTER JOIN operator: ``OuterJoinOperator``'s default ``outer``.
+LeftJoinOperator = OuterJoinOperator

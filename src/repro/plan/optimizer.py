@@ -37,8 +37,10 @@ from .rex import (
     RexInput,
     RexLiteral,
     compile_rex,
+    equi_pair,
     references,
     shift_inputs,
+    split_conjuncts,
 )
 
 __all__ = ["join_residual", "optimize", "optimize_node"]
@@ -147,16 +149,6 @@ def _simplify_bool(rex: RexCall) -> Rex:
         if isinstance(operand, RexLiteral) and operand.value is not None:
             return RexLiteral(not operand.value, type=SqlType.BOOL)
     return rex
-
-
-def split_conjuncts(rex: Rex) -> list[Rex]:
-    """Flatten a predicate into its AND-ed conjuncts."""
-    if isinstance(rex, RexCall) and rex.op == "AND":
-        out = []
-        for arg in rex.args:
-            out.extend(split_conjuncts(arg))
-        return out
-    return [rex]
 
 
 def and_all(conjuncts: list[Rex]) -> Rex:
@@ -351,7 +343,7 @@ def _rule_join_analysis(node: LogicalNode) -> Optional[LogicalNode]:
         if not isinstance(conjunct, RexCall):
             continue
         if conjunct.op == "=":
-            sides = _input_pair(conjunct.args, left_width)
+            sides = equi_pair(conjunct, left_width)
             if sides is not None:
                 left_idx, right_idx = sides
                 hash_left.append(left_idx)
@@ -408,7 +400,7 @@ def join_residual(join: JoinNode) -> Optional[Rex]:
     width = len(join.left.schema)
     keys = set(zip(join.hash_left, (r + width for r in join.hash_right)))
     residual = [c for c in split_conjuncts(join.condition) if not (
-        isinstance(c, RexCall) and c.op == "=" and _input_pair(c.args, width) in keys
+        equi_pair(c, width) in keys
     )]
     return and_all(residual) if residual else None
 
@@ -420,19 +412,6 @@ def _join_meta_differs(a: JoinNode, b: JoinNode) -> bool:
         or a.expire_left != b.expire_left
         or a.expire_right != b.expire_right
     )
-
-
-def _input_pair(
-    args: tuple[Rex, ...], left_width: int
-) -> Optional[tuple[int, int]]:
-    """Match ``$l = $r`` with one ordinal on each join side."""
-    a, b = args
-    if isinstance(a, RexInput) and isinstance(b, RexInput):
-        if a.index < left_width <= b.index:
-            return a.index, b.index
-        if b.index < left_width <= a.index:
-            return b.index, a.index
-    return None
 
 
 def _time_term(rex: Rex) -> Optional[tuple[int, int]]:

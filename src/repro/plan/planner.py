@@ -593,24 +593,7 @@ class Planner:
                 )
             return None
 
-        post = ExprTranslator(
-            scope, self._registry, self._sql, interceptor=interceptor
-        )
-        exprs: list[rex.Rex] = []
-        names: list[str] = []
-        for item in select.items:
-            if isinstance(item.expr, ast.Star):
-                for ordinal in scope.expand_star(item.expr.qualifier, item.pos):
-                    column = scope.column_at(ordinal)
-                    exprs.append(rex.RexInput(ordinal, type=column.type))
-                    names.append(column.name)
-                continue
-            exprs.append(post.translate(item.expr))
-            names.append(
-                item.alias or self._derived_name_ast(item.expr, len(names))
-            )
-        self._forbid_current_time(exprs, select)
-        return ProjectNode(over_node, exprs, _uniquify(names))
+        return self._plan_plain_projection(over_node, scope, select, interceptor)
 
     # -- MATCH_RECOGNIZE --------------------------------------------------------
 
@@ -716,8 +699,8 @@ class Planner:
         condition = translator.translate(item.condition)
         left_keys: list[int] = []
         right_keys: list[int] = []
-        for conjunct in _conjuncts_of(condition):
-            pair = _equi_pair(conjunct, left_width)
+        for conjunct in rex.split_conjuncts(condition):
+            pair = rex.equi_pair(conjunct, left_width)
             if pair is None:
                 raise self._error(
                     "temporal join conditions must be AND-ed equality "
@@ -761,7 +744,7 @@ class Planner:
         """
         bounds: list[TemporalBound] = []
         residual: list[rex.Rex] = []
-        for conjunct in _conjuncts_of(condition):
+        for conjunct in rex.split_conjuncts(condition):
             if not _mentions_current_time(conjunct):
                 residual.append(conjunct)
                 continue
@@ -1144,9 +1127,13 @@ class Planner:
     # -- plain (non-aggregate) projection -------------------------------------------
 
     def _plan_plain_projection(
-        self, node: LogicalNode, scope: Scope, select: ast.Select
+        self, node: LogicalNode, scope: Scope, select: ast.Select, interceptor=None
     ) -> LogicalNode:
-        translator = ExprTranslator(scope, self._registry, self._sql)
+        """The SELECT list over ``node`` — over an OVER node, with the
+        ``interceptor`` that reads its aggregate columns."""
+        translator = ExprTranslator(
+            scope, self._registry, self._sql, interceptor=interceptor
+        )
         exprs: list[rex.Rex] = []
         names: list[str] = []
         for item in select.items:
@@ -1195,31 +1182,6 @@ class Planner:
         raise self._error(
             "ORDER BY supports output column names and ordinals", expr
         )
-
-
-def _equi_pair(
-    conjunct: rex.Rex, left_width: int
-) -> Optional[tuple[int, int]]:
-    """Match ``$l = $r`` with the ordinals on opposite join sides."""
-    if not isinstance(conjunct, rex.RexCall) or conjunct.op != "=":
-        return None
-    a, b = conjunct.args
-    if not (isinstance(a, rex.RexInput) and isinstance(b, rex.RexInput)):
-        return None
-    if a.index < left_width <= b.index:
-        return a.index, b.index
-    if b.index < left_width <= a.index:
-        return b.index, a.index
-    return None
-
-
-def _conjuncts_of(condition: rex.Rex) -> list[rex.Rex]:
-    if isinstance(condition, rex.RexCall) and condition.op == "AND":
-        out: list[rex.Rex] = []
-        for arg in condition.args:
-            out.extend(_conjuncts_of(arg))
-        return out
-    return [condition]
 
 
 def _mentions_current_time(expr: rex.Rex) -> bool:

@@ -186,6 +186,30 @@ def is_literal(rex: Rex) -> bool:
     return isinstance(rex, RexLiteral)
 
 
+def split_conjuncts(rex: Rex) -> list[Rex]:
+    """Flatten a predicate into its AND-ed conjuncts."""
+    if isinstance(rex, RexCall) and rex.op == "AND":
+        out = []
+        for arg in rex.args:
+            out.extend(split_conjuncts(arg))
+        return out
+    return [rex]
+
+
+def equi_pair(conjunct: Rex, left_width: int) -> Optional[tuple[int, int]]:
+    """Match ``$l = $r`` with one ordinal on each side of a join whose
+    left input is ``left_width`` columns wide: ``(l, r)``, or ``None``."""
+    if not isinstance(conjunct, RexCall) or conjunct.op != "=":
+        return None
+    a, b = conjunct.args
+    if isinstance(a, RexInput) and isinstance(b, RexInput):
+        if a.index < left_width <= b.index:
+            return a.index, b.index
+        if b.index < left_width <= a.index:
+            return b.index, a.index
+    return None
+
+
 # --------------------------------------------------------------------
 # compilation
 # --------------------------------------------------------------------

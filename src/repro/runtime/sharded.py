@@ -87,11 +87,9 @@ from ..exec.executor import (
     RunResult,
     check_checkpoint_version,
     check_same_instant,
-    event_runs,
-    merge_source_events,
-    replay_runs,
     stored_changes,
 )
+from ..exec.history import PreparedHistory
 from ..obs.metrics import RecoveryStats, merge_shard_reports
 from ..obs.telemetry import RunTelemetry
 from ..obs.trace import TraceEvent
@@ -180,6 +178,7 @@ class ShardedDataflow(OutputLogs):
         self.two_phase = two_phase
         self.batch_size = config.batch_size
         self._sources = sources
+        self._history = getattr(sources, "history", None) or PreparedHistory()
         #: per-output physical split and the flow running its merge
         #: half (the combine flow, whose one output is ``"main"``); an
         #: output absent from these maps runs single-phase.
@@ -507,10 +506,6 @@ class ShardedDataflow(OutputLogs):
             check_same_instant(events)
             self._deliver(events, source)
 
-    def replay(self, events: Sequence[tuple[StreamEvent, str]]) -> Iterator[int]:
-        """Deliver a merged replay stream run by run (:func:`replay_runs`)."""
-        return replay_runs(self, events)
-
     def batchable_source(self, source: str) -> bool:
         """Whether ``source`` events may be batched (every shard agrees)."""
         return self._shards[0].batchable_source(source)
@@ -548,18 +543,19 @@ class ShardedDataflow(OutputLogs):
     def run(self, until: Optional[Timestamp] = None) -> RunResult:
         """Replay all source events (up to ``until``) on the shard driver.
 
-        Everything the sources hold is grouped into the runs the
-        serial ``run()`` would deliver, partitioned at once, and each
-        shard is driven by a worker of ``backend`` under supervision:
+        Everything the sources hold, in the runs :func:`event_runs`
+        forms for this flow (read off the prepared history), is
+        partitioned at once, and each shard is driven by a worker of
+        ``backend`` under supervision:
         a failed worker (including faults injected by ``fault_plan``)
         restarts from its last checkpoint with the retries, backoff,
         and replay the
         :class:`~repro.runtime.supervisor.ShardSupervisor` implements;
         what it re-emits is dropped by tag before the one splice.
         """
-        events = merge_source_events(self._sources, until)
+        runs = list(self._history.runs(self, self._sources, until))
         tasks = partition_events(
-            ((run, source) for _, run, source in event_runs(self, events)),
+            ((run, source) for _, run, source in runs),
             self.spec,
             len(self._shards),
         )
@@ -614,8 +610,8 @@ class ShardedDataflow(OutputLogs):
                         unique, dedup_observations(log.observations)
                     )
         splice(self._outputs, self.combines, logs, self._touched)
-        if events:
-            self._last_ptime = max(self._last_ptime, events[-1][0].ptime)
+        if runs:  # (its runs keep to one instant: the last is the clock's)
+            self._last_ptime = max(self._last_ptime, runs[-1][1][-1].ptime)
         return self.result()
 
     @property

@@ -72,11 +72,7 @@ from ..core.codec import Segment, concat_segments
 from ..core.collector import collector_paused
 from ..core.errors import ExecutionError
 from ..core.tvr import StreamEvent, TimeVaryingRelation
-from ..exec.executor import (
-    check_checkpoint_version,
-    merge_source_events,
-    runs_columnar,
-)
+from ..exec.executor import check_checkpoint_version, runs_columnar
 from ..io import format_schema, parse_schema_line
 from ..obs.histogram import Histogram
 from ..obs.lineage import explain_delta
@@ -269,7 +265,7 @@ class StandingQuery:
         #: which of the flow's output channels is this query's changelog
         self.output_id = output_id if output_id is not None else query_id
         #: query ids sharing this flow (live view of the flow record)
-        self.shared_group: list[str] = [query_id]
+        self.shared_group: Iterable[str] = [query_id]
         self.subscriptions = SubscriptionRegistry(
             subscriber_capacity, query_id=query_id
         )
@@ -342,9 +338,17 @@ class _FlowRecord:
     def __init__(self, flow, key: tuple):
         self.flow = flow
         self.key = key
-        #: query ids in attachment order; members[0] names the
-        #: checkpoint blob.
-        self.members: list[str] = []
+        #: query id -> its plan's fingerprint (root and EMIT clause), in
+        #: attachment order; the first names the checkpoint blob.
+        self.members: dict[str, Optional[str]] = {}
+
+    def fingerprints(self, queries: dict) -> Iterable[str]:
+        """The members' plan fingerprints: a resumed member's is taken
+        the first time a joiner asks, not by the resume."""
+        for member, fingerprint in self.members.items():
+            if fingerprint is None:
+                self.members[member] = plan_fingerprint(queries[member].plan)
+        return self.members.values()
 
 
 class SharedPlanCache:
@@ -423,7 +427,7 @@ class SharedPlanCache:
         if record is None:
             return
         record.flow.remove_output(query_id)
-        record.members.remove(query_id)
+        del record.members[query_id]
         if not record.members:
             self.records.remove(record)
 
@@ -507,7 +511,6 @@ class SessionManager:
         plan: QueryPlan,
         query_id: Optional[str] = None,
         config: Optional[ExecutionConfig] = None,
-        catch_up: bool = True,
     ) -> StandingQuery:
         """Make an admitted plan resident and catch it up with history.
 
@@ -538,10 +541,9 @@ class SessionManager:
             root=optimize(plan).root, emit=plan.emit, sql=plan.sql
         )
         key = SharedPlanCache.config_key(optimized, effective)
+        fingerprint = plan_fingerprint(optimized)
         host: Optional[_FlowRecord] = None
-        # Sharing needs catch-up: grafting transplants a caught-up donor,
-        # and a cold attach onto a warm flow would break equivalence.
-        if effective.share_plans and catch_up:
+        if effective.share_plans:
             host = self.plan_cache.find_host(optimized, key)
         if host is not None:
             # The donor is a throwaway state supplier: its operators are
@@ -551,30 +553,25 @@ class SessionManager:
             # Root-level sharing is only sound when some member's whole
             # plan (root fingerprint + EMIT clause) coincides; otherwise
             # equal changelogs could hide differing materialization.
-            fingerprint = plan_fingerprint(optimized)
-            allow_root_share = any(
-                plan_fingerprint(self._queries[member].plan) == fingerprint
-                for member in host.members
-            )
             host.flow.attach_output(
                 query_id,
                 optimized,
                 donor=donor,
-                allow_root_share=allow_root_share,
+                allow_root_share=fingerprint in host.fingerprints(self._queries),
             )
             flow, record = host.flow, host
         else:
             flow = self._build_flow([(query_id, optimized)], effective)
             record = _FlowRecord(flow, key)
-            if catch_up:
-                self._catch_up(flow)
+            self._catch_up(flow)
             self.plan_cache.add(record)
-        query = self._adopt(record, query_id, tenant, sql, optimized, effective)
-        if catch_up:
-            # History deltas are never delivered (the cursor starts past
-            # them); delta seq numbers line up with changelog positions,
-            # so seek past the prefix.
-            query.subscriptions.seek(query.cursor)
+        query = self._adopt(
+            record, query_id, tenant, sql, optimized, effective, fingerprint
+        )
+        # History deltas are never delivered (the cursor starts past
+        # them); delta seq numbers line up with changelog positions, so
+        # seek past the prefix.
+        query.subscriptions.seek(query.cursor)
         self._next_id += 1
         return query
 
@@ -586,9 +583,12 @@ class SessionManager:
         sql: str,
         plan: QueryPlan,
         effective: ExecutionConfig,
+        fingerprint: Optional[str],
     ) -> StandingQuery:
-        """Make ``query_id`` a member of ``record``'s flow and of the session."""
-        record.members.append(query_id)
+        """Make ``query_id`` a member of ``record``'s flow and of the
+        session; ``fingerprint`` is ``plan``'s (``plan_fingerprint``),
+        or ``None`` to take it when a joiner first asks."""
+        record.members[query_id] = fingerprint
         query = StandingQuery(
             query_id,
             tenant,
@@ -639,8 +639,10 @@ class SessionManager:
 
     @collector_paused
     def _catch_up(self, flow) -> None:
-        """Replay everything the sources have recorded into ``flow``."""
-        for _ in flow.replay(merge_source_events(self.engine._sources)):
+        """Replay everything the sources have recorded into ``flow``,
+        off the engine's prepared history: late joiners in a row with no
+        event between them merge and group it once."""
+        for _ in flow.replay():
             pass
 
     @staticmethod
@@ -871,7 +873,7 @@ class SessionManager:
         flows = []
         for record in self.plan_cache.records:
             flow = record.flow
-            blob_id = record.members[0]
+            blob_id = next(iter(record.members))
             state_file = f"{blob_id}.{generation}.ckpt"
             written += _write_atomic(
                 os.path.join(directory, state_file),
@@ -1076,7 +1078,7 @@ class SessionManager:
         for member, plan in plans:
             spec = by_id[member]
             query = self._adopt(
-                record, member, spec["tenant"], spec["sql"], plan, effective
+                record, member, spec["tenant"], spec["sql"], plan, effective, None
             )
             query.cursor = spec["cursor"]
             query.subscriptions.seek(spec["next_seq"])

@@ -68,17 +68,14 @@ class TailReader:
             self._position = handle.tell()
         if not chunk:
             return []
-        events = self._parser.feed(chunk)
-        if self._skip:
-            taken = min(self._skip, len(events))
-            events = events[taken:]
-            self._skip -= taken
-        self.events_read += len(events)
-        return events
+        return self._take(self._parser.feed(chunk))
 
     def close(self) -> list[StreamEvent]:
         """Flush a final unterminated line (end of feed, no newline coming)."""
-        events = self._parser.close()
+        return self._take(self._parser.close())
+
+    def _take(self, events: list[StreamEvent]) -> list[StreamEvent]:
+        """``events`` less the ones still to skip, counted as read."""
         if self._skip:
             taken = min(self._skip, len(events))
             events = events[taken:]

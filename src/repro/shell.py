@@ -223,7 +223,6 @@ class Shell:
         """
         import time
 
-        from .exec.executor import merge_source_events
         from .obs.telemetry import render_dashboard
 
         query = self.engine.query(sql)
@@ -235,8 +234,7 @@ class Shell:
         exporter = self.engine.telemetry
         if exporter is not None:
             flow.trace = exporter.on_event
-        events = merge_source_events(self.engine._sources)
-        total = len(events)
+        total = sum(tvr.event_count for tvr in self.engine._sources.values())
         interval = max(1, total // frames)
         start = time.perf_counter()
 
@@ -268,9 +266,10 @@ class Shell:
                 exporter.export(result)
             return frame(total, final=True)
         # Both flow kinds replay through the one run iterator behind
-        # run(), so batch_size / coalesce_updates shape the dashboard
-        # exactly as they shape a batch run.
-        progress = flow.replay(events)
+        # run(), off the engine's prepared history, so batch_size /
+        # coalesce_updates shape the dashboard exactly as they shape a
+        # batch run.
+        progress = flow.replay()
         next_frame = interval
         done = 0
         interrupted = False

@@ -442,6 +442,93 @@ class TestWithdrawal:
         assert svc.session.plan_cache.records == []
 
 
+def root_of(query):
+    """The operator a serial standing query's output channel is rooted at."""
+    return query.flow._outputs[query.output_id].root
+
+
+class TestFingerprintBookkeeping:
+    """Root sharing is a lookup in the plan fingerprints a flow record
+    keeps for its members — kept up to date by adoption, withdrawal and
+    resume, and taken once per joiner."""
+
+    def test_a_withdrawn_member_stops_vouching_for_its_plan(self):
+        events = make_events(60)
+        svc = service_with_source()
+        q_sum = svc.submit("alice", Q_SUM)
+        table = svc.submit("bob", Q_SUM_TABLE)  # same root node, other EMIT
+        assert table.flow is q_sum.flow and root_of(table) is not root_of(q_sum)
+        for event in events[:30]:
+            svc.ingest(event, "S")
+        svc.withdraw(q_sum.query_id)
+        again = svc.submit("carol", Q_SUM)  # only the table view is left
+        assert again.flow is table.flow
+        assert root_of(again) is not root_of(table)
+        resident = again.flow.resident_operator_count()
+        aliased = svc.submit("dave", Q_SUM_ALIASED)  # ``again``'s whole plan
+        assert again.flow.resident_operator_count() == resident  # root shared
+        for event in events[30:]:
+            svc.ingest(event, "S")
+        for query, sql in ((again, Q_SUM), (aliased, Q_SUM_ALIASED),
+                           (table, Q_SUM_TABLE)):
+            assert query_changes(query) == oneshot_changes(events, sql)
+
+    def test_resumed_members_vouch_for_their_plans(self, tmp_path):
+        directory = str(tmp_path / "ckpt")
+        config = ExecutionConfig(checkpoint_dir=directory)
+        events = make_events(60)
+        svc = service_with_source(config=config)
+        q_sum = svc.submit("alice", Q_SUM)
+        table = svc.submit("bob", Q_SUM_TABLE)
+        for event in events[:30]:
+            svc.ingest(event, "S")
+        svc.checkpoint()
+        resumed = StandingQueryService(config=config)
+        assert resumed.resume() == 2
+        r_sum, r_table = (resumed.session.get(q.query_id) for q in (q_sum, table))
+        flow = r_sum.flow
+        resident = flow.resident_operator_count()
+        joiners = [
+            resumed.submit("carol", Q_SUM_ALIASED),
+            resumed.submit("dave", Q_SUM_TABLE),
+        ]
+        assert {id(q.flow) for q in joiners} == {id(flow)}
+        assert flow.resident_operator_count() == resident  # both root-shared
+        resumed.withdraw(r_sum.query_id)
+        resumed.withdraw(joiners[0].query_id)
+        resident = flow.resident_operator_count()
+        lone = resumed.submit("erin", Q_SUM)  # no member's whole plan
+        assert lone.flow is flow
+        assert flow.resident_operator_count() == resident + 1
+        for event in events[30:]:
+            resumed.ingest(event, "S")
+        for query, sql in ((r_table, Q_SUM_TABLE), (joiners[1], Q_SUM_TABLE),
+                           (lone, Q_SUM)):
+            assert query_changes(query) == oneshot_changes(events, sql)
+
+    def test_a_graft_onto_sixteen_members_fingerprints_the_joiner_once(
+        self, monkeypatch
+    ):
+        from repro.service import session
+
+        svc = service_with_source(max_queries=32)
+        members = [svc.submit("alice", QUERY_POOL[i % 4]) for i in range(16)]
+        assert len({id(q.flow) for q in members}) == 1
+        for event in make_events(30):
+            svc.ingest(event, "S")
+        calls = []
+        real = session.plan_fingerprint
+        monkeypatch.setattr(
+            session, "plan_fingerprint", lambda plan: calls.append(plan) or real(plan)
+        )
+        for sql in (Q_SUM, Q_MAX, Q_SUM_TABLE):
+            calls.clear()
+            joiner = svc.submit("bob", sql)
+            assert joiner.flow is members[0].flow
+            assert len(calls) <= 1
+            svc.withdraw(joiner.query_id)
+
+
 @st.composite
 def event_histories(draw):
     """A random keyed stream: rows with jittered event times + watermarks."""
