@@ -17,7 +17,7 @@ live ingest path neither reads nor maintains it.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from itertools import repeat
 from operator import attrgetter
 from typing import Iterator, Optional, Sequence
@@ -31,16 +31,6 @@ __all__ = ["PreparedHistory", "RecordedSources", "event_runs", "merge_events",
 _ptime = attrgetter("ptime")
 
 
-def _event_ptime(pair: tuple[StreamEvent, str]) -> Timestamp:
-    return pair[0].ptime
-
-
-def _upto(events: Sequence[StreamEvent], until: Timestamp) -> int:
-    """How many of one source's (ptime-ordered) ``events`` are at or
-    before ``until``."""
-    return bisect_right(events, until, key=_ptime)
-
-
 def merge_source_events(sources: dict, until: Optional[Timestamp] = None) -> list:
     """All source events merged in deterministic processing-time order.
 
@@ -51,14 +41,14 @@ def merge_source_events(sources: dict, until: Optional[Timestamp] = None) -> lis
     byte for byte.  ``until`` keeps the events at or before it.
     """
     lists = [tvr.events() for tvr in sources.values()]
-    highs = None if until is None else [_upto(ev, until) for ev in lists]
-    return merge_events(list(sources), lists, None, highs)
+    if until is not None:
+        lists = [ev[:bisect_right(ev, until, key=_ptime)] for ev in lists]
+    return merge_events(list(sources), lists)
 
 
-def merge_events(names, lists, lows=None, highs=None) -> list:
+def merge_events(names, lists) -> list:
     """:func:`merge_source_events` over event lists already read:
-    ``lists[i][lows[i]:highs[i]]`` of source ``names[i]`` (every event
-    by default), as ``(event, name)`` pairs.
+    ``lists[i]`` of source ``names[i]``, as ``(event, name)`` pairs.
 
     Each source's events are already ptime-ordered (the ``until``
     cutoff has always relied on that), so concatenating the per-source
@@ -70,10 +60,9 @@ def merge_events(names, lists, lows=None, highs=None) -> list:
     here than a Python-level k-way heap merge.
     """
     merged: list[tuple[StreamEvent, str]] = []
-    bounds = zip(lows or repeat(0), highs or repeat(None))
-    for name, events, (low, high) in zip(names, lists, bounds):
-        merged += zip(events[low:high], repeat(name))
-    merged.sort(key=_event_ptime)
+    for name, events in zip(names, lists):
+        merged += zip(events, repeat(name))
+    merged.sort(key=lambda pair: pair[0].ptime)
     return merged
 
 
@@ -100,10 +89,8 @@ def event_runs(
     between its first and its last row's instant, so delivering it
     leaves the clock where the per-event feed would.
 
-    The rule reads nothing of ``flow`` but its run *shape* —
-    :meth:`PreparedHistory.shape` — and decides each run from the
-    events up to the one that ends it, so the runs of a prefix of
-    ``events`` are those of the whole that end inside it.
+    The rule reads nothing of ``flow`` but its run *shape*
+    (:meth:`PreparedHistory.shape`).
     """
     batch_size = flow.batch_size
     span = flow.run_span_reason() is None
@@ -150,8 +137,8 @@ def event_runs(
 def replay_runs(flow, events=None, until=None) -> Iterator[int]:
     """Deliver a replay to ``flow`` run by run: the runs
     :func:`event_runs` forms of the merged ``events`` — or, by default,
-    of everything ``flow``'s sources recorded up to ``until``, read off
-    its prepared history (:meth:`PreparedHistory.runs`).
+    of everything ``flow``'s sources recorded up to ``until``
+    (:meth:`PreparedHistory.runs`).
 
     Yields, after each delivery, how many events have been consumed —
     behind ``replay`` of the serial and the sharded dataflow alike (and
@@ -190,21 +177,19 @@ class PreparedHistory:
     The history is valid while the sources it was read from keep their
     names, identities and event counts; a replay that finds any of
     them changed reads them again and forgets every shape.  One
-    history is kept at a time: that of the last sources replayed.
+    history is kept at a time: that of the last sources replayed.  A
+    replay cut at some ``until`` does not read it.
     """
 
     __slots__ = ("_key", "_names", "_events", "_shapes", "__weakref__")
 
     def __init__(self) -> None:
+        self.forget()
+
+    def forget(self) -> None:
+        """Drop what was read, so no replaced source is kept alive."""
         # (sources' key, their names, their event lists, shape -> table)
         self._key, self._names, self._events, self._shapes = (), [], [], {}
-
-    def _read(self, sources: dict) -> None:
-        """Make this the history of ``sources``, unless it already is."""
-        key = tuple((name, tvr, tvr.event_count) for name, tvr in sources.items())
-        if key != self._key:  # (a relation compares by identity)
-            self._key, self._names, self._shapes = key, list(sources), {}
-            self._events = [tvr.events() for tvr in sources.values()]
 
     def shape(self, flow) -> tuple:
         """What :func:`event_runs` reads of ``flow``: its batch size
@@ -219,49 +204,24 @@ class PreparedHistory:
 
     def runs(self, flow, sources: dict, until: Optional[Timestamp] = None) -> Iterator:
         """``event_runs(flow, merge_source_events(sources, until))``,
-        read off this history.
-
-        A run of the whole history that ends at or before the ``until``
-        cut is a run of the cut one too; the run the cut falls inside,
-        and what follows it up to the cut, are grouped afresh from the
-        position it starts at.
-        """
-        self._read(sources)
+        read off this history unless ``until`` cuts it: a cut replay
+        merges and groups its prefix afresh."""
+        if until is not None:
+            return event_runs(flow, merge_source_events(sources, until))
+        key = tuple((name, tvr, tvr.event_count) for name, tvr in sources.items())
+        if key != self._key:  # (a relation compares by identity)
+            self._key, self._names, self._shapes = key, list(sources), {}
+            self._events = [tvr.events() for tvr in sources.values()]
         names, lists = self._names, self._events
         shape = self.shape(flow)
         table = self._shapes.get(shape)
         if table is None:
             table = self._shapes[shape] = self._group(flow)
-        cut = None if until is None else sum(_upto(ev, until) for ev in lists)
-        start = 0
         quads = iter(table)
-        for source, begin, end, stop in zip(quads, quads, quads, quads):
-            if cut is not None and stop > cut:
-                break
-            yield stop, lists[source][begin:end], names[source]
-            start = stop
-        else:
-            return
-        if start < cut:
-            # Where the cut run starts, in each source's list: the merged
-            # order is (ptime, source order, arrival order).
-            first = lists[source][begin].ptime
-            lows = [
-                begin if other == source else (
-                    bisect_right if other < source else bisect_left
-                )(ev, first, key=_ptime) for other, ev in enumerate(lists)
-            ]
-            tail = merge_events(names, lists, lows, [_upto(ev, until) for ev in lists])
-            for stop, run, name in event_runs(flow, tail):
-                yield start + stop, run, name
-
-    def since(self, sources: dict, instant: Timestamp) -> tuple[dict, list]:
-        """The merged events at or after ``instant``, and per source how
-        many of its events come before them."""
-        self._read(sources)
-        lows = [bisect_left(ev, instant, key=_ptime) for ev in self._events]
-        later = merge_events(self._names, self._events, lows)
-        return dict(zip(self._names, lows)), later
+        return (
+            (stop, lists[source][begin:end], names[source])
+            for source, begin, end, stop in zip(quads, quads, quads, quads)
+        )
 
     def _group(self, flow) -> array:
         """One merge and one :func:`event_runs` pass over the whole
@@ -288,7 +248,8 @@ class PreparedHistory:
 class RecordedSources(dict):
     """An engine's recorded sources by lower-case name, carrying the
     :class:`PreparedHistory` that replays of them read — owned by the
-    engine through this mapping, and gone with it."""
+    engine through this mapping, and gone with it.  Registering a source
+    forgets the history, which may hold the one it replaces."""
 
     __slots__ = ("history",)
 
@@ -296,3 +257,6 @@ class RecordedSources(dict):
         super().__init__()
         self.history = PreparedHistory()
 
+    def __setitem__(self, name: str, tvr) -> None:
+        super().__setitem__(name, tvr)
+        self.history.forget()

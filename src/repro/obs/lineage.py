@@ -16,10 +16,11 @@ the resident flow is only read.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Optional
 
 from ..core.tvr import RowEvent, TimeVaryingRelation
-from ..exec.executor import Dataflow
+from ..exec.executor import Dataflow, merge_source_events
 from ..runtime.sharded import ShardedDataflow
 
 __all__ = ["explain_delta"]
@@ -46,18 +47,19 @@ def explain_delta(
     """
     if not 0 <= seq < resident.output_size_of(output_id):
         return None
+    events = merge_source_events(sources)
     instant = resident.output_slice_of(output_id, seq)[0].ptime
-    fresh = _fresh_flow(resident, output_id, plan, sources)
     # A change carries the instant of the event that caused it, or an
     # earlier one (a timer fires on the first event at or past its
     # deadline), so everything before that instant is settled history.
-    for _ in fresh.replay(until=instant - 1):
+    start = bisect_left(events, instant, key=lambda pair: pair[0].ptime)
+    fresh = _fresh_flow(resident, output_id, plan, sources)
+    for _ in fresh.replay(events[:start]):
         pass
-    before, later = fresh._history.since(fresh._sources, instant)
-    start = sum(before.values())
     steps = _steps(fresh, resident, output_id)
-    for offset, (event, source) in enumerate(later):
-        before_rows = [op.counters.rows_out for _, op, _ in steps]
+    for ordinal in range(start, len(events)):
+        event, source = events[ordinal]
+        before = [op.counters.rows_out for _, op, _ in steps]
         fresh.process(event, source)
         if fresh.output_size_of(output_id) <= seq:
             continue
@@ -68,8 +70,7 @@ def explain_delta(
         cause = {
             "kind": kind,
             "source": source,
-            "seq": before[source]
-            + sum(1 for _, name in later[:offset] if name == source),
+            "seq": sum(1 for _, name in events[:ordinal] if name == source),
             "values": values,
             "ptime": event.ptime,
         }
@@ -80,13 +81,13 @@ def explain_delta(
                 "shared_by": shared_by,
                 "produced": op.counters.rows_out - rows,
             }
-            for (shard, op, shared_by), rows in zip(steps, before_rows)
+            for (shard, op, shared_by), rows in zip(steps, before)
             if op.counters.rows_out != rows
         ]
         return {
             "output_id": output_id,
             "seq": seq,
-            "trace_id": start + offset,
+            "trace_id": ordinal,
             "sources": [cause],
             "path": path,
         }

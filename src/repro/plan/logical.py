@@ -499,8 +499,14 @@ class PartialAggregateNode(LogicalNode):
         self.completion_indices = None
         self.emit_key_indices = ()
 
-    # (read off ``group_indices`` and the input, as the aggregate's is)
-    event_time_key_positions = AggregateNode.event_time_key_positions
+    @property
+    def event_time_key_positions(self) -> tuple[int, ...]:
+        """Positions within the group key that are event time columns."""
+        return tuple(
+            pos
+            for pos, in_idx in enumerate(self.group_indices)
+            if self.input.schema.columns[in_idx].event_time
+        )
 
     def with_inputs(self, inputs: Sequence[LogicalNode]) -> "PartialAggregateNode":
         (child,) = inputs

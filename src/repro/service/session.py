@@ -541,9 +541,10 @@ class SessionManager:
             root=optimize(plan).root, emit=plan.emit, sql=plan.sql
         )
         key = SharedPlanCache.config_key(optimized, effective)
-        fingerprint = plan_fingerprint(optimized)
+        fingerprint: Optional[str] = None  # (only a shared flow reads it)
         host: Optional[_FlowRecord] = None
         if effective.share_plans:
+            fingerprint = plan_fingerprint(optimized)
             host = self.plan_cache.find_host(optimized, key)
         if host is not None:
             # The donor is a throwaway state supplier: its operators are

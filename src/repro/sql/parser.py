@@ -388,7 +388,15 @@ class _Parser:
     def _over_clause(self, call: ast.FunctionCall) -> ast.OverCall:
         pos = self._expect_keyword("OVER").pos
         self._expect_op("(")
-        partition_by, order_by = self._partition_order()
+        partition_by: list[ast.ColumnRef] = []
+        if self._accept_word("PARTITION"):
+            self._expect_keyword("BY")
+            partition_by.append(self._column_ref())
+            while self._accept_op(","):
+                partition_by.append(self._column_ref())
+        self._expect_keyword("ORDER")
+        self._expect_keyword("BY")
+        order_by = self._column_ref()
         rows_preceding: Optional[int] = None
         if self._accept_word("ROWS"):
             self._expect_keyword("BETWEEN")
@@ -428,19 +436,6 @@ class _Parser:
         if not self._accept_word(word):
             raise self._error(f"expected {word}, found {self._tokens[self._i]}")
 
-    def _partition_order(self) -> tuple[list[ast.ColumnRef], ast.ColumnRef]:
-        """``[PARTITION BY col, ...] ORDER BY col`` of an OVER window or
-        a MATCH_RECOGNIZE."""
-        partition_by: list[ast.ColumnRef] = []
-        if self._accept_word("PARTITION"):
-            self._expect_keyword("BY")
-            partition_by.append(self._column_ref())
-            while self._accept_op(","):
-                partition_by.append(self._column_ref())
-        self._expect_keyword("ORDER")
-        self._expect_keyword("BY")
-        return partition_by, self._column_ref()
-
     def _column_ref(self) -> ast.ColumnRef:
         expr = self._ident_expr()
         if not isinstance(expr, ast.ColumnRef):
@@ -450,7 +445,17 @@ class _Parser:
     def _match_recognize(self, input_ref: ast.TableRef) -> ast.MatchRecognize:
         pos = self._expect_keyword("MATCH_RECOGNIZE").pos
         self._expect_op("(")
-        partition_by, order_by = self._partition_order()
+
+        partition_by: list[ast.ColumnRef] = []
+        if self._accept_word("PARTITION"):
+            self._expect_keyword("BY")
+            partition_by.append(self._column_ref())
+            while self._accept_op(","):
+                partition_by.append(self._column_ref())
+
+        self._expect_keyword("ORDER")
+        self._expect_keyword("BY")
+        order_by = self._column_ref()
 
         self._expect_word("MEASURES")
         measures: list[tuple[ast.Expr, str]] = []

@@ -290,7 +290,9 @@ class ExprTranslator:
             return SqlType.INTERVAL
         if lt is SqlType.TIMESTAMP and rt is SqlType.TIMESTAMP and op == "-":
             return SqlType.INTERVAL
-        if _numeric(lt, rt):
+        if (lt.is_numeric or lt is SqlType.NULL) and (
+            rt.is_numeric or rt is SqlType.NULL
+        ):
             return (
                 SqlType.FLOAT
                 if SqlType.FLOAT in (lt, rt)
@@ -303,7 +305,9 @@ class ExprTranslator:
     ) -> SqlType:
         if op == "*" and {lt, rt} == {SqlType.INTERVAL, SqlType.INT}:
             return SqlType.INTERVAL
-        if _numeric(lt, rt):
+        if (lt.is_numeric or lt is SqlType.NULL) and (
+            rt.is_numeric or rt is SqlType.NULL
+        ):
             if op == "/" and lt is SqlType.INT and rt is SqlType.INT:
                 return SqlType.INT
             if op == "%":
@@ -362,8 +366,3 @@ def _literal_type(value: object) -> SqlType:
     if isinstance(value, str):
         return SqlType.STRING
     raise ValidationError(f"unsupported literal {value!r}")
-
-
-def _numeric(*types: SqlType) -> bool:
-    """Whether arithmetic takes operands of ``types`` (numbers or NULL)."""
-    return all(t.is_numeric or t is SqlType.NULL for t in types)

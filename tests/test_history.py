@@ -1,15 +1,17 @@
 """The prepared history replays read (``repro.exec.history``).
 
-A replay — a serial or sharded ``run()``, a standing query's catch-up,
-``explain_delta``, the shell's ``\\watch`` — reads the runs an engine's
-:class:`~repro.exec.history.PreparedHistory` keeps instead of merging
-and grouping the recorded sources again.  What it hands out must be
-exactly ``event_runs(flow, merge_source_events(sources, until))``, the
-one definition of order and run grouping, whatever the flow's run shape
-and however the sources changed since the last replay; the changelogs
-must be those of a replay of an explicit event list.  The history lives
-and dies with its engine, and preparing it adds a constant number of
-objects for the collector to walk.
+A replay of everything recorded — a serial or sharded ``run()``, a
+standing query's catch-up, the shell's ``\\watch`` — reads the runs an
+engine's :class:`~repro.exec.history.PreparedHistory` keeps instead of
+merging and grouping the recorded sources again; a replay cut at some
+``until`` merges and groups its prefix afresh.  What either hands out
+must be exactly ``event_runs(flow, merge_source_events(sources,
+until))``, the one definition of order and run grouping, whatever the
+flow's run shape and however the sources changed since the last replay;
+the changelogs must be those of a replay of an explicit event list.
+The history lives and dies with its engine, holds no source the engine
+replaced, and preparing it adds a constant number of objects for the
+collector to walk.
 """
 
 import gc
@@ -160,8 +162,11 @@ def test_a_replaced_source_is_read_again():
     }
     engine = engine_over(sources, batch_size=64)
     before = engine.query(TUMBLE_SQL).run()
+    replaced = weakref.ref(engine.source("S"))
     replacement = [ins(1_000 * i, (i % 2, i * 2_000, -i)) for i in range(1, 30)]
     engine.register_stream("S", TimeVaryingRelation(SCHEMA, replacement))
+    gc.collect()
+    assert replaced() is None  # the history no longer holds it
     flow = flow_of(engine, TUMBLE_SQL, {})
     assert_runs_equal(flow)
     after = engine.query(TUMBLE_SQL).run()
@@ -191,16 +196,19 @@ def test_a_restored_still_encoded_source_replays_alike(shape):
     )
 
 
-def test_a_cut_inside_a_spanning_run_is_grouped_from_where_it_starts():
+def test_a_cut_inside_a_spanning_run_is_grouped_afresh():
     """One run of S spans instants 1..9 (span on, nothing breaks it);
-    cutting at 5 hands out the rows up to 5 as the first run."""
+    cutting at 5 hands out the rows up to 5 as the first run, and the
+    cut replay neither reads nor changes the prepared history."""
     sources = {"S": [ins(1_000 * i, (0, i, i)) for i in range(1, 10)], "T": [], "R": []}
     engine = engine_over(sources, batch_size=64)
     flow = flow_of(engine, TUMBLE_SQL, {})
     whole = list(flow._history.runs(flow, flow._sources))
     assert [len(run) for _, run, _ in whole] == [9]
+    shapes = dict(flow._history._shapes)
     cut = list(flow._history.runs(flow, flow._sources, until=5_000))
     assert [(stop, len(run)) for stop, run, _ in cut] == [(5, 5)]
+    assert flow._history._shapes == shapes
     assert_runs_equal(flow, until=5_000)
 
 
@@ -260,10 +268,22 @@ class TestPreparedOnce:
         svc.register_stream("S", TimeVaryingRelation(SCHEMA))
         svc.submit("alice", TUMBLE_SQL)
         prepared = svc.engine._sources.history
-        before = (prepared._key, prepared._events, prepared._shapes)
+
+        def snapshot():
+            """What the history holds, by value and by identity: an
+            append to a kept list or table shows as well as a swap."""
+            return (
+                prepared._key, [id(ev) for ev in prepared._events],
+                [len(ev) for ev in prepared._events],
+                {shape: (id(table), len(table))
+                 for shape, table in prepared._shapes.items()},
+            )
+
+        before = snapshot()
+        assert before[3]  # the catch-up prepared a shape
         for i in range(1, 50):
             svc.ingest(ins(1_000 * i, (i % 3, i * 1_000, i)), "S")
-        assert (prepared._key, prepared._events, prepared._shapes) == before
+        assert snapshot() == before
 
 
 class TestLifetime:

@@ -528,6 +528,19 @@ class TestFingerprintBookkeeping:
             assert len(calls) <= 1
             svc.withdraw(joiner.query_id)
 
+    def test_an_unshared_register_takes_no_fingerprint(self, monkeypatch):
+        from repro.service import session
+
+        svc = service_with_source(config=ExecutionConfig(share_plans=False))
+        calls = []
+        real = session.plan_fingerprint
+        monkeypatch.setattr(
+            session, "plan_fingerprint", lambda plan: calls.append(plan) or real(plan)
+        )
+        for sql in (Q_SUM, Q_SUM, Q_MAX):
+            svc.submit("alice", sql)
+        assert calls == []
+
 
 @st.composite
 def event_histories(draw):
