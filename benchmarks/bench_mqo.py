@@ -28,6 +28,11 @@ most 4: the joiner's plan, the host-overlap probe, the donor and the
 graft) and passes of the merge and of run grouping over the recorded
 history (1 for the first joiner after an append, 0 for every other:
 replays read the engine's prepared history, ``repro.exec.history``).
+It also gates where each joiner's catch-up history rests: all of it
+sealed, encoded at rest, and none as live ``Change`` objects —
+``describe()["history"]`` is ``{"sealed": N, "live": 0}`` with ``N``
+the length of the one-shot changelog of the same SQL over the same
+history.
 
 Writes ``BENCH_mqo.json`` — the artifact the CI ``mqo-bench`` job
 uploads.  Runs under plain pytest and as a script::
@@ -45,7 +50,7 @@ import repro.exec.executor
 import repro.exec.history
 import repro.plan.fingerprint
 import repro.service.session
-from repro import ExecutionConfig
+from repro import ExecutionConfig, StreamEngine
 from repro.core.schema import Schema, int_col, timestamp_col
 from repro.core.tvr import TimeVaryingRelation, ins, wm
 from repro.service import StandingQueryService
@@ -81,7 +86,7 @@ POOL = [
 ]
 
 ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_mqo.json"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 LATE_JOINERS = 8
 #: what one register may re-derive on the counted arm (see the module doc)
 MAX_PLAN_FINGERPRINTS = 1
@@ -157,6 +162,12 @@ def late_joiner_counts(events: list) -> dict:
     """The counted arm: per register, the calls :data:`COUNTED` names,
     for 8 late joiners onto a 16-member host with history unchanged
     between them, then for one joiner after one appended event."""
+    late = [
+        POOL[i % len(POOL)].format(i=GATE_POINT + i) for i in range(LATE_JOINERS + 1)
+    ]
+    # the one-shot changelog length each joiner's sealed history must have
+    oneshot = [oneshot_length(sql, events[:-1]) for sql in late[:-1]]
+    oneshot.append(oneshot_length(late[-1], events))
     svc = _service(share_plans=True)
     hosts = {id(svc.submit("bench", sql).flow) for sql in pool_queries(GATE_POINT)}
     assert len(hosts) == 1, "the 16 members do not share one flow"
@@ -175,23 +186,24 @@ def late_joiner_counts(events: list) -> dict:
         setattr(module, name, counting(real, key))
     per_register: list[dict[str, int]] = []
 
-    def register(sql: str) -> None:
+    def register(sql: str, changes: int) -> None:
         counts.update(dict.fromkeys((key for _, _, key in COUNTED), 0))
         started = time.perf_counter()
         query = svc.submit("late", sql)
         elapsed = time.perf_counter() - started
         assert id(query.flow) in hosts, "a late joiner did not graft"
-        per_register.append({**counts, "register_ms": elapsed * 1e3})
+        history = query.describe()["history"]
+        per_register.append({
+            **counts, "register_ms": elapsed * 1e3, "oneshot_changes": changes,
+            "history_sealed": history["sealed"], "history_live": history["live"],
+        })
         svc.withdraw(query.query_id)
 
     try:
-        late = [
-            POOL[i % len(POOL)].format(i=GATE_POINT + i) for i in range(LATE_JOINERS + 1)
-        ]
-        for sql in late[:-1]:
-            register(sql)
+        for sql, changes in zip(late[:-1], oneshot):
+            register(sql, changes)
         svc.ingest(events[-1], "S")
-        register(late[-1])
+        register(late[-1], oneshot[-1])
     finally:
         for module, name, real in saved:
             setattr(module, name, real)
@@ -203,12 +215,22 @@ def late_joiner_counts(events: list) -> dict:
     }
 
 
+def oneshot_length(sql: str, events: list) -> int:
+    """How many changes a one-shot run of ``sql`` over ``events`` emits."""
+    engine = StreamEngine()
+    engine.register_stream("S", TimeVaryingRelation(SCHEMA, events))
+    return len(engine.query(sql).run().changes)
+
+
 def check_counts(arm: dict) -> None:
-    """The counted arm's gate: the counts repeat exactly."""
+    """The counted arm's gate: the counts repeat exactly, and each
+    joiner's catch-up history rests sealed, none of it live."""
     joiners, after = arm["late_joiners"], arm["after_append"]
     for entry in [*joiners, after]:
         assert entry["plan_fingerprints"] <= MAX_PLAN_FINGERPRINTS, entry
         assert entry["node_walks"] <= MAX_NODE_WALKS, entry
+        assert entry["history_live"] == 0, entry
+        assert entry["history_sealed"] == entry["oneshot_changes"] > 0, entry
     passes = [(entry["merges"], entry["groupings"]) for entry in joiners]
     assert passes == [(1, 1)] + [(0, 0)] * (LATE_JOINERS - 1), passes
     assert (after["merges"], after["groupings"]) == (1, 1), after
@@ -291,6 +313,7 @@ if __name__ == "__main__":
         print(
             f"{label:>12}: plan_fingerprint={entry['plan_fingerprints']} "
             f"node walks={entry['node_walks']} merges={entry['merges']} "
-            f"groupings={entry['groupings']} ({entry['register_ms']:.2f} ms)"
+            f"groupings={entry['groupings']} sealed={entry['history_sealed']} "
+            f"live={entry['history_live']} ({entry['register_ms']:.2f} ms)"
         )
     print(f"wrote {path}")

@@ -38,6 +38,13 @@ live tail.
   source's events stay objects for late joiners, so it keeps the
   segments it handed to earlier cuts beside them
   (:meth:`~repro.core.tvr.TimeVaryingRelation.event_segments`).
+* **Born encoded.**  A late joiner's catch-up history sits behind its
+  cursor and is never delivered, so it never becomes objects: while
+  the catch-up replays, each output log's tail is an :class:`OpenRun`
+  that keeps what arrives as the triple's vectors — an aggregate's
+  batch as the kind, row and ptime vectors its fold emitted — and the
+  catch-up seals it as one segment at its end.  The joiner's first
+  cut writes that segment as it is.
 * **Adopt at restore.**  Restoring installs the stored segments as they
   are.  No ``Change`` is built; lengths, last processing times and
   watermark entries are read off the encoded vectors.  A segment read
@@ -50,10 +57,13 @@ live tail.
   positions below the tail (a framed segment unpickles its vectors for
   that read).  The live paths never do — ``publish_pending`` and the
   session's ``persist`` read the tail — so it costs only ``result()`` /
-  ``finish()`` of a restored flow, a look back from a client, or a late
-  joiner re-reading a restored source (which unseals *once* and keeps
-  the objects — :meth:`SegmentedLog.unseal` — because every later
-  joiner reads it again).
+  ``finish()`` of a restored flow, a look back from a client (the
+  explanation of a catch-up delta included), or a late joiner
+  re-reading a restored source (which unseals *once* and keeps the
+  objects — :meth:`SegmentedLog.unseal` — because every later joiner
+  reads it again).  A reader that needs only the vectors reads them
+  off the segments (:meth:`SegmentedLog.encoded`): an output's latency
+  telemetry settles a sealed history, a catch-up's included, that way.
 
 A plain ``list`` of objects is a legal history wherever segments are
 (:func:`decode_changes` returns it unchanged, a log adopts it as its
@@ -70,6 +80,7 @@ from itertools import accumulate, chain
 from typing import Callable, Iterator, Optional, Sequence
 
 from .changelog import Change, ChangeKind
+from .colbatch import ColumnarBatch
 from .errors import ExecutionError
 from .times import Timestamp
 from .tvr import RowEvent, StreamEvent, WatermarkEvent
@@ -101,8 +112,17 @@ _KIND_OF = (ChangeKind.INSERT, ChangeKind.RETRACT).__getitem__
 _WATERMARK = 2
 
 
-def encode_changes(changes: Sequence[Change]) -> tuple[bytes, list, list]:
-    """``(kinds, values, ptimes)`` for a changelog slice."""
+def encode_changes(changes) -> tuple[bytes, list, list]:
+    """``(kinds, values, ptimes)`` for a changelog slice: a list of
+    changes, or a :class:`~repro.core.colbatch.ColumnarBatch`, whose
+    vectors are read as they are, no ``Change`` built (its rows may
+    come as an iterator, its ptimes as its own vector)."""
+    if type(changes) is ColumnarBatch:
+        return (
+            bytes([kind is _RETRACT for kind in changes.kinds]),
+            changes.row_values(),
+            changes.ptimes,
+        )
     return (
         bytes([c.kind is _RETRACT for c in changes]),
         [c.values for c in changes],
@@ -258,6 +278,31 @@ def segment_watermarks(
         at = kinds.find(_WATERMARK, at + 1)
 
 
+class OpenRun:
+    """A changelog's tail while its history is born encoded
+    (:meth:`SegmentedLog.open_run`): what is appended — a change list
+    or a columnar batch — is kept as the at-rest vectors, counted like
+    the objects it stands in for, until :meth:`SegmentedLog.seal` makes
+    it one segment."""
+
+    __slots__ = ("kinds", "values", "ptimes")
+
+    def __init__(self) -> None:
+        self.kinds, self.values, self.ptimes = bytearray(), [], []
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __iter__(self):  # (a reader below the seal decodes)
+        return iter(decode_changes((self.kinds, self.values, self.ptimes)))
+
+    def extend(self, changes) -> None:
+        kinds, values, ptimes = encode_changes(changes)
+        self.kinds += kinds
+        self.values += values
+        self.ptimes += ptimes
+
+
 class SegmentedLog:
     """An append-only history: sealed :class:`Segment` runs, then a live
     tail.
@@ -327,10 +372,31 @@ class SegmentedLog:
         return items
 
     def seal(self) -> None:
-        """Encode the tail into one more segment and drop the objects."""
-        if self.tail:
-            self._adopt(self.encode(self.tail))
-            self.tail = []
+        """Encode the tail into one more segment and drop the objects
+        (an open run's vectors are adopted as they are)."""
+        tail = self.tail
+        if tail:
+            self._adopt(
+                (bytes(tail.kinds), tail.values, tail.ptimes)
+                if isinstance(tail, OpenRun)
+                else self.encode(tail)
+            )
+        self.tail = []
+
+    def open_run(self) -> None:
+        """Seal, then keep what is appended encoded (an :class:`OpenRun`)
+        until the next seal: for a history nobody reads as objects."""
+        self.seal()
+        self.tail = OpenRun()
+
+    def encoded(self, start: int = 0) -> Triple:
+        """The sealed items from position ``start`` on (none at or above
+        ``base``) as one triple of new vectors, read off the segments':
+        none is decoded (a framed one is unpickled)."""
+        first = bisect_right(self.bounds, start) - 1
+        skip = start - self.bounds[first]
+        kinds, values, ptimes = concat_segments(self.sealed[first:])
+        return kinds[skip:], values[skip:], ptimes[skip:]
 
     def sealed_from(self, start: int = 0) -> list[Segment]:
         """The sealed segments from boundary ``start`` on.

@@ -23,6 +23,12 @@ batches reference or copy, never write.  Conversion back to rows
 boundary and is memoized, so an output channel and a row-at-a-time
 consumer downstream of the same batch pay for the conversion once.
 
+A batch may also be built over whole row tuples (``values``: an
+aggregate fold's output, whose rows are born whole): its columns are
+then transposed on first read, and its row view is built on first
+read too — a catch-up that keeps history encoded reads neither
+(:func:`~repro.core.codec.encode_changes` takes the vectors as they are).
+
 The row and columnar encodings are two spellings of the same changelog
 slice; converting in either direction is byte-identity-preserving by
 construction, which is what lets the executor mix vectorized and
@@ -56,27 +62,38 @@ class ColumnarBatch:
     """A micro-batch of changes stored column-wise.
 
     ``columns`` is one sequence per output column (all the same
-    length); ``kinds`` and ``ptimes`` are the parallel per-row change
+    length) — or ``None`` for a batch built over ``values``, its row
+    tuples; ``kinds`` and ``ptimes`` are the parallel per-row change
     kind and processing-time vectors.  ``seqs`` is ``None`` or the
     parallel vector of source-event sequence numbers (the module
     docstring has the carry rule).
     """
 
-    __slots__ = ("columns", "kinds", "ptimes", "seqs", "_rows", "_retracts")
+    __slots__ = ("_columns", "kinds", "ptimes", "seqs", "values", "_rows", "_retracts")
 
     def __init__(
         self,
-        columns: Sequence[Sequence],
+        columns: Optional[Sequence[Sequence]],
         kinds: Sequence[ChangeKind],
         ptimes: Sequence[Timestamp],
         seqs: Optional[Sequence[int]] = None,
+        values: Optional[list[tuple]] = None,
     ):
-        self.columns = tuple(columns)
+        self._columns = None if columns is None else tuple(columns)
         self.kinds = kinds
         self.ptimes = ptimes
         self.seqs = seqs
+        self.values = values
         self._rows: Optional[list[Change]] = None
         self._retracts: Optional[int] = None
+
+    @property
+    def columns(self) -> tuple:
+        """One sequence per column (of a batch over row tuples:
+        transposed on first read)."""
+        if self._columns is None:
+            self._columns = tuple(zip(*self.values))
+        return self._columns
 
     # -- construction --------------------------------------------------
 
@@ -102,19 +119,21 @@ class ColumnarBatch:
 
     # -- row view ------------------------------------------------------
 
+    def row_values(self):
+        """The row tuples, in order (an iterable)."""
+        return zip(*self.columns) if self.values is None else self.values
+
     def to_changes(self) -> list[Change]:
         """The row encoding of this batch (memoized)."""
         rows = self._rows
         if rows is None:
-            make = Change
-            rows = [
-                make(kind, values, ptime)
-                for kind, values, ptime in zip(
-                    self.kinds, zip(*self.columns), self.ptimes
-                )
-            ]
-            self._rows = rows
+            rows = self._rows = list(
+                map(Change, self.kinds, self.row_values(), self.ptimes)
+            )
         return rows
+
+    def __iter__(self):  # (a list extended with a batch takes its row view)
+        return iter(self.to_changes())
 
     # -- introspection -------------------------------------------------
 

@@ -31,7 +31,8 @@ global aggregate and an absorbed output selection spelled inline, a
 function without templates called — compiled once per shape and cached
 here.  One fold body has two loop headers, as a pipeline has
 ``run_rows``/``run_cols``: the vector entry walks parallel key, kind,
-ptime and argument vectors; the row entry walks ``Change`` objects and
+ptime and argument vectors and emits parallel kind, row and ptime
+vectors; the row entry walks ``Change`` objects, emits them, and
 reads each row's key and arguments, and applies the lateness cutoff,
 inline.  A kernel takes its operator as an argument, so it holds none.
 
@@ -489,7 +490,7 @@ _FOLD = """\
 {prologue}
     groups = op._groups
     out = []
-    append = out.append
+    put = out.{put}
     net = created = 0
     held = state = None
     try:
@@ -514,7 +515,7 @@ _FOLD = """\
             emitted = state.emitted
             if {emptied}:
                 if emitted is not None:
-                    append(_Change(_RETRACT, {select}(emitted), ptime))
+                    put({make}(_RETRACT, {select}(emitted), ptime))
                 del groups[key]
                 state = None
                 continue
@@ -522,13 +523,13 @@ _FOLD = """\
             if row == emitted:
                 continue
             if emitted is not None:
-                append(_Change(_RETRACT, {select}(emitted), ptime))
-            append(_Change(_INSERT, {select}(row), ptime))
+                put({make}(_RETRACT, {select}(emitted), ptime))
+            put({make}(_INSERT, {select}(row), ptime))
             state.emitted = row
     finally:
         op._retained += net
         op._groups_created += created
-    return out"""
+    return {result}"""
 
 #: What a DISTINCT aggregate wraps its insert and retract in: only a
 #: value's first occurrence reaches the accumulator, only its last
@@ -551,12 +552,15 @@ def fold_kernel(aggs: Sequence, is_global: bool, selects: bool, rows=None) -> Ca
     ``keys[i]`` at ``ptimes[i]``, with ``arg_cols[a][i]`` the argument
     of aggregate ``a``; lateness is its caller's business (the columnar
     path drops late rows first, the combine stage must not re-apply
-    it).  The row entry, ``fold(op, changes)``, is generated when
-    ``rows`` gives the row layout ``(group_indices, arg_indices,
-    event_time_positions)``: its loop header reads each ``Change``'s
-    key and arguments inline and drops a late row there — one whose
-    every event-time key is at or below ``op.input_watermark -
-    op._allowed_lateness`` — counting it into ``op.late_dropped``.
+    it).  It returns a ``ColumnarBatch`` over the row tuples it
+    emitted, whose columns and ``Change`` objects are built only when
+    read.  The row entry, ``fold(op, changes)``, which returns
+    ``Change`` objects, is generated when ``rows`` gives the row layout
+    ``(group_indices, arg_indices, event_time_positions)``: its loop
+    header reads each ``Change``'s key and arguments inline and drops a
+    late row there — one whose every event-time key is at or below
+    ``op.input_watermark - op._allowed_lateness`` — counting it into
+    ``op.late_dropped``.
 
     Per row the fold finds or creates the group, applies the
     insert/retract to its accumulators, then settles its output row: an
@@ -581,7 +585,7 @@ def _compile_fold(shape: tuple, is_global: bool, selects: bool, rows) -> Callabl
 
     em = _Emitter()
     em.env.update(
-        TEMPLATE_GLOBALS, _Change=Change, _INSERT=ChangeKind.INSERT,
+        TEMPLATE_GLOBALS, _Change=Change, _CB=ColumnarBatch, _INSERT=ChangeKind.INSERT,
         _RETRACT=ChangeKind.RETRACT, _GroupState=_GroupState,
         _SUPPRESSED=SUPPRESSED, _underflow=_underflow,
     )
@@ -628,8 +632,15 @@ def _compile_fold(shape: tuple, is_global: bool, selects: bool, rows) -> Callabl
         head += ["    kind = change.kind", "    ptime = change.ptime"]
         head += [f"    v{i} = values[{args[i]}]" for i in reads]
         header = "\n".join(head)
+    # The row entry emits ``Change`` objects; the vector entry emits
+    # (kind, row, ptime) triples flat into ``out`` and returns a batch
+    # over the three vectors taken off it by stride.
+    vector = rows is None
     em.lines.append(_FOLD.format(
         prologue="\n".join(prologue),
+        put="extend" if vector else "append",
+        make="" if vector else "_Change",
+        result="_CB(None, out[::3], out[2::3], values=out[1::3])" if vector else "out",
         header=indented(header, 2),
         creates=", ".join(parts["creates"]),
         counts=", ".join("{}" if spec[-1] else "None" for spec in shape),
@@ -707,7 +718,9 @@ def _fanout_code(flow, producer, consumers, sized: bool, more) -> Callable:
     rows = "(changes.to_changes() if type(changes) is _CB else changes)" if columnar else "changes"
     for channel in channels:  # (to_changes() is memoized)
         ch, oid = em.bind(channel, "ch"), em.bind(channel.output_id, "id")
-        em.line(1, f"{ch}.log.tail.extend({rows})")
+        # (a live tail iterates a batch's row view; a catch-up's open
+        # run reads its vectors: ``SegmentedLog.open_run``)
+        em.line(1, f"{ch}.log.tail.extend(changes)")
         em.line(1, f"flow._touched.add({oid})")
         if flow.trace is not None and channel.output_id == flow._primary:
             em.line(1, f"flow.trace(_Event(kind='batch', ptime={rows}[-1].ptime, count="

@@ -250,20 +250,24 @@ class OutputChannel:
     def settle(self) -> None:
         """Derive the telemetry samples of ``log[settled:]``: each noted
         step's run at the watermark it left, the rest at the current
-        one.  A position below the live tail (a settle point was missed
-        before a seal) is decoded for the occasion: that may cost time,
-        never samples."""
+        one.  The samples are read off row and ptime vectors: history
+        below the live tail — a catch-up's, or a seal's that a settle
+        point missed — off its segments'
+        (:meth:`~repro.core.codec.SegmentedLog.encoded`), without
+        decoding it, and the tail off its objects."""
         log = self.log
         end = log.base + len(log.tail)
         start = self.settled
         if start < end:
-            changes = log.slice(start)
+            _, values, ptimes = log.encoded(start)
+            tail = log.tail[max(0, start - log.base):]
+            values += [change.values for change in tail]
+            ptimes += [change.ptime for change in tail]
             for stop, watermark in self.steps + [(end, self.watermarks.current)]:
                 if stop > start:
+                    run = slice(start - self.settled, stop - self.settled)
                     self._telemetry.record_emit_run(
-                        changes[start - self.settled:stop - self.settled],
-                        self.completion,
-                        watermark,
+                        values[run], ptimes[run], self.completion, watermark
                     )
                     start = stop
             self.settled = end
@@ -603,7 +607,7 @@ class Dataflow(OutputLogs):
         output_id: str,
         plan: QueryPlan,
         donor: Optional["Dataflow"] = None,
-        allow_root_share: bool = True,
+        share_root: Optional[str] = None,
     ) -> OutputChannel:
         """Graft ``plan`` onto this dataflow as a new output channel.
 
@@ -618,10 +622,11 @@ class Dataflow(OutputLogs):
         state.  The donor's own copies of the shared prefix are simply
         discarded: by determinism their state equals the resident one.
 
-        ``allow_root_share=False`` blocks sharing at the root node only
-        (used when two plans agree structurally but differ in EMIT
-        clause, so their changelogs coincide but their materialization
-        does not).
+        The root node shares only the root operator of ``share_root``,
+        an attached output the caller vouches has the same whole plan,
+        EMIT clause included; without one it is built (or transplanted)
+        like a private node.  Two plans that agree structurally but not
+        in EMIT clause have equal changelogs, not equal materializations.
         """
         if output_id in self._outputs:
             raise ExecutionError(f"output {output_id!r} is already attached")
@@ -642,12 +647,12 @@ class Dataflow(OutputLogs):
 
         # ``build`` recurses through its own argument: a closure that
         # named itself would be a reference cycle holding this flow.
+        root = None if share_root is None else self._outputs[share_root].root
+
         def build(node: LogicalNode, build) -> Operator:
             fp = fps[id(node)]
-            resident = index.get(fp)
-            if resident is not None and (
-                allow_root_share or node is not root_node
-            ):
+            resident = index.get(fp) if node is not root_node else root
+            if resident is not None:
                 return resident
             children = [build(child, build) for child in node.inputs]
             if donor is not None:

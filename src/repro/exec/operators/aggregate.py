@@ -120,8 +120,9 @@ class AggregateOperator(Operator):
     lateness cutoff inline.  :meth:`on_cols` reduces a columnar batch
     to parallel sequences of group keys, change kinds, processing times
     and one argument vector per aggregate, drops late rows, and hands
-    them to the vector entry; the two-phase combine stage feeds the
-    vector entry from its replay payloads.
+    them to the vector entry, which returns a batch over the row tuples
+    it emits; the two-phase combine stage feeds the vector entry from
+    its replay payloads and reads the batch's row view.
 
     ``select`` is the output selection of a Project the fusion pass
     absorbed (:mod:`repro.plan.pipeline`): the columns of the group's
@@ -217,8 +218,8 @@ class AggregateOperator(Operator):
     def _extract_cols(self, batch) -> tuple:
         # ``(keys, kinds, ptimes, arg_cols)``: one argument vector per
         # aggregate, all ``None`` for an argument-less one.
-        # No row tuple or Change is materialized per input; output is
-        # rows either way — aggregation is where the columnar run ends.
+        # No row tuple or Change is materialized per input; the vector
+        # entry's output is a batch over whole row tuples.
         columns = batch.columns
         n = len(batch.kinds)
         key_cols = [columns[i] for i in self._group_indices]
@@ -233,7 +234,7 @@ class AggregateOperator(Operator):
         arg_cols = [nones if i is None else columns[i] for i in self._arg_indices]
         return keys, batch.kinds, batch.ptimes, arg_cols
 
-    def on_cols(self, port: int, batch) -> list[Change]:
+    def on_cols(self, port: int, batch) -> ColumnarBatch:
         return self._fold(self, *self._drop_late(*self._extract_cols(batch)))
 
     # -- event time ------------------------------------------------------------------
@@ -297,31 +298,18 @@ class AggregateOperator(Operator):
         combine-stage deltas): drop an emptied group, otherwise re-derive
         its output row and emit retract/insert if it moved."""
         emitted = state.emitted
-        select = self._select
-        if state.row_count == 0 and not self._global:
-            if emitted is not None:
-                append(Change(
-                    ChangeKind.RETRACT,
-                    emitted if select is None else select(emitted),
-                    ptime,
-                ))
-            del self._groups[key]
-            return
-        row = key + tuple(
+        select = self._select or (lambda row: row)
+        emptied = state.row_count == 0 and not self._global
+        row = None if emptied else key + tuple(
             [agg.function.result(acc) for agg, acc in zip(self._aggs, state.accumulators)]
         )
-        if row == emitted:
-            return
-        if emitted is not None:
-            append(Change(
-                ChangeKind.RETRACT,
-                emitted if select is None else select(emitted),
-                ptime,
-            ))
-        append(Change(
-            ChangeKind.INSERT, row if select is None else select(row), ptime
-        ))
-        state.emitted = row
+        if row != emitted and emitted is not None:
+            append(Change(ChangeKind.RETRACT, select(emitted), ptime))
+        if emptied:
+            del self._groups[key]
+        elif row != emitted:
+            append(Change(ChangeKind.INSERT, select(row), ptime))
+            state.emitted = row
 
     # -- introspection ----------------------------------------------------------------
 
@@ -441,24 +429,10 @@ class PartialAggregateOperator(AggregateOperator):
         has no row order left to restore."""
         return not self.delta_mode
 
-    def __init__(
-        self,
-        schema: Schema,
-        group_indices: Sequence[int],
-        aggs: Sequence[AggCall],
-        event_time_key_positions: Sequence[int],
-        input_bounded: bool,
-        allowed_lateness: int = 0,
-        delta_mode: bool = False,
-    ):
-        super().__init__(
-            schema,
-            group_indices,
-            aggs,
-            event_time_key_positions,
-            input_bounded,
-            allowed_lateness,
-        )
+    def __init__(self, *args, delta_mode: bool = False, **kwargs):
+        # (the aggregate's arguments; an absorbed selection never
+        # reaches a partial stage)
+        super().__init__(*args, **kwargs)
         if not self._group_indices:
             raise ExecutionError(
                 "partial aggregation requires group keys; global "
@@ -643,26 +617,8 @@ class CombineAggregateOperator(AggregateOperator):
     #: The leaf of a merge plan's flow, fed payloads under this name.
     source_name = PARTIALS
 
-    def __init__(
-        self,
-        schema: Schema,
-        group_indices: Sequence[int],
-        aggs: Sequence[AggCall],
-        event_time_key_positions: Sequence[int],
-        input_bounded: bool,
-        allowed_lateness: int = 0,
-        select: Optional[Sequence[int]] = None,
-    ):
-        super().__init__(
-            schema,
-            group_indices,
-            aggs,
-            event_time_key_positions,
-            input_bounded,
-            allowed_lateness,
-            select,
-        )
-        self._agg_rows_in = 0
+    #: rows the partial payloads stood for (a restore sets it)
+    _agg_rows_in = 0
 
     # -- data path ---------------------------------------------------------------
 
@@ -697,7 +653,7 @@ class CombineAggregateOperator(AggregateOperator):
             [insert if sign > 0 else retract for sign in signs],
             [ptime] * len(keys),
             list(zip(*vals)),
-        )
+        ).to_changes()
 
     def _apply_deltas(
         self, entries: tuple, ptime: Timestamp, out: list[Change]

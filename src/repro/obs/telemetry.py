@@ -54,11 +54,14 @@ class RunTelemetry:
 
     def record_emit_run(
         self,
-        changes: Sequence,
+        rows: Sequence[tuple],
+        ptimes: Sequence[Timestamp],
         completion: Optional[Sequence[int]],
         root_watermark: Timestamp,
     ) -> None:
-        """Record a run of root changes emitted at one watermark state.
+        """Record a run of root changes emitted at one watermark state,
+        given as their parallel row and ptime vectors (a changelog's
+        at-rest form: no ``Change`` is needed).
 
         One emit-latency sample per change whose row carries a finite
         event-time completion bound (the max over ``completion``, the
@@ -77,23 +80,22 @@ class RunTelemetry:
                 (ci,) = completion
                 lo, hi = MIN_TIMESTAMP, MAX_TIMESTAMP
                 lat_append = latencies.append
-                for change in changes:
-                    bound = change.values[ci]
+                for row, ptime in zip(rows, ptimes):
+                    bound = row[ci]
                     if isinstance(bound, int) and lo < bound < hi:
-                        latency = change.ptime - bound
+                        latency = ptime - bound
                         if latency < 0:
                             early += 1
                         lat_append(latency)
             else:
-                for change in changes:
-                    values = change.values
+                for row, ptime in zip(rows, ptimes):
                     bound = None
                     for i in completion:
-                        v = values[i]
+                        v = row[i]
                         if isinstance(v, int) and (bound is None or v > bound):
                             bound = v
                     if bound is not None and _is_finite(bound):
-                        latency = change.ptime - bound
+                        latency = ptime - bound
                         if latency < 0:
                             early += 1
                         latencies.append(latency)
@@ -103,7 +105,7 @@ class RunTelemetry:
         if _is_finite(root_watermark):
             # (a burst shares its instant: few distinct lags to tally)
             self.watermark_lag.observe_many(
-                [c.ptime - root_watermark for c in changes]
+                [ptime - root_watermark for ptime in ptimes]
             )
 
     # -- merging ---------------------------------------------------------------

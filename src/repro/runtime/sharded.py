@@ -410,7 +410,7 @@ class ShardedDataflow(OutputLogs):
         output_id: str,
         plan,
         donor: Optional["ShardedDataflow"] = None,
-        allow_root_share: bool = True,
+        share_root: Optional[str] = None,
     ):
         """Graft ``plan`` onto every shard as a new output channel.
 
@@ -418,8 +418,10 @@ class ShardedDataflow(OutputLogs):
         shard count built over the *same* partition spec — rows must
         co-locate identically for shard-local shared state to stay
         byte-equal to the unshared run.  Shard *i* transplants from the
-        donor's shard *i*; the merge layer takes over the donor's
-        primary merged changelog and frontier.
+        donor's shard *i*, and shares the root of its own copy of
+        ``share_root`` (see :meth:`Dataflow.attach_output`); the merge
+        layer takes over the donor's primary merged changelog and
+        frontier.
         """
         if output_id in self._outputs:
             raise ExecutionError(f"output {output_id!r} is already attached")
@@ -450,7 +452,7 @@ class ShardedDataflow(OutputLogs):
                 output_id,
                 split.shard_plan if split is not None else plan,
                 donor=donor._shards[index] if donor is not None else None,
-                allow_root_share=allow_root_share,
+                share_root=share_root,
             )
         # The donor's combine flow carries the global per-group
         # accumulators matching the transplanted shard state.

@@ -342,13 +342,16 @@ class _FlowRecord:
         #: attachment order; the first names the checkpoint blob.
         self.members: dict[str, Optional[str]] = {}
 
-    def fingerprints(self, queries: dict) -> Iterable[str]:
-        """The members' plan fingerprints: a resumed member's is taken
-        the first time a joiner asks, not by the resume."""
-        for member, fingerprint in self.members.items():
-            if fingerprint is None:
-                self.members[member] = plan_fingerprint(queries[member].plan)
-        return self.members.values()
+    def vouching(self, fingerprint: str, queries: dict) -> Optional[str]:
+        """The first member whose plan fingerprint is ``fingerprint``, or
+        ``None``: a resumed member's is taken the first time a joiner
+        asks, not by the resume."""
+        for member, known in self.members.items():
+            if known is None:
+                known = self.members[member] = plan_fingerprint(queries[member].plan)
+            if known == fingerprint:
+                return member
+        return None
 
 
 class SharedPlanCache:
@@ -551,14 +554,15 @@ class SessionManager:
             # transplanted into the host flow.
             donor = self._build_flow([(query_id, optimized)], effective)
             self._catch_up(donor)
-            # Root-level sharing is only sound when some member's whole
-            # plan (root fingerprint + EMIT clause) coincides; otherwise
-            # equal changelogs could hide differing materialization.
+            # Root-level sharing is only sound with a member whose whole
+            # plan (root fingerprint + EMIT clause) coincides — and with
+            # that member's root; otherwise equal changelogs could hide
+            # differing materialization.
             host.flow.attach_output(
                 query_id,
                 optimized,
                 donor=donor,
-                allow_root_share=fingerprint in host.fingerprints(self._queries),
+                share_root=host.vouching(fingerprint, self._queries),
             )
             flow, record = host.flow, host
         else:
@@ -642,9 +646,22 @@ class SessionManager:
     def _catch_up(self, flow) -> None:
         """Replay everything the sources have recorded into ``flow``,
         off the engine's prepared history: late joiners in a row with no
-        event between them merge and group it once."""
+        event between them merge and group it once.
+
+        The history is behind the joiner's cursor, never delivered, so a
+        serial flow's outputs take it in the codec's at-rest form: each
+        log holds an open run while the replay lasts (a vector fold's
+        batch goes in as its vectors, no ``Change`` built) and seals it
+        as one segment at its end."""
+        logs = () if isinstance(flow, ShardedDataflow) else [
+            channel.log for channel in flow._outputs.values()
+        ]
+        for log in logs:
+            log.open_run()
         for _ in flow.replay():
             pass
+        for log in logs:
+            log.seal()
 
     @staticmethod
     def _flow_parallelism(flow) -> int:

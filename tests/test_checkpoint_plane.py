@@ -853,14 +853,17 @@ class TestWhenAFullCutIsWritten:
         first = svc.session.queries()[0].query_id
         svc.checkpoint(str(tmp_path))
         late = svc.submit("t", KEYED_MAX).query_id  # grafts on, catches up
+        caught_up = svc.session.get(late).flow.output_size_of(late)
         for event in events[40:80]:
             svc.ingest(event, "L")
         svc.checkpoint(str(tmp_path))
         by_id = {q["query_id"]: q["log"] for q in manifest_of(tmp_path)["queries"]}
         assert by_id[first]["segments"] == 2
-        # the whole catch-up history is the newcomer's first segment
-        assert by_id[late]["segments"] == 1
-        assert by_id[late]["items"] == svc.session.get(late).flow.output_size_of(late)
+        # the whole catch-up history is the newcomer's first segment (the
+        # catch-up sealed it), what it published since is its second
+        size = svc.session.get(late).flow.output_size_of(late)
+        assert frame_items(tmp_path, by_id[late]) == [caught_up, size - caught_up]
+        assert by_id[late]["items"] == size
         svc.withdraw(first)
         svc.checkpoint(str(tmp_path))
         assert [q["query_id"] for q in manifest_of(tmp_path)["queries"]] == [late]
@@ -877,12 +880,14 @@ class TestWhenAFullCutIsWritten:
             svc.ingest(event, "L")
         svc.checkpoint(str(tmp_path))
         svc.withdraw("mine")
-        svc.submit("t", KEYED_MAX, query_id="mine")
+        caught_up = svc.submit("t", KEYED_MAX, query_id="mine").cursor
         for event in events[40:80]:
             svc.ingest(event, "L")
         svc.checkpoint(str(tmp_path))
         (spec,) = manifest_of(tmp_path)["queries"]
-        assert spec["log"]["segments"] == 1
+        # the new query's catch-up history, then what it published since
+        size = svc.session.get("mine").flow.output_size_of("mine")
+        assert frame_items(tmp_path, spec["log"]) == [caught_up, size - caught_up]
         assert spec["log"]["file"] == "logs/out-mine.2.log"
         assert publishes_the_same(
             svc, resumed_from(tmp_path), events[80:], "L"

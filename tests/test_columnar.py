@@ -582,7 +582,8 @@ def _deliver_rows(op, rows):
 
 
 def _deliver_columns(op, rows):
-    return op.on_cols(0, ColumnarBatch.from_changes(rows, len(_AGG_INPUT)))
+    # (the vector entry returns a batch over its rows: read its row view)
+    return op.on_cols(0, ColumnarBatch.from_changes(rows, len(_AGG_INPUT))).to_changes()
 
 
 @pytest.mark.parametrize("lateness", [0, 15])

@@ -123,8 +123,11 @@ def build(config, queries, observers=False, sharded=False):
     eng.register_stream("S", TimeVaryingRelation(SCHEMA, EVENTS))
     first = eng.query(queries[0])
     flow = first.sharded_dataflow() if sharded else first.dataflow()
+    ids = [flow.output_ids()[0]] + [f"q{n}" for n in range(1, len(queries))]
     for n, sql in enumerate(queries[1:], 1):
-        flow.attach_output(f"q{n}", eng.query(sql).plan)
+        twin = queries.index(sql)  # an earlier output of the same plan: share its root
+        flow.attach_output(ids[n], eng.query(sql).plan,
+                           share_root=ids[twin] if twin < n else None)
     if observers:
         observe(flow)
     return eng, flow
@@ -271,6 +274,7 @@ def test_graft_withdraw_then_checkpoint_and_restore(observers):
             flow.attach_output(f"q{n}", each.query(sql).plan)
     lockstep(flows, events[cuts[1]: cuts[2]])
     for flow in flows:  # withdraw a root-sharing twin and a private chain
+        assert flow._outputs["q2"].root is flow._outputs["q1"].root
         assert flow.remove_output("q2") and flow.remove_output("q4")
     lockstep(flows, events[cuts[2]: cuts[3]])
     restored = []

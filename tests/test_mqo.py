@@ -467,6 +467,7 @@ class TestFingerprintBookkeeping:
         resident = again.flow.resident_operator_count()
         aliased = svc.submit("dave", Q_SUM_ALIASED)  # ``again``'s whole plan
         assert again.flow.resident_operator_count() == resident  # root shared
+        assert root_of(aliased) is root_of(again)  # with the member that vouched
         for event in events[30:]:
             svc.ingest(event, "S")
         for query, sql in ((again, Q_SUM), (aliased, Q_SUM_ALIASED),

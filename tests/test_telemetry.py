@@ -237,9 +237,10 @@ def test_telemetry_survives_checkpoint():
 
 def test_run_telemetry_merge():
     a, b = RunTelemetry(), RunTelemetry()
-    # (one change each; the row's only column is its completion bound)
-    a.record_emit_run([ins(1000, (400,)).change], (0,), root_watermark=300)
-    b.record_emit_run([ins(2000, (2500,)).change], (0,), root_watermark=1500)
+    # (one change each, as its row and ptime vectors; the row's only
+    # column is its completion bound)
+    a.record_emit_run([(400,)], [1000], (0,), root_watermark=300)
+    b.record_emit_run([(2500,)], [2000], (0,), root_watermark=1500)
     merged = RunTelemetry.merged([a, b])
     assert merged.emit_latency.count == 2
     assert merged.early_emits == 1  # b emitted before its completion time

@@ -21,7 +21,7 @@ import pytest
 from repro import ExecutionConfig, StreamEngine
 from repro.core.schema import Schema, int_col, timestamp_col
 from repro.core.tvr import TimeVaryingRelation, ins, rm, wm
-from repro.core.codec import SegmentedLog
+from repro.core.codec import OpenRun, SegmentedLog, encode_changes
 from repro.exec.executor import OutputChannel, merge_source_events
 from repro.obs.telemetry import RunTelemetry
 from repro.service import StandingQueryService
@@ -74,7 +74,8 @@ class Eager:
     The engine delivers through its own generated fan-outs; the notes
     are taken where a batch lands: every log's live tail is a list
     whose ``extend`` notes the batch for the channel that reads the log
-    (channels take every log through ``OutputChannel.adopt``), not
+    (channels take every log through ``OutputChannel.adopt``), and a
+    catch-up's open run notes what it takes and keeps it encoded — not
     derived from the steps the engine's settle path reads."""
 
     def __init__(self, monkeypatch):
@@ -83,25 +84,41 @@ class Eager:
         readers: dict[int, tuple] = {}  # id(log) -> (log, the channel reading it)
         by_log = self.by_log
 
+        def note(tail, rows) -> None:
+            """Note ``rows`` (changes, or a columnar batch) landing in
+            ``tail``, as their row and ptime vectors."""
+            log, channel = readers.get(id(tail.log), (None, None))
+            if log is tail.log:
+                _, values, ptimes = encode_changes(rows)
+                _, notes = by_log.setdefault(id(log), (log, []))
+                notes.append((
+                    list(values), list(ptimes),
+                    channel.completion, channel.watermarks.current,
+                ))
+
         class NotingTail(list):
             __slots__ = ("log",)
 
             def extend(self, rows):
-                log, channel = readers.get(id(self.log), (None, None))
-                if log is self.log:
-                    _, notes = by_log.setdefault(id(self.log), (self.log, []))
-                    notes.append(
-                        (list(rows), channel.completion, channel.watermarks.current)
-                    )
+                note(self, rows)
                 list.extend(self, rows)
 
             def __reduce__(self):  # ships (to a forked shard) as a list
                 return list, (list(self),)
 
+        class NotingRun(OpenRun):
+            """A catch-up's open run, noted and still kept encoded."""
+
+            __slots__ = ("log",)
+
+            def extend(self, rows):
+                note(self, rows)
+                OpenRun.extend(self, rows)
+
         slot = SegmentedLog.tail
 
         def set_tail(log, rows):
-            tail = NotingTail(rows)
+            tail = NotingRun() if isinstance(rows, OpenRun) else NotingTail(rows)
             tail.log = log
             slot.__set__(log, tail)
 
@@ -228,13 +245,17 @@ def test_cut_then_resume(eager, records, batch_size):
         assert expected.snapshot() == eager.of(whole).snapshot()
 
 
-def test_late_joiner_graft(eager, records):
+@pytest.mark.parametrize("batch_size", [1, 64])
+def test_late_joiner_graft(eager, records, batch_size):
     """A late joiner grafts onto a resident flow with the history its
-    donor replayed: the donor's samples are owed when they are adopted,
-    and so are the grafted output's later ones, until read."""
+    donor replayed — born encoded, columnar at batch size 64: the
+    donor's samples are owed when they are adopted, and so are the
+    grafted output's later ones, until read."""
     events = generated(SEEDS[2])
     merged = merge_source_events({"S": TimeVaryingRelation(SCHEMA, events)})
-    svc = StandingQueryService(config=ExecutionConfig(share_plans=True))
+    svc = StandingQueryService(
+        config=ExecutionConfig(share_plans=True, batch_size=batch_size)
+    )
     svc.register_stream("S", TimeVaryingRelation(SCHEMA))
     first = svc.submit("t", SQL + " EMIT STREAM").query_id
     for event, source in merged[: len(merged) // 2]:
@@ -243,6 +264,7 @@ def test_late_joiner_graft(eager, records):
     late = svc.submit("t", late_sql).query_id
     queries = {q.query_id: q for q in svc.session._queries.values()}
     assert queries[first].flow is queries[late].flow  # grafted
+    assert queries[late].describe()["history"]["live"] == 0
     records.clear()
     for event, source in merged[len(merged) // 2:]:
         svc.ingest(event, source)
