@@ -70,10 +70,9 @@ from .core import (
     timestamp_col,
     wm,
 )
-from .config import ExecutionConfig
+from .config import ExecutionConfig, RetryPolicy
 from .engine import PreparedQuery, StreamEngine
 from .exec import DeltaChange, StateReport, StreamChange
-from .explain import EXPLAIN_MODES, parse_explain, render_explain
 from .io import format_script, parse_script
 from .obs import (
     Histogram,
@@ -91,8 +90,13 @@ from .plan.physical import (
     plan_physical,
     split_eligibility,
 )
-from .runtime.faults import FaultPlan, FaultSpec
-from .runtime.supervisor import RetryPolicy
+from .lazy import lazy_exports
+
+# (EXPLAIN and the fault harness load when first asked for)
+__getattr__ = lazy_exports(__name__, {
+    ".explain": "EXPLAIN_MODES parse_explain render_explain",
+    ".runtime.faults": "FaultPlan FaultSpec",
+})
 
 __version__ = "4.0.0"
 

@@ -27,16 +27,12 @@ Clients speak the line-JSON protocol of
 """
 
 import argparse
-import asyncio
 import json
 import sys
+from dataclasses import fields
 from typing import Optional
 
-from .config import ExecutionConfig
-from .engine import StreamEngine
-from .runtime.faults import FAULT_KINDS
-from .runtime.supervisor import RetryPolicy
-from .shell import Shell
+from .config import FAULT_KINDS, ExecutionConfig, RetryPolicy
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
@@ -210,49 +206,19 @@ def build_serve_parser() -> argparse.ArgumentParser:
 
 
 def build_config(args: argparse.Namespace) -> ExecutionConfig:
-    """Translate parsed CLI flags into the engine-layer ExecutionConfig."""
-    retry = None
-    if (
-        args.max_restarts is not None
-        or args.backoff_base_ms is not None
-        or args.checkpoint_interval is not None
-    ):
-        defaults = RetryPolicy()
-        retry = RetryPolicy(
-            max_restarts=(
-                args.max_restarts
-                if args.max_restarts is not None
-                else defaults.max_restarts
-            ),
-            backoff_base_ms=(
-                args.backoff_base_ms
-                if args.backoff_base_ms is not None
-                else defaults.backoff_base_ms
-            ),
-            checkpoint_interval=(
-                args.checkpoint_interval
-                if args.checkpoint_interval is not None
-                else defaults.checkpoint_interval
-            ),
-        )
-    return ExecutionConfig(
-        parallelism=args.parallelism,
-        backend=args.backend,
-        telemetry=args.telemetry,
-        allowed_lateness=args.allowed_lateness,
-        retry=retry,
-        fault_plan=args.fault_plan,
-        batch_size=args.batch_size,
-        coalesce_updates=args.coalesce_updates,
-        two_phase=args.two_phase,
-        columnar=args.columnar,
-        queue_capacity=getattr(args, "queue_capacity", None),
-        subscriber_capacity=getattr(args, "subscriber_capacity", None),
-        checkpoint_dir=getattr(args, "checkpoint_dir", None),
-        share_plans=getattr(args, "share_plans", None),
-        slow_query_p99_ms=args.slow_query_p99_ms,
-        slow_query_depth=args.slow_query_depth,
-    )
+    """Translate parsed CLI flags into the engine-layer ExecutionConfig:
+    each flag sets the field of its name (a serve-only field stays unset
+    in shell mode), and the restart flags given build ``retry``."""
+    values = {
+        spec.name: getattr(args, spec.name, None) for spec in fields(ExecutionConfig)
+    }
+    restarts = {
+        name: getattr(args, name)
+        for name in ("max_restarts", "backoff_base_ms", "checkpoint_interval")
+        if getattr(args, name) is not None
+    }
+    values["retry"] = RetryPolicy(**restarts) if restarts else None
+    return ExecutionConfig(**values)
 
 
 def _split_spec(spec: str, flag: str) -> tuple[str, str]:
@@ -262,17 +228,23 @@ def _split_spec(spec: str, flag: str) -> tuple[str, str]:
     return name, path
 
 
+def _address(text: str, error: str) -> tuple[str, int]:
+    """``HOST:PORT`` as ``(host, port)``, an empty host meaning
+    127.0.0.1; a port that is not a number exits with ``error``."""
+    host, _, port = text.rpartition(":")
+    try:
+        return host or "127.0.0.1", int(port)
+    except ValueError:
+        raise SystemExit(error)
+
+
 def _split_listen_source(spec: str) -> tuple[str, str, int]:
     """Parse a ``--listen-source NAME=HOST:PORT`` spec."""
+    error = f"--listen-source expects NAME=HOST:PORT, got {spec!r}"
     if "=" not in spec:
-        raise SystemExit(f"--listen-source expects NAME=HOST:PORT, got {spec!r}")
+        raise SystemExit(error)
     name, address = spec.split("=", 1)
-    host, _, port = address.rpartition(":")
-    try:
-        port_number = int(port)
-    except ValueError:
-        raise SystemExit(f"--listen-source expects NAME=HOST:PORT, got {spec!r}")
-    return name, host or "127.0.0.1", port_number
+    return (name, *_address(address, error))
 
 
 def _register_recorded(service, name: str, path: str) -> int:
@@ -341,6 +313,8 @@ def _load_policies(path: str):
 
 
 def serve_main(argv=None) -> None:
+    import asyncio
+
     from .service import StandingQueryService, run_service
 
     args = build_serve_parser().parse_args(argv)
@@ -368,8 +342,8 @@ def serve_main(argv=None) -> None:
         tails[name] = path
     sockets: dict[str, tuple[str, int]] = {}
     for spec in args.listen_source:
-        name, src_host, src_port = _split_listen_source(spec)
-        sockets[name] = (src_host, src_port)
+        name, *address = _split_listen_source(spec)
+        sockets[name] = tuple(address)
     restored = service.resume()
     if restored:
         print(f"resumed {restored} standing queries from checkpoint")
@@ -379,32 +353,33 @@ def serve_main(argv=None) -> None:
                 f"--listen-source {name}: source is not registered; "
                 f"supply --source/--tail or a checkpoint that records it"
             )
-    host, _, port = args.listen.rpartition(":")
-    try:
-        port_number = int(port)
-    except ValueError:
-        raise SystemExit(f"--listen expects HOST:PORT, got {args.listen!r}")
+    host, port = _address(
+        args.listen, f"--listen expects HOST:PORT, got {args.listen!r}"
+    )
     http: Optional[tuple[str, int]] = None
     if args.metrics is not None:
-        http_host, _, http_port = args.metrics.rpartition(":")
-        try:
-            http = (http_host or "127.0.0.1", int(http_port))
-        except ValueError:
-            raise SystemExit(
-                f"--metrics expects HOST:PORT, got {args.metrics!r}"
-            )
-    print(f"listening on {host or '127.0.0.1'}:{port_number}")
-    if http is not None:
-        print(f"serving /metrics and /healthz on {http[0]}:{http[1]}")
-    for name, (src_host, src_port) in sockets.items():
-        print(f"accepting {name} events on {src_host}:{src_port}")
+        http = _address(
+            args.metrics, f"--metrics expects HOST:PORT, got {args.metrics!r}"
+        )
+
+    def announce(server) -> None:
+        """Say where the server listens, once it does (a port of 0 is
+        the one the system picked)."""
+        print("listening on {}:{}".format(*server.address))
+        if server.http is not None:
+            http_host, http_port = server.http.address
+            print(f"serving /metrics and /healthz on {http_host}:{http_port}")
+        for name, (src_host, src_port) in sockets.items():
+            print(f"accepting {name} events on {src_host}:{src_port}")
+        sys.stdout.flush()
 
     async def drive():
         server = await run_service(
-            service, host or "127.0.0.1", port_number, tails,
+            service, host, port, tails,
             sockets=sockets,
             http=http,
             follow=not args.once,
+            ready=announce,
         )
         if args.once:
             print(service.scrape(), end="")
@@ -423,8 +398,10 @@ def main(argv=None) -> None:
         serve_main(argv[1:])
         return
     args = build_parser().parse_args(argv)
-    engine = StreamEngine(config=build_config(args))
-    Shell(engine).run()
+    from .engine import StreamEngine
+    from .shell import Shell
+
+    Shell(StreamEngine(config=build_config(args))).run()
 
 
 if __name__ == "__main__":

@@ -26,14 +26,70 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, fields
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-from .core.errors import ValidationError
-from .runtime.backends import BACKENDS
-from .runtime.faults import FaultPlan
-from .runtime.supervisor import RetryPolicy
+from .core.errors import ExecutionError, ValidationError
 
-__all__ = ["ExecutionConfig", "EXECUTION_DEFAULTS", "RetryPolicy", "FaultPlan"]
+if TYPE_CHECKING:
+    from .runtime.faults import FaultPlan
+
+__all__ = [
+    "ExecutionConfig", "EXECUTION_DEFAULTS", "BACKENDS", "FAULT_KINDS", "RetryPolicy",
+]
+
+#: The shard drivers ``backend`` may name (see :mod:`repro.runtime.backends`).
+BACKENDS = ("sync", "processes")
+#: The fault kinds a ``fault_plan`` spec may name (see
+#: :mod:`repro.runtime.faults`, which loads only when a plan is given).
+FAULT_KINDS = (
+    "crash-before-batch",
+    "crash-after-checkpoint",
+    "slow-shard",
+    "poison-row",
+)
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """How a shard supervisor restarts failed workers.
+
+    * ``max_restarts`` — restarts allowed per shard before the failure
+      propagates (the bounded retry budget).
+    * ``backoff_base_ms`` / ``backoff_factor`` / ``backoff_cap_ms`` —
+      exponential backoff between attempts: restart *n* waits
+      ``base * factor**(n-1)`` ms, capped.  The default base of 0
+      disables sleeping entirely, which keeps tests and CI
+      deterministic; production configs set a real base.
+    * ``checkpoint_interval`` — events between shard checkpoints.  0
+      (the default) takes no mid-run checkpoints, so recovery replays
+      the shard's input from the beginning; a positive interval bounds
+      the replay tail at the cost of periodic state snapshots.
+    """
+
+    max_restarts: int = 2
+    backoff_base_ms: int = 0
+    backoff_factor: float = 2.0
+    backoff_cap_ms: int = 5_000
+    checkpoint_interval: int = 0
+
+    def __post_init__(self) -> None:
+        if self.max_restarts < 0:
+            raise ExecutionError("max_restarts must be >= 0")
+        if self.backoff_base_ms < 0:
+            raise ExecutionError("backoff_base_ms must be >= 0")
+        if self.backoff_factor < 1.0:
+            raise ExecutionError("backoff_factor must be >= 1.0")
+        if self.backoff_cap_ms < 0:
+            raise ExecutionError("backoff_cap_ms must be >= 0")
+        if self.checkpoint_interval < 0:
+            raise ExecutionError("checkpoint_interval must be >= 0")
+
+    def delay_ms(self, restart_number: int) -> float:
+        """Backoff before restart ``restart_number`` (1-based), in ms."""
+        if self.backoff_base_ms == 0:
+            return 0.0
+        delay = self.backoff_base_ms * self.backoff_factor ** (restart_number - 1)
+        return min(delay, float(self.backoff_cap_ms))
 
 
 #: The bottom layer of the precedence chain: what an unset field means.
@@ -77,7 +133,7 @@ class ExecutionConfig:
     * ``allowed_lateness`` — milliseconds of per-group state retention
       past the watermark, so late rows update results instead of being
       dropped.
-    * ``retry`` — the :class:`~repro.runtime.supervisor.RetryPolicy`
+    * ``retry`` — the :class:`RetryPolicy`
       governing supervised shard restarts (budget, backoff, checkpoint
       interval).
     * ``fault_plan`` — a :class:`~repro.runtime.faults.FaultPlan` (or
@@ -160,6 +216,8 @@ class ExecutionConfig:
 
     def __post_init__(self) -> None:
         if isinstance(self.fault_plan, str):
+            from .runtime.faults import FaultPlan
+
             object.__setattr__(self, "fault_plan", FaultPlan.parse(self.fault_plan))
         self.validate()
 
@@ -208,13 +266,14 @@ class ExecutionConfig:
             raise ValidationError(
                 f"retry must be a RetryPolicy, got {self.retry!r}"
             )
-        if self.fault_plan is not None and not isinstance(
-            self.fault_plan, FaultPlan
-        ):
-            raise ValidationError(
-                f"fault_plan must be a FaultPlan or spec string, "
-                f"got {self.fault_plan!r}"
-            )
+        if self.fault_plan is not None:
+            from .runtime.faults import FaultPlan
+
+            if not isinstance(self.fault_plan, FaultPlan):
+                raise ValidationError(
+                    f"fault_plan must be a FaultPlan or spec string, "
+                    f"got {self.fault_plan!r}"
+                )
         if self.batch_size is not None and self.batch_size < 1:
             raise ValidationError("batch_size must be at least 1")
         if self.two_phase is not None and self.two_phase not in (

@@ -22,7 +22,7 @@ accepted at three layers with *call-site > engine > defaults* precedence::
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 from .config import ExecutionConfig, warn_coalesce_emit_stream
 from .core.emit import EmitSpec
@@ -33,7 +33,6 @@ from .core.times import MAX_TIMESTAMP, Timestamp, t
 from .core.tvr import TimeVaryingRelation
 from .exec.executor import Dataflow, RunResult
 from .exec.history import RecordedSources
-from .explain import render_explain
 from .exec.materialize import (
     DeltaChange,
     StreamChange,
@@ -49,8 +48,10 @@ from .plan.partition import PartitionDecision, analyze_partitioning
 from .plan.physical import PhysicalDecision, plan_physical
 from .plan.planner import Catalog, Planner, QueryPlan
 from .runtime.build import build_flow
-from .runtime.sharded import ShardedDataflow
 from .sql.functions import FunctionRegistry, default_registry
+
+if TYPE_CHECKING:
+    from .runtime.sharded import ShardedDataflow
 
 __all__ = ["StreamEngine", "PreparedQuery"]
 
@@ -265,6 +266,8 @@ class PreparedQuery:
 
     def explain(self, mode: str = "logical", verbose: bool = False) -> str:
         """One rendered explain ``mode`` (see :data:`repro.explain.EXPLAIN_MODES`)."""
+        from .explain import render_explain  # (loads on the first EXPLAIN)
+
         return render_explain(self, mode=mode, verbose=verbose)
 
     def metrics(self):

@@ -1,6 +1,7 @@
 """Translate logical plan nodes into physical operators, one at a time:
 ``Dataflow`` builds and wires its operators node by node through
-:func:`build_operator`, so resident subplans can be shared."""
+:func:`build_operator`, so resident subplans can be shared.  An operator
+few flows need is imported in the branch that builds it."""
 
 from __future__ import annotations
 
@@ -38,11 +39,6 @@ from .operators.aggregate import (
     PartialAggregateOperator,
 )
 from .operators.base import Operator
-from .operators.join import JoinOperator, TimeBound
-from .operators.outer_join import OuterJoinOperator
-from .operators.semi_join import SemiJoinOperator
-from .operators.session import SessionOperator
-from .operators.setop import SetOpOperator
 from .operators.stateless import (
     FilterOperator,
     ProjectOperator,
@@ -50,11 +46,7 @@ from .operators.stateless import (
     SortOperator,
     UnionOperator,
 )
-from .operators.match import MatchRecognizeOperator
-from .operators.over import OverOperator
 from .operators.pipeline import PipelineOperator
-from .operators.temporal import TemporalFilterOperator
-from .operators.temporal_join import TemporalJoinOperator
 from .operators.window import HopOperator, TumbleOperator
 
 __all__ = [
@@ -137,6 +129,8 @@ def build_operator(
             node.schema, len(node.input.schema), node.steps
         )
     if isinstance(node, TemporalFilterNode):
+        from .operators.temporal import TemporalFilterOperator
+
         return TemporalFilterOperator(node.schema, node.bounds)
     if isinstance(node, ProjectNode):
         return ProjectOperator(node.schema, [rex.compile_rex(e) for e in node.exprs])
@@ -148,6 +142,8 @@ def build_operator(
             return HopOperator(
                 node.schema, node.timecol, node.size, node.slide, node.offset
             )
+        from .operators.session import SessionOperator
+
         return SessionOperator(
             node.schema,
             node.timecol,
@@ -183,6 +179,8 @@ def build_operator(
             select=node.select,
         )
     if isinstance(node, OverNode):
+        from .operators.over import OverOperator
+
         return OverOperator(
             node.schema,
             node.partition_indices,
@@ -191,6 +189,8 @@ def build_operator(
             node.frame_rows,
         )
     if isinstance(node, MatchRecognizeNode):
+        from .operators.match import MatchRecognizeOperator
+
         return MatchRecognizeOperator(
             node.schema,
             node.partition_indices,
@@ -201,6 +201,8 @@ def build_operator(
             node.after_match,
         )
     if isinstance(node, TemporalJoinNode):
+        from .operators.temporal_join import TemporalJoinOperator
+
         return TemporalJoinOperator(
             node.schema,
             node.left_time_index,
@@ -215,6 +217,8 @@ def build_operator(
         if condition is not None:
             condition = rex.compile_rex(condition)
         if outer:
+            from .operators.outer_join import OuterJoinOperator
+
             return OuterJoinOperator(
                 node.schema,
                 left_width=len(node.left.schema),
@@ -226,6 +230,8 @@ def build_operator(
             )
         if node.kind not in (JoinKind.INNER, JoinKind.CROSS):
             raise PlanError(f"{node.kind.value} JOIN execution is not supported yet")
+        from .operators.join import JoinOperator, TimeBound
+
         left_bound = (
             TimeBound(node.expire_left[0], node.expire_left[1] + lateness)
             if node.expire_left is not None
@@ -246,12 +252,16 @@ def build_operator(
             right_bound=right_bound,
         )
     if isinstance(node, SemiJoinNode):
+        from .operators.semi_join import SemiJoinOperator
+
         return SemiJoinOperator(
             node.schema,
             probe=rex.compile_rex(node.left_expr),
             negated=node.negated,
         )
     if isinstance(node, SetOpNode):
+        from .operators.setop import SetOpOperator
+
         return SetOpOperator(node.schema, node.op, node.all)
     if isinstance(node, UnionNode):
         return UnionOperator(node.schema, arity=len(node.inputs))

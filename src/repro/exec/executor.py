@@ -288,6 +288,8 @@ class OutputLogs:
 
     _outputs: dict
     _touched: set
+    #: the flow kind, readable without importing the shard runtime
+    sharded = False
 
     def replay(self, events=None, until: Optional[Timestamp] = None) -> Iterator[int]:
         """Deliver ``events`` — by default the recorded history up to

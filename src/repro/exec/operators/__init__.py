@@ -1,23 +1,23 @@
 """Physical operators over changelogs."""
 
-from .aggregate import AggregateOperator
-from .base import Operator
-from .join import JoinOperator, TimeBound
-from .match import MatchRecognizeOperator
-from .outer_join import LeftJoinOperator, OuterJoinOperator
-from .over import OverOperator
-from .semi_join import SemiJoinOperator
-from .session import SessionOperator
-from .stateless import (
-    FilterOperator,
-    ProjectOperator,
-    ScanOperator,
-    SortOperator,
-    UnionOperator,
-)
-from .temporal import TemporalFilterOperator
-from .temporal_join import TemporalJoinOperator
-from .window import HopOperator, TumbleOperator, hop_windows
+from ...lazy import lazy_exports
+
+# (an operator's module loads when the first flow needing it is built)
+__getattr__ = lazy_exports(__name__, {
+    ".aggregate": "AggregateOperator",
+    ".base": "Operator",
+    ".join": "JoinOperator TimeBound",
+    ".match": "MatchRecognizeOperator",
+    ".outer_join": "LeftJoinOperator OuterJoinOperator",
+    ".over": "OverOperator",
+    ".semi_join": "SemiJoinOperator",
+    ".session": "SessionOperator",
+    ".stateless": "FilterOperator ProjectOperator ScanOperator SortOperator "
+                  "UnionOperator",
+    ".temporal": "TemporalFilterOperator",
+    ".temporal_join": "TemporalJoinOperator",
+    ".window": "HopOperator TumbleOperator hop_windows",
+})
 
 __all__ = [
     "Operator",

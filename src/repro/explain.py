@@ -35,7 +35,6 @@ from typing import Optional
 from .core.errors import ValidationError
 from .plan.physical import MIN_COMBINE_FANIN
 from .plan.pipeline import PipelineNode
-from .runtime.sharded import ShardedDataflow
 
 __all__ = ["EXPLAIN_MODES", "parse_explain", "render_explain"]
 
@@ -130,7 +129,7 @@ def _runs_line(flow) -> str:
     sharded flow's shares (``ShardedDataflow.run_split_reason``), a
     serial flow's span (``Dataflow.run_span_reason``)."""
     # (the shape when nothing forces another, and the one a reason forces)
-    if isinstance(flow, ShardedDataflow):
+    if flow.sharded:
         decide = flow.run_split_reason
         free = "per instant, sequence-tagged"
         forced = "split at sequence gaps"
@@ -146,7 +145,7 @@ def _runs_line(flow) -> str:
 
 def _physical_section(query, flow, verbose: bool) -> str:
     physical = query.physical_decision()
-    sharded = isinstance(flow, ShardedDataflow)
+    sharded = flow.sharded
     split = flow.splits.get("main") if sharded else None
     if split is None:
         text = f"Physical: single-phase — {physical.reason}"
@@ -182,7 +181,7 @@ def _columnar_section(query, flow) -> str:
     """
     effective = query._effective()
     combine = None
-    if isinstance(flow, ShardedDataflow):
+    if flow.sharded:
         sharded, flow = flow, flow.shards[0]
         combine = sharded.combines.get("main")
     if not flow._columnar_active:

@@ -21,7 +21,6 @@ from typing import Optional
 
 from ..core.tvr import RowEvent, TimeVaryingRelation
 from ..exec.executor import Dataflow, merge_source_events
-from ..runtime.sharded import ShardedDataflow
 
 __all__ = ["explain_delta"]
 
@@ -97,8 +96,8 @@ def explain_delta(
 def _fresh_flow(resident, output_id: str, plan, sources):
     """A flow of ``plan`` alone, shaped like ``resident``: its config,
     and for a sharded one its partition spec and two-phase switch."""
-    if isinstance(resident, ShardedDataflow):
-        return ShardedDataflow(
+    if resident.sharded:
+        return type(resident)(
             plan, sources, resident.config, output_id,
             spec=resident.spec, two_phase=resident.two_phase,
         )
@@ -110,7 +109,7 @@ def _steps(fresh, resident, output_id: str) -> list[tuple]:
     flow, in post-order (leaf to root): the shards' nodes in shard
     order, then a two-phase output's merge half.  ``shared_by`` is read
     off the resident operator at the same post-order index."""
-    sharded = isinstance(fresh, ShardedDataflow)
+    sharded = fresh.sharded
     reference = resident.shards[0] if sharded else resident
     refs = reference.operators
     shared = [

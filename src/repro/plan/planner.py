@@ -23,7 +23,6 @@ Streaming-specific planning decisions:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -1292,9 +1291,7 @@ def referenced_tables(
 #: every field but ``pos``, so no field can hide a table from the walk
 #: (a leaf value and a table reference have no entry here)
 _CHILD_FIELDS: dict[type, tuple[str, ...]] = {
-    cls: tuple(
-        spec.name for spec in dataclasses.fields(cls) if spec.name != "pos"
-    )
+    cls: cls.__match_args__
     for cls in vars(ast).values()
     if isinstance(cls, type) and issubclass(cls, ast.Node)
     and cls not in (ast.TableRef, ast.TableArg)

@@ -21,19 +21,18 @@ engine's, with or without worker failures along the way (see
 ``docs/RUNTIME.md`` for the argument).
 """
 
-from .backends import run_shards
-from .faults import (
-    FAULT_KINDS,
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-    InjectedCrash,
-    InjectedFault,
-    InjectedHang,
-)
-from .frontier import WatermarkFrontier
-from .sharded import ShardedDataflow
-from .supervisor import RetryPolicy, ShardSupervisor, SupervisedOutcome
+from ..lazy import lazy_exports
+
+# (the shard runtime loads when the first sharded flow is built)
+__getattr__ = lazy_exports(__name__, {
+    ".backends": "run_shards",
+    ".faults": "FAULT_KINDS FaultInjector FaultPlan FaultSpec InjectedCrash "
+               "InjectedFault InjectedHang",
+    ".frontier": "WatermarkFrontier",
+    ".sharded": "ShardedDataflow",
+    ".supervisor": "ShardSupervisor SupervisedOutcome",
+    "..config": "RetryPolicy",
+})
 
 __all__ = [
     "ShardedDataflow",

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 from typing import Callable, Optional, TypeVar
 
+from ..config import BACKENDS
 from ..core.errors import ExecutionError
 
 __all__ = ["run_shards"]
 
 T = TypeVar("T")
-
-BACKENDS = ("sync", "processes")
 
 
 def run_shards(workers: list[Callable[[], T]], backend: str = "sync") -> list[T]:

@@ -16,7 +16,6 @@ from ..exec.executor import Dataflow
 from ..plan.partition import PartitionDecision
 from ..plan.physical import plan_physical
 from ..plan.planner import QueryPlan
-from .sharded import ShardedDataflow
 
 __all__ = ["build_flow", "runs_two_phase"]
 
@@ -64,6 +63,8 @@ def build_flow(
     """
     kind, sharded = Dataflow, {}
     if decision is not None and decision.partitionable:
+        from .sharded import ShardedDataflow  # (the shard runtime loads here)
+
         kind = ShardedDataflow
         sharded = dict(
             spec=decision.spec,

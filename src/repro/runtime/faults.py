@@ -36,6 +36,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from ..config import FAULT_KINDS
 from ..core.errors import ExecutionError
 
 __all__ = [
@@ -48,12 +49,6 @@ __all__ = [
     "InjectedHang",
 ]
 
-FAULT_KINDS = (
-    "crash-before-batch",
-    "crash-after-checkpoint",
-    "slow-shard",
-    "poison-row",
-)
 
 
 class InjectedFault(Exception):

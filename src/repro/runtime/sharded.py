@@ -71,7 +71,7 @@ from __future__ import annotations
 import pickle
 from dataclasses import replace
 from functools import partial
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..core.codec import changes_log, concat_segments
 from ..core.collector import collector_paused
@@ -114,6 +114,8 @@ __all__ = ["ShardedDataflow"]
 
 class ShardedDataflow(OutputLogs):
     """A keyed-parallel dataflow with deterministic, serial-identical output."""
+
+    sharded = True
 
     def __init__(
         self,

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Mapping, Optional
 
+from ..config import RetryPolicy
 from ..core.errors import ExecutionError
 from ..core.times import MIN_TIMESTAMP, Timestamp
 from ..core.tvr import RowEvent
@@ -141,49 +142,6 @@ def drain_timers(flow: Dataflow, until: Optional[Timestamp], shard: int) -> None
             f"timer drain produced output in shard {shard}; the partition "
             "analyzer admitted a timer-driven operator it should not have"
         )
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How a shard supervisor restarts failed workers.
-
-    * ``max_restarts`` — restarts allowed per shard before the failure
-      propagates (the bounded retry budget).
-    * ``backoff_base_ms`` / ``backoff_factor`` / ``backoff_cap_ms`` —
-      exponential backoff between attempts: restart *n* waits
-      ``base * factor**(n-1)`` ms, capped.  The default base of 0
-      disables sleeping entirely, which keeps tests and CI
-      deterministic; production configs set a real base.
-    * ``checkpoint_interval`` — events between shard checkpoints.  0
-      (the default) takes no mid-run checkpoints, so recovery replays
-      the shard's input from the beginning; a positive interval bounds
-      the replay tail at the cost of periodic state snapshots.
-    """
-
-    max_restarts: int = 2
-    backoff_base_ms: int = 0
-    backoff_factor: float = 2.0
-    backoff_cap_ms: int = 5_000
-    checkpoint_interval: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_restarts < 0:
-            raise ExecutionError("max_restarts must be >= 0")
-        if self.backoff_base_ms < 0:
-            raise ExecutionError("backoff_base_ms must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ExecutionError("backoff_factor must be >= 1.0")
-        if self.backoff_cap_ms < 0:
-            raise ExecutionError("backoff_cap_ms must be >= 0")
-        if self.checkpoint_interval < 0:
-            raise ExecutionError("checkpoint_interval must be >= 0")
-
-    def delay_ms(self, restart_number: int) -> float:
-        """Backoff before restart ``restart_number`` (1-based), in ms."""
-        if self.backoff_base_ms == 0:
-            return 0.0
-        delay = self.backoff_base_ms * self.backoff_factor ** (restart_number - 1)
-        return min(delay, float(self.backoff_cap_ms))
 
 
 @dataclass

@@ -56,7 +56,7 @@ import itertools
 import json
 import os
 from collections import deque
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..config import ExecutionConfig
 from ..core.errors import ExecutionError, ReproError
@@ -65,11 +65,13 @@ from ..core.tvr import StreamEvent, TimeVaryingRelation
 from ..engine import StreamEngine
 from ..io import parse_event_line
 from .admission import AdmissionError, AdmissionGateway, TenantPolicy
-from .http import MetricsHttpServer
 from .metrics import ServiceMetrics, render_service_exposition
 from .session import SessionManager, StandingQuery
 from .sources import LiveSource, pump, serve_socket_lines, tail_file
 from .subscriptions import Subscriber
+
+if TYPE_CHECKING:
+    from .http import MetricsHttpServer
 
 __all__ = ["StandingQueryService", "ServiceServer", "run_service"]
 
@@ -403,6 +405,8 @@ class ServiceServer:
         The source-depth gauges are refreshed on every scrape, the same
         way the line-JSON ``metrics`` op refreshes them.
         """
+        from .http import MetricsHttpServer  # (loads with --metrics only)
+
         def scrape_with_depths() -> str:
             self._refresh_depths()
             return self.service.scrape()
@@ -735,9 +739,8 @@ async def run_service(
     ``GET /healthz``, the ``--metrics`` flag).  With ``follow=True``
     the coroutine serves until cancelled; with ``follow=False`` it
     reads each feed to end-of-file, drains the pump, and returns (the
-    CI smoke mode).  ``ready``, when given, is an
-    :class:`asyncio.Event` set once the server is listening and the
-    pump is running.
+    CI smoke mode).  ``ready``, when given, is called with the server
+    once it is listening and the pump is running.
     """
     server = ServiceServer(service, host, port)
     await server.start()
@@ -750,7 +753,7 @@ async def run_service(
     server._follow = follow
     server.start_pump()
     if ready is not None:
-        ready.set()
+        ready(server)
     if follow:
         try:
             while True:

@@ -75,13 +75,11 @@ from ..core.tvr import StreamEvent, TimeVaryingRelation
 from ..exec.executor import check_checkpoint_version, runs_columnar
 from ..io import format_schema, parse_schema_line
 from ..obs.histogram import Histogram
-from ..obs.lineage import explain_delta
 from ..plan import plan_fingerprint
 from ..plan.optimizer import optimize
 from ..plan.partition import analyze_partitioning
 from ..plan.planner import QueryPlan
 from ..runtime.build import build_flow, runs_two_phase
-from ..runtime.sharded import ShardedDataflow
 from .metrics import SlowQueryLog
 from .subscriptions import Delta, SubscriptionRegistry
 
@@ -292,7 +290,7 @@ class StandingQuery:
 
     @property
     def sharded(self) -> bool:
-        return isinstance(self.flow, ShardedDataflow)
+        return self.flow.sharded
 
     def state_rows(self) -> int:
         return self.flow.state_rows_of(self.output_id)
@@ -653,7 +651,7 @@ class SessionManager:
         log holds an open run while the replay lasts (a vector fold's
         batch goes in as its vectors, no ``Change`` built) and seals it
         as one segment at its end."""
-        logs = () if isinstance(flow, ShardedDataflow) else [
+        logs = () if flow.sharded else [
             channel.log for channel in flow._outputs.values()
         ]
         for log in logs:
@@ -665,7 +663,7 @@ class SessionManager:
 
     @staticmethod
     def _flow_parallelism(flow) -> int:
-        return flow.shard_count if isinstance(flow, ShardedDataflow) else 1
+        return flow.shard_count if flow.sharded else 1
 
     # -- the live ingest path ----------------------------------------------------
 
@@ -785,6 +783,8 @@ class SessionManager:
             if query_id in self._withdrawn:
                 return None
             raise ExecutionError(f"no standing query {query_id!r}")
+        from ..obs.lineage import explain_delta
+
         return explain_delta(
             query.flow, query.output_id, query.plan, self.engine._sources, seq
         )

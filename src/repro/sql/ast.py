@@ -1,9 +1,20 @@
 """Abstract syntax tree for the SQL dialect.
 
-Nodes are plain frozen dataclasses produced by :mod:`repro.sql.parser`
-and consumed by :mod:`repro.plan.planner`.  Each node keeps the source
+Nodes are immutable values produced by :mod:`repro.sql.parser` and
+consumed by :mod:`repro.plan.planner`.  Each node keeps the source
 position of the token that introduced it so the planner can raise
 position-annotated :class:`~repro.core.errors.ValidationError`.
+
+A node class declares its fields as annotations, a class-level value
+being the field's default — the frozen-dataclass spelling, and the
+frozen-dataclass behaviour: an ``__init__`` taking the fields in order
+(``pos`` keyword-only), equality and hash over the fields (``pos``
+excluded), the dataclass ``repr``, ``__match_args__``, and assignment
+or deletion raising :class:`~dataclasses.FrozenInstanceError`.  The
+methods are :class:`Node`'s, written once over the class's field tuple
+(``__match_args__``); only the ``__init__`` of each class is generated,
+all of them in one ``exec`` when the module loads, so no class goes
+through :mod:`dataclasses` one at a time.
 
 The extensions beyond textbook SQL mirror the paper exactly:
 
@@ -17,7 +28,8 @@ The extensions beyond textbook SQL mirror the paper exactly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
+from operator import attrgetter
 from typing import Any, Optional, Union
 
 from ..core.emit import EmitSpec
@@ -34,16 +46,41 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Node:
     """Common base: every AST node records a source position.
 
     The position is excluded from equality so that structurally equal
     expressions compare equal — the planner matches select-list
-    expressions against ``GROUP BY`` expressions this way.
+    expressions against ``GROUP BY`` expressions this way.  Equality is
+    the field tuples' (so a NaN literal equals itself as the same
+    object); ``_key`` reads a node's fields, wrapped in a 1-tuple below
+    so that one field still compares as a tuple.
     """
 
-    pos: int = field(default=-1, kw_only=True, compare=False)
+    pos: int = -1
+    #: the class's fields in declaration order, ``pos`` excluded
+    __match_args__: tuple[str, ...] = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return (key(self),) == (key(other),)
+
+    def __hash__(self):
+        return hash((self._key(self),))
+
+    def __repr__(self):
+        names = ("pos", *self.__match_args__)
+        values = map(self.__getattribute__, names)
+        fields = ", ".join(map("{}={!r}".format, names, values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 # --------------------------------------------------------------------
@@ -51,14 +88,12 @@ class Node:
 # --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Literal(Node):
     """A numeric, string, boolean, or NULL literal."""
 
     value: Any
 
 
-@dataclass(frozen=True)
 class IntervalLiteral(Node):
     """``INTERVAL '10' MINUTE`` — resolved to milliseconds at parse time."""
 
@@ -66,7 +101,6 @@ class IntervalLiteral(Node):
     text: str = ""
 
 
-@dataclass(frozen=True)
 class ColumnRef(Node):
     """A possibly-qualified column reference like ``Bid.price``."""
 
@@ -76,14 +110,12 @@ class ColumnRef(Node):
         return ".".join(self.parts)
 
 
-@dataclass(frozen=True)
 class Star(Node):
     """``*`` or ``alias.*`` in a select list."""
 
     qualifier: Optional[str] = None
 
 
-@dataclass(frozen=True)
 class UnaryOp(Node):
     """``NOT x`` or ``-x``."""
 
@@ -91,7 +123,6 @@ class UnaryOp(Node):
     operand: "Expr"
 
 
-@dataclass(frozen=True)
 class BinaryOp(Node):
     """A binary operator application; ``op`` is the normalized symbol."""
 
@@ -100,7 +131,6 @@ class BinaryOp(Node):
     right: "Expr"
 
 
-@dataclass(frozen=True)
 class FunctionCall(Node):
     """A scalar or aggregate function call."""
 
@@ -110,7 +140,6 @@ class FunctionCall(Node):
     is_star: bool = False  # COUNT(*)
 
 
-@dataclass(frozen=True)
 class Case(Node):
     """``CASE WHEN c THEN v ... [ELSE e] END`` (searched form)."""
 
@@ -118,7 +147,6 @@ class Case(Node):
     else_: Optional["Expr"]
 
 
-@dataclass(frozen=True)
 class Cast(Node):
     """``CAST(expr AS TYPE)``."""
 
@@ -126,7 +154,6 @@ class Cast(Node):
     type_name: str
 
 
-@dataclass(frozen=True)
 class Between(Node):
     """``expr [NOT] BETWEEN low AND high``."""
 
@@ -136,7 +163,6 @@ class Between(Node):
     negated: bool = False
 
 
-@dataclass(frozen=True)
 class InList(Node):
     """``expr [NOT] IN (v1, v2, ...)``."""
 
@@ -145,7 +171,6 @@ class InList(Node):
     negated: bool = False
 
 
-@dataclass(frozen=True)
 class InSubquery(Node):
     """``expr [NOT] IN (SELECT ...)`` — planned as a semi/anti join."""
 
@@ -154,7 +179,6 @@ class InSubquery(Node):
     negated: bool = False
 
 
-@dataclass(frozen=True)
 class Exists(Node):
     """``[NOT] EXISTS (SELECT ...)`` — an uncorrelated emptiness test."""
 
@@ -162,7 +186,6 @@ class Exists(Node):
     negated: bool = False
 
 
-@dataclass(frozen=True)
 class IsNull(Node):
     """``expr IS [NOT] NULL``."""
 
@@ -170,21 +193,18 @@ class IsNull(Node):
     negated: bool = False
 
 
-@dataclass(frozen=True)
 class Descriptor(Node):
     """``DESCRIPTOR(col)`` — names an event time column for a TVF."""
 
     column: str
 
 
-@dataclass(frozen=True)
 class TableArg(Node):
     """``TABLE(name)`` — passes a relation into a TVF."""
 
     name: str
 
 
-@dataclass(frozen=True)
 class NamedArg(Node):
     """``name => value`` in a TVF invocation."""
 
@@ -192,14 +212,12 @@ class NamedArg(Node):
     value: "Expr"
 
 
-@dataclass(frozen=True)
 class ScalarSubquery(Node):
     """A parenthesized SELECT used as a scalar expression."""
 
     query: "Select"
 
 
-@dataclass(frozen=True)
 class OverCall(Node):
     """``agg(x) OVER (PARTITION BY … ORDER BY et [ROWS …])``.
 
@@ -217,7 +235,6 @@ class OverCall(Node):
     rows_preceding: Optional[int] = None
 
 
-@dataclass(frozen=True)
 class CurrentTime(Node):
     """``CURRENT_TIME`` — a time-progressing expression (Section 8).
 
@@ -240,7 +257,6 @@ Expr = Union[
 # --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TableRef(Node):
     """A base table or stream reference with an optional alias."""
 
@@ -248,7 +264,6 @@ class TableRef(Node):
     alias: Optional[str] = None
 
 
-@dataclass(frozen=True)
 class SubqueryRef(Node):
     """A derived table: ``(SELECT ...) alias``."""
 
@@ -256,7 +271,6 @@ class SubqueryRef(Node):
     alias: Optional[str] = None
 
 
-@dataclass(frozen=True)
 class ValuesRef(Node):
     """An inline constant relation: ``(VALUES (1, 'a'), (2, 'b')) t``."""
 
@@ -264,7 +278,6 @@ class ValuesRef(Node):
     alias: Optional[str] = None
 
 
-@dataclass(frozen=True)
 class TvfCall(Node):
     """A windowing TVF in the FROM clause: ``Tumble(data => ..., ...)``."""
 
@@ -273,7 +286,6 @@ class TvfCall(Node):
     alias: Optional[str] = None
 
 
-@dataclass(frozen=True)
 class PatternElement(Node):
     """One element of a MATCH_RECOGNIZE row pattern: symbol + quantifier.
 
@@ -285,7 +297,6 @@ class PatternElement(Node):
     quantifier: str = ""
 
 
-@dataclass(frozen=True)
 class MatchRecognize(Node):
     """``<table> MATCH_RECOGNIZE (...)`` — row pattern matching.
 
@@ -308,7 +319,6 @@ class MatchRecognize(Node):
     alias: Optional[str] = None
 
 
-@dataclass(frozen=True)
 class JoinClause(Node):
     """An explicit ``JOIN`` with join kind and optional ``ON``.
 
@@ -336,7 +346,6 @@ FromItem = Union[
 # --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SelectItem(Node):
     """One select-list entry: an expression with an optional alias."""
 
@@ -344,7 +353,6 @@ class SelectItem(Node):
     alias: Optional[str] = None
 
 
-@dataclass(frozen=True)
 class OrderItem(Node):
     """One ``ORDER BY`` key."""
 
@@ -352,7 +360,6 @@ class OrderItem(Node):
     ascending: bool = True
 
 
-@dataclass(frozen=True)
 class Select(Node):
     """A SELECT statement (or subquery)."""
 
@@ -367,7 +374,6 @@ class Select(Node):
     emit: Optional[EmitSpec] = None
 
 
-@dataclass(frozen=True)
 class Union_(Node):
     """``query UNION|INTERSECT|EXCEPT [ALL] query``.
 
@@ -383,3 +389,32 @@ class Union_(Node):
 
 
 Statement = Union[Select, Union_]
+
+
+def _finish(classes) -> None:
+    """Give each node class its field tuple, its ``_key`` and its
+    ``__init__`` — the source of every ``__init__`` compiled in one
+    ``exec``."""
+    namespace, source = {}, []
+    for cls in classes:
+        fields = tuple(vars(cls).get("__annotations__", ()))
+        cls.__match_args__ = fields
+        # (a node without fields is keyed by its class: all are equal)
+        cls._key = attrgetter(*fields) if fields else type
+        params = []
+        for name in fields:
+            if name in vars(cls):
+                namespace[f"{cls.__name__}_{name}"] = vars(cls)[name]
+                name = f"{name}={cls.__name__}_{name}"
+            params.append(f"{name}, ")
+        stores = "".join(f", {name}={name}" for name in fields)
+        source.append(
+            f"def {cls.__name__}(self, {''.join(params)}*, pos=-1):\n"
+            f"    self.__dict__.update(pos=pos{stores})\n"
+        )
+    exec("".join(source), namespace)
+    for cls in classes:
+        cls.__init__ = namespace[cls.__name__]
+
+
+_finish(Node.__subclasses__())

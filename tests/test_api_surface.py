@@ -75,6 +75,14 @@ PACKAGE_SURFACES = {
         "RetryPolicy",
         "FaultPlan",
     ],
+    "repro.exec.operators": [
+        "Operator",
+        "AggregateOperator",
+        "JoinOperator",
+        "OverOperator",
+        "MatchRecognizeOperator",
+        "hop_windows",
+    ],
     "repro.obs": [
         "MetricsReport",
         "RunTelemetry",
@@ -154,9 +162,17 @@ class TestFacadeCoherence:
 
 def _operator_classes():
     """Every Operator subclass reachable once all operator modules
-    (including the fused pipeline and two-phase halves) are imported."""
-    import repro.exec.compile  # noqa: F401 — imports every operator module
+    (including the fused pipeline and two-phase halves) are imported —
+    each imported here, since ``build_operator`` imports a cold operator
+    only when it first builds one, and a walk that relied on other test
+    files having done so would depend on test order."""
+    import pkgutil
+
+    import repro.exec.operators
     from repro.exec.operators.base import Operator
+
+    for module in pkgutil.iter_modules(repro.exec.operators.__path__):
+        importlib.import_module(f"repro.exec.operators.{module.name}")
 
     seen, stack = [], [Operator]
     while stack:

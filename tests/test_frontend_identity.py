@@ -289,3 +289,84 @@ def test_the_golden_covers_the_corpus():
     recorded = {(e["catalog"], e["sql"]) for e in STATEMENTS}
     assert len(recorded) >= 150
     assert {("suite", sql) for _, sql in maker.corpus() if _ == "suite"} <= recorded
+
+
+class TestAstNodes:
+    """The AST nodes keep the frozen-dataclass behaviour the golden's
+    ``repr`` and the planner rely on, written once on ``ast.Node``."""
+
+    def test_equality_ignores_the_position(self):
+        from repro.sql import ast
+
+        assert ast.ColumnRef(("Bid", "price"), pos=3) == ast.ColumnRef(
+            ("Bid", "price"), pos=40
+        )
+        assert ast.Literal(1) != ast.Literal(2)
+        assert ast.TableRef("Bid") != ast.TableArg("Bid")
+
+    def test_equal_nodes_hash_equal(self):
+        from repro.sql import ast
+
+        one = ast.BinaryOp("+", ast.Literal(1, pos=0), ast.ColumnRef(("v",)), pos=2)
+        other = ast.BinaryOp("+", ast.Literal(1, pos=7), ast.ColumnRef(("v",)), pos=9)
+        assert one == other and hash(one) == hash(other)
+        assert ast.CurrentTime(pos=1) == ast.CurrentTime(pos=5)
+        assert hash(ast.CurrentTime(pos=1)) == hash(ast.CurrentTime(pos=5))
+
+    def test_assignment_and_deletion_raise(self):
+        from dataclasses import FrozenInstanceError
+
+        from repro.sql import ast
+
+        node = ast.Literal(1)
+        with pytest.raises(FrozenInstanceError):
+            node.value = 2
+        with pytest.raises(FrozenInstanceError):
+            node.pos = 2
+        with pytest.raises(FrozenInstanceError):
+            del node.value
+        assert node.value == 1
+
+    def test_a_nan_literal_equals_itself(self):
+        from repro.sql import ast
+
+        nan = ast.Literal(float("nan"))
+        assert nan == nan
+        assert ast.Literal(float("nan")) != ast.Literal(float("nan"))
+
+    def test_match_args_are_the_fields(self):
+        from repro.sql import ast
+
+        assert ast.Select.__match_args__ == (
+            "items", "from_items", "where", "group_by", "having",
+            "order_by", "limit", "distinct", "emit",
+        )
+        assert ast.CurrentTime.__match_args__ == ()
+        match ast.BinaryOp("=", ast.Literal(1), ast.Literal(2)):
+            case ast.BinaryOp(op, ast.Literal(left), _):
+                assert (op, left) == ("=", 1)
+
+    def test_keyword_and_default_construction(self):
+        from repro.sql import ast
+
+        select = ast.Select(items=(), where=ast.Literal(True), pos=4)
+        assert (select.from_items, select.limit, select.emit) == ((), None, None)
+        assert select.pos == 4 and ast.Star().pos == -1
+        assert repr(ast.TableRef("Bid", "b", pos=7)) == (
+            "TableRef(pos=7, name='Bid', alias='b')"
+        )
+        with pytest.raises(TypeError):
+            ast.TableRef()
+        with pytest.raises(TypeError):
+            ast.Literal(1, 7)  # ``pos`` is keyword-only
+
+    def test_pickle_round_trips(self):
+        import pickle
+
+        from repro.sql.parser import parse
+
+        statement = parse(
+            "SELECT item, COUNT(*) FROM Bid WHERE price > 2 GROUP BY item"
+        )
+        restored = pickle.loads(pickle.dumps(statement))
+        assert restored == statement and repr(restored) == repr(statement)

@@ -598,6 +598,32 @@ class TestListenSource:
         with pytest.raises(Exception):
             asyncio.run(drive())
 
+    def test_listening_line_names_the_bound_port(self):
+        """``serve --listen 127.0.0.1:0`` prints its line once it
+        listens, with the port the system picked: a client may connect
+        the moment it reads the line."""
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--listen", "127.0.0.1:0"],
+            stdout=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+        )
+        try:
+            line = server.stdout.readline()
+            assert line.startswith("listening on 127.0.0.1:")
+            port = int(line.rsplit(":", 1)[1])
+            assert port != 0
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+                conn.sendall(b'{"op": "ping"}\n')
+                assert json.loads(conn.makefile().readline()) == {"ok": True}
+        finally:
+            server.terminate()
+            server.wait(timeout=10)
+            server.stdout.close()
+
     def test_split_listen_source_spec(self):
         from repro.__main__ import _split_listen_source
 
