@@ -185,9 +185,7 @@ def _run(
     return record, result
 
 
-def _run_sharded(
-    streams, sql: str, batch_size: int, columnar: str, two_phase: str
-) -> tuple:
+def _run_sharded(streams, sql: str, batch_size: int, columnar: str) -> tuple:
     """Sharded default-mode run (None when the plan is not partitionable)."""
     engine = _engine(
         streams,
@@ -195,7 +193,6 @@ def _run_sharded(
         backend="sync",
         batch_size=batch_size,
         columnar=columnar,
-        two_phase=two_phase,
     )
     query = engine.query(sql)
     if not query.partition_decision().partitionable:
@@ -208,7 +205,6 @@ def _run_sharded(
         "coalesce_updates": False,
         "columnar": columnar,
         "backend": "sync(4)",
-        "two_phase": two_phase,
         "seconds": elapsed,
         "events_per_second": NUM_EVENTS / elapsed,
         "root_changes": len(result.changes),
@@ -339,15 +335,11 @@ def collect() -> dict:
                 else:
                     _assert_snapshot_equivalent(baseline, result, label)
                 runs.append(record)
-        for two_phase in ("auto", "on"):
-            sharded, sharded_result = _run_sharded(
-                streams, sql, GATE_BATCH, columnar="on", two_phase=two_phase
-            )
-            if sharded is None:
-                break  # not partitionable; "on" would not be either
-            _assert_identical(
-                baseline, sharded_result, f"{name} sharded two_phase={two_phase}"
-            )
+        sharded, sharded_result = _run_sharded(
+            streams, sql, GATE_BATCH, columnar="on"
+        )
+        if sharded is not None:  # (None: not partitionable)
+            _assert_identical(baseline, sharded_result, f"{name} sharded")
             runs.append(sharded)
         workloads.append(
             {
@@ -448,14 +440,13 @@ if __name__ == "__main__":
     for workload in data["workloads"]:
         print(f"== {workload['name']}")
         for run in workload["runs"]:
-            extras = "  two_phase=on" if run.get("two_phase") == "on" else ""
             print(
                 f"  batch={run['batch_size']!s:>11} "
                 f"columnar={run['columnar']:<4} "
                 f"coalesce={str(run['coalesce_updates']):<5} "
                 f"({run['backend']:>10}): {run['seconds']:.3f}s  "
                 f"{run['events_per_second']:>9,.0f} ev/s  "
-                f"changes={run['root_changes']}{extras}"
+                f"changes={run['root_changes']}"
             )
     mqo = data["mqo"]
     print(f"== mqo  shared-plan deltas={mqo['deltas']} identical={mqo['identical']}")

@@ -215,7 +215,7 @@ def collect_two_phase() -> dict:
 
     sweep = []
     for shards in TP_SHARD_SWEEP:
-        for two_phase in ("off", "on"):
+        for two_phase in ("off", "auto"):
             for coalesce in (False, True):
                 record, changes = _run_two_phase_arm(
                     events, shards, two_phase, coalesce
@@ -263,7 +263,7 @@ def collect_interleaved() -> dict:
     def engine(**config):
         eng = StreamEngine(
             config=ExecutionConfig(
-                backend="sync", batch_size=IL_BATCH, two_phase="on", **config
+                backend="sync", batch_size=IL_BATCH, two_phase="auto", **config
             )
         )
         eng.register_stream("S", TimeVaryingRelation(TP_SCHEMA, events))
@@ -341,7 +341,7 @@ def test_two_phase_sweep_produces_artifact():
     payload = collect_two_phase()
     assert payload["schema_version"] == SCHEMA_VERSION
 
-    delta = _arm(payload, GATE_SHARDS, "on", True)
+    delta = _arm(payload, GATE_SHARDS, "auto", True)
     single = _arm(payload, GATE_SHARDS, "off", True)
     assert delta["is_two_phase"] and not single["is_two_phase"]
     speedup = delta["rows_per_second"] / single["rows_per_second"]
@@ -351,7 +351,7 @@ def test_two_phase_sweep_produces_artifact():
         f"{speedup:.2f}x (reported, not gated)"
     )
 
-    replay = _arm(payload, GATE_SHARDS, "on", False)
+    replay = _arm(payload, GATE_SHARDS, "auto", False)
     single_replay = _arm(payload, GATE_SHARDS, "off", False)
     # single-phase merge traffic = every shard change crosses the merge
     assert replay["combine_rows_in"] * GATE_TRAFFIC <= (

@@ -84,7 +84,6 @@ from .obs import (
 )
 from .obs.export import JsonLinesExporter, PrometheusExporter, make_exporter
 from .plan.physical import (
-    MIN_COMBINE_FANIN,
     PhysicalDecision,
     TwoPhaseSplit,
     plan_physical,
@@ -98,7 +97,7 @@ __getattr__ = lazy_exports(__name__, {
     ".runtime.faults": "FaultPlan FaultSpec",
 })
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "StreamEngine",
@@ -126,7 +125,6 @@ __all__ = [
     "parse_explain",
     "render_explain",
     # physical aggregation planning (provisional)
-    "MIN_COMBINE_FANIN",
     "PhysicalDecision",
     "TwoPhaseSplit",
     "plan_physical",

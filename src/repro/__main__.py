@@ -65,11 +65,10 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
              "preserving; EMIT STREAM renders fewer rows)",
     )
     parser.add_argument(
-        "--two-phase", choices=("auto", "on", "off"), default=None,
+        "--two-phase", choices=("auto", "off"), default=None,
         help="shard-local partial aggregation with a final combine stage "
-             "for decomposable aggregates; auto (default) consults the "
-             "cost model's counter feedback, on forces the split, off "
-             "disables it",
+             "for decomposable aggregates; auto (default) splits every "
+             "eligible aggregate, off disables it",
     )
     parser.add_argument(
         "--columnar", choices=("auto", "on", "off"), default=None,

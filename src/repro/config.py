@@ -164,11 +164,9 @@ class ExecutionConfig:
       the changelog is byte-identical in every mode (see
       docs/RUNTIME.md).
     * ``two_phase`` — physical aggregation shape for sharded runs:
-      ``"auto"`` (the default) splits eligible grouped aggregates into
-      shard-local partials plus a merge-stage combine, falling back to
-      single-phase when counter feedback shows the fan-in is too small;
-      ``"on"`` forces the split whenever eligible; ``"off"`` disables
-      it.  See docs/RUNTIME.md.
+      ``"auto"`` (the default) splits every eligible grouped aggregate
+      into shard-local partials plus a merge-stage combine; ``"off"``
+      disables the split.  See docs/RUNTIME.md.
     * ``queue_capacity`` — service mode: bounded depth of each live
       source's event queue; a full queue blocks the tailer
       (backpressure) instead of buffering without limit.
@@ -276,14 +274,9 @@ class ExecutionConfig:
                 )
         if self.batch_size is not None and self.batch_size < 1:
             raise ValidationError("batch_size must be at least 1")
-        if self.two_phase is not None and self.two_phase not in (
-            "auto",
-            "on",
-            "off",
-        ):
+        if self.two_phase is not None and self.two_phase not in ("auto", "off"):
             raise ValidationError(
-                f"two_phase must be 'auto', 'on', or 'off', got "
-                f"{self.two_phase!r}"
+                f"two_phase must be 'auto' or 'off', got {self.two_phase!r}"
             )
         if self.columnar is not None and self.columnar not in (
             "auto",

@@ -206,12 +206,11 @@ class StreamEngine:
 
         ``logical`` (the default) is the optimized plan plus the runtime
         note; ``physical`` adds the one-phase/two-phase aggregation
-        shape; ``costs`` adds the cost-model inputs behind that choice;
-        ``analyze`` executes the query over the registered sources and
-        annotates the plan with each operator's runtime counters (rows
-        in/out, retractions, late drops, expiries, state and peak
-        state, watermark lag) — the Section 5 feedback loop, one
-        command away.
+        shape; ``analyze`` executes the query over the registered
+        sources and annotates the plan with each operator's runtime
+        counters (rows in/out, retractions, late drops, expiries, state
+        and peak state, watermark lag) — the Section 5 feedback loop,
+        one command away.
         """
         return self.query(sql).explain(mode=mode, verbose=verbose)
 
@@ -236,9 +235,6 @@ class PreparedQuery:
         self._cached: Optional[RunResult] = None
         self._cached_fingerprint: Optional[tuple] = None
         self._decision: Optional[PartitionDecision] = None
-        #: metrics of the most recent execution — the counter feedback
-        #: the physical planner's ``auto`` mode consumes.
-        self._last_metrics = None
 
     # -- metadata ------------------------------------------------------------
 
@@ -285,16 +281,11 @@ class PreparedQuery:
     ) -> PhysicalDecision:
         """The physical planner's one-phase/two-phase verdict.
 
-        Consumes the ``two_phase`` knob, the partition decision, and —
-        in ``auto`` mode — the previous execution's operator counters
-        as cardinality feedback (none before the first run, so auto
-        optimistically splits until the observed fan-in says otherwise).
+        Reads the ``two_phase`` knob and the partition decision only,
+        so the verdict is the same before and after the query runs.
         """
         return plan_physical(
-            self.plan,
-            self.partition_decision(),
-            self._effective(config),
-            feedback=self._last_metrics,
+            self.plan, self.partition_decision(), self._effective(config)
         )
 
     def stats(self) -> dict:
@@ -375,11 +366,7 @@ class PreparedQuery:
         when ``decision`` admits it, else serial (see ``build_flow``).
         No side effects — ``EXPLAIN`` reads the flow a run would use."""
         return build_flow(
-            [("main", self.plan)],
-            self._engine._sources,
-            effective,
-            decision,
-            feedback=self._last_metrics,
+            [("main", self.plan)], self._engine._sources, effective, decision
         )
 
     def _execute(self, effective: ExecutionConfig) -> RunResult:
@@ -393,7 +380,6 @@ class PreparedQuery:
         result = flow.run()
         if exporter is not None:
             exporter.export(result)
-        self._last_metrics = result.metrics
         return result
 
     def dataflow(self, config: Optional[ExecutionConfig] = None) -> Dataflow:

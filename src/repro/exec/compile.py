@@ -9,7 +9,6 @@ from typing import Iterable, Optional, Sequence
 
 from ..core.errors import PlanError
 from ..plan import rex
-from ..plan.match import MatchRecognizeNode
 from ..plan.optimizer import join_residual
 from ..plan.physical import CombineAggregateNode
 from ..plan.pipeline import PipelineNode
@@ -188,18 +187,6 @@ def build_operator(
             node.calls,
             node.frame_rows,
         )
-    if isinstance(node, MatchRecognizeNode):
-        from .operators.match import MatchRecognizeOperator
-
-        return MatchRecognizeOperator(
-            node.schema,
-            node.partition_indices,
-            node.order_index,
-            node.measures,
-            node.pattern,
-            node.defines,
-            node.after_match,
-        )
     if isinstance(node, TemporalJoinNode):
         from .operators.temporal_join import TemporalJoinOperator
 
@@ -267,4 +254,19 @@ def build_operator(
         return UnionOperator(node.schema, arity=len(node.inputs))
     if isinstance(node, SortNode):
         return SortOperator(node.schema)
+    # (last, so only a plan that has one loads MATCH_RECOGNIZE planning)
+    from ..plan.match import MatchRecognizeNode
+
+    if isinstance(node, MatchRecognizeNode):
+        from .operators.match import MatchRecognizeOperator
+
+        return MatchRecognizeOperator(
+            node.schema,
+            node.partition_indices,
+            node.order_index,
+            node.measures,
+            node.pattern,
+            node.defines,
+            node.after_match,
+        )
     raise PlanError(f"cannot compile {type(node).__name__}")

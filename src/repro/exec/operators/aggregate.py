@@ -167,8 +167,8 @@ class AggregateOperator(Operator):
         self._finalized_max: Timestamp = MIN_TIMESTAMP
         self._global = not self._group_indices
         # Monotonic, unlike the ``groups`` gauge (which drops back as
-        # the watermark frees state): the cost model's fan-in feedback
-        # needs lifetime rows-per-group.
+        # the watermark frees state): the expiry index reads it to find
+        # the groups created since it was last filled.
         self._groups_created = 0
         # Running sum of ``state.row_count`` over all groups, so
         # ``state_size()`` — read after every event by the metrics
@@ -607,8 +607,8 @@ class CombineAggregateOperator(AggregateOperator):
     one retract/insert pair per group, the coalesced shape.
 
     ``rows_in`` counts payloads — that *is* the merge-traffic metric —
-    while ``agg_rows_in`` preserves the true row count for the cost
-    model's fan-in feedback.
+    while ``agg_rows_in`` preserves the true row count the payloads
+    stood for (EXPLAIN ANALYZE shows both).
     """
 
     # Payloads are opaque row changes; the columnar fast path must not

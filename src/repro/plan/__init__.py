@@ -31,10 +31,8 @@ from .logical import (
     WindowNode,
 )
 from .physical import (
-    MIN_COMBINE_FANIN,
     PhysicalDecision,
     TwoPhaseSplit,
-    estimate_fan_in,
     plan_physical,
     split_eligibility,
 )
@@ -60,10 +58,8 @@ __all__ = [
     "SortNode",
     "ValuesNode",
     # physical aggregation planning (provisional surface)
-    "MIN_COMBINE_FANIN",
     "PhysicalDecision",
     "TwoPhaseSplit",
-    "estimate_fan_in",
     "plan_physical",
     "split_eligibility",
 ]

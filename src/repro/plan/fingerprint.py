@@ -48,7 +48,6 @@ from .logical import (
     ValuesNode,
     WindowNode,
 )
-from .match import MatchRecognizeNode
 from .pipeline import PipelineNode
 from .rex import Rex, RexCall, RexCase, RexCast, RexCurrentTime, RexInput, RexLiteral
 
@@ -177,8 +176,6 @@ def _node_token(node: LogicalNode) -> tuple:
             node.frame_rows,
             tuple(_agg_token(call) for call in node.calls),
         )
-    if isinstance(node, MatchRecognizeNode):
-        return ("match_recognize", "unshareable", id(node))
     if isinstance(node, TemporalJoinNode):
         return (
             "temporal_join",
@@ -205,7 +202,7 @@ def _node_token(node: LogicalNode) -> tuple:
         return ("setop", node.op, node.all)
     if isinstance(node, SortNode):
         return ("sort", node.keys, node.limit)
-    # Unknown node kinds are unshareable, like MATCH_RECOGNIZE.
+    # MATCH_RECOGNIZE and unknown node kinds are unshareable.
     return (type(node).__name__, "unshareable", id(node))
 
 

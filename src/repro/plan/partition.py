@@ -54,7 +54,6 @@ from .logical import (
     WindowKind,
     WindowNode,
 )
-from .match import MatchRecognizeNode
 from .planner import QueryPlan
 from .rex import RexInput
 
@@ -184,10 +183,6 @@ def _analyze(node: LogicalNode, leaves: _Leaves) -> list[_Cand]:
     if isinstance(node, OverNode):
         raise _Fallback(
             "OVER windows emit rows on watermark advances in arrival order"
-        )
-    if isinstance(node, MatchRecognizeNode):
-        raise _Fallback(
-            "MATCH_RECOGNIZE emits matches on watermark advances in arrival order"
         )
     if isinstance(node, TemporalJoinNode):
         raise _Fallback("temporal joins emit enriched rows on watermark advances")
@@ -324,6 +319,13 @@ def _analyze(node: LogicalNode, leaves: _Leaves) -> list[_Cand]:
                 f"no column is forwarded by every {kind} branch to the same position"
             )
         return merged
+    # (last, so only a plan that has one loads MATCH_RECOGNIZE planning)
+    from .match import MatchRecognizeNode
+
+    if isinstance(node, MatchRecognizeNode):
+        raise _Fallback(
+            "MATCH_RECOGNIZE emits matches on watermark advances in arrival order"
+        )
     raise _Fallback(f"{type(node).__name__} is not key-partitionable")
 
 

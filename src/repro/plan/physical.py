@@ -15,19 +15,18 @@ the original plan with the aggregate replaced by a
 :class:`CombineAggregateNode` leaf, and runs in a ``Dataflow`` of its
 own.
 
-The choice is made by :func:`plan_physical` from three inputs:
+The choice is made by :func:`plan_physical` from two inputs:
 
 * **eligibility** (:func:`split_eligibility`) — the plan must end in a
   grouped aggregate (optionally under stateless Project/Filter
   finishing steps) whose functions all opt into the delta protocol
   (``AggregateFunction.decomposable``);
-* **configuration** — ``ExecutionConfig.two_phase`` is ``auto`` /
-  ``on`` / ``off``;
-* **counter feedback** — in ``auto`` mode a prior run's
-  :class:`~repro.obs.metrics.MetricsReport` supplies the observed
-  fan-in (aggregate input rows per created group).  Below
-  :data:`MIN_COMBINE_FANIN` the combine stage costs more than the
-  per-row merge it replaces, so the planner falls back to one phase.
+* **configuration** — ``ExecutionConfig.two_phase`` is ``auto`` or
+  ``off``.
+
+An eligible sharded aggregate always splits unless ``two_phase="off"``:
+the shape follows from the plan and the config, never from a previous
+run of the query.
 """
 
 from __future__ import annotations
@@ -45,18 +44,11 @@ from .logical import (
 from .planner import QueryPlan
 
 __all__ = [
-    "MIN_COMBINE_FANIN",
     "PhysicalDecision",
     "TwoPhaseSplit",
-    "estimate_fan_in",
     "plan_physical",
     "split_eligibility",
 ]
-
-#: Minimum observed rows-per-group below which the combine stage is not
-#: worth its overhead: with nearly one row per group the partial stage
-#: forwards as many entries as single-phase forwards changes.
-MIN_COMBINE_FANIN = 4.0
 
 
 #: The source name a merge plan's leaf is fed under: the sharded
@@ -103,7 +95,7 @@ def split_eligibility(
 
     Returns ``(split, reason)``; ``split`` is ``None`` when the plan
     must stay single-phase, with ``reason`` saying why (surfaced by
-    ``explain(mode="costs")``).
+    ``explain(mode="physical")``).
     """
     finish: list[LogicalNode] = []
     node = plan.root
@@ -141,51 +133,21 @@ class PhysicalDecision:
 
     mode: str  # 'two_phase' | 'single'
     reason: str
-    fan_in: Optional[float] = None
 
     @property
     def use_two_phase(self) -> bool:
         return self.mode == "two_phase"
 
 
-def estimate_fan_in(report) -> Optional[float]:
-    """Observed aggregate rows-per-group from a prior run's metrics.
-
-    Reads the monotonic ``groups_created`` counter (the ``groups``
-    gauge can be zero after watermark freeing) against the aggregate's
-    input row count.  The combine operator counts payloads as
-    ``rows_in``, so it exports the true entry count as ``agg_rows_in``.
-    """
-    if report is None:
-        return None
-    for entry in report.operators:
-        groups = entry.get("groups_created")
-        if not groups:
-            continue
-        rows = entry.get("agg_rows_in")
-        if rows is None:
-            rows = sum(entry.get("rows_in", ()))
-        if rows:
-            return rows / groups
-    return None
-
-
-def plan_physical(
-    plan: QueryPlan,
-    decision,
-    config,
-    feedback=None,
-) -> PhysicalDecision:
+def plan_physical(plan: QueryPlan, decision, config) -> PhysicalDecision:
     """Choose the physical aggregation shape for one query.
 
     ``decision`` is the :class:`~repro.runtime.partition
     .PartitionDecision` for the plan, ``config`` a resolved
     ``ExecutionConfig`` (only ``two_phase`` and ``parallelism`` are
-    read), and ``feedback`` an optional :class:`MetricsReport` from a
-    prior run of the same query.
+    read).
     """
-    knob = getattr(config, "two_phase", None) or "auto"
-    if knob == "off":
+    if getattr(config, "two_phase", None) == "off":
         return PhysicalDecision("single", "two-phase disabled (two_phase=off)")
     parallelism = getattr(config, "parallelism", 1) or 1
     if parallelism <= 1:
@@ -197,14 +159,4 @@ def plan_physical(
     split, reason = split_eligibility(plan)
     if split is None:
         return PhysicalDecision("single", reason)
-    if knob == "on":
-        return PhysicalDecision("two_phase", f"forced on: {reason}")
-    fan_in = estimate_fan_in(feedback)
-    if fan_in is not None and fan_in < MIN_COMBINE_FANIN:
-        return PhysicalDecision(
-            "single",
-            f"observed fan-in {fan_in:.2f} rows/group below the "
-            f"combine threshold {MIN_COMBINE_FANIN:g}",
-            fan_in=fan_in,
-        )
-    return PhysicalDecision("two_phase", reason, fan_in=fan_in)
+    return PhysicalDecision("two_phase", reason)

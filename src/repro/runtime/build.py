@@ -14,29 +14,9 @@ from typing import Optional, Sequence
 from ..core.tvr import TimeVaryingRelation
 from ..exec.executor import Dataflow
 from ..plan.partition import PartitionDecision
-from ..plan.physical import plan_physical
 from ..plan.planner import QueryPlan
 
-__all__ = ["build_flow", "runs_two_phase"]
-
-
-def runs_two_phase(
-    config, plan: QueryPlan, decision: PartitionDecision, feedback=None
-) -> bool:
-    """Whether a sharded flow built under ``config`` is two-phase.
-
-    A flow-level switch, on unless ``two_phase="off"``: whether an
-    individual output splits is decided per plan when it is attached,
-    so the answer never depends on which member query happens to be
-    first.  ``feedback`` — a prior run's metrics for ``plan`` — lets
-    the physical planner's ``auto`` mode veto the split on observed
-    fan-in.
-    """
-    if config.two_phase == "off":
-        return False
-    if feedback is None:
-        return True
-    return plan_physical(plan, decision, config, feedback=feedback).use_two_phase
+__all__ = ["build_flow"]
 
 
 def build_flow(
@@ -45,7 +25,6 @@ def build_flow(
     config,
     decision: Optional[PartitionDecision] = None,
     structure: Optional[dict] = None,
-    feedback=None,
 ):
     """The flow ``config`` (a resolved ``ExecutionConfig``) describes,
     unrun.
@@ -58,8 +37,11 @@ def build_flow(
     ``decision`` is the partition analyzer's verdict when the caller
     wants shards: a partitionable one yields a
     :class:`~repro.runtime.sharded.ShardedDataflow` over
-    ``config.parallelism`` shards (two-phase per :func:`runs_two_phase`),
-    anything else the serial :class:`~repro.exec.executor.Dataflow`.
+    ``config.parallelism`` shards, anything else the serial
+    :class:`~repro.exec.executor.Dataflow`.  A sharded flow is two-phase
+    unless ``two_phase="off"``: whether an individual output splits is
+    decided per plan when it is attached (``split_eligibility``), so the
+    answer never depends on which member query happens to be first.
     """
     kind, sharded = Dataflow, {}
     if decision is not None and decision.partitionable:
@@ -68,7 +50,7 @@ def build_flow(
         kind = ShardedDataflow
         sharded = dict(
             spec=decision.spec,
-            two_phase=runs_two_phase(config, plans[0][1], decision, feedback),
+            two_phase=config.two_phase != "off",
         )
     if structure is not None:
         return kind.from_structure(plans, structure, sources, config, **sharded)

@@ -644,9 +644,12 @@ class ServiceServer:
                 self._refresh_depths()
                 return {"ok": True, "exposition": self.service.scrape()}
             if op == "lineage":
-                explanation = self.service.explain_delta(
-                    request["query"], int(request["seq"])
-                )
+                seq = request["seq"]
+                if type(seq) is not int:  # (not a bool, 1.9 nor 1e400)
+                    raise TypeError(
+                        f"lineage seq must be a JSON integer, got {seq!r}"
+                    )
+                explanation = self.service.explain_delta(request["query"], seq)
                 return {
                     "ok": True,
                     "traced": explanation is not None,

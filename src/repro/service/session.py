@@ -79,7 +79,7 @@ from ..plan import plan_fingerprint
 from ..plan.optimizer import optimize
 from ..plan.partition import analyze_partitioning
 from ..plan.planner import QueryPlan
-from ..runtime.build import build_flow, runs_two_phase
+from ..runtime.build import build_flow
 from .metrics import SlowQueryLog
 from .subscriptions import Delta, SubscriptionRegistry
 
@@ -373,8 +373,7 @@ class SharedPlanCache:
     def config_key(plan: QueryPlan, effective: ExecutionConfig) -> tuple:
         """The execution shape a flow must match to host ``plan``: what
         the flow does, not how its knobs are spelled (``columnar="on"``
-        and ``"auto"`` run alike at ``batch_size > 1``; with no counter
-        feedback, so do ``two_phase="on"`` and ``"auto"``)."""
+        and ``"auto"`` run alike at ``batch_size > 1``)."""
         shape = (
             effective.allowed_lateness,
             effective.batch_size,
@@ -392,7 +391,7 @@ class SharedPlanCache:
                     "sharded",
                     decision.spec,
                     effective.parallelism,
-                    runs_two_phase(effective, plan, decision),
+                    effective.two_phase != "off",
                 ) + shape
         return ("serial",) + shape
 

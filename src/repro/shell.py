@@ -34,7 +34,7 @@ Commands:
   \\save NAME PATH     write a registered relation as a dataset script
   \\at TIME            set the table-view instant (e.g. \\at 8:13)
   \\until TIME         set the stream-view horizon
-  \\explain [MODE] SQL;  show the plan (MODE: logical|physical|costs|analyze)
+  \\explain [MODE] SQL;  show the plan (MODE: logical|physical|analyze)
   \\analyze SQL;       run a query and show the plan with operator metrics
   \\watch SQL;         run a query with a live telemetry dashboard
   \\state SQL;         run a query and show per-operator state
@@ -46,7 +46,7 @@ Commands:
   \\quit               exit
 Anything else is SQL, terminated by ';'.  Add EMIT STREAM to see the
 changelog rendering instead of a table; EXPLAIN, EXPLAIN ANALYZE, and
-EXPLAIN (PHYSICAL|COSTS) prefixes work like their backslash commands."""
+EXPLAIN (PHYSICAL) prefixes work like their backslash commands."""
 
 
 class Shell:

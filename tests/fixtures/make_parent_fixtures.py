@@ -53,7 +53,7 @@ TUMBLED_BY_ITEM = (
 def pr15() -> None:
     bids = paper_bid_stream()
     events = bids.events()
-    engine = StreamEngine(config=ExecutionConfig(parallelism=3, two_phase="on"))
+    engine = StreamEngine(config=ExecutionConfig(parallelism=3, two_phase="auto"))
     engine.register_stream("Bid", bids)
     flow = engine.query(TUMBLED_BY_ITEM).sharded_dataflow()
     for event in events[: len(events) // 2]:
@@ -122,7 +122,7 @@ METRICS_QUERIES = {
 METRICS_RUNTIMES = {
     "serial": {},
     "sharded": dict(parallelism=2, backend="sync", two_phase="off"),
-    "two_phase": dict(parallelism=2, backend="sync", two_phase="on"),
+    "two_phase": dict(parallelism=2, backend="sync", two_phase="auto"),
 }
 
 

@@ -176,7 +176,7 @@ class TestShapes:
 
     def test_the_two_phase_halves_absorb_one_way_each(self):
         flow = engine_for(
-            batch_size=64, parallelism=2, two_phase="on"
+            batch_size=64, parallelism=2, two_phase="auto"
         ).query(SHAPES["keyed"]).sharded_dataflow()
         merge = fused(flow.combines["main"])
         assert isinstance(merge, CombineAggregateNode)
@@ -263,7 +263,7 @@ class TestShapes:
 RUNTIMES = {
     "serial": {},
     "sharded": dict(parallelism=2, two_phase="off"),
-    "two_phase": dict(parallelism=2, two_phase="on"),
+    "two_phase": dict(parallelism=2, two_phase="auto"),
 }
 
 
@@ -320,7 +320,7 @@ def test_every_configuration_emits_the_unfused_changelog(shape):
     assert cells == (24 if partitionable else 8)
 
 
-@pytest.mark.parametrize("two_phase", ["off", "on"])
+@pytest.mark.parametrize("two_phase", ["off", "auto"])
 def test_process_shards_emit_the_unfused_changelog(two_phase):
     engine = engine_for()
     for shape in ("keyed", "filtered"):
@@ -419,7 +419,7 @@ class TestMismatch:
             )
 
     def test_a_two_phase_stage_of_other_operators_is_refused(self):
-        config = dict(batch_size=64, parallelism=2, two_phase="on")
+        config = dict(batch_size=64, parallelism=2, two_phase="auto")
         query = engine_for(**config).query(SHAPES["keyed"])
         flow = query.sharded_dataflow()
         for _ in flow.replay(merge_source_events(flow._sources)[:150]):

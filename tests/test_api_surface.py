@@ -54,7 +54,6 @@ PROVISIONAL = [
     "TwoPhaseSplit",
     "plan_physical",
     "split_eligibility",
-    "MIN_COMBINE_FANIN",
 ]
 
 PACKAGE_SURFACES = {
@@ -67,7 +66,6 @@ PACKAGE_SURFACES = {
         "TwoPhaseSplit",
         "plan_physical",
         "split_eligibility",
-        "MIN_COMBINE_FANIN",
     ],
     "repro.runtime": [
         "ShardedDataflow",
@@ -154,9 +152,9 @@ class TestFacadeCoherence:
         assert repro.FaultPlan is repro.runtime.FaultPlan
 
     def test_explain_modes_is_the_renderers_contract(self):
-        assert repro.EXPLAIN_MODES == ("logical", "physical", "costs", "analyze")
-        parsed = repro.parse_explain("EXPLAIN (COSTS) SELECT 1")
-        assert parsed == ("costs", "SELECT 1")
+        assert repro.EXPLAIN_MODES == ("logical", "physical", "analyze")
+        parsed = repro.parse_explain("EXPLAIN (PHYSICAL) SELECT 1")
+        assert parsed == ("physical", "SELECT 1")
         assert repro.parse_explain("SELECT 1") is None
 
 
@@ -369,6 +367,9 @@ class TestSaidOnce:
         # 4.0: lineage is recomputed on read (repro.obs.lineage)
         "LineageRecorder", "set_lineage", "set_pending", "sample_hash",
         "LINEAGE_SPLITS_RUNS", "lineage_sample",
+        # 5.0: the sharded shape no longer reads a previous run's counters
+        "estimate_fan_in", "MIN_COMBINE_FANIN", "_last_metrics", "feedback=",
+        "runs_two_phase", "_costs_section",
     )
 
     def test_execution_config_has_sixteen_fields(self):
@@ -588,7 +589,7 @@ class TestSaidOnce:
         that is not blank, not a comment (first non-space character
         ``#``) and not part of a docstring (a string literal that is the
         first statement of a module, class or function)."""
-        assert counted_lines(SRC) <= 17_224
+        assert counted_lines(SRC) <= 17_121
 
     def test_the_threads_backend_is_refused_by_name(self):
         from repro.core.errors import ValidationError
@@ -596,3 +597,10 @@ class TestSaidOnce:
         with pytest.raises(ValidationError) as refused:
             repro.ExecutionConfig(backend="threads")
         assert "('sync', 'processes')" in str(refused.value)
+
+    def test_two_phase_on_is_refused_by_name(self):
+        from repro.core.errors import ValidationError
+
+        with pytest.raises(ValidationError) as refused:
+            repro.ExecutionConfig(two_phase="on")
+        assert "'auto' or 'off', got 'on'" in str(refused.value)

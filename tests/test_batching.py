@@ -229,7 +229,7 @@ def test_batched_sharded_identical(nexmark_small, backend, batch_size):
 
 
 @pytest.mark.parametrize("parallelism", [1, 3])
-@pytest.mark.parametrize("two_phase", ["off", "on"])
+@pytest.mark.parametrize("two_phase", ["off", "auto"])
 def test_batched_sharded_lineage_matches_serial(two_phase, parallelism):
     """A sharded flow fed in runs of 64 explains its changelog as the
     serial flow does: the explain replays the recorded sources one event

@@ -417,7 +417,7 @@ class TestRunningStateSize:
         """The two-phase subclasses: shard-local DISTINCT state and the
         combine stage's groups, across a sharded checkpoint."""
         engine = StreamEngine(
-            config=ExecutionConfig(parallelism=2, backend="sync", two_phase="on")
+            config=ExecutionConfig(parallelism=2, backend="sync", two_phase="auto")
         )
         engine.register_stream("L", TimeVaryingRelation(L))
         query = engine.query(
@@ -484,7 +484,7 @@ REFUSED_VERSIONS = [None, 2, 3, 5]
 REFUSED_FLOWS = {
     "serial": {},
     "sharded": dict(parallelism=2, backend="sync", two_phase="off"),
-    "two_phase": dict(parallelism=2, backend="sync", two_phase="on"),
+    "two_phase": dict(parallelism=2, backend="sync", two_phase="auto"),
 }
 
 

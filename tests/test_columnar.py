@@ -136,7 +136,7 @@ def test_columnar_identical_serial(entries, sql, batch_size):
 @given(
     entries=entries_strategy,
     shards=st.sampled_from([1, 3]),
-    two_phase=st.sampled_from(["off", "on"]),
+    two_phase=st.sampled_from(["off", "auto"]),
     coalesce=st.booleans(),
 )
 def test_columnar_identical_sharded(entries, shards, two_phase, coalesce):

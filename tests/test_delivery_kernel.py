@@ -294,7 +294,7 @@ def test_graft_withdraw_then_checkpoint_and_restore(observers):
 
 @pytest.mark.parametrize("observers", [False, True], ids=["bare", "observed"])
 def test_two_sync_shards_two_phase(observers):
-    config = ExecutionConfig(parallelism=2, backend="sync", two_phase="on", batch_size=64)
+    config = ExecutionConfig(parallelism=2, backend="sync", two_phase="auto", batch_size=64)
     pair = [build(config, QUERIES[1:4] + [PRIMARY], observers, sharded=True) for _ in range(2)]
     assert lockstep([flow for _, flow in pair], merged(pair[0][0])) > 0
 

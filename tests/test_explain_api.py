@@ -29,7 +29,7 @@ SQL = """
 """
 
 
-def make_engine(parallelism=4, two_phase="on", batch_size=None):
+def make_engine(parallelism=4, two_phase="auto", batch_size=None):
     engine = StreamEngine(
         config=ExecutionConfig(
             parallelism=parallelism,
@@ -51,7 +51,7 @@ class TestModes:
         text = engine.explain(SQL)
         assert "Aggregate(" in text
         assert "Runtime: sharded(4)" in text
-        assert "Physical:" not in text and "Costs:" not in text
+        assert "Physical:" not in text
 
     def test_physical_shows_the_phase_split(self):
         text = make_engine().explain(SQL, mode="physical")
@@ -66,17 +66,17 @@ class TestModes:
         assert "Physical: single-phase" in text
         assert "CombineAggregate(" not in text
 
-    def test_costs_shows_threshold_and_decision(self):
-        engine = make_engine(two_phase="auto")
-        query = engine.query(SQL)
-        before = query.explain(mode="costs")
-        assert "Costs: two_phase=auto, parallelism=4" in before
-        assert "no counter feedback yet" in before
-        assert "decision: two_phase" in before
-        query.run()
-        after = query.explain(mode="costs")
-        assert "observed fan-in:" in after
-        assert "combine threshold 4" in after
+    def test_costs_mode_is_refused(self):
+        """The shape has no cost inputs to show: ``costs`` is an
+        unknown mode, and the error names the modes there are."""
+        with pytest.raises(ValidationError) as info:
+            make_engine().explain(SQL, mode="costs")
+        assert "'costs'" in str(info.value)
+        assert "logical, physical, analyze" in str(info.value)
+        with pytest.raises(ValidationError) as info:
+            parse_explain(f"EXPLAIN (COSTS) {SQL}")
+        assert "unknown EXPLAIN mode 'costs'" in str(info.value)
+        assert "logical, physical, analyze" in str(info.value)
 
     def test_analyze_appends_runtime_counters(self):
         text = make_engine().explain(SQL, mode="analyze")
@@ -92,7 +92,7 @@ class TestParity:
     def test_engine_and_query_render_identically(self):
         engine = make_engine()
         query = engine.query(SQL)
-        for mode in ("logical", "physical", "costs"):
+        for mode in ("logical", "physical"):
             assert engine.explain(SQL, mode=mode) == query.explain(mode=mode)
 
 
@@ -109,8 +109,8 @@ class TestParseExplain:
             "physical",
             "SELECT 1",
         )
-        assert parse_explain("EXPLAIN ( costs ) SELECT 1") == (
-            "costs",
+        assert parse_explain("EXPLAIN ( physical ) SELECT 1") == (
+            "physical",
             "SELECT 1",
         )
 
@@ -133,7 +133,7 @@ class TestShell:
         sh = Shell(
             engine=StreamEngine(
                 config=ExecutionConfig(
-                    parallelism=2, backend="sync", two_phase="on"
+                    parallelism=2, backend="sync", two_phase="auto"
                 )
             )
         )
@@ -154,8 +154,8 @@ class TestShell:
     def test_explain_mode_token(self, shell):
         out = shell.feed(f"\\explain physical {SQL};")
         assert "Physical: two-phase aggregation" in out
-        out = shell.feed(f"\\explain costs {SQL};")
-        assert "decision:" in out
+        out = shell.feed(f"\\explain analyze {SQL};")
+        assert "rows_in" in out
 
     def test_explain_usage_without_sql(self, shell):
         out = shell.feed("\\explain physical")
@@ -182,7 +182,7 @@ class TestColumnarSection:
 
         engine = StreamEngine(
             config=ExecutionConfig(
-                parallelism=4, backend="sync", two_phase="on", batch_size=64
+                parallelism=4, backend="sync", two_phase="auto", batch_size=64
             )
         )
         engine.register_stream("S", TimeVaryingRelation(SCHEMA))

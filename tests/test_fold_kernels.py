@@ -115,7 +115,7 @@ def test_two_phase_combine_folds_to_the_naive_snapshot(batch_size, data):
     query = data.draw(aggregates(drawn=DECOMPOSABLE), label="query")
     sources = data.draw(streams(data.draw(st.booleans())), label="sources")
     sharded = config(
-        query, parallelism=2, backend="sync", two_phase="on", batch_size=batch_size
+        query, parallelism=2, backend="sync", two_phase="auto", batch_size=batch_size
     )
     flow = prepared(sources, sharded, query).sharded_dataflow()
     assert flow.combines

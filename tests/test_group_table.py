@@ -58,9 +58,9 @@ SHAPES = {
 
 FLOWS = {
     "serial": {},
-    "two_phase_replay": dict(parallelism=2, backend="sync", two_phase="on"),
+    "two_phase_replay": dict(parallelism=2, backend="sync", two_phase="auto"),
     "two_phase_delta": dict(
-        parallelism=2, backend="sync", two_phase="on", coalesce_updates=True
+        parallelism=2, backend="sync", two_phase="auto", coalesce_updates=True
     ),
 }
 

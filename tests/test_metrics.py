@@ -707,7 +707,7 @@ def _bid_flow(**config):
 
 
 #: how ``parent_sharded_flow_two_phase.ckpt`` was cut (half way through)
-TWO_PHASE_BLOB = dict(parallelism=3, two_phase="on")
+TWO_PHASE_BLOB = dict(parallelism=3, two_phase="auto")
 
 
 PARENT_BLOBS = {

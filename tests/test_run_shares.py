@@ -163,7 +163,7 @@ def count_batches(monkeypatch_context):
     batch_size=st.sampled_from([1, 2, 7, 64]),
     backend=st.sampled_from(["sync", "processes"]),
     columnar=st.sampled_from(["off", "auto"]),
-    two_phase=st.sampled_from(["on", "off"]),
+    two_phase=st.sampled_from(["auto", "off"]),
     crash=st.sampled_from(
         [None, "crash-after-checkpoint:shard=1,at=1",
          "crash-before-batch:shard=1,at=5"]
@@ -206,7 +206,7 @@ def test_shard_batches_are_bounded_by_the_serial_runs(sql, shards, batch_size):
     events = interleaved_events()
     serial = engine_for(events, batch_size=batch_size).query(sql).run()
     flow = engine_for(
-        events, parallelism=shards, batch_size=batch_size, two_phase="on"
+        events, parallelism=shards, batch_size=batch_size, two_phase="auto"
     ).query(sql).sharded_dataflow()
     runs = sum(
         1
@@ -255,12 +255,12 @@ def test_a_restarted_shard_is_fed_the_same_shares():
 
         patch.setattr(sharded, "dedup_by_seq", spy)
         clean = engine_for(
-            events, parallelism=3, batch_size=64, two_phase="on"
+            events, parallelism=3, batch_size=64, two_phase="auto"
         ).query(TUMBLE_SQL).run()
         assert identical(clean, serial) and deduped == []
 
         crashed = engine_for(
-            events, parallelism=3, batch_size=64, two_phase="on",
+            events, parallelism=3, batch_size=64, two_phase="auto",
             fault_plan="crash-before-batch:shard=1,at=100",
             retry=RetryPolicy(max_restarts=2, checkpoint_interval=64),
         ).query(TUMBLE_SQL).run()
@@ -274,7 +274,7 @@ def test_a_restarted_shard_is_fed_the_same_shares():
 
 
 @pytest.mark.parametrize("backend", ["sync", "processes"])
-@pytest.mark.parametrize("two_phase", ["on", "off"])
+@pytest.mark.parametrize("two_phase", ["auto", "off"])
 def test_a_restart_under_lineage_tags_like_the_first_attempt(backend, two_phase):
     """A run that restarted a worker explains its deltas as an
     uninterrupted serial run does: the explain replays the recorded
@@ -378,7 +378,7 @@ class TestPartitioning:
 def _shard_flow(sql, **config):
     config.setdefault("batch_size", 64)
     flow = engine_for(
-        interleaved_events(), parallelism=2, two_phase="on", **config
+        interleaved_events(), parallelism=2, two_phase="auto", **config
     ).query(sql).sharded_dataflow()
     return flow.shards[0]
 
@@ -539,7 +539,7 @@ class TestSplice:
         ).query(TUMBLE_SQL).sharded_dataflow()
 
     def test_a_double_claim_raises_through_splice(self):
-        flow = self._sharded("on")
+        flow = self._sharded("auto")
         entry = (1, (1, 2 * MINUTE, 0), (5, None))
         logs = {
             0: {"main": ShardLog([(0, [_payload([entry], [3])])])},
@@ -559,7 +559,7 @@ class TestSplice:
             splice(flow._outputs, flow.combines, logs, set())
 
     def test_one_event_at_a_time_stays_on_the_row_path(self, monkeypatch):
-        flow = self._sharded("on")
+        flow = self._sharded("auto")
         shares = []
         real = Dataflow.process_batch
 
@@ -577,7 +577,7 @@ class TestSplice:
         assert identical(flow.finish(), serial) and shares == []
 
     def test_the_stage_is_fed_once_per_run(self, monkeypatch):
-        flow = self._sharded("on")
+        flow = self._sharded("auto")
         feeds = []
         combine = flow.combines["main"]
         real = combine.process_batch

@@ -132,7 +132,7 @@ def test_runs_stay_per_instant_for_each_reason(monkeypatch, reason):
     if reason == "coalesce":
         config["coalesce_updates"] = True
     if reason == "sharded":
-        config.update(parallelism=2, two_phase="on")
+        config.update(parallelism=2, two_phase="auto")
     query = engine_for(events, **config).query(sql)
     flow = query.sharded_dataflow() if reason == "sharded" else query.dataflow()
     assert flow.run_span_reason() == {

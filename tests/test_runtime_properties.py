@@ -180,7 +180,7 @@ def _finished(flow, drive):
     events=event_histories(bursty=True),
     sql=st.sampled_from(QUERIES),
     shards=st.integers(min_value=2, max_value=4),
-    two_phase=st.sampled_from(["off", "on"]),
+    two_phase=st.sampled_from(["off", "auto"]),
     batch_size=st.sampled_from([1, 7, 64]),
     cut=st.floats(min_value=0.0, max_value=1.0),
 )
@@ -244,7 +244,7 @@ def test_every_driver_yields_the_serial_changelog(
 @given(
     events=event_histories(bursty=True),
     sql=st.sampled_from(QUERIES),
-    two_phase=st.sampled_from(["off", "on"]),
+    two_phase=st.sampled_from(["off", "auto"]),
     batch_size=st.sampled_from([1, 7, 64]),
     carried=st.booleans(),  # in the blob, or kept by the caller as segments
     second_cut=st.booleans(),

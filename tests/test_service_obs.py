@@ -182,8 +182,10 @@ class TestWireOps:
             host, port = server.address
             reader, writer = await asyncio.open_connection(host, port)
 
-            async def rpc(payload):
-                writer.write((json.dumps(payload) + "\n").encode())
+            async def rpc(payload):  # (a str goes out as the raw line)
+                if not isinstance(payload, str):
+                    payload = json.dumps(payload)
+                writer.write((payload + "\n").encode())
                 await writer.drain()
                 return json.loads(await reader.readline())
 
@@ -222,6 +224,32 @@ class TestWireOps:
             assert reply == {"ok": True, "traced": False, "lineage": None}
         assert not unknown["ok"]
         assert unknown["error"]["code"] == "invalid_query"
+
+    def test_a_lineage_seq_that_is_not_an_integer_keeps_the_client(self):
+        """``1e400`` and ``Infinity`` parse to an infinite float that
+        ``int()`` cannot take; ``1.9`` and ``true`` are not positions.
+        Each is an ``invalid_query`` reply, and the connection stays."""
+        svc, (query,) = ingested_service()
+        bad = ["1e400", "Infinity", "1.9", "true", '"0"', "null"]
+
+        async def script(rpc, reader, server):
+            replies = [
+                await rpc(
+                    f'{{"op": "lineage", "query": "{query.query_id}", '
+                    f'"seq": {seq}}}'
+                )
+                for seq in bad
+            ]
+            good = await rpc(
+                {"op": "lineage", "query": query.query_id, "seq": 0}
+            )
+            return replies, good
+
+        replies, good = self.run_session(svc, script)
+        for seq, reply in zip(bad, replies):
+            assert not reply["ok"], seq
+            assert reply["error"]["code"] == "invalid_query", seq
+        assert good["ok"] and good["traced"]
 
     def test_slowlog_op_returns_entries(self):
         svc, (query,) = ingested_service(

@@ -133,7 +133,7 @@ CONFIGS = {
     "serial-64": dict(batch_size=64),
     "late-1": dict(batch_size=1, allowed_lateness=3 * SECOND),
     "late-64": dict(batch_size=64, allowed_lateness=WINDOW),
-    "sharded": dict(parallelism=2, backend="sync", two_phase="on", batch_size=64),
+    "sharded": dict(parallelism=2, backend="sync", two_phase="auto", batch_size=64),
 }
 
 

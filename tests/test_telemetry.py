@@ -373,7 +373,7 @@ def test_jsonl_exporter_via_engine(tmp_path):
 def test_sharded_jsonl_tags_shards(tmp_path):
     """Single-phase, batches reach the log from the shards' roots,
     tagged; two-phase, from the combine flow's root, untagged."""
-    for two_phase, tags in (("off", {0, 1}), ("on", {None})):
+    for two_phase, tags in (("off", {0, 1}), ("auto", {None})):
         path = tmp_path / f"events-{two_phase}.jsonl"
         engine = keyed_engine(
             windowed_events(), parallelism=2, two_phase=two_phase,

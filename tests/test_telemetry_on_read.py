@@ -181,7 +181,7 @@ def test_serial_run_reads_the_eager_samples(eager, records, batch_size,
     assert records, "the read derived the samples"
 
 
-@pytest.mark.parametrize("two_phase", ["off", "on"])
+@pytest.mark.parametrize("two_phase", ["off", "auto"])
 @pytest.mark.parametrize("backend", ["sync", "processes"])
 def test_sharded_run_reads_the_serial_eager_samples(eager, backend, two_phase):
     """Merged over shards (or read off the combine flow) the telemetry

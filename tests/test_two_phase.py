@@ -1,4 +1,4 @@
-"""Two-phase sharded aggregation: split, combine, cost model, recovery.
+"""Two-phase sharded aggregation: split, combine, recovery.
 
 The physical planner (``repro.plan.physical``) may split a sharded
 grouped aggregate into per-shard ``PartialAggregate`` operators plus a
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro import ExecutionConfig, RetryPolicy, StreamEngine
 from repro.core.schema import Schema, int_col, timestamp_col
 from repro.core.tvr import TimeVaryingRelation, ins, wm
-from repro.nexmark import NexmarkConfig, generate
+from repro.nexmark import NexmarkConfig, generate, paper_bid_stream
 from repro.obs import TraceCollector
 from repro.plan.logical import PartialAggregateNode
 from repro.plan.physical import split_eligibility
@@ -58,6 +58,14 @@ VAR_SQL = f"""
 """
 
 DECOMPOSABLE_QUERIES = [SUM_AVG_SQL, MINMAX_SQL, DISTINCT_SQL]
+
+#: One bid per ``(item, wend)`` group over the paper's Section 4 data.
+PAPER_ITEM_SUM_SQL = """
+    SELECT item, wend, SUM(price) AS total
+    FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime),
+                dur => INTERVAL '10' MINUTE)
+    GROUP BY item, wend
+"""
 
 
 def keyed_events(rows=60, keys=5, burst=4):
@@ -107,7 +115,7 @@ def serial_run(events, sql, **overrides):
     return make_engine(events, parallelism=1, **overrides).query(sql).run()
 
 
-def sharded_run(events, sql, shards, two_phase="on", **overrides):
+def sharded_run(events, sql, shards, two_phase="auto", **overrides):
     engine = make_engine(
         events, parallelism=shards, two_phase=two_phase, **overrides
     )
@@ -116,7 +124,7 @@ def sharded_run(events, sql, shards, two_phase="on", **overrides):
 
 class TestEligibility:
     def test_decomposable_query_splits(self):
-        query = make_engine(keyed_events(), parallelism=4, two_phase="on").query(
+        query = make_engine(keyed_events(), parallelism=4, two_phase="auto").query(
             SUM_AVG_SQL
         )
         decision = query.physical_decision()
@@ -133,7 +141,7 @@ class TestEligibility:
         assert any(isinstance(n, PartialAggregateNode) for n in nodes)
 
     def test_var_pop_is_not_decomposable(self):
-        query = make_engine(keyed_events(), parallelism=4, two_phase="on").query(
+        query = make_engine(keyed_events(), parallelism=4, two_phase="auto").query(
             VAR_SQL
         )
         split, reason = split_eligibility(query.plan)
@@ -150,38 +158,37 @@ class TestEligibility:
             SUM_AVG_SQL
         )
         assert not off.physical_decision().use_two_phase
-        serial = make_engine(events, parallelism=1, two_phase="on").query(
+        serial = make_engine(events, parallelism=1, two_phase="auto").query(
             SUM_AVG_SQL
         )
         assert not serial.physical_decision().use_two_phase
 
-    def test_auto_splits_optimistically_then_reads_feedback(self):
-        """auto has no counters on the first plan, so it splits; this
-        low-fan-in workload (every row its own group) feeds back a
-        fan-in below the combine threshold, so the next plan is
-        single-phase."""
-        events = [
-            ins(1_000_000 + i, (i % 3, i * 7 * MINUTE, i)) for i in range(12)
-        ] + [wm(2_000_000, 1 << 60)]
-        query = make_engine(events, parallelism=2, two_phase="auto").query(
-            SUM_AVG_SQL
+    def test_a_run_does_not_change_the_shape(self):
+        """The shape follows from the plan and the config alone: a
+        fan-in-1 aggregate (every bid its own ``(item, wend)`` group)
+        still splits after the query ran, and EXPLAIN prints what a
+        fresh query of the same SQL prints."""
+        engine = StreamEngine(
+            config=ExecutionConfig(parallelism=2, backend="sync")
         )
-        before = query.physical_decision()
-        assert before.use_two_phase and before.fan_in is None
+        engine.register_stream("Bid", paper_bid_stream())
+        query = engine.query(PAPER_ITEM_SUM_SQL)
+        assert query.sharded_dataflow().is_two_phase()
         query.run()
-        after = query.physical_decision()
-        assert not after.use_two_phase
-        assert after.fan_in is not None and after.fan_in < 4
-
-    def test_forced_on_ignores_feedback(self):
-        events = [
-            ins(1_000_000 + i, (i % 3, i * 7 * MINUTE, i)) for i in range(12)
-        ] + [wm(2_000_000, 1 << 60)]
-        query = make_engine(events, parallelism=2, two_phase="on").query(
-            SUM_AVG_SQL
-        )
-        query.run()
+        assert query.sharded_dataflow().is_two_phase()
         assert query.physical_decision().use_two_phase
+        fresh = engine.query(PAPER_ITEM_SUM_SQL)
+        assert query.explain("physical") == fresh.explain("physical")
+
+    @pytest.mark.parametrize("parser", ["build_parser", "build_serve_parser"])
+    def test_the_cli_refuses_two_phase_on(self, parser, capsys):
+        import repro.__main__ as cli
+
+        with pytest.raises(SystemExit) as info:
+            getattr(cli, parser)().parse_args(["--two-phase", "on"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "'on'" in err and "'auto'" in err and "'off'" in err
 
 
 class TestByteIdentity:
@@ -258,7 +265,7 @@ class TestDeltaMode:
         engine = make_engine(
             events,
             parallelism=4,
-            two_phase="on",
+            two_phase="auto",
             batch_size=64,
             coalesce_updates=True,
         )
@@ -276,7 +283,7 @@ class TestDeltaMode:
         assert combine_in * 4 <= merge_traffic
 
     def test_replay_mode_reported_when_not_coalescing(self):
-        engine = make_engine(keyed_events(), parallelism=2, two_phase="on")
+        engine = make_engine(keyed_events(), parallelism=2, two_phase="auto")
         flow = engine.query(SUM_AVG_SQL).sharded_dataflow()
         flow.run()
         report = flow.metrics_report()
@@ -291,7 +298,7 @@ class TestRecovery:
         engine = make_engine(
             events,
             parallelism=2,
-            two_phase="on",
+            two_phase="auto",
             backend=backend,
             batch_size=8,
             fault_plan="crash-after-checkpoint:shard=0,at=1",
@@ -305,7 +312,7 @@ class TestRecovery:
 
     def test_checkpoint_restore_continues_exactly(self):
         events = keyed_events()
-        query = make_engine(events, parallelism=3, two_phase="on").query(
+        query = make_engine(events, parallelism=3, two_phase="auto").query(
             SUM_AVG_SQL
         )
         uninterrupted = query.run()
@@ -329,7 +336,7 @@ class TestRecovery:
         """Cut after the combine state peaked: the restored flow reports
         the uninterrupted peak, not the smaller one it sees afterwards."""
         events = keyed_events()
-        query = make_engine(events, parallelism=3, two_phase="on").query(
+        query = make_engine(events, parallelism=3, two_phase="auto").query(
             SUM_AVG_SQL
         )
         uninterrupted, first = query.sharded_dataflow(), query.sharded_dataflow()
@@ -357,7 +364,7 @@ class TestMQO:
         def run(share_plans):
             svc = StandingQueryService(
                 config=ExecutionConfig(
-                    parallelism=2, two_phase="on", share_plans=share_plans
+                    parallelism=2, two_phase="auto", share_plans=share_plans
                 ),
                 default_policy=TenantPolicy(name="*", max_standing_queries=8),
             )
@@ -381,7 +388,7 @@ class TestMQO:
 
 class TestMetricsShape:
     def test_report_prepends_combine_stage(self):
-        engine = make_engine(keyed_events(), parallelism=4, two_phase="on")
+        engine = make_engine(keyed_events(), parallelism=4, two_phase="auto")
         flow = engine.query(SUM_AVG_SQL).sharded_dataflow()
         flow.run()
         report = flow.metrics_report()
@@ -396,7 +403,7 @@ class TestMetricsShape:
         assert report.render()  # renders without raising
 
     def test_totals_include_stage_operators(self):
-        engine = make_engine(keyed_events(), parallelism=2, two_phase="on")
+        engine = make_engine(keyed_events(), parallelism=2, two_phase="auto")
         flow = engine.query(SUM_AVG_SQL).sharded_dataflow()
         flow.run()
         totals = flow.metrics_report().totals
@@ -423,18 +430,18 @@ class TestObservedLikeSerial:
     """The merge half is a flow: what a two-phase flow reports about its
     state and traces about its output is what the serial flow does."""
 
-    @pytest.mark.parametrize("two_phase", ["on", "off"])
+    @pytest.mark.parametrize("two_phase", ["auto", "off"])
     def test_state_report_counts_the_merge_half(self, two_phase):
         serial = nexmark_query().dataflow()
         serial.run()
         flow = nexmark_query(parallelism=2, two_phase=two_phase).sharded_dataflow()
         flow.run()
-        assert flow.is_two_phase() == (two_phase == "on")
+        assert flow.is_two_phase() == (two_phase == "auto")
         expected = serial.state_report().total_rows
         assert expected == serial.total_state_rows() > 0
         assert flow.state_report().total_rows == flow.total_state_rows() == expected
 
-    @pytest.mark.parametrize("two_phase", ["on", "off"])
+    @pytest.mark.parametrize("two_phase", ["auto", "off"])
     @pytest.mark.parametrize("batch_size", [1, 64])
     def test_traced_changes_are_the_serial_runs(self, two_phase, batch_size):
         def traced(flow):
@@ -457,7 +464,7 @@ class TestObservedLikeSerial:
         the caller, so a ``processes`` run reports them too."""
         collector = TraceCollector()
         flow = nexmark_query(
-            parallelism=2, two_phase="on", backend="processes"
+            parallelism=2, two_phase="auto", backend="processes"
         ).sharded_dataflow()
         flow.trace = collector
         result = flow.run()
