@@ -20,7 +20,7 @@ CI uploads:
   it benchmarks the fallback path and proves it stays correct.
 
 Every default-mode run (``coalesce_updates=False``) — serial or
-sharded, columnar on or off, two-phase or single-phase, plan-shared or
+sharded, columnar auto or off, two-phase or single-phase, plan-shared or
 not — is asserted change-for-change
 identical to the ``batch_size=1`` row-at-a-time baseline: the batching
 invariant of ``docs/RUNTIME.md`` sections 7 and 9.  Coalesced runs are
@@ -297,7 +297,7 @@ def _mqo_deltas(streams, share_plans: bool, **config) -> list:
 def _check_mqo(streams) -> dict:
     """Plan-shared columnar service vs unshared row service: same deltas."""
     shared = _mqo_deltas(
-        streams, share_plans=True, batch_size=GATE_BATCH, columnar="on"
+        streams, share_plans=True, batch_size=GATE_BATCH, columnar="auto"
     )
     unshared = _mqo_deltas(streams, share_plans=False, columnar="off")
     assert shared == unshared, "mqo: shared columnar deltas diverged"
@@ -319,7 +319,7 @@ def collect() -> dict:
             if batch_size != 1:
                 # columnar is a no-op at batch_size=1 (single events
                 # take the row path); sweep it where batches exist.
-                modes.insert(1, ("on", False))
+                modes.insert(1, ("auto", False))
             for columnar, coalesce in modes:
                 record, result = _run(
                     streams, sql, batch_size, coalesce, columnar=columnar
@@ -336,7 +336,7 @@ def collect() -> dict:
                     _assert_snapshot_equivalent(baseline, result, label)
                 runs.append(record)
         sharded, sharded_result = _run_sharded(
-            streams, sql, GATE_BATCH, columnar="on"
+            streams, sql, GATE_BATCH, columnar="auto"
         )
         if sharded is not None:  # (None: not partitionable)
             _assert_identical(baseline, sharded_result, f"{name} sharded")
@@ -384,7 +384,7 @@ def report_speedup(payload: dict) -> float:
     """Print the headline pair's throughput ratio against its floor."""
     tumble = payload["workloads"][0]
     speedup = (
-        _find(tumble, GATE_BATCH, False, "on")["events_per_second"]
+        _find(tumble, GATE_BATCH, False, "auto")["events_per_second"]
         / _find(tumble, 1, False, "off")["events_per_second"]
     )
     print(

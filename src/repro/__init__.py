@@ -97,7 +97,7 @@ __getattr__ = lazy_exports(__name__, {
     ".runtime.faults": "FaultPlan FaultSpec",
 })
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "StreamEngine",

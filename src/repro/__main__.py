@@ -71,11 +71,10 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
              "eligible aggregate, off disables it",
     )
     parser.add_argument(
-        "--columnar", choices=("auto", "on", "off"), default=None,
-        help="columnar micro-batch execution with fused filter/project "
-             "pipelines; auto (default) enables it whenever batch size "
-             "exceeds 1, on forces it, off keeps row-at-a-time batches "
-             "(output is byte-identical in every mode)",
+        "--columnar", choices=("auto", "off"), default=None,
+        help="micro-batch encoding; auto (default) transposes every "
+             "multi-row batch into columns, off keeps rows (the plan and "
+             "the output are the same in either mode)",
     )
     parser.add_argument(
         "--share-plans", action=argparse.BooleanOptionalAction, default=None,

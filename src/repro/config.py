@@ -153,15 +153,14 @@ class ExecutionConfig:
       instant.  Per-instant snapshots are preserved, but the changelog
       row count shrinks, so ``EMIT STREAM`` renderings see fewer rows
       (see docs/API.md).
-    * ``columnar`` — columnar micro-batch execution: ``"auto"`` (the
-      default) runs micro-batches columnar whenever ``batch_size > 1``,
-      ``"on"`` forces it, ``"off"`` keeps row-at-a-time batches.
-      Batches flow between operators as per-column vectors, adjacent
-      filter/project/tumble steps are fused into one generated pipeline,
-      aggregates absorb the column-selecting projections around them,
-      and operators without a columnar path receive rows at their
-      boundary;
-      the changelog is byte-identical in every mode (see
+    * ``columnar`` — the encoding of a micro-batch: ``"auto"`` (the
+      default) transposes every multi-row batch into per-column
+      vectors, ``"off"`` keeps rows (``"on"`` was removed in 6.0).
+      Operators without a columnar path receive rows at their
+      boundary.  The plan a flow compiles is the same in either mode
+      (adjacent filter/project/tumble steps fused into one generated
+      pipeline, aggregates absorbing the column-selecting projections
+      around them), and so is the changelog, byte for byte (see
       docs/RUNTIME.md).
     * ``two_phase`` — physical aggregation shape for sharded runs:
       ``"auto"`` (the default) splits every eligible grouped aggregate
@@ -278,14 +277,9 @@ class ExecutionConfig:
             raise ValidationError(
                 f"two_phase must be 'auto' or 'off', got {self.two_phase!r}"
             )
-        if self.columnar is not None and self.columnar not in (
-            "auto",
-            "on",
-            "off",
-        ):
+        if self.columnar is not None and self.columnar not in ("auto", "off"):
             raise ValidationError(
-                f"columnar must be 'auto', 'on', or 'off', got "
-                f"{self.columnar!r}"
+                f"columnar must be 'auto' or 'off', got {self.columnar!r}"
             )
         if self.queue_capacity is not None and self.queue_capacity < 1:
             raise ValidationError("queue_capacity must be at least 1")

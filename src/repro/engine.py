@@ -292,12 +292,13 @@ class PreparedQuery:
         """Execution statistics for the current sources.
 
         Bundles the run's counters with the per-operator state report —
-        Section 5's call to relate physical state back to the query.
+        Section 5's call to relate physical state back to the query —
+        both read off the (cached) run, serial or sharded.
         """
+        from .exec.state import state_of_run
+
         result = self.run()
-        dataflow = self.dataflow()
-        dataflow.run()
-        report = dataflow.state_report()
+        report = state_of_run(result.metrics)
         return {
             "changes": len(result.changes),
             "late_dropped": result.late_dropped,

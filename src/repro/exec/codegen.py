@@ -44,10 +44,10 @@ binds its operators and channels (never the flow), so it is built per
 flow and dropped when its producer's edges or channels change.
 
 This module is **provisional**: the generated-source strategy may
-change between releases.  The unfused ``FilterOperator`` →
-``ProjectOperator`` chain over ``compile_rex`` closures, and
-``TumbleOperator``, stay the reference implementation the generated
-loops are tested against; the fold kernels are refereed by a naive
+change between releases.  The pipeline loops are tested against a
+reference of ``compile_rex`` closures applied row by row, with
+``align_to_window`` for a tumble (``tests/test_columnar.py``,
+``tests/test_operators.py``); the fold kernels are refereed by a naive
 snapshot evaluator (``tests/test_fold_kernels.py``), the fan-outs by a
 naive recursive walker (``tests/test_delivery_kernel.py``).
 """
@@ -293,8 +293,8 @@ def _emit_value(
 def _emit_tumble(
     payload: tuple, row: list[str], em: _Emitter, indent: int, columnar: bool
 ) -> list[str]:
-    """Emit a tumble step — ``TumbleOperator``'s window assignment, with
-    its error for a NULL timestamp — and return the row it produces:
+    """Emit a tumble step — the window assignment, with its error for a
+    NULL timestamp — and return the row it produces:
     ``wstart, wend`` followed by the row it saw.  The row loop aligns
     like ``align_to_window``; the columnar loop writes the same grid
     alignment without the second multiply."""
@@ -358,13 +358,12 @@ def _compile_rows(steps: Sequence[Step], in_width: int) -> Callable:
         else:
             row = [_emit_value(expr, row, em, 2) for expr in payload]
     if row is whole:
-        # Pure filters keep the original Change objects, like
-        # FilterOperator does.
+        # Pure filters keep the original Change objects.
         em.line(2, "_append(_c)")
     else:
         if row[len(row) - in_width:] == whole and len(row) > in_width:
             # New columns in front of the row it saw (a tumble's window):
-            # concatenate, like TumbleOperator does.
+            # concatenate.
             values = f"{_row_tuple_expr(row[:len(row) - in_width])} + _v"
         else:
             values = _row_tuple_expr(row)

@@ -14,7 +14,6 @@ from ..plan.physical import CombineAggregateNode
 from ..plan.pipeline import PipelineNode
 from ..plan.logical import (
     AggregateNode,
-    FilterNode,
     TemporalFilterNode,
     TemporalJoinNode,
     JoinKind,
@@ -22,7 +21,6 @@ from ..plan.logical import (
     LogicalNode,
     OverNode,
     PartialAggregateNode,
-    ProjectNode,
     ScanNode,
     SemiJoinNode,
     SetOpNode,
@@ -38,15 +36,9 @@ from .operators.aggregate import (
     PartialAggregateOperator,
 )
 from .operators.base import Operator
-from .operators.stateless import (
-    FilterOperator,
-    ProjectOperator,
-    ScanOperator,
-    SortOperator,
-    UnionOperator,
-)
+from .operators.stateless import ScanOperator, SortOperator, UnionOperator
 from .operators.pipeline import PipelineOperator
-from .operators.window import HopOperator, TumbleOperator
+from .operators.window import HopOperator
 
 __all__ = [
     "COALESCE_KEEPS_INSTANTS", "SHARDS_KEEP_INSTANTS",
@@ -118,12 +110,9 @@ def build_operator(
         # Values relations are fed by the executor like a tiny bounded
         # source; the scan operator is just the entry point.
         return ScanOperator(node.schema, f"$values{id(node)}")
-    if isinstance(node, FilterNode):
-        (child,) = children
-        return FilterOperator(node.schema, rex.compile_rex(node.condition))
     if isinstance(node, PipelineNode):
-        # Fused Filter/Project/Tumble chain (columnar mode); the
-        # operator runs the whole chain in one generated loop.
+        # A fused Filter/Project/Tumble chain (every flow compiles its
+        # plan fused); the operator runs the chain in one generated loop.
         return PipelineOperator(
             node.schema, len(node.input.schema), node.steps
         )
@@ -131,11 +120,9 @@ def build_operator(
         from .operators.temporal import TemporalFilterOperator
 
         return TemporalFilterOperator(node.schema, node.bounds)
-    if isinstance(node, ProjectNode):
-        return ProjectOperator(node.schema, [rex.compile_rex(e) for e in node.exprs])
-    if isinstance(node, WindowNode):
-        if node.kind is WindowKind.TUMBLE:
-            return TumbleOperator(node.schema, node.timecol, node.size, node.offset)
+    # (a TUMBLE window, like a Filter or Project, only ever reaches the
+    # compiler fused into a PipelineNode)
+    if isinstance(node, WindowNode) and node.kind is not WindowKind.TUMBLE:
         if node.kind is WindowKind.HOP:
             assert node.slide is not None
             return HopOperator(

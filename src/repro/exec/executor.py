@@ -69,9 +69,9 @@ _PLAN_MISMATCH = "checkpoint does not match this dataflow's plan"
 #: Format version stamped on every checkpoint payload (serial and
 #: sharded), and the only one this build reads: 4 = an aggregate's
 #: groups are one table of parallel columns
-#: (``AggregateOperator.state_snapshot``), a columnar flow's operators
-#: are those of the plan fused with absorption (``repro.plan.pipeline``),
-#: and output changelogs are codec segments that may be left out
+#: (``AggregateOperator.state_snapshot``), every flow's operators are
+#: those of its plan fused (``repro.plan.pipeline``; with absorption
+#: unless it runs ``coalesce_updates``), and output changelogs are codec segments that may be left out
 #: (``histories=False``).  A cut of any other format is refused
 #: (:func:`check_checkpoint_version`); release 2.0.0 resumes formats 1-3
 #: and its next cut is format 4.
@@ -93,11 +93,10 @@ def check_checkpoint_version(payload: dict) -> None:
 
 def runs_columnar(config) -> bool:
     """Whether a flow built under ``config`` (a resolved
-    ``ExecutionConfig``) runs its micro-batches columnar: ``columnar=
-    "on"``, or ``"auto"`` with batching.  The one place it is decided."""
-    return config.columnar == "on" or (
-        config.columnar == "auto" and config.batch_size > 1
-    )
+    ``ExecutionConfig``) transposes its multi-row micro-batches into
+    columns: ``columnar="auto"`` with batching.  The one place it is
+    decided; the plan a flow compiles does not depend on it."""
+    return config.columnar == "auto" and config.batch_size > 1
 
 
 def check_same_instant(events: Sequence[StreamEvent]) -> None:
@@ -431,20 +430,17 @@ class Dataflow(OutputLogs):
         op.bind_timers(self._timers)
 
     def _exec_root(self, plan: QueryPlan) -> LogicalNode:
-        """The logical root this flow actually compiles for ``plan``.
-
-        In columnar mode the plan is fused first
-        (:mod:`repro.plan.pipeline`): aggregates absorb their
-        column-selecting Projects — unless the flow compacts
-        (``coalesce_updates``) — and Filter/Project/Tumble chains become
+        """The logical root this flow actually compiles for ``plan``:
+        the plan fused (:mod:`repro.plan.pipeline`), at any batch size
+        and encoding.  Aggregates absorb their column-selecting
+        Projects — unless the flow compacts (``coalesce_updates``) —
+        and Filter/Project/Tumble chains become
         :class:`~repro.plan.pipeline.PipelineNode` steps.  The fused
         tree is memoized per plan object so every correlation keyed by
         node identity (donor transplants, checkpoint recipes, sharded
         shard-plan sharing) sees the same objects.
         """
-        if self._columnar_active:
-            return get_fused_root(plan, absorb=not self.coalesce_updates)
-        return plan.root
+        return get_fused_root(plan, absorb=not self.coalesce_updates)
 
     def _register_leaf(self, leaf: Operator) -> None:
         key = leaf.source_name.lower()

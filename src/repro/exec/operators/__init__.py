@@ -12,21 +12,17 @@ __getattr__ = lazy_exports(__name__, {
     ".over": "OverOperator",
     ".semi_join": "SemiJoinOperator",
     ".session": "SessionOperator",
-    ".stateless": "FilterOperator ProjectOperator ScanOperator SortOperator "
-                  "UnionOperator",
+    ".stateless": "ScanOperator SortOperator UnionOperator",
     ".temporal": "TemporalFilterOperator",
     ".temporal_join": "TemporalJoinOperator",
-    ".window": "HopOperator TumbleOperator hop_windows",
+    ".window": "HopOperator hop_windows",
 })
 
 __all__ = [
     "Operator",
     "ScanOperator",
-    "FilterOperator",
-    "ProjectOperator",
     "UnionOperator",
     "SortOperator",
-    "TumbleOperator",
     "HopOperator",
     "hop_windows",
     "SessionOperator",

@@ -1,4 +1,4 @@
-"""Stateless operators: scan, filter, project, union, sort-passthrough.
+"""Stateless operators: scan, union, sort-passthrough.
 
 Stateless operators transform each change independently, preserving its
 kind — an insert projects to an insert, a retract to a retract.  That
@@ -9,14 +9,13 @@ filter change messages").
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
 from ...core.changelog import Change
 from ...core.schema import Schema
 from .base import Operator
 
-__all__ = ["ScanOperator", "FilterOperator", "ProjectOperator", "UnionOperator",
-           "SortOperator"]
+__all__ = ["ScanOperator", "UnionOperator", "SortOperator"]
 
 
 class _ForwardOperator(Operator):
@@ -41,55 +40,6 @@ class ScanOperator(_ForwardOperator):
 
     def name(self) -> str:
         return f"Scan({self.source_name})"
-
-
-class FilterOperator(Operator):
-    """Keeps changes whose row satisfies the predicate.
-
-    The predicate is deterministic, so an insert and its later retract
-    agree on whether they pass — the changelog stays consistent.
-    """
-
-    def __init__(self, schema: Schema, predicate: Callable[[tuple], Any]):
-        super().__init__(schema, arity=1)
-        self._predicate = predicate
-
-    def on_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
-        predicate = self._predicate
-        return [c for c in changes if predicate(c.values) is True]
-
-
-class ProjectOperator(Operator):
-    """Computes the output row from each input row; kind-preserving."""
-
-    def __init__(self, schema: Schema, exprs: Sequence[Callable[[tuple], Any]]):
-        super().__init__(schema, arity=1)
-        self._exprs = list(exprs)
-
-    def on_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
-        exprs = self._exprs
-        make = Change
-        # Unrolled small arities: a tuple display beats the generic
-        # tuple(generator) by a wide margin on the hot projection path.
-        if len(exprs) == 1:
-            (e0,) = exprs
-            return [make(c.kind, (e0(c.values),), c.ptime) for c in changes]
-        if len(exprs) == 2:
-            e0, e1 = exprs
-            return [
-                make(c.kind, (e0(c.values), e1(c.values)), c.ptime)
-                for c in changes
-            ]
-        if len(exprs) == 3:
-            e0, e1, e2 = exprs
-            return [
-                make(c.kind, (e0(c.values), e1(c.values), e2(c.values)), c.ptime)
-                for c in changes
-            ]
-        return [
-            make(c.kind, tuple(expr(c.values) for expr in exprs), c.ptime)
-            for c in changes
-        ]
 
 
 class UnionOperator(_ForwardOperator):

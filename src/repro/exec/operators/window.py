@@ -1,11 +1,12 @@
-"""Windowing TVF operators: Tumble and Hop (Extension 3).
+"""Windowing TVF operators: Hop (Extension 3).
 
-Both are *stateless* relational transforms: they map each input row to
-one (Tumble) or ``size/slide`` (Hop) output rows carrying the window's
-``wstart``/``wend`` as ordinary event time columns.  This is the
-paper's fix for ``GROUP BY HOP(...)``: the row multiplication happens
-in a table-valued function, so the grouping above it is a plain
-relational GROUP BY.
+Windowing TVFs are *stateless* relational transforms: they map each
+input row to one (Tumble) or ``size/slide`` (Hop) output rows carrying
+the window's ``wstart``/``wend`` as ordinary event time columns.  This
+is the paper's fix for ``GROUP BY HOP(...)``: the row multiplication
+happens in a table-valued function, so the grouping above it is a plain
+relational GROUP BY.  A Tumble is a step of a fused pipeline
+(:mod:`repro.plan.pipeline`, generated by :mod:`repro.exec.codegen`).
 
 Session windows (a future-work item in Section 8 that we implement) are
 stateful and live in :mod:`.session`.
@@ -22,42 +23,7 @@ from ...core.schema import Schema
 from ...core.times import Duration, align_to_window
 from .base import Operator
 
-__all__ = ["TumbleOperator", "HopOperator", "hop_windows"]
-
-
-class TumbleOperator(Operator):
-    """Assigns each row to the fixed window containing its timestamp.
-
-    Row-at-a-time flows run it; a columnar flow runs every tumble as a
-    step of a fused pipeline (:mod:`repro.plan.pipeline`), whose
-    generated loops are tested against this operator."""
-
-    def __init__(
-        self, schema: Schema, timecol: int, size: Duration, offset: Duration = 0
-    ):
-        super().__init__(schema, arity=1)
-        self._timecol = timecol
-        self._size = size
-        self._offset = offset
-
-    def on_batch(self, port: int, changes: Sequence[Change]) -> list[Change]:
-        timecol, size, offset = self._timecol, self._size, self._offset
-        make = Change
-        out: list[Change] = []
-        append = out.append
-        for change in changes:
-            ts = change.values[timecol]
-            if ts is None:
-                raise ExecutionError("NULL event timestamp in Tumble input")
-            wstart = align_to_window(ts, size, offset)
-            append(
-                make(
-                    change.kind,
-                    (wstart, wstart + size) + change.values,
-                    change.ptime,
-                )
-            )
-        return out
+__all__ = ["HopOperator", "hop_windows"]
 
 
 def hop_windows(

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from ..obs.metrics import MetricsReport
     from ..runtime.sharded import ShardedDataflow
     from .executor import Dataflow
 
@@ -22,6 +23,7 @@ __all__ = [
     "StateReport",
     "collect_sharded_state",
     "collect_state",
+    "state_of_run",
 ]
 
 
@@ -111,4 +113,29 @@ def collect_sharded_state(sharded: "ShardedDataflow") -> StateReport:
         )
     for combine in sharded.combines.values():
         states.extend(collect_state(combine).operators)
+    return StateReport(tuple(states))
+
+
+def state_of_run(metrics: "MetricsReport") -> StateReport:
+    """The state report of a finished run, read off the metrics report
+    its result already holds — no second run.  Operators come in plan
+    order (inputs first), as :func:`collect_state` and
+    :func:`collect_sharded_state` list them, a sharded run's shard
+    operators summed and named by class and shard count."""
+
+    def state(entry: dict) -> OperatorState:
+        name = entry["operator"]
+        if "shards" in entry:  # a merged shard entry
+            name = f"{entry['type']} ×{metrics.shard_count} shards"
+        return OperatorState(
+            name, entry["state_rows"], entry["late_dropped"], entry["expired_rows"]
+        )
+
+    # The report is a pre-order with depths: an entry is done once the
+    # walk leaves its subtree, and the done entries come out in post-order.
+    states, pending = [], []
+    for entry in metrics.operators + [{"depth": -1}]:
+        while pending and pending[-1]["depth"] >= entry["depth"]:
+            states.append(state(pending.pop()))
+        pending.append(entry)
     return StateReport(tuple(states))

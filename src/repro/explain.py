@@ -161,9 +161,11 @@ def _physical_section(query, flow, verbose: bool) -> str:
 
 
 def _columnar_section(query, flow) -> str:
-    """The columnar execution shape: the fused tree, annotated.
+    """The batch encoding a flow runs (the header line, the only part
+    that depends on ``columnar`` and ``batch_size``) and the fused tree
+    every flow compiles, annotated.
 
-    ``[columnar]`` marks operators that consume column batches;
+    ``[columnar]`` marks operators that can consume column batches;
     ``[fused: ...]`` marks Filter/Project/Tumble chains collapsed into
     one generated pipeline loop, and an aggregate that absorbed a
     column-selecting Project shows its ``in=[...]`` (the input columns
@@ -178,14 +180,9 @@ def _columnar_section(query, flow) -> str:
     if flow.sharded:
         sharded, flow = flow, flow.shards[0]
         combine = sharded.combines.get("main")
-    if not flow._columnar_active:
-        return (
-            f"Columnar: off — row-at-a-time batches "
-            f"(columnar={effective.columnar}, "
-            f"batch_size={effective.batch_size})"
-        )
+    encoding = "on" if flow._columnar_active else "off — row-at-a-time batches"
     lines = [
-        f"Columnar: on (columnar={effective.columnar}, "
+        f"Columnar: {encoding} (columnar={effective.columnar}, "
         f"batch_size={effective.batch_size})"
     ]
     if combine is None:

@@ -1,7 +1,7 @@
 """Plan fusion: fewer operators per event, the same changelog.
 
-When the executor runs in columnar mode it rewrites the logical tree
-before compiling it, in one bottom-up pass (:func:`fuse_pipelines`):
+Every flow rewrites the logical tree before compiling it, at any batch
+size and encoding, in one bottom-up pass (:func:`fuse_pipelines`):
 
 * **absorption** — an aggregate absorbs a Project whose expressions are
   all plain column references (a *selection*).  A selection directly

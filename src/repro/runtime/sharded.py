@@ -213,9 +213,9 @@ class ShardedDataflow(OutputLogs):
         if split is not None:
             self.splits[output_id] = split
             if combine is None:
-                # Compiled like every other flow: with columnar batches
-                # on, the combine aggregate absorbs a column-selecting
-                # finishing Project (payloads still arrive as rows).
+                # Compiled like every other flow: fused, so the combine
+                # aggregate absorbs a column-selecting finishing Project
+                # (payloads still arrive as rows).
                 combine = Dataflow(split.merge_plan, {}, self.config)
             self.combines[output_id] = combine
         self._shard_plans[output_id] = (

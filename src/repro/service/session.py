@@ -372,8 +372,8 @@ class SharedPlanCache:
     @staticmethod
     def config_key(plan: QueryPlan, effective: ExecutionConfig) -> tuple:
         """The execution shape a flow must match to host ``plan``: what
-        the flow does, not how its knobs are spelled (``columnar="on"``
-        and ``"auto"`` run alike at ``batch_size > 1``)."""
+        the flow does, not how its knobs are spelled (``columnar="off"``
+        and ``"auto"`` run alike at ``batch_size=1``)."""
         shape = (
             effective.allowed_lateness,
             effective.batch_size,

@@ -20,7 +20,7 @@ from typing import Optional, TextIO
 from .core.errors import ReproError
 from .core.times import MAX_TIMESTAMP, fmt_time, t
 from .engine import StreamEngine
-from .explain import EXPLAIN_MODES, parse_explain
+from .explain import parse_explain
 from .io import parse_script
 
 __all__ = ["Shell"]
@@ -148,14 +148,16 @@ class Shell:
                 return f"stream views will render until {fmt_time(self.until)}"
             if name == "\\explain":
                 rest = line.split(None, 1)[1].rstrip(";")
-                mode = "logical"
                 head = rest.split(None, 1)
-                if head and head[0].lower() in EXPLAIN_MODES:
-                    mode = head[0].lower()
-                    rest = head[1] if len(head) > 1 else ""
-                if not rest.strip():
+                if head and head[0].isalpha() and head[0].lower() != "select":
+                    # A leading word is a mode: checked (and refused) as
+                    # EXPLAIN (MODE) is.
+                    rest = f"({head[0]}) {head[1]}" if len(head) > 1 else ""
+                explained = rest.strip() and parse_explain(f"EXPLAIN {rest}")
+                if not explained:
                     return "usage: \\explain [MODE] SELECT ...;"
-                return self.engine.explain(rest, mode=mode)
+                mode, sql = explained
+                return self.engine.explain(sql, mode=mode)
             if name == "\\analyze":
                 sql = line.split(None, 1)[1].rstrip(";")
                 return self.engine.explain(sql, mode="analyze")
@@ -181,9 +183,7 @@ class Shell:
                 return f"registered view {rest[1]}"
             if name == "\\state":
                 sql = line.split(None, 1)[1].rstrip(";")
-                dataflow = self.engine.query(sql).dataflow()
-                dataflow.run()
-                return str(dataflow.state_report())
+                return str(self.engine.query(sql).stats()["state_report"])
             if name == "\\subscribe":
                 rest = line.split(None, 2)
                 if len(rest) < 3:

@@ -1,20 +1,23 @@
 """Aggregates absorb their projections; Tumble runs inside pipelines.
 
-The fusion pass (``repro.plan.pipeline``) of a columnar flow folds a
-Project of plain column references into the aggregate above or below
-it and runs a ``TUMBLE`` as a step of the Filter/Project pipeline
-around it.  What is pinned here:
+The fusion pass (``repro.plan.pipeline``) every flow compiles its plan
+through folds a Project of plain column references into the aggregate
+above or below it and runs a ``TUMBLE`` as a step of the Filter/Project
+pipeline around it.  What is pinned here:
 
 * the shapes: which node absorbs what (grouped and global aggregates
   both ways, a shard's partial below only, the merge half's combine
   above only; a Project behind a ``HAVING`` filter is not absorbed; Hop
-  is not fused; a compacting flow does not absorb);
+  is not fused; a compacting flow does not absorb), and that one query
+  compiles one shape at any ``batch_size`` and ``columnar``;
 * the house invariant over the matrix ``batch_size`` {1, 64} ×
-  ``columnar`` {off, auto, on} × ``coalesce_updates`` × serial /
-  sharded single- and two-phase (and the processes backend): the changelog of the fused flow is the one the unfused plan
-  produces, byte for byte;
-* a cut of operators the fusion pass absorbed differently is refused as
-  a plain mismatch, however it comes back.
+  ``columnar`` {off, auto} × ``coalesce_updates`` × serial / sharded
+  single- and two-phase (and the processes backend): the changelog of
+  the absorbing flow is the one the same plan fused without absorption
+  (the shape ``coalesce_updates`` compiles) produces, byte for byte;
+* a cut of operators the fusion pass absorbed differently — or of the
+  unfused operators a 5.x build compiled — is refused as a plain
+  mismatch, however it comes back.
 """
 
 import pickle
@@ -121,6 +124,19 @@ def fused(flow):
     return flow._exec_root(flow.plan)
 
 
+def unabsorbed(monkeypatch):
+    """Compile every flow fused without absorption from here on — the
+    reference an absorbing flow's changelog is held to."""
+    monkeypatch.setattr(
+        Dataflow, "_exec_root",
+        lambda flow, plan: get_fused_root(plan, absorb=False),
+    )
+
+
+def operator_types(flow):
+    return [type(op).__name__ for op in flow.operators]
+
+
 # ---------------------------------------------------------------------------
 # the shapes
 # ---------------------------------------------------------------------------
@@ -188,15 +204,43 @@ class TestShapes:
         (combine,) = flow.combines["main"].operators
         assert type(combine) is CombineAggregateOperator
 
-    def test_unfused_flows_keep_their_operators(self):
-        """``batch_size=1`` (``columnar="auto"``) and ``columnar="off"``:
-        the plan as written, one operator per node."""
-        for config in (dict(), dict(batch_size=64, columnar="off")):
-            flow = engine_for(**config).query(SHAPES["keyed"]).dataflow()
-            assert [type(op).__name__ for op in flow.operators] == [
-                "ScanOperator", "TumbleOperator", "ProjectOperator",
-                "AggregateOperator", "ProjectOperator",
-            ]
+    @pytest.mark.parametrize("runtime", [
+        "serial", "sharded", "two_phase",
+    ])
+    @pytest.mark.parametrize("shape", ["keyed", "filtered", "having"])
+    def test_one_plan_shape_at_every_batch_size_and_encoding(
+        self, shape, runtime
+    ):
+        """``batch_size`` {1, 64} × ``columnar`` {auto, off}: every flow
+        compiles the same operators and EXPLAIN (PHYSICAL) prints the
+        same fused tree; only its ``Columnar:`` header says which
+        encoding the flow runs."""
+        compiled, trees, headers = set(), set(), []
+        for batch_size in (1, 64):
+            for columnar in ("auto", "off"):
+                engine = engine_for(
+                    batch_size=batch_size, columnar=columnar,
+                    **RUNTIMES[runtime],
+                )
+                query = engine.query(SHAPES[shape])
+                if runtime == "serial":
+                    flow = query.dataflow()
+                    compiled.add(tuple(operator_types(flow)))
+                else:
+                    flow = query.sharded_dataflow()
+                    combine = flow.combines.get("main")
+                    compiled.add((
+                        tuple(operator_types(flow.shards[0])),
+                        combine and tuple(operator_types(combine)),
+                    ))
+                text = query.explain(mode="physical")
+                header, tree = text[text.index("Columnar: "):].split("\n", 1)
+                trees.add(tree)
+                headers.append(header.split(" (")[0])
+        assert len(compiled) == 1 and len(trees) == 1
+        assert "Pipeline" in next(iter(trees))
+        rows = "Columnar: off — row-at-a-time batches"
+        assert headers == [rows, rows, "Columnar: on", rows]
 
     def test_a_compacting_flow_is_fused_without_absorption(self):
         """``coalesce_updates`` compacts every operator's output; a
@@ -288,15 +332,20 @@ def _same(result, reference) -> bool:
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
-def test_every_configuration_emits_the_unfused_changelog(shape):
+def test_every_configuration_emits_the_unabsorbed_changelog(
+    shape, monkeypatch
+):
     """Without compaction every cell equals the per-change, row-at-a-
-    time serial run; with it (``coalesce_updates``, which compacts at
-    every operator and so depends on the batches) every cell equals the
+    time serial run of the plan fused without absorption; with it
+    (``coalesce_updates``, which compacts at every operator and so
+    depends on the batches, and never absorbs) every cell equals the
     row-at-a-time run of its own batch size and runtime."""
     engine = engine_for()
     sql = SHAPES[shape]
     partitionable = engine.query(sql).partition_decision().partitionable
-    reference = _run(engine, sql, "serial", batch_size=1, columnar="off")
+    with monkeypatch.context() as patched:
+        unabsorbed(patched)
+        reference = _run(engine, sql, "serial", batch_size=1, columnar="off")
     assert reference.changes
     cells = 0
     for runtime in RUNTIMES if partitionable else ["serial"]:
@@ -308,7 +357,7 @@ def test_every_configuration_emits_the_unfused_changelog(shape):
                         engine, sql, runtime, batch_size=batch_size,
                         columnar="off", coalesce_updates=True,
                     )
-                for columnar in ("auto", "on"):
+                for columnar in ("auto", "off"):
                     got = _run(
                         engine, sql, runtime, batch_size=batch_size,
                         columnar=columnar, coalesce_updates=coalesce,
@@ -321,13 +370,15 @@ def test_every_configuration_emits_the_unfused_changelog(shape):
 
 
 @pytest.mark.parametrize("two_phase", ["off", "auto"])
-def test_process_shards_emit_the_unfused_changelog(two_phase):
+def test_process_shards_emit_the_unabsorbed_changelog(two_phase, monkeypatch):
     engine = engine_for()
     for shape in ("keyed", "filtered"):
         sql = SHAPES[shape]
-        reference = engine.query(sql).run(
-            ExecutionConfig(batch_size=1, columnar="off")
-        )
+        with monkeypatch.context() as patched:
+            unabsorbed(patched)
+            reference = engine.query(sql).run(
+                ExecutionConfig(batch_size=1, columnar="off")
+            )
         result = engine.query(sql).sharded_dataflow(
             ExecutionConfig(
                 parallelism=2, backend="processes", two_phase=two_phase,
@@ -338,11 +389,11 @@ def test_process_shards_emit_the_unfused_changelog(two_phase):
 
 
 @pytest.mark.parametrize("config", [
-    dict(), dict(batch_size=64), dict(columnar="on"),
+    dict(), dict(batch_size=64), dict(columnar="off"),
     dict(batch_size=64, columnar="off"),
 ])
 def test_a_null_timestamp_fails_the_same_way_fused(config):
-    """The tumble step raises what ``TumbleOperator`` raises — on the
+    """The tumble step raises one error for a NULL event time — on the
     row loop (a batch of one) and the columnar loop — and only for a
     row the filter before it kept."""
     events = [
@@ -384,10 +435,9 @@ def test_a_late_joiner_grafts_onto_absorbed_operators():
 # ---------------------------------------------------------------------------
 
 
-#: what the columnar flow of SHAPES["keyed"] compiles without absorption
+#: what a flow of SHAPES["keyed"] compiles without absorption
 UNABSORBED = [
-    "ScanOperator", "TumbleOperator", "PipelineOperator",
-    "AggregateOperator", "PipelineOperator",
+    "ScanOperator", "PipelineOperator", "AggregateOperator", "PipelineOperator",
 ]
 MISMATCH = "^checkpoint does not match this dataflow's plan$"
 
@@ -410,13 +460,32 @@ class TestMismatch:
         payload = self.cut(batch_size=64)
         payload["op_types"] = UNABSORBED
         for entry in payload["outputs"].values():
-            entry["node_ops"] = [0, 1, 2, 3, 4]
+            entry["node_ops"] = [0, 1, 2, 3]
         engine = engine_for(batch_size=64)
         with pytest.raises(ExecutionError, match=MISMATCH):
             Dataflow.from_structure(
                 [("main", engine.query(SHAPES["keyed"]).plan)], payload,
                 {"S": TimeVaryingRelation(SCHEMA)}, engine.config,
             )
+
+    def test_a_cut_of_the_unfused_operators_is_refused(self):
+        """A 5.x cut at ``batch_size=1`` (or ``columnar="off"``) names
+        the operators of the plan as written: it is refused before any
+        of it is used, and the flow goes on as if never asked."""
+        payload = self.cut()
+        payload["op_types"] = [
+            "ScanOperator", "TumbleOperator", "ProjectOperator",
+            "AggregateOperator", "ProjectOperator",
+        ]
+        payload["op_states"] = [payload["op_states"][0]] * 5
+        fresh = engine_for().query(SHAPES["keyed"]).dataflow()
+        before = fresh.checkpoint()
+        with pytest.raises(ExecutionError, match=MISMATCH):
+            fresh.restore(payload)
+        assert fresh.checkpoint() == before
+        assert fresh.run().changes == engine_for().query(
+            SHAPES["keyed"]
+        ).run().changes
 
     def test_a_two_phase_stage_of_other_operators_is_refused(self):
         config = dict(batch_size=64, parallelism=2, two_phase="auto")

@@ -405,6 +405,24 @@ class TestSaidOnce:
     def test_removed_name_appears_nowhere_in_src(self, name):
         assert _src_files_matching(re.escape(name)) == set()
 
+    @pytest.mark.parametrize(
+        "name", ["FilterOperator", "ProjectOperator", "TumbleOperator"]
+    )
+    def test_the_unfused_operators_are_gone(self, name):
+        """6.0: every flow compiles its plan fused, so no plan reaches
+        an operator of its own for a Filter, Project or Tumble node
+        (``TemporalFilterOperator`` stays)."""
+        assert _src_files_matching(rf"\b{name}\b") == set()
+
+    def test_columnar_has_no_on_value(self):
+        """6.0: ``columnar="on"`` ran exactly like ``"auto"``; nothing
+        compares against it or offers it."""
+        quoted = r"""["']on["']"""
+        assert _src_files_matching(
+            rf"columnar\s*==\s*{quoted}|columnar={quoted}"
+            rf"""|["']auto["'],\s*{quoted}|{quoted},\s*["']off["']"""
+        ) == set()
+
     def test_the_collector_is_paused_in_one_place(self):
         """``collector_paused`` is the one thing that turns the cyclic
         collector off, and nothing freezes it: a forked shard worker
@@ -589,7 +607,7 @@ class TestSaidOnce:
         that is not blank, not a comment (first non-space character
         ``#``) and not part of a docstring (a string literal that is the
         first statement of a module, class or function)."""
-        assert counted_lines(SRC) <= 17_121
+        assert counted_lines(SRC) <= 17_040
 
     def test_the_threads_backend_is_refused_by_name(self):
         from repro.core.errors import ValidationError

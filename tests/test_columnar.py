@@ -4,9 +4,11 @@ The columnar invariant (docs/RUNTIME.md section 9): at any batch size,
 serial or sharded, with or without two-phase aggregation or coalescing,
 the changelog a columnar run produces is *byte-identical* — values,
 ``ptime``, ordering, watermark steps — to the row-at-a-time run of the
-same configuration.  Columnar mode changes how batches move between
-operators (per-column vectors, fused filter/project pipelines,
-generated loops), never what they contain.
+same configuration.  Both compile the same fused plan; the encoding
+changes how batches move between operators (per-column vectors or
+rows), never what they contain.  The generated pipeline loops are held
+to a reference of ``compile_rex`` closures applied row by row
+(:func:`_reference`).
 """
 
 import pytest
@@ -19,10 +21,9 @@ from repro.core.colbatch import ColumnarBatch
 from repro.core.errors import ExecutionError
 from repro.core.schema import Schema, int_col, timestamp_col
 from repro.core.schema import SqlType
-from repro.core.times import seconds, t
+from repro.core.times import align_to_window, seconds, t
 from repro.core.tvr import TimeVaryingRelation, ins, wm
 from repro.exec.operators.pipeline import PipelineOperator
-from repro.exec.operators.stateless import FilterOperator, ProjectOperator
 from repro.nexmark.queries import Q3_LOCAL_ITEM_SUGGESTION
 from repro.plan.rex import (
     RexCase,
@@ -109,9 +110,9 @@ def _run(events, sql, **config):
 
 
 def _assert_identical(events, sql, **config):
-    """Columnar on == columnar off, byte for byte, under ``config``."""
+    """Columnar auto == columnar off, byte for byte, under ``config``."""
     row = _run(events, sql, columnar="off", **config)
-    col = _run(events, sql, columnar="on", **config)
+    col = _run(events, sql, columnar="auto", **config)
     assert col.changes == row.changes
     assert col.watermarks.as_pairs() == row.watermarks.as_pairs()
     assert col.late_dropped == row.late_dropped
@@ -188,19 +189,37 @@ def _changes(rows):
             for i, row in enumerate(rows)]
 
 
+def _reference(steps, changes):
+    """What a pipeline of ``steps`` emits, the slow way: each step's
+    ``compile_rex`` closures applied row by row, a tumble's window
+    aligned by ``align_to_window``."""
+    out = []
+    for change in changes:
+        row = change.values
+        for kind, payload in steps:
+            if kind == "filter":
+                if compile_rex(payload)(row) is not True:
+                    break
+            elif kind == "project":
+                row = tuple(compile_rex(expr)(row) for expr in payload)
+            else:
+                timecol, size, offset = payload
+                start = align_to_window(row[timecol], size, offset)
+                row = (start, start + size) + row
+        else:
+            out.append(Change(change.kind, row, change.ptime))
+    return out
+
+
 def test_pipeline_codegen_matches_interpreter():
-    """The generated loops against the reference: the unfused
-    ``FilterOperator`` -> ``ProjectOperator`` chain over ``compile_rex``
-    closures, on the same batch."""
+    """The generated loops against the reference: the filter and the
+    project over ``compile_rex`` closures, on the same batch."""
     cond = RexCall_gt(_int_input(0), _lit(2))
     total = RexCall_add(_int_input(0), _int_input(1))
-    compiled = PipelineOperator(
-        _two_int_schema(), 2, (("filter", cond), ("project", (total,)))
-    )
-    keep = FilterOperator(_two_int_schema(), compile_rex(cond))
-    project = ProjectOperator(_two_int_schema(), [compile_rex(total)])
+    steps = (("filter", cond), ("project", (total,)))
+    compiled = PipelineOperator(_two_int_schema(), 2, steps)
     batch = _changes([(1, 10), (3, 20), (5, 30), (None, 40)])
-    reference = project.on_batch(0, keep.on_batch(0, batch))
+    reference = _reference(steps, batch)
     assert [c.values for c in reference] == [(23,), (35,)]
     assert compiled.on_batch(0, batch) == reference
     out = compiled.on_cols(0, ColumnarBatch.from_changes(batch, 2))
@@ -214,36 +233,33 @@ def test_pipeline_codegen_matches_interpreter():
     offset=st.integers(0, 10**5),
     keep_above=st.integers(-1, 3),
 )
-def test_tumble_step_matches_tumble_operator(stamps, size, offset, keep_above):
-    """The reference is ``TumbleOperator`` (after ``FilterOperator``):
-    the same rows from the row loop and from the columnar loop — which
-    shares the input's columns, kinds, ptimes and ``seqs`` when no
-    filter runs, and gathers ``seqs`` like ``ptimes`` when one does."""
-    from repro.exec.operators.window import TumbleOperator
-
+def test_tumble_step_matches_the_reference(stamps, size, offset, keep_above):
+    """The reference aligns each row by ``align_to_window`` (after the
+    filter's closure): the same rows from the row loop and from the
+    columnar loop — which shares the input's columns, kinds, ptimes and
+    ``seqs`` when no filter runs, and gathers ``seqs`` like ``ptimes``
+    when one does."""
     schema = Schema([timestamp_col("ts", event_time=True), int_col("v")])
-    tumble = TumbleOperator(schema, 0, size, offset)
     batch = _changes([(ts, i % 5) for i, ts in enumerate(stamps)])
     seqs = list(range(0, 2 * len(batch), 2))
     cols = ColumnarBatch.from_changes(batch, 2)
     cols.seqs = seqs
-    alone = PipelineOperator(schema, 2, (("tumble", (0, size, offset)),))
-    assert alone.on_batch(0, batch) == tumble.on_batch(0, batch)
+    steps = (("tumble", (0, size, offset)),)
+    alone = PipelineOperator(schema, 2, steps)
+    assert alone.on_batch(0, batch) == _reference(steps, batch)
     out = alone.on_cols(0, cols)
-    assert out.to_changes() == tumble.on_batch(0, batch)
+    assert out.to_changes() == _reference(steps, batch)
     assert all(a is b for a, b in zip(out.columns[2:], cols.columns))
     assert out.seqs is seqs
     assert out.kinds is cols.kinds and out.ptimes is cols.ptimes
 
     cond = RexCall_gt(_int_input(1), _lit(keep_above))
-    keep = FilterOperator(schema, compile_rex(cond))
-    fused = PipelineOperator(
-        schema, 2, (("filter", cond), ("tumble", (0, size, offset)))
-    )
-    assert fused.on_batch(0, batch) == tumble.on_batch(0, keep.on_batch(0, batch))
+    steps = (("filter", cond), ("tumble", (0, size, offset)))
+    fused = PipelineOperator(schema, 2, steps)
+    assert fused.on_batch(0, batch) == _reference(steps, batch)
     kept = [c.values[1] > keep_above for c in batch]
     out = fused.on_cols(0, cols)
-    assert out.to_changes() == tumble.on_batch(0, keep.on_batch(0, batch))
+    assert out.to_changes() == _reference(steps, batch)
     assert out.seqs == [seq for seq, k in zip(seqs, kept) if k]
 
 
@@ -332,7 +348,7 @@ def RexCall_div(a, b):
 
 
 def test_columnar_crash_after_checkpoint_recovers_exactly(nexmark_small):
-    """batch_size=64, columnar on, crash-after-checkpoint: recovery
+    """batch_size=64, columnar auto, crash-after-checkpoint: recovery
     replays the same micro-batches through the same columnar pipelines
     and reproduces the fault-free serial output byte for byte."""
     serial = StreamEngine()
@@ -344,7 +360,7 @@ def test_columnar_crash_after_checkpoint_recovers_exactly(nexmark_small):
             parallelism=3,
             backend="sync",
             batch_size=64,
-            columnar="on",
+            columnar="auto",
             retry=RetryPolicy(max_restarts=3, checkpoint_interval=3),
             fault_plan="crash-after-checkpoint:shard=0,at=1",
         )
@@ -369,7 +385,7 @@ def test_columnar_checkpoint_restore_roundtrip():
          (3, 1, 40, True)]
     )
     engine = StreamEngine(
-        config=ExecutionConfig(batch_size=64, columnar="on")
+        config=ExecutionConfig(batch_size=64, columnar="auto")
     )
     engine.register_stream("S", TimeVaryingRelation(KEYED_SCHEMA, events))
     query = engine.query(TUMBLE_SQL)
@@ -413,10 +429,12 @@ def test_physical_explain_annotates_columnar():
 
 
 def test_physical_explain_columnar_off():
+    """A row flow prints the fused tree too: only the header differs."""
     engine = StreamEngine()
     engine.register_stream("S", TimeVaryingRelation(KEYED_SCHEMA, []))
     text = engine.query(STATELESS_SQL).explain(mode="physical")
     assert "Columnar: off" in text
+    assert "[fused: filter+project]" in text
 
 
 def test_columnar_config_validation():
@@ -424,15 +442,36 @@ def test_columnar_config_validation():
 
     with pytest.raises(ValidationError, match="columnar"):
         ExecutionConfig(columnar="sideways")
-    assert ExecutionConfig(columnar="on").columnar == "on"
+    assert ExecutionConfig(columnar="off").columnar == "off"
+
+
+def test_columnar_on_is_refused_by_name():
+    """``"on"`` ran exactly like ``"auto"`` once every flow compiled its
+    plan fused; 6.0 removed it, as 5.0 removed ``two_phase="on"``."""
+    from repro.core.errors import ValidationError
+
+    with pytest.raises(ValidationError) as refused:
+        ExecutionConfig(columnar="on")
+    assert "'auto' or 'off', got 'on'" in str(refused.value)
 
 
 def test_columnar_cli_flag():
     from repro.__main__ import build_config, build_parser
 
     parser = build_parser()
-    args = parser.parse_args(["--columnar", "on"])
-    assert build_config(args).columnar == "on"
+    args = parser.parse_args(["--columnar", "off"])
+    assert build_config(args).columnar == "off"
+
+
+@pytest.mark.parametrize("parser", ["build_parser", "build_serve_parser"])
+def test_the_cli_refuses_columnar_on(parser, capsys):
+    import repro.__main__ as cli
+
+    with pytest.raises(SystemExit) as info:
+        getattr(cli, parser)().parse_args(["--columnar", "on"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "'on'" in err and "'auto'" in err and "'off'" in err
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,16 @@ class TestShell:
         out = shell.feed("EXPLAIN (QUANTUM) SELECT 1;")
         assert "unknown EXPLAIN mode" in out
 
+    def test_an_unknown_mode_word_is_refused_like_the_sql_spelling(self, shell):
+        """``\\explain costs q`` is ``EXPLAIN (COSTS) q``: one refusal
+        naming the modes, not a parse error of ``costs`` as SQL."""
+        backslash = shell.feed(f"\\explain costs {SQL};")
+        spelled = shell.feed(f"EXPLAIN (COSTS) {SQL};")
+        assert backslash == spelled == (
+            "error: unknown EXPLAIN mode 'costs'; expected one of "
+            "logical, physical, analyze"
+        )
+
 
 class TestColumnarSection:
     def test_two_phase_tags_name_the_operators_that_run(self):
@@ -223,9 +233,17 @@ class TestColumnarSection:
             "        Scan(S stream) [columnar]",
         ]
 
-    def test_unfused_plans_render_as_they_always_did(self):
-        """``batch_size=1``: nothing is fused, so nothing is absorbed."""
-        text = make_engine().explain(SQL, mode="physical")
-        assert "Columnar: off" in text
+    def test_a_row_flow_prints_the_same_fused_tree(self):
+        """``batch_size=1`` compiles the plan ``batch_size=64`` does:
+        only the ``Columnar:`` header line differs."""
+        row = make_engine().explain(SQL, mode="physical")
+        col = make_engine(batch_size=64).explain(SQL, mode="physical")
+        row_header, row_tree = row[row.index("Columnar: "):].split("\n", 1)
+        col_header, col_tree = col[col.index("Columnar: "):].split("\n", 1)
+        assert row_header == (
+            "Columnar: off — row-at-a-time batches (columnar=auto, batch_size=1)"
+        )
+        assert col_header == "Columnar: on (columnar=auto, batch_size=64)"
+        assert row_tree == col_tree
         for mark in ("in=[", "out=[", "Pipeline[", "[fused:"):
-            assert mark not in text
+            assert mark in row_tree

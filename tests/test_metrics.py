@@ -569,36 +569,30 @@ def _report_nodes(flow) -> list:
 _STEP_IN = ("rows_in", "retracts_in", "shards")
 _STEP_OUT = ("rows_out", "retracts_out")
 
+#: the one step each operator the parent compiled for an unfused
+#: Filter, Project or Tumble node ran
+_UNFUSED_STEPS = {
+    "TumbleOperator": "tumble",
+    "ProjectOperator": "project",
+    "FilterOperator": "filter",
+}
 
-def _parent_entries_of(steps) -> int:
-    """How many parent report entries a pipeline's steps were: each
-    tumble one (``TumbleOperator``), each stretch of filters and
-    projects between them one (the parent's ``Pipeline``)."""
-    count, previous = 0, "tumble"
-    for kind, _ in steps:
-        if kind == "tumble" or previous == "tumble":
-            count += 1
-        previous = kind
-    return count
+
+def _steps_of(record: dict) -> list[str]:
+    """The pipeline steps one parent record ran: an unfused Filter,
+    Project or Tumble operator one, a parent pipeline those its name
+    lists."""
+    if record["type"] in _UNFUSED_STEPS:
+        return [_UNFUSED_STEPS[record["type"]]]
+    assert record["type"] == "PipelineOperator", record
+    return record["operator"][len("Pipeline("):-1].split("+")
 
 
 def _fused_entry(chain: list[dict]) -> dict:
     """One pipeline entry for the parent entries of the chain it fused
     (``chain`` top first): the first step's input counts, the last
     step's output counts, every other value the chain's own."""
-    kinds = []
-    for entry in reversed(chain):
-        # (the parent ran a merge half unfused: Project, not Pipeline)
-        unfused = {
-            "TumbleOperator": "tumble",
-            "ProjectOperator": "project",
-            "FilterOperator": "filter",
-        }
-        if entry["type"] in unfused:
-            kinds.append(unfused[entry["type"]])
-        else:
-            assert entry["type"] == "PipelineOperator", entry
-            kinds += entry["operator"][len("Pipeline("):-1].split("+")
+    kinds = [kind for entry in reversed(chain) for kind in _steps_of(entry)]
     fused = dict(chain[0])
     fused.update({key: chain[-1][key] for key in _STEP_IN if key in chain[-1]})
     fused.update(type="PipelineOperator", operator=f"Pipeline({'+'.join(kinds)})")
@@ -609,37 +603,102 @@ def _fused_entry(chain: list[dict]) -> dict:
     return fused
 
 
-def _restated_for_fusion(parent: list[dict], flow) -> list[dict]:
-    """The parent's report entries restated for the plan ``flow``
-    compiles, by one rule: a parent Project entry an aggregate absorbed
-    is dropped; the parent entries of a chain fused into one pipeline
-    become its one entry (:func:`_fused_entry`); depths are renumbered;
-    every other value is the parent's.  The identity on a flow whose
-    plan is not fused."""
-    entries = iter(parent)
+def _fused_state(chain: list[dict]) -> dict:
+    """One pipeline's cut state for the parent states of the chain it
+    fused (``chain`` top first), by :func:`_fused_entry`'s rule: the
+    first step's input side, the last step's output side, every other
+    value the chain's own."""
+    top, bottom = chain[0], chain[-1]
+    fused = dict(top, type="PipelineOperator", input_wms=bottom["input_wms"])
+    fused["counters"] = dict(top["counters"])
+    fused["counters"].update(
+        {key: bottom["counters"][key] for key in ("rows_in", "retracts_in")}
+    )
+    for state in chain:
+        for key, value in state.items():
+            if key == "counters":
+                for name, count in value.items():
+                    if name not in _STEP_IN + _STEP_OUT:
+                        assert count == fused["counters"][name], (name, state)
+            elif key not in ("type", "input_wms"):
+                assert value == fused[key], (key, state)
+    return fused
+
+
+def _restated_for_fusion(parent: list[dict], nodes, fuse, top_first=True):
+    """The parent's per-operator records restated for the plan a flow
+    compiles, by one rule: a parent Project record an aggregate
+    absorbed is dropped; the parent records of a chain fused into one
+    pipeline — an unfused Filter, Project or Tumble operator each, or a
+    parent pipeline — become its one record (``fuse``, given the chain
+    top first); every other record is the parent's.
+
+    ``nodes`` are the fused plan's nodes in the records' order: a
+    report's pre-order (``top_first``), or a cut's post-order, inputs
+    first.  Every record carries its operator's ``type`` (and a
+    pipeline its ``operator`` name)."""
+    records = iter(parent)
     restated = []
 
     def absorbed() -> None:
-        entry = next(entries)
-        assert entry["operator"] in ("Pipeline(project)", "ProjectOperator"), entry
+        record = next(records)
+        assert _steps_of(record) == ["project"], record
 
-    for node, depth in _report_nodes(flow):
+    for node in nodes:
         if isinstance(node, (AggregateNode, PartialAggregateNode)):
-            if node.select is not None:
+            first, last = (
+                (node.select, node.reads) if top_first
+                else (node.reads, node.select)
+            )
+            if first is not None:
                 absorbed()
-            entry = dict(next(entries))
-            if node.reads is not None:
+            record = dict(next(records))
+            if last is not None:
                 absorbed()
         elif isinstance(node, PipelineNode):
-            entry = _fused_entry(
-                [next(entries) for _ in range(_parent_entries_of(node.steps))]
-            )
+            chain, steps = [], 0
+            while steps < len(node.steps):
+                chain.append(next(records))
+                steps += len(_steps_of(chain[-1]))
+            assert steps == len(node.steps), chain
+            record = fuse(chain if top_first else chain[::-1])
         else:
-            entry = dict(next(entries))
-        entry["depth"] = depth
-        restated.append(entry)
-    assert next(entries, None) is None
+            record = dict(next(records))
+        restated.append(record)
+    assert next(records, None) is None
     return restated
+
+
+def _restated_report(parent: list[dict], flow) -> list[dict]:
+    """The parent's report entries restated for ``flow``
+    (:func:`_restated_for_fusion`), depths renumbered."""
+    nodes = _report_nodes(flow)
+    restated = _restated_for_fusion(
+        parent, [node for node, _ in nodes], _fused_entry
+    )
+    for entry, (_, depth) in zip(restated, nodes):
+        entry["depth"] = depth
+    return restated
+
+
+def _post_order(node):
+    for child in node.inputs:
+        yield from _post_order(child)
+    yield node
+
+
+def _restated_states(types: list[str], states: list[dict], flow) -> tuple:
+    """A parent cut's operator types and states restated for the plan
+    ``flow`` compiles (:func:`_restated_for_fusion`, post-order)."""
+    records = [dict(state, type=kind) for kind, state in zip(types, states)]
+    restated = _restated_for_fusion(
+        records, _post_order(flow._exec_root(flow.plan)), _fused_state,
+        top_first=False,
+    )
+    return (
+        [record.pop("type") for record in restated],
+        restated,
+    )
 
 
 def _canonical_state(state: dict) -> dict:
@@ -759,12 +818,10 @@ class TestReportedFromOutside:
     def test_report_equals_the_parents_value_for_value(self, runs, case):
         flow, reported = runs.cells[case]
         expected = copy.deepcopy(PARENT_METRICS[case])
-        # The parent compiled no absorbed aggregate and no tumble step:
-        # its entries restated for the plan this flow fuses (the
-        # identity at batch_size=1).
-        expected["operators"] = _restated_for_fusion(expected["operators"], flow)
-        if case.split("/")[2] == "b1":
-            assert expected == PARENT_METRICS[case]
+        # The parent compiled no absorbed aggregate and no tumble step,
+        # and at batch_size=1 nothing fused: its entries restated for
+        # the plan this flow fuses.
+        expected["operators"] = _restated_report(expected["operators"], flow)
         if _sequence_tagged(flow):
             # The one intended difference from the parent, stated
             # exactly: the combine ingests one payload per run with an
@@ -809,10 +866,18 @@ class TestReportedFromOutside:
             expected = _golden_loads(fh.read())
         got = pickle.loads(flow.checkpoint())
         # The intended differences: the format the cut is stamped with,
-        # and how it writes groups (restated by ``_canonical_state``).
+        # how it writes groups (restated by ``_canonical_state``), and
+        # the operators of a plan the parent did not fuse (restated by
+        # ``_restated_states``; the recipe numbers them afresh).
         assert (got.pop("version"), expected.pop("version")) == (
             CHECKPOINT_VERSION, 2
         )
+        expected["op_types"], expected["op_states"] = _restated_states(
+            expected["op_types"], expected["op_states"], flow
+        )
+        (entry,) = expected["outputs"].values()
+        assert entry["node_ops"] == list(range(5))
+        entry["node_ops"] = list(range(len(expected["op_types"])))
         assert _canonical(got) == _canonical(expected)
 
     @pytest.mark.parametrize("cut", sorted(PARENT_BLOBS.values()))
@@ -849,6 +914,14 @@ class TestReportedFromOutside:
         path = os.path.join(parent.HERE, "parent_sharded_flow_two_phase.ckpt")
         with open(path, "rb") as fh:
             expected = _canonical_stages(fh.read())
+        # The parent's merge half ran unfused: its combine, then the
+        # finishing Project the combine now absorbs (restated by
+        # ``_restated_states``).
+        combine = flow.combines["main"]
+        (stage,) = expected.values()
+        stage["ops"] = _restated_states(
+            ["CombineAggregateOperator", "ProjectOperator"], stage["ops"], combine
+        )[1]
         assert _canonical_stages(flow.checkpoint()) == expected
 
     @pytest.mark.parametrize("batch_size", [1, 7, 64])

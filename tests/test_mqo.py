@@ -217,12 +217,12 @@ class TestSharing:
         assert query_changes(q2) == oneshot_changes(events, Q_SUM_3MIN)
 
     def test_spellings_that_run_alike_share_one_flow(self):
-        """At ``batch_size=64`` ``columnar="on"`` and ``"auto"`` both run
-        columnar: the config key is what the flow does, so the pair
-        shares one flow — and each query's deltas are byte-identical to
-        an unshared run of its own config."""
-        base = dict(backend="sync", batch_size=64)
-        members = [("alice", Q_SUM, "on"), ("bob", Q_MAX, "auto")]
+        """At ``batch_size=1`` ``columnar="off"`` and ``"auto"`` both run
+        rows: the config key is what the flow does, so the pair shares
+        one flow — and each query's deltas are byte-identical to an
+        unshared run of its own config."""
+        base = dict(backend="sync", batch_size=1)
+        members = [("alice", Q_SUM, "off"), ("bob", Q_MAX, "auto")]
         events = make_events(60)
 
         def deltas(share):
@@ -245,7 +245,7 @@ class TestSharing:
 
         shared, shared_deltas = deltas(True)
         assert shared[0].flow is shared[1].flow
-        assert shared[0].flow._columnar_active
+        assert not shared[0].flow._columnar_active
         private, private_deltas = deltas(False)
         assert private[0].flow is not private[1].flow
         assert shared_deltas == private_deltas
@@ -328,8 +328,8 @@ def _window(select, minutes):
 
 
 #: eight aggregates over one window, as on the suite's ``live.queries``:
-#: they share the scan and the window, and — unfused — the pre-projection
-#: of each argument column
+#: they share the scan and the window step; each aggregate reads its
+#: argument column through the projection it absorbed
 EIGHT_OVER_ONE_WINDOW = [
     _window(f"wend, {aggregate} AS x", 2)
     for aggregate in (
@@ -340,8 +340,9 @@ EIGHT_OVER_ONE_WINDOW = [
 
 
 class TestAbsorptionTradeOff:
-    """What a fused (columnar) flow shares once its aggregates absorb
-    their column-selecting Projects, against the unfused plan."""
+    """What a flow shares once its aggregates absorb their
+    column-selecting Projects — at every batch size, since every flow
+    compiles its plan fused."""
 
     def flow_of(self, queries, batch_size):
         svc = service_with_source(
@@ -356,13 +357,8 @@ class TestAbsorptionTradeOff:
 
     @pytest.mark.parametrize(
         "batch_size, before, after, aggregates",
-        [
-            # unfused: a tumble, a pre-projection, ONE aggregate both
-            # outputs read, and a Project per SELECT list
-            (1, 21, 26, 9),
-            # fused: a tumble step and one aggregate per SELECT list
-            (64, 10, 13, 10),
-        ],
+        # a tumble step and one aggregate per SELECT list
+        [(1, 10, 13, 10), (64, 10, 13, 10)],
     )
     def test_select_lists_that_differ_no_longer_share_an_aggregate(
         self, batch_size, before, after, aggregates
@@ -374,12 +370,11 @@ class TestAbsorptionTradeOff:
         assert flow.resident_operator_count() == after
         assert self.aggregates(flow) == aggregates
 
-    @pytest.mark.parametrize("batch_size, shared", [(1, 4), (64, 2)])
+    @pytest.mark.parametrize("batch_size, shared", [(1, 2), (64, 2)])
     def test_shared_subplans_counts_what_is_left_to_share(self, batch_size, shared):
-        """Unfused, the eight share the scan, the window and the two
-        pre-projections (of ``v`` and of ``k``); fused, those
-        projections are inside the aggregates — nothing is lost, there
-        is less to count."""
+        """The eight share the scan and the window step; the
+        pre-projections of ``v`` and of ``k`` are inside the aggregates
+        — nothing is lost, there is less to count."""
         svc, flow = self.flow_of(EIGHT_OVER_ONE_WINDOW, batch_size)
         assert svc.session.shared_subplans() == shared
         queries = list(svc.session.queries())

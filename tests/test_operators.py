@@ -5,20 +5,19 @@ import pytest
 from repro.core.changelog import Change, ChangeKind
 from repro.core.errors import ExecutionError
 from repro.core.schema import Column, Schema, SqlType, int_col, timestamp_col
-from repro.core.times import MIN_TIMESTAMP, minutes, t
+from repro.core.times import MIN_TIMESTAMP, align_to_window, minutes, t
 from repro.plan.logical import AggCall
+from repro.plan.rex import RexCall, RexInput, RexLiteral
 from repro.exec.operators import (
     AggregateOperator,
-    FilterOperator,
     HopOperator,
     JoinOperator,
-    ProjectOperator,
     SessionOperator,
     TimeBound,
-    TumbleOperator,
     UnionOperator,
     hop_windows,
 )
+from repro.exec.operators.pipeline import PipelineOperator
 from repro.sql.functions import default_registry
 
 REG = default_registry()
@@ -34,21 +33,34 @@ def rm(values, ptime=0):
 
 TS_INT = Schema([timestamp_col("ts", event_time=True), int_col("v")])
 
+V = RexInput(1, type=SqlType.INT)
+
+
+def step(kind, payload, schema=TS_INT):
+    """One filter, project or tumble step, run as a flow runs it: a
+    fused pipeline over a ``ts, v`` input."""
+    return PipelineOperator(schema, 2, ((kind, payload),))
+
 
 class TestStateless:
     def test_filter_keeps_kind(self):
-        op = FilterOperator(TS_INT, lambda row: row[1] > 5)
+        op = step("filter", RexCall(">", (V, RexLiteral(5, type=SqlType.INT)),
+                                    type=SqlType.BOOL))
         assert op.on_change(0, ins((1, 10))) == [ins((1, 10))]
         assert op.on_change(0, rm((1, 10))) == [rm((1, 10))]
         assert op.on_change(0, ins((1, 3))) == []
 
     def test_filter_null_is_false(self):
-        op = FilterOperator(TS_INT, lambda row: None)
+        op = step("filter", RexCall(
+            ">", (V, RexLiteral(None, type=SqlType.INT)), type=SqlType.BOOL
+        ))
         assert op.on_change(0, ins((1, 10))) == []
 
     def test_project(self):
         schema = Schema([int_col("double")])
-        op = ProjectOperator(schema, [lambda row: row[1] * 2])
+        double = RexCall("*", (V, RexLiteral(2, type=SqlType.INT)),
+                         type=SqlType.INT)
+        op = step("project", (double,), schema)
         (out,) = op.on_change(0, ins((1, 21)))
         assert out.values == (42,)
         assert out.is_insert
@@ -59,22 +71,23 @@ class TestStateless:
         assert op.on_change(1, ins((2, 2))) == [ins((2, 2))]
 
 
+TUMBLED = Schema([timestamp_col("wstart"), timestamp_col("wend")]).concat(TS_INT)
+
+
 class TestWindows:
     def test_tumble_assigns_window(self):
-        schema = Schema(
-            [timestamp_col("wstart"), timestamp_col("wend")]
-        ).concat(TS_INT)
-        op = TumbleOperator(schema, timecol=0, size=minutes(10))
+        op = step("tumble", (0, minutes(10), 0), TUMBLED)
         (out,) = op.on_change(0, ins((t("8:07"), 5)))
         assert out.values == (t("8:00"), t("8:10"), t("8:07"), 5)
+        assert out.values[0] == align_to_window(t("8:07"), minutes(10))
 
     def test_tumble_boundary_goes_to_next_window(self):
-        op = TumbleOperator(TS_INT, timecol=0, size=minutes(10))
+        op = step("tumble", (0, minutes(10), 0), TUMBLED)
         (out,) = op.on_change(0, ins((t("8:10"), 1)))
         assert out.values[0] == t("8:10")
 
     def test_tumble_null_timestamp_rejected(self):
-        op = TumbleOperator(TS_INT, timecol=0, size=minutes(10))
+        op = step("tumble", (0, minutes(10), 0), TUMBLED)
         with pytest.raises(ExecutionError):
             op.on_change(0, ins((None, 1)))
 

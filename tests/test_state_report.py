@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import StreamEngine
+from repro import ExecutionConfig, StreamEngine
 from repro.core.errors import ExecutionError
 from repro.core.schema import Schema, int_col, timestamp_col
 from repro.core.times import t
@@ -53,6 +53,60 @@ class TestStateReport:
         ).dataflow()
         dataflow.run()
         assert dataflow.state_report().total_late_dropped == 1
+
+
+ITEM_COUNTS = (
+    "SELECT item, wend, COUNT(*) AS n FROM Tumble(data => TABLE(Bid), "
+    "timecol => DESCRIPTOR(bidtime), dur => INTERVAL '10' MINUTE) TB "
+    "GROUP BY item, wend"
+)
+
+
+class TestStats:
+    """``PreparedQuery.stats()`` reads the run ``run()`` made (and
+    caches): one execution, and the report is of the flow that ran."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        from repro.exec.executor import Dataflow
+        from repro.runtime import ShardedDataflow
+
+        calls = []
+        for kind in (Dataflow, ShardedDataflow):
+            real = kind.run
+
+            def spy(flow, *args, _real=real, **kwargs):
+                calls.append(type(flow).__name__)
+                return _real(flow, *args, **kwargs)
+
+            monkeypatch.setattr(kind, "run", spy)
+        return calls
+
+    def engine(self, **config):
+        engine = StreamEngine(config=ExecutionConfig(**config))
+        engine.register_stream("Bid", paper_bid_stream())
+        return engine
+
+    def test_stats_runs_the_query_once(self, runs):
+        query = self.engine().query(ITEM_COUNTS)
+        query.run()
+        assert runs == ["Dataflow"]
+        stats = query.stats()
+        assert runs == ["Dataflow"]
+        fresh = self.engine().query(ITEM_COUNTS).dataflow()
+        fresh.run()
+        assert stats["state_report"] == fresh.state_report()
+
+    def test_a_sharded_report_names_its_shards(self, runs):
+        query = self.engine(parallelism=2, backend="sync").query(ITEM_COUNTS)
+        assert query.partition_decision().partitionable
+        report = query.stats()["state_report"]
+        assert runs == ["ShardedDataflow"]
+        names = [op.name for op in report.operators]
+        assert "ScanOperator ×2 shards" in names
+        flow = query.sharded_dataflow()
+        flow.run()
+        assert report == flow.state_report()
 
 
 class TestContractViolations:
