@@ -2,8 +2,10 @@
 
 Boots a :class:`~repro.service.server.ServiceServer` on a loopback
 port, submits two tenant queries through the wire protocol — one
-admitted, one rejected at the ACL gate with a structured error — then
-tails a JSONL fixture that is still being appended to, and:
+admitted, one rejected at the ACL gate with a structured error — and two
+that fail validation (an unknown column, a type mismatch: each answers
+the code its error was raised with), then tails a JSONL fixture that is
+still being appended to, and:
 
 * asserts the deltas streamed to the admitted tenant's subscriber are
   **byte-identical** to the recorded-replay oracle (the same SQL run
@@ -51,6 +53,12 @@ SQL = """
     GROUP BY TB.wend
     EMIT STREAM
 """
+
+#: Queries the validator refuses, by the wire code each must answer.
+SEMANTIC_REJECTS = {
+    "unknown_column": "SELECT nosuch FROM Bid",
+    "type_mismatch": "SELECT price + bidtime FROM Bid",
+}
 
 ROOT = Path(__file__).resolve().parents[1]
 PROM_ARTIFACT = ROOT / "SERVICE_smoke.prom"
@@ -125,6 +133,12 @@ async def drive(service, feed_path: Path, tail_lines: list[str]):
         )
         assert not rejected["ok"], "the locked-down tenant must be rejected"
         assert rejected["error"]["code"] == "acl_denied", rejected
+        for code, sql in SEMANTIC_REJECTS.items():
+            refused = await rpc(
+                {"op": "submit", "tenant": "reporting", "sql": sql}
+            )
+            assert not refused["ok"], refused
+            assert refused["error"]["code"] == code, refused
         subscribed = await rpc(
             {"op": "subscribe", "query": admitted["query"],
              "subscriber": "smoke"}
@@ -228,9 +242,12 @@ def run_smoke() -> dict:
     families = parse_exposition(exposition)
     missing = REQUIRED_FAMILIES - set(families)
     assert not missing, f"exposition lost families: {sorted(missing)}"
-    assert 'repro_service_admission_rejects_total{code="acl_denied"} 1' in (
-        exposition
-    )
+    samples = exposition.splitlines()
+    for code in ["acl_denied", *SEMANTIC_REJECTS]:
+        assert (
+            f'repro_service_admission_rejects_total{{code="{code}"}} 1'
+            in samples
+        ), code
     PROM_ARTIFACT.write_text(exposition)
 
     return {
@@ -257,6 +274,8 @@ def main(argv=None) -> None:
         f"{len(pieces['deltas'])} deltas streamed (serial == sharded == "
         f"oracle), 1 tenant rejected "
         f"[{pieces['rejected']['error']['code']}], "
+        f"{len(SEMANTIC_REJECTS)} queries refused "
+        f"[{', '.join(SEMANTIC_REJECTS)}], "
         f"{len(pieces['families'])} metric families, "
         f"/metrics + /healthz served over HTTP"
     )

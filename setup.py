@@ -10,7 +10,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="6.0.0",
+    version="6.1.0",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",

@@ -101,12 +101,9 @@ class StreamEngine:
     def __init__(self, config: Optional[ExecutionConfig] = None) -> None:
         #: the engine-layer config, fully resolved (no unset fields).
         self.config = _coerce_config(config).resolved()
-        try:
-            self.telemetry: Optional[TelemetryExporter] = make_exporter(
-                self.config.telemetry
-            )
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+        self.telemetry: Optional[TelemetryExporter] = make_exporter(
+            self.config.telemetry
+        )
         self._catalog = Catalog()
         self._registry = default_registry()
         #: the recorded sources, and the prepared history replays read
@@ -340,10 +337,7 @@ class PreparedQuery:
         """
         if effective.telemetry == self._engine.config.telemetry:
             return self._engine.telemetry
-        try:
-            return make_exporter(effective.telemetry)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+        return make_exporter(effective.telemetry)
 
     def _maybe_warn_coalesce(self, effective: ExecutionConfig) -> None:
         """Flag compaction under an explicit EMIT STREAM materialization.

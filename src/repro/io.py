@@ -69,6 +69,8 @@ _ROW_RE = re.compile(
 class ScriptError(ReproError):
     """A dataset script could not be parsed."""
 
+    code = "script_error"
+
 
 def parse_schema_line(line: str) -> Schema:
     """Parse ``schema: name TYPE [EVENT TIME], ...`` into a Schema."""

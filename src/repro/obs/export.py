@@ -29,6 +29,7 @@ import json
 import threading
 from typing import IO, Optional, Union
 
+from ..core.errors import ValidationError
 from .metrics import MetricsReport
 from .trace import TraceEvent
 
@@ -296,7 +297,8 @@ def make_exporter(spec) -> Optional[TelemetryExporter]:
     Accepts ``None`` (telemetry recording stays on; nothing is
     exported), an exporter instance, or a spec string:
     ``"jsonl:PATH"`` or ``"prometheus:PATH"`` (``"prom:PATH"`` for
-    short).
+    short).  A spec it cannot read is a
+    :class:`~repro.core.errors.ValidationError`.
     """
     if spec is None:
         return None
@@ -307,12 +309,12 @@ def make_exporter(spec) -> Optional[TelemetryExporter]:
     ):
         return spec  # duck-typed exporter
     if not isinstance(spec, str):
-        raise ValueError(
+        raise ValidationError(
             f"telemetry must be an exporter or a spec string, got {spec!r}"
         )
     scheme, _, path = spec.partition(":")
     if not path:
-        raise ValueError(
+        raise ValidationError(
             f"telemetry spec {spec!r} has no path; expected "
             "'jsonl:PATH' or 'prometheus:PATH'"
         )
@@ -320,7 +322,7 @@ def make_exporter(spec) -> Optional[TelemetryExporter]:
         return JsonLinesExporter(path)
     if scheme in ("prometheus", "prom"):
         return PrometheusExporter(path)
-    raise ValueError(
+    raise ValidationError(
         f"unknown telemetry scheme {scheme!r}; expected 'jsonl' or 'prometheus'"
     )
 

@@ -362,10 +362,10 @@ class Planner:
     def _scan(self, name: str, node: ast.Node) -> ScanNode:
         found = self._catalog.lookup(name)
         if found is None:
-            raise self._error(
+            raise ValidationError(
                 f"unknown table {name!r}; registered: "
                 f"{', '.join(self._catalog.names()) or '(none)'}",
-                node,
+                self._sql, node.pos, code="unknown_table",
             )
         schema, bounded = found
         return ScanNode(name, schema, bounded)

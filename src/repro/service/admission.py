@@ -18,10 +18,11 @@ key on:
    ``max_state_rows`` (``quota_queries`` / ``quota_state``).
 4. **semantics** — names and types must validate.  This gate reuses the
    engine's own validator (invoked through the planner machinery — one
-   type system, not two); a failure is translated into
-   ``unknown_column`` / ``type_mismatch`` / ``invalid_query`` and the
-   partial plan is discarded, so nothing semantically wrong is ever
-   registered, executed, or retained.
+   type system, not two); a failure answers the code the error was
+   raised with (``unknown_column``, ``type_mismatch``, ...; any code the
+   wire does not answer becomes ``invalid_query``) and the partial plan
+   is discarded, so nothing semantically wrong is ever registered,
+   executed, or retained.
 
 Only a query that clears all four gates yields a
 :class:`~repro.plan.planner.QueryPlan`, built exactly once.
@@ -33,7 +34,7 @@ import hmac
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..core.errors import ReproError, SqlError, ValidationError
+from ..core.errors import ERROR_CODES, ReproError, SqlError
 from ..plan.planner import Catalog, Planner, QueryPlan, referenced_tables
 from ..sql.functions import FunctionRegistry, default_registry
 from ..sql.parser import parse
@@ -41,19 +42,12 @@ from ..sql.parser import parse
 __all__ = ["AdmissionError", "TenantPolicy", "AdmissionGateway"]
 
 
-#: Stable rejection codes, in gate order.  ``auth_denied`` fires before
-#: every other gate: a connection that cannot prove its tenant identity
-#: never reaches parse.
-REJECT_CODES = (
-    "auth_denied",
-    "parse_error",
-    "unknown_table",
-    "acl_denied",
-    "quota_queries",
-    "quota_state",
-    "unknown_column",
-    "type_mismatch",
-    "invalid_query",
+#: Stable rejection codes, in gate order: the codes of the stages
+#: admission runs.  ``auth_denied`` fires before every other gate: a
+#: connection that cannot prove its tenant identity never reaches parse.
+REJECT_CODES = tuple(
+    code for code, stage in ERROR_CODES.items()
+    if stage in ("admit", "parse", "validate")
 )
 
 
@@ -62,16 +56,24 @@ class AdmissionError(ReproError):
 
     ``code`` is one of :data:`REJECT_CODES`; ``tenant`` names who asked;
     ``detail`` is the human-readable diagnostic.  :meth:`as_dict` is the
-    wire shape the service protocol returns.
+    wire shape the service protocol returns, for every rejection.
     """
+
+    code = "invalid_query"
 
     def __init__(self, code: str, tenant: str, detail: str):
         if code not in REJECT_CODES:
             raise ValueError(f"unknown admission code {code!r}")
-        super().__init__(f"[{code}] tenant {tenant!r}: {detail}")
-        self.code = code
+        super().__init__(f"[{code}] tenant {tenant!r}: {detail}", code=code)
         self.tenant = tenant
         self.detail = detail
+
+    @classmethod
+    def of(cls, exc: Exception, tenant: str) -> "AdmissionError":
+        """``exc`` as a rejection: the code it was raised with where the
+        wire answers that code, else ``invalid_query``."""
+        code = getattr(exc, "code", None)
+        return cls(code if code in REJECT_CODES else "invalid_query", tenant, str(exc))
 
     def as_dict(self) -> dict:
         return {"code": self.code, "tenant": self.tenant, "detail": self.detail}
@@ -128,32 +130,6 @@ class TenantPolicy:
             max_state_rows=payload.get("max_state_rows", 100_000),
             token=payload.get("token"),
         )
-
-
-# ValidationError message prefixes → structured codes.  The validator
-# owns the wording (tests pin these against it); everything else is the
-# catch-all "invalid_query".
-_COLUMN_MARKERS = ("unknown column", "ambiguous column", "unknown table alias")
-_TYPE_MARKERS = (
-    "cannot apply",
-    "cannot compare",
-    "cannot negate",
-    "requires boolean",
-    "requires string operands",
-    "case condition must be",
-    "in cast",
-)
-
-
-def _classify_validation(message: str) -> str:
-    lowered = message.lower()
-    if lowered.startswith("unknown table "):
-        return "unknown_table"
-    if any(marker in lowered for marker in _COLUMN_MARKERS):
-        return "unknown_column"
-    if any(marker in lowered for marker in _TYPE_MARKERS):
-        return "type_mismatch"
-    return "invalid_query"
 
 
 @dataclass
@@ -232,7 +208,7 @@ class AdmissionGateway:
         try:
             statement = parse(sql)
         except SqlError as exc:
-            raise AdmissionError("parse_error", tenant, str(exc)) from exc
+            raise AdmissionError.of(exc, tenant) from exc
         # gate 2: structure — existence and ACL, straight off the AST
         for table in sorted(referenced_tables(statement, self.catalog)):
             if table.startswith("$values"):
@@ -270,11 +246,7 @@ class AdmissionGateway:
         # gate 4: semantics — the engine's own validator, one type system
         try:
             plan = Planner(self.catalog, self.registry).plan(statement, sql=sql)
-        except ValidationError as exc:
-            raise AdmissionError(
-                _classify_validation(exc.message), tenant, str(exc)
-            ) from exc
         except ReproError as exc:
-            raise AdmissionError("invalid_query", tenant, str(exc)) from exc
+            raise AdmissionError.of(exc, tenant) from exc
         self.plans_built += 1
         return plan

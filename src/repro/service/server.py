@@ -59,7 +59,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Optional
 
 from ..config import ExecutionConfig
-from ..core.errors import ExecutionError, ReproError
+from ..core.errors import ExecutionError, ReproError, ValidationError
 from ..core.schema import Schema
 from ..core.tvr import StreamEvent, TimeVaryingRelation
 from ..engine import StreamEngine
@@ -237,10 +237,16 @@ def _line(payload: dict) -> bytes:
     return (json.dumps(payload) + "\n").encode("utf-8")
 
 
-def _error(code: str, detail: str, tenant: str = "") -> dict:
-    """A rejection that did not come from the admission gateway."""
-    return {"ok": False, "error": {
-        "code": code, "tenant": tenant, "detail": detail}}
+def _error(code: str, detail: str) -> dict:
+    """A refusal of the request line itself, in the one rejection shape."""
+    return {"ok": False, "error": AdmissionError(code, "", detail).as_dict()}
+
+
+class _Request(dict):
+    """One request object: a missing field is refused by name."""
+
+    def __missing__(self, key: str):
+        raise ValidationError(f"missing field {key!r}")
 
 
 #: one subscription carried by a connection.
@@ -580,6 +586,7 @@ class ServiceServer:
             return _error("parse_error", "request is not valid JSON")
         if not isinstance(request, dict):
             return _error("parse_error", "request is not a JSON object")
+        request = _Request(request)
         op = request.get("op")
         try:
             if op == "auth":
@@ -663,11 +670,10 @@ class ServiceServer:
             if op == "ping":
                 return {"ok": True}
             return _error("invalid_query", f"unknown op {op!r}")
-        except AdmissionError as exc:
-            return {"ok": False, "error": exc.as_dict()}
         except (ReproError, KeyError, TypeError, ValueError) as exc:
-            return _error(
-                "invalid_query", str(exc), str(request.get("tenant", "")))
+            if not isinstance(exc, AdmissionError):
+                exc = AdmissionError.of(exc, str(request.get("tenant", "")))
+            return {"ok": False, "error": exc.as_dict()}
 
     # -- the push plane ------------------------------------------------------
 

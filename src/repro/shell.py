@@ -111,6 +111,7 @@ class Shell:
         parts = line.split()
         name = parts[0].lower()
         args = parts[1:]
+        sql = line.split(None, 1)[1].rstrip(";") if args else ""
         try:
             if name in ("\\q", "\\quit", "\\exit"):
                 self.done = True
@@ -147,24 +148,23 @@ class Shell:
                 self.until = _parse_instant(args[0])
                 return f"stream views will render until {fmt_time(self.until)}"
             if name == "\\explain":
-                rest = line.split(None, 1)[1].rstrip(";")
-                head = rest.split(None, 1)
+                head = sql.split(None, 1)
                 if head and head[0].isalpha() and head[0].lower() != "select":
                     # A leading word is a mode: checked (and refused) as
                     # EXPLAIN (MODE) is.
-                    rest = f"({head[0]}) {head[1]}" if len(head) > 1 else ""
-                explained = rest.strip() and parse_explain(f"EXPLAIN {rest}")
+                    sql = f"({head[0]}) {head[1]}" if len(head) > 1 else ""
+                explained = sql.strip() and parse_explain(f"EXPLAIN {sql}")
                 if not explained:
                     return "usage: \\explain [MODE] SELECT ...;"
                 mode, sql = explained
                 return self.engine.explain(sql, mode=mode)
             if name == "\\analyze":
-                sql = line.split(None, 1)[1].rstrip(";")
+                if not sql:
+                    return "usage: \\analyze SELECT ...;"
                 return self.engine.explain(sql, mode="analyze")
             if name == "\\watch":
-                if len(parts) < 2:
+                if not sql:
                     return "usage: \\watch SELECT ...;"
-                sql = line.split(None, 1)[1].rstrip(";")
                 return self._watch(sql)
             if name == "\\save":
                 if len(args) != 2:
@@ -182,7 +182,8 @@ class Shell:
                 self.engine.register_view(rest[1], rest[2].rstrip(";"))
                 return f"registered view {rest[1]}"
             if name == "\\state":
-                sql = line.split(None, 1)[1].rstrip(";")
+                if not sql:
+                    return "usage: \\state SELECT ...;"
                 return str(self.engine.query(sql).stats()["state_report"])
             if name == "\\subscribe":
                 rest = line.split(None, 2)

@@ -64,6 +64,9 @@ class Scope:
         last = self.entries[-1]
         return last.offset + len(last.schema)
 
+    def _unknown_column(self, message: str, pos: int) -> ValidationError:
+        return ValidationError(message, self.sql, pos, code="unknown_column")
+
     def resolve(self, parts: tuple[str, ...], pos: int = -1) -> tuple[int, Column]:
         """Resolve a possibly-qualified name to (ordinal, column)."""
         if len(parts) == 2:
@@ -71,14 +74,12 @@ class Scope:
             for entry in self.entries:
                 if entry.matches_alias(qualifier):
                     if column not in entry.schema:
-                        raise ValidationError(
-                            f"table {qualifier!r} has no column {column!r}",
-                            self.sql,
-                            pos,
+                        raise self._unknown_column(
+                            f"table {qualifier!r} has no column {column!r}", pos
                         )
                     idx = entry.schema.index_of(column)
                     return entry.offset + idx, entry.schema.columns[idx]
-            raise ValidationError(f"unknown table alias {qualifier!r}", self.sql, pos)
+            raise self._unknown_column(f"unknown table alias {qualifier!r}", pos)
         if len(parts) == 1:
             name = parts[0]
             hits: list[tuple[int, Column]] = []
@@ -87,9 +88,9 @@ class Scope:
                     idx = entry.schema.index_of(name)
                     hits.append((entry.offset + idx, entry.schema.columns[idx]))
             if not hits:
-                raise ValidationError(f"unknown column {name!r}", self.sql, pos)
+                raise self._unknown_column(f"unknown column {name!r}", pos)
             if len(hits) > 1:
-                raise ValidationError(f"ambiguous column {name!r}", self.sql, pos)
+                raise self._unknown_column(f"ambiguous column {name!r}", pos)
             return hits[0]
         raise ValidationError(
             f"cannot resolve nested name {'.'.join(parts)!r}", self.sql, pos
@@ -102,7 +103,7 @@ class Scope:
         for entry in self.entries:
             if entry.matches_alias(qualifier):
                 return list(range(entry.offset, entry.offset + len(entry.schema)))
-        raise ValidationError(f"unknown table alias {qualifier!r}", self.sql, pos)
+        raise self._unknown_column(f"unknown table alias {qualifier!r}", pos)
 
     def column_at(self, ordinal: int) -> Column:
         for entry in self.entries:
@@ -150,6 +151,9 @@ class ExprTranslator:
 
     def _error(self, message: str, node: ast.Node) -> ValidationError:
         return ValidationError(message, self._sql, node.pos)
+
+    def _mismatch(self, message: str, node: ast.Node) -> ValidationError:
+        return ValidationError(message, self._sql, node.pos, code="type_mismatch")
 
     def translate(self, expr: ast.Expr) -> rex.Rex:
         if self._interceptor is not None:
@@ -237,12 +241,12 @@ class ExprTranslator:
         operand = self.translate(expr.operand)
         if expr.op == "NOT":
             if operand.type not in (SqlType.BOOL, SqlType.NULL):
-                raise self._error("NOT requires a BOOLEAN operand", expr)
+                raise self._mismatch("NOT requires a BOOLEAN operand", expr)
             return rex.RexCall("NOT", (operand,), type=SqlType.BOOL)
         if expr.op == "-":
             if not (operand.type.is_numeric or operand.type is SqlType.INTERVAL
                     or operand.type is SqlType.NULL):
-                raise self._error(f"cannot negate {operand.type}", expr)
+                raise self._mismatch(f"cannot negate {operand.type}", expr)
             if isinstance(operand, rex.RexLiteral) and operand.value is not None:
                 return rex.RexLiteral(-operand.value, type=operand.type)
             return rex.RexCall("NEG", (operand,), type=operand.type)
@@ -254,13 +258,15 @@ class ExprTranslator:
         right = self.translate(expr.right)
         lt, rt = left.type, right.type
         if op in ("AND", "OR"):
-            for side, t in (("left", lt), ("right", rt)):
+            for t in (lt, rt):
                 if t not in (SqlType.BOOL, SqlType.NULL):
-                    raise self._error(f"{op} requires BOOLEAN operands, got {t}", expr)
+                    raise self._mismatch(
+                        f"{op} requires BOOLEAN operands, got {t}", expr
+                    )
             return rex.RexCall(op, (left, right), type=SqlType.BOOL)
         if op in ("=", "<>", "<", "<=", ">", ">="):
             if not lt.is_comparable_with(rt):
-                raise self._error(f"cannot compare {lt} with {rt}", expr)
+                raise self._mismatch(f"cannot compare {lt} with {rt}", expr)
             return rex.RexCall(op, (left, right), type=SqlType.BOOL)
         if op == "||":
             return rex.RexCall("||", (left, right), type=SqlType.STRING)
@@ -269,7 +275,7 @@ class ExprTranslator:
                 SqlType.STRING,
                 SqlType.NULL,
             ):
-                raise self._error("LIKE requires string operands", expr)
+                raise self._mismatch("LIKE requires string operands", expr)
             return rex.RexCall("LIKE", (left, right), type=SqlType.BOOL)
         if op in ("+", "-"):
             result = self._additive_type(op, lt, rt, expr)
@@ -298,7 +304,7 @@ class ExprTranslator:
                 if SqlType.FLOAT in (lt, rt)
                 else SqlType.INT
             )
-        raise self._error(f"cannot apply {op} to {lt} and {rt}", expr)
+        raise self._mismatch(f"cannot apply {op} to {lt} and {rt}", expr)
 
     def _multiplicative_type(
         self, op: str, lt: SqlType, rt: SqlType, expr: ast.Expr
@@ -317,7 +323,7 @@ class ExprTranslator:
                 if SqlType.FLOAT in (lt, rt)
                 else SqlType.INT
             )
-        raise self._error(f"cannot apply {op} to {lt} and {rt}", expr)
+        raise self._mismatch(f"cannot apply {op} to {lt} and {rt}", expr)
 
     def _call(self, expr: ast.FunctionCall) -> rex.Rex:
         if self._registry.is_aggregate(expr.name):
@@ -336,7 +342,7 @@ class ExprTranslator:
         for cond, value in expr.whens:
             c = self.translate(cond)
             if c.type not in (SqlType.BOOL, SqlType.NULL):
-                raise self._error("CASE condition must be BOOLEAN", expr)
+                raise self._mismatch("CASE condition must be BOOLEAN", expr)
             v = self.translate(value)
             if result_type is SqlType.NULL:
                 result_type = v.type
@@ -350,7 +356,7 @@ class ExprTranslator:
         operand = self.translate(expr.operand)
         target = _TYPE_NAMES.get(expr.type_name)
         if target is None:
-            raise self._error(f"unknown type {expr.type_name} in CAST", expr)
+            raise self._mismatch(f"unknown type {expr.type_name} in CAST", expr)
         return rex.RexCast(operand, type=target)
 
 

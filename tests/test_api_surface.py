@@ -327,6 +327,18 @@ def _src_files_matching(pattern: str) -> set[str]:
     return hits
 
 
+def _src_trees() -> dict[str, ast.Module]:
+    """Every module under ``src/repro``, parsed, by its path there."""
+    trees = {}
+    for directory, _, files in os.walk(SRC):
+        for file in files:
+            if file.endswith(".py"):
+                path = os.path.join(directory, file)
+                with open(path, encoding="utf-8") as handle:
+                    trees[os.path.relpath(path, SRC)] = ast.parse(handle.read())
+    return trees
+
+
 def counted_lines(root: str) -> int:
     """Lines under ``root`` by the rule :meth:`TestSaidOnce.test_counted_src_lines`
     states."""
@@ -370,6 +382,8 @@ class TestSaidOnce:
         # 5.0: the sharded shape no longer reads a previous run's counters
         "estimate_fan_in", "MIN_COMBINE_FANIN", "_last_metrics", "feedback=",
         "runs_two_phase", "_costs_section",
+        # 6.1: an error carries its code; admission reads no message text
+        "_classify_validation", "_COLUMN_MARKERS", "_TYPE_MARKERS",
     )
 
     def test_execution_config_has_sixteen_fields(self):
@@ -601,13 +615,73 @@ class TestSaidOnce:
         assert "list(groups)" not in advance
         assert _src_files_matching(r"def _on_time\(") == set()
 
+    def test_every_code_is_in_the_one_table(self):
+        """Every code an error class declares, a raise site names
+        (``code=``) or an :class:`AdmissionError` is built with is in
+        ``ERROR_CODES``; every ``ReproError`` subclass declares one."""
+        from repro.core.errors import ERROR_CODES
+        from repro.service.admission import REJECT_CODES
+
+        trees = _src_trees()
+        classes = {
+            node.name: (path, node)
+            for path, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+        }
+        errors, grew = {"ReproError"}, True
+        while grew:
+            grew = False
+            for name, (_, node) in classes.items():
+                bases = {getattr(b, "id", None) for b in node.bases}
+                if name not in errors and bases & errors:
+                    errors.add(name)
+                    grew = True
+        assert {"SqlError", "ScriptError", "AdmissionError"} <= errors
+        for name in sorted(errors):
+            path, node = classes[name]
+            declared = [
+                stmt.value.value
+                for stmt in node.body
+                if isinstance(stmt, ast.Assign)
+                and [getattr(t, "id", None) for t in stmt.targets] == ["code"]
+                and isinstance(stmt.value, ast.Constant)
+            ]
+            assert len(declared) == 1 and declared[0] in ERROR_CODES, (path, name)
+        named = []
+        for path, tree in trees.items():
+            for call in ast.walk(tree):
+                if not isinstance(call, ast.Call):
+                    continue
+                named += [
+                    keyword.value.value
+                    for keyword in call.keywords
+                    if keyword.arg == "code"
+                    and isinstance(keyword.value, ast.Constant)
+                ]
+                if getattr(call.func, "id", None) == "AdmissionError" and (
+                    isinstance(call.args[0], ast.Constant)
+                ):
+                    assert call.args[0].value in REJECT_CODES, path
+        assert {"unknown_table", "unknown_column", "type_mismatch"} <= set(named)
+        assert set(named) <= set(ERROR_CODES)
+
+    def test_the_service_reads_no_message_text(self):
+        """A rejection's code comes from the error, never its wording."""
+        for path, tree in _src_trees().items():
+            if path.startswith("service" + os.sep):
+                assert not [
+                    node for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "message"
+                ], path
+
     def test_counted_src_lines(self):
         """Counted lines of ``src/repro`` stay at or below where the
         last deletion left them.  Counted: every line of a ``.py`` file
         that is not blank, not a comment (first non-space character
         ``#``) and not part of a docstring (a string literal that is the
         first statement of a module, class or function)."""
-        assert counted_lines(SRC) <= 17_040
+        assert counted_lines(SRC) <= 17_038
 
     def test_the_threads_backend_is_refused_by_name(self):
         from repro.core.errors import ValidationError

@@ -9,6 +9,7 @@ semantically rejected one never yields a retained plan.
 import pytest
 
 from repro import StreamEngine
+from repro.core.errors import ERROR_CODES, SqlError
 from repro.nexmark import paper_bid_stream
 from repro.service import admission as admission_module
 from repro.service import (
@@ -101,6 +102,61 @@ class TestRejectionCodes:
     def test_unknown_code_is_a_programming_error(self):
         with pytest.raises(ValueError):
             AdmissionError("not_a_code", "t", "detail")
+
+    def test_reject_codes_are_the_admission_stages_of_the_one_table(self):
+        assert set(admission_module.REJECT_CODES) == {
+            code for code, stage in ERROR_CODES.items()
+            if stage in ("parse", "validate", "admit")
+        }
+        assert admission_module.REJECT_CODES[0] == "auth_denied"
+
+
+#: One query per raise site that names a narrower code than its class.
+#: The last two answered ``invalid_query`` while the code was read off
+#: the message: their wording missed the matched phrases.
+SEMANTIC_REJECTS = [
+    ("SELECT nosuch FROM Bid", "unknown_column"),
+    ("SELECT x.price FROM Bid b", "unknown_column"),
+    ("SELECT price FROM Bid a, Bid b", "unknown_column"),
+    ("SELECT x.* FROM Bid b", "unknown_column"),
+    ("SELECT -item FROM Bid", "type_mismatch"),
+    ("SELECT * FROM Bid WHERE price AND price > 1", "type_mismatch"),
+    ("SELECT * FROM Bid WHERE item > 1", "type_mismatch"),
+    ("SELECT * FROM Bid WHERE price LIKE 'x'", "type_mismatch"),
+    ("SELECT item - 1 FROM Bid", "type_mismatch"),
+    ("SELECT item * 2 FROM Bid", "type_mismatch"),
+    ("SELECT CASE WHEN price THEN 1 END FROM Bid", "type_mismatch"),
+    ("SELECT CAST(price AS BLOB) FROM Bid", "type_mismatch"),
+    ("SELECT b.nosuch FROM Bid b", "unknown_column"),
+    ("SELECT * FROM Bid WHERE NOT price", "type_mismatch"),
+]
+
+
+class TestCodesComeFromTheRaiseSite:
+    @pytest.mark.parametrize("sql, code", SEMANTIC_REJECTS)
+    def test_each_site_answers_its_code(self, gateway, sql, code):
+        assert reject_code(gateway, "t", sql).code == code
+
+    @pytest.mark.parametrize("sql, code", SEMANTIC_REJECTS)
+    def test_a_reworded_message_keeps_its_code(
+        self, gateway, monkeypatch, sql, code
+    ):
+        """Rewording every SQL error leaves each code as it was."""
+        init = SqlError.__init__
+
+        def reworded(self, message, *args, **kwargs):
+            init(self, f"refused: {message[::-1]}", *args, **kwargs)
+
+        monkeypatch.setattr(SqlError, "__init__", reworded)
+        err = reject_code(gateway, "t", sql)
+        assert err.detail.startswith("refused: ")
+        assert err.code == code
+
+    def test_other_errors_answer_invalid_query(self, gateway):
+        err = reject_code(
+            gateway, "t", "SELECT * FROM Bid GROUP BY price"
+        )
+        assert err.code == "invalid_query"
 
 
 class TestNeverReachesThePlanner:

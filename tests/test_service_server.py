@@ -1178,6 +1178,52 @@ def test_hostile_request_gets_a_reply_and_keeps_the_connection(
     assert reply["ok"] is False and reply["error"]["code"] == code
 
 
+@pytest.mark.parametrize("request_, field", [
+    ({"op": "submit", "tenant": "t"}, "sql"),
+    ({"op": "auth"}, "tenant"),
+    ({"op": "subscribe"}, "query"),
+    ({"op": "ingest", "source": "Bid"}, "event"),
+])
+def test_a_missing_field_is_named_in_the_reply(bid_stream, request_, field):
+    service = empty_service(bid_stream)
+
+    async def script(server):
+        rpc, _, writer = await open_rpc(server)
+        reply = await rpc(request_)
+        writer.close()
+        return reply
+
+    assert with_server(service, script) == {"ok": False, "error": {
+        "code": "invalid_query", "tenant": request_.get("tenant", ""),
+        "detail": f"missing field {field!r}",
+    }}
+
+
+@pytest.mark.parametrize("sql, code", [
+    ("SELECT nosuch FROM Bid", "unknown_column"),
+    ("SELECT price + item FROM Bid", "type_mismatch"),
+    ("SELECT CAST(price AS BLOB) FROM Bid", "type_mismatch"),
+])
+def test_a_semantic_reject_answers_the_code_it_was_raised_with(
+    bid_stream, sql, code
+):
+    service = empty_service(bid_stream)
+
+    async def script(server):
+        rpc, _, writer = await open_rpc(server)
+        reply = await rpc({"op": "submit", "tenant": "t", "sql": sql})
+        scrape = await rpc({"op": "metrics"})
+        writer.close()
+        return reply, scrape["exposition"]
+
+    reply, exposition = with_server(service, script)
+    assert reply["ok"] is False and reply["error"]["code"] == code
+    assert (
+        f'repro_service_admission_rejects_total{{code="{code}"}} 1'
+        in exposition.splitlines()
+    )
+
+
 def test_an_op_that_raises_costs_its_client_only_the_connection(bid_stream):
     """An exception ``_dispatch`` does not map is a server bug: the
     replies already due are still written, that one connection is

@@ -149,3 +149,20 @@ class TestInteractiveLoop:
         assert "repro>" in output
         assert "8:07" in output
         assert "bye" in output
+
+    def test_a_bare_sql_command_answers_its_usage(self):
+        """``\\explain``, ``\\analyze`` and ``\\state`` with no SQL after
+        them answer their usage line, as ``\\watch`` does, and the loop
+        goes on."""
+        stdin = io.StringIO("\\explain\n\\analyze\n\\state\n\\watch\n\\quit\n")
+        stdout = io.StringIO()
+        Shell().run(stdin, stdout)
+        output = stdout.getvalue()
+        for usage in [
+            "usage: \\explain [MODE] SELECT ...;",
+            "usage: \\analyze SELECT ...;",
+            "usage: \\state SELECT ...;",
+            "usage: \\watch SELECT ...;",
+        ]:
+            assert usage in output
+        assert "bye" in output

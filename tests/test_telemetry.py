@@ -400,9 +400,9 @@ def test_make_exporter_specs(tmp_path):
     assert isinstance(make_exporter(f"prom:{tmp_path / 'a.prom'}"), PrometheusExporter)
     passthrough = PrometheusExporter()
     assert make_exporter(passthrough) is passthrough
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         make_exporter("jsonl:")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         make_exporter("csv:/tmp/x")
 
 

@@ -46,6 +46,13 @@ def translate(translator, text):
     return translator.translate(parse_expression(text))
 
 
+def code_of(call, *args):
+    """The code of the :class:`ValidationError` ``call(*args)`` raises."""
+    with pytest.raises(ValidationError) as raised:
+        call(*args)
+    return raised.value.code
+
+
 class TestScope:
     def test_qualified_resolution(self, scope):
         ordinal, column = scope.resolve(("o", "price"))
@@ -57,22 +64,19 @@ class TestScope:
         assert ordinal == 2
 
     def test_unqualified_ambiguous(self, scope):
-        with pytest.raises(ValidationError, match="ambiguous"):
+        # (one code for unknown and ambiguous names: the text tells them apart)
+        with pytest.raises(ValidationError, match="ambiguous") as raised:
             scope.resolve(("price",))
+        assert raised.value.code == "unknown_column"
 
     def test_unknown_alias_and_column(self, scope):
-        with pytest.raises(ValidationError, match="unknown table alias"):
-            scope.resolve(("zz", "price"))
-        with pytest.raises(ValidationError, match="has no column"):
-            scope.resolve(("b", "zz"))
-        with pytest.raises(ValidationError, match="unknown column"):
-            scope.resolve(("zz",))
+        for parts in [("zz", "price"), ("b", "zz"), ("zz",)]:
+            assert code_of(scope.resolve, parts) == "unknown_column"
 
     def test_star_expansion(self, scope):
         assert scope.expand_star(None) == list(range(6))
         assert scope.expand_star("o") == [4, 5]
-        with pytest.raises(ValidationError):
-            scope.expand_star("zz")
+        assert code_of(scope.expand_star, "zz") == "unknown_column"
 
     def test_column_at(self, scope):
         assert scope.column_at(5).name == "tag"
@@ -104,23 +108,24 @@ class TestTyping:
 
     def test_comparison_types(self, translator):
         assert translate(translator, "b.price > 1").type is SqlType.BOOL
-        with pytest.raises(ValidationError, match="cannot compare"):
-            translate(translator, "b.item > 1")
+        assert code_of(translate, translator, "b.item > 1") == "type_mismatch"
 
-    def test_boolean_operands_checked(self, translator):
-        with pytest.raises(ValidationError, match="BOOLEAN"):
-            translate(translator, "b.price AND b.price > 1")
-        with pytest.raises(ValidationError, match="BOOLEAN"):
-            translate(translator, "NOT b.price")
+    @pytest.mark.parametrize("text", [
+        "b.price AND b.price > 1", "NOT b.price",
+        "CASE WHEN b.price THEN 1 END",
+    ])
+    def test_boolean_operands_checked(self, translator, text):
+        assert code_of(translate, translator, text) == "type_mismatch"
 
     def test_negation_types(self, translator):
         assert translate(translator, "-b.price").type is SqlType.INT
-        with pytest.raises(ValidationError, match="negate"):
-            translate(translator, "-b.item")
+        assert code_of(translate, translator, "-b.item") == "type_mismatch"
 
-    def test_like_requires_strings(self, translator):
-        with pytest.raises(ValidationError, match="LIKE"):
-            translate(translator, "b.price LIKE 'x%'")
+    @pytest.mark.parametrize("text", [
+        "b.price LIKE 'x%'", "b.item + 1", "b.item * 2",
+    ])
+    def test_operand_types_checked(self, translator, text):
+        assert code_of(translate, translator, text) == "type_mismatch"
 
     def test_case_result_type(self, translator):
         out = translate(
@@ -130,8 +135,9 @@ class TestTyping:
 
     def test_cast_types(self, translator):
         assert translate(translator, "CAST(b.price AS DOUBLE)").type is SqlType.FLOAT
-        with pytest.raises(ValidationError, match="unknown type"):
-            translate(translator, "CAST(b.price AS BLOB)")
+        assert code_of(
+            translate, translator, "CAST(b.price AS BLOB)"
+        ) == "type_mismatch"
 
     def test_scalar_function_types(self, translator):
         assert translate(translator, "UPPER(b.item)").type is SqlType.STRING
